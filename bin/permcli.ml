@@ -825,13 +825,10 @@ let remote_main ~hostport ~exec ~file ~strategy ~engine ~timeout ~max_rows =
             Provserver.Client.create ~host ~port ~seed:(Unix.getpid ()) ()
           in
           let setup () =
-            if strategy <> "gen" && strategy <> "auto" then
-              ignore (remote_request cl (Provserver.Protocol.Set_strategy strategy));
-            if engine <> "compiled" then
-              ignore (remote_request cl (Provserver.Protocol.Set_engine engine));
-            let b = Guard.budget ?timeout ?max_rows () in
-            if not (Guard.is_unlimited b) then
-              ignore (remote_request cl (Provserver.Protocol.Set_budget b))
+            List.iter
+              (fun req -> ignore (remote_request cl req))
+              (Provserver.Client.session_setup ~strategy ?engine
+                 (Guard.budget ?timeout ?max_rows ()))
           in
           let code =
             match (exec, file) with
@@ -924,13 +921,15 @@ let plan_arg = Arg.(value & flag & info [ "plan" ] ~doc:"Print executed plans.")
 
 let engine_arg =
   Arg.(
-    value & opt string "compiled"
+    value
+    & opt (some string) None
     & info [ "engine" ] ~docv:"E"
         ~doc:
-          "Execution engine: $(b,compiled) (offset-resolved closures, the \
-           default), $(b,reference) (tree-walking interpreter), or \
-           $(b,vectorized) (columnar batches; see --domains and \
-           --batch-rows).")
+          "Execution engine: $(b,vectorized) (columnar batches, the \
+           default; see --domains and --batch-rows), $(b,compiled) \
+           (offset-resolved closures), or $(b,reference) (tree-walking \
+           interpreter). With $(b,--connect), a named engine is always \
+           sent to the session; absent, the server's default applies.")
 
 let domains_arg =
   Arg.(
@@ -942,7 +941,7 @@ let domains_arg =
 
 let batch_rows_arg =
   Arg.(
-    value & opt int 2048
+    value & opt int !Vexec.batch_rows
     & info [ "batch-rows" ] ~docv:"N"
         ~doc:"Rows per columnar batch for the $(b,vectorized) engine.")
 
@@ -1112,8 +1111,9 @@ let main_inner tpch demo loads exec file strategy advisor plan engine domains
       Stdlib.exit
         (remote_main ~hostport ~exec ~file ~strategy ~engine ~timeout ~max_rows)
   | None -> ());
-  (match Eval.engine_of_string engine with
-  | e -> Eval.default_engine := e
+  (match Option.map Eval.engine_of_string engine with
+  | Some e -> Eval.default_engine := e
+  | None -> ()
   | exception Invalid_argument msg ->
       prerr_endline msg;
       Stdlib.exit 2);

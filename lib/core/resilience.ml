@@ -186,12 +186,18 @@ let jitter_stream seed =
     0.5 +. (0.5 *. (float_of_int !state /. float_of_int 0x40000000))
 
 let run_ladder db ~strategy ~budget ?backoff q f =
-  let ranking =
-    match !strategy_ranking db q with
-    | r -> r
-    | exception _ -> default_ranking db q
+  (* The rungs after [strategy]. Ranking costs trial rewrites (or the
+     Advisor's estimates), so it is deferred to the first abandoned
+     rung — unless a budget must be split across the rungs up front. *)
+  let later =
+    lazy
+      (List.filter
+         (fun s -> s <> strategy)
+         (match !strategy_ranking db q with
+         | r -> r
+         | exception _ -> default_ranking db q))
   in
-  let order = strategy :: List.filter (fun s -> s <> strategy) ranking in
+  if budget <> None then ignore (Lazy.force later);
   let deadline =
     match budget with
     | Some b -> Option.map (fun t -> Unix.gettimeofday () +. t) b.Guard.g_timeout
@@ -199,10 +205,11 @@ let run_ladder db ~strategy ~budget ?backoff q f =
   in
   (* The remaining wall-clock allowance is re-split before each attempt,
      so time an early strategy did not use flows to the later ones. *)
-  let sub_budget n_remaining =
+  let sub_budget rest =
     match budget with
     | None -> None
     | Some b ->
+        let n_remaining = List.length (Lazy.force rest) + 1 in
         let g_timeout =
           Option.map
             (fun d ->
@@ -239,22 +246,23 @@ let run_ladder db ~strategy ~budget ?backoff q f =
      the {e same} strategy (up to [bo_retries] times) before escalating
      to the next rung; without backoff it is not retried at all. *)
   let max_retries = match backoff with Some b -> b.bo_retries | None -> 0 in
-  let rec go abandoned n_pauses retries = function
-    | [] -> assert false (* [order] is never empty *)
-    | s :: rest as attempts -> (
-        match Guard.with_budget (sub_budget (List.length rest + 1)) (fun () -> f s) with
-        | r -> (r, { lad_strategy = s; lad_abandoned = List.rev abandoned })
-        | exception Perm_error e when transient e && retries < max_retries ->
-            (* same-rung retry: the strategy is not abandoned — if it
-               delivers on a later try the ladder reports a clean run *)
-            pause n_pauses;
-            go abandoned (n_pauses + 1) (retries + 1) attempts
-        | exception Perm_error e
-          when (retryable e || (transient e && max_retries > 0)) && rest <> []
-          ->
-            pause n_pauses;
+  let rec go abandoned n_pauses retries s rest =
+    match Guard.with_budget (sub_budget rest) (fun () -> f s) with
+    | r -> (r, { lad_strategy = s; lad_abandoned = List.rev abandoned })
+    | exception Perm_error e when transient e && retries < max_retries ->
+        (* same-rung retry: the strategy is not abandoned — if it
+           delivers on a later try the ladder reports a clean run *)
+        pause n_pauses;
+        go abandoned (n_pauses + 1) (retries + 1) s rest
+    | exception Perm_error e
+      when (retryable e || (transient e && max_retries > 0))
+           && Lazy.force rest <> [] -> (
+        pause n_pauses;
+        match Lazy.force rest with
+        | next :: rest' ->
             go
               ({ att_strategy = s; att_error = e } :: abandoned)
-              (n_pauses + 1) 0 rest)
+              (n_pauses + 1) 0 next (Lazy.from_val rest')
+        | [] -> assert false (* excluded by the guard *))
   in
-  go [] 0 0 order
+  go [] 0 0 strategy later

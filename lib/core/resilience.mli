@@ -111,6 +111,9 @@ val backoff :
     under a sub-budget: the remaining wall-clock allowance is split
     evenly across the remaining attempts (row/pair/allocation ceilings
     apply per attempt unchanged). The last attempt's error propagates.
+    {!strategy_ranking} is consulted only once a rung is abandoned, so a
+    first rung that answers costs no ranking — except under a [budget],
+    whose re-split needs the rung count before the first attempt.
 
     With [backoff], the ladder pauses between attempts — the k-th pause
     is [min cap (base * 2^k)] scaled by a deterministic seeded jitter

@@ -495,12 +495,13 @@ and eval_agg ctx here env { group_by; aggs; agg_input } : Relation.t =
 (** {1 Public API} *)
 
 (** Which engine {!query}, {!query_stats} and {!expr} dispatch to.
-    [Compiled] is the default; [Reference] selects the tree walker and
-    [Vectorized] the columnar batch engine ({!Vexec}) — permcli's
-    [--engine] and the benchmark harness flip this. *)
+    [Vectorized] (the columnar batch engine, {!Vexec}) is the default;
+    [Compiled] selects the closure engine and [Reference] the tree
+    walker — permcli's and the benchmark harness's [--engine] set
+    this. *)
 type engine = Compiled | Reference | Vectorized
 
-let default_engine = ref Compiled
+let default_engine = ref Vectorized
 
 let engine_name = function
   | Compiled -> "compiled"
@@ -531,7 +532,7 @@ let query_vectorized ?(env = []) db q = Vexec.query ~env:(compile_env env) db q
 
 (** [query db q] evaluates [q] against [db] with a fresh context, using
     [engine] when given, else the engine selected by {!default_engine}
-    (compiled by default); [env] supplies outer frames for correlated
+    (vectorized by default); [env] supplies outer frames for correlated
     evaluation. The explicit parameter lets concurrent callers (the
     provenance server's sessions) pick an engine per request without
     mutating the shared default. *)

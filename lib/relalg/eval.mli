@@ -1,12 +1,14 @@
 (** Evaluation entry points for the extended algebra of Figure 1.
 
-    Two engines implement the same semantics: the {e compiled} engine
-    ({!Compile}, the default) lowers the plan once into offset-resolved
-    closures; the {e reference} engine is the tree-walking interpreter
-    kept in this module as the executable specification. {!query},
-    {!query_stats} and {!expr} dispatch on {!default_engine}.
+    Three engines implement the same semantics: the {e vectorized}
+    engine ({!Vexec}, the default) runs columnar batch kernels; the
+    {e compiled} engine ({!Compile}) lowers the plan once into
+    offset-resolved closures; the {e reference} engine is the
+    tree-walking interpreter kept in this module as the executable
+    specification. {!query}, {!query_stats} and {!expr} dispatch on
+    {!default_engine}.
 
-    Performance features shared by both engines, mirroring what
+    Performance features shared by the engines, mirroring what
     PostgreSQL gives the original Perm: hash execution of equi-join
     conjuncts (including the null-aware [=n]), per-correlation-binding
     memoization of sublink results, and constant-size summaries
@@ -57,7 +59,8 @@ val all_of_summary : Algebra.cmpop -> Value.t -> summary -> Value.t
 type engine = Compiled | Reference | Vectorized
 
 (** The engine used by {!query}, {!query_stats} and {!expr}. Defaults to
-    [Compiled]; permcli's [--engine] and the benchmark harness set it. *)
+    [Vectorized]; permcli's and the benchmark harness's [--engine] set
+    it when given. *)
 val default_engine : engine ref
 
 val engine_name : engine -> string

@@ -41,6 +41,11 @@ type column = {
           NULLs in the column. Always [None] for [DVal]. *)
 }
 
+(** The boxed tuples a columnar batch was built from. Physical row [i]
+    of the batch is [rows.(i)], projected through [offs] when the batch
+    keeps only some of their columns ([None] = all, in order). *)
+type source = { rows : Tuple.t array; offs : int array option }
+
 type t =
   | Cols of {
       n : int;  (** physical row count *)
@@ -48,6 +53,8 @@ type t =
       cols : column array;
       sel : int array option;
           (** surviving physical row indices, ascending; [None] = all *)
+      src : source option;
+          (** the batch's rows as boxed tuples, when it has them *)
     }
   | Rows of { schema : Schema.t; rows : Tuple.t array }
   | CrossB of {
@@ -178,6 +185,7 @@ let of_rows schema (rows : Tuple.t array) ~lo ~len : t =
       schema;
       cols = Array.init arity (fun j -> build_column rows ~lo ~len j);
       sel = None;
+      src = Some { rows = Array.sub rows lo len; offs = None };
     }
 
 let rows_batch schema rows : t = Rows { schema; rows }
@@ -210,6 +218,21 @@ let col_value (c : column) i : Value.t =
 (* Physical index of logical row [i]. *)
 let phys sel i = match sel with None -> i | Some s -> Array.unsafe_get s i
 
+(* Boxed tuple of physical row [p]: the source tuple itself (or its
+   projection, which shares the boxed values) when the batch has one,
+   else rebuilt from the columns. *)
+let cols_row cols src p : Tuple.t =
+  match src with
+  | Some { rows; offs = None } -> Array.unsafe_get rows p
+  | Some { rows; offs = Some o } -> Tuple.project_arr (Array.unsafe_get rows p) o
+  | None ->
+      let ncols = Array.length cols in
+      let t = Array.make ncols Value.Null in
+      for j = 0 to ncols - 1 do
+        Array.unsafe_set t j (col_value (Array.unsafe_get cols j) p)
+      done;
+      t
+
 (* Expand one row of a factored cross block. *)
 let cross_row lefts right_cols srcs ~k ~i : Tuple.t =
   let ta = Array.unsafe_get lefts k in
@@ -223,13 +246,26 @@ let cross_row lefts right_cols srcs ~k ~i : Tuple.t =
   done;
   t
 
+(** [value_at b j p] — column [j] at {e physical} row [p], read from the
+    source tuple when the batch has one (no boxing). *)
+let value_at (b : t) j p : Value.t =
+  match b with
+  | Cols { src = Some { rows; offs = None }; _ } ->
+      Array.unsafe_get (Array.unsafe_get rows p) j
+  | Cols { src = Some { rows; offs = Some o }; _ } ->
+      Array.unsafe_get (Array.unsafe_get rows p) (Array.unsafe_get o j)
+  | Cols { cols; _ } -> col_value (Array.unsafe_get cols j) p
+  | Rows { rows; _ } -> Tuple.get rows.(p) j
+  | CrossB { lefts; right_cols; card_b; srcs; _ } ->
+      let s = srcs.(j) in
+      if s >= 0 then Tuple.get lefts.(p / card_b) s
+      else right_cols.(lnot s).(p mod card_b)
+
 (** [tuple_at b i] — boxed tuple for {e logical} row [i]. *)
 let tuple_at (b : t) i : Tuple.t =
   match b with
   | Rows r -> r.rows.(i)
-  | Cols c ->
-      let p = phys c.sel i in
-      Array.init (Array.length c.cols) (fun j -> col_value c.cols.(j) p)
+  | Cols c -> cols_row c.cols c.src (phys c.sel i)
   | CrossB c ->
       cross_row c.lefts c.right_cols c.srcs ~k:(i / c.card_b)
         ~i:(i mod c.card_b)
@@ -266,16 +302,9 @@ let batch_prepend (b : t) (tail : Tuple.t list) : Tuple.t list =
       done;
       !acc
   | Cols c ->
-      let len = length b in
-      let ncols = Array.length c.cols in
       let acc = ref tail in
-      for i = len - 1 downto 0 do
-        let p = phys c.sel i in
-        let t = Array.make ncols Value.Null in
-        for j = 0 to ncols - 1 do
-          Array.unsafe_set t j (col_value (Array.unsafe_get c.cols j) p)
-        done;
-        acc := t :: !acc
+      for i = length b - 1 downto 0 do
+        acc := cols_row c.cols c.src (phys c.sel i) :: !acc
       done;
       !acc
   | CrossB c ->
@@ -292,12 +321,18 @@ let batch_prepend (b : t) (tail : Tuple.t list) : Tuple.t list =
    so stats-only pipelines never pay the transpose. *)
 let relation_of schema (batches : t list) : Relation.t =
   let card = List.fold_left (fun n b -> n + length b) 0 batches in
+  (* The batches are dropped once the rows exist, so a materialized
+     result (a stored CREATE TABLE AS, say) does not keep both forms
+     alive. The producer runs once, under the relation's memo lock. *)
+  let pending = ref batches in
   Relation.make_lazy ~cardinality:card schema (fun () ->
-      List.fold_left
-        (fun tail b -> batch_prepend b tail)
-        [] (List.rev batches))
+      let rows =
+        List.fold_left (fun tail b -> batch_prepend b tail) [] (List.rev !pending)
+      in
+      pending := [];
+      rows)
 
-let of_relation ?(batch_rows = 2048) rel : t array =
+let of_relation ?(batch_rows = 256) rel : t array =
   let schema = Relation.schema rel in
   let rows = Array.of_list (Relation.tuples rel) in
   let n = Array.length rows in
@@ -316,12 +351,24 @@ let of_relation ?(batch_rows = 2048) rel : t array =
 let select_cols out_schema (b : t) (offs : int array) : t =
   match b with
   | Cols c ->
+      let src =
+        Option.map
+          (fun s ->
+            match s.offs with
+            | Some o -> { s with offs = Some (Array.map (fun j -> o.(j)) offs) }
+            | None ->
+                let identity = ref (Array.length offs = Array.length c.cols) in
+                Array.iteri (fun i j -> if i <> j then identity := false) offs;
+                { s with offs = (if !identity then None else Some offs) })
+          c.src
+      in
       Cols
         {
           n = c.n;
           schema = out_schema;
           cols = Array.map (fun j -> c.cols.(j)) offs;
           sel = c.sel;
+          src;
         }
   | Rows r ->
       Rows
@@ -332,72 +379,20 @@ let select_cols out_schema (b : t) (offs : int array) : t =
       CrossB
         { c with schema = out_schema; srcs = Array.map (fun j -> c.srcs.(j)) offs }
 
+(** [with_schema s b] — the same rows under the (type-compatible)
+    schema [s]; no row data moves. *)
+let with_schema schema (b : t) : t =
+  match b with
+  | Cols c -> Cols { c with schema }
+  | Rows r -> Rows { r with schema }
+  | CrossB c -> CrossB { c with schema }
+
 (** [with_sel b sel] — replace the selection vector (physical indices)
     of a [Cols] batch. *)
 let with_sel (b : t) sel : t =
   match b with
   | Cols c -> Cols { c with sel }
   | Rows _ | CrossB _ -> invalid_arg "Vector.with_sel: not a Cols batch"
-
-(** [gather_col c idx] — new column whose row [i] is physical row
-    [idx.(i)] of [c]; an index of [-1] produces NULL (outer-join
-    padding). *)
-let gather_col (c : column) (idx : int array) : column =
-  let len = Array.length idx in
-  let any_pad = Array.exists (fun i -> i < 0) idx in
-  let need_valid = any_pad || c.valid <> None in
-  let valid =
-    if not need_valid then None
-    else begin
-      let b = bits_make len in
-      for i = 0 to len - 1 do
-        let p = Array.unsafe_get idx i in
-        if p >= 0 && valid_at c p then bit_set b i
-      done;
-      Some b
-    end
-  in
-  let data =
-    match c.data with
-    | DInt a ->
-        let out = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
-        for i = 0 to len - 1 do
-          let p = Array.unsafe_get idx i in
-          Bigarray.Array1.unsafe_set out i
-            (if p >= 0 then Bigarray.Array1.unsafe_get a p else 0)
-        done;
-        DInt out
-    | DFloat a ->
-        let out =
-          Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len
-        in
-        for i = 0 to len - 1 do
-          let p = Array.unsafe_get idx i in
-          Bigarray.Array1.unsafe_set out i
-            (if p >= 0 then Bigarray.Array1.unsafe_get a p else 0.)
-        done;
-        DFloat out
-    | DString a ->
-        DString
-          (Array.init len (fun i ->
-               let p = idx.(i) in
-               if p >= 0 then a.(p) else ""))
-    | DBool a ->
-        let out = Bytes.make len '\000' in
-        for i = 0 to len - 1 do
-          let p = Array.unsafe_get idx i in
-          if p >= 0 then Bytes.unsafe_set out i (Bytes.unsafe_get a p)
-        done;
-        DBool out
-    | DVal a ->
-        (* DVal keeps NULLs inline, so padding needs no bitmap — but a
-           computed one is harmless and keeps [col_value] uniform. *)
-        DVal
-          (Array.init len (fun i ->
-               let p = idx.(i) in
-               if p >= 0 then a.(p) else Value.Null))
-  in
-  { data; valid }
 
 (** [transpose rows ~arity] — column-major view of boxed tuples:
     [(transpose rows ~arity).(j).(i)] is [rows.(i).(j)]. Values are
@@ -425,11 +420,3 @@ let cross_block schema ~(lefts : Tuple.t array)
       card_b;
       srcs = Array.init arity (fun j -> if j < arity_l then j else lnot (j - arity_l));
     }
-
-(** [concat schema batches] — materialize a batch list as one [Cols]
-    batch (the hash-join build side's unified layout). *)
-let concat schema (batches : t list) : t =
-  let rows =
-    Array.concat (List.map (fun b -> rows_arr b) batches)
-  in
-  of_rows schema rows ~lo:0 ~len:(Array.length rows)

@@ -30,6 +30,13 @@ type column = {
           NULLs in the column *)
 }
 
+(** The boxed tuples a columnar batch was built from. Physical row [i]
+    of the batch is [rows.(i)], projected through [offs] when the batch
+    keeps only some of their columns ([None] = all, in order). Row
+    access returns these tuples (or projections sharing their values)
+    instead of re-boxing every column value. *)
+type source = { rows : Tuple.t array; offs : int array option }
+
 type t =
   | Cols of {
       n : int;  (** physical row count *)
@@ -37,6 +44,8 @@ type t =
       cols : column array;
       sel : int array option;
           (** surviving physical row indices, ascending; [None] = all *)
+      src : source option;
+          (** the batch's rows as boxed tuples, when it has them *)
     }
   | Rows of { schema : Schema.t; rows : Tuple.t array }
   | CrossB of {
@@ -77,7 +86,7 @@ val rows_batch : Schema.t -> Tuple.t array -> t
 
 val of_relation : ?batch_rows:int -> Relation.t -> t array
 (** Split a relation into columnar batches of at most [batch_rows]
-    rows (default 2048). *)
+    rows (default 256). *)
 
 (** {1 Access} *)
 
@@ -88,6 +97,10 @@ val length : t -> int
 
 val col_value : column -> int -> Value.t
 (** Value at {e physical} row [i]. *)
+
+val value_at : t -> int -> int -> Value.t
+(** [value_at b j p] — column [j] at {e physical} row [p]; read from the
+    source tuple when the batch has one. *)
 
 val tuple_at : t -> int -> Tuple.t
 (** Boxed tuple at {e logical} row [i]. *)
@@ -103,15 +116,12 @@ val select_cols : Schema.t -> t -> int array -> t
 (** Attribute-only projection: keep the columns at the given offsets
     under a renamed schema. Shares column storage on [Cols]. *)
 
+val with_schema : Schema.t -> t -> t
+(** The same rows under a type-compatible schema (set-operation output
+    naming); no row data moves. *)
+
 val with_sel : t -> int array option -> t
 (** Replace a [Cols] batch's selection vector (physical indices). *)
-
-val gather_col : column -> int array -> column
-(** New column whose row [i] is physical row [idx.(i)]; index [-1]
-    produces NULL (outer-join padding). *)
-
-val concat : Schema.t -> t list -> t
-(** Materialize a batch list as one [Cols] batch. *)
 
 val transpose : Tuple.t array -> arity:int -> Value.t array array
 (** Column-major view of boxed tuples: [(transpose rows ~arity).(j).(i)]

@@ -35,8 +35,12 @@ open Algebra
 (** Workers per query (1 = sequential). Set via [--domains]. *)
 let domains = ref 1
 
-(** Rows per columnar batch. Set via [--batch-rows]. *)
-let batch_rows = ref 2048
+(** Rows per columnar batch. Set via [--batch-rows]. At 256 a batch's
+    per-row scratch arrays (selection vectors, masks, row arrays) stay
+    within OCaml's minor-heap size limit (256 words); larger ones are
+    allocated directly in the major heap, where short-lived garbage is
+    far more expensive to reclaim. *)
+let batch_rows = ref 256
 
 (** Test-only: run on this pool regardless of [domains] and of the
     core-count clamp in {!Morsel.get}. The race-fuzz campaign and the
@@ -137,44 +141,49 @@ let par_run here pool ~tasks (f : int -> unit) =
 
 (* ---- batch utilities ----------------------------------------------- *)
 
+(* [0; 1; ...; n-1], filled through a typed store ([Array.init]
+   stores through the polymorphic write barrier). *)
+let iota n : int array =
+  let a = Array.make n 0 in
+  for i = 1 to n - 1 do
+    Array.unsafe_set a i i
+  done;
+  a
+
 (* Physical indices of a batch's surviving rows, in order. *)
 let idx_of (b : Vector.t) : int array =
   match b with
   | Vector.Cols { sel = Some s; _ } -> s
-  | Vector.Cols { n; _ } -> Array.init n (fun i -> i)
-  | Vector.Rows { rows; _ } -> Array.init (Array.length rows) (fun i -> i)
-  | Vector.CrossB _ -> Array.init (Vector.length b) (fun i -> i)
-
-(* Value of column [j] at physical row [i]. *)
-let batch_get (b : Vector.t) j i : Value.t =
-  match b with
-  | Vector.Cols { cols; _ } -> Vector.col_value cols.(j) i
-  | Vector.Rows { rows; _ } -> Tuple.get rows.(i) j
-  | Vector.CrossB { lefts; right_cols; card_b; srcs; _ } ->
-      let s = srcs.(j) in
-      if s >= 0 then Tuple.get lefts.(i / card_b) s
-      else right_cols.(lnot s).(i mod card_b)
+  | Vector.Cols { n; _ } -> iota n
+  | Vector.Rows _ | Vector.CrossB _ -> iota (Vector.length b)
 
 let col_of (b : Vector.t) j : Vector.column option =
   match b with
   | Vector.Cols { cols; _ } -> Some cols.(j)
   | Vector.Rows _ | Vector.CrossB _ -> None
 
-(* Split a materialized row list into [Rows] batches. *)
+(* Split a materialized row list into [Rows] batches, filling each
+   batch's array straight from the list. *)
 let chunk_rows schema (rows : Tuple.t list) : Vector.t list =
-  match rows with
-  | [] -> []
-  | _ ->
-      let arr = Array.of_list rows in
-      let n = Array.length arr in
-      let br = max 1 !batch_rows in
-      let rec go lo acc =
-        if lo >= n then List.rev acc
-        else
-          let len = min br (n - lo) in
-          go (lo + len) (Vector.rows_batch schema (Array.sub arr lo len) :: acc)
-      in
-      go 0 []
+  let br = max 1 !batch_rows in
+  let rec go left rows acc =
+    match rows with
+    | [] -> List.rev acc
+    | first :: _ ->
+        let chunk = Array.make (min br left) first in
+        let rec fill i rows =
+          if i = Array.length chunk then rows
+          else
+            match rows with
+            | t :: rest ->
+                Array.unsafe_set chunk i t;
+                fill (i + 1) rest
+            | [] -> []
+        in
+        let rest = fill 0 rows in
+        go (left - Array.length chunk) rest (Vector.rows_batch schema chunk :: acc)
+  in
+  go (List.length rows) rows []
 
 (* ---- three-valued scalar kernels ----------------------------------- *)
 
@@ -368,7 +377,7 @@ let eval_attr b idx j : Bytes.t =
   let out = Bytes.create m in
   for k = 0 to m - 1 do
     Bytes.unsafe_set out k
-      (Char.unsafe_chr (b3_of_value (batch_get b j (Array.unsafe_get idx k))))
+      (Char.unsafe_chr (b3_of_value (Vector.value_at b j (Array.unsafe_get idx k))))
   done;
   out
 
@@ -378,7 +387,7 @@ let eval_isnull b idx j : Bytes.t =
   let generic () =
     for k = 0 to m - 1 do
       Bytes.unsafe_set out k
-        (if Value.is_null (batch_get b j (Array.unsafe_get idx k)) then '\001'
+        (if Value.is_null (Vector.value_at b j (Array.unsafe_get idx k)) then '\001'
          else '\000')
     done
   in
@@ -402,7 +411,7 @@ let eval_cmp_cc b idx op j (cv : Value.t) : Bytes.t =
   let generic () =
     for k = 0 to m - 1 do
       Bytes.unsafe_set out k
-        (Char.unsafe_chr (cmp_b3 op (batch_get b j (Array.unsafe_get idx k)) cv))
+        (Char.unsafe_chr (cmp_b3 op (Vector.value_at b j (Array.unsafe_get idx k)) cv))
     done
   in
   (match (col_of b j, cv) with
@@ -435,7 +444,7 @@ let eval_cmp_rev b idx op (cv : Value.t) j : Bytes.t =
   let generic () =
     for k = 0 to m - 1 do
       Bytes.unsafe_set out k
-        (Char.unsafe_chr (cmp_b3 op cv (batch_get b j (Array.unsafe_get idx k))))
+        (Char.unsafe_chr (cmp_b3 op cv (Vector.value_at b j (Array.unsafe_get idx k))))
     done
   in
   (match (col_of b j, cv) with
@@ -469,7 +478,7 @@ let eval_cmp_cols b idx op j1 j2 : Bytes.t =
     for k = 0 to m - 1 do
       let i = Array.unsafe_get idx k in
       Bytes.unsafe_set out k
-        (Char.unsafe_chr (cmp_b3 op (batch_get b j1 i) (batch_get b j2 i)))
+        (Char.unsafe_chr (cmp_b3 op (Vector.value_at b j1 i) (Vector.value_at b j2 i)))
     done
   in
   (match (col_of b j1, col_of b j2) with
@@ -498,7 +507,7 @@ let eval_probe rt b idx pr : Bytes.t =
     for k = 0 to m - 1 do
       Bytes.unsafe_set out k
         (Char.unsafe_chr
-           (probe_b3 pr prep (batch_get b pr.pr_lhs (Array.unsafe_get idx k))))
+           (probe_b3 pr prep (Vector.value_at b pr.pr_lhs (Array.unsafe_get idx k))))
     done
   in
   (match (col_of b pr.pr_lhs, prep.p_iset) with
@@ -763,14 +772,78 @@ and probe_of db here schema cenv ~any op n s : mask option =
                     pr_prep = None;
                   })))
 
+(* Whether a vectorized boolean expression yields exactly the compiled
+   engine's {e scalar} value (not just its truth), and cannot raise:
+   the scalar AND/OR/NOT raise on non-boolean operands where a
+   predicate reads them as false, so bare attributes and non-boolean
+   constants are excluded; comparisons of attributes and constants,
+   NULL tests and ANY/ALL probes are total. *)
+let rec scalar_safe = function
+  | Const (Value.Bool _ | Value.Null) | IsNull _ | Sublink _ -> true
+  | Cmp (EqNull, p, Const (Value.Bool _)) when is_boolean_shape p -> scalar_safe p
+  | Cmp (EqNull, Const (Value.Bool _), p) when is_boolean_shape p -> scalar_safe p
+  | Cmp _ -> true
+  | And (a, b) | Or (a, b) -> scalar_safe a && scalar_safe b
+  | Not a -> scalar_safe a
+  | _ -> false
+
+(* One output column of a projection computed batch-at-a-time: an input
+   column, or a boolean expression evaluated as a mask. *)
+type pcol = PAttr of int | PMask of mask
+
+let value_of_b3 = function 0 -> Value.vfalse | 1 -> Value.vtrue | _ -> Value.Null
+
+(* The projection list as [pcol]s, when every item is an input attribute
+   or a total, vectorizable boolean expression, and at most one item
+   probes a sublink — so materializing the sublinks column by column
+   happens in the compiled engine's row-by-row order. *)
+let mask_projection db here schema cenv cols : pcol array option =
+  let item (e, _) =
+    match e with
+    | Attr n -> Option.map (fun j -> PAttr j) (Schema.find schema n)
+    | e when is_boolean_shape e && scalar_safe e ->
+        Option.map (fun m -> PMask m) (vectorize db here schema cenv e)
+    | _ -> None
+  in
+  let items = List.map item cols in
+  let probing = function Some (PMask m) -> mask_probes [] m <> [] | _ -> false in
+  if List.exists Option.is_none items || List.length (List.filter probing items) > 1
+  then None
+  else Some (Array.of_list (List.map Option.get items))
+
+(* [Project] of bare attributes over a join, split into the join's
+   parts and the output offsets into its concatenated schema — the
+   compiled engine's projection-into-join fusion, taken on the same
+   plans so operator paths coincide. *)
+let fused_join db cenv cols input =
+  let parts =
+    match input with
+    | Join (c, a, b) -> Some (false, c, a, b)
+    | LeftJoin (c, a, b) -> Some (true, c, a, b)
+    | Select (c, Cross (a, b)) -> Some (false, c, a, b)
+    | Select (c, Join (jc, a, b)) -> Some (false, And (jc, c), a, b)
+    | _ -> None
+  in
+  Option.bind parts (fun (outer, cond, a, b) ->
+      let joint =
+        Schema.concat
+          (Typecheck.infer_query_env db cenv a)
+          (Typecheck.infer_query_env db cenv b)
+      in
+      Option.map
+        (fun offs ->
+          (outer, cond, a, b, (offs, Typecheck.projection_schema db (joint :: cenv) cols)))
+        (Compile.offsets_of_projection joint cols))
+
 (* ---- lowering ------------------------------------------------------- *)
 
 (* [lower db path cenv q] mirrors {!Compile.compile_query} operator by
    operator: same child paths (the rev-last-segment [left]/[right]
-   qualifiers for joins), same fusions (selection over product/join),
-   same runtime evaluation order (right join input before left), same
-   fault-injection boundaries and stats updates — so results, errors
-   and governor trip paths coincide with the compiled engine's. *)
+   qualifiers for joins), same fusions (selection over product/join,
+   attribute projection into join), same runtime evaluation order
+   (right join input before left), same fault-injection boundaries and
+   stats updates — so results, errors and governor trip paths coincide
+   with the compiled engine's. *)
 let rec lower db path (cenv : Schema.t list) (q : query) : vop =
   let here = path @ [ Guard.op_label q ] in
   let cpath qual = path @ [ Guard.op_label q ^ qual ] in
@@ -788,12 +861,17 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
               (columnar_batches (Database.find (Compile.ctx_db rt.cctx) name)));
       }
   | TableExpr rel ->
+      (* Plan constants (the rewrites' NULL padding rows, folded empty
+         inputs) are fresh relations on every rewrite: converting them
+         would churn the columnar cache and evict the base tables, so
+         they stream their own tuples. *)
+      let schema = Relation.schema rel in
       {
-        v_schema = Relation.schema rel;
+        v_schema = schema;
         v_run =
           (fun _rt ->
             Guard.Faults.fire_point Guard.Faults.Scan here;
-            Array.to_list (columnar_batches rel));
+            chunk_rows schema (Relation.tuples rel));
       }
   | Select (cond, Cross (a, b)) -> lower_join db here cenv ~outer:false cond a b
   | Select (cond, Join (c, a, b)) ->
@@ -865,71 +943,10 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
                   (vin.v_run rt));
           })
   | Project { distinct; cols; proj_input } -> (
-      let vin = lower db (cpath "") cenv proj_input in
-      let ienv = vin.v_schema :: cenv in
-      let out_schema = Typecheck.projection_schema db ienv cols in
-      match Compile.offsets_of_projection vin.v_schema cols with
-      | Some offs when not distinct ->
-          (* Attribute-only projection: per-batch column gather, sharing
-             storage and selection vectors — no row data moves. *)
-          {
-            v_schema = out_schema;
-            v_run =
-              (fun rt ->
-                List.map
-                  (fun b -> Vector.select_cols out_schema b offs)
-                  (vin.v_run rt));
-          }
-      | Some offs ->
-          {
-            v_schema = out_schema;
-            v_run =
-              (fun rt ->
-                let rows =
-                  List.concat_map
-                    (fun b ->
-                      Guard.tick here;
-                      Vector.to_tuples (Vector.select_cols out_schema b offs))
-                    (vin.v_run rt)
-                in
-                let rel =
-                  Relation.distinct (Relation.make_unchecked out_schema rows)
-                in
-                chunk_rows out_schema (Relation.tuples rel));
-          }
-      | None ->
-          let cexprs =
-            Array.of_list
-              (List.map
-                 (fun (e, _) -> Compile.compile_scalar ~path:here db ienv e)
-                 cols)
-          in
-          let eval_rows rt bats =
-            List.concat_map
-              (fun b ->
-                Guard.tick here;
-                let acc = ref [] in
-                Vector.iter_tuples b (fun t ->
-                    acc := Compile.eval_exprs cexprs rt.cctx (t :: rt.renv) :: !acc);
-                List.rev !acc)
-              bats
-          in
-          if distinct then
-            {
-              v_schema = out_schema;
-              v_run =
-                (fun rt ->
-                  let rows = eval_rows rt (vin.v_run rt) in
-                  let rel =
-                    Relation.distinct (Relation.make_unchecked out_schema rows)
-                  in
-                  chunk_rows out_schema (Relation.tuples rel));
-            }
-          else
-            {
-              v_schema = out_schema;
-              v_run = (fun rt -> chunk_rows out_schema (eval_rows rt (vin.v_run rt)));
-            })
+      match if distinct then None else fused_join db cenv cols proj_input with
+      | Some (outer, cond, a, b, project) ->
+          lower_join db here cenv ~outer ~project cond a b
+      | None -> lower_project db here (cpath "") cenv ~distinct cols proj_input)
   | Cross (a, b) ->
       let va = lower db (cpath "[left]") cenv a
       and vb = lower db (cpath "[right]") cenv b in
@@ -1026,11 +1043,24 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
             in
             chunk_rows out_schema (List.map compute_group keys));
       }
-  | Union (sem, a, b) ->
-      let op =
-        match sem with Bag -> Relation.union_bag | SetSem -> Relation.union_set
-      in
-      lower_setop db (cpath "[left]") (cpath "[right]") cenv op a b
+  | Union (Bag, a, b) ->
+      let va = lower db (cpath "[left]") cenv a
+      and vb = lower db (cpath "[right]") cenv b in
+      if not (Schema.equal_types va.v_schema vb.v_schema) then
+        setop_of va vb Relation.union_bag
+      else
+        (* A bag union is its inputs' batches in order: nothing is
+           copied, and base-table batches stay columnar. *)
+        {
+          v_schema = va.v_schema;
+          v_run =
+            (fun rt ->
+              let rb = vb.v_run rt in
+              let ra = va.v_run rt in
+              List.map (Vector.with_schema va.v_schema) (ra @ rb));
+        }
+  | Union (SetSem, a, b) ->
+      lower_setop db (cpath "[left]") (cpath "[right]") cenv Relation.union_set a b
   | Inter (sem, a, b) ->
       let op =
         match sem with Bag -> Relation.inter_bag | SetSem -> Relation.inter_set
@@ -1114,8 +1144,102 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
               bats);
       }
 
+and lower_project db here cpath cenv ~distinct cols proj_input : vop =
+  let vin = lower db cpath cenv proj_input in
+  let ienv = vin.v_schema :: cenv in
+  let out_schema = Typecheck.projection_schema db ienv cols in
+  let distinct_rows rows =
+    chunk_rows out_schema
+      (Relation.tuples (Relation.distinct (Relation.make_unchecked out_schema rows)))
+  in
+  match Compile.offsets_of_projection vin.v_schema cols with
+  | Some offs when not distinct ->
+      (* Attribute-only projection: per-batch column gather, sharing
+         storage and selection vectors — no row data moves. *)
+      {
+        v_schema = out_schema;
+        v_run =
+          (fun rt ->
+            List.map (fun b -> Vector.select_cols out_schema b offs) (vin.v_run rt));
+      }
+  | Some offs ->
+      {
+        v_schema = out_schema;
+        v_run =
+          (fun rt ->
+            distinct_rows
+              (List.concat_map
+                 (fun b ->
+                   Guard.tick here;
+                   Vector.to_tuples (Vector.select_cols out_schema b offs))
+                 (vin.v_run rt)));
+      }
+  | None -> (
+      match if distinct then None else mask_projection db here vin.v_schema cenv cols with
+      | Some pcols ->
+          (* Attribute and boolean-mask items: masks are computed per
+             batch over the input columns, and output rows gather the
+             input values with no per-row expression closures. *)
+          let ncols = Array.length pcols in
+          {
+            v_schema = out_schema;
+            v_run =
+              (fun rt ->
+                List.map
+                  (fun b ->
+                    Guard.tick here;
+                    let idx = idx_of b in
+                    let masks =
+                      Array.map
+                        (function
+                          | PMask m -> eval_mask rt b idx m | PAttr _ -> Bytes.empty)
+                        pcols
+                    in
+                    Vector.rows_batch out_schema
+                      (Array.mapi
+                         (fun k p ->
+                           let row = Array.make ncols Value.Null in
+                           for c = 0 to ncols - 1 do
+                             Array.unsafe_set row c
+                               (match Array.unsafe_get pcols c with
+                               | PAttr j -> Vector.value_at b j p
+                               | PMask _ ->
+                                   value_of_b3
+                                     (Char.code (Bytes.unsafe_get masks.(c) k)))
+                           done;
+                           (row : Tuple.t))
+                         idx))
+                  (vin.v_run rt));
+          }
+      | None ->
+          let cexprs =
+            Array.of_list
+              (List.map
+                 (fun (e, _) -> Compile.compile_scalar ~path:here db ienv e)
+                 cols)
+          in
+          let eval_rows rt =
+            List.concat_map
+              (fun b ->
+                Guard.tick here;
+                let acc = ref [] in
+                Vector.iter_tuples b (fun t ->
+                    acc := Compile.eval_exprs cexprs rt.cctx (t :: rt.renv) :: !acc);
+                List.rev !acc)
+              (vin.v_run rt)
+          in
+          {
+            v_schema = out_schema;
+            v_run =
+              (fun rt ->
+                if distinct then distinct_rows (eval_rows rt)
+                else chunk_rows out_schema (eval_rows rt));
+          })
+
 and lower_setop db lpath rpath cenv op a b : vop =
-  let va = lower db lpath cenv a and vb = lower db rpath cenv b in
+  setop_of (lower db lpath cenv a) (lower db rpath cenv b) op
+
+and setop_of va vb op : vop =
   {
     v_schema = va.v_schema;
     v_run =
@@ -1128,7 +1252,11 @@ and lower_setop db lpath rpath cenv op a b : vop =
         chunk_rows va.v_schema (Relation.tuples (op ra rb)));
   }
 
-and lower_join db here cenv ~outer cond a b : vop =
+(* [?project] is the fused attribute projection (output offsets into
+   the concatenated schema, output schema): rows are gathered from the
+   (left, right) pair instead of concatenated, and factored cross blocks
+   just remap their sources. *)
+and lower_join db here cenv ~outer ?project cond a b : vop =
   let qual s =
     match List.rev here with
     | last :: rest -> List.rev ((last ^ s) :: rest)
@@ -1138,7 +1266,27 @@ and lower_join db here cenv ~outer cond a b : vop =
   and vb = lower db (qual "[right]") cenv b in
   let sa = va.v_schema and sb = vb.v_schema in
   let joint = Schema.concat sa sb in
-  let arity_b = Schema.arity sb in
+  let arity_a = Schema.arity sa and arity_b = Schema.arity sb in
+  let out_schema = match project with None -> joint | Some (_, s) -> s in
+  let mk_row =
+    match project with
+    | None -> Tuple.concat
+    | Some (offs, _) ->
+        let n = Array.length offs in
+        fun ta tb ->
+          let out = Array.make n Value.Null in
+          for j = 0 to n - 1 do
+            let i = Array.unsafe_get offs j in
+            Array.unsafe_set out j
+              (if i < arity_a then Tuple.get ta i else Tuple.get tb (i - arity_a))
+          done;
+          (out : Tuple.t)
+  in
+  let project_block blk =
+    match project with
+    | None -> blk
+    | Some (offs, s) -> Vector.select_cols s blk offs
+  in
   let pairs, residual =
     Scope.split_equi db ~left:(Schema.names sa) ~right:(Schema.names sb) cond
   in
@@ -1153,6 +1301,7 @@ and lower_join db here cenv ~outer cond a b : vop =
     let penv = sb :: sa :: cenv in
     let split =
       match cond with
+      | Const (Value.Bool true) -> `All
       | Or (x, y) when hoistable x ->
           `Or
             ( Compile.compile_predicate ~path:here db (sa :: cenv) x,
@@ -1164,7 +1313,7 @@ and lower_join db here cenv ~outer cond a b : vop =
       | _ -> `Whole (Compile.compile_predicate ~path:here db penv cond)
     in
     {
-      v_schema = joint;
+      v_schema = out_schema;
       v_run =
         (fun rt ->
           Guard.Faults.fire_point Guard.Faults.Join here;
@@ -1195,7 +1344,7 @@ and lower_join db here cenv ~outer cond a b : vop =
               fill (!n_acc - 1) !acc;
               acc := [];
               n_acc := 0;
-              out := Vector.rows_batch joint rows :: !out
+              out := Vector.rows_batch out_schema rows :: !out
             end
           in
           let flush_pending () =
@@ -1211,8 +1360,9 @@ and lower_join db here cenv ~outer cond a b : vop =
               pending := [];
               n_pending := 0;
               out :=
-                Vector.cross_block joint ~lefts
-                  ~right_cols:(Lazy.force right_cols) ~card_b
+                project_block
+                  (Vector.cross_block joint ~lefts
+                     ~right_cols:(Lazy.force right_cols) ~card_b)
                 :: !out
             end
           in
@@ -1223,7 +1373,7 @@ and lower_join db here cenv ~outer cond a b : vop =
           in
           let emit_pad ta =
             incr emitted;
-            push (Tuple.concat ta pad)
+            push (mk_row ta pad)
           in
           (* Every pair of [ta × tbs] is emitted with no per-pair
              predicate, so the block is built columnarly — left values
@@ -1244,7 +1394,7 @@ and lower_join db here cenv ~outer cond a b : vop =
                 if p rt.cctx (tb :: aenv) = 1 then begin
                   hit := true;
                   incr emitted;
-                  push (Tuple.concat ta tb)
+                  push (mk_row ta tb)
                 end)
               tbs;
             if outer && not !hit then emit_pad ta
@@ -1264,6 +1414,7 @@ and lower_join db here cenv ~outer cond a b : vop =
                   | [] -> if outer then emit_pad ta
                   | _ -> (
                       match split with
+                      | `All -> emit_all ta
                       | `Whole p -> emit_filtered ta aenv p
                       | `Or (px, py) ->
                           if px rt.cctx aenv = 1 then emit_all ta
@@ -1326,7 +1477,7 @@ and lower_join db here cenv ~outer cond a b : vop =
           go [] [] pairs
     in
     {
-      v_schema = joint;
+      v_schema = out_schema;
       v_run =
         (fun rt ->
           Guard.Faults.fire_point Guard.Faults.Join here;
@@ -1372,11 +1523,11 @@ and lower_join db here cenv ~outer cond a b : vop =
                       (fun tb ->
                         hit := true;
                         incr em;
-                        acc := Tuple.concat ta tb :: !acc)
+                        acc := mk_row ta tb :: !acc)
                       matches;
                     if outer && not !hit then begin
                       incr em;
-                      acc := Tuple.concat ta pad :: !acc
+                      acc := mk_row ta pad :: !acc
                     end);
                 out_rows.(i) <- List.rev !acc;
                 out_emitted.(i) <- !em
@@ -1384,7 +1535,7 @@ and lower_join db here cenv ~outer cond a b : vop =
               par_run here pool ~tasks:nb work;
               Array.iter (fun e -> emitted := !emitted + e) out_emitted;
               stats.Sem.st_rows_emitted <- stats.Sem.st_rows_emitted + !emitted;
-              chunk_rows joint (List.concat (Array.to_list out_rows))
+              chunk_rows out_schema (List.concat (Array.to_list out_rows))
           | _ ->
               let acc = ref [] in
               Array.iter
@@ -1407,7 +1558,7 @@ and lower_join db here cenv ~outer cond a b : vop =
                             (fun tb ->
                               hit := true;
                               incr emitted;
-                              acc := Tuple.concat ta tb :: !acc)
+                              acc := mk_row ta tb :: !acc)
                             matches
                       | Some cr ->
                           List.iter
@@ -1415,16 +1566,16 @@ and lower_join db here cenv ~outer cond a b : vop =
                               if cr rt.cctx (tb :: fenv) = 1 then begin
                                 hit := true;
                                 incr emitted;
-                                acc := Tuple.concat ta tb :: !acc
+                                acc := mk_row ta tb :: !acc
                               end)
                             matches);
                       if outer && not !hit then begin
                         incr emitted;
-                        acc := Tuple.concat ta pad :: !acc
+                        acc := mk_row ta pad :: !acc
                       end))
                 abats;
               stats.Sem.st_rows_emitted <- stats.Sem.st_rows_emitted + !emitted;
-              chunk_rows joint (List.rev !acc));
+              chunk_rows out_schema (List.rev !acc));
     }
   end
 

@@ -122,3 +122,12 @@ let request cl req =
     end
   in
   go 0 "no attempt made"
+
+let session_setup ~strategy ?engine budget =
+  List.concat
+    [
+      (if strategy = "gen" || strategy = "auto" then []
+       else [ Protocol.Set_strategy strategy ]);
+      (match engine with Some e -> [ Protocol.Set_engine e ] | None -> []);
+      (if Relalg.Guard.is_unlimited budget then [] else [ Protocol.Set_budget budget ]);
+    ]

@@ -12,7 +12,10 @@
    - the same fuzz queries rewritten with every strategy
      (Gen/Left/Move/Unn) and optimized;
    - the synthetic workload q1/q2 instances, all applicable strategies;
-   - all TPC-H sublink queries, all applicable strategies. *)
+   - all TPC-H sublink queries, all applicable strategies;
+   - the benchmark's Figure 6-7 cells run through [Perm.exec] on the
+     default (vectorized) engine, against the compiled engine's row
+     order and counters. *)
 
 open Relalg
 open Core
@@ -215,6 +218,80 @@ let test_tpch_strategies () =
                 (Optimizer.optimize db q_plus))
         Strategy.all)
     Tpch.Tpch_queries.numbers
+
+(* The Figure 6-7 cells the benchmark's paper-figs workload runs, at
+   test scale (TPC-H at the workload's scale factor, three instances
+   per template; a smaller synthetic database): SQL through
+   [Perm.exec] with no [?engine], i.e. on the default engine. The
+   answer must be bag-equal to the reference walker's, and match the
+   compiled engine's row order (the server renders rows in order) and
+   execution counters. *)
+let figure_cells () =
+  let open Strategy in
+  let tpch = Tpch.Tpch_gen.generate ~seed:11 ~sf:0.4 () in
+  let tpch_cells =
+    List.concat_map
+      (fun (n, strategies) ->
+        List.concat_map
+          (fun seed ->
+            let sql =
+              Tpch.Tpch_queries.with_provenance
+                (Tpch.Tpch_queries.instantiate ~seed n)
+            in
+            List.map
+              (fun s ->
+                (Printf.sprintf "Q%d/%d %s" n seed (to_string s), tpch, s, sql))
+              strategies)
+          [ 100; 101; 102 ])
+      [
+        (4, [ Unn ]);
+        (11, [ Left; Move ]);
+        (15, [ Left; Move ]);
+        (16, [ Gen; Left; Move; Unn ]);
+        (17, [ Gen ]);
+        (22, [ Gen ]);
+      ]
+  in
+  let synthetic = Synthetic.Workload.make_db ~seed:4 ~n1:300 ~n2:60 () in
+  let synthetic_cells =
+    List.concat_map
+      (fun (label, template, op) ->
+        let sql =
+          Printf.sprintf
+            "SELECT PROVENANCE * FROM r1 WHERE b >= -150 AND b <= 150 AND a %s \
+             (SELECT a FROM r2 WHERE b >= -40 AND b <= 40)"
+            op
+        in
+        List.map
+          (fun s -> (Printf.sprintf "%s %s" label (to_string s), synthetic, s, sql))
+          (Synthetic.Workload.strategies_for template))
+      [ ("q1", `Q1, "= ANY"); ("q2", `Q2, "< ALL") ]
+  in
+  tpch_cells @ synthetic_cells
+
+let test_figure_cells_on_default () =
+  List.iter
+    (fun (name, db, strategy, sql) ->
+      let r =
+        match Perm.exec db ~strategy sql with
+        | Perm.Rows r -> r
+        | _ -> Alcotest.failf "%s: not a row result" name
+      in
+      let plan = r.Perm.plan in
+      Alcotest.(check bool)
+        (name ^ ": bag-equal to the reference walker")
+        true
+        (Relation.equal_bag r.Perm.relation (Eval.query_reference db plan));
+      let rc, sc = Eval.query_stats ~engine:Eval.Compiled db plan in
+      let _, sd = Eval.query_stats db plan in
+      Alcotest.(check bool)
+        (name ^ ": compiled row order")
+        true
+        (Relation.tuples r.Perm.relation = Relation.tuples rc);
+      Alcotest.(check string)
+        (name ^ ": compiled counters")
+        (Eval.stats_to_string sc) (Eval.stats_to_string sd))
+    (figure_cells ())
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch and error parity                                            *)
@@ -424,6 +501,8 @@ let () =
           tc "tpch, all strategies" `Quick test_tpch_strategies;
           tc "engine dispatch" `Quick test_dispatch;
           tc "error parity" `Quick test_error_parity;
+          tc "figure cells on the default engine" `Quick
+            test_figure_cells_on_default;
         ] );
       ( "vectorized",
         [

@@ -1,6 +1,6 @@
 (* Execution governor and resilience: budget trips (every ceiling, with
    operator-path attribution), scope nesting, the deterministic
-   fault-injection matrix over 4 strategies x 2 engines (a fault at any
+   fault-injection matrix over 4 strategies x 3 engines (a fault at any
    boundary yields a phase-attributed error, never a wrong answer), the
    strategy-fallback ladder, the error taxonomy, CSV load errors with
    file:line attribution, and a qcheck property that a budget-tripped
@@ -36,34 +36,45 @@ let with_engine engine f =
   Eval.default_engine := engine;
   Fun.protect ~finally:(fun () -> Eval.default_engine := saved) f
 
+(* Trip and fallback behavior is engine-specific (checkpoint and row
+   accounting granularity differ), so every test below names its
+   engines instead of inheriting the default: the two production
+   engines, each checked on its own. *)
+let production_engines = [ Eval.Vectorized; Eval.Compiled ]
+
+let on_production_engines f =
+  List.iter (fun e -> with_engine e (fun () -> f e)) production_engines
+
 (* ------------------------------------------------------------------ *)
 (* Budget trips: every ceiling, with a non-empty operator path          *)
 (* ------------------------------------------------------------------ *)
 
 let test_row_ceiling () =
   let db = small_db () in
-  match
-    Guard.with_budget
-      (Some (Guard.budget ~max_rows:2 ()))
-      (fun () -> Eval.query db (Algebra.Base "R"))
-  with
-  | _ -> Alcotest.fail "row ceiling did not trip"
-  | exception Guard.Budget_exceeded t ->
-      (match t.Guard.t_reason with
-      | Guard.Rows_exceeded 2 -> ()
-      | _ -> Alcotest.fail "wrong trip reason");
-      Alcotest.(check bool)
-        "trip names an operator" true
-        (t.Guard.t_path <> []);
-      Alcotest.(check bool)
-        "trip path mentions the scan" true
-        (String.length (Guard.path_to_string t.Guard.t_path) > 0)
+  on_production_engines (fun engine ->
+      match
+        Guard.with_budget
+          (Some (Guard.budget ~max_rows:2 ()))
+          (fun () -> Eval.query ~engine db (Algebra.Base "R"))
+      with
+      | _ -> Alcotest.failf "row ceiling did not trip (%s)" (Eval.engine_name engine)
+      | exception Guard.Budget_exceeded t ->
+          (match t.Guard.t_reason with
+          | Guard.Rows_exceeded 2 -> ()
+          | _ -> Alcotest.fail "wrong trip reason");
+          Alcotest.(check bool)
+            "trip names an operator" true
+            (t.Guard.t_path <> []);
+          Alcotest.(check bool)
+            "trip path mentions the scan" true
+            (String.length (Guard.path_to_string t.Guard.t_path) > 0))
 
 let test_pair_ceiling_preflight () =
   (* the reference walker knows both input cardinalities up front, so
      its preflight trips before a single pair is enumerated; the
-     compiled engine streams the left input and trips at the counting
-     checkpoint instead — both must stop the cross product *)
+     compiled and vectorized engines stream the left input and trip at
+     the counting checkpoint instead — all must stop the cross
+     product *)
   let db = small_db () in
   let q = Algebra.Cross (Algebra.Base "R", Algebra.Base "S") in
   let trip engine =
@@ -83,28 +94,32 @@ let test_pair_ceiling_preflight () =
       Alcotest.(check int) "preflight: no pairs enumerated" 0
         tr.Guard.t_counters.Guard.c_pairs
   | _ -> Alcotest.fail "wrong trip reason (reference)");
-  match (trip Eval.Compiled).Guard.t_reason with
-  | Guard.Pairs_exceeded 5 -> ()
-  | _ -> Alcotest.fail "wrong trip reason (compiled)"
+  List.iter
+    (fun engine ->
+      match (trip engine).Guard.t_reason with
+      | Guard.Pairs_exceeded 5 -> ()
+      | _ -> Alcotest.failf "wrong trip reason (%s)" (Eval.engine_name engine))
+    production_engines
 
 (* a workload big enough that the per-push fuel clock re-checks the
    wall clock / allocation meter at least once *)
-let heavy_gen_run ~budget () =
+let heavy_gen_run ~engine ~budget () =
   let n1 = 2000 and n2 = 300 in
   let db = Synthetic.Workload.make_db ~seed:3 ~n1 ~n2 () in
   let inst = Synthetic.Workload.q1 ~seed:3 ~n1 ~n2 () in
   Guard.with_budget (Some budget) (fun () ->
-      Perm.provenance db ~strategy:Strategy.Gen
+      Perm.provenance db ~strategy:Strategy.Gen ~engine
         inst.Synthetic.Workload.query)
 
 let test_timeout_trips () =
-  match heavy_gen_run ~budget:(Guard.budget ~timeout:0.0 ()) () with
-  | _ -> Alcotest.fail "timeout did not trip"
-  | exception Resilience.Perm_error
-      { e_detail = Resilience.Budget t; e_phase = Resilience.Eval } -> (
-      match t.Guard.t_reason with
-      | Guard.Timed_out _ -> ()
-      | _ -> Alcotest.fail "wrong trip reason")
+  on_production_engines (fun engine ->
+      match heavy_gen_run ~engine ~budget:(Guard.budget ~timeout:0.0 ()) () with
+      | _ -> Alcotest.failf "timeout did not trip (%s)" (Eval.engine_name engine)
+      | exception Resilience.Perm_error
+          { e_detail = Resilience.Budget t; e_phase = Resilience.Eval } -> (
+          match t.Guard.t_reason with
+          | Guard.Timed_out _ -> ()
+          | _ -> Alcotest.fail "wrong trip reason"))
 
 (* Regression: the reference walker must reach the clock through its
    per-row ticks alone. A sublink-free plan with a handful of operators
@@ -138,13 +153,18 @@ let test_reference_timeout () =
       | _ -> Alcotest.fail "wrong trip reason")
 
 let test_alloc_trips () =
-  match heavy_gen_run ~budget:(Guard.budget ~max_alloc_mb:0.05 ()) () with
-  | _ -> Alcotest.fail "allocation ceiling did not trip"
-  | exception Resilience.Perm_error
-      { e_detail = Resilience.Budget t; e_phase = Resilience.Eval } -> (
-      match t.Guard.t_reason with
-      | Guard.Alloc_exceeded _ -> ()
-      | _ -> Alcotest.fail "wrong trip reason")
+  on_production_engines (fun engine ->
+      match
+        heavy_gen_run ~engine ~budget:(Guard.budget ~max_alloc_mb:0.05 ()) ()
+      with
+      | _ ->
+          Alcotest.failf "allocation ceiling did not trip (%s)"
+            (Eval.engine_name engine)
+      | exception Resilience.Perm_error
+          { e_detail = Resilience.Budget t; e_phase = Resilience.Eval } -> (
+          match t.Guard.t_reason with
+          | Guard.Alloc_exceeded _ -> ()
+          | _ -> Alcotest.fail "wrong trip reason"))
 
 let test_scope_nesting () =
   Alcotest.(check bool) "inactive outside" false (Guard.is_active ());
@@ -186,7 +206,7 @@ let test_counts_rows_gating () =
    1..N with a countdown fault armed at the k-th crossing. Every such
    run must either report a phase-attributed injected fault or return
    exactly the clean result — a wrong answer is never acceptable. *)
-let test_fault_matrix () =
+let fault_matrix engines () =
   let n1 = 12 and n2 = 6 in
   let db = Synthetic.Workload.make_db ~seed:7 ~n1 ~n2 () in
   let inst = Synthetic.Workload.q1 ~seed:7 ~n1 ~n2 () in
@@ -233,7 +253,10 @@ let test_fault_matrix () =
                           k (Printexc.to_string e)
                   done)
                 [ Strategy.Gen; Strategy.Left; Strategy.Move; Strategy.Unn ]))
-        [ Eval.Compiled; Eval.Reference ])
+        engines)
+
+let test_fault_matrix = fault_matrix [ Eval.Compiled; Eval.Reference ]
+let test_fault_matrix_vectorized = fault_matrix [ Eval.Vectorized ]
 
 let test_seeded_faults_deterministic () =
   let db = small_db () in
@@ -247,34 +270,39 @@ let test_seeded_faults_deterministic () =
   let scrub s =
     Str.global_replace (Str.regexp "sublink\\[[0-9]+\\]") "sublink[_]" s
   in
-  let outcome () =
+  let outcome engine =
     Guard.Faults.arm (Guard.Faults.Seeded 42);
-    match Perm.run_query db ~strategy:Strategy.Gen ~provenance:true q with
+    match Perm.run_query db ~strategy:Strategy.Gen ~engine ~provenance:true q with
     | r -> "ok:" ^ String.concat "|" (List.concat_map (List.map Value.to_string) (rows r.Perm.relation))
     | exception Resilience.Perm_error e ->
         "err:" ^ scrub (Resilience.error_to_string e)
   in
   Fun.protect ~finally:Guard.Faults.disarm (fun () ->
-      Alcotest.(check string)
-        "same seed, same outcome" (outcome ()) (outcome ()))
+      List.iter
+        (fun engine ->
+          Alcotest.(check string)
+            ("same seed, same outcome on " ^ Eval.engine_name engine)
+            (outcome engine) (outcome engine))
+        production_engines)
 
 (* ------------------------------------------------------------------ *)
 (* Fallback ladder                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A Gen rewrite whose sublink re-evaluations blow the row budget (two
-   orders of magnitude more rows than any other strategy at this size)
-   degrades to a cheaper strategy and still returns the relation the
-   unbounded Gen run would have. *)
+(* A Gen rewrite whose CrossBase join blows the pair budget (its
+   candidate-witness product is 301 pairs here, Left's and Move's joins
+   46, Unn's none) degrades to a cheaper strategy and still returns the
+   relation the unbounded Gen run would have. *)
 let test_fallback_from_budget () =
   let n1 = 1000 and n2 = 300 in
   let db = Synthetic.Workload.make_db ~seed:2 ~n1 ~n2 () in
   let inst = Synthetic.Workload.q1 ~seed:2 ~n1 ~n2 () in
   let q = inst.Synthetic.Workload.query in
-  let unbounded = Perm.run_query db ~strategy:Strategy.Gen ~provenance:true q in
+  on_production_engines @@ fun engine ->
+  let unbounded = Perm.run_query db ~strategy:Strategy.Gen ~engine ~provenance:true q in
   let governed =
-    Perm.run_query db ~strategy:Strategy.Gen
-      ~budget:(Guard.budget ~max_rows:20_000 ())
+    Perm.run_query db ~strategy:Strategy.Gen ~engine
+      ~budget:(Guard.budget ~max_pairs:150 ())
       ~fallback:true ~provenance:true q
   in
   let lad =
@@ -307,7 +335,10 @@ let test_fallback_from_unsupported () =
   let db = Synthetic.Workload.make_db ~seed:9 ~n1 ~n2 () in
   let inst = Synthetic.Workload.q2 ~seed:9 ~n1 ~n2 () in
   let q = inst.Synthetic.Workload.query in
-  let r = Perm.run_query db ~strategy:Strategy.Unn ~fallback:true ~provenance:true q in
+  on_production_engines @@ fun engine ->
+  let r =
+    Perm.run_query db ~strategy:Strategy.Unn ~engine ~fallback:true ~provenance:true q
+  in
   let lad = Option.get r.Perm.ladder in
   Alcotest.(check bool)
     "Unn abandoned as unsupported" true
@@ -329,13 +360,55 @@ let test_no_fallback_propagates () =
   let n1 = 1000 and n2 = 300 in
   let db = Synthetic.Workload.make_db ~seed:2 ~n1 ~n2 () in
   let inst = Synthetic.Workload.q1 ~seed:2 ~n1 ~n2 () in
+  on_production_engines @@ fun engine ->
   match
-    Perm.run_query db ~strategy:Strategy.Gen
-      ~budget:(Guard.budget ~max_rows:20_000 ())
+    Perm.run_query db ~strategy:Strategy.Gen ~engine
+      ~budget:(Guard.budget ~max_pairs:150 ())
       ~provenance:true inst.Synthetic.Workload.query
   with
-  | _ -> Alcotest.fail "expected a budget error"
+  | _ -> Alcotest.failf "expected a budget error (%s)" (Eval.engine_name engine)
   | exception Resilience.Perm_error { e_detail = Resilience.Budget _; _ } -> ()
+
+(* The ladder consults the ranking hook only once a rung is abandoned:
+   a first rung that answers costs no ranking. A budget needs the rung
+   count for its wall-clock re-split, so it ranks up front. *)
+let test_ranking_is_lazy () =
+  let db = small_db () in
+  let q = Algebra.Base "R" in
+  let calls = ref 0 in
+  let saved = !Resilience.strategy_ranking in
+  (Resilience.strategy_ranking :=
+     fun db q ->
+       incr calls;
+       saved db q);
+  Fun.protect
+    ~finally:(fun () -> Resilience.strategy_ranking := saved)
+    (fun () ->
+      let ladder ?budget f =
+        Resilience.run_ladder db ~strategy:Strategy.Gen ~budget q f
+      in
+      let v, lad = ladder (fun _ -> 42) in
+      Alcotest.(check int) "first rung answers" 42 v;
+      Alcotest.(check int) "ranking not called" 0 !calls;
+      Alcotest.(check int) "nothing abandoned" 0
+        (List.length lad.Resilience.lad_abandoned);
+      let unsupported =
+        Resilience.Perm_error
+          {
+            Resilience.e_phase = Resilience.Rewrite;
+            e_detail = Resilience.Unsupported "first rung refuses";
+          }
+      in
+      let _, lad =
+        ladder (fun s -> if s = Strategy.Gen then raise unsupported else 7)
+      in
+      Alcotest.(check int) "ranked once the first rung is abandoned" 1 !calls;
+      Alcotest.(check bool)
+        "a later rung answered" true
+        (lad.Resilience.lad_strategy <> Strategy.Gen);
+      calls := 0;
+      ignore (ladder ~budget:(Guard.budget ~timeout:10.0 ()) (fun _ -> 1));
+      Alcotest.(check int) "a budget ranks up front" 1 !calls)
 
 (* ------------------------------------------------------------------ *)
 (* Error taxonomy                                                       *)
@@ -474,6 +547,8 @@ let () =
             test_fault_matrix;
           Alcotest.test_case "seeded faults are deterministic" `Quick
             test_seeded_faults_deterministic;
+          Alcotest.test_case "vectorized matrix: 4 strategies" `Slow
+            test_fault_matrix_vectorized;
         ] );
       ( "fallback",
         [
@@ -483,6 +558,8 @@ let () =
             test_fallback_from_unsupported;
           Alcotest.test_case "no fallback: trip propagates" `Quick
             test_no_fallback_propagates;
+          Alcotest.test_case "ranking deferred to the first abandoned rung"
+            `Quick test_ranking_is_lazy;
         ] );
       ( "taxonomy",
         [

@@ -278,6 +278,39 @@ let test_drain () =
       | _ -> Alcotest.fail "drained server answered a new connection")
   | exception _ -> ()
 
+(* A client that names an engine configures its session with it, even
+   the engine that was once the clients' built-in default: the client
+   cannot know the server's default engine, so it never skips the
+   request. With no engine named, the session keeps the server's. *)
+let test_named_engine_reaches_session () =
+  let reqs = Client.session_setup ~strategy:"gen" ~engine:"compiled" Guard.unlimited in
+  Alcotest.(check bool)
+    "only Set_engine compiled" true
+    (reqs = [ Protocol.Set_engine "compiled" ]);
+  Alcotest.(check bool)
+    "no engine named, no request" true
+    (Client.session_setup ~strategy:"gen" Guard.unlimited = []);
+  let sv = Server.start (Server.config ~port:0 (small_db ())) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop sv)
+    (fun () ->
+      let cl = Client.create ~host:"127.0.0.1" ~port:(Server.port sv) () in
+      Fun.protect
+        ~finally:(fun () -> Client.close cl)
+        (fun () ->
+          List.iter
+            (fun req ->
+              match Client.request cl req with
+              | Protocol.Ok_msg m, _ ->
+                  Alcotest.(check string) "session switched" "engine compiled" m
+              | _ -> Alcotest.fail "Set_engine was not acknowledged")
+            reqs;
+          match Client.request cl (Protocol.Query "SELECT a FROM r") with
+          | Protocol.Result { r_rows; _ }, _ ->
+              Alcotest.(check int) "query runs on the session's engine" 3
+                (List.length r_rows)
+          | _ -> Alcotest.fail "query failed after Set_engine"))
+
 (* ------------------------------------------------------------------ *)
 (* Ladder backoff                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -388,6 +421,8 @@ let () =
           Alcotest.test_case "admission shed is typed and prompt" `Quick
             test_admission_shed;
           Alcotest.test_case "graceful drain" `Quick test_drain;
+          Alcotest.test_case "named engine reaches the session" `Quick
+            test_named_engine_reaches_session;
         ] );
       ( "backoff",
         [
