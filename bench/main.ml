@@ -48,9 +48,6 @@ type outcome = Time of float | Timeout of float | Failed of string | Excluded
    execution counters, which the child serializes after the elapsed
    time: "ok <dt> <6 counters>".
 
-   Cells shorter than [short_cell] seconds are timed best-of up to
-   [short_repeats] runs (see below); the counters are the first run's.
-
    Cancellation is two-layered: the child installs a Guard wall-clock
    budget (slightly inside the harness timeout) so overlong runs trip
    cooperatively at an operator checkpoint and report a structured
@@ -58,9 +55,6 @@ type outcome = Time of float | Timeout of float | Failed of string | Excluded
    backstop for runs that never reach a checkpoint. [~guard:false]
    drops the in-child budget — used by the governor benchmark to
    measure the checkpoints' own overhead. *)
-let short_cell = 0.25
-let short_repeats = 5
-
 let run_child ~timeout ?(guard = true) (f : unit -> unit -> Eval.stats) :
     outcome * Eval.stats option =
   (* flush before forking so the child does not replay buffered output *)
@@ -87,23 +81,9 @@ let run_child ~timeout ?(guard = true) (f : unit -> unit -> Eval.stats) :
             region, which then reports steady-state evaluator cost *)
          Guard.with_budget budget (fun () -> ignore (work ()));
          Gc.compact ();
-         let timed () =
-           let t0 = Unix.gettimeofday () in
-           let st = Guard.with_budget budget (fun () -> work ()) in
-           (Unix.gettimeofday () -. t0, st)
-         in
-         (* A cell far below the scheduler's time slice is at the
-            clock's noise floor on a shared machine: while the timed
-            runs stay short, repeat them (at most [short_repeats]) and
-            keep the fastest. Longer cells are timed once. *)
-         let rec best_of k (dt, st) spent =
-           if k >= short_repeats || spent >= short_cell then (dt, st)
-           else
-             let dt', _ = timed () in
-             best_of (k + 1) (Float.min dt dt', st) (spent +. dt')
-         in
-         let first = timed () in
-         let dt, st = best_of 1 first (fst first) in
+         let t0 = Unix.gettimeofday () in
+         let st = Guard.with_budget budget (fun () -> work ()) in
+         let dt = Unix.gettimeofday () -. t0 in
          output_string oc
            (Printf.sprintf "ok %.6f %d %d %d %d %d %d\n" dt st.Eval.st_hash_joins
               st.st_nested_loop_joins st.st_nested_pairs st.st_sublink_evals
@@ -150,45 +130,18 @@ let run_child ~timeout ?(guard = true) (f : unit -> unit -> Eval.stats) :
         | _ -> (Failed line, None)
       end)
 
-(* Average [instances] timed runs on each engine of [engines]; an
-   engine's first timeout or failure ends its series. Counters are
-   reported from the first run. The engines are interleaved: each
-   instance runs on every engine back to back, alternating which goes
-   first, so a drift in machine speed during a sweep hits the engines
-   alike and a cell's engine-to-engine ratio stays comparable. *)
-let measure_engines ~timeout ?(guard = true) ~instances ~engines
-    (mk : int -> unit -> unit -> Eval.stats) :
-    (Eval.engine * (outcome * Eval.stats option)) list =
-  let state = List.map (fun e -> (e, ref (Ok (0., None)))) engines in
-  for k = 0 to instances - 1 do
-    List.iter
-      (fun (engine, st) ->
-        match !st with
-        | Error _ -> ()
-        | Ok (acc, stats) -> (
-            let saved = !Eval.default_engine in
-            Eval.default_engine := engine;
-            let r = run_child ~timeout ~guard (mk k) in
-            Eval.default_engine := saved;
-            match r with
-            | Time t, s -> st := Ok (acc +. t, if k = 0 then s else stats)
-            | other -> st := Error other))
-      (if k mod 2 = 0 then state else List.rev state)
-  done;
-  List.map
-    (fun (engine, st) ->
-      ( engine,
-        match !st with
-        | Ok (acc, stats) -> (Time (acc /. float_of_int instances), stats)
-        | Error o -> o ))
-    state
-
-(* [measure_engines] on the engine [Eval.default_engine] selects. *)
-let measure ~timeout ?guard ~instances mk =
-  snd
-    (List.hd
-       (measure_engines ~timeout ?guard ~instances
-          ~engines:[ !Eval.default_engine ] mk))
+(* Average [instances] timed runs; a timeout or failure on the first run
+   short-circuits. Counters are reported from the first run. *)
+let measure ~timeout ?(guard = true) ~instances
+    (mk : int -> unit -> unit -> Eval.stats) : outcome * Eval.stats option =
+  let rec go k acc stats =
+    if k >= instances then (Time (acc /. float_of_int instances), stats)
+    else
+      match run_child ~timeout ~guard (mk k) with
+      | Time t, st -> go (k + 1) (acc +. t) (if k = 0 then st else stats)
+      | other -> other
+  in
+  go 0 0. None
 
 let outcome_to_string = function
   | Time t -> Printf.sprintf "%.4f" t
@@ -266,15 +219,15 @@ type jrecord = {
 let json_path = ref "BENCH_eval.json"
 let json_records : jrecord list ref = ref []
 
-let record ?(engine = !Eval.default_engine) ~figure ~query ~series ~params
-    (outcome, stats) =
+let record ~figure ~query ~series ~params (outcome, stats) =
   json_records :=
     {
       jr_figure = figure;
       jr_query = query;
       jr_series = series;
-      jr_engine = Eval.engine_name engine;
-      jr_domains = (if engine = Eval.Vectorized then !Vexec.domains else 1);
+      jr_engine = Eval.engine_name !Eval.default_engine;
+      jr_domains =
+        (if !Eval.default_engine = Eval.Vectorized then !Vexec.domains else 1);
       jr_batch_rows = !Vexec.batch_rows;
       jr_params = params;
       jr_outcome = outcome;
@@ -337,13 +290,10 @@ let write_json () =
 (* Engine selection                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let engines_of_string s =
-  List.concat_map
-    (function
-      | "both" -> [ Eval.Compiled; Eval.Reference ]
-      | "all" -> [ Eval.Compiled; Eval.Reference; Eval.Vectorized ]
-      | e -> [ Eval.engine_of_string e ])
-    (String.split_on_char ',' s)
+let engines_of_string = function
+  | "both" -> [ Eval.Compiled; Eval.Reference ]
+  | "all" -> [ Eval.Compiled; Eval.Reference; Eval.Vectorized ]
+  | s -> [ Eval.engine_of_string s ]
 
 (* Run [f] once per engine; the engine is set via [Eval.default_engine],
    which the forked measurement children inherit. *)
@@ -436,8 +386,7 @@ let strategy_applies db strategy number =
   | _ -> true
   | exception Strategy.Unsupported _ -> false
 
-(* One cell outcome per engine, in [engines] order. *)
-let fig6_one_scale ~timeout ~instances ~engines ~scale_label ~sf db =
+let fig6_one_scale ~timeout ~instances ~scale_label ~sf db =
   let strategies = Strategy.[ Gen; Left; Move; Unn ] in
   let rows =
     List.map
@@ -445,58 +394,50 @@ let fig6_one_scale ~timeout ~instances ~engines ~scale_label ~sf db =
         let cells =
           List.map
             (fun strategy ->
-              if not (strategy_applies db strategy number) then
-                List.map (fun _ -> "-") engines
-              else
-                List.map
-                  (fun (engine, (outcome, stats)) ->
-                    let outcome =
-                      match outcome with
-                      | Failed msg when msg = Printexc.to_string Guard_tripped ->
-                          Excluded
-                      | o -> o
-                    in
-                    ignore
-                      (record ~engine ~figure:"fig6"
-                         ~query:(Printf.sprintf "Q%d" number)
-                         ~series:(Strategy.to_string strategy)
-                         ~params:[ ("sf", sf) ]
-                         (outcome, stats));
-                    outcome_to_string outcome)
-                  (measure_engines ~timeout ~instances ~engines (fun k () ->
-                       let q =
-                         Tpch.Tpch_queries.instantiate ~seed:(100 + k) number
-                       in
-                       let analyzed =
-                         Sql_frontend.Analyzer.analyze_string db
-                           q.Tpch.Tpch_queries.sql
-                       in
-                       let algebra = analyzed.Sql_frontend.Analyzer.query in
-                       if
-                         strategy = Strategy.Gen
-                         && crossbase_estimate db algebra > !gen_guard
-                       then raise Guard_tripped;
-                       fun () ->
-                         run_with_stats db ~strategy ~provenance:true algebra)))
+              if not (strategy_applies db strategy number) then "-"
+              else begin
+                let outcome, _ =
+                  record ~figure:"fig6" ~query:(Printf.sprintf "Q%d" number)
+                    ~series:(Strategy.to_string strategy)
+                    ~params:[ ("sf", sf) ]
+                    (let outcome, stats =
+                       measure ~timeout ~instances (fun k () ->
+                           let q =
+                             Tpch.Tpch_queries.instantiate ~seed:(100 + k) number
+                           in
+                           let analyzed =
+                             Sql_frontend.Analyzer.analyze_string db
+                               q.Tpch.Tpch_queries.sql
+                           in
+                           let algebra = analyzed.Sql_frontend.Analyzer.query in
+                           if
+                             strategy = Strategy.Gen
+                             && crossbase_estimate db algebra > !gen_guard
+                           then raise Guard_tripped;
+                           fun () ->
+                             run_with_stats db ~strategy ~provenance:true algebra)
+                     in
+                     match outcome with
+                     | Failed msg when msg = Printexc.to_string Guard_tripped ->
+                         (Excluded, stats)
+                     | o -> (o, stats))
+                in
+                outcome_to_string outcome
+              end)
             strategies
         in
-        (number, cells))
+        Printf.sprintf "Q%d" number :: cells)
       Tpch.Tpch_queries.numbers
   in
-  List.iteri
-    (fun i engine ->
-      print_table
-        ~title:
-          (Printf.sprintf
-             "Figure 6(%s): TPC-H provenance runtime [s], sf=%.2f (%d tuples \
-              total) [%s engine]"
-             scale_label sf (Database.total_tuples db) (Eval.engine_name engine))
-        ~header:[ "query"; "gen"; "left"; "move"; "unn+" ]
-        (List.map
-           (fun (number, cells) ->
-             Printf.sprintf "Q%d" number :: List.map (fun c -> List.nth c i) cells)
-           rows))
-    engines
+  print_table
+    ~title:
+      (Printf.sprintf
+         "Figure 6(%s): TPC-H provenance runtime [s], sf=%.2f (%d tuples \
+          total) [%s engine]"
+         scale_label sf (Database.total_tuples db)
+         (Eval.engine_name !Eval.default_engine))
+    ~header:[ "query"; "gen"; "left"; "move"; "unn+" ]
+    rows
 
 let fig6 ~timeout ~instances ~scales ~engines () =
   Printf.printf
@@ -512,9 +453,10 @@ let fig6 ~timeout ~instances ~scales ~engines () =
   List.iteri
     (fun k sf ->
       let db = Tpch.Tpch_gen.generate ~sf () in
-      fig6_one_scale ~timeout ~instances ~engines
-        ~scale_label:(String.make 1 (Char.chr (Char.code 'a' + k)))
-        ~sf db)
+      per_engine engines (fun _ ->
+          fig6_one_scale ~timeout ~instances
+            ~scale_label:(String.make 1 (Char.chr (Char.code 'a' + k)))
+            ~sf db))
     scales
 
 (* ------------------------------------------------------------------ *)
@@ -525,48 +467,43 @@ type series = Orig | Strat of Strategy.t
 
 let series_label = function Orig -> "orig" | Strat s -> Strategy.to_string s
 
-(* One outcome per engine of [engines], in order. *)
-let synthetic_cell ~timeout ~instances ~engines ~figure ~template ~series:sr
-    ~n1 ~n2 =
-  List.map
-    (fun (engine, (outcome, stats)) ->
-      let outcome =
-        match outcome with
-        | Failed msg when msg = Printexc.to_string Guard_tripped -> Excluded
-        | o -> o
-      in
-      ( engine,
-        fst
-          (record ~engine ~figure
-             ~query:(match template with `Q1 -> "q1" | `Q2 -> "q2")
-             ~series:(series_label sr)
-             ~params:[ ("n1", float_of_int n1); ("n2", float_of_int n2) ]
-             (outcome, stats)) ))
-    (measure_engines ~timeout ~instances ~engines (fun k () ->
-         let db = Synthetic.Workload.make_db ~seed:(k + 1) ~n1 ~n2 () in
-         let inst =
-           match template with
-           | `Q1 -> Synthetic.Workload.q1 ~seed:(k + 1) ~n1 ~n2 ()
-           | `Q2 -> Synthetic.Workload.q2 ~seed:(k + 1) ~n1 ~n2 ()
-         in
-         let q = inst.Synthetic.Workload.query in
-         match sr with
-         | Orig ->
-             fun () -> run_with_stats db ~strategy:Strategy.Gen ~provenance:false q
-         | Strat strategy ->
-             if strategy = Strategy.Gen && n1 * (n2 + 1) > !gen_guard then
-               raise Guard_tripped;
-             fun () -> run_with_stats db ~strategy ~provenance:true q))
+let synthetic_cell ~timeout ~instances ~figure ~template ~series:sr ~n1 ~n2 =
+  let outcome, stats =
+    measure ~timeout ~instances (fun k () ->
+        let db = Synthetic.Workload.make_db ~seed:(k + 1) ~n1 ~n2 () in
+        let inst =
+          match template with
+          | `Q1 -> Synthetic.Workload.q1 ~seed:(k + 1) ~n1 ~n2 ()
+          | `Q2 -> Synthetic.Workload.q2 ~seed:(k + 1) ~n1 ~n2 ()
+        in
+        let q = inst.Synthetic.Workload.query in
+        match sr with
+        | Orig ->
+            fun () -> run_with_stats db ~strategy:Strategy.Gen ~provenance:false q
+        | Strat strategy ->
+            if strategy = Strategy.Gen && n1 * (n2 + 1) > !gen_guard then
+              raise Guard_tripped;
+            fun () -> run_with_stats db ~strategy ~provenance:true q)
+  in
+  let outcome =
+    match outcome with
+    | Failed msg when msg = Printexc.to_string Guard_tripped -> Excluded
+    | o -> o
+  in
+  fst
+    (record ~figure
+       ~query:(match template with `Q1 -> "q1" | `Q2 -> "q2")
+       ~series:(series_label sr)
+       ~params:[ ("n1", float_of_int n1); ("n2", float_of_int n2) ]
+       (outcome, stats))
 
-let synthetic_figure ~timeout ~instances ~engines ~figure ~title ~sizes ~dims ()
-    =
+let synthetic_figure ~timeout ~instances ~figure ~title ~sizes ~dims () =
   List.iter
     (fun template ->
       let template_name = match template with `Q1 -> "q1" | `Q2 -> "q2" in
       let strategies = Synthetic.Workload.strategies_for template in
       let series = Orig :: List.map (fun s -> Strat s) strategies in
-      (* once a series times out on an engine it will not come back at
-         larger sizes *)
+      (* once a series times out it will not come back at larger sizes *)
       let dead = Hashtbl.create 8 in
       let rows =
         List.map
@@ -575,44 +512,29 @@ let synthetic_figure ~timeout ~instances ~engines ~figure ~title ~sizes ~dims ()
             let cells =
               List.map
                 (fun sr ->
-                  let live =
-                    List.filter
-                      (fun e -> not (Hashtbl.mem dead (e, series_label sr)))
-                      engines
-                  in
-                  let measured =
-                    if live = [] then []
-                    else
-                      synthetic_cell ~timeout ~instances ~engines:live ~figure
-                        ~template ~series:sr ~n1 ~n2
-                  in
-                  List.map
-                    (fun e ->
-                      match List.assoc_opt e measured with
-                      | None -> outcome_to_string (Timeout timeout)
-                      | Some o ->
-                          (match o with
-                          | Timeout _ -> Hashtbl.replace dead (e, series_label sr) ()
-                          | _ -> ());
-                          outcome_to_string o)
-                    engines)
+                  if Hashtbl.mem dead (series_label sr) then
+                    outcome_to_string (Timeout timeout)
+                  else begin
+                    let o =
+                      synthetic_cell ~timeout ~instances ~figure ~template
+                        ~series:sr ~n1 ~n2
+                    in
+                    (match o with
+                    | Timeout _ -> Hashtbl.replace dead (series_label sr) ()
+                    | _ -> ());
+                    outcome_to_string o
+                  end)
                 series
             in
-            (size, cells))
+            Printf.sprintf "%d" size :: cells)
           sizes
       in
-      List.iteri
-        (fun i engine ->
-          print_table
-            ~title:
-              (Printf.sprintf "%s — query %s [%s engine]" title template_name
-                 (Eval.engine_name engine))
-            ~header:("size" :: List.map series_label series)
-            (List.map
-               (fun (size, cells) ->
-                 Printf.sprintf "%d" size :: List.map (fun c -> List.nth c i) cells)
-               rows))
-        engines)
+      print_table
+        ~title:
+          (Printf.sprintf "%s — query %s [%s engine]" title template_name
+             (Eval.engine_name !Eval.default_engine))
+        ~header:("size" :: List.map series_label series)
+        rows)
     [ `Q1; `Q2 ]
 
 let mk_synth ~figure ~banner ~title ~default_sizes ~full_sizes ~dims
@@ -623,7 +545,8 @@ let mk_synth ~figure ~banner ~title ~default_sizes ~full_sizes ~dims
     | None -> if full then full_sizes else default_sizes
   in
   Printf.printf "%s" banner;
-  synthetic_figure ~timeout ~instances ~engines ~figure ~title ~sizes ~dims ()
+  per_engine engines (fun _ ->
+      synthetic_figure ~timeout ~instances ~figure ~title ~sizes ~dims ())
 
 let fig7 =
   mk_synth ~figure:"fig7"
@@ -1348,10 +1271,7 @@ let engine_arg =
           "Execution engine: $(b,vectorized) (columnar batches, see \
            --domains/--batch-rows; the default), $(b,compiled) \
            (offset-resolved closures), $(b,reference) (tree-walking \
-           interpreter), $(b,both) (compiled + reference), $(b,all), or a \
-           comma-separated list such as $(b,compiled,vectorized). The \
-           figure commands run each cell on every listed engine back to \
-           back.")
+           interpreter), $(b,both) (compiled + reference), or $(b,all).")
 
 let domains_arg =
   Arg.(

@@ -5,10 +5,12 @@ records of a benchmark report.
     python3 bench/tables.py [BENCH_eval.json]
 
 Every cell shows the compiled engine's seconds, then the vectorized
-engine's (single domain), as recorded by
+engine's (single domain), as recorded by one run per engine, e.g.
 
-    dune exec bench/main.exe -- fig6 --engine compiled,vectorized ...
-    dune exec bench/main.exe -- fig7 --engine compiled,vectorized ...
+    dune exec bench/main.exe -- fig6 --engine compiled --json c.json ...
+    dune exec bench/main.exe -- fig6 --engine vectorized --json v.json ...
+
+with both runs' records merged into the report (likewise for fig7),
 
 followed by the per-cell ratio summary: the worst vectorized/compiled
 ratio over cells both engines completed, and how many exceed 1.10.

@@ -49,10 +49,7 @@
     Sublink execution keeps the reference evaluator's performance
     features: memoization per binding of the (pre-resolved) correlated
     attributes, and constant-size summaries answering [ANY]/[ALL]
-    ({!Sem}). Inside a sublink, counter-free subtrees that do not
-    depend on the binding run once per execution, and a pure correlated
-    selection over one is answered from a hash index ([compile_query]);
-    both are invisible in the counters. Compiled plans assume the catalog schemas seen at compile
+    ({!Sem}). Compiled plans assume the catalog schemas seen at compile
     time; {!query}/{!query_stats} compile and run atomically, so this
     only matters when a {!compiled} plan is cached across DDL. *)
 
@@ -250,61 +247,45 @@ let counter_silent (e : expr) : bool =
   in
   go e
 
-(* Whether evaluating [q] leaves the execution counters untouched: joins
-   count themselves, their pairs and emitted rows, and sublinks their
-   evaluations and memo hits; a subtree with neither runs silently, so
-   running it fewer times is unobservable in {!Sem.stats}. *)
-let rec counter_free q =
-  (not (List.exists has_sublink (root_exprs q)))
-  &&
-  match q with
-  | Base _ | TableExpr _ -> true
-  | Join _ | LeftJoin _ | Cross _ -> false
-  | Select (_, c) | Order (_, c) | Limit (_, c) -> counter_free c
-  | Project { proj_input = c; _ } | Agg { agg_input = c; _ } -> counter_free c
-  | Union (_, a, b) | Inter (_, a, b) | Diff (_, a, b) ->
-      counter_free a && counter_free b
-
-(* Expressions whose evaluation can neither raise nor touch the
-   counters, so evaluating them on fewer rows is unobservable:
-   comparisons, boolean connectives and NULL tests over attributes and
-   constants. *)
-let rec pure = function
-  | Attr _ | Const _ | TypedNull _ -> true
-  | Cmp (_, a, b) | And (a, b) | Or (a, b) -> pure a && pure b
-  | Not a | IsNull a -> pure a
-  | InList (a, es) -> pure a && List.for_all pure es
-  | _ -> false
-
-let rec conjuncts = function And (a, b) -> conjuncts a @ conjuncts b | e -> [ e ]
-
-(* The hash key of a correlated selection: a pure predicate over a
-   binding-independent, counter-free input (which [compile_query]
-   memoizes), with a conjunct [c = e] or [c =n e]
-   equating input column [c] with an expression [e] of the enclosing
-   frames only. Returns [c]'s offset, [e] and whether NULLs match. *)
-let index_key db cenv schema cond input =
-  let outer_only e =
-    List.for_all (fun n -> Schema.find schema n = None) (Scope.free_of_expr db [] e)
-  in
-  let column = function
-    | Attr n -> (
-        match resolve_attr (schema :: cenv) n with 0, j -> Some j | _ -> None)
+(* Offsets of a projection list that only reads the input frame's own
+   columns; [None] as soon as any item is not a bare in-frame [Attr]. *)
+let own_offsets (schema : Schema.t) cols : int array option =
+  let resolve = function
+    | Attr name, _ -> Schema.find schema name
     | _ -> None
   in
-  let key = function
-    | Cmp (((Eq | EqNull) as op), a, b) -> (
-        let null_safe = op = EqNull in
-        match (column a, column b) with
-        | Some j, None when outer_only b -> Some (j, b, null_safe)
-        | None, Some j when outer_only a -> Some (j, a, null_safe)
-        | _ -> None)
+  let offs = List.map resolve cols in
+  if List.for_all Option.is_some offs then
+    Some (Array.of_list (List.map Option.get offs))
+  else None
+
+(* Projection-into-join fusion: [Project] of bare attributes directly
+   over a join (or a select-over-product that compiles into one) gathers
+   output rows straight from the two input tuples inside the join's emit
+   step — the concatenated intermediate tuple is never built. Returns
+   the join's [(outer, cond, left, right)] and the fused projection's
+   output offsets and schema. Offsets are checked against the join's
+   inferred output schema so correlated names (resolving to an outer
+   frame) fall back to the generic path. *)
+let fused_join db cenv cols proj_input =
+  let parts =
+    match proj_input with
+    | Join (c, a, b) -> Some (false, c, a, b)
+    | LeftJoin (c, a, b) -> Some (true, c, a, b)
+    | Select (c, Cross (a, b)) -> Some (false, c, a, b)
+    | Select (c, Join (jc, a, b)) -> Some (false, And (jc, c), a, b)
     | _ -> None
   in
-  if cenv = [] || (not (pure cond)) || (not (counter_free input))
-     || Scope.free_of_query db input <> []
-  then None
-  else List.find_map key (conjuncts cond)
+  Option.bind parts (fun (outer, cond, a, b) ->
+      let joint =
+        Schema.concat
+          (Typecheck.infer_query_env db cenv a)
+          (Typecheck.infer_query_env db cenv b)
+      in
+      Option.map
+        (fun offs ->
+          (outer, cond, a, b, (offs, Typecheck.projection_schema db (joint :: cenv) cols)))
+        (own_offsets joint cols))
 
 (* Evaluate an array of compiled expressions into a fresh tuple with an
    explicit loop — [Array.map] would allocate a closure per row. *)
@@ -601,27 +582,7 @@ and compile_sublink db (cenv : Schema.t list) (s : sublink) : cexpr =
 
 (** {1 Query compilation} *)
 
-(* Inside a sublink ([cenv] non-empty) a subtree that reads nothing from
-   the enclosing frames yields the same relation for every binding; when
-   it cannot touch the counters either, it runs once per execution
-   instead of once per binding. It is compiled without the outer frames,
-   so nothing below it is wrapped again. *)
 and compile_query db path (cenv : Schema.t list) (q : query) : cop =
-  match q with
-  | Base _ | TableExpr _ -> compile_node db path cenv q
-  | _ when cenv <> [] && counter_free q && Scope.free_of_query db q = [] ->
-      let c = compile_node db path [] q in
-      let cache = ref None in
-      materialized c.c_schema (fun ctx env ->
-          match !cache with
-          | Some (c', rel) when c' == ctx -> rel
-          | _ ->
-              let rel = c.c_run ctx env in
-              cache := Some (ctx, rel);
-              rel)
-  | _ -> compile_node db path cenv q
-
-and compile_node db path (cenv : Schema.t list) (q : query) : cop =
   (* [here] mirrors Lint's diagnostic paths; children extend the parent
      segment with a [left]/[right] qualifier exactly like Lint does. *)
   let here = path @ [ Guard.op_label q ] in
@@ -643,51 +604,17 @@ and compile_node db path (cenv : Schema.t list) (q : query) : cop =
   | Select (cond, Cross (a, b)) -> compile_join db here cenv ~outer:false cond a b
   | Select (cond, Join (c, a, b)) ->
       compile_join db here cenv ~outer:false (And (c, cond)) a b
-  | Select (cond, input) -> (
+  | Select (cond, input) ->
       let cin = compile_query db (cpath "") cenv input in
       cur_compile_path := here;
       let pcond = compile_pred db (cin.c_schema :: cenv) cond in
-      match index_key db cenv cin.c_schema cond input with
-      | Some (j, outer, null_safe) ->
-          (* A correlated selection over a binding-independent input,
-             keyed by an equality between an input column and the
-             enclosing frames: the input is hashed on that column once
-             per execution, and each binding scans only its bucket. The
-             predicate is pure, so the rows outside the bucket — where
-             it cannot hold — need not be evaluated. *)
-          let couter = compile_expr db cenv outer in
-          let index = ref None in
-          streaming cin.c_schema (fun ctx env push ->
-              let tbl =
-                match !index with
-                | Some (c, tbl) when c == ctx -> tbl
-                | _ ->
-                    let rel = cin.c_run ctx env in
-                    let tbl = Tuple.Tbl.create (max 8 (Relation.cardinality rel)) in
-                    List.iter
-                      (fun t ->
-                        let v = Tuple.get t j in
-                        if null_safe || not (Value.is_null v) then
-                          let key = [| v |] in
-                          Tuple.Tbl.replace tbl key
-                            (t :: Option.value ~default:[] (Tuple.Tbl.find_opt tbl key)))
-                      (Relation.tuples rel);
-                    Tuple.Tbl.filter_map_inplace (fun _ ts -> Some (List.rev ts)) tbl;
-                    index := Some (ctx, tbl);
-                    tbl
-              in
-              let v = couter ctx env in
-              if null_safe || not (Value.is_null v) then
-                match Tuple.Tbl.find_opt tbl [| v |] with
-                | Some ts -> List.iter (fun t -> if pcond ctx (t :: env) = 1 then push t) ts
-                | None -> ())
-      | None ->
-          streaming cin.c_schema (fun ctx env push ->
-              cin.c_stream ctx env (fun t ->
-                  if pcond ctx (t :: env) = 1 then push t)))
+      streaming cin.c_schema (fun ctx env push ->
+          cin.c_stream ctx env (fun t ->
+              if pcond ctx (t :: env) = 1 then push t))
   | Project { distinct; cols; proj_input } -> (
-      match fuse_project db here cenv ~distinct cols proj_input with
-      | Some c -> c
+      match if distinct then None else fused_join db cenv cols proj_input with
+      | Some (outer, cond, a, b, project) ->
+          compile_join db here cenv ~outer ~project cond a b
       | None ->
           let cin = compile_query db (cpath "") cenv proj_input in
           let ienv = cin.c_schema :: cenv in
@@ -795,51 +722,6 @@ and compile_node db path (cenv : Schema.t list) (q : query) : cop =
                 incr k;
                 push t
               end))
-
-(* Offsets of a projection list that only reads the input frame's own
-   columns; [None] as soon as any item is not a bare in-frame [Attr]. *)
-and own_offsets (schema : Schema.t) cols : int array option =
-  let resolve = function
-    | Attr name, _ -> Schema.find schema name
-    | _ -> None
-  in
-  let offs = List.map resolve cols in
-  if List.for_all Option.is_some offs then
-    Some (Array.of_list (List.map Option.get offs))
-  else None
-
-(* Projection-into-join fusion: [Project] of bare attributes directly
-   over a join (or a select-over-product that compiles into one) gathers
-   output rows straight from the two input tuples inside the join's emit
-   step — the concatenated intermediate tuple is never built. Offsets
-   are checked against the join's inferred output schema so correlated
-   names (resolving to an outer frame) fall back to the generic path. *)
-and fuse_project db here cenv ~distinct cols proj_input : cop option =
-  if distinct then None
-  else
-    let parts =
-      match proj_input with
-      | Join (c, a, b) -> Some (false, c, a, b)
-      | LeftJoin (c, a, b) -> Some (true, c, a, b)
-      | Select (c, Cross (a, b)) -> Some (false, c, a, b)
-      | Select (c, Join (jc, a, b)) -> Some (false, And (jc, c), a, b)
-      | _ -> None
-    in
-    match parts with
-    | None -> None
-    | Some (outer, cond, a, b) -> (
-        let sa = Typecheck.infer_query_env db cenv a in
-        let sb = Typecheck.infer_query_env db cenv b in
-        let joint = Schema.concat sa sb in
-        match own_offsets joint cols with
-        | None -> None
-        | Some offs ->
-            let out_schema =
-              Typecheck.projection_schema db (joint :: cenv) cols
-            in
-            Some
-              (compile_join db here cenv ~outer ~project:(offs, out_schema)
-                 cond a b))
 
 (* ---------------- joins ---------------- *)
 

@@ -109,6 +109,20 @@ val eval_exprs : cexpr array -> ctx -> Tuple.t list -> Tuple.t
 val offsets_of_projection :
   Schema.t -> (Algebra.expr * string) list -> int array option
 
+(** [fused_join db cenv cols input] — the projection-into-join fusion
+    both engines take: when [cols] are bare attributes of a join
+    directly below ([Join], [LeftJoin], or a selection over a product or
+    join), the join's [(outer, condition, left, right)] and the
+    projection's output offsets into the joint schema with its output
+    schema; [None] otherwise. *)
+val fused_join :
+  Database.t ->
+  Schema.t list ->
+  (Algebra.expr * string) list ->
+  Algebra.query ->
+  (bool * Algebra.expr * Algebra.query * Algebra.query * (int array * Schema.t))
+  option
+
 (** Whether re-evaluating an expression more or fewer times (binding
     unchanged) leaves the execution counters untouched. *)
 val counter_silent : Algebra.expr -> bool

@@ -53,8 +53,7 @@ type t =
       cols : column array;
       sel : int array option;
           (** surviving physical row indices, ascending; [None] = all *)
-      src : source option;
-          (** the batch's rows as boxed tuples, when it has them *)
+      src : source;  (** the batch's rows as boxed tuples *)
     }
   | Rows of { schema : Schema.t; rows : Tuple.t array }
   | CrossB of {
@@ -185,7 +184,7 @@ let of_rows schema (rows : Tuple.t array) ~lo ~len : t =
       schema;
       cols = Array.init arity (fun j -> build_column rows ~lo ~len j);
       sel = None;
-      src = Some { rows = Array.sub rows lo len; offs = None };
+      src = { rows = Array.sub rows lo len; offs = None };
     }
 
 let rows_batch schema rows : t = Rows { schema; rows }
@@ -218,20 +217,12 @@ let col_value (c : column) i : Value.t =
 (* Physical index of logical row [i]. *)
 let phys sel i = match sel with None -> i | Some s -> Array.unsafe_get s i
 
-(* Boxed tuple of physical row [p]: the source tuple itself (or its
-   projection, which shares the boxed values) when the batch has one,
-   else rebuilt from the columns. *)
-let cols_row cols src p : Tuple.t =
+(* Boxed tuple of physical row [p]: the source tuple itself, or its
+   projection, which shares the boxed values. *)
+let cols_row src p : Tuple.t =
   match src with
-  | Some { rows; offs = None } -> Array.unsafe_get rows p
-  | Some { rows; offs = Some o } -> Tuple.project_arr (Array.unsafe_get rows p) o
-  | None ->
-      let ncols = Array.length cols in
-      let t = Array.make ncols Value.Null in
-      for j = 0 to ncols - 1 do
-        Array.unsafe_set t j (col_value (Array.unsafe_get cols j) p)
-      done;
-      t
+  | { rows; offs = None } -> Array.unsafe_get rows p
+  | { rows; offs = Some o } -> Tuple.project_arr (Array.unsafe_get rows p) o
 
 (* Expand one row of a factored cross block. *)
 let cross_row lefts right_cols srcs ~k ~i : Tuple.t =
@@ -247,14 +238,13 @@ let cross_row lefts right_cols srcs ~k ~i : Tuple.t =
   t
 
 (** [value_at b j p] — column [j] at {e physical} row [p], read from the
-    source tuple when the batch has one (no boxing). *)
+    source tuple on [Cols] (no boxing). *)
 let value_at (b : t) j p : Value.t =
   match b with
-  | Cols { src = Some { rows; offs = None }; _ } ->
+  | Cols { src = { rows; offs = None }; _ } ->
       Array.unsafe_get (Array.unsafe_get rows p) j
-  | Cols { src = Some { rows; offs = Some o }; _ } ->
+  | Cols { src = { rows; offs = Some o }; _ } ->
       Array.unsafe_get (Array.unsafe_get rows p) (Array.unsafe_get o j)
-  | Cols { cols; _ } -> col_value (Array.unsafe_get cols j) p
   | Rows { rows; _ } -> Tuple.get rows.(p) j
   | CrossB { lefts; right_cols; card_b; srcs; _ } ->
       let s = srcs.(j) in
@@ -265,7 +255,7 @@ let value_at (b : t) j p : Value.t =
 let tuple_at (b : t) i : Tuple.t =
   match b with
   | Rows r -> r.rows.(i)
-  | Cols c -> cols_row c.cols c.src (phys c.sel i)
+  | Cols c -> cols_row c.src (phys c.sel i)
   | CrossB c ->
       cross_row c.lefts c.right_cols c.srcs ~k:(i / c.card_b)
         ~i:(i mod c.card_b)
@@ -304,7 +294,7 @@ let batch_prepend (b : t) (tail : Tuple.t list) : Tuple.t list =
   | Cols c ->
       let acc = ref tail in
       for i = length b - 1 downto 0 do
-        acc := cols_row c.cols c.src (phys c.sel i) :: !acc
+        acc := cols_row c.src (phys c.sel i) :: !acc
       done;
       !acc
   | CrossB c ->
@@ -352,15 +342,12 @@ let select_cols out_schema (b : t) (offs : int array) : t =
   match b with
   | Cols c ->
       let src =
-        Option.map
-          (fun s ->
-            match s.offs with
-            | Some o -> { s with offs = Some (Array.map (fun j -> o.(j)) offs) }
-            | None ->
-                let identity = ref (Array.length offs = Array.length c.cols) in
-                Array.iteri (fun i j -> if i <> j then identity := false) offs;
-                { s with offs = (if !identity then None else Some offs) })
-          c.src
+        match c.src.offs with
+        | Some o -> { c.src with offs = Some (Array.map (fun j -> o.(j)) offs) }
+        | None ->
+            let identity = ref (Array.length offs = Array.length c.cols) in
+            Array.iteri (fun i j -> if i <> j then identity := false) offs;
+            { c.src with offs = (if !identity then None else Some offs) }
       in
       Cols
         {

@@ -44,8 +44,7 @@ type t =
       cols : column array;
       sel : int array option;
           (** surviving physical row indices, ascending; [None] = all *)
-      src : source option;
-          (** the batch's rows as boxed tuples, when it has them *)
+      src : source;  (** the batch's rows as boxed tuples *)
     }
   | Rows of { schema : Schema.t; rows : Tuple.t array }
   | CrossB of {
@@ -99,8 +98,8 @@ val col_value : column -> int -> Value.t
 (** Value at {e physical} row [i]. *)
 
 val value_at : t -> int -> int -> Value.t
-(** [value_at b j p] — column [j] at {e physical} row [p]; read from the
-    source tuple when the batch has one. *)
+(** [value_at b j p] — column [j] at {e physical} row [p]; on [Cols]
+    read from the source tuple. *)
 
 val tuple_at : t -> int -> Tuple.t
 (** Boxed tuple at {e logical} row [i]. *)

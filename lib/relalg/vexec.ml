@@ -811,30 +811,6 @@ let mask_projection db here schema cenv cols : pcol array option =
   then None
   else Some (Array.of_list (List.map Option.get items))
 
-(* [Project] of bare attributes over a join, split into the join's
-   parts and the output offsets into its concatenated schema — the
-   compiled engine's projection-into-join fusion, taken on the same
-   plans so operator paths coincide. *)
-let fused_join db cenv cols input =
-  let parts =
-    match input with
-    | Join (c, a, b) -> Some (false, c, a, b)
-    | LeftJoin (c, a, b) -> Some (true, c, a, b)
-    | Select (c, Cross (a, b)) -> Some (false, c, a, b)
-    | Select (c, Join (jc, a, b)) -> Some (false, And (jc, c), a, b)
-    | _ -> None
-  in
-  Option.bind parts (fun (outer, cond, a, b) ->
-      let joint =
-        Schema.concat
-          (Typecheck.infer_query_env db cenv a)
-          (Typecheck.infer_query_env db cenv b)
-      in
-      Option.map
-        (fun offs ->
-          (outer, cond, a, b, (offs, Typecheck.projection_schema db (joint :: cenv) cols)))
-        (Compile.offsets_of_projection joint cols))
-
 (* ---- lowering ------------------------------------------------------- *)
 
 (* [lower db path cenv q] mirrors {!Compile.compile_query} operator by
@@ -943,7 +919,7 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
                   (vin.v_run rt));
           })
   | Project { distinct; cols; proj_input } -> (
-      match if distinct then None else fused_join db cenv cols proj_input with
+      match if distinct then None else Compile.fused_join db cenv cols proj_input with
       | Some (outer, cond, a, b, project) ->
           lower_join db here cenv ~outer ~project cond a b
       | None -> lower_project db here (cpath "") cenv ~distinct cols proj_input)

@@ -289,10 +289,10 @@ let test_seeded_faults_deterministic () =
 (* Fallback ladder                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A Gen rewrite whose CrossBase join blows the pair budget (its
-   candidate-witness product is 301 pairs here, Left's and Move's joins
-   46, Unn's none) degrades to a cheaper strategy and still returns the
-   relation the unbounded Gen run would have. *)
+(* A Gen rewrite whose sublink re-evaluations blow the row budget (two
+   orders of magnitude more rows than any other strategy at this size)
+   degrades to a cheaper strategy and still returns the relation the
+   unbounded Gen run would have. *)
 let test_fallback_from_budget () =
   let n1 = 1000 and n2 = 300 in
   let db = Synthetic.Workload.make_db ~seed:2 ~n1 ~n2 () in
@@ -302,7 +302,7 @@ let test_fallback_from_budget () =
   let unbounded = Perm.run_query db ~strategy:Strategy.Gen ~engine ~provenance:true q in
   let governed =
     Perm.run_query db ~strategy:Strategy.Gen ~engine
-      ~budget:(Guard.budget ~max_pairs:150 ())
+      ~budget:(Guard.budget ~max_rows:20_000 ())
       ~fallback:true ~provenance:true q
   in
   let lad =
@@ -363,7 +363,7 @@ let test_no_fallback_propagates () =
   on_production_engines @@ fun engine ->
   match
     Perm.run_query db ~strategy:Strategy.Gen ~engine
-      ~budget:(Guard.budget ~max_pairs:150 ())
+      ~budget:(Guard.budget ~max_rows:20_000 ())
       ~provenance:true inst.Synthetic.Workload.query
   with
   | _ -> Alcotest.failf "expected a budget error (%s)" (Eval.engine_name engine)
