@@ -212,6 +212,11 @@ let observed () =
   | None -> { c_rows = 0; c_pairs = 0; c_elapsed = 0.0; c_alloc_mb = 0.0 }
   | Some dv -> snapshot dv
 
+let charged_rows () =
+  match cur () with
+  | None -> 0
+  | Some dv -> Atomic.get dv.dv_state.st_rows + dv.dv_rows
+
 (* Re-check the clock and the allocation counter; called once every
    [fuel_interval] cheap checkpoints, and on every bulk checkpoint.
    Flushing here is also what keeps the shared totals fresh enough for

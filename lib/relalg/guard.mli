@@ -97,6 +97,12 @@ val with_budget : budget option -> (unit -> 'a) -> 'a
     each remote domain's last flush (slow checkpoint or view exit). *)
 val observed : unit -> counters
 
+(** Rows charged so far to the innermost active scope, flushed or not
+    (0 when none). Cheaper than {!observed}: no flush, no clock read.
+    The compiled engine reads it around a sublink subtree's first run to
+    charge the same rows again when it replays the subtree. *)
+val charged_rows : unit -> int
+
 (** {1 Cross-domain scope adoption} *)
 
 (** A handle on the innermost active scope, shareable across domains. *)

@@ -344,6 +344,152 @@ let test_error_parity () =
     (msg_of (fun () -> Eval.expr_reference db ghost))
     (msg_of (fun () -> Eval.expr_compiled db ghost))
 
+(* Correlated sublink bodies whose binding-independent subtrees the
+   production engines run once per execution and replay for later
+   bindings. Each input must give the reference walker's rows, row
+   order, counters and error message on both production engines. *)
+let replay_cases () =
+  let open Algebra in
+  let db =
+    mk_db
+      [ [ i 1; i 1 ]; [ i 2; i 1 ]; [ i 3; i 2 ]; [ i 4; i 5 ]; [ i 5; i 2 ] ]
+      [ [ i 1; i 1 ]; [ i 2; i 2 ]; [ i 2; i 2 ]; [ i 4; i 5 ]; [ i 3; Value.Null ] ]
+  in
+  let empty_outer = mk_db [] [ [ i 1; i 1 ]; [ i 2; i 2 ] ] in
+  (* Order over Limit over a bag union of a DISTINCT projection and a
+     grouped aggregate: no free variable, no join, no sublink. *)
+  let independent =
+    Order
+      ( [ (attr "k", Asc) ],
+        Limit
+          ( 4,
+            Order
+              ( [ (attr "k", Desc) ],
+                Union
+                  ( Bag,
+                    project ~distinct:true [ (attr "c", "k") ] (Base "S"),
+                    project
+                      [ (attr "g", "k") ]
+                      (aggregate
+                         ~group_by:[ (attr "d", "g") ]
+                         ~aggs:
+                           [
+                             {
+                               agg_func = "count";
+                               agg_distinct = false;
+                               agg_arg = None;
+                               agg_name = "n";
+                             };
+                           ]
+                         (Base "S")) ) ) ) )
+  in
+  let below_a q = project [ (attr "k", "k") ] (Select (lt (attr "k") (attr "a"), q)) in
+  let dividing =
+    project
+      [ (Binop (Div, int 10, Binop (Sub, attr "c", attr "c")), "k") ]
+      (Base "S")
+  in
+  (* The inner sublink reads [a] from the outermost frame only; its
+     selection on [a] must run per binding, not be replayed. *)
+  let outer_outer =
+    Select
+      ( exists
+          (Select
+             ( And
+                 ( eq (attr "d") (attr "b"),
+                   exists
+                     (Select
+                        ( eq (attr "x") (attr "a"),
+                          project [ (attr "c", "x") ] (Base "S") )) ),
+               Base "S" )),
+        Base "R" )
+  in
+  [
+    ("replayed subtree, EXISTS", db, Select (exists (below_a independent), Base "R"));
+    ( "replayed subtree, = ANY",
+      db,
+      Select (any_op Eq (attr "b") (below_a independent), Base "R") );
+    ( "replayed subtree, scalar",
+      db,
+      project
+        [
+          (attr "a", "a");
+          ( scalar
+              (aggregate ~group_by:[]
+                 ~aggs:
+                   [
+                     {
+                       agg_func = "sum";
+                       agg_distinct = false;
+                       agg_arg = Some (attr "k");
+                       agg_name = "s";
+                     };
+                   ]
+                 (below_a independent)),
+            "s" );
+        ]
+        (Base "R") );
+    ("replayed subtree raises", db, Select (exists (below_a dividing), Base "R"));
+    ( "replayed subtree under an empty outer relation",
+      empty_outer,
+      Select (exists (below_a dividing), Base "R") );
+    ("outer-outer reference", db, outer_outer);
+    (* closed subtrees that touch the counters run per binding *)
+    ( "closed join in a correlated body",
+      db,
+      Select
+        ( exists
+            (below_a
+               (project
+                  [ (attr "c", "k") ]
+                  (Join
+                     ( eq (attr "c") (attr "c2"),
+                       Base "S",
+                       project [ (attr "c", "c2") ] (Base "S") )))),
+          Base "R" ) );
+    ( "closed sublink in a correlated body",
+      db,
+      Select
+        ( exists
+            (below_a
+               (project
+                  [ (attr "c", "k") ]
+                  (Select
+                     (exists (Select (eq (attr "c") (int 2), Base "S")), Base "S")))),
+          Base "R" ) );
+    ("uncorrelated body", db, Select (any_op Eq (attr "a") independent, Base "R"));
+  ]
+
+let test_replay_parity () =
+  let outcome f =
+    match f () with
+    | rel, stats ->
+        Ok
+          ( Schema.names (Relation.schema rel),
+            Relation.tuples rel,
+            Eval.stats_to_string stats )
+    | exception Eval.Eval_error m -> Error m
+    | exception Value.Type_clash m -> Error m
+  in
+  List.iter
+    (fun (name, db, plan) ->
+      let expected = outcome (fun () -> Eval.query_stats_reference db plan) in
+      List.iter
+        (fun (label, run) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s agrees with the reference walker" name label)
+            true
+            (outcome (fun () -> run db plan) = expected))
+        (("compiled", fun db plan -> Eval.query_stats_compiled db plan)
+        :: List.map
+             (fun ((label, _, _) as cfg) ->
+               ( "vectorized[" ^ label ^ "]",
+                 fun db plan ->
+                   with_vec_config cfg (fun () ->
+                       Eval.query_stats_vectorized db plan) ))
+             vec_configs))
+    (replay_cases ())
+
 (* ------------------------------------------------------------------ *)
 (* Vectorized engine: governor trips at batch granularity               *)
 (* ------------------------------------------------------------------ *)
@@ -501,6 +647,8 @@ let () =
           tc "tpch, all strategies" `Quick test_tpch_strategies;
           tc "engine dispatch" `Quick test_dispatch;
           tc "error parity" `Quick test_error_parity;
+          tc "correlated bodies with replayed subtrees" `Quick
+            test_replay_parity;
           tc "figure cells on the default engine" `Quick
             test_figure_cells_on_default;
         ] );

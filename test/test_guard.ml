@@ -197,6 +197,73 @@ let test_counts_rows_gating () =
       Alcotest.(check bool)
         "row ceiling arms bulk row counting" true (Guard.counts_rows ()))
 
+(* Row totals a whole run charges to its scope, pinned to the values
+   measured before correlated sublink bodies replayed their
+   binding-independent subtrees: a replay charges the rows of the run it
+   replaces, so the totals must not move. Covers the Gen q1 plan of the
+   fallback tests below and the Figure 6-7 plans that replay the most
+   (synthetic Gen q1/q2, TPC-H Q4 Unn and Q22 Gen). *)
+let test_row_totals_pinned () =
+  let charged engine db plan =
+    Guard.with_budget
+      (Some (Guard.budget ~max_rows:max_int ()))
+      (fun () ->
+        ignore (Eval.query ~engine db plan);
+        (Guard.observed ()).Guard.c_rows)
+  in
+  let plan_of db strategy sql =
+    match Perm.exec db ~strategy sql with
+    | Perm.Rows r -> r.Perm.plan
+    | _ -> Alcotest.fail "not a row result"
+  in
+  let fallback_plan =
+    let n1 = 1000 and n2 = 300 in
+    let db = Synthetic.Workload.make_db ~seed:2 ~n1 ~n2 () in
+    let inst = Synthetic.Workload.q1 ~seed:2 ~n1 ~n2 () in
+    let r =
+      Perm.run_query db ~strategy:Strategy.Gen ~provenance:true
+        inst.Synthetic.Workload.query
+    in
+    ("Gen q1 1000x300", db, r.Perm.plan, 148_844)
+  in
+  let synthetic = Synthetic.Workload.make_db ~seed:4 ~n1:300 ~n2:60 () in
+  let synthetic_plan label op expected =
+    let sql =
+      Printf.sprintf
+        "SELECT PROVENANCE * FROM r1 WHERE b >= -150 AND b <= 150 AND a %s \
+         (SELECT a FROM r2 WHERE b >= -40 AND b <= 40)"
+        op
+    in
+    (label, synthetic, plan_of synthetic Strategy.Gen sql, expected)
+  in
+  let tpch = Tpch.Tpch_gen.generate ~seed:11 ~sf:0.05 () in
+  let tpch_plan n strategy expected =
+    let sql =
+      Tpch.Tpch_queries.with_provenance
+        (Tpch.Tpch_queries.instantiate ~seed:100 n)
+    in
+    ( Printf.sprintf "Q%d %s" n (Strategy.to_string strategy),
+      tpch,
+      plan_of tpch strategy sql,
+      expected )
+  in
+  List.iter
+    (fun (label, db, plan, expected) ->
+      List.iter
+        (fun engine ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s rows charged (%s)" label
+               (Eval.engine_name engine))
+            expected (charged engine db plan))
+        production_engines)
+    [
+      fallback_plan;
+      synthetic_plan "Gen q1" "= ANY" 68_194;
+      synthetic_plan "Gen q2" "< ALL" 540_479;
+      tpch_plan 4 Strategy.Unn 4_559;
+      tpch_plan 22 Strategy.Gen 888;
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Fault matrix: 4 strategies x 2 engines                               *)
 (* ------------------------------------------------------------------ *)
@@ -540,6 +607,8 @@ let () =
           Alcotest.test_case "scopes nest" `Quick test_scope_nesting;
           Alcotest.test_case "bulk counting gated on row ceiling" `Quick
             test_counts_rows_gating;
+          Alcotest.test_case "row totals pinned across sublink replay" `Quick
+            test_row_totals_pinned;
         ] );
       ( "faults",
         [
