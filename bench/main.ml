@@ -22,9 +22,8 @@
    whose CrossBase would exceed a tuple budget instead of thrashing
    memory (reported as "excl").
 
-   --engine selects the execution engine (compiled closures, the
-   reference tree walker, the vectorized columnar engine, "both", or
-   "all" side by side); --domains and --batch-rows configure the
+   --engine selects the execution engine (the vectorized columnar
+   engine, the reference tree walker, or "both" side by side); --domains and --batch-rows configure the
    vectorized engine's morsel parallelism and batch size. Every
    measured cell is also appended to a machine-readable JSON report
    (BENCH_eval.json by default, --json to override) together with the
@@ -291,8 +290,7 @@ let write_json () =
 (* ------------------------------------------------------------------ *)
 
 let engines_of_string = function
-  | "both" -> [ Eval.Compiled; Eval.Reference ]
-  | "all" -> [ Eval.Compiled; Eval.Reference; Eval.Vectorized ]
+  | "both" -> [ Eval.Vectorized; Eval.Reference ]
   | s -> [ Eval.engine_of_string s ]
 
 (* Run [f] once per engine; the engine is set via [Eval.default_engine],
@@ -1269,9 +1267,9 @@ let engine_arg =
     & info [ "engine" ] ~docv:"E"
         ~doc:
           "Execution engine: $(b,vectorized) (columnar batches, see \
-           --domains/--batch-rows; the default), $(b,compiled) \
-           (offset-resolved closures), $(b,reference) (tree-walking \
-           interpreter), $(b,both) (compiled + reference), or $(b,all).")
+           --domains/--batch-rows; the default), $(b,reference) \
+           (tree-walking interpreter), or $(b,both) (vectorized + \
+           reference).")
 
 let domains_arg =
   Arg.(
@@ -1460,11 +1458,11 @@ let fuzz_cmd =
     Term.(const run $ seed_arg $ count_arg $ artifacts_arg)
 
 (* [bench racefuzz]: schedule fuzzing for the parallel engine — every
-   generated query runs compiled (baseline) and vectorized on a
-   genuinely multi-domain pool under the chaos scheduler with the
-   vector-clock race detector armed; detector reports or parity
-   divergence fail the case, which is shrunk under its exact schedule
-   seed. Exit 1 on any failure, so CI can gate on it. *)
+   generated query runs on the reference walker (baseline) and
+   vectorized on a genuinely multi-domain pool under the chaos
+   scheduler with the vector-clock race detector armed; detector
+   reports or parity divergence fail the case, which is shrunk under
+   its exact schedule seed. Exit 1 on any failure, so CI can gate on it. *)
 let racefuzz_campaign ~seed ~count ~domains ~json () =
   let t0 = Unix.gettimeofday () in
   Printf.printf "racefuzz: seed %d, %d cases, up to %d domains\n%!" seed count
@@ -1511,8 +1509,8 @@ let racefuzz_cmd =
     (Cmd.info "racefuzz"
        ~doc:
          "Schedule fuzzing: generated queries under chaos schedules on \
-          multi-domain pools with the race detector armed, vs the compiled \
-          engine")
+          multi-domain pools with the race detector armed, vs the reference \
+          walker")
     Term.(const run $ seed_arg $ count_arg $ domains_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)

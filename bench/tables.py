@@ -4,22 +4,16 @@ records of a benchmark report.
 
     python3 bench/tables.py [BENCH_eval.json]
 
-Every cell shows the compiled engine's seconds, then the vectorized
-engine's (single domain), as recorded by one run per engine, e.g.
+Every cell shows the vectorized engine's seconds (single domain), as
+recorded by
 
-    dune exec bench/main.exe -- fig6 --engine compiled --json c.json ...
-    dune exec bench/main.exe -- fig6 --engine vectorized --json v.json ...
+    dune exec bench/main.exe -- fig6 --json BENCH_eval.json ...
 
-with both runs' records merged into the report (likewise for fig7),
-
-followed by the per-cell ratio summary: the worst vectorized/compiled
-ratio over cells both engines completed, and how many exceed 1.10.
+(likewise for fig7).
 """
 
 import json
 import sys
-
-ENGINES = ("compiled", "vectorized")
 
 
 def cell(rec):
@@ -43,38 +37,27 @@ def main(path):
     records = [
         r
         for r in json.load(open(path))["records"]
-        if r["figure"] in ("fig6", "fig7") and r["engine"] in ENGINES and r["domains"] == 1
+        if r["figure"] in ("fig6", "fig7") and r["engine"] == "vectorized" and r["domains"] == 1
     ]
     by_key = {}
     for r in records:
         size = r.get("sf", r.get("n1"))
-        by_key[(r["figure"], r["query"], r["series"], size, r["engine"])] = r
+        by_key[(r["figure"], r["query"], r["series"], size)] = r
 
-    def pair(figure, query, series, size):
-        recs = [by_key.get((figure, query, series, size, e)) for e in ENGINES]
-        if all(r is None for r in recs):
-            return "-"
-        return " / ".join(cell(r) for r in recs)
-
-    ratios = []
-    for (figure, query, series, size, engine), r in by_key.items():
-        if engine != "vectorized" or r["status"] != "ok":
-            continue
-        c = by_key.get((figure, query, series, size, "compiled"))
-        if c is not None and c["status"] == "ok":
-            ratios.append((r["seconds"] / c["seconds"], figure, query, series, size))
+    def at(figure, query, series, size):
+        return cell(by_key.get((figure, query, series, size)))
 
     scales = sorted({r["sf"] for r in records if r["figure"] == "fig6"})
     queries = sorted(
         {r["query"] for r in records if r["figure"] == "fig6"}, key=lambda q: int(q[1:])
     )
     for i, sf in enumerate(scales):
-        print("Figure 6(%s), sf = %g (seconds, compiled / vectorized)\n" % ("abcd"[i], sf))
+        print("Figure 6(%s), sf = %g (seconds)\n" % ("abcd"[i], sf))
         print(
             table(
                 ["query", "gen", "left", "move", "unn+"],
                 [
-                    [q] + [pair("fig6", q, s, sf) for s in ("gen", "left", "move", "unn")]
+                    [q] + [at("fig6", q, s, sf) for s in ("gen", "left", "move", "unn")]
                     for q in queries
                 ],
             )
@@ -85,22 +68,14 @@ def main(path):
         sizes = sorted({r["n1"] for r in records if r["figure"] == "fig7" and r["query"] == query})
         if not sizes:
             continue
-        print("Figure 7, %s (seconds vs |R1|, |R2| = 1000, compiled / vectorized)\n" % query)
+        print("Figure 7, %s (seconds vs |R1|, |R2| = 1000)\n" % query)
         print(
             table(
                 ["size"] + list(series),
-                [[str(n)] + [pair("fig7", query, s, n) for s in series] for n in sizes],
+                [[str(n)] + [at("fig7", query, s, n) for s in series] for n in sizes],
             )
         )
         print()
-
-    if ratios:
-        worst = max(ratios)
-        print(
-            "vectorized/compiled over %d cells both engines completed: worst %.2f "
-            "(%s %s %s at %g), %d above 1.10"
-            % ((len(ratios),) + worst + (sum(1 for r in ratios if r[0] > 1.10),))
-        )
 
 
 if __name__ == "__main__":

@@ -8,8 +8,7 @@
 
    REPL commands:  \d [table]    list tables / describe one
                    \strategy S   rewrite strategy (gen|left|move|unn|auto)
-                   \engine E     execution engine
-                                 (compiled|reference|vectorized)
+                   \engine E     execution engine (vectorized|reference)
                    \plan         toggle plan printing
                    \timing       toggle timing
                    \stats        toggle EXPLAIN-ANALYZE-style counters
@@ -926,9 +925,8 @@ let engine_arg =
     & info [ "engine" ] ~docv:"E"
         ~doc:
           "Execution engine: $(b,vectorized) (columnar batches, the \
-           default; see --domains and --batch-rows), $(b,compiled) \
-           (offset-resolved closures), or $(b,reference) (tree-walking \
-           interpreter). With $(b,--connect), a named engine is always \
+           default; see --domains and --batch-rows) or $(b,reference) \
+           (tree-walking interpreter). With $(b,--connect), a named engine is always \
            sent to the session; absent, the server's default applies.")
 
 let domains_arg =

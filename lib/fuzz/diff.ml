@@ -1,6 +1,6 @@
 (** The differential harness: one fuzz case is evaluated under every
-    applicable provenance strategy × all three engines (reference,
-    compiled, vectorized) and compared against the enumeration oracle,
+    applicable provenance strategy × both engines (reference,
+    vectorized) and compared against the enumeration oracle,
     plus a plain (no-provenance) engine-parity check and the Theorem-1
     projection property (the provenance rows restricted to the original
     columns are exactly the plain result, set-level).
@@ -88,9 +88,6 @@ let check ?(budget = default_budget) (case : Qgen.case) : verdict =
             guarded budget (fun () ->
                 Relation.tuples (Eval.query_reference db q))
           in
-          let plain_comp =
-            guarded budget (fun () -> Relation.tuples (Eval.query_compiled db q))
-          in
           let plain_vec =
             guarded budget (fun () ->
                 Relation.tuples (Eval.query_vectorized db q))
@@ -116,9 +113,6 @@ let check ?(budget = default_budget) (case : Qgen.case) : verdict =
                       ( "prov/" ^ name ^ "/reference",
                         guarded budget (fun () ->
                             Relation.tuples (Eval.query_reference db plan)) );
-                      ( "prov/" ^ name ^ "/compiled",
-                        guarded budget (fun () ->
-                            Relation.tuples (Eval.query_compiled db plan)) );
                       ( "prov/" ^ name ^ "/vectorized",
                         guarded budget (fun () ->
                             Relation.tuples (Eval.query_vectorized db plan)) );
@@ -140,8 +134,6 @@ let check ?(budget = default_budget) (case : Qgen.case) : verdict =
             end
           in
           (* 1. plain engine parity (bag-level) *)
-          compare_rows ~canon:canon_bag "plain/reference" "plain/compiled"
-            plain_ref plain_comp;
           compare_rows ~canon:canon_bag "plain/reference" "plain/vectorized"
             plain_ref plain_vec;
           (* 2. engine parity per strategy (bag-level) *)
@@ -149,16 +141,6 @@ let check ?(budget = default_budget) (case : Qgen.case) : verdict =
             (fun strategy ->
               let name = Strategy.to_string strategy in
               let find l = List.assoc_opt l prov_runs in
-              (match
-                 (find ("prov/" ^ name ^ "/reference"),
-                  find ("prov/" ^ name ^ "/compiled"))
-               with
-              | Some l, Some r ->
-                  compare_rows ~canon:canon_bag
-                    ("prov/" ^ name ^ "/reference")
-                    ("prov/" ^ name ^ "/compiled")
-                    l r
-              | _ -> ());
               match
                 (find ("prov/" ^ name ^ "/reference"),
                  find ("prov/" ^ name ^ "/vectorized"))

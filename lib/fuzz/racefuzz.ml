@@ -1,11 +1,11 @@
 (** Schedule fuzzing for the parallel vectorized engine: each generated
-    query runs under the compiled engine once (the baseline) and then
+    query runs under the reference walker once (the baseline) and then
     under the vectorized engine on a genuinely multi-domain pool with
     the chaos scheduler ({!Relalg.Morsel.set_chaos}) perturbing the
     schedule and the vector-clock race detector ({!Relalg.Race}) armed.
 
     A case fails when the detector reports an unordered access pair or
-    the vectorized rows differ from the compiled rows (bag-level) —
+    the vectorized rows differ from the reference rows (bag-level) —
     either way the failure carries the (query, schedule-seed, domains)
     triple that reproduces it, and the campaign driver shrinks the
     query and tables with {!Shrink} while replaying that exact
@@ -107,9 +107,9 @@ let check ?(budget = default_budget) ~pool ~sched_seed (case : Qgen.case) :
           let failures = ref [] in
           List.iter
             (fun (label, plan) ->
-              let compiled =
+              let reference =
                 guarded budget (fun () ->
-                    Relation.tuples (Eval.query_compiled db plan))
+                    Relation.tuples (Eval.query_reference db plan))
               in
               let vec, reports =
                 vectorized_run budget pool sched_seed db plan
@@ -120,16 +120,16 @@ let check ?(budget = default_budget) ~pool ~sched_seed (case : Qgen.case) :
                     Printf.sprintf "[%s] %s" label (Race.report_to_string r)
                     :: !failures)
                 reports;
-              match (compiled, vec) with
-              | Ok c, Ok v ->
+              match (reference, vec) with
+              | Ok r, Ok v ->
                   incr checked;
-                  let c = canon c and v = canon v in
-                  if not (List.equal Tuple.equal c v) then
+                  let r = canon r and v = canon v in
+                  if not (List.equal Tuple.equal r v) then
                     failures :=
                       Printf.sprintf
                         "[%s] engine divergence under schedule seed %d: \
-                         compiled %d rows (%s) vs vectorized %d rows (%s)"
-                        label sched_seed (List.length c) (sample 4 c)
+                         reference %d rows (%s) vs vectorized %d rows (%s)"
+                        label sched_seed (List.length r) (sample 4 r)
                         (List.length v) (sample 4 v)
                       :: !failures
               | _ -> ())

@@ -1,7 +1,7 @@
 (** Schedule fuzzing for the parallel vectorized engine: generated
     queries run on a genuinely multi-domain pool under the chaos
     scheduler with the vector-clock race detector armed, checked for
-    bag-parity against the compiled engine. Failures carry the
+    bag-parity against the reference walker. Failures carry the
     (query, schedule-seed, domains) triple that replays them and are
     shrunk with {!Shrink} under that exact schedule seed. *)
 
@@ -20,7 +20,7 @@ type verdict =
   | Fail of string  (** race reports and/or parity mismatch, rendered *)
 
 (** [check ~pool ~sched_seed case] — every applicable plan of [case]
-    (plain + per-strategy provenance), compiled baseline vs. a
+    (plain + per-strategy provenance), reference baseline vs. a
     vectorized run on [pool] under chaos seed [sched_seed] with the
     detector armed. Detector reports fail the case even when rows
     agree. Engine globals are saved and restored around each run. *)

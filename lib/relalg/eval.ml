@@ -3,13 +3,13 @@
 
     Two engines implement the same semantics:
 
-    - the {e compiled} engine ({!Compile}) — the default — lowers the
-      plan once into offset-resolved closures and only moves values at
-      run time;
+    - the {e vectorized} engine ({!Vexec}) — the default — lowers the
+      plan once into columnar batch kernels and offset-resolved
+      closures and only moves values at run time;
     - the {e reference} engine (this module's tree walker) interprets
       the AST per tuple, resolving attributes by name. It is the
-      executable specification the compiled engine is property-tested
-      against ({!query_reference} et al.).
+      executable specification the vectorized engine is
+      property-tested against ({!query_reference} et al.).
 
     Design points that matter for reproducing the paper's performance
     shape (these mirror what PostgreSQL gives the original Perm, and
@@ -104,9 +104,9 @@ let mk_ctx db =
    context-sensitive rules (e.g. unsat-fold under implied predicates)
    can rewrite one occurrence of a duplicated sublink body while an
    equivalent same-id copy elsewhere keeps its correlated form. The
-   compiled engine resolves each occurrence's free variables at compile
-   time, so the reference evaluator must key its memo the same way or
-   the two engines' eval/hit counters drift apart. *)
+   vectorized engine resolves each occurrence's free variables at
+   lowering time, so the reference evaluator must key its memo the same
+   way or the two engines' eval/hit counters drift apart. *)
 let free_names ctx (s : sublink) = Scope.free_of_query ctx.db s.query
 
 (** {1 Expression evaluation (reference engine)} *)
@@ -495,35 +495,28 @@ and eval_agg ctx here env { group_by; aggs; agg_input } : Relation.t =
 (** {1 Public API} *)
 
 (** Which engine {!query}, {!query_stats} and {!expr} dispatch to.
-    [Vectorized] (the columnar batch engine, {!Vexec}) is the default;
-    [Compiled] selects the closure engine and [Reference] the tree
-    walker — permcli's and the benchmark harness's [--engine] set
-    this. *)
-type engine = Compiled | Reference | Vectorized
+    [Vectorized] (the production engine, {!Vexec}) is the default;
+    [Reference] selects the tree walker — permcli's and the benchmark
+    harness's [--engine] set this. *)
+type engine = Reference | Vectorized
 
 let default_engine = ref Vectorized
 
 let engine_name = function
-  | Compiled -> "compiled"
   | Reference -> "reference"
   | Vectorized -> "vectorized"
 
 let engine_of_string = function
-  | "compiled" -> Compiled
   | "reference" -> Reference
   | "vectorized" -> Vectorized
   | s ->
       invalid_arg
-        (Printf.sprintf "unknown engine %S (compiled|reference|vectorized)" s)
+        (Printf.sprintf "unknown engine %S (reference|vectorized)" s)
 
 let compile_env env = List.map (fun f -> (f.f_schema, f.f_tuple)) env
 
 (** [query_reference db q] evaluates [q] with the reference tree walker. *)
 let query_reference ?(env = []) db q = eval_query (mk_ctx db) [] env q
-
-(** [query_compiled db q] compiles [q] to offset-resolved closures and
-    runs the compiled plan. *)
-let query_compiled ?(env = []) db q = Compile.query ~env:(compile_env env) db q
 
 (** [query_vectorized db q] executes [q] with the columnar batch
     engine (worker count and batch size from {!Vexec.domains} /
@@ -538,7 +531,6 @@ let query_vectorized ?(env = []) db q = Vexec.query ~env:(compile_env env) db q
     mutating the shared default. *)
 let query ?engine ?(env = []) db q =
   match Option.value engine ~default:!default_engine with
-  | Compiled -> query_compiled ~env db q
   | Reference -> query_reference ~env db q
   | Vectorized -> query_vectorized ~env db q
 
@@ -547,9 +539,6 @@ let query_stats_reference ?(env = []) db q =
   let rel = eval_query ctx [] env q in
   (rel, ctx.stats)
 
-let query_stats_compiled ?(env = []) db q =
-  Compile.query_stats ~env:(compile_env env) db q
-
 let query_stats_vectorized ?(env = []) db q =
   Vexec.query_stats ~env:(compile_env env) db q
 
@@ -557,19 +546,15 @@ let query_stats_vectorized ?(env = []) db q =
     an EXPLAIN-ANALYZE-style summary of how the plan ran. *)
 let query_stats ?engine ?(env = []) db q =
   match Option.value engine ~default:!default_engine with
-  | Compiled -> query_stats_compiled ~env db q
   | Reference -> query_stats_reference ~env db q
   | Vectorized -> query_stats_vectorized ~env db q
 
 let expr_reference ?(env = []) db e = eval_expr (mk_ctx db) env e
 
-let expr_compiled ?(env = []) db e = Compile.expr ~env:(compile_env env) db e
-
 (** [expr db env e] evaluates a scalar expression (used by tests and the
-    provenance oracle), dispatching like {!query}. Scalar expressions
-    have no batches to vectorize, so [Vectorized] uses the compiled
-    closures (the semantics the vectorized engine shares). *)
+    provenance oracle), dispatching like {!query}; [Vectorized] runs the
+    production engine's expression compiler. *)
 let expr ?engine ?(env = []) db e =
   match Option.value engine ~default:!default_engine with
-  | Compiled | Vectorized -> expr_compiled ~env db e
+  | Vectorized -> Vexec.expr ~env:(compile_env env) db e
   | Reference -> expr_reference ~env db e

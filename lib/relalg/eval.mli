@@ -1,11 +1,10 @@
 (** Evaluation entry points for the extended algebra of Figure 1.
 
-    Three engines implement the same semantics: the {e vectorized}
-    engine ({!Vexec}, the default) runs columnar batch kernels; the
-    {e compiled} engine ({!Compile}) lowers the plan once into
-    offset-resolved closures; the {e reference} engine is the
-    tree-walking interpreter kept in this module as the executable
-    specification. {!query}, {!query_stats} and {!expr} dispatch on
+    Two engines implement the same semantics: the {e vectorized}
+    engine ({!Vexec}, the default and the production engine) lowers
+    the plan once into columnar batch kernels and offset-resolved
+    closures; the {e reference} engine is the tree-walking interpreter
+    kept in this module as the executable specification. {!query}, {!query_stats} and {!expr} dispatch on
     {!default_engine}.
 
     Performance features shared by the engines, mirroring what
@@ -53,10 +52,9 @@ val all_of_summary : Algebra.cmpop -> Value.t -> summary -> Value.t
 
 (** {1 Engine selection} *)
 
-(** [Compiled] lowers the plan to offset-resolved closures ({!Compile});
-    [Reference] interprets the AST per tuple; [Vectorized] executes
+(** [Reference] interprets the AST per tuple; [Vectorized] executes
     columnar batch kernels, optionally across domains ({!Vexec}). *)
-type engine = Compiled | Reference | Vectorized
+type engine = Reference | Vectorized
 
 (** The engine used by {!query}, {!query_stats} and {!expr}. Defaults to
     [Vectorized]; permcli's and the benchmark harness's [--engine] set
@@ -65,7 +63,7 @@ val default_engine : engine ref
 
 val engine_name : engine -> string
 
-(** [engine_of_string s] parses ["compiled"|"reference"|"vectorized"];
+(** [engine_of_string s] parses ["reference"|"vectorized"];
     raises [Invalid_argument] otherwise. *)
 val engine_of_string : string -> engine
 
@@ -80,9 +78,6 @@ val query : ?engine:engine -> ?env:env -> Database.t -> Algebra.query -> Relatio
 
 (** [query_reference db q] always uses the reference tree walker. *)
 val query_reference : ?env:env -> Database.t -> Algebra.query -> Relation.t
-
-(** [query_compiled db q] always compiles and runs via {!Compile}. *)
-val query_compiled : ?env:env -> Database.t -> Algebra.query -> Relation.t
 
 (** [query_vectorized db q] always runs the columnar engine
     ({!Vexec}); worker count and batch size come from
@@ -109,9 +104,6 @@ val query_stats :
 val query_stats_reference :
   ?env:env -> Database.t -> Algebra.query -> Relation.t * stats
 
-val query_stats_compiled :
-  ?env:env -> Database.t -> Algebra.query -> Relation.t * stats
-
 val query_stats_vectorized :
   ?env:env -> Database.t -> Algebra.query -> Relation.t * stats
 
@@ -120,4 +112,3 @@ val query_stats_vectorized :
 val expr : ?engine:engine -> ?env:env -> Database.t -> Algebra.expr -> Value.t
 
 val expr_reference : ?env:env -> Database.t -> Algebra.expr -> Value.t
-val expr_compiled : ?env:env -> Database.t -> Algebra.expr -> Value.t

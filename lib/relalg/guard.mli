@@ -1,8 +1,8 @@
 (** Execution governor: resource budgets with cooperative checkpoints,
     and a deterministic fault-injection harness.
 
-    Both engines ({!Eval}'s reference walker and {!Compile}'s closure
-    engine) call the checkpoint functions at operator boundaries. When
+    Both engines ({!Eval}'s reference walker and {!Vexec}) call the
+    checkpoint functions at operator boundaries. When
     no budget is installed and no fault is armed, a checkpoint is a
     single flag load — the hot path stays within noise of an unguarded
     run. With a budget installed, counters are maintained per
@@ -99,8 +99,8 @@ val observed : unit -> counters
 
 (** Rows charged so far to the innermost active scope, flushed or not
     (0 when none). Cheaper than {!observed}: no flush, no clock read.
-    The compiled engine reads it around a sublink subtree's first run to
-    charge the same rows again when it replays the subtree. *)
+    {!Vexec} reads it around a sublink subtree's first run to charge
+    the same rows again when it replays the subtree. *)
 val charged_rows : unit -> int
 
 (** {1 Cross-domain scope adoption} *)
@@ -138,8 +138,7 @@ val counts_rows : unit -> bool
 
 (** {1 Checkpoints} — called by the engines. *)
 
-(** [count_row path] records one produced row (compiled engine,
-    per-push). *)
+(** [count_row path] records one produced row. *)
 val count_row : string list -> unit
 
 (** [count_rows path n] records [n] produced rows at once (bulk

@@ -1,7 +1,7 @@
 (** Static plan diagnostics: a rule registry over {!Algebra.query}.
 
     The linter walks a plan once, building the same innermost-first
-    scope stack the type checker and the compiled engine use
+    scope stack the type checker and the vectorized engine use
     ({!Typecheck.env}), and runs every registered rule against each
     operator {e site}. Diagnostics carry a severity, the rule name, an
     operator path such as [Project/Join[left]/Select] and a message, so

@@ -575,7 +575,7 @@ and optimize db (prefix : string list) (q : query) : query =
     every tuple with CrossBase/Tsub+ columns that downstream operators
     never read, and the SQL frontend scans every base table through an
     all-columns renaming projection — both leave dead columns that cost
-    the compiled engine per-tuple work in every operator above.
+    the engines per-tuple work in every operator above.
 
     Invariants, per node: [needed ∩ out(q) ⊆ out(q') ⊆ out(q)] with
     relative order preserved (superset semantics — exact narrowing

@@ -49,7 +49,7 @@ exception Relation_error of string
 let relation_error fmt = Format.kasprintf (fun s -> raise (Relation_error s)) fmt
 
 (** [make_unchecked schema tuples] builds a relation without the
-    per-tuple arity check — for operators (e.g. the compiled engine)
+    per-tuple arity check — for operators (e.g. the vectorized engine)
     whose output arity is known correct by construction. *)
 let make_unchecked schema tuples =
   {

@@ -10,7 +10,7 @@ exception Relation_error of string
 val make : Schema.t -> Tuple.t list -> t
 
 (** [make_unchecked schema tuples] skips the per-tuple arity check —
-    for operators (e.g. the compiled engine) whose output arity is
+    for operators (e.g. the vectorized engine) whose output arity is
     correct by construction. *)
 val make_unchecked : Schema.t -> Tuple.t list -> t
 

@@ -129,7 +129,7 @@ let is_uncorrelated db (s : sublink) = free_of_query db s.query = []
     [(left_expr, right_expr, null_safe)] — an [=]/[=n] comparison whose
     sides reference only the left/right input respectively — or as a
     residual condition. This is purely syntactic scope analysis, so
-    both execution engines share it; the compiled engine runs it once
+    both execution engines share it; the vectorized engine runs it once
     per join operator instead of once per evaluation. *)
 let split_equi db ~left ~right cond =
   let touches names e =

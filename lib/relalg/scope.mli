@@ -26,7 +26,7 @@ val is_uncorrelated : Database.t -> Algebra.sublink -> bool
     conjunct of a join condition as a hashable equi-pair
     [(left_expr, right_expr, null_safe)] or as a residual condition.
     [left]/[right] are the attribute names of the two join inputs.
-    Shared by both execution engines; the compiled engine runs it once
+    Shared by both execution engines; the vectorized engine runs it once
     per join operator instead of once per evaluation. *)
 val split_equi :
   Database.t ->

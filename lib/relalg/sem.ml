@@ -1,7 +1,7 @@
 (** Runtime semantics shared by both execution engines.
 
-    The reference tree-walker ({!Eval}) and the compiling engine
-    ({!Compile}) must agree exactly on three-valued comparison, on the
+    The reference tree-walker ({!Eval}) and the vectorized engine
+    ({!Vexec}) must agree exactly on three-valued comparison, on the
     [ANY]/[ALL] quantifier semantics (both the naive folds of Figure 1
     and the constant-size summary fast path), and on the execution
     counters they report. Keeping those pieces here — below both

@@ -1,6 +1,5 @@
 (** Runtime semantics shared by both execution engines ({!Eval}, the
-    reference tree-walker, and {!Compile}, the closure-compiling
-    engine): three-valued comparison, [ANY]/[ALL] quantifier semantics,
+    reference tree-walker, and {!Vexec}, the vectorized engine): three-valued comparison, [ANY]/[ALL] quantifier semantics,
     and the execution counters both engines report. *)
 
 exception Eval_error of string

@@ -63,6 +63,11 @@ let inventory =
     entry "vexec" "cache_lock" "mutex" Immutable "orders vexec.cache";
     entry "vexec" "probe_counter" "atomic" AtomicOnly
       "probe ids for per-probe race-detector locations";
+    entry "vexec" "ctx_counter" "atomic" AtomicOnly
+      "ctx tags for per-execution race-detector locations";
+    entry "vexec" "cur_compile_path" "ref" DomainLocal
+      "operator path during lowering; lowering runs on the coordinator \
+       before any fan-out";
     (* relation *)
     entry "relation" "memo_lock" "mutex" Immutable
       "serializes memo builds; the memo cells themselves are Atomic \
@@ -86,12 +91,6 @@ let inventory =
       "report dedup set";
     entry "race" "seed_ref" "ref" (LockProtected "race.lock")
       "schedule seed carried into reports";
-    (* compile *)
-    entry "compile" "ctx_counter" "atomic" AtomicOnly
-      "ctx tags for per-execution race-detector locations";
-    entry "compile" "cur_compile_path" "ref" DomainLocal
-      "operator path during compilation; compile runs on the \
-       coordinator before any fan-out";
     (* eval *)
     entry "eval" "default_engine" "ref" InitOnce
       "engine selection; set by the CLI before execution";
@@ -433,7 +432,6 @@ let check_module ~module_ src =
    like anywhere else. *)
 let modules =
   [
-    "compile";
     "eval";
     "guard";
     "morsel";

@@ -207,7 +207,7 @@ and infer_sublink db (env : env) (s : sublink) : Vtype.t option =
 (** [projection_schema db env cols] is the output schema of a
     projection list under [env] (innermost schema first); expressions
     of statically unknown type default to string, matching evaluation.
-    Shared by inference and by both execution engines, so the compiled
+    Shared by inference and by both execution engines, so the vectorized
     engine computes it once per operator. *)
 and projection_schema db (env : env) cols : Schema.t =
   Schema.of_list

@@ -1,23 +1,29 @@
-(** Vectorized columnar execution: batch-at-a-time kernels over
-    {!Vector} batches, lowered from the same type-checked algebra the
-    closure engine ({!Compile}) consumes.
+(** Query execution: the production engine. A type-checked
+    {!Algebra.query} is lowered once into batch-at-a-time operators over
+    columnar {!Vector} batches, and every scalar expression into a
+    closure with its attribute references resolved to frame offsets.
 
-    The engine materializes operator outputs as batch lists instead of
-    streaming rows, evaluates selection predicates as columnar masks
-    (unboxed three-valued bytes over a selection vector), probes
-    uncorrelated [ANY]/[ALL] sublinks against an unboxed integer set
-    specialized from the shared {!Sem} summary, and parallelizes leaf
-    scan filtering and hash-join probing across OCaml 5 domains with
-    the morsel scheduler ({!Morsel}).
+    Operators materialize their outputs as batch lists, evaluate
+    selection predicates as columnar masks (unboxed three-valued bytes
+    over a selection vector), probe uncorrelated [ANY]/[ALL] sublinks
+    against an unboxed integer set specialized from the {!Sem} summary,
+    and parallelize leaf scan filtering and hash-join probing across
+    OCaml 5 domains with the morsel scheduler ({!Morsel}).
 
-    Everything that has no columnar kernel — residual join predicates,
-    projection expressions, aggregation, ordering — reuses the compiled
-    engine's closures ({!Compile.compile_scalar} /
-    {!Compile.compile_predicate}), so the two engines share one
-    expression semantics and one per-execution sublink memo cache.
-    Results match the reference and compiled engines row for row
-    (schema names, row order, error messages); the {!Sem.stats}
-    counters reflect the same plan events at batch granularity.
+    Everything without a columnar kernel — residual join predicates,
+    projection expressions, aggregation, ordering — runs the compiled
+    closures of the expression compiler below: every [Attr] resolved at
+    lowering time to a [(frame_depth, column_offset)] pair, predicates
+    as unboxed three-valued tests. A sublink's body is lowered by the
+    same {!lower} as the enclosing plan and runs sequentially on the
+    enclosing execution's context, memoized per binding of its
+    correlated attributes; inside a correlated body, a subtree that
+    does not depend on the binding and cannot touch the counters runs
+    once per execution and is replayed for later bindings.
+
+    Results match the reference walker ({!Eval}) row for row (schema
+    names, row order, error messages) and the {!Sem.stats} counters
+    reflect the same plan events at batch granularity.
 
     Determinism and domain safety: worker domains only read frozen
     structures (columnar batches, prepped probe sets, a built hash
@@ -27,8 +33,8 @@
     on whichever domain crosses a ceiling. Shared mutable cells are
     registered in {!Share_lint}'s inventory and instrumented for the
     {!Race} detector: the columnar cache under its lock, probe prep and
-    the compiled context's memo tables as coordinator-prepped state
-    that workers may only read after the scheduler's publish edge. *)
+    the context's memo tables as coordinator-prepped state that workers
+    may only read after the scheduler's publish edge. *)
 
 open Algebra
 
@@ -90,20 +96,58 @@ let columnar_batches rel : Vector.t array =
 
 (* ---- runtime ------------------------------------------------------- *)
 
-(** Per-execution runtime: the compiled engine's context (sublink memo
-    tables + counters), the outer tuple frames, and the worker pool. *)
-type rt = {
-  cctx : Compile.ctx;
-  renv : Tuple.t list;
-  pool : Morsel.pool option;
+(** Per-execution context: sublink memo tables and counters, exactly
+    mirroring the reference evaluator's. *)
+type ctx = {
+  ctx_tag : int;
+      (* process-unique, for per-execution race-detector locations *)
+  db : Database.t;
+  sub_results : (int * Value.t list, Relation.t) Hashtbl.t;
+  sub_summaries : (int * Value.t list, Sem.summary) Hashtbl.t;
+  stats : Sem.stats;
 }
+
+let ctx_counter = Atomic.make 0
+
+let mk_ctx db =
+  {
+    ctx_tag = Atomic.fetch_and_add ctx_counter 1;
+    db;
+    sub_results = Hashtbl.create 64;
+    sub_summaries = Hashtbl.create 64;
+    stats = Sem.fresh_stats ();
+  }
+
+(* The sublink memo tables (and the replay slots) are per-execution and
+   coordinator-confined: probes are prepped before any fan-out and
+   sublink bodies run sequentially, so a worker-domain access here is a
+   bug the armed race detector reports. The location is per-ctx — two
+   concurrent executions own disjoint tables and must not alias. *)
+let memo_loc ctx = "vexec.ctx[" ^ string_of_int ctx.ctx_tag ^ "].memo"
+let memo_read ctx = if Race.is_armed () then Race.read (memo_loc ctx)
+let memo_write ctx = if Race.is_armed () then Race.write (memo_loc ctx)
+
+(** Runtime environment: tuple frames, innermost first. *)
+type renv = Tuple.t list
+
+(** A compiled scalar expression. *)
+type cexpr = ctx -> renv -> Value.t
+
+(* The operator path under lowering — read (at lowering time only) by
+   [compile_sublink] to place sublink boundaries without threading a
+   path through every expression-compiler signature. Set by the
+   [*_at here] helpers before an operator's own expressions compile. *)
+let cur_compile_path : string list ref = ref []
+
+(** Per-execution runtime: the context, the outer tuple frames, and the
+    worker pool. *)
+type rt = { cctx : ctx; renv : renv; pool : Morsel.pool option }
 
 (** A lowered operator: batches out, in the reference row order. *)
 type vop = { v_schema : Schema.t; v_run : rt -> Vector.t list }
 
 (* Batch-granularity governor checkpoints: tick at operator entry, row
-   accounting per produced batch at operator exit (the vectorized
-   analogue of the compiled engine's per-push [count_row]). *)
+   accounting per produced batch at operator exit. *)
 let guarded here (v : vop) : vop =
   {
     v_schema = v.v_schema;
@@ -185,10 +229,165 @@ let chunk_rows schema (rows : Tuple.t list) : Vector.t list =
   in
   go (List.length rows) rows []
 
+(* ---- attribute access and plan analyses ----------------------------- *)
+
+(* Resolution happens once, here; execution touches no strings. *)
+let resolve_attr (cenv : Schema.t list) name : int * int =
+  let rec go depth = function
+    | [] -> Sem.eval_error "unknown attribute %S at evaluation time" name
+    | s :: rest -> (
+        match Schema.find s name with
+        | Some i -> (depth, i)
+        | None -> go (depth + 1) rest)
+  in
+  go 0 cenv
+
+let attr_access (depth, off) : cexpr =
+  match depth with
+  | 0 -> (
+      fun _ env ->
+        match env with
+        | t :: _ -> Tuple.get t off
+        | [] -> Sem.eval_error "empty environment at depth 0")
+  | 1 -> (
+      fun _ env ->
+        match env with
+        | _ :: t :: _ -> Tuple.get t off
+        | _ -> Sem.eval_error "missing frame at depth 1")
+  | d -> fun _ env -> Tuple.get (List.nth env d) off
+
+(* Syntactically boolean-valued expressions: the top constructor alone
+   guarantees a [Bool]/[Null] result on well-typed input. *)
+let is_boolean_shape = function
+  | Cmp _ | And _ | Or _ | Not _ | IsNull _ | Like _ | InList _
+  | Const (Value.Bool _)
+  | Sublink { kind = Exists | AnyOp _ | AllOp _; _ } ->
+      true
+  | _ -> false
+
+let const_of = function
+  | Const v -> Some v
+  | TypedNull _ -> Some Value.Null
+  | _ -> None
+
+(* Attribute names an expression's evaluation can read: its own [Attr]
+   nodes plus the free (correlated) variables of its sublink queries.
+   Sublink query *internals* resolve inside their own scopes and cannot
+   reach a frame their free-variable set does not mention. *)
+let expr_deps db (e : expr) : string list =
+  let rec go acc = function
+    | Attr n -> n :: acc
+    | Const _ | TypedNull _ -> acc
+    | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
+        go (go acc a) b
+    | Not a | IsNull a | Like (a, _) -> go acc a
+    | Case (whens, els) ->
+        let acc =
+          List.fold_left (fun acc (c, e) -> go (go acc c) e) acc whens
+        in
+        (match els with Some e -> go acc e | None -> acc)
+    | InList (a, es) -> List.fold_left go (go acc a) es
+    | FunCall (_, args) -> List.fold_left go acc args
+    | Sublink s -> (
+        let acc = List.rev_append (Scope.free_of_query db s.query) acc in
+        match s.kind with
+        | AnyOp (_, l) | AllOp (_, l) -> go acc l
+        | Exists | Scalar -> acc)
+  in
+  go [] e
+
+(* Whether re-evaluating [e] more or fewer times (with an unchanged
+   binding of its dependencies) leaves the execution counters untouched:
+   ANY/ALL sublinks answer repeat evaluations from the summary cache
+   silently, while EXISTS/scalar sublinks count a memo hit on each
+   evaluation. Evaluation-frequency rewrites are only allowed for the
+   former. *)
+let counter_silent (e : expr) : bool =
+  let rec go = function
+    | Attr _ | Const _ | TypedNull _ -> true
+    | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
+        go a && go b
+    | Not a | IsNull a | Like (a, _) -> go a
+    | Case (whens, els) ->
+        List.for_all (fun (c, e) -> go c && go e) whens
+        && (match els with Some e -> go e | None -> true)
+    | InList (a, es) -> go a && List.for_all go es
+    | FunCall (_, args) -> List.for_all go args
+    | Sublink s -> (
+        match s.kind with
+        | Exists | Scalar -> false
+        | AnyOp (_, l) | AllOp (_, l) -> go l)
+  in
+  go e
+
+(* Whether running [q] leaves the execution counters untouched: joins
+   count themselves, their pairs and emitted rows, and sublinks their
+   evaluations and memo hits; no other operator touches {!Sem.stats}. *)
+let rec counter_free q =
+  (not (List.exists has_sublink (root_exprs q)))
+  &&
+  match q with
+  | Base _ | TableExpr _ -> true
+  | Join _ | LeftJoin _ | Cross _ -> false
+  | Select (_, c) | Order (_, c) | Limit (_, c) -> counter_free c
+  | Project { proj_input = c; _ } | Agg { agg_input = c; _ } -> counter_free c
+  | Union (_, a, b) | Inter (_, a, b) | Diff (_, a, b) ->
+      counter_free a && counter_free b
+
+(* Offsets of a projection list that only reads the input frame's own
+   columns; [None] as soon as any item is not a bare in-frame [Attr]. *)
+let own_offsets (schema : Schema.t) cols : int array option =
+  let resolve = function
+    | Attr name, _ -> Schema.find schema name
+    | _ -> None
+  in
+  let offs = List.map resolve cols in
+  if List.for_all Option.is_some offs then
+    Some (Array.of_list (List.map Option.get offs))
+  else None
+
+(* Projection-into-join fusion: [Project] of bare attributes directly
+   over a join (or a select-over-product that lowers into one) gathers
+   output rows straight from the two input tuples inside the join's emit
+   step — the concatenated intermediate tuple is never built. Returns
+   the join's [(outer, cond, left, right)] and the fused projection's
+   output offsets and schema. Offsets are checked against the join's
+   inferred output schema so correlated names (resolving to an outer
+   frame) fall back to the generic path. *)
+let fused_join db cenv cols proj_input =
+  let parts =
+    match proj_input with
+    | Join (c, a, b) -> Some (false, c, a, b)
+    | LeftJoin (c, a, b) -> Some (true, c, a, b)
+    | Select (c, Cross (a, b)) -> Some (false, c, a, b)
+    | Select (c, Join (jc, a, b)) -> Some (false, And (jc, c), a, b)
+    | _ -> None
+  in
+  Option.bind parts (fun (outer, cond, a, b) ->
+      let joint =
+        Schema.concat
+          (Typecheck.infer_query_env db cenv a)
+          (Typecheck.infer_query_env db cenv b)
+      in
+      Option.map
+        (fun offs ->
+          (outer, cond, a, b, (offs, Typecheck.projection_schema db (joint :: cenv) cols)))
+        (own_offsets joint cols))
+
+(* Evaluate an array of compiled expressions into a fresh tuple with an
+   explicit loop — [Array.map] would allocate a closure per row. *)
+let eval_row (cexprs : cexpr array) ctx env : Tuple.t =
+  let n = Array.length cexprs in
+  let out = Array.make n Value.Null in
+  for j = 0 to n - 1 do
+    Array.unsafe_set out j ((Array.unsafe_get cexprs j) ctx env)
+  done;
+  out
+
 (* ---- three-valued scalar kernels ----------------------------------- *)
 
-(* 0 = false, 1 = true, 2 = unknown — the compiled engine's unboxed
-   predicate encoding ({!Compile.compile_predicate}). *)
+(* 0 = false, 1 = true, 2 = unknown — the unboxed predicate encoding of
+   masks and compiled predicates alike. *)
 let b3_of_value v =
   if Value.is_true v then 1 else if Value.is_null v then 2 else 0
 
@@ -211,8 +410,8 @@ let ctest op c =
   | Geq -> c >= 0
   | EqNull -> assert false
 
-(* One comparison under the compiled engine's semantics: [=n] is
-   two-valued, anything else is unknown on NULL or incomparable. *)
+(* One three-valued comparison: [=n] is two-valued, anything else is
+   unknown on NULL or incomparable; integer pairs compare unboxed. *)
 let cmp_b3 op (va : Value.t) (vb : Value.t) : int =
   match op with
   | EqNull -> if Value.equal_null va vb then 1 else 0
@@ -225,24 +424,10 @@ let cmp_b3 op (va : Value.t) (vb : Value.t) : int =
           | None -> 2
           | Some c -> if ctest op c then 1 else 0))
 
-(* Syntactically boolean-valued expressions (local copy of the compiled
-   engine's shape test, which it does not export). *)
-let is_boolean_shape = function
-  | Cmp _ | And _ | Or _ | Not _ | IsNull _ | Like _ | InList _
-  | Const (Value.Bool _)
-  | Sublink { kind = Exists | AnyOp _ | AllOp _; _ } ->
-      true
-  | _ -> false
-
-let const_of = function
-  | Const v -> Some v
-  | TypedNull _ -> Some Value.Null
-  | _ -> None
-
 (* ---- vectorized predicate masks ------------------------------------ *)
 
 (* An uncorrelated ANY/ALL sublink probe. The summary accessor shares
-   the compiled engine's memo tables and counters; [pr_prep] caches the
+   the per-execution memo tables and counters; [pr_prep] caches the
    per-execution specialization (keyed on the context by identity).
    When every distinct summary value is an [Int], equality-style
    membership is answered from an unboxed int set — sound only then,
@@ -257,12 +442,12 @@ type prep = {
 
 type probe = {
   pr_id : int;  (** process-unique, for race-detector locations *)
-  pr_get : Compile.ctx -> Tuple.t list -> Sem.summary;
+  pr_get : ctx -> Tuple.t list -> Sem.summary;
   pr_any : bool;
   pr_op : cmpop;
   pr_lhs : int;  (** depth-0 column offset of the lhs attribute *)
   pr_env0 : Tuple.t;  (** NULL frame standing in for the input row *)
-  mutable pr_prep : (Compile.ctx * prep) option;
+  mutable pr_prep : (ctx * prep) option;
 }
 
 let probe_counter = Atomic.make 0
@@ -281,10 +466,14 @@ type leaf =
   | LCmpCC of cmpop * int * Value.t  (** column op constant *)
   | LCmpRev of cmpop * Value.t * int  (** constant op column *)
   | LCmpCols of cmpop * int * int
+  | LCmpOuter of cmpop * int * (int * int)
+      (** column op outer column, the latter at (frame depth, offset) of
+          the runtime environment *)
+  | LCmpOuterRev of cmpop * (int * int) * int  (** outer column op column *)
   | LProbe of probe
 
 (* Mask AST: the vectorizable fragment of predicate expressions, with
-   the compiled engine's evaluation rules — [MAnd]/[MOr] evaluate their
+   the compiled predicates' evaluation rules — [MAnd]/[MOr] evaluate their
    second operand only on the rows whose first operand does not already
    decide the result, preserving short-circuit evaluation frequency
    (and thus error behavior and sublink materialization timing). *)
@@ -297,8 +486,10 @@ type mask =
   | MLeaf of leaf
 
 let rec mask_probes acc = function
-  | MConst _ | MLeaf (LAttr _ | LIsNull _ | LCmpCC _ | LCmpRev _ | LCmpCols _)
-    ->
+  | MConst _
+  | MLeaf
+      ( LAttr _ | LIsNull _ | LCmpCC _ | LCmpRev _ | LCmpCols _ | LCmpOuter _
+      | LCmpOuterRev _ ) ->
       acc
   | MNot a | MBoolEq (a, _) -> mask_probes acc a
   | MAnd (a, b) | MOr (a, b) -> mask_probes (mask_probes acc a) b
@@ -559,9 +750,13 @@ let eval_probe rt b idx pr : Bytes.t =
 
 (* ---- mask evaluation ------------------------------------------------ *)
 
+(* An enclosing frame's column: one read per batch, so a correlated
+   comparison runs the constant kernels. *)
+let outer_value rt (depth, off) = Tuple.get (List.nth rt.renv depth) off
+
 (* [eval_mask rt b idx m] — three-valued results, one byte per entry of
    [idx] (physical indices). AND/OR evaluate the second operand only on
-   the undecided subset, mirroring the compiled engine's per-row
+   the undecided subset, mirroring the compiled predicates' per-row
    short-circuit exactly (per row, not just per batch). *)
 let rec eval_mask rt (b : Vector.t) (idx : int array) (m : mask) : Bytes.t =
   match m with
@@ -648,6 +843,8 @@ and eval_leaf rt b idx = function
   | LCmpCC (op, j, cv) -> eval_cmp_cc b idx op j cv
   | LCmpRev (op, cv, j) -> eval_cmp_rev b idx op cv j
   | LCmpCols (op, j1, j2) -> eval_cmp_cols b idx op j1 j2
+  | LCmpOuter (op, j, at) -> eval_cmp_cc b idx op j (outer_value rt at)
+  | LCmpOuterRev (op, at, j) -> eval_cmp_rev b idx op (outer_value rt at) j
   | LProbe pr -> eval_probe rt b idx pr
 
 (* Apply a computed mask: surviving rows become the batch's selection
@@ -696,16 +893,334 @@ let apply_mask (b : Vector.t) (idx : int array) (r : Bytes.t) :
         done;
         Some (Vector.rows_batch schema keep)
 
-(* ---- predicate vectorization ---------------------------------------- *)
+(* Whether a vectorized boolean expression yields exactly the compiled
+   expression's {e scalar} value (not just its truth), and cannot raise:
+   the scalar AND/OR/NOT raise on non-boolean operands where a
+   predicate reads them as false, so bare attributes and non-boolean
+   constants are excluded; comparisons of attributes and constants,
+   NULL tests and ANY/ALL probes are total. *)
+let rec scalar_safe = function
+  | Const (Value.Bool _ | Value.Null) | IsNull _ | Sublink _ -> true
+  | Cmp (EqNull, p, Const (Value.Bool _)) when is_boolean_shape p -> scalar_safe p
+  | Cmp (EqNull, Const (Value.Bool _), p) when is_boolean_shape p -> scalar_safe p
+  | Cmp _ -> true
+  | And (a, b) | Or (a, b) -> scalar_safe a && scalar_safe b
+  | Not a -> scalar_safe a
+  | _ -> false
+
+(* One output column of a projection computed batch-at-a-time: an input
+   column, or a boolean expression evaluated as a mask. *)
+type pcol = PAttr of int | PMask of mask
+
+let value_of_b3 = function 0 -> Value.vfalse | 1 -> Value.vtrue | _ -> Value.Null
+
+(* A replayed subtree's batches as kept in its slot: projected columnar
+   batches and factored cross blocks are boxed once here, instead of on
+   every replay. *)
+let keep_rows (b : Vector.t) =
+  match b with
+  | Vector.Cols { src = { offs = Some _; _ }; _ } | Vector.CrossB _ ->
+      Vector.rows_batch (Vector.schema b) (Vector.rows_arr b)
+  | Vector.Cols _ | Vector.Rows _ -> b
+
+(* ---- expression compilation and lowering ----------------------------- *)
+
+(* Expressions, predicates and sublinks compile to closures, operators
+   lower to batch kernels, and a sublink's body is lowered by the same
+   [lower] — one recursive group. *)
+
+let rec compile_expr db (cenv : Schema.t list) (e : expr) : cexpr =
+  match e with
+  | Const v -> fun _ _ -> v
+  | TypedNull _ -> fun _ _ -> Value.Null
+  | Attr name -> attr_access (resolve_attr cenv name)
+  | Binop (op, a, b) ->
+      let ca = compile_expr db cenv a and cb = compile_expr db cenv b in
+      let f =
+        match op with
+        | Add -> Value.add
+        | Sub -> Value.sub
+        | Mul -> Value.mul
+        | Div -> Value.div
+        | Mod -> Value.modulo
+        | Concat -> Value.concat
+      in
+      fun ctx env -> f (ca ctx env) (cb ctx env)
+  | Cmp (op, a, b) ->
+      let ca = compile_expr db cenv a and cb = compile_expr db cenv b in
+      fun ctx env -> Sem.cmp3 op (ca ctx env) (cb ctx env)
+  | And (a, b) ->
+      let ca = compile_expr db cenv a and cb = compile_expr db cenv b in
+      fun ctx env ->
+        let va = ca ctx env in
+        if Value.is_false va then Value.vfalse else Value.and3 va (cb ctx env)
+  | Or (a, b) ->
+      let ca = compile_expr db cenv a and cb = compile_expr db cenv b in
+      fun ctx env ->
+        let va = ca ctx env in
+        if Value.is_true va then Value.vtrue else Value.or3 va (cb ctx env)
+  | Not a ->
+      let ca = compile_expr db cenv a in
+      fun ctx env -> Value.not3 (ca ctx env)
+  | IsNull a ->
+      let ca = compile_expr db cenv a in
+      fun ctx env -> Value.Bool (Value.is_null (ca ctx env))
+  | Case (whens, els) ->
+      let cwhens =
+        List.map
+          (fun (c, e) -> (compile_expr db cenv c, compile_expr db cenv e))
+          whens
+      in
+      let cels = Option.map (compile_expr db cenv) els in
+      fun ctx env ->
+        let rec go = function
+          | (cc, ce) :: rest ->
+              if Value.is_true (cc ctx env) then ce ctx env else go rest
+          | [] -> ( match cels with Some ce -> ce ctx env | None -> Value.Null)
+        in
+        go cwhens
+  | Like (a, pattern) -> (
+      let ca = compile_expr db cenv a in
+      fun ctx env ->
+        match ca ctx env with
+        | Value.Null -> Value.Null
+        | Value.String s -> Value.Bool (Builtin.like_match ~pattern s)
+        | v -> Sem.eval_error "LIKE over non-string %s" (Value.to_string v))
+  | InList (a, es) ->
+      let ca = compile_expr db cenv a in
+      let ces = List.map (compile_expr db cenv) es in
+      fun ctx env ->
+        let x = ca ctx env in
+        let rec go acc = function
+          | [] -> acc
+          | ce :: rest ->
+              let r = Sem.cmp3 Eq x (ce ctx env) in
+              if Value.is_true r then Value.vtrue else go (Value.or3 acc r) rest
+        in
+        go Value.vfalse ces
+  | FunCall (name, args) ->
+      if Builtin.is_aggregate name then
+        Sem.eval_error "aggregate function %s in scalar context" name
+      else
+        let cargs = List.map (compile_expr db cenv) args in
+        fun ctx env ->
+          Builtin.apply_scalar name (List.map (fun ce -> ce ctx env) cargs)
+  | Sublink s -> compile_sublink db cenv s
+
+(* Selection and join conditions compile to unboxed three-valued
+   predicates (the {!b3_of_value} encoding), so the boolean skeleton
+   evaluates without allocating a [Value.t] per node. Truth tables and
+   short-circuiting mirror the reference evaluator exactly, including
+   {e which} operand subexpressions are evaluated — sublink memo
+   counters depend on that. *)
+and compile_pred db (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
+  match e with
+  | Const v ->
+      let b = b3_of_value v in
+      fun _ _ -> b
+  (* [p =n TRUE/FALSE] over a boolean-valued operand — the shape the
+     provenance rewrites wrap around moved sublink tests — reduces to a
+     truth-table check on the operand's unboxed value. *)
+  | Cmp (EqNull, p, Const (Value.Bool b)) when is_boolean_shape p ->
+      let pp = compile_pred db cenv p in
+      fun ctx env ->
+        let v = pp ctx env in
+        if v = 2 then 0 else if (v = 1) = b then 1 else 0
+  | Cmp (EqNull, Const (Value.Bool b), p) when is_boolean_shape p ->
+      let pp = compile_pred db cenv p in
+      fun ctx env ->
+        let v = pp ctx env in
+        if v = 2 then 0 else if (v = 1) = b then 1 else 0
+  | Cmp (op, a, b) ->
+      let ca = compile_expr db cenv a and cb = compile_expr db cenv b in
+      fun ctx env -> cmp_b3 op (ca ctx env) (cb ctx env)
+  | And (a, b) ->
+      let pa = compile_pred db cenv a and pb = compile_pred db cenv b in
+      fun ctx env ->
+        let va = pa ctx env in
+        if va = 0 then 0
+        else
+          let vb = pb ctx env in
+          if vb = 0 then 0 else if va = 2 || vb = 2 then 2 else 1
+  | Or (a, b) ->
+      let pa = compile_pred db cenv a and pb = compile_pred db cenv b in
+      fun ctx env ->
+        let va = pa ctx env in
+        if va = 1 then 1
+        else
+          let vb = pb ctx env in
+          if vb = 1 then 1 else if va = 2 || vb = 2 then 2 else 0
+  | Not a ->
+      let pa = compile_pred db cenv a in
+      fun ctx env -> (
+        match pa ctx env with 0 -> 1 | 1 -> 0 | _ -> 2)
+  | IsNull a ->
+      let ca = compile_expr db cenv a in
+      fun ctx env -> if Value.is_null (ca ctx env) then 1 else 0
+  | _ ->
+      let ce = compile_expr db cenv e in
+      fun ctx env -> b3_of_value (ce ctx env)
+
+(* An operator's own expressions, compiled at its path [here]. *)
+and scalar_at here db cenv e : cexpr =
+  cur_compile_path := here;
+  compile_expr db cenv e
+
+and pred_at here db cenv e : ctx -> renv -> int =
+  cur_compile_path := here;
+  compile_pred db cenv e
+
+(* A sublink's memoized result and ANY/ALL summary per key
+   [(id, binding of the correlated attributes)]. The body is lowered
+   under the full environment at the expression's location, exactly the
+   scope the reference evaluator gives it, with replay on when it is
+   correlated. *)
+and sublink_memo db cenv (s : sublink) ~correlated =
+  let spath = !cur_compile_path @ [ Printf.sprintf "sublink[%d]" s.id ] in
+  let body = lower db ~replay:correlated spath cenv s.query in
+  (* Bodies run sequentially on the enclosing execution's context. An
+     empty result, the common one of a correlated EXISTS body, is one
+     shared relation instead of a fresh one per binding. *)
+  let empty = Relation.empty body.v_schema in
+  let run ctx env =
+    match body.v_run { cctx = ctx; renv = env; pool = None } with
+    | [] -> empty
+    | bats -> Vector.relation_of body.v_schema bats
+  in
+  let materialize ctx env k =
+    memo_read ctx;
+    match Hashtbl.find_opt ctx.sub_results k with
+    | Some rel ->
+        ctx.stats.Sem.st_sublink_hits <- ctx.stats.Sem.st_sublink_hits + 1;
+        rel
+    | None ->
+        ctx.stats.Sem.st_sublink_evals <- ctx.stats.Sem.st_sublink_evals + 1;
+        Guard.Faults.fire_point Guard.Faults.Sublink spath;
+        let rel = run ctx env in
+        memo_write ctx;
+        Hashtbl.add ctx.sub_results k rel;
+        rel
+  in
+  let summary ctx env k =
+    memo_read ctx;
+    match Hashtbl.find_opt ctx.sub_summaries k with
+    | Some sm -> sm
+    | None ->
+        let rel = materialize ctx env k in
+        let sm =
+          Sem.summarize (List.map (fun t -> Tuple.get t 0) (Relation.tuples rel))
+        in
+        memo_write ctx;
+        Hashtbl.add ctx.sub_summaries k sm;
+        sm
+  in
+  (materialize, summary)
+
+(* The correlated attributes are resolved to offset accessors once, so
+   the per-binding memo key is assembled without any name resolution. *)
+and compile_sublink db (cenv : Schema.t list) (s : sublink) : cexpr =
+  let saved_path = !cur_compile_path in
+  let free = Scope.free_of_query db s.query in
+  let free_getters =
+    Array.of_list (List.map (fun n -> attr_access (resolve_attr cenv n)) free)
+  in
+  let correlated = free <> [] in
+  let materialize, summary = sublink_memo db cenv s ~correlated in
+  cur_compile_path := saved_path;
+  let key ctx env =
+    (s.id, Array.to_list (Array.map (fun g -> g ctx env) free_getters))
+  in
+  (* An uncorrelated sublink has a constant memo key, so its result for
+     the current execution is held in a local slot instead of paying a
+     key allocation plus a structural hash per evaluation. The slot is
+     keyed on the [ctx] by physical identity — a fresh execution gets a
+     fresh context and recomputes — and the first fill still goes
+     through the shared memo tables, so the counters ({!Sem.stats})
+     advance exactly as the reference evaluator's do: relation reuse
+     counts a hit, summary reuse is silent. *)
+  let k0 = (s.id, []) in
+  let cached_rel =
+    let cache = ref None in
+    fun ctx env ->
+      match !cache with
+      | Some (c, rel) when c == ctx ->
+          ctx.stats.Sem.st_sublink_hits <- ctx.stats.Sem.st_sublink_hits + 1;
+          rel
+      | _ ->
+          let rel = materialize ctx env k0 in
+          cache := Some (ctx, rel);
+          rel
+  in
+  let cached_summary =
+    let cache = ref None in
+    fun ctx env ->
+      match !cache with
+      | Some (c, sm) when c == ctx -> sm
+      | _ ->
+          let sm = summary ctx env k0 in
+          cache := Some (ctx, sm);
+          sm
+  in
+  match s.kind with
+  | Exists ->
+      if correlated then fun ctx env ->
+        Value.Bool (not (Relation.is_empty (materialize ctx env (key ctx env))))
+      else fun ctx env ->
+        Value.Bool (not (Relation.is_empty (cached_rel ctx env)))
+  | Scalar ->
+      let first rel =
+        match Relation.tuples rel with
+        | [] -> Value.Null
+        | [ t ] -> Tuple.get t 0
+        | _ -> Sem.eval_error "scalar sublink returned more than one row"
+      in
+      if correlated then fun ctx env ->
+        first (materialize ctx env (key ctx env))
+      else fun ctx env -> first (cached_rel ctx env)
+  | AnyOp (op, lhs) ->
+      let clhs = compile_expr db cenv lhs in
+      if correlated then fun ctx env ->
+        Sem.any_of_summary op (clhs ctx env) (summary ctx env (key ctx env))
+      else fun ctx env ->
+        Sem.any_of_summary op (clhs ctx env) (cached_summary ctx env)
+  | AllOp (op, lhs) ->
+      let clhs = compile_expr db cenv lhs in
+      if correlated then fun ctx env ->
+        Sem.all_of_summary op (clhs ctx env) (summary ctx env (key ctx env))
+      else fun ctx env ->
+        Sem.all_of_summary op (clhs ctx env) (cached_summary ctx env)
+
+(* For an {e uncorrelated} sublink, a per-execution summary accessor on
+   the shared memo tables (first call per [ctx] materializes and counts
+   one eval; later calls are silent summary reuse, as the per-row path
+   behaves); [None] when [s] is correlated. The ANY/ALL probe kernels
+   call it once per execution, before any parallel section, so the
+   summary is immutable by the time workers read it. *)
+and sublink_summary here db cenv (s : sublink) :
+    (ctx -> renv -> Sem.summary) option =
+  if Scope.free_of_query db s.query <> [] then None
+  else begin
+    cur_compile_path := here;
+    let _, summary = sublink_memo db cenv s ~correlated:false in
+    cur_compile_path := here;
+    let k0 = (s.id, []) in
+    Some (fun ctx env -> summary ctx env k0)
+  end
 
 (* Lower a predicate to a mask when every node has a columnar kernel
-   against the depth-0 input schema; any unsupported or outer-resolving
-   node rejects the whole predicate, and the caller falls back to the
-   compiled row-wise form (which preserves evaluation order, sublink
-   correlation and error behavior by construction). The match arms
-   mirror {!Compile.compile_predicate}'s, in the same order. *)
-let rec vectorize db here schema cenv (e : expr) : mask option =
+   against the depth-0 input schema — plus comparisons of an input
+   column with an enclosing frame's column; any other unsupported or
+   outer-resolving node rejects the whole predicate, and the caller
+   falls back to the compiled row-wise form (which preserves evaluation
+   order, sublink correlation and error behavior by construction). The
+   match arms mirror {!compile_pred}'s, in the same order. *)
+and vectorize db here schema cenv (e : expr) : mask option =
   let find n = Schema.find schema n in
+  let outer n =
+    match resolve_attr cenv n with
+    | at -> Some at
+    | exception Sem.Eval_error _ -> None
+  in
   match e with
   | Const v -> Some (MConst (b3_of_value v))
   | Cmp (EqNull, p, Const (Value.Bool bv)) when is_boolean_shape p -> (
@@ -719,7 +1234,11 @@ let rec vectorize db here schema cenv (e : expr) : mask option =
   | Cmp (op, Attr n1, Attr n2) -> (
       match (find n1, find n2) with
       | Some j1, Some j2 -> Some (MLeaf (LCmpCols (op, j1, j2)))
-      | _ -> None)
+      | Some j, None ->
+          Option.map (fun at -> MLeaf (LCmpOuter (op, j, at))) (outer n2)
+      | None, Some j ->
+          Option.map (fun at -> MLeaf (LCmpOuterRev (op, at, j))) (outer n1)
+      | None, None -> None)
   | Cmp (op, Attr n, rhs) when const_of rhs <> None -> (
       match find n with
       | Some j -> Some (MLeaf (LCmpCC (op, j, Option.get (const_of rhs))))
@@ -756,7 +1275,7 @@ and probe_of db here schema cenv ~any op n s : mask option =
   match Schema.find schema n with
   | None -> None
   | Some j -> (
-      match Compile.sublink_summary ~path:here db (schema :: cenv) s with
+      match sublink_summary here db (schema :: cenv) s with
       | None -> None (* correlated: row-wise fallback *)
       | Some get ->
           Some
@@ -772,32 +1291,11 @@ and probe_of db here schema cenv ~any op n s : mask option =
                     pr_prep = None;
                   })))
 
-(* Whether a vectorized boolean expression yields exactly the compiled
-   engine's {e scalar} value (not just its truth), and cannot raise:
-   the scalar AND/OR/NOT raise on non-boolean operands where a
-   predicate reads them as false, so bare attributes and non-boolean
-   constants are excluded; comparisons of attributes and constants,
-   NULL tests and ANY/ALL probes are total. *)
-let rec scalar_safe = function
-  | Const (Value.Bool _ | Value.Null) | IsNull _ | Sublink _ -> true
-  | Cmp (EqNull, p, Const (Value.Bool _)) when is_boolean_shape p -> scalar_safe p
-  | Cmp (EqNull, Const (Value.Bool _), p) when is_boolean_shape p -> scalar_safe p
-  | Cmp _ -> true
-  | And (a, b) | Or (a, b) -> scalar_safe a && scalar_safe b
-  | Not a -> scalar_safe a
-  | _ -> false
-
-(* One output column of a projection computed batch-at-a-time: an input
-   column, or a boolean expression evaluated as a mask. *)
-type pcol = PAttr of int | PMask of mask
-
-let value_of_b3 = function 0 -> Value.vfalse | 1 -> Value.vtrue | _ -> Value.Null
-
 (* The projection list as [pcol]s, when every item is an input attribute
    or a total, vectorizable boolean expression, and at most one item
    probes a sublink — so materializing the sublinks column by column
-   happens in the compiled engine's row-by-row order. *)
-let mask_projection db here schema cenv cols : pcol array option =
+   happens in the per-row path's row-by-row order. *)
+and mask_projection db here schema cenv cols : pcol array option =
   let item (e, _) =
     match e with
     | Attr n -> Option.map (fun j -> PAttr j) (Schema.find schema n)
@@ -811,16 +1309,54 @@ let mask_projection db here schema cenv cols : pcol array option =
   then None
   else Some (Array.of_list (List.map Option.get items))
 
-(* ---- lowering ------------------------------------------------------- *)
+(* [lower db ~replay path cenv q] — [replay] holds inside the body of a
+   correlated sublink, which runs once per binding. There a subtree
+   that reads nothing from the enclosing frames and touches no counter
+   yields the same batches for every binding, so it runs once per
+   execution ([lower_replayed]). A bare scan already returns stored
+   batches: nothing to save. *)
+and lower db ~replay path (cenv : Schema.t list) (q : query) : vop =
+  match q with
+  | Base _ | TableExpr _ -> lower_node db ~replay path cenv q
+  | _ when replay && counter_free q && Scope.free_of_query db q = [] ->
+      lower_replayed db path q
+  | _ -> lower_node db ~replay path cenv q
 
-(* [lower db path cenv q] mirrors {!Compile.compile_query} operator by
-   operator: same child paths (the rev-last-segment [left]/[right]
-   qualifiers for joins), same fusions (selection over product/join,
-   attribute projection into join), same runtime evaluation order
-   (right join input before left), same fault-injection boundaries and
-   stats updates — so results, errors and governor trip paths coincide
-   with the compiled engine's. *)
-let rec lower db path (cenv : Schema.t list) (q : query) : vop =
+(* The subtree is lowered without the outer frames, so nothing below it
+   is replayed again. Its batches are kept in a slot keyed on the [ctx]
+   by physical identity, as [cached_rel] keeps an uncorrelated
+   sublink's. Later bindings replay them and charge the governor the
+   rows the first run charged, at the subtree's path, so row totals
+   match a run that re-executes it. The slot is coordinator-confined
+   like the memo tables. *)
+and lower_replayed db path q : vop =
+  let v = lower_node db ~replay:false path [] q in
+  let here = path @ [ Guard.op_label q ] in
+  let slot = ref None in
+  {
+    v_schema = v.v_schema;
+    v_run =
+      (fun rt ->
+        memo_read rt.cctx;
+        match !slot with
+        | Some (c, bats, charged) when c == rt.cctx ->
+            if charged > 0 then Guard.count_rows here charged;
+            bats
+        | _ ->
+            let before = Guard.charged_rows () in
+            let bats = List.map keep_rows (v.v_run { rt with renv = [] }) in
+            memo_write rt.cctx;
+            slot := Some (rt.cctx, bats, Guard.charged_rows () - before);
+            bats);
+  }
+
+(* [lower_node] lowers one operator: child paths carry the
+   rev-last-segment [left]/[right] qualifiers for joins (Lint's path
+   vocabulary), selections over products/joins and attribute
+   projections over joins are fused, join inputs run right before left
+   as in the reference walker, and stats updates count the walker's
+   plan events. *)
+and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
   let here = path @ [ Guard.op_label q ] in
   let cpath qual = path @ [ Guard.op_label q ^ qual ] in
   guarded here
@@ -834,7 +1370,7 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
           (fun rt ->
             Guard.Faults.fire_point Guard.Faults.Scan here;
             Array.to_list
-              (columnar_batches (Database.find (Compile.ctx_db rt.cctx) name)));
+              (columnar_batches (Database.find rt.cctx.db name)));
       }
   | TableExpr rel ->
       (* Plan constants (the rewrites' NULL padding rows, folded empty
@@ -849,11 +1385,11 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
             Guard.Faults.fire_point Guard.Faults.Scan here;
             chunk_rows schema (Relation.tuples rel));
       }
-  | Select (cond, Cross (a, b)) -> lower_join db here cenv ~outer:false cond a b
+  | Select (cond, Cross (a, b)) -> lower_join db ~replay here cenv ~outer:false cond a b
   | Select (cond, Join (c, a, b)) ->
-      lower_join db here cenv ~outer:false (And (c, cond)) a b
+      lower_join db ~replay here cenv ~outer:false (And (c, cond)) a b
   | Select (cond, input) -> (
-      let vin = lower db (cpath "") cenv input in
+      let vin = lower db ~replay (cpath "") cenv input in
       let schema = vin.v_schema in
       match vectorize db here schema cenv cond with
       | Some m ->
@@ -898,7 +1434,7 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
           }
       | None ->
           let pcond =
-            Compile.compile_predicate ~path:here db (schema :: cenv) cond
+            pred_at here db (schema :: cenv) cond
           in
           {
             v_schema = schema;
@@ -919,13 +1455,13 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
                   (vin.v_run rt));
           })
   | Project { distinct; cols; proj_input } -> (
-      match if distinct then None else Compile.fused_join db cenv cols proj_input with
+      match if distinct then None else fused_join db cenv cols proj_input with
       | Some (outer, cond, a, b, project) ->
-          lower_join db here cenv ~outer ~project cond a b
-      | None -> lower_project db here (cpath "") cenv ~distinct cols proj_input)
+          lower_join db ~replay here cenv ~outer ~project cond a b
+      | None -> lower_project db ~replay here (cpath "") cenv ~distinct cols proj_input)
   | Cross (a, b) ->
-      let va = lower db (cpath "[left]") cenv a
-      and vb = lower db (cpath "[right]") cenv b in
+      let va = lower db ~replay (cpath "[left]") cenv a
+      and vb = lower db ~replay (cpath "[right]") cenv b in
       let schema = Schema.concat va.v_schema vb.v_schema in
       {
         v_schema = schema;
@@ -944,18 +1480,18 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
               (va.v_run rt);
             chunk_rows schema (List.rev !acc));
       }
-  | Join (cond, a, b) -> lower_join db here cenv ~outer:false cond a b
-  | LeftJoin (cond, a, b) -> lower_join db here cenv ~outer:true cond a b
+  | Join (cond, a, b) -> lower_join db ~replay here cenv ~outer:false cond a b
+  | LeftJoin (cond, a, b) -> lower_join db ~replay here cenv ~outer:true cond a b
   | Agg { group_by; aggs; agg_input } ->
-      (* Child lowered at [here] itself (no qualifier) — the compiled
-         engine's path layout, mirrored for identical trip paths. *)
-      let vin = lower db here cenv agg_input in
+      (* Child lowered at [here] itself (no qualifier): aggregation's
+         input shares its operator path. *)
+      let vin = lower db ~replay here cenv agg_input in
       let ienv = vin.v_schema :: cenv in
       let out_schema = Typecheck.aggregation_schema db ienv group_by aggs in
       let group_cexprs =
         Array.of_list
           (List.map
-             (fun (e, _) -> Compile.compile_scalar ~path:here db ienv e)
+             (fun (e, _) -> scalar_at here db ienv e)
              group_by)
       in
       let agg_specs =
@@ -963,7 +1499,7 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
           (fun call ->
             ( call.agg_func,
               call.agg_distinct,
-              Option.map (Compile.compile_scalar ~path:here db ienv) call.agg_arg
+              Option.map (scalar_at here db ienv) call.agg_arg
             ))
           aggs
       in
@@ -981,7 +1517,7 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
                 Vector.iter_tuples b (fun t ->
                     saw_input := true;
                     let key =
-                      Compile.eval_exprs group_cexprs rt.cctx (t :: rt.renv)
+                      eval_row group_cexprs rt.cctx (t :: rt.renv)
                     in
                     match Tuple.Tbl.find_opt groups key with
                     | Some members -> Tuple.Tbl.replace groups key (t :: members)
@@ -1020,8 +1556,8 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
             chunk_rows out_schema (List.map compute_group keys));
       }
   | Union (Bag, a, b) ->
-      let va = lower db (cpath "[left]") cenv a
-      and vb = lower db (cpath "[right]") cenv b in
+      let va = lower db ~replay (cpath "[left]") cenv a
+      and vb = lower db ~replay (cpath "[right]") cenv b in
       if not (Schema.equal_types va.v_schema vb.v_schema) then
         setop_of va vb Relation.union_bag
       else
@@ -1036,24 +1572,24 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
               List.map (Vector.with_schema va.v_schema) (ra @ rb));
         }
   | Union (SetSem, a, b) ->
-      lower_setop db (cpath "[left]") (cpath "[right]") cenv Relation.union_set a b
+      lower_setop db ~replay (cpath "[left]") (cpath "[right]") cenv Relation.union_set a b
   | Inter (sem, a, b) ->
       let op =
         match sem with Bag -> Relation.inter_bag | SetSem -> Relation.inter_set
       in
-      lower_setop db (cpath "[left]") (cpath "[right]") cenv op a b
+      lower_setop db ~replay (cpath "[left]") (cpath "[right]") cenv op a b
   | Diff (sem, a, b) ->
       let op =
         match sem with Bag -> Relation.diff_bag | SetSem -> Relation.diff_set
       in
-      lower_setop db (cpath "[left]") (cpath "[right]") cenv op a b
+      lower_setop db ~replay (cpath "[left]") (cpath "[right]") cenv op a b
   | Order (keys, input) ->
-      let vin = lower db (cpath "") cenv input in
+      let vin = lower db ~replay (cpath "") cenv input in
       let ienv = vin.v_schema :: cenv in
       let ckeys =
         Array.of_list
           (List.map
-             (fun (e, d) -> (Compile.compile_scalar ~path:here db ienv e, d))
+             (fun (e, d) -> (scalar_at here db ienv e, d))
              keys)
       in
       let nkeys = Array.length ckeys in
@@ -1068,7 +1604,7 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
                 Guard.tick here;
                 Vector.iter_tuples b (fun t ->
                     decorated :=
-                      (Compile.eval_exprs kexprs rt.cctx (t :: rt.renv), t)
+                      (eval_row kexprs rt.cctx (t :: rt.renv), t)
                       :: !decorated))
               (vin.v_run rt);
             let cmp (ka, _) (kb, _) =
@@ -1086,13 +1622,13 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
               (List.map snd (List.stable_sort cmp (List.rev !decorated))));
       }
   | Limit (n, input) ->
-      let vin = lower db (cpath "") cenv input in
+      let vin = lower db ~replay (cpath "") cenv input in
       {
         v_schema = vin.v_schema;
         v_run =
           (fun rt ->
-            (* The child is fully materialized before slicing — the full
-               drain the compiled engine performs for counter parity. *)
+            (* The child is fully materialized before slicing, as the
+               reference walker does — counters depend on the drain. *)
             let bats = vin.v_run rt in
             let taken = ref 0 in
             List.filter_map
@@ -1120,15 +1656,15 @@ let rec lower db path (cenv : Schema.t list) (q : query) : vop =
               bats);
       }
 
-and lower_project db here cpath cenv ~distinct cols proj_input : vop =
-  let vin = lower db cpath cenv proj_input in
+and lower_project db ~replay here cpath cenv ~distinct cols proj_input : vop =
+  let vin = lower db ~replay cpath cenv proj_input in
   let ienv = vin.v_schema :: cenv in
   let out_schema = Typecheck.projection_schema db ienv cols in
   let distinct_rows rows =
     chunk_rows out_schema
       (Relation.tuples (Relation.distinct (Relation.make_unchecked out_schema rows)))
   in
-  match Compile.offsets_of_projection vin.v_schema cols with
+  match own_offsets vin.v_schema cols with
   | Some offs when not distinct ->
       (* Attribute-only projection: per-batch column gather, sharing
          storage and selection vectors — no row data moves. *)
@@ -1191,7 +1727,7 @@ and lower_project db here cpath cenv ~distinct cols proj_input : vop =
           let cexprs =
             Array.of_list
               (List.map
-                 (fun (e, _) -> Compile.compile_scalar ~path:here db ienv e)
+                 (fun (e, _) -> scalar_at here db ienv e)
                  cols)
           in
           let eval_rows rt =
@@ -1200,7 +1736,7 @@ and lower_project db here cpath cenv ~distinct cols proj_input : vop =
                 Guard.tick here;
                 let acc = ref [] in
                 Vector.iter_tuples b (fun t ->
-                    acc := Compile.eval_exprs cexprs rt.cctx (t :: rt.renv) :: !acc);
+                    acc := eval_row cexprs rt.cctx (t :: rt.renv) :: !acc);
                 List.rev !acc)
               (vin.v_run rt)
           in
@@ -1212,17 +1748,17 @@ and lower_project db here cpath cenv ~distinct cols proj_input : vop =
                 else chunk_rows out_schema (eval_rows rt));
           })
 
-and lower_setop db lpath rpath cenv op a b : vop =
-  setop_of (lower db lpath cenv a) (lower db rpath cenv b) op
+and lower_setop db ~replay lpath rpath cenv op a b : vop =
+  setop_of (lower db ~replay lpath cenv a) (lower db ~replay rpath cenv b) op
 
 and setop_of va vb op : vop =
   {
     v_schema = va.v_schema;
     v_run =
       (fun rt ->
-        (* The compiled engine applies [op (ca.c_run ..) (cb.c_run ..)];
-           OCaml evaluates the arguments right to left, so the right
-           child runs first — mirrored for error-order parity. *)
+        (* The reference walker applies [op (eval a) (eval b)]; OCaml
+           evaluates the arguments right to left, so the right child
+           runs first — mirrored for error-order parity. *)
         let rb = Vector.relation_of vb.v_schema (vb.v_run rt) in
         let ra = Vector.relation_of va.v_schema (va.v_run rt) in
         chunk_rows va.v_schema (Relation.tuples (op ra rb)));
@@ -1232,14 +1768,14 @@ and setop_of va vb op : vop =
    the concatenated schema, output schema): rows are gathered from the
    (left, right) pair instead of concatenated, and factored cross blocks
    just remap their sources. *)
-and lower_join db here cenv ~outer ?project cond a b : vop =
+and lower_join db ~replay here cenv ~outer ?project cond a b : vop =
   let qual s =
     match List.rev here with
     | last :: rest -> List.rev ((last ^ s) :: rest)
     | [] -> [ s ]
   in
-  let va = lower db (qual "[left]") cenv a
-  and vb = lower db (qual "[right]") cenv b in
+  let va = lower db ~replay (qual "[left]") cenv a
+  and vb = lower db ~replay (qual "[right]") cenv b in
   let sa = va.v_schema and sb = vb.v_schema in
   let joint = Schema.concat sa sb in
   let arity_a = Schema.arity sa and arity_b = Schema.arity sb in
@@ -1267,12 +1803,21 @@ and lower_join db here cenv ~outer ?project cond a b : vop =
     Scope.split_equi db ~left:(Schema.names sa) ~right:(Schema.names sb) cond
   in
   if pairs = [] then begin
-    (* Nested loop, with the compiled engine's left-only hoisting. *)
+    (* Nested loop. Left-only hoisting: when the first operand of a
+       top-level OR/AND reads nothing from the right input, evaluate it
+       once per left tuple instead of once per pair. The reference
+       walker computes the same (left-determined) value for every pair
+       and short-circuits the second operand on it, so emitted rows are
+       identical; [counter_silent] guarantees the changed evaluation
+       frequency is invisible in the stats, and the second operand keeps
+       running exactly when the reference's short-circuit rules run it
+       (including the AND-unknown case, where it is evaluated per pair
+       and every pair is dropped). *)
     let hoistable x =
-      Compile.counter_silent x
+      counter_silent x
       &&
       let sbn = Schema.names sb in
-      List.for_all (fun n -> not (List.mem n sbn)) (Compile.expr_deps db x)
+      List.for_all (fun n -> not (List.mem n sbn)) (expr_deps db x)
     in
     let penv = sb :: sa :: cenv in
     let split =
@@ -1280,20 +1825,20 @@ and lower_join db here cenv ~outer ?project cond a b : vop =
       | Const (Value.Bool true) -> `All
       | Or (x, y) when hoistable x ->
           `Or
-            ( Compile.compile_predicate ~path:here db (sa :: cenv) x,
-              Compile.compile_predicate ~path:here db penv y )
+            ( pred_at here db (sa :: cenv) x,
+              pred_at here db penv y )
       | And (x, y) when hoistable x ->
           `And
-            ( Compile.compile_predicate ~path:here db (sa :: cenv) x,
-              Compile.compile_predicate ~path:here db penv y )
-      | _ -> `Whole (Compile.compile_predicate ~path:here db penv cond)
+            ( pred_at here db (sa :: cenv) x,
+              pred_at here db penv y )
+      | _ -> `Whole (pred_at here db penv cond)
     in
     {
       v_schema = out_schema;
       v_run =
         (fun rt ->
           Guard.Faults.fire_point Guard.Faults.Join here;
-          let stats = Compile.ctx_stats rt.cctx in
+          let stats = rt.cctx.stats in
           stats.Sem.st_nested_loop_joins <- stats.Sem.st_nested_loop_joins + 1;
           let tbs = List.concat_map Vector.to_tuples (vb.v_run rt) in
           let tb_arr = Array.of_list tbs in
@@ -1413,13 +1958,13 @@ and lower_join db here cenv ~outer ?project cond a b : vop =
     let left_keys =
       Array.of_list
         (List.map
-           (fun (e, _, _) -> Compile.compile_scalar ~path:here db (sa :: cenv) e)
+           (fun (e, _, _) -> scalar_at here db (sa :: cenv) e)
            pairs)
     in
     let right_keys =
       Array.of_list
         (List.map
-           (fun (_, e, _) -> Compile.compile_scalar ~path:here db (sb :: cenv) e)
+           (fun (_, e, _) -> scalar_at here db (sb :: cenv) e)
            pairs)
     in
     let safe = Array.of_list (List.map (fun (_, _, s) -> s) pairs) in
@@ -1427,7 +1972,7 @@ and lower_join db here cenv ~outer ?project cond a b : vop =
     let cresidual =
       match residual with
       | [] -> None
-      | r -> Some (Compile.compile_predicate ~path:here db (sb :: sa :: cenv) (conj r))
+      | r -> Some (pred_at here db (sb :: sa :: cenv) (conj r))
     in
     let usable (key : Tuple.t) =
       let rec go i =
@@ -1457,7 +2002,7 @@ and lower_join db here cenv ~outer ?project cond a b : vop =
       v_run =
         (fun rt ->
           Guard.Faults.fire_point Guard.Faults.Join here;
-          let stats = Compile.ctx_stats rt.cctx in
+          let stats = rt.cctx.stats in
           stats.Sem.st_hash_joins <- stats.Sem.st_hash_joins + 1;
           let rbats = vb.v_run rt in
           let card_b = List.fold_left (fun n b -> n + Vector.length b) 0 rbats in
@@ -1467,7 +2012,7 @@ and lower_join db here cenv ~outer ?project cond a b : vop =
               Guard.tick here;
               Vector.iter_tuples bb (fun tb ->
                   let key =
-                    Compile.eval_exprs right_keys rt.cctx (tb :: rt.renv)
+                    eval_row right_keys rt.cctx (tb :: rt.renv)
                   in
                   if usable key then
                     let existing =
@@ -1519,7 +2064,7 @@ and lower_join db here cenv ~outer ?project cond a b : vop =
                   Guard.tick here;
                   Vector.iter_tuples ba (fun ta ->
                       let fenv = ta :: rt.renv in
-                      let key = Compile.eval_exprs left_keys rt.cctx fenv in
+                      let key = eval_row left_keys rt.cctx fenv in
                       let matches =
                         if usable key then
                           match Tuple.Tbl.find_opt table key with
@@ -1559,14 +2104,19 @@ and lower_join db here cenv ~outer ?project cond a b : vop =
 
 let query_stats ?(env = []) db q : Relation.t * Sem.stats =
   let cenv = List.map fst env and renv = List.map snd env in
-  let v = lower db [] cenv q in
+  cur_compile_path := [];
+  let v = lower db ~replay:false [] cenv q in
   let pool =
     match !pool_override with
     | Some _ as p -> p
     | None -> if !domains > 1 then Some (Morsel.get !domains) else None
   in
-  let rt = { cctx = Compile.mk_ctx db; renv; pool } in
+  let rt = { cctx = mk_ctx db; renv; pool } in
   let bats = v.v_run rt in
-  (Vector.relation_of v.v_schema bats, Compile.ctx_stats rt.cctx)
+  (Vector.relation_of v.v_schema bats, rt.cctx.stats)
 
 let query ?(env = []) db q = fst (query_stats ~env db q)
+
+let expr ?(env = []) db e =
+  cur_compile_path := [];
+  compile_expr db (List.map fst env) e (mk_ctx db) (List.map snd env)

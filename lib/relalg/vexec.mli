@@ -1,15 +1,18 @@
-(** Vectorized columnar execution engine: batch-at-a-time kernels over
-    {!Vector} batches with morsel-driven multicore parallelism
-    ({!Morsel}), lowered from the same type-checked {!Algebra.query}
-    the compiled engine consumes.
+(** Query execution, the production engine: a type-checked
+    {!Algebra.query} lowered once into batch-at-a-time kernels over
+    {!Vector} batches, with morsel-driven multicore parallelism
+    ({!Morsel}), and every scalar expression into an offset-resolved
+    closure.
 
-    Results are row-identical to the reference and compiled engines
-    (schema names, row order, error messages — property-tested in the
-    suite); governor checkpoints run at batch granularity with the
-    compiled engine's operator paths. Row-wise fallbacks and all
-    non-columnar expressions reuse {!Compile}'s closures, so the
-    engines share one expression semantics and one per-execution
-    sublink memo/summary cache. *)
+    Results are row-identical to the reference walker ({!Eval}):
+    schema names, row order, error messages and the {!Sem.stats}
+    counters (property-tested in the suite). Governor checkpoints run
+    at batch granularity on Lint-style operator paths. Sublink bodies
+    are lowered like any plan and run sequentially on the enclosing
+    execution's context, memoized per correlation binding; inside a
+    correlated body, a subtree that reads no outer frame and touches no
+    counter runs once per execution and is replayed for later
+    bindings. *)
 
 (** Worker domains per query (including the coordinator); 1 runs
     sequentially. Workers come from the process-wide {!Morsel} pool. *)
@@ -31,8 +34,7 @@ val pool_override : Morsel.pool option ref
 val clear_cache : unit -> unit
 
 (** [query db q] — execute vectorized; [env] pairs each outer frame's
-    schema with its tuple, innermost first (the compiled engine's
-    convention). *)
+    schema with its tuple, innermost first. *)
 val query :
   ?env:(Schema.t * Tuple.t) list -> Database.t -> Algebra.query -> Relation.t
 
@@ -42,3 +44,7 @@ val query_stats :
   Database.t ->
   Algebra.query ->
   Relation.t * Sem.stats
+
+(** [expr db e] compiles and evaluates a scalar expression (sublinks
+    allowed) on a fresh context; [env] as for {!query}. *)
+val expr : ?env:(Schema.t * Tuple.t) list -> Database.t -> Algebra.expr -> Value.t

@@ -18,7 +18,7 @@ type request =
   | Ping
   | Query of string  (** SQL, [SELECT PROVENANCE] included *)
   | Set_strategy of string  (** ["gen"|"left"|"move"|"unn"] *)
-  | Set_engine of string  (** ["compiled"|"reference"|"vectorized"] *)
+  | Set_engine of string  (** ["reference"|"vectorized"] *)
   | Set_budget of Guard.budget  (** session budget override *)
   | Load_snapshot of string  (** named snapshot — swaps the epoch *)
   | Stats

@@ -1,7 +1,7 @@
-(* Engine parity: the compiled engine (offset-resolved closures,
-   Compile) must agree with the reference tree walker on every query —
-   same schema, same rows in the same order, same execution counters,
-   same errors.
+(* Engine parity: the vectorized engine (Vexec) must agree with the
+   reference tree walker on every query — same schema, same rows in the
+   same order, same errors, and on the workload, TPC-H, figure and
+   replay inputs the same execution counters.
 
    Coverage:
    - randomized sublink-heavy SQL queries from the shared fuzz
@@ -14,7 +14,7 @@
    - the synthetic workload q1/q2 instances, all applicable strategies;
    - all TPC-H sublink queries, all applicable strategies;
    - the benchmark's Figure 6-7 cells run through [Perm.exec] on the
-     default (vectorized) engine, against the compiled engine's row
+     default (vectorized) engine, against the reference walker's row
      order and counters. *)
 
 open Relalg
@@ -51,62 +51,35 @@ let with_vec_config (_, d, b) f =
       Vexec.batch_rows := saved_b)
     f
 
-(* All three engines, same plan. Reference and compiled must agree on
-   schema, row list (order included), counters — or fail with the same
-   error. The vectorized engine must match on schema, rows and errors
-   under every configuration; its counters are not compared (batch
-   kernels legitimately skip per-row bookkeeping). *)
+(* Both engines, same plan: under every configuration the vectorized
+   engine must match the reference walker on schema and row list (order
+   included), or fail with the same error. *)
 let same_execution db plan =
   let run f =
     try Ok (f ()) with Eval.Eval_error m -> Error m
   in
-  let rc =
-    ( run (fun () -> Eval.query_stats_reference db plan),
-      run (fun () -> Eval.query_stats_compiled db plan) )
-  in
-  let two_way =
-    match rc with
-    | Ok (ra, sa), Ok (rb, sb) ->
-        Schema.names (Relation.schema ra) = Schema.names (Relation.schema rb)
-        && Relation.tuples ra = Relation.tuples rb
-        && sa = sb
-    | Error a, Error b -> a = b
-    | _ -> false
-  in
-  two_way
-  && List.for_all
-       (fun cfg ->
-         let rv =
-           with_vec_config cfg (fun () ->
-               run (fun () -> Eval.query_vectorized db plan))
-         in
-         match (fst rc, rv) with
-         | Ok (ra, _), Ok rb ->
-             Schema.names (Relation.schema ra)
-             = Schema.names (Relation.schema rb)
-             && Relation.tuples ra = Relation.tuples rb
-         | Error a, Error b -> a = b
-         | _ -> false)
-       vec_configs
+  let rr = run (fun () -> Eval.query_reference db plan) in
+  List.for_all
+    (fun cfg ->
+      let rv =
+        with_vec_config cfg (fun () ->
+            run (fun () -> Eval.query_vectorized db plan))
+      in
+      match (rr, rv) with
+      | Ok ra, Ok rb ->
+          Schema.names (Relation.schema ra) = Schema.names (Relation.schema rb)
+          && Relation.tuples ra = Relation.tuples rb
+      | Error a, Error b -> a = b
+      | _ -> false)
+    vec_configs
 
 let check_same msg db plan =
   let ra, sa = Eval.query_stats_reference db plan in
-  let rb, sb = Eval.query_stats_compiled db plan in
-  Alcotest.(check (list string))
-    (msg ^ ": schema")
-    (Schema.names (Relation.schema ra))
-    (Schema.names (Relation.schema rb));
-  Alcotest.(check bool) (msg ^ ": bag-equal") true (Relation.equal_bag ra rb);
-  Alcotest.(check bool)
-    (msg ^ ": same row order")
-    true
-    (Relation.tuples ra = Relation.tuples rb);
-  Alcotest.(check string)
-    (msg ^ ": same counters")
-    (Eval.stats_to_string sa) (Eval.stats_to_string sb);
   List.iter
     (fun ((label, _, _) as cfg) ->
-      let rv = with_vec_config cfg (fun () -> Eval.query_vectorized db plan) in
+      let rv, sv =
+        with_vec_config cfg (fun () -> Eval.query_stats_vectorized db plan)
+      in
       Alcotest.(check (list string))
         (Printf.sprintf "%s: vectorized[%s] schema" msg label)
         (Schema.names (Relation.schema ra))
@@ -114,7 +87,10 @@ let check_same msg db plan =
       Alcotest.(check bool)
         (Printf.sprintf "%s: vectorized[%s] same rows" msg label)
         true
-        (Relation.tuples ra = Relation.tuples rv))
+        (Relation.tuples ra = Relation.tuples rv);
+      Alcotest.(check string)
+        (Printf.sprintf "%s: vectorized[%s] same counters" msg label)
+        (Eval.stats_to_string sa) (Eval.stats_to_string sv))
     vec_configs
 
 (* ------------------------------------------------------------------ *)
@@ -223,9 +199,8 @@ let test_tpch_strategies () =
    test scale (TPC-H at the workload's scale factor, three instances
    per template; a smaller synthetic database): SQL through
    [Perm.exec] with no [?engine], i.e. on the default engine. The
-   answer must be bag-equal to the reference walker's, and match the
-   compiled engine's row order (the server renders rows in order) and
-   execution counters. *)
+   answer must match the reference walker's rows in order (the server
+   renders rows in order) and its execution counters. *)
 let figure_cells () =
   let open Strategy in
   let tpch = Tpch.Tpch_gen.generate ~seed:11 ~sf:0.4 () in
@@ -278,19 +253,15 @@ let test_figure_cells_on_default () =
         | _ -> Alcotest.failf "%s: not a row result" name
       in
       let plan = r.Perm.plan in
-      Alcotest.(check bool)
-        (name ^ ": bag-equal to the reference walker")
-        true
-        (Relation.equal_bag r.Perm.relation (Eval.query_reference db plan));
-      let rc, sc = Eval.query_stats ~engine:Eval.Compiled db plan in
+      let rr, sr = Eval.query_stats_reference db plan in
       let _, sd = Eval.query_stats db plan in
       Alcotest.(check bool)
-        (name ^ ": compiled row order")
+        (name ^ ": reference row order")
         true
-        (Relation.tuples r.Perm.relation = Relation.tuples rc);
+        (Relation.tuples r.Perm.relation = Relation.tuples rr);
       Alcotest.(check string)
-        (name ^ ": compiled counters")
-        (Eval.stats_to_string sc) (Eval.stats_to_string sd))
+        (name ^ ": reference counters")
+        (Eval.stats_to_string sr) (Eval.stats_to_string sd))
     (figure_cells ())
 
 (* ------------------------------------------------------------------ *)
@@ -303,21 +274,24 @@ let test_dispatch () =
   let saved = !Eval.default_engine in
   Eval.default_engine := Eval.Reference;
   let a = Eval.query db q in
-  Eval.default_engine := Eval.Compiled;
-  let b = Eval.query db q in
   Eval.default_engine := Eval.Vectorized;
   let c = Eval.query db q in
   Eval.default_engine := saved;
-  Alcotest.(check bool) "same result" true (Relation.equal_bag a b);
   Alcotest.(check bool) "same result vectorized" true (Relation.equal_bag a c);
-  Alcotest.(check string) "names" "compiled" (Eval.engine_name Eval.Compiled);
+  Alcotest.(check string) "names" "reference" (Eval.engine_name Eval.Reference);
   Alcotest.(check string)
     "vectorized name" "vectorized"
     (Eval.engine_name Eval.Vectorized);
   Alcotest.(check bool) "parse" true (Eval.engine_of_string "reference" = Eval.Reference);
   Alcotest.(check bool)
     "parse vectorized" true
-    (Eval.engine_of_string "vectorized" = Eval.Vectorized)
+    (Eval.engine_of_string "vectorized" = Eval.Vectorized);
+  Alcotest.(check bool)
+    "compiled is an unknown engine" true
+    (match Eval.engine_of_string "compiled" with
+    | _ -> false
+    | exception Invalid_argument m ->
+        String.starts_with ~prefix:"unknown engine" m)
 
 let test_error_parity () =
   let db = mk_db [ [ i 1; i 1 ]; [ i 2; i 2 ] ] [ [ i 1; i 1 ]; [ i 2; i 2 ] ] in
@@ -329,25 +303,23 @@ let test_error_parity () =
         (eq (attr "a") (scalar (project [ (attr "c", "c") ] (Base "S"))), Base "R"))
   in
   Alcotest.(check string)
-    "scalar cardinality error"
-    (msg_of (fun () -> Eval.query_reference db bad))
-    (msg_of (fun () -> Eval.query_compiled db bad));
-  (* unknown attribute: runtime in the walker, compile time in Compile,
-     same exception and message either way *)
-  Alcotest.(check string)
     "scalar cardinality error, vectorized"
     (msg_of (fun () -> Eval.query_reference db bad))
     (msg_of (fun () -> Eval.query_vectorized db bad));
+  (* unknown attribute: runtime in the walker, lowering time in Vexec,
+     same exception and message either way *)
   let ghost = Algebra.attr "ghost" in
   Alcotest.(check string)
     "unknown attribute error"
     (msg_of (fun () -> Eval.expr_reference db ghost))
-    (msg_of (fun () -> Eval.expr_compiled db ghost))
+    (msg_of (fun () -> Eval.expr ~engine:Eval.Vectorized db ghost))
 
 (* Correlated sublink bodies whose binding-independent subtrees the
-   production engines run once per execution and replay for later
-   bindings. Each input must give the reference walker's rows, row
-   order, counters and error message on both production engines. *)
+   vectorized engine runs once per execution and replays for later
+   bindings, and correlated selections it runs as mask kernels that
+   compare an input column with an enclosing frame's column. Each input
+   must give the reference walker's rows, row order, counters and error
+   message under every vectorized configuration. *)
 let replay_cases () =
   let open Algebra in
   let db =
@@ -404,6 +376,60 @@ let replay_cases () =
                Base "S" )),
         Base "R" )
   in
+  (* Per outer row, how many rows of S satisfy [cond]. *)
+  let counted cond =
+    project
+      [
+        (attr "a", "a");
+        ( scalar
+            (aggregate ~group_by:[]
+               ~aggs:
+                 [
+                   {
+                     agg_func = "count";
+                     agg_distinct = false;
+                     agg_arg = None;
+                     agg_name = "n";
+                   };
+                 ]
+               (Select (cond, Base "S"))),
+          "n" );
+      ]
+      (Base "R")
+  in
+  let null_outer =
+    mk_db
+      [ [ i 1; i 1 ]; [ i 2; Value.Null ]; [ i 3; i 2 ] ]
+      [ [ i 1; i 1 ]; [ i 2; i 2 ]; [ i 3; Value.Null ]; [ i 4; i 2 ] ]
+  in
+  let float_outer =
+    Database.of_list
+      [
+        ( "R",
+          Relation.of_values
+            (Schema.of_list
+               [ Schema.attr "a" Vtype.TInt; Schema.attr "b" Vtype.TFloat ])
+            [
+              [ i 1; Value.Float 2.0 ]; [ i 2; Value.Float 2.5 ]; [ i 3; Value.Null ];
+            ] );
+        ( "S",
+          Relation.of_values s_schema
+            [ [ i 1; i 1 ]; [ i 2; i 2 ]; [ i 3; Value.Null ]; [ i 2; i 3 ] ] );
+      ]
+  in
+  (* The innermost selection compares with [a] two frames out. *)
+  let depth_two =
+    let level name col inner =
+      Select (exists inner, project [ (attr col, name) ] (Base "S"))
+    in
+    Select
+      ( exists
+          (level "x" "c"
+             (level "y" "d"
+                (Select
+                   (eq (attr "z") (attr "a"), project [ (attr "c", "z") ] (Base "S"))))),
+        Base "R" )
+  in
   [
     ("replayed subtree, EXISTS", db, Select (exists (below_a independent), Base "R"));
     ( "replayed subtree, = ANY",
@@ -458,6 +484,16 @@ let replay_cases () =
                      (exists (Select (eq (attr "c") (int 2), Base "S")), Base "S")))),
           Base "R" ) );
     ("uncorrelated body", db, Select (any_op Eq (attr "a") independent, Base "R"));
+    ("outer column, outer NULL", null_outer, counted (eq (attr "c") (attr "b")));
+    ("outer column, =n", null_outer, counted (Cmp (EqNull, attr "d", attr "b")));
+    ( "outer column, Int against Float",
+      float_outer,
+      counted (Or (eq (attr "c") (attr "b"), lt (attr "d") (attr "b"))) );
+    ("outer column, reversed", null_outer, counted (Cmp (Leq, attr "b", attr "c")));
+    ( "outer column, EXISTS",
+      null_outer,
+      Select (exists (Select (Cmp (Gt, attr "c", attr "a"), Base "S")), Base "R") );
+    ("outer column at depth 2", db, depth_two);
   ]
 
 let test_replay_parity () =
@@ -480,14 +516,12 @@ let test_replay_parity () =
             (Printf.sprintf "%s: %s agrees with the reference walker" name label)
             true
             (outcome (fun () -> run db plan) = expected))
-        (("compiled", fun db plan -> Eval.query_stats_compiled db plan)
-        :: List.map
-             (fun ((label, _, _) as cfg) ->
-               ( "vectorized[" ^ label ^ "]",
-                 fun db plan ->
-                   with_vec_config cfg (fun () ->
-                       Eval.query_stats_vectorized db plan) ))
-             vec_configs))
+        (List.map
+           (fun ((label, _, _) as cfg) ->
+             ( "vectorized[" ^ label ^ "]",
+               fun db plan ->
+                 with_vec_config cfg (fun () -> Eval.query_stats_vectorized db plan) ))
+           vec_configs))
     (replay_cases ())
 
 (* ------------------------------------------------------------------ *)

@@ -1,11 +1,9 @@
 (* Execution governor and resilience: budget trips (every ceiling, with
    operator-path attribution), scope nesting, the deterministic
-   fault-injection matrix over 4 strategies x 3 engines (a fault at any
+   fault-injection matrix over 4 strategies x 2 engines (a fault at any
    boundary yields a phase-attributed error, never a wrong answer), the
-   strategy-fallback ladder, the error taxonomy, CSV load errors with
-   file:line attribution, and a qcheck property that a budget-tripped
-   run never disagrees with the untripped run on the rows already
-   emitted. *)
+   strategy-fallback ladder, the error taxonomy, and CSV load errors with
+   file:line attribution. *)
 
 open Relalg
 open Core
@@ -38,9 +36,8 @@ let with_engine engine f =
 
 (* Trip and fallback behavior is engine-specific (checkpoint and row
    accounting granularity differ), so every test below names its
-   engines instead of inheriting the default: the two production
-   engines, each checked on its own. *)
-let production_engines = [ Eval.Vectorized; Eval.Compiled ]
+   engines instead of inheriting the default: the production engine. *)
+let production_engines = [ Eval.Vectorized ]
 
 let on_production_engines f =
   List.iter (fun e -> with_engine e (fun () -> f e)) production_engines
@@ -72,9 +69,8 @@ let test_row_ceiling () =
 let test_pair_ceiling_preflight () =
   (* the reference walker knows both input cardinalities up front, so
      its preflight trips before a single pair is enumerated; the
-     compiled and vectorized engines stream the left input and trip at
-     the counting checkpoint instead — all must stop the cross
-     product *)
+     vectorized engine streams the left input and trips at the
+     counting checkpoint instead — both must stop the cross product *)
   let db = small_db () in
   let q = Algebra.Cross (Algebra.Base "R", Algebra.Base "S") in
   let trip engine =
@@ -322,7 +318,7 @@ let fault_matrix engines () =
                 [ Strategy.Gen; Strategy.Left; Strategy.Move; Strategy.Unn ]))
         engines)
 
-let test_fault_matrix = fault_matrix [ Eval.Compiled; Eval.Reference ]
+let test_fault_matrix = fault_matrix [ Eval.Reference ]
 let test_fault_matrix_vectorized = fault_matrix [ Eval.Vectorized ]
 
 let test_seeded_faults_deterministic () =
@@ -540,55 +536,6 @@ let test_csv_errors () =
       ()
 
 (* ------------------------------------------------------------------ *)
-(* Property: a tripped run agrees with the untripped run on every row   *)
-(* already emitted                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let prefix_queries =
-  Algebra.
-    [
-      Base "R";
-      Select (Cmp (Leq, attr "a", int 3), Base "R");
-      project [ (attr "b", "b"); (attr "a", "a") ] (Base "R");
-      Union (Bag, Base "R", Base "R");
-      Cross (Base "R", Base "S");
-      Select
-        ( any_op Eq (attr "a") (project [ (attr "c", "c") ] (Base "S")),
-          Base "R" );
-      Order ([ (attr "a", Desc) ], Base "R");
-    ]
-
-let collect ?budget db q =
-  let c = Compile.compile db q in
-  let acc = ref [] in
-  (try
-     Guard.with_budget budget (fun () ->
-         Compile.stream c (fun t -> acc := t :: !acc))
-   with Guard.Budget_exceeded _ -> ());
-  List.rev !acc
-
-let rec is_prefix xs ys =
-  match (xs, ys) with
-  | [], _ -> true
-  | x :: xs', y :: ys' -> Tuple.equal x y && is_prefix xs' ys'
-  | _ :: _, [] -> false
-
-let prop_trip_prefix =
-  QCheck.Test.make ~name:"budget-tripped runs emit a prefix of the clean run"
-    ~count:300
-    (QCheck.pair
-       (QCheck.int_range 1 40)
-       (QCheck.int_bound (List.length prefix_queries - 1)))
-    (fun (k, qi) ->
-      let db = small_db () in
-      let q = List.nth prefix_queries qi in
-      let clean = collect db q in
-      let tripped =
-        collect ~budget:(Guard.budget ~max_rows:k ()) db q
-      in
-      is_prefix tripped clean)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "guard"
@@ -637,6 +584,4 @@ let () =
           Alcotest.test_case "CSV errors carry file:line" `Quick
             test_csv_errors;
         ] );
-      ( "properties",
-        [ QCheck_alcotest.to_alcotest ~long:false prop_trip_prefix ] );
     ]

@@ -4,8 +4,8 @@
    Guard budget aggregation, two-domain memo/cache stress under the
    armed detector, the share-lint inventory against the real sources,
    and a QCheck schedule-parity property (vectorized engine under
-   chaos schedules on a genuinely multi-domain pool vs the compiled
-   engine, all strategies). *)
+   chaos schedules on a genuinely multi-domain pool vs the reference
+   walker, all strategies). *)
 
 open Relalg
 
@@ -484,7 +484,7 @@ let test_race_report_as_diagnostic () =
 let schedule_parity_prop =
   let pool = Morsel.create 2 in
   (* pool shutdown leaks at process exit — acceptable in a test binary *)
-  QCheck.Test.make ~count:10 ~name:"vectorized under chaos schedules = compiled"
+  QCheck.Test.make ~count:10 ~name:"vectorized under chaos schedules = reference"
     QCheck.(pair small_nat small_nat)
     (fun (case_seed, sched_seed) ->
       let case = Fuzz.Qgen.case_of_seed ~config:Fuzz.Racefuzz.default_config case_seed in

@@ -278,15 +278,16 @@ let test_drain () =
       | _ -> Alcotest.fail "drained server answered a new connection")
   | exception _ -> ()
 
-(* A client that names an engine configures its session with it, even
-   the engine that was once the clients' built-in default: the client
-   cannot know the server's default engine, so it never skips the
-   request. With no engine named, the session keeps the server's. *)
+(* A client that names an engine configures its session with it: the
+   client cannot know the server's default engine, so it never skips
+   the request. With no engine named, the session keeps the server's.
+   An engine the server does not know gets a typed error, and the
+   session keeps answering. *)
 let test_named_engine_reaches_session () =
-  let reqs = Client.session_setup ~strategy:"gen" ~engine:"compiled" Guard.unlimited in
+  let reqs = Client.session_setup ~strategy:"gen" ~engine:"reference" Guard.unlimited in
   Alcotest.(check bool)
-    "only Set_engine compiled" true
-    (reqs = [ Protocol.Set_engine "compiled" ]);
+    "only Set_engine reference" true
+    (reqs = [ Protocol.Set_engine "reference" ]);
   Alcotest.(check bool)
     "no engine named, no request" true
     (Client.session_setup ~strategy:"gen" Guard.unlimited = []);
@@ -302,9 +303,16 @@ let test_named_engine_reaches_session () =
             (fun req ->
               match Client.request cl req with
               | Protocol.Ok_msg m, _ ->
-                  Alcotest.(check string) "session switched" "engine compiled" m
+                  Alcotest.(check string) "session switched" "engine reference" m
               | _ -> Alcotest.fail "Set_engine was not acknowledged")
             reqs;
+          (match Client.request cl (Protocol.Set_engine "compiled") with
+          | Protocol.Error_msg { e_phase; e_msg; _ }, _ ->
+              Alcotest.(check string) "typed protocol error" "protocol" e_phase;
+              Alcotest.(check bool)
+                "names the unknown engine" true
+                (String.starts_with ~prefix:"unknown engine" e_msg)
+          | _ -> Alcotest.fail "Set_engine compiled was not refused");
           match Client.request cl (Protocol.Query "SELECT a FROM r") with
           | Protocol.Result { r_rows; _ }, _ ->
               Alcotest.(check int) "query runs on the session's engine" 3
