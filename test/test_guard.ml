@@ -2,8 +2,9 @@
    operator-path attribution), scope nesting, the deterministic
    fault-injection matrix over 4 strategies x 2 engines (a fault at any
    boundary yields a phase-attributed error, never a wrong answer), the
-   strategy-fallback ladder, the error taxonomy, and CSV load errors with
-   file:line attribution. *)
+   strategy-fallback ladder, the error taxonomy, CSV load errors with
+   file:line attribution, and a qcheck property that a budget either
+   trips or leaves the answer exactly as the unbudgeted run's. *)
 
 open Relalg
 open Core
@@ -536,6 +537,43 @@ let test_csv_errors () =
       ()
 
 (* ------------------------------------------------------------------ *)
+(* Property: a budget either trips or leaves the answer exact           *)
+(* ------------------------------------------------------------------ *)
+
+let budget_queries =
+  Algebra.
+    [
+      Base "R";
+      Select (Cmp (Leq, attr "a", int 3), Base "R");
+      project [ (attr "b", "b"); (attr "a", "a") ] (Base "R");
+      Union (Bag, Base "R", Base "R");
+      Cross (Base "R", Base "S");
+      Select
+        ( any_op Eq (attr "a") (project [ (attr "c", "c") ] (Base "S")),
+          Base "R" );
+      Order ([ (attr "a", Desc) ], Base "R");
+    ]
+
+let prop_trip_or_exact =
+  QCheck.Test.make ~name:"a budget either trips or leaves the answer exact"
+    ~count:300
+    (QCheck.triple
+       (QCheck.int_range 1 40)
+       (QCheck.int_bound (List.length budget_queries - 1))
+       (QCheck.oneofl [ Eval.Reference; Eval.Vectorized ]))
+    (fun (k, qi, engine) ->
+      let db = small_db () in
+      let q = List.nth budget_queries qi in
+      let clean = rows (Eval.query ~engine db q) in
+      match
+        Guard.with_budget
+          (Some (Guard.budget ~max_rows:k ()))
+          (fun () -> Eval.query ~engine db q)
+      with
+      | rel -> rows rel = clean
+      | exception Guard.Budget_exceeded _ -> true)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "guard"
@@ -584,4 +622,6 @@ let () =
           Alcotest.test_case "CSV errors carry file:line" `Quick
             test_csv_errors;
         ] );
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest ~long:false prop_trip_or_exact ] );
     ]
