@@ -19,7 +19,6 @@
                                  lineage, cardinality) for one statement
                    \explain SQL  the optimized plan with per-operator
                                  estimated rows/cost next to actual rows
-                   \advisor M    advisor ranking mode (cost|heuristic)
                    \werror       toggle treating lint warnings as errors
                    \race         toggle the vector-clock race detector
                                  around every statement (see --race-check)
@@ -42,7 +41,6 @@ type strategy_choice = Fixed of Strategy.t | Auto
 type session = {
   db : Database.t;
   mutable strategy : strategy_choice;
-  mutable advisor_mode : Advisor.mode;  (* ranking mode under Auto *)
   mutable show_plan : bool;
   mutable timing : bool;
   mutable show_stats : bool;
@@ -99,8 +97,8 @@ let run_statement session sql =
       with
       | Sql_frontend.Ast.Stmt_select _ ->
           let strategy, result =
-            Advisor.run session.db ~mode:session.advisor_mode ~certify ~lint
-              ~werror ?budget ~fallback sql
+            Advisor.run session.db ~certify ~lint ~werror ?budget ~fallback
+              sql
           in
           if result.Perm.provenance <> [] then
             Printf.printf "advisor chose: %s\n" (Strategy.to_string strategy);
@@ -210,6 +208,14 @@ let strip_semi sql =
     String.sub sql 0 (String.length sql - 1)
   else sql
 
+(* The strategy a statement's provenance is planned with: the fixed one,
+   or under auto the advisor's choice (Gen when none applies). *)
+let session_strategy session q =
+  match session.strategy with
+  | Fixed s -> s
+  | Auto -> (
+      try Advisor.choose session.db q with Strategy.Unsupported _ -> Strategy.Gen)
+
 (* Diagnostics for one statement without running it — the Lint rules on
    the analyzed plan, plus the Provcheck contract on its provenance
    rewrite when the PROVENANCE marker is present. [Error msg] when the
@@ -223,13 +229,7 @@ let statement_diagnostics session sql :
       let prov_diags =
         if not analyzed.Sql_frontend.Analyzer.wants_provenance then []
         else begin
-          let strategy =
-            match session.strategy with
-            | Fixed s -> s
-            | Auto -> (
-                try Advisor.choose ~mode:session.advisor_mode session.db q
-                with Strategy.Unsupported _ -> Strategy.Gen)
-          in
+          let strategy = session_strategy session q in
           match Rewrite.rewrite session.db ~strategy q with
           | rewritten -> Provcheck.check session.db ~strategy ~original:q rewritten
           | exception Strategy.Unsupported msg ->
@@ -315,13 +315,7 @@ let analyze_statement session sql =
       let dfa = Dataflow.create session.db in
       print_string (Dataflow.dump dfa q);
       if analyzed.Sql_frontend.Analyzer.wants_provenance then begin
-        let strategy =
-          match session.strategy with
-          | Fixed s -> s
-          | Auto -> (
-              try Advisor.choose ~mode:session.advisor_mode session.db q
-              with Strategy.Unsupported _ -> Strategy.Gen)
-        in
+        let strategy = session_strategy session q in
         match Rewrite.rewrite session.db ~strategy q with
         | rewritten, _ ->
             let plan = Optimizer.optimize session.db rewritten in
@@ -355,13 +349,7 @@ let explain_plan session sql =
         if not analyzed.Sql_frontend.Analyzer.wants_provenance then
           Ok (None, Optimizer.optimize session.db q)
         else begin
-          let strategy =
-            match session.strategy with
-            | Fixed s -> s
-            | Auto -> (
-                try Advisor.choose ~mode:session.advisor_mode session.db q
-                with Strategy.Unsupported _ -> Strategy.Gen)
-          in
+          let strategy = session_strategy session q in
           match Rewrite.rewrite session.db ~strategy q with
           | rewritten, _ ->
               Ok (Some strategy, Optimizer.optimize session.db rewritten)
@@ -405,11 +393,7 @@ let explain_statement session sql =
       (match strategy with
       | Some s ->
           Printf.printf "strategy: %s%s\n" (Strategy.to_string s)
-            (match session.strategy with
-            | Auto ->
-                Printf.sprintf " (advisor, %s mode)"
-                  (Advisor.mode_to_string session.advisor_mode)
-            | Fixed _ -> "")
+            (match session.strategy with Auto -> " (advisor)" | Fixed _ -> "")
       | None -> ());
       Printf.printf "%-52s %12s %14s %8s\n" "operator" "est rows" "est cost"
         "actual";
@@ -436,9 +420,7 @@ let explain_json_statement session sql : int =
       (match strategy with
       | Some s ->
           Buffer.add_string buf
-            (Printf.sprintf "\"strategy\":\"%s\",\"advisor\":\"%s\","
-               (Strategy.to_string s)
-               (Advisor.mode_to_string session.advisor_mode))
+            (Printf.sprintf "\"strategy\":\"%s\"," (Strategy.to_string s))
       | None -> ());
       Buffer.add_string buf "\"operators\":[";
       List.iteri
@@ -521,8 +503,7 @@ let handle_command session line =
       `Continue
   | [ "\\strategy"; "auto" ] ->
       session.strategy <- Auto;
-      Printf.printf "strategy set to auto (advisor, %s mode)\n"
-        (Advisor.mode_to_string session.advisor_mode);
+      print_endline "strategy set to auto (advisor)";
       `Continue
   | [ "\\strategy"; s ] ->
       (match Strategy.of_string s with
@@ -592,17 +573,6 @@ let handle_command session line =
       `Continue
   | "\\explain" :: rest when rest <> [] ->
       explain_statement session (String.concat " " rest);
-      `Continue
-  | [ "\\advisor" ] ->
-      Printf.printf "advisor mode: %s\n"
-        (Advisor.mode_to_string session.advisor_mode);
-      `Continue
-  | [ "\\advisor"; m ] ->
-      (match Advisor.mode_of_string m with
-      | Some mode ->
-          session.advisor_mode <- mode;
-          Printf.printf "advisor mode set to %s\n" m
-      | None -> print_endline "usage: \\advisor [cost|heuristic]");
       `Continue
   | "\\budget" :: rest ->
       budget_command session rest;
@@ -987,17 +957,6 @@ let lint_json_arg =
            present, 1 when some are, 2 when the statement cannot be \
            analyzed.")
 
-let advisor_arg =
-  Arg.(
-    value & opt string "cost"
-    & info [ "advisor" ] ~docv:"MODE"
-        ~doc:
-          "Advisor ranking mode under $(b,--strategy auto): $(b,cost) \
-           (statistics-backed cardinality/cost estimates with \
-           observed-outcome correction, the default) or $(b,heuristic) \
-           (the coarse tuples-touched model — the escape hatch when \
-           statistics mislead). Safety gates apply in both modes.")
-
 let explain_json_arg =
   Arg.(
     value
@@ -1078,8 +1037,8 @@ let fallback_arg =
     & info [ "fallback" ]
         ~doc:
           "When a provenance strategy is inapplicable or blows the budget, \
-           degrade to the next strategy of the advisor ranking instead of \
-           failing; the answer reports which strategy delivered.")
+           degrade to the next strategy in the order unn, move, left, gen \
+           instead of failing; the answer reports which strategy delivered.")
 
 (* --replay DIR: re-run a fuzzer counterexample bundle through the
    differential harness, independent of any loaded database. *)
@@ -1099,7 +1058,7 @@ let replay_bundle dir =
       Printf.eprintf "error: cannot read bundle: %s\n" msg;
       Stdlib.exit 2
 
-let main_inner tpch demo loads exec file strategy advisor plan engine domains
+let main_inner tpch demo loads exec file strategy plan engine domains
     batch_rows lint certify replay lint_json explain_json werror race_check
     share_lint timeout max_rows fallback connect =
   if share_lint then Stdlib.exit (share_lint_json ());
@@ -1149,13 +1108,6 @@ let main_inner tpch demo loads exec file strategy advisor plan engine domains
     let b = Guard.budget ?timeout ?max_rows () in
     if Guard.is_unlimited b then None else Some b
   in
-  let advisor_mode =
-    match Advisor.mode_of_string advisor with
-    | Some m -> m
-    | None ->
-        prerr_endline "advisor mode must be cost or heuristic";
-        Stdlib.exit 2
-  in
   let session =
     {
       db;
@@ -1167,7 +1119,6 @@ let main_inner tpch demo loads exec file strategy advisor plan engine domains
            | exception Invalid_argument msg ->
                prerr_endline msg;
                Stdlib.exit 2);
-      advisor_mode;
       show_plan = plan;
       timing = false;
       show_stats = false;
@@ -1223,11 +1174,11 @@ let main_inner tpch demo loads exec file strategy advisor plan engine domains
    error, 70 internal crash (EX_SOFTWARE). [Stdlib.exit] calls above
    raise [Exit_with] through this wrapper untouched ([exit] never
    returns); anything else escaping is by definition a crash. *)
-let main tpch demo loads exec file strategy advisor plan engine domains
+let main tpch demo loads exec file strategy plan engine domains
     batch_rows lint certify replay lint_json explain_json werror race_check
     share_lint timeout max_rows fallback connect =
   try
-    main_inner tpch demo loads exec file strategy advisor plan engine domains
+    main_inner tpch demo loads exec file strategy plan engine domains
       batch_rows lint certify replay lint_json explain_json werror race_check
       share_lint timeout max_rows fallback connect
   with
@@ -1246,7 +1197,7 @@ let cmd =
     (Cmd.info "permcli" ~doc:"SQL shell with Perm-style provenance")
     Term.(
       const main $ tpch_arg $ demo_arg $ load_arg $ exec_arg $ file_arg
-      $ strategy_arg $ advisor_arg $ plan_arg $ engine_arg $ domains_arg
+      $ strategy_arg $ plan_arg $ engine_arg $ domains_arg
       $ batch_rows_arg $ lint_arg $ certify_arg $ replay_arg $ lint_json_arg
       $ explain_json_arg $ werror_arg $ race_check_arg $ share_lint_arg
       $ timeout_arg $ max_rows_arg $ fallback_arg $ connect_arg)

@@ -3,122 +3,22 @@
     that PostgreSQL's estimates for the rewritten plans were "extremely
     inaccurate".
 
-    The model is deliberately coarse: cardinalities are estimated from
-    base relation sizes and fixed per-predicate selectivities, and cost
-    counts tuples touched, distinguishing hash-joinable conditions from
-    nested loops and accounting for sublinks in conditions (memoized
-    per correlation binding, like the evaluator). Its only job is to
-    rank the four strategies' plans for one query — which it does
-    reliably, because the plans differ by orders of magnitude. *)
+    The model is {!Relalg.Estimate}: each strategy's optimized plan is
+    costed from table statistics, with correlated sublinks charged per
+    distinct binding like the evaluator. Its only job is to rank the
+    four strategies' plans for one query — which it does reliably,
+    because the plans differ by orders of magnitude. The ranking picks
+    the first rung under [auto]; the fallback ladder keeps its static
+    order ({!Resilience.strategy_ranking}). *)
 
 open Relalg
 open Algebra
 
-(* Selectivity of a condition: crude textbook constants. *)
-let rec selectivity (e : expr) : float =
-  match e with
-  | Const (Value.Bool true) -> 1.0
-  | Const (Value.Bool false) -> 0.0
-  | Cmp ((Eq | EqNull), _, _) -> 0.1
-  | Cmp (Neq, _, _) -> 0.9
-  | Cmp ((Lt | Leq | Gt | Geq), _, _) -> 0.33
-  | And (a, b) -> selectivity a *. selectivity b
-  | Or (a, b) ->
-      let sa = selectivity a and sb = selectivity b in
-      sa +. sb -. (sa *. sb)
-  | Not a -> 1.0 -. selectivity a
-  | Like _ -> 0.1
-  | InList (_, es) -> min 1.0 (0.1 *. float_of_int (List.length es))
-  | IsNull _ -> 0.05
-  | Sublink { kind = Exists; _ } -> 0.5
-  | Sublink _ -> 0.5
-  | Case _ | FunCall _ | Attr _ | Const _ | TypedNull _ | Binop _ -> 0.5
-
-(* Estimated output cardinality of a plan. *)
-let rec card db (q : query) : float =
-  match q with
-  | Base name -> float_of_int (Relation.cardinality (Database.find db name))
-  | TableExpr rel -> float_of_int (Relation.cardinality rel)
-  | Select (c, input) -> max 1.0 (card db input *. selectivity c)
-  | Project { distinct; proj_input; _ } ->
-      let n = card db proj_input in
-      if distinct then max 1.0 (n *. 0.8) else n
-  | Cross (a, b) -> card db a *. card db b
-  | Join (c, a, b) -> max 1.0 (card db a *. card db b *. selectivity c)
-  | LeftJoin (c, a, b) ->
-      max (card db a) (card db a *. card db b *. selectivity c)
-  | Agg { group_by = []; _ } -> 1.0
-  | Agg { agg_input; _ } -> max 1.0 (card db agg_input ** 0.75)
-  | Union (_, a, b) -> card db a +. card db b
-  | Inter (_, a, b) -> Float.min (card db a) (card db b)
-  | Diff (_, a, b) ->
-      ignore b;
-      card db a
-  | Order (_, input) -> card db input
-  | Limit (n, input) -> Float.min (float_of_int n) (card db input)
-
-(* Cost of evaluating the sublinks of an expression once per distinct
-   binding, [rows] times: uncorrelated sublinks are materialized once,
-   correlated ones once per row (the evaluator memoizes per binding;
-   distinct bindings ~ rows). *)
-let rec sublink_eval_cost db rows (e : expr) : float =
-  List.fold_left
-    (fun acc s ->
-      let per = cost db s.query in
-      let repeats = if Scope.is_uncorrelated db s then 1.0 else rows in
-      acc +. (repeats *. per) +. rows)
-    0.0 (sublinks_of_expr e)
-
-(* Total cost in touched tuples. *)
-and cost db (q : query) : float =
-  match q with
-  | Base name -> float_of_int (Relation.cardinality (Database.find db name))
-  | TableExpr rel -> float_of_int (Relation.cardinality rel)
-  | Select (c, input) ->
-      let n = card db input in
-      cost db input +. n +. sublink_eval_cost db n c
-  | Project { cols; proj_input; _ } ->
-      let n = card db proj_input in
-      cost db proj_input +. n
-      +. List.fold_left (fun acc (e, _) -> acc +. sublink_eval_cost db n e) 0.0 cols
-  | Cross (a, b) -> cost db a +. cost db b +. (card db a *. card db b)
-  | Join (c, a, b) | LeftJoin (c, a, b) ->
-      let ca = card db a and cb = card db b in
-      let hashable =
-        List.exists
-          (fun conj ->
-            match conj with
-            | Cmp ((Eq | EqNull), e1, e2) ->
-                (not (has_sublink e1)) && not (has_sublink e2)
-            | _ -> false)
-          (conjuncts c)
-      in
-      let join_work = if hashable then ca +. cb else ca *. cb in
-      let pairs = if hashable then Float.max ca cb else ca *. cb in
-      cost db a +. cost db b +. join_work +. sublink_eval_cost db pairs c
-  | Agg { agg_input; _ } -> cost db agg_input +. card db agg_input
-  | Union (_, a, b) | Inter (_, a, b) | Diff (_, a, b) ->
-      cost db a +. cost db b +. card db a +. card db b
-  | Order (_, input) ->
-      let n = card db input in
-      cost db input +. (n *. Float.max 1.0 (log (n +. 1.0)))
-  | Limit (_, input) -> cost db input
-
 type estimate = {
   est_strategy : Strategy.t;
-  est_cost : float;  (** ranking cost (mode-dependent); infinite if huge *)
-  est_heur : float;  (** the heuristic tuples-touched cost, kept as tie-break *)
+  est_cost : float;  (** corrected {!Estimate} cost of the optimized plan *)
   est_safe : bool;  (** nullability proves the rewrite's fast paths safe *)
 }
-
-type mode = Cost | Heuristic
-
-let mode_to_string = function Cost -> "cost" | Heuristic -> "heuristic"
-
-let mode_of_string = function
-  | "cost" -> Some Cost
-  | "heuristic" -> Some Heuristic
-  | _ -> None
 
 (* The {!Dataflow} nullability lattice is per-column and flows through
    operators, but it cannot see that a selection *filters* NULLs out:
@@ -204,18 +104,15 @@ let unn_equi_safe db (q : query) : bool =
   in
   match walk ~env:[] q with () -> true | exception Unsafe -> false
 
-(** [estimates ?mode db q] costs every applicable strategy's optimized
-    plan; nullability-safe strategies first (a hard gate, not a cost
-    term), cheapest within each group.
-
-    [Cost] (the default) ranks by the statistics-backed {!Estimate}
-    interpretation of each optimized plan, adjusted by the feedback
-    correction table ({!Estimate.corrected_cost}) so Guard-tripped
-    plans sink to the back on repeat queries; the heuristic cost stays
-    as tie-break. [Heuristic] is the escape hatch: the original coarse
-    tuples-touched model only. *)
-let estimates ?(mode = Cost) db (q : query) : estimate list =
-  let handle = lazy (Estimate.create db) in
+(** [estimates db q] costs every applicable strategy's optimized plan
+    by the statistics-backed {!Estimate} interpretation, adjusted by the
+    feedback correction table ({!Estimate.corrected_cost}) so
+    Guard-tripped plans sink to the back on repeat queries.
+    Nullability-safe strategies come first (a hard gate, not a cost
+    term), cheapest within each group; equal costs keep
+    {!Strategy.all} order. *)
+let estimates db (q : query) : estimate list =
+  let est = Estimate.create db in
   List.filter_map
     (fun strategy ->
       match Rewrite.rewrite db ~strategy q with
@@ -226,39 +123,26 @@ let estimates ?(mode = Cost) db (q : query) : estimate list =
             | Strategy.Unn -> unn_equi_safe db q
             | _ -> true
           in
-          let est_heur = cost db plan in
           let est_cost =
-            match mode with
-            | Heuristic -> est_heur
-            | Cost ->
-                Estimate.corrected_cost
-                  ~fingerprint:(Estimate.fingerprint plan)
-                  (Estimate.cost (Lazy.force handle) plan)
+            Estimate.corrected_cost
+              ~fingerprint:(Estimate.fingerprint plan)
+              (Estimate.cost est plan)
           in
-          Some { est_strategy = strategy; est_cost; est_heur; est_safe }
+          Some { est_strategy = strategy; est_cost; est_safe }
       | exception Strategy.Unsupported _ -> None)
     Strategy.all
-  |> List.sort (fun a b ->
+  |> List.stable_sort (fun a b ->
          match compare b.est_safe a.est_safe with
-         | 0 -> (
-             match compare a.est_cost b.est_cost with
-             | 0 -> compare a.est_heur b.est_heur
-             | c -> c)
+         | 0 -> compare a.est_cost b.est_cost
          | c -> c)
 
-(** [choose ?mode db q] is the estimated-cheapest applicable strategy.
+(** [choose db q] is the estimated-cheapest applicable strategy.
     Raises {!Strategy.Unsupported} when none applies (e.g. LIMIT). *)
-let choose ?mode db (q : query) : Strategy.t =
-  match estimates ?mode db q with
+let choose db (q : query) : Strategy.t =
+  match estimates db q with
   | { est_strategy; _ } :: _ -> est_strategy
   | [] -> Strategy.unsupported "no strategy can rewrite this query"
 
-(** [run db ?optimize ?lint ?werror ?budget ?fallback sql] is
-    {!Perm.run} with the strategy chosen by the cost model. Returns the
-    chosen strategy alongside the result. [?lint] / [?werror] gate the
-    plans exactly as in {!Perm.run}; [?budget] / [?fallback] govern the
-    execution as in {!Perm.run} (with fallback, the degradation order is
-    this module's ranking). *)
 (* Record an observed outcome for the chosen strategy's optimized plan
    in the estimate-correction table — the re-ranking signal for repeat
    queries (never a mid-query re-optimization). *)
@@ -272,7 +156,13 @@ let note_outcome db q strategy ~obs_rows ~tripped =
         ~est_rows:(Estimate.rows est plan) ~obs_rows ~tripped
   | exception Strategy.Unsupported _ -> ()
 
-let run db ?mode ?(optimize = true) ?(certify = false) ?(lint = false)
+(** [run db ?optimize ?lint ?werror ?budget ?fallback sql] is
+    {!Perm.run} with the strategy chosen by the cost model. Returns the
+    chosen strategy alongside the result. [?lint] / [?werror] gate the
+    plans exactly as in {!Perm.run}; [?budget] / [?fallback] govern the
+    execution as in {!Perm.run} (with fallback, later rungs follow the
+    ladder's static order). *)
+let run db ?(optimize = true) ?(certify = false) ?(lint = false)
     ?(werror = false) ?budget ?(fallback = false) sql :
     Strategy.t * Perm.result =
   let analyzed =
@@ -282,7 +172,7 @@ let run db ?mode ?(optimize = true) ?(certify = false) ?(lint = false)
   let q = analyzed.Sql_frontend.Analyzer.query in
   if analyzed.Sql_frontend.Analyzer.wants_provenance then begin
     let strategy =
-      Resilience.enter Resilience.Rewrite (fun () -> choose ?mode db q)
+      Resilience.enter Resilience.Rewrite (fun () -> choose db q)
     in
     let r =
       match
@@ -311,11 +201,3 @@ let run db ?mode ?(optimize = true) ?(certify = false) ?(lint = false)
     ( Strategy.Gen,
       Perm.run_query db ~optimize ~certify ~lint ~werror ?budget ~fallback
         ~provenance:false q )
-
-(* Install the cost-model ranking as the fallback ladder's degradation
-   order: safest first, cheapest within each group — exactly the order
-   of {!estimates}. Programs that link the advisor fall back along
-   estimated cost; others keep the static default. *)
-let () =
-  Resilience.strategy_ranking :=
-    fun db q -> List.map (fun e -> e.est_strategy) (estimates db q)

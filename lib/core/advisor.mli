@@ -1,38 +1,25 @@
 (** Cost-based strategy selection — the "provenance-aware cost model"
-    that the paper's evaluation proposes as future work. The model is a
-    coarse tuples-touched estimate whose only job is to rank the
-    strategies' rewritten plans, which differ by orders of magnitude. *)
+    that the paper's evaluation proposes as future work. The model is
+    {!Relalg.Estimate}, the statistics-backed estimator; its only job
+    here is to rank the strategies' rewritten plans, which differ by
+    orders of magnitude. The ranking picks the strategy under [auto];
+    it does not reorder the fallback ladder, which degrades in the
+    static order of {!Resilience.strategy_ranking} in every program. *)
 
 open Relalg
 
-(** Estimated output cardinality of a plan. *)
-val card : Database.t -> Algebra.query -> float
-
-(** Estimated cost (tuples touched) of evaluating a plan, accounting
-    for hash-joinable conditions and per-binding sublink memoization. *)
-val cost : Database.t -> Algebra.query -> float
-
 type estimate = {
   est_strategy : Strategy.t;
-  est_cost : float;  (** the ranking cost under the selected mode *)
-  est_heur : float;  (** the heuristic tuples-touched cost (tie-break) *)
+  est_cost : float;
+      (** the {!Relalg.Estimate} cost of the strategy's optimized plan,
+          corrected by observed feedback
+          ({!Relalg.Estimate.corrected_cost}) *)
   est_safe : bool;
       (** [false] only for Unn on a query where the {!Dataflow}
           nullability analysis cannot prove every [= ANY] equality
           NULL-free — its de-correlated equi-join is then ranked after
           the strategies that keep the original sublink semantics. *)
 }
-
-(** Ranking mode: [Cost] (default) ranks by the statistics-backed
-    {!Relalg.Estimate} interpretation of each strategy's optimized
-    plan, corrected by observed feedback ({!Relalg.Estimate.corrected_cost});
-    [Heuristic] is the escape hatch to the original coarse model.
-    Safety gates apply identically in both modes — they are hard
-    constraints, never cost terms. *)
-type mode = Cost | Heuristic
-
-val mode_to_string : mode -> string
-val mode_of_string : string -> mode option
 
 (** [unn_equi_safe db q]: no NULL can reach any [= ANY] equality of
     [q]'s sublinks, so Unn's two-valued equi-join is exact — proved by
@@ -42,16 +29,16 @@ val mode_of_string : string -> mode option
     NULL]). Gates [est_safe] for Unn. *)
 val unn_equi_safe : Database.t -> Algebra.query -> bool
 
-(** [estimates ?mode db q]: every applicable strategy's optimized-plan
+(** [estimates db q]: every applicable strategy's optimized-plan
     cost; nullability-safe strategies first, cheapest within each
-    group (heuristic cost breaks ties). *)
-val estimates : ?mode:mode -> Database.t -> Algebra.query -> estimate list
+    group; equal costs keep {!Strategy.all} order. *)
+val estimates : Database.t -> Algebra.query -> estimate list
 
-(** [choose ?mode db q] is the estimated-cheapest applicable strategy
+(** [choose db q] is the estimated-cheapest applicable strategy
     whose rewrite is nullability-safe (falling back to unsafe ones when
     nothing else applies); raises {!Strategy.Unsupported} when no
     strategy applies. *)
-val choose : ?mode:mode -> Database.t -> Algebra.query -> Strategy.t
+val choose : Database.t -> Algebra.query -> Strategy.t
 
 (** [run db ?optimize ?certify ?lint ?werror ?budget ?fallback sql] is
     {!Perm.run} with an advisor-chosen strategy; returns the strategy
@@ -65,14 +52,11 @@ val choose : ?mode:mode -> Database.t -> Algebra.query -> Strategy.t
     recorded in the {!Relalg.Estimate} feedback table keyed by the
     chosen plan's fingerprint, so repeated queries re-rank with
     corrected costs — re-ranking only, never mid-query
-    re-optimization.
-
-    Linking this module also installs the cost-model ranking as
-    {!Resilience.strategy_ranking}, so fallback everywhere degrades
-    along estimated cost (safe strategies first). *)
+    re-optimization. With [~fallback:true], the rungs after the chosen
+    one follow {!Resilience.strategy_ranking}, which this module leaves
+    as the static default. *)
 val run :
   Database.t ->
-  ?mode:mode ->
   ?optimize:bool ->
   ?certify:bool ->
   ?lint:bool ->

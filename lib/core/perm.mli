@@ -35,7 +35,8 @@ val rewrite :
     {!Resilience.Perm_error}. With [?budget] the evaluation runs under
     the {!Relalg.Guard} execution governor; with [~fallback:true] a
     strategy that is inapplicable or blows its budget degrades to the
-    next strategy of {!Resilience.strategy_ranking}. [?engine] picks
+    next strategy of {!Resilience.strategy_ranking}, the static order
+    Unn → Move → Left → Gen. [?engine] picks
     the evaluation engine for this call without touching the shared
     {!Eval.default_engine}; [?backoff] adds pauses between ladder
     attempts (see {!Resilience.run_ladder}). *)

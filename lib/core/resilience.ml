@@ -12,11 +12,10 @@
     The fallback ladder implements the degradation discipline the issue
     calls for: a strategy that is inapplicable or blows its budget is
     abandoned and the next-ranked strategy retried under a sub-budget.
-    The ranking is a hook: by default the static applicability order
-    Unn → Move → Left → Gen (cheapest rewrites first, the paper's
-    Section 4 ordering); {!Advisor} replaces it at initialization with
-    its cost-model ranking so programs that link the advisor fall back
-    along estimated cost, respecting the [est_safe] nullability gate. *)
+    The ranking is the static applicability order Unn → Move → Left →
+    Gen (cheapest rewrites first, the paper's Section 4 ordering), the
+    same in every program; it stays a ref only so that tests can
+    substitute an instrumented ranking. *)
 
 open Relalg
 
@@ -186,9 +185,9 @@ let jitter_stream seed =
     0.5 +. (0.5 *. (float_of_int !state /. float_of_int 0x40000000))
 
 let run_ladder db ~strategy ~budget ?backoff q f =
-  (* The rungs after [strategy]. Ranking costs trial rewrites (or the
-     Advisor's estimates), so it is deferred to the first abandoned
-     rung — unless a budget must be split across the rungs up front. *)
+  (* The rungs after [strategy]. Ranking costs trial rewrites, so it is
+     deferred to the first abandoned rung — unless a budget must be
+     split across the rungs up front. *)
   let later =
     lazy
       (List.filter

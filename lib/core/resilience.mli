@@ -67,9 +67,10 @@ val enter : phase -> (unit -> 'a) -> 'a
 (** {1 Fallback ladder} *)
 
 (** Ranking consulted by the ladder after the requested strategy fails:
-    defaults to the static applicability order Unn → Move → Left → Gen;
-    {!Advisor} installs its cost-model ranking (safe-first, cheapest
-    -first, respecting [est_safe] gating) at initialization. *)
+    the static order Unn → Move → Left → Gen, kept to the strategies
+    that can rewrite the query. No library code reassigns it, so the
+    ladder degrades in the same order in every program; tests may
+    substitute an instrumented ranking. *)
 val strategy_ranking : (Database.t -> Algebra.query -> Strategy.t list) ref
 
 (** One abandoned attempt: the strategy and why it was given up. *)

@@ -1,9 +1,9 @@
 (** Execution governor: resource budgets with cooperative checkpoints,
     and a deterministic fault-injection harness.
 
-    The engines call {!count_row} / {!count_rows} / {!count_pairs} /
-    {!tick} at operator boundaries and {!Faults.fire_point} at scan,
-    join and sublink boundaries. Both are designed for a near-free
+    The engines call {!count_rows} / {!count_pairs} / {!tick} at
+    operator boundaries and {!Faults.fire_point} at scan, join and
+    sublink boundaries. Both are designed for a near-free
     disabled path: a single domain-local load guards each, so unguarded
     execution pays one load-and-branch per checkpoint.
 
@@ -238,18 +238,6 @@ let slow_check dv path =
    path — no fetch-and-add) plus the local unflushed delta: exact when
    one domain runs (the common case), at worst [fuel_interval] late per
    extra domain otherwise. *)
-let count_row_slow dv path =
-  let st = dv.dv_state in
-  dv.dv_rows <- dv.dv_rows + 1;
-  if Atomic.get st.st_rows + dv.dv_rows > st.st_row_limit then
-    trip dv path (Rows_exceeded st.st_row_limit);
-  let f = dv.dv_fuel - 1 in
-  dv.dv_fuel <- f;
-  if f <= 0 then slow_check dv path
-
-let count_row path =
-  match cur () with None -> () | Some dv -> count_row_slow dv path
-
 let count_rows path n =
   match cur () with
   | None -> ()

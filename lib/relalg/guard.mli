@@ -138,9 +138,6 @@ val counts_rows : unit -> bool
 
 (** {1 Checkpoints} — called by the engines. *)
 
-(** [count_row path] records one produced row. *)
-val count_row : string list -> unit
-
 (** [count_rows path n] records [n] produced rows at once (bulk
     results) and performs a time/allocation check. *)
 val count_rows : string list -> int -> unit

@@ -169,7 +169,7 @@ let test_scope_nesting () =
     (Some (Guard.budget ~max_rows:1000 ()))
     (fun () ->
       Alcotest.(check bool) "active inside" true (Guard.is_active ());
-      Guard.count_row [ "outer" ];
+      Guard.count_rows [ "outer" ] 1;
       Alcotest.(check int) "outer counted" 1 (Guard.observed ()).Guard.c_rows;
       Guard.with_budget
         (Some (Guard.budget ~max_rows:5 ()))
