@@ -1559,13 +1559,7 @@ let serve_verify ~db ~mix ~port ~seed =
       | Provserver.Protocol.Result { r_rows; _ }, _ -> (
           match Perm.exec db ~strategy:Strategy.Gen ~fallback:true sql with
           | Perm.Rows r ->
-              let local =
-                List.map
-                  (fun t ->
-                    List.map Value.to_string
-                      (Array.to_list (t : Tuple.t :> Value.t array)))
-                  (Relation.tuples r.Perm.relation)
-              in
+              let local = List.map Tuple.render (Relation.tuples r.Perm.relation) in
               let norm rows = List.sort compare rows in
               if norm local <> norm r_rows then begin
                 incr bad;

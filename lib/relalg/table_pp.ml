@@ -11,9 +11,7 @@ let render ?(max_rows = 50) (rel : Relation.t) : string =
     | x :: rest -> x :: take (n - 1) rest
   in
   let shown = take max_rows all in
-  let rows =
-    List.map (fun t -> List.map Value.to_string (Tuple.to_list t)) shown
-  in
+  let rows = List.map Tuple.render shown in
   let ncols = List.length headers in
   let widths = Array.make ncols 0 in
   let measure row =

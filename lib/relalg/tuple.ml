@@ -65,6 +65,16 @@ let pp ppf (t : t) =
 
 let to_string t = Format.asprintf "%a" pp t
 
+(** [render t] is every value through {!Value.to_string}, in order: a
+    result row as the CLI table and the wire protocol show it. Built
+    from the array directly, one cons per value. *)
+let render (t : t) =
+  let row = ref [] in
+  for i = Array.length t - 1 downto 0 do
+    row := Value.to_string (Array.unsafe_get t i) :: !row
+  done;
+  !row
+
 (** Hashtbl key module over tuple identity. *)
 module Key = struct
   type nonrec t = t

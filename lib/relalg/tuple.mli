@@ -33,6 +33,10 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+(** [render t] renders every value with {!Value.to_string}, in order:
+    a result row as shown by the CLI table and sent over the wire. *)
+val render : t -> string list
+
 (** Hashtbl key module over tuple identity. *)
 module Key : Hashtbl.HashedType with type t = t
 

@@ -42,15 +42,96 @@ let zero_of = function
   | Vtype.TFloat -> Float 0.
   | ty -> type_clash "no zero for type %s" (Vtype.to_string ty)
 
+(** {1 Rendering}
+
+    Result rows are rendered value by value, so these two are the hot
+    loop of every served answer. Both produce exactly the bytes of
+    [string_of_int] and [Printf.sprintf "%.6g"] (plus the [".0"] rule),
+    without the format interpreter. *)
+
+(* Decimal digits written straight into one exact-length string. The
+   digits are produced from the non-positive form of [i], which,
+   unlike the positive one, exists for [min_int]. *)
+let int_to_string i =
+  let neg = if i < 0 then i else -i in
+  let rec width n k = if n > -10 then k else width (n / 10) (k + 1) in
+  let sign = if i < 0 then 1 else 0 in
+  let len = sign + width neg 1 in
+  let b = Bytes.create len in
+  if sign = 1 then Bytes.unsafe_set b 0 '-';
+  let n = ref neg in
+  for p = len - 1 downto sign do
+    Bytes.unsafe_set b p (Char.unsafe_chr (48 - (!n mod 10)));
+    n := !n / 10
+  done;
+  Bytes.unsafe_to_string b
+
+external format_float : string -> float -> string = "caml_format_float"
+
+(* [%.6g] through the C formatter, with the [".0"] rule: avoid "3",
+   which the SQL lexer would read back as an int. *)
+let format_g f =
+  let s = format_float "%.6g" f in
+  if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
+  then s
+  else s ^ ".0"
+
+let pow10 = [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9 |]
+let int_pow10 = [| 1; 10; 100; 1_000; 10_000; 100_000 |]
+
+(* digit [j] of the six-digit [d], most significant first *)
+let digit d j = d / Array.unsafe_get int_pow10 (5 - j) mod 10
+
+(* [format_g f], written directly when [f] renders positionally, that
+   is 1e-4 <= |f| < 1e6 after rounding to six significant digits.
+   [m = |f| * 10^k] is scaled into [1e5, 1e6] with one rounding (error
+   below 2^-53 relative, so below 2e-10), and its nearest integer [d]
+   is the six significant digits. Within 1e-9 of a rounding tie the
+   exact decimal expansion decides, so the C formatter is asked. *)
+let float_to_string f =
+  let a = Float.abs f in
+  if not (a >= 1e-4 && a < 1e6) then format_g f
+  else begin
+    let k = ref 0 in
+    while !k < 9 && a *. Array.unsafe_get pow10 !k < 1e5 do incr k done;
+    let m = a *. Array.unsafe_get pow10 !k in
+    let fl = Float.of_int (int_of_float m) in
+    if m < 1e5 || Float.abs (m -. fl -. 0.5) < 1e-9 then format_g f
+    else begin
+      let d = int_of_float m + if m -. fl > 0.5 then 1 else 0 in
+      (* a carry into a seventh digit moves the decimal exponent [x] *)
+      let carry = d >= 1_000_000 in
+      let d = if carry then d / 10 else d in
+      let x = (if carry then 6 else 5) - !k in
+      if x > 5 then format_g f
+      else begin
+        (* digits kept: trailing zeros dropped, but not the integer part *)
+        let last = ref 5 in
+        while !last > Int.max x 0 && digit d !last = 0 do decr last done;
+        let sign = if f < 0. then 1 else 0 in
+        (* "ddd.ddd" (at least one fraction digit, the [".0"] rule) or
+           "0.000ddd" *)
+        let len =
+          if x >= 0 then sign + x + 2 + Int.max 1 (!last - x) else sign + 2 - x + !last
+        in
+        let b = Bytes.make len '0' in
+        if sign = 1 then Bytes.unsafe_set b 0 '-';
+        Bytes.unsafe_set b (if x >= 0 then sign + x + 1 else sign + 1) '.';
+        for j = 0 to !last do
+          let pos =
+            if x < 0 then sign + 1 - x + j else if j <= x then sign + j else sign + j + 1
+          in
+          Bytes.unsafe_set b pos (Char.unsafe_chr (48 + digit d j))
+        done;
+        Bytes.unsafe_to_string b
+      end
+    end
+  end
+
 let to_string = function
   | Null -> "NULL"
-  | Int i -> string_of_int i
-  | Float f ->
-      (* Avoid "3." which the SQL lexer would not round-trip. *)
-      let s = Printf.sprintf "%.6g" f in
-      if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
-      then s
-      else s ^ ".0"
+  | Int i -> int_to_string i
+  | Float f -> float_to_string f
   | String s -> s
   | Bool b -> if b then "true" else "false"
 

@@ -37,6 +37,10 @@ val vtype_of : t -> Vtype.t option
 (** [zero_of ty] is the numeric zero of [ty]; raises on non-numeric. *)
 val zero_of : Vtype.t -> t
 
+(** Display rendering, as result rows show it: ints in decimal, floats
+    as [Printf.sprintf "%.6g"] with [".0"] appended when that reads as
+    an integer (["3"] becomes ["3.0"]), strings unquoted, [NULL] and
+    [true]/[false] as words. *)
 val to_string : t -> string
 
 (** SQL-literal rendering: strings quoted and escaped. *)

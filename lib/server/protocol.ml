@@ -71,84 +71,108 @@ type 'a recv = Got of 'a | Violated of violation | Closed
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let add_u8 b n = Buffer.add_char b (Char.chr (n land 0xff))
-let add_u32 b n = Buffer.add_int32_be b (Int32.of_int n)
-let add_f64 b f = Buffer.add_int64_be b (Int64.bits_of_float f)
+(* A frame is written into one buffer of its exact final size. Each
+   message's layout is described once, as a function over a writer:
+   [frame] runs it first over a counting writer, which only advances
+   its position, then over a writer into the frame it allocated from
+   that count. The frame is the only copy of the message. *)
 
-let add_string b s =
-  add_u32 b (String.length s);
-  Buffer.add_string b s
+type writer = { w_buf : bytes; mutable w_pos : int; w_counting : bool }
 
-let add_opt b add = function
-  | None -> add_u8 b 0
+let put_u8 w n =
+  if not w.w_counting then Bytes.set_uint8 w.w_buf w.w_pos (n land 0xff);
+  w.w_pos <- w.w_pos + 1
+
+let put_u32 w n =
+  if not w.w_counting then Bytes.set_int32_be w.w_buf w.w_pos (Int32.of_int n);
+  w.w_pos <- w.w_pos + 4
+
+let put_f64 w f =
+  if not w.w_counting then Bytes.set_int64_be w.w_buf w.w_pos (Int64.bits_of_float f);
+  w.w_pos <- w.w_pos + 8
+
+let put_string w s =
+  let n = String.length s in
+  put_u32 w n;
+  if not w.w_counting then Bytes.blit_string s 0 w.w_buf w.w_pos n;
+  w.w_pos <- w.w_pos + n
+
+let put_opt w put = function
+  | None -> put_u8 w 0
   | Some v ->
-      add_u8 b 1;
-      add v
+      put_u8 w 1;
+      put w v
 
-let add_list b add xs =
-  add_u32 b (List.length xs);
-  List.iter add xs
+let rec put_all w put = function
+  | [] -> ()
+  | x :: rest ->
+      put w x;
+      put_all w put rest
 
-let frame payload_of =
-  let b = Buffer.create 64 in
-  add_u8 b version;
-  payload_of b;
-  let payload = Buffer.contents b in
-  let out = Buffer.create (String.length payload + 4) in
-  add_u32 out (String.length payload);
-  Buffer.add_string out payload;
-  Buffer.to_bytes out
+let put_list w put xs =
+  put_u32 w (List.length xs);
+  put_all w put xs
+
+let frame body =
+  let counter = { w_buf = Bytes.empty; w_pos = 0; w_counting = true } in
+  body counter;
+  let len = 1 + counter.w_pos in
+  let w = { w_buf = Bytes.create (4 + len); w_pos = 0; w_counting = false } in
+  put_u32 w len;
+  put_u8 w version;
+  body w;
+  w.w_buf
 
 let encode_request r =
-  frame (fun b ->
+  frame (fun w ->
       match r with
-      | Ping -> add_u8 b 0x01
+      | Ping -> put_u8 w 0x01
       | Query sql ->
-          add_u8 b 0x02;
-          add_string b sql
+          put_u8 w 0x02;
+          put_string w sql
       | Set_strategy s ->
-          add_u8 b 0x03;
-          add_string b s
+          put_u8 w 0x03;
+          put_string w s
       | Set_engine e ->
-          add_u8 b 0x04;
-          add_string b e
+          put_u8 w 0x04;
+          put_string w e
       | Set_budget g ->
-          add_u8 b 0x05;
-          add_opt b (add_f64 b) g.Guard.g_timeout;
-          add_opt b (fun n -> add_u32 b n) g.Guard.g_max_rows;
-          add_opt b (fun n -> add_u32 b n) g.Guard.g_max_pairs;
-          add_opt b (add_f64 b) g.Guard.g_max_alloc_mb
+          put_u8 w 0x05;
+          put_opt w put_f64 g.Guard.g_timeout;
+          put_opt w put_u32 g.Guard.g_max_rows;
+          put_opt w put_u32 g.Guard.g_max_pairs;
+          put_opt w put_f64 g.Guard.g_max_alloc_mb
       | Load_snapshot name ->
-          add_u8 b 0x06;
-          add_string b name
-      | Stats -> add_u8 b 0x07)
+          put_u8 w 0x06;
+          put_string w name
+      | Stats -> put_u8 w 0x07)
 
 let encode_response r =
-  frame (fun b ->
+  frame (fun w ->
       match r with
-      | Pong -> add_u8 b 0x81
+      | Pong -> put_u8 w 0x81
       | Ok_msg m ->
-          add_u8 b 0x82;
-          add_string b m
+          put_u8 w 0x82;
+          put_string w m
       | Result { r_cols; r_rows; r_ladder } ->
-          add_u8 b 0x83;
-          add_list b (add_string b) r_cols;
-          add_list b (fun row -> add_list b (add_string b) row) r_rows;
-          add_opt b (add_string b) r_ladder
+          put_u8 w 0x83;
+          put_list w put_string r_cols;
+          put_list w (fun w row -> put_list w put_string row) r_rows;
+          put_opt w put_string r_ladder
       | Error_msg { e_phase; e_kind; e_msg } ->
-          add_u8 b 0x84;
-          add_string b e_phase;
-          add_string b e_kind;
-          add_string b e_msg
+          put_u8 w 0x84;
+          put_string w e_phase;
+          put_string w e_kind;
+          put_string w e_msg
       | Overloaded { retry_after } ->
-          add_u8 b 0x85;
-          add_f64 b retry_after
+          put_u8 w 0x85;
+          put_f64 w retry_after
       | Stats_msg kvs ->
-          add_u8 b 0x86;
-          add_list b
-            (fun (k, v) ->
-              add_string b k;
-              add_f64 b v)
+          put_u8 w 0x86;
+          put_list w
+            (fun w (k, v) ->
+              put_string w k;
+              put_f64 w v)
             kvs)
 
 (* ------------------------------------------------------------------ *)
@@ -157,23 +181,28 @@ let encode_response r =
 
 exception Bad of violation
 
+(* Each field is read after one check that it fits in the payload,
+   which is what makes the unchecked byte and string reads safe. *)
 type cursor = { c_buf : bytes; mutable c_pos : int }
 
 let need c n =
-  if c.c_pos + n > Bytes.length c.c_buf then
+  if n > Bytes.length c.c_buf - c.c_pos then
     raise (Bad (Malformed "field overruns frame"))
 
 let get_u8 c =
   need c 1;
-  let v = Char.code (Bytes.get c.c_buf c.c_pos) in
+  let v = Char.code (Bytes.unsafe_get c.c_buf c.c_pos) in
   c.c_pos <- c.c_pos + 1;
   v
 
 let get_u32 c =
   need c 4;
-  let v = Int32.to_int (Bytes.get_int32_be c.c_buf c.c_pos) land 0xffffffff in
-  c.c_pos <- c.c_pos + 4;
-  v
+  let b = c.c_buf and p = c.c_pos in
+  c.c_pos <- p + 4;
+  (Char.code (Bytes.unsafe_get b p) lsl 24)
+  lor (Char.code (Bytes.unsafe_get b (p + 1)) lsl 16)
+  lor (Char.code (Bytes.unsafe_get b (p + 2)) lsl 8)
+  lor Char.code (Bytes.unsafe_get b (p + 3))
 
 let get_f64 c =
   need c 8;
@@ -185,16 +214,25 @@ let get_string c =
   let n = get_u32 c in
   if n > max_frame then raise (Bad (Malformed "string length absurd"));
   need c n;
-  let s = Bytes.sub_string c.c_buf c.c_pos n in
+  let s = Bytes.create n in
+  Bytes.unsafe_blit c.c_buf c.c_pos s 0 n;
   c.c_pos <- c.c_pos + n;
-  s
+  Bytes.unsafe_to_string s
 
 let get_opt c get = if get_u8 c = 0 then None else Some (get c)
+
+(* [k] elements read in order into a list built front to back, one
+   cons per element. *)
+let[@tail_mod_cons] rec get_n c get k =
+  if k = 0 then []
+  else
+    let x = get c in
+    x :: get_n c get (k - 1)
 
 let get_list c get =
   let n = get_u32 c in
   if n > max_frame then raise (Bad (Malformed "list length absurd"));
-  List.init n (fun _ -> get c)
+  get_n c get n
 
 let finish c v =
   if c.c_pos <> Bytes.length c.c_buf then

@@ -297,15 +297,12 @@ let error_response (e : Resilience.error) =
 let render_result ~max_rows (r : Perm.result) =
   let rel = r.Perm.relation in
   let r_cols = Schema.names (Relation.schema rel) in
-  let tuples = Relation.tuples rel in
-  let n = List.length tuples in
-  let tuples = if n > max_rows then List.filteri (fun i _ -> i < max_rows) tuples else tuples in
-  let r_rows =
-    List.map
-      (fun t ->
-        List.map Value.to_string (Array.to_list (t : Tuple.t :> Value.t array)))
-      tuples
+  (* the first [max_rows] tuples, rendered as they are reached *)
+  let[@tail_mod_cons] rec rows k = function
+    | t :: rest when k > 0 -> Tuple.render t :: rows (k - 1) rest
+    | _ -> []
   in
+  let r_rows = rows max_rows (Relation.tuples rel) in
   let r_ladder =
     match r.Perm.ladder with
     | Some l when l.Resilience.lad_abandoned <> [] ->

@@ -1,5 +1,6 @@
 (* Relational substrate tests: values, schemas, relations, evaluator,
-   optimizer; qcheck properties for bag laws and ANY/ALL fast paths. *)
+   optimizer; qcheck properties for bag laws, ANY/ALL fast paths and
+   value rendering. *)
 
 open Relalg
 
@@ -144,6 +145,70 @@ let prop_bag_laws =
           && Relation.multiplicity it t = min (count xs v) (count ys v)
           && Relation.multiplicity d t = max 0 (count xs v - count ys v))
         [ 0; 1; 2; 3; 4 ])
+
+(* ------------------------------------------------------------------ *)
+(* Rendering: Value.to_string against the format interpreter          *)
+(* ------------------------------------------------------------------ *)
+
+(* The renderings [Value.to_string] must keep byte for byte: the wire
+   protocol and the CLI show rows through it. *)
+let ref_int = string_of_int
+
+let ref_float f =
+  let s = Printf.sprintf "%.6g" f in
+  if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
+  then s
+  else s ^ ".0"
+
+let int_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ 0; 1; -1; 9; 10; -10; 99; 100; min_int; max_int; min_int + 1; max_int - 1 ]);
+        (3, int);
+        (3, map (fun n -> n - 50_000) (0 -- 100_000));
+        (* every decimal width *)
+        (2, map2 (fun e n -> n * Int.shift_left 1 e) (0 -- 62) (-10 -- 10));
+      ])
+
+let prop_int_rendering =
+  QCheck.Test.make ~name:"Value.to_string on ints is string_of_int" ~count:5000
+    (QCheck.make int_gen ~print:string_of_int) (fun n ->
+      Value.to_string (Value.Int n) = ref_int n)
+
+(* Floats where a six-digit rendering is easy to get wrong: rounding
+   ties and their neighbours one ulp either side, two-decimal money
+   values, every decade from subnormals to 1e308, and the specials. *)
+let float_gen =
+  let open QCheck.Gen in
+  let signed g = map2 (fun neg f -> if neg then -.f else f) bool g in
+  let wiggle g =
+    map2 (fun d f -> match d with 0 -> Float.pred f | 1 -> f | _ -> Float.succ f) (0 -- 2) g
+  in
+  let tie =
+    map2
+      (fun d e -> (float_of_int d +. 0.5) /. (10. ** float_of_int e))
+      (100_000 -- 999_999) (-3 -- 12)
+  in
+  let money = map (fun c -> float_of_int c /. 100.) (0 -- 100_000_000) in
+  let decade = map2 (fun m e -> m *. (10. ** float_of_int e)) (float_bound_exclusive 10.) (-12 -- 12) in
+  let bits = map Int64.float_of_bits ui64 in
+  let special =
+    oneofl
+      [
+        0.; -0.; nan; infinity; neg_infinity; 1e300; -1e300; 5e-324; Float.min_float;
+        Float.pred Float.min_float; Float.max_float; 1e-4; 1e6; 999_999.5; 0.000_099_999_95;
+        1.; 100.; 123_456.; 1_234_567.;
+      ]
+  in
+  signed
+    (wiggle
+       (frequency [ (1, special); (4, tie); (3, money); (3, decade); (2, bits) ]))
+
+let prop_float_rendering =
+  QCheck.Test.make ~name:"Value.to_string on floats is %.6g with the .0 rule" ~count:20000
+    (QCheck.make float_gen ~print:(Printf.sprintf "%h")) (fun f ->
+      Value.to_string (Value.Float f) = ref_float f)
 
 (* ------------------------------------------------------------------ *)
 (* ANY/ALL fast path vs naive 3VL fold                                  *)
@@ -594,6 +659,6 @@ let () =
       qsuite "properties"
         [
           prop_bag_laws; prop_any_all_summary; prop_optimizer_equiv;
-          prop_simplify_equiv;
+          prop_simplify_equiv; prop_int_rendering; prop_float_rendering;
         ];
     ]

@@ -1,5 +1,6 @@
-(* The provenance server: wire-protocol codec roundtrips and decoder
-   totality (no payload may make the decoder raise), session isolation
+(* The provenance server: wire-protocol codec roundtrips, frame bytes
+   equal to a reference encoder's, and decoder totality (no payload,
+   truncated frame included, may make the decoder raise), session isolation
    over a shared snapshot store, epoch semantics (a swap mid-query
    serves the pinned epoch to completion; session DDL replays onto the
    new snapshot), admission control (a full queue sheds with a typed
@@ -83,6 +84,222 @@ let test_response_roundtrips () =
       Protocol.Stats_msg [ ("requests", 12.); ("shed", 0.) ];
       Protocol.Stats_msg [];
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Frame bytes: the sized-frame encoder against a reference            *)
+(* ------------------------------------------------------------------ *)
+
+(* The Buffer-based encoder the protocol used before frames were
+   written in one exact-size allocation. It defines the wire bytes:
+   [Protocol.encode_*] must reproduce them exactly. *)
+module Reference = struct
+  let add_u8 b n = Buffer.add_char b (Char.chr (n land 0xff))
+  let add_u32 b n = Buffer.add_int32_be b (Int32.of_int n)
+  let add_f64 b f = Buffer.add_int64_be b (Int64.bits_of_float f)
+
+  let add_string b s =
+    add_u32 b (String.length s);
+    Buffer.add_string b s
+
+  let add_opt b add = function
+    | None -> add_u8 b 0
+    | Some v ->
+        add_u8 b 1;
+        add v
+
+  let add_list b add xs =
+    add_u32 b (List.length xs);
+    List.iter add xs
+
+  let frame payload_of =
+    let b = Buffer.create 64 in
+    add_u8 b Protocol.version;
+    payload_of b;
+    let payload = Buffer.contents b in
+    let out = Buffer.create (String.length payload + 4) in
+    add_u32 out (String.length payload);
+    Buffer.add_string out payload;
+    Buffer.to_bytes out
+
+  let encode_request r =
+    frame (fun b ->
+        match r with
+        | Protocol.Ping -> add_u8 b 0x01
+        | Protocol.Query sql ->
+            add_u8 b 0x02;
+            add_string b sql
+        | Protocol.Set_strategy s ->
+            add_u8 b 0x03;
+            add_string b s
+        | Protocol.Set_engine e ->
+            add_u8 b 0x04;
+            add_string b e
+        | Protocol.Set_budget g ->
+            add_u8 b 0x05;
+            add_opt b (add_f64 b) g.Guard.g_timeout;
+            add_opt b (fun n -> add_u32 b n) g.Guard.g_max_rows;
+            add_opt b (fun n -> add_u32 b n) g.Guard.g_max_pairs;
+            add_opt b (add_f64 b) g.Guard.g_max_alloc_mb
+        | Protocol.Load_snapshot name ->
+            add_u8 b 0x06;
+            add_string b name
+        | Protocol.Stats -> add_u8 b 0x07)
+
+  let encode_response r =
+    frame (fun b ->
+        match r with
+        | Protocol.Pong -> add_u8 b 0x81
+        | Protocol.Ok_msg m ->
+            add_u8 b 0x82;
+            add_string b m
+        | Protocol.Result { r_cols; r_rows; r_ladder } ->
+            add_u8 b 0x83;
+            add_list b (add_string b) r_cols;
+            add_list b (fun row -> add_list b (add_string b) row) r_rows;
+            add_opt b (add_string b) r_ladder
+        | Protocol.Error_msg { e_phase; e_kind; e_msg } ->
+            add_u8 b 0x84;
+            add_string b e_phase;
+            add_string b e_kind;
+            add_string b e_msg
+        | Protocol.Overloaded { retry_after } ->
+            add_u8 b 0x85;
+            add_f64 b retry_after
+        | Protocol.Stats_msg kvs ->
+            add_u8 b 0x86;
+            add_list b
+              (fun (k, v) ->
+                add_string b k;
+                add_f64 b v)
+              kvs)
+end
+
+(* [decode_response] on the first [k] bytes of [p]: a typed violation,
+   never an exception and never a message. *)
+let prefix_violates p k =
+  match Protocol.decode_response (Bytes.sub p 0 k) with
+  | Error _ -> true
+  | Ok _ -> false
+  | exception _ -> false
+
+(* The three frame properties for one response: the bytes equal the
+   reference's; decoding gives back the same response (compared by
+   [compare], so NaN fields count as equal, and re-encoded, so the
+   float bits must survive); and the payload cut at each offset in
+   [cuts] is a typed violation. *)
+let frame_ok ?cuts r =
+  let f = Protocol.encode_response r in
+  let p = payload f in
+  let n = Bytes.length p in
+  let cuts = match cuts with Some c -> c n | None -> List.init n Fun.id in
+  Bytes.equal f (Reference.encode_response r)
+  && (match Protocol.decode_response p with
+     | Ok r' -> compare r' r = 0 && Bytes.equal (Protocol.encode_response r') f
+     | Error _ -> false)
+  && List.for_all (prefix_violates p) cuts
+
+let cell_gen = QCheck.Gen.(string_size ~gen:char (0 -- 10))
+
+let response_gen =
+  let open QCheck.Gen in
+  let float =
+    frequency
+      [ (4, float); (1, oneofl [ 0.; -0.; nan; infinity; neg_infinity; 5e-324 ]) ]
+  in
+  frequency
+    [
+      ( 6,
+        map3
+          (fun r_cols r_rows r_ladder -> Protocol.Result { r_cols; r_rows; r_ladder })
+          (list_size (0 -- 6) cell_gen)
+          (list_size (0 -- 12) (list_size (0 -- 6) cell_gen))
+          (opt cell_gen) );
+      (2, map (fun kvs -> Protocol.Stats_msg kvs) (list_size (0 -- 8) (pair cell_gen float)));
+      ( 2,
+        map3
+          (fun e_phase e_kind e_msg -> Protocol.Error_msg { e_phase; e_kind; e_msg })
+          cell_gen cell_gen cell_gen );
+      (1, map (fun retry_after -> Protocol.Overloaded { retry_after }) float);
+      (1, map (fun m -> Protocol.Ok_msg m) cell_gen);
+      (1, return Protocol.Pong);
+    ]
+
+let prop_frames_match_reference =
+  QCheck.Test.make ~name:"frames match the reference encoder" ~count:300
+    (QCheck.make response_gen ~print:(fun r ->
+         Bytes.to_string (Protocol.encode_response r) |> String.escaped))
+    (fun r -> frame_ok r)
+
+(* A provenance-shaped answer: 1 000 rows of 44 columns, the width of
+   a TPC-H Q15 provenance row. Its payload is about 300 KB and a cut
+   costs a decode up to the cut, so its cuts are every offset of the
+   first 2 KB and the last 128 bytes and every 4 099th between; the
+   random responses above are cut at every offset. *)
+let wide_result () =
+  let st = Random.State.make [| 16 |] in
+  let cell () = Value.to_string (Value.Int (Random.State.int st 1_000_000 - 1000)) in
+  Protocol.Result
+    {
+      r_cols = List.init 44 (Printf.sprintf "prov_t%d");
+      r_rows = List.init 1000 (fun _ -> List.init 44 (fun _ -> cell ()));
+      r_ladder = Some "left after gen: budget";
+    }
+
+let sparse_cuts n =
+  List.filter
+    (fun k -> k < 2048 || k >= n - 128 || k mod 4099 = 0)
+    (List.init n Fun.id)
+
+let test_frames_fixed () =
+  let check name ?cuts r = Alcotest.(check bool) name true (frame_ok ?cuts r) in
+  check "empty result" (Protocol.Result { r_cols = []; r_rows = []; r_ladder = None });
+  check "empty strings"
+    (Protocol.Result { r_cols = [ "" ]; r_rows = [ [ "" ]; [ "" ] ]; r_ladder = Some "" });
+  check "1000 x 44 result" ~cuts:sparse_cuts (wide_result ());
+  check "stats" (Protocol.Stats_msg [ ("requests", 12.); ("nan", nan); ("", -0.) ]);
+  check "error"
+    (Protocol.Error_msg { e_phase = "analyze"; e_kind = ""; e_msg = "unknown table" });
+  check "overloaded" (Protocol.Overloaded { retry_after = 0.25 });
+  check "pong" Protocol.Pong;
+  check "empty ok" (Protocol.Ok_msg "");
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        "request frame matches reference" true
+        (Bytes.equal (Protocol.encode_request r) (Reference.encode_request r)))
+    [
+      Protocol.Ping;
+      Protocol.Query "SELECT PROVENANCE * FROM r";
+      Protocol.Query "";
+      Protocol.Set_strategy "left";
+      Protocol.Set_engine "vectorized";
+      Protocol.Set_budget (Guard.budget ~timeout:2.5 ~max_rows:1000 ());
+      Protocol.Set_budget (Guard.budget ~max_pairs:7 ~max_alloc_mb:0.5 ());
+      Protocol.Load_snapshot "tpch";
+      Protocol.Stats;
+    ]
+
+(* Cut in the stream instead of the payload: a frame whose sender
+   vanishes after [k] bytes is [Closed] at 0, [Truncated] strictly
+   inside, and the whole payload at its end. *)
+let test_frame_cut_in_stream () =
+  let f = Protocol.encode_response (Protocol.Error_msg { e_phase = "p"; e_kind = "k"; e_msg = "m" }) in
+  let n = Bytes.length f in
+  for k = 0 to n do
+    let rd, wr = Unix.pipe ~cloexec:true () in
+    ignore (Unix.write wr f 0 k);
+    Unix.close wr;
+    let got = Protocol.recv_frame rd in
+    Unix.close rd;
+    let ok =
+      match got with
+      | Protocol.Closed -> k = 0
+      | Protocol.Violated Protocol.Truncated -> k > 0 && k < n
+      | Protocol.Got p -> k = n && Bytes.equal p (payload f)
+      | Protocol.Violated _ -> false
+    in
+    Alcotest.(check bool) (Printf.sprintf "stream cut at %d of %d" k n) true ok
+  done
 
 (* Every seeded malformed frame decodes to a typed result, and so does
    arbitrary garbage. *)
@@ -416,6 +633,11 @@ let () =
             test_decoder_total_seeded;
           Alcotest.test_case "violation fatality" `Quick test_violation_classes;
           QCheck_alcotest.to_alcotest ~long:false prop_decoder_total;
+          Alcotest.test_case "fixed frames match the reference" `Quick
+            test_frames_fixed;
+          Alcotest.test_case "frame cut in the stream" `Quick
+            test_frame_cut_in_stream;
+          QCheck_alcotest.to_alcotest ~long:false prop_frames_match_reference;
         ] );
       ( "sessions",
         [
