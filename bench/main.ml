@@ -11,7 +11,7 @@
      dune exec bench/main.exe                 -- quick run of everything
      dune exec bench/main.exe -- fig6 --instances 3 --timeout 10
      dune exec bench/main.exe -- fig7 --full
-     dune exec bench/main.exe -- fig7 --engine both --sizes 10,1000,20000
+     dune exec bench/main.exe -- fig7 --sizes 10,1000,20000
      dune exec bench/main.exe -- bechamel     -- statistically sampled
                                                  micro-benchmarks
 
@@ -22,9 +22,8 @@
    whose CrossBase would exceed a tuple budget instead of thrashing
    memory (reported as "excl").
 
-   --engine selects the execution engine (the vectorized columnar
-   engine, the reference tree walker, or "both" side by side); --domains and --batch-rows configure the
-   vectorized engine's morsel parallelism and batch size. Every
+   Every cell runs on the production (vectorized) engine; --domains and
+   --batch-rows configure its morsel parallelism and batch size. Every
    measured cell is also appended to a machine-readable JSON report
    (BENCH_eval.json by default, --json to override) together with the
    engine's EXPLAIN-ANALYZE-style counters, which travel back from the
@@ -179,8 +178,7 @@ let verify_prune_parity db q_plus plan =
   end
 
 (* Rewrite + typecheck + optimize + evaluate with counters — the same
-   pipeline as [Perm.run_query], but keeping the stats. Runs on the
-   engine currently selected by [Eval.default_engine]. [?prune] turns
+   pipeline as [Perm.run_query], but keeping the stats. [?prune] turns
    the optimizer's dead-column pruning pass off (the "unpruned" series
    of the prune benchmark). *)
 let run_with_stats db ~strategy ~provenance ?(prune = true) q : Eval.stats =
@@ -207,9 +205,8 @@ type jrecord = {
   jr_figure : string;
   jr_query : string;
   jr_series : string;  (* strategy, or "orig" *)
-  jr_engine : string;
-  jr_domains : int;  (* vectorized worker domains (1 for other engines) *)
-  jr_batch_rows : int;  (* vectorized batch size (its default otherwise) *)
+  jr_domains : int;  (* vectorized worker domains *)
+  jr_batch_rows : int;  (* vectorized batch size *)
   jr_params : (string * float) list;
   jr_outcome : outcome;
   jr_stats : Eval.stats option;
@@ -224,9 +221,7 @@ let record ~figure ~query ~series ~params (outcome, stats) =
       jr_figure = figure;
       jr_query = query;
       jr_series = series;
-      jr_engine = Eval.engine_name !Eval.default_engine;
-      jr_domains =
-        (if !Eval.default_engine = Eval.Vectorized then !Vexec.domains else 1);
+      jr_domains = !Vexec.domains;
       jr_batch_rows = !Vexec.batch_rows;
       jr_params = params;
       jr_outcome = outcome;
@@ -239,10 +234,9 @@ let json_of_record r =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf
-       "    {\"figure\": %S, \"query\": %S, \"series\": %S, \"engine\": %S, \
-        \"domains\": %d, \"batch_rows\": %d"
-       r.jr_figure r.jr_query r.jr_series r.jr_engine r.jr_domains
-       r.jr_batch_rows);
+       "    {\"figure\": %S, \"query\": %S, \"series\": %S, \"engine\": \
+        \"vectorized\", \"domains\": %d, \"batch_rows\": %d"
+       r.jr_figure r.jr_query r.jr_series r.jr_domains r.jr_batch_rows);
   List.iter
     (fun (k, v) ->
       Buffer.add_string b
@@ -284,25 +278,6 @@ let write_json () =
       output_string oc "\n  ]\n}\n";
       close_out oc;
       Printf.printf "\nwrote %s (%d records)\n" !json_path (List.length records)
-
-(* ------------------------------------------------------------------ *)
-(* Engine selection                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let engines_of_string = function
-  | "both" -> [ Eval.Vectorized; Eval.Reference ]
-  | s -> [ Eval.engine_of_string s ]
-
-(* Run [f] once per engine; the engine is set via [Eval.default_engine],
-   which the forked measurement children inherit. *)
-let per_engine engines f =
-  let saved = !Eval.default_engine in
-  List.iter
-    (fun e ->
-      Eval.default_engine := e;
-      f e)
-    engines;
-  Eval.default_engine := saved
 
 (* ------------------------------------------------------------------ *)
 (* Table printing                                                       *)
@@ -431,13 +406,12 @@ let fig6_one_scale ~timeout ~instances ~scale_label ~sf db =
     ~title:
       (Printf.sprintf
          "Figure 6(%s): TPC-H provenance runtime [s], sf=%.2f (%d tuples \
-          total) [%s engine]"
-         scale_label sf (Database.total_tuples db)
-         (Eval.engine_name !Eval.default_engine))
+          total)"
+         scale_label sf (Database.total_tuples db))
     ~header:[ "query"; "gen"; "left"; "move"; "unn+" ]
     rows
 
-let fig6 ~timeout ~instances ~scales ~engines () =
+let fig6 ~timeout ~instances ~scales () =
   Printf.printf
     "\n=== Figure 6: TPC-H queries with sublinks, per-strategy runtimes ===\n";
   Printf.printf
@@ -451,10 +425,9 @@ let fig6 ~timeout ~instances ~scales ~engines () =
   List.iteri
     (fun k sf ->
       let db = Tpch.Tpch_gen.generate ~sf () in
-      per_engine engines (fun _ ->
-          fig6_one_scale ~timeout ~instances
-            ~scale_label:(String.make 1 (Char.chr (Char.code 'a' + k)))
-            ~sf db))
+      fig6_one_scale ~timeout ~instances
+        ~scale_label:(String.make 1 (Char.chr (Char.code 'a' + k)))
+        ~sf db)
     scales
 
 (* ------------------------------------------------------------------ *)
@@ -529,22 +502,20 @@ let synthetic_figure ~timeout ~instances ~figure ~title ~sizes ~dims () =
       in
       print_table
         ~title:
-          (Printf.sprintf "%s — query %s [%s engine]" title template_name
-             (Eval.engine_name !Eval.default_engine))
+          (Printf.sprintf "%s — query %s" title template_name)
         ~header:("size" :: List.map series_label series)
         rows)
     [ `Q1; `Q2 ]
 
 let mk_synth ~figure ~banner ~title ~default_sizes ~full_sizes ~dims
-    ~timeout ~instances ~full ~sizes ~engines () =
+    ~timeout ~instances ~full ~sizes () =
   let sizes =
     match sizes with
     | Some sizes -> sizes
     | None -> if full then full_sizes else default_sizes
   in
   Printf.printf "%s" banner;
-  per_engine engines (fun _ ->
-      synthetic_figure ~timeout ~instances ~figure ~title ~sizes ~dims ())
+  synthetic_figure ~timeout ~instances ~figure ~title ~sizes ~dims ()
 
 let fig7 =
   mk_synth ~figure:"fig7"
@@ -709,7 +680,7 @@ let symbolic_bench ~timeout ~instances () =
    rewrites carry dead width: the SQL frontend's all-column renaming
    projections over wide TPC-H tables, and the synthetic q1/q2 Left and
    Gen plans. Recorded as figure "prune", series "pruned"/"unpruned". *)
-let prune_bench ~timeout ~instances ~sf ~engines () =
+let prune_bench ~timeout ~instances ~sf () =
   Printf.printf
     "\n\
      === Dead-column pruning (beyond paper): pruned vs unpruned rewritten \
@@ -728,61 +699,59 @@ let prune_bench ~timeout ~instances ~sf ~engines () =
   in
   (* generated once; the forked measurement children inherit it *)
   let tpch_db = Tpch.Tpch_gen.generate ~sf () in
-  per_engine engines (fun _ ->
-      let rows =
-        List.map
-          (fun (label, w) ->
-            let cell prune =
-              let params, mk =
-                match w with
-                | `Synth (template, strategy, n1, n2) ->
-                    ( [ ("n1", float_of_int n1); ("n2", float_of_int n2) ],
-                      fun k () ->
-                        let db =
-                          Synthetic.Workload.make_db ~seed:(k + 1) ~n1 ~n2 ()
-                        in
-                        let inst =
-                          match template with
-                          | `Q1 -> Synthetic.Workload.q1 ~seed:(k + 1) ~n1 ~n2 ()
-                          | `Q2 -> Synthetic.Workload.q2 ~seed:(k + 1) ~n1 ~n2 ()
-                        in
-                        let q = inst.Synthetic.Workload.query in
-                        fun () ->
-                          run_with_stats db ~strategy ~provenance:true ~prune q )
-                | `Tpch (number, strategy) ->
-                    ( [ ("sf", sf) ],
-                      fun k () ->
-                        let q =
-                          Tpch.Tpch_queries.instantiate ~seed:(100 + k) number
-                        in
-                        let analyzed =
-                          Sql_frontend.Analyzer.analyze_string tpch_db
-                            q.Tpch.Tpch_queries.sql
-                        in
-                        let algebra = analyzed.Sql_frontend.Analyzer.query in
-                        fun () ->
-                          run_with_stats tpch_db ~strategy ~provenance:true
-                            ~prune algebra )
-              in
-              fst
-                (record ~figure:"prune" ~query:label
-                   ~series:(if prune then "pruned" else "unpruned")
-                   ~params
-                   (measure ~timeout ~instances mk))
-              |> outcome_to_string
-            in
-            [ label; cell true; cell false ])
-          workloads
-      in
-      print_table
-        ~title:
-          (Printf.sprintf
-             "provenance runtime [s], optimizer with/without dead-column \
-              pruning (tpch sf=%.2f) [%s engine]"
-             sf
-             (Eval.engine_name !Eval.default_engine))
-        ~header:[ "query"; "pruned"; "unpruned" ]
-        rows)
+  let rows =
+    List.map
+      (fun (label, w) ->
+        let cell prune =
+          let params, mk =
+            match w with
+            | `Synth (template, strategy, n1, n2) ->
+                ( [ ("n1", float_of_int n1); ("n2", float_of_int n2) ],
+                  fun k () ->
+                    let db =
+                      Synthetic.Workload.make_db ~seed:(k + 1) ~n1 ~n2 ()
+                    in
+                    let inst =
+                      match template with
+                      | `Q1 -> Synthetic.Workload.q1 ~seed:(k + 1) ~n1 ~n2 ()
+                      | `Q2 -> Synthetic.Workload.q2 ~seed:(k + 1) ~n1 ~n2 ()
+                    in
+                    let q = inst.Synthetic.Workload.query in
+                    fun () ->
+                      run_with_stats db ~strategy ~provenance:true ~prune q )
+            | `Tpch (number, strategy) ->
+                ( [ ("sf", sf) ],
+                  fun k () ->
+                    let q =
+                      Tpch.Tpch_queries.instantiate ~seed:(100 + k) number
+                    in
+                    let analyzed =
+                      Sql_frontend.Analyzer.analyze_string tpch_db
+                        q.Tpch.Tpch_queries.sql
+                    in
+                    let algebra = analyzed.Sql_frontend.Analyzer.query in
+                    fun () ->
+                      run_with_stats tpch_db ~strategy ~provenance:true
+                        ~prune algebra )
+          in
+          fst
+            (record ~figure:"prune" ~query:label
+               ~series:(if prune then "pruned" else "unpruned")
+               ~params
+               (measure ~timeout ~instances mk))
+          |> outcome_to_string
+        in
+        [ label; cell true; cell false ])
+      workloads
+  in
+  print_table
+    ~title:
+      (Printf.sprintf
+         "provenance runtime [s], optimizer with/without dead-column \
+          pruning (tpch sf=%.2f)"
+         sf)
+    ~header:[ "query"; "pruned"; "unpruned" ]
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Execution governor: checkpoint overhead and censored cells           *)
@@ -802,14 +771,14 @@ let censored_cell ~seed =
     (Synthetic.Workload.q2 ~seed ~n1 ~n2 ()).Synthetic.Workload.query )
 
 (* Two measurements. (1) Overhead: the hot path (TPC-H Left provenance
-   on the vectorized engine by default) with the Guard checkpoints
+   on the vectorized engine) with the Guard checkpoints
    disabled vs armed with un-trippable ceilings — the delta is the cost
    of the governor's bookkeeping (row/pair counters plus an amortized
    clock read every 512 checkpoints). (2) A censored cell: the Gen
    rewrite of synthetic q2 at a size whose CrossBase blows a short
    budget, demonstrating that a run that previously went unbounded now
    trips cooperatively and is recorded as ">N s". *)
-let governor_bench ~timeout ~instances ~sf ~engines () =
+let governor_bench ~timeout ~instances ~sf () =
   Printf.printf
     "\n\
      === Execution governor: checkpoint overhead and censored cells ===\n\
@@ -842,67 +811,65 @@ let governor_bench ~timeout ~instances ~sf ~engines () =
      machine is one-sided (interference only ever adds time), so the
      minimum is the least-contaminated estimate of the true cost. *)
   let best xs = List.fold_left Float.min infinity xs in
-  per_engine engines (fun _ ->
-      let rows =
-        List.map
-          (fun number ->
-            let q = Tpch.Tpch_queries.instantiate ~seed:100 number in
-            let analyzed =
-              Sql_frontend.Analyzer.analyze_string tpch_db
-                q.Tpch.Tpch_queries.sql
-            in
-            let algebra = analyzed.Sql_frontend.Analyzer.query in
-            let work () =
-              run_with_stats tpch_db ~strategy:Strategy.Left ~provenance:true
-                algebra
-            in
-            ignore (work ());
-            (* warm-up, then size each round to >= ~25 ms so the clock's
-               granularity and scheduling jitter stay well below the
-               few-percent effect under measurement *)
-            let t0 = Unix.gettimeofday () in
-            ignore (work ());
-            let t1 = Unix.gettimeofday () -. t0 in
-            let reps =
-              min 5000 (max 10 (int_of_float (ceil (0.025 /. max 1e-6 t1))))
-            in
-            let samples =
-              List.init rounds (fun _ ->
-                  let tu = time_round false reps work in
-                  let tg = time_round true reps work in
-                  (tu, tg))
-            in
-            let tu = best (List.map fst samples)
-            and tg = best (List.map snd samples) in
-            let per_rep t = t /. float_of_int reps in
-            List.iter
-              (fun (series, t) ->
-                ignore
-                  (record ~figure:"governor"
-                     ~query:(Printf.sprintf "Q%d" number)
-                     ~series
-                     ~params:[ ("sf", sf); ("reps", float_of_int reps) ]
-                     (Time (per_rep t), None)))
-              [ ("unguarded", tu); ("guarded", tg) ];
-            let overhead = (tg -. tu) /. tu *. 100. in
-            [
-              Printf.sprintf "Q%d left" number;
-              Printf.sprintf "%.5f" (per_rep tu);
-              Printf.sprintf "%.5f" (per_rep tg);
-              Printf.sprintf "%+.1f%%" overhead;
-            ])
-          [ 11; 15; 16 ]
-      in
-      print_table
-        ~title:
-          (Printf.sprintf
-             "governor overhead: TPC-H Left provenance, per-evaluation \
-              best-of-%d rounds [s] (sf=%.2f) [%s engine]"
-             rounds
-             sf
-             (Eval.engine_name !Eval.default_engine))
-        ~header:[ "query"; "unguarded"; "guarded"; "overhead" ]
-        rows);
+  let rows =
+    List.map
+      (fun number ->
+        let q = Tpch.Tpch_queries.instantiate ~seed:100 number in
+        let analyzed =
+          Sql_frontend.Analyzer.analyze_string tpch_db
+            q.Tpch.Tpch_queries.sql
+        in
+        let algebra = analyzed.Sql_frontend.Analyzer.query in
+        let work () =
+          run_with_stats tpch_db ~strategy:Strategy.Left ~provenance:true
+            algebra
+        in
+        ignore (work ());
+        (* warm-up, then size each round to >= ~25 ms so the clock's
+           granularity and scheduling jitter stay well below the
+           few-percent effect under measurement *)
+        let t0 = Unix.gettimeofday () in
+        ignore (work ());
+        let t1 = Unix.gettimeofday () -. t0 in
+        let reps =
+          min 5000 (max 10 (int_of_float (ceil (0.025 /. max 1e-6 t1))))
+        in
+        let samples =
+          List.init rounds (fun _ ->
+              let tu = time_round false reps work in
+              let tg = time_round true reps work in
+              (tu, tg))
+        in
+        let tu = best (List.map fst samples)
+        and tg = best (List.map snd samples) in
+        let per_rep t = t /. float_of_int reps in
+        List.iter
+          (fun (series, t) ->
+            ignore
+              (record ~figure:"governor"
+                 ~query:(Printf.sprintf "Q%d" number)
+                 ~series
+                 ~params:[ ("sf", sf); ("reps", float_of_int reps) ]
+                 (Time (per_rep t), None)))
+          [ ("unguarded", tu); ("guarded", tg) ];
+        let overhead = (tg -. tu) /. tu *. 100. in
+        [
+          Printf.sprintf "Q%d left" number;
+          Printf.sprintf "%.5f" (per_rep tu);
+          Printf.sprintf "%.5f" (per_rep tg);
+          Printf.sprintf "%+.1f%%" overhead;
+        ])
+      [ 11; 15; 16 ]
+  in
+  print_table
+    ~title:
+      (Printf.sprintf
+         "governor overhead: TPC-H Left provenance, per-evaluation \
+          best-of-%d rounds [s] (sf=%.2f)"
+         rounds
+         sf)
+    ~header:[ "query"; "unguarded"; "guarded"; "overhead" ]
+    rows;
   let censor_timeout = Float.min timeout 2.0 in
   let o, _ =
     record ~figure:"governor" ~query:censored_query ~series:"gen"
@@ -1206,30 +1173,19 @@ let scales_arg =
     & opt (list float) [ 0.05; 0.2; 0.8; 3.2 ]
     & info [ "scales" ] ~doc:"TPC-H scale factors for Figure 6 (a-d).")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "engine" ] ~docv:"E"
-        ~doc:
-          "Execution engine: $(b,vectorized) (columnar batches, see \
-           --domains/--batch-rows; the default), $(b,reference) \
-           (tree-walking interpreter), or $(b,both) (vectorized + \
-           reference).")
-
 let domains_arg =
   Arg.(
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Worker domains for the $(b,vectorized) engine (morsel-driven \
-           parallelism); 1 runs sequentially.")
+          "Worker domains (morsel-driven parallelism); 1 runs \
+           sequentially.")
 
 let batch_rows_arg =
   Arg.(
     value & opt int !Vexec.batch_rows
     & info [ "batch-rows" ] ~docv:"N"
-        ~doc:"Rows per columnar batch for the $(b,vectorized) engine.")
+        ~doc:"Rows per columnar batch.")
 
 (* --domains/--batch-rows travel together; applied in [with_report]. *)
 let vec_args =
@@ -1260,46 +1216,39 @@ let prune_check_arg =
            pruning disabled and assert that the pruned and unpruned plans \
            produce identical results (roughly doubles evaluation work).")
 
-(* Parse --engine/--json/--lint-check/--prune-check (plus the
-   vectorized engine's --domains/--batch-rows), run the command body,
-   then flush the report. *)
-let with_report ?(lint = false) ?(prune = false) ?(vec = (1, !Vexec.batch_rows)) engine json
-    body =
+(* Apply --json/--lint-check/--prune-check (plus --domains/--batch-rows),
+   run the command body, then flush the report. *)
+let with_report ?(lint = false) ?(prune = false) ?(vec = (1, !Vexec.batch_rows))
+    json body =
   lint_check := lint;
   prune_check := prune;
   json_path := json;
   let domains, batch = vec in
   Vexec.domains := domains;
   Vexec.batch_rows := batch;
-  let engines =
-    try Option.fold ~none:[ !Eval.default_engine ] ~some:engines_of_string engine
-    with Invalid_argument msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-  in
-  body engines;
+  body ();
   write_json ()
 
 let fig6_cmd =
-  let run timeout instances scales engine vec json lint prune =
-    with_report ~lint ~prune ~vec engine json (fun engines ->
-        fig6 ~timeout ~instances ~scales ~engines ())
+  let run timeout instances scales vec json lint prune =
+    with_report ~lint ~prune ~vec json (fun () ->
+        fig6 ~timeout ~instances ~scales ())
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"TPC-H figure 6 (a-d)")
     Term.(
-      const run $ timeout_arg $ instances_arg $ scales_arg $ engine_arg
-      $ vec_args $ json_arg $ lint_check_arg $ prune_check_arg)
+      const run $ timeout_arg $ instances_arg $ scales_arg $ vec_args
+      $ json_arg $ lint_check_arg $ prune_check_arg)
 
 let mk_synth_cmd name doc f =
-  let run timeout instances full sizes engine vec json lint prune =
-    with_report ~lint ~prune ~vec engine json (fun engines ->
-        f ~timeout ~instances ~full ~sizes ~engines ())
+  let run timeout instances full sizes vec json lint prune =
+    with_report ~lint ~prune ~vec json (fun () ->
+        f ~timeout ~instances ~full ~sizes ())
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(
       const run $ timeout_arg $ instances_arg $ full_arg $ sizes_arg
-      $ engine_arg $ vec_args $ json_arg $ lint_check_arg $ prune_check_arg)
+      $ vec_args $ json_arg $ lint_check_arg $ prune_check_arg)
 
 let prune_cmd =
   let sf_arg =
@@ -1307,15 +1256,15 @@ let prune_cmd =
       value & opt float 1.0
       & info [ "sf" ] ~doc:"TPC-H scale factor for the prune benchmark.")
   in
-  let run timeout instances sf engine vec json lint prune =
-    with_report ~lint ~prune ~vec engine json (fun engines ->
-        prune_bench ~timeout ~instances ~sf ~engines ())
+  let run timeout instances sf vec json lint prune =
+    with_report ~lint ~prune ~vec json (fun () ->
+        prune_bench ~timeout ~instances ~sf ())
   in
   Cmd.v
     (Cmd.info "prune"
        ~doc:"Dead-column pruning: pruned vs unpruned rewritten plans")
     Term.(
-      const run $ timeout_arg $ instances_arg $ sf_arg $ engine_arg $ vec_args
+      const run $ timeout_arg $ instances_arg $ sf_arg $ vec_args
       $ json_arg $ lint_check_arg $ prune_check_arg)
 
 let ablation_cmd =
@@ -1326,8 +1275,7 @@ let ablation_cmd =
 
 let symbolic_cmd =
   let run timeout instances json =
-    with_report None json (fun _engines ->
-        symbolic_bench ~timeout ~instances ())
+    with_report json (fun () -> symbolic_bench ~timeout ~instances ())
   in
   Cmd.v
     (Cmd.info "symbolic"
@@ -1342,16 +1290,14 @@ let governor_cmd =
       value & opt float 0.4
       & info [ "sf" ] ~doc:"TPC-H scale factor for the overhead measurement.")
   in
-  let run timeout instances sf engine vec json =
-    with_report ~vec engine json (fun engines ->
-        governor_bench ~timeout ~instances ~sf ~engines ())
+  let run timeout instances sf vec json =
+    with_report ~vec json (fun () -> governor_bench ~timeout ~instances ~sf ())
   in
   Cmd.v
     (Cmd.info "governor"
        ~doc:"Execution governor: checkpoint overhead and censored cells")
     Term.(
-      const run $ timeout_arg $ instances_arg $ sf_arg $ engine_arg $ vec_args
-      $ json_arg)
+      const run $ timeout_arg $ instances_arg $ sf_arg $ vec_args $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzzing and rewrite certification                       *)
@@ -1983,7 +1929,7 @@ let estimate_cmd =
       & info [ "sf" ] ~doc:"TPC-H scale factor for the regret measurements.")
   in
   let run sf json =
-    with_report None json (fun _engines -> estimate_bench ~sf ())
+    with_report json (fun () -> estimate_bench ~sf ())
   in
   Cmd.v
     (Cmd.info "estimate"
@@ -1999,32 +1945,31 @@ let bechamel_cmd =
     (Cmd.info "bechamel" ~doc:"Statistically sampled micro-benchmarks")
     Term.(const run_bechamel $ const ())
 
-let all ~timeout ~instances ~full ~engines () =
-  fig6 ~timeout ~instances ~scales:[ 0.05; 0.2; 0.8; 3.2 ] ~engines ();
-  fig7 ~timeout ~instances ~full ~sizes:None ~engines ();
-  fig8 ~timeout ~instances ~full ~sizes:None ~engines ();
-  fig9 ~timeout ~instances ~full ~sizes:None ~engines ();
+let all ~timeout ~instances ~full () =
+  fig6 ~timeout ~instances ~scales:[ 0.05; 0.2; 0.8; 3.2 ] ();
+  fig7 ~timeout ~instances ~full ~sizes:None ();
+  fig8 ~timeout ~instances ~full ~sizes:None ();
+  fig9 ~timeout ~instances ~full ~sizes:None ();
   ablation ~timeout ~instances ();
   symbolic_bench ~timeout ~instances ();
-  prune_bench ~timeout ~instances ~sf:1.0 ~engines ();
+  prune_bench ~timeout ~instances ~sf:1.0 ();
   Printf.printf "\nDone. See EXPERIMENTS.md for the paper-vs-measured discussion.\n"
 
 let all_cmd =
-  let run timeout instances full engine json lint prune =
-    with_report ~lint ~prune engine json (fun engines ->
-        all ~timeout ~instances ~full ~engines ())
+  let run timeout instances full json lint prune =
+    with_report ~lint ~prune json (fun () -> all ~timeout ~instances ~full ())
   in
   Cmd.v
     (Cmd.info "all" ~doc:"All figures (default)")
     Term.(
-      const run $ timeout_arg $ instances_arg $ full_arg $ engine_arg $ json_arg
+      const run $ timeout_arg $ instances_arg $ full_arg $ json_arg
       $ lint_check_arg $ prune_check_arg)
 
 let default =
   Term.(
     const (fun () ->
-        with_report None "BENCH_eval.json" (fun engines ->
-            all ~timeout:5.0 ~instances:2 ~full:false ~engines ()))
+        with_report "BENCH_eval.json" (fun () ->
+            all ~timeout:5.0 ~instances:2 ~full:false ()))
     $ const ())
 
 let () =

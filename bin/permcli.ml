@@ -8,7 +8,6 @@
 
    REPL commands:  \d [table]    list tables / describe one
                    \strategy S   rewrite strategy (gen|left|move|unn|auto)
-                   \engine E     execution engine (vectorized|reference)
                    \plan         toggle plan printing
                    \timing       toggle timing
                    \stats        toggle EXPLAIN-ANALYZE-style counters
@@ -169,8 +168,8 @@ let execute_statement session sql =
 (* With \race / --race-check on, each statement runs with the
    vector-clock detector armed; unordered access pairs are reported as
    diagnostics (rule race-unordered-access) after the rows. Mostly
-   interesting with the vectorized engine and --domains > 1 — a
-   sequential statement trivially has no cross-domain accesses. *)
+   interesting with --domains > 1 — a sequential statement trivially
+   has no cross-domain accesses. *)
 let execute session sql =
   if not session.race_check then execute_statement session sql
   else begin
@@ -512,16 +511,6 @@ let handle_command session line =
           Printf.printf "strategy set to %s\n" s
       | exception Invalid_argument msg -> print_endline msg);
       `Continue
-  | [ "\\engine" ] ->
-      Printf.printf "engine: %s\n" (Eval.engine_name !Eval.default_engine);
-      `Continue
-  | [ "\\engine"; e ] ->
-      (match Eval.engine_of_string e with
-      | engine ->
-          Eval.default_engine := engine;
-          Printf.printf "engine set to %s\n" (Eval.engine_name engine)
-      | exception Invalid_argument msg -> print_endline msg);
-      `Continue
   | [ "\\influence" ] ->
       (match session.last_provenance with
       | None -> print_endline "no provenance result yet"
@@ -591,11 +580,8 @@ let handle_command session line =
       session.race_check <- not session.race_check;
       Printf.printf "race detector %s%s\n"
         (if session.race_check then "armed around statements" else "off")
-        (if
-           session.race_check
-           && (!Eval.default_engine <> Eval.Vectorized || !Vexec.domains <= 1)
-         then " (note: only the vectorized engine with --domains > 1 runs in \
-               parallel)"
+        (if session.race_check && !Vexec.domains <= 1 then
+           " (note: only --domains > 1 runs in parallel)"
          else "");
       `Continue
   | _ ->
@@ -641,9 +627,9 @@ let repl session =
 
 (* The shell as a network client of permserver: statements travel as
    [Query] frames, the session commands that have a wire counterpart
-   (\strategy, \engine, \budget) become typed requests, and connection
-   failures reconnect with jittered exponential backoff (seeded from
-   the pid so parallel shells desynchronize). *)
+   (\strategy, \budget) become typed requests, and connection failures
+   reconnect with jittered exponential backoff (seeded from the pid so
+   parallel shells desynchronize). *)
 
 let print_remote_table cols rows =
   let widths =
@@ -706,7 +692,6 @@ let remote_command cl line : [ `Quit | `Continue ] =
   | [ "\\ping" ] -> ignore (remote_request cl P.Ping)
   | [ "\\stats" ] -> ignore (remote_request cl P.Stats)
   | [ "\\strategy"; s ] -> ignore (remote_request cl (P.Set_strategy s))
-  | [ "\\engine"; e ] -> ignore (remote_request cl (P.Set_engine e))
   | [ "\\snapshot"; n ] -> ignore (remote_request cl (P.Load_snapshot n))
   | "\\budget" :: [ "off" ] ->
       ignore (remote_request cl (P.Set_budget Guard.unlimited))
@@ -736,7 +721,7 @@ let remote_command cl line : [ `Quit | `Continue ] =
                    ?max_pairs:!pairs ()))))
   | _ ->
       print_endline
-        "remote commands: \\ping \\stats \\strategy S \\engine E \\budget ... \
+        "remote commands: \\ping \\stats \\strategy S \\budget ... \
          \\snapshot NAME \\q");
   `Continue
 
@@ -776,7 +761,7 @@ let remote_repl cl =
 
 (* [remote_main] mirrors the local one-shot/script/REPL switch over the
    wire. Returns the exit code. *)
-let remote_main ~hostport ~exec ~file ~strategy ~engine ~timeout ~max_rows =
+let remote_main ~hostport ~exec ~file ~strategy ~timeout ~max_rows =
   match String.rindex_opt hostport ':' with
   | None ->
       prerr_endline "usage: --connect HOST:PORT";
@@ -796,7 +781,7 @@ let remote_main ~hostport ~exec ~file ~strategy ~engine ~timeout ~max_rows =
           let setup () =
             List.iter
               (fun req -> ignore (remote_request cl req))
-              (Provserver.Client.session_setup ~strategy ?engine
+              (Provserver.Client.session_setup ~strategy
                  (Guard.budget ?timeout ?max_rows ()))
           in
           let code =
@@ -888,30 +873,19 @@ let strategy_arg =
 
 let plan_arg = Arg.(value & flag & info [ "plan" ] ~doc:"Print executed plans.")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "engine" ] ~docv:"E"
-        ~doc:
-          "Execution engine: $(b,vectorized) (columnar batches, the \
-           default; see --domains and --batch-rows) or $(b,reference) \
-           (tree-walking interpreter). With $(b,--connect), a named engine is always \
-           sent to the session; absent, the server's default applies.")
-
 let domains_arg =
   Arg.(
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Worker domains for the $(b,vectorized) engine (morsel-driven \
-           parallelism); 1 runs sequentially.")
+          "Worker domains (morsel-driven parallelism); 1 runs \
+           sequentially.")
 
 let batch_rows_arg =
   Arg.(
     value & opt int !Vexec.batch_rows
     & info [ "batch-rows" ] ~docv:"N"
-        ~doc:"Rows per columnar batch for the $(b,vectorized) engine.")
+        ~doc:"Rows per columnar batch.")
 
 let lint_arg =
   Arg.(
@@ -985,7 +959,7 @@ let race_check_arg =
           "Arm the vector-clock race detector around every statement and \
            report unordered cross-domain access pairs as diagnostics (rule \
            $(b,race-unordered-access), both access paths included). Mostly \
-           interesting with $(b,--engine vectorized --domains N>1); \
+           interesting with $(b,--domains N>1); \
            toggleable at the prompt with \\\\race.")
 
 let share_lint_arg =
@@ -1027,7 +1001,7 @@ let connect_arg =
         ~doc:
           "Run as a client of a running $(b,permserver) instead of \
            evaluating locally: statements travel over the wire, \
-           $(b,--strategy)/$(b,--engine)/$(b,--timeout)/$(b,--max-rows) \
+           $(b,--strategy)/$(b,--timeout)/$(b,--max-rows) \
            configure the remote session, and connection failures \
            reconnect with jittered exponential backoff.")
 
@@ -1058,7 +1032,7 @@ let replay_bundle dir =
       Printf.eprintf "error: cannot read bundle: %s\n" msg;
       Stdlib.exit 2
 
-let main_inner tpch demo loads exec file strategy plan engine domains
+let main_inner tpch demo loads exec file strategy plan domains
     batch_rows lint certify replay lint_json explain_json werror race_check
     share_lint timeout max_rows fallback connect =
   if share_lint then Stdlib.exit (share_lint_json ());
@@ -1066,14 +1040,8 @@ let main_inner tpch demo loads exec file strategy plan engine domains
   (match connect with
   | Some hostport ->
       Stdlib.exit
-        (remote_main ~hostport ~exec ~file ~strategy ~engine ~timeout ~max_rows)
+        (remote_main ~hostport ~exec ~file ~strategy ~timeout ~max_rows)
   | None -> ());
-  (match Option.map Eval.engine_of_string engine with
-  | Some e -> Eval.default_engine := e
-  | None -> ()
-  | exception Invalid_argument msg ->
-      prerr_endline msg;
-      Stdlib.exit 2);
   Vexec.domains := max 1 domains;
   Vexec.batch_rows := max 1 batch_rows;
   let db = Database.create () in
@@ -1174,11 +1142,11 @@ let main_inner tpch demo loads exec file strategy plan engine domains
    error, 70 internal crash (EX_SOFTWARE). [Stdlib.exit] calls above
    raise [Exit_with] through this wrapper untouched ([exit] never
    returns); anything else escaping is by definition a crash. *)
-let main tpch demo loads exec file strategy plan engine domains
+let main tpch demo loads exec file strategy plan domains
     batch_rows lint certify replay lint_json explain_json werror race_check
     share_lint timeout max_rows fallback connect =
   try
-    main_inner tpch demo loads exec file strategy plan engine domains
+    main_inner tpch demo loads exec file strategy plan domains
       batch_rows lint certify replay lint_json explain_json werror race_check
       share_lint timeout max_rows fallback connect
   with
@@ -1197,9 +1165,8 @@ let cmd =
     (Cmd.info "permcli" ~doc:"SQL shell with Perm-style provenance")
     Term.(
       const main $ tpch_arg $ demo_arg $ load_arg $ exec_arg $ file_arg
-      $ strategy_arg $ plan_arg $ engine_arg $ domains_arg
-      $ batch_rows_arg $ lint_arg $ certify_arg $ replay_arg $ lint_json_arg
-      $ explain_json_arg $ werror_arg $ race_check_arg $ share_lint_arg
+      $ strategy_arg $ plan_arg $ domains_arg $ batch_rows_arg $ lint_arg
+      $ certify_arg $ replay_arg $ lint_json_arg $ explain_json_arg $ werror_arg $ race_check_arg $ share_lint_arg
       $ timeout_arg $ max_rows_arg $ fallback_arg $ connect_arg)
 
 (* cmdliner reports its own CLI parse failures as [term_err]; map them

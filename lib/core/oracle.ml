@@ -10,8 +10,12 @@
     Definition 2 which fixes every sublink's truth value).
 
     The implementation shares only the expression evaluator with the
-    rewriter, so agreement between [Eval (Rewrite q)] and [Oracle q] is a
-    meaningful end-to-end check of Theorems 1–4. *)
+    rewriter, and that evaluator is the reference tree walker
+    ([Eval.expr_reference]; aggregates and set-operation multiplicities
+    come from [Eval.query_reference]), never the production engine
+    ({!Vexec}) whose results it judges. So agreement between
+    [Eval (Rewrite q)] and [Oracle q] is a meaningful end-to-end check
+    of Theorems 1–4. *)
 
 open Relalg
 open Algebra
@@ -72,7 +76,7 @@ let rec rows db (env : Eval.env) (q : query) : prow list =
       List.concat_map
         (fun r ->
           let fenv = Eval.frame in_schema r.pt :: env in
-          if Value.is_true (Eval.expr db ~env:fenv cond) then
+          if Value.is_true (Eval.expr_reference db ~env:fenv cond) then
             List.map
               (fun w -> { pt = r.pt; pw = concat_w r.pw w })
               (witness_combos db fenv [ cond ])
@@ -85,7 +89,9 @@ let rec rows db (env : Eval.env) (q : query) : prow list =
         List.concat_map
           (fun r ->
             let fenv = Eval.frame in_schema r.pt :: env in
-            let pt = Tuple.of_list (List.map (Eval.expr db ~env:fenv) exprs) in
+            let pt =
+              Tuple.of_list (List.map (Eval.expr_reference db ~env:fenv) exprs)
+            in
             List.map
               (fun w -> { pt; pw = concat_w r.pw w })
               (witness_combos db fenv exprs))
@@ -111,7 +117,7 @@ let rec rows db (env : Eval.env) (q : query) : prow list =
             (fun rbr ->
               let pt = Tuple.concat ra.pt rbr.pt in
               let fenv = Eval.frame schema pt :: env in
-              if Value.is_true (Eval.expr db ~env:fenv cond) then
+              if Value.is_true (Eval.expr_reference db ~env:fenv cond) then
                 Some { pt; pw = concat_w ra.pw rbr.pw }
               else None)
             rb)
@@ -128,7 +134,7 @@ let rec rows db (env : Eval.env) (q : query) : prow list =
               (fun rbr ->
                 let pt = Tuple.concat ra.pt rbr.pt in
                 let fenv = Eval.frame schema pt :: env in
-                if Value.is_true (Eval.expr db ~env:fenv cond) then
+                if Value.is_true (Eval.expr_reference db ~env:fenv cond) then
                   Some { pt; pw = concat_w ra.pw rbr.pw }
                 else None)
               rb
@@ -143,7 +149,7 @@ let rec rows db (env : Eval.env) (q : query) : prow list =
           else hits)
         (rows db env a)
   | Agg ({ group_by; agg_input; _ } as spec) ->
-      let agg_rel = Eval.query ~env db (Agg spec) in
+      let agg_rel = Eval.query_reference ~env db (Agg spec) in
       let in_schema = input_schema db env agg_input in
       let in_rows = rows db env agg_input in
       let n_group = List.length group_by in
@@ -151,7 +157,7 @@ let rec rows db (env : Eval.env) (q : query) : prow list =
       let win = width db agg_input in
       let key_of r =
         let fenv = Eval.frame in_schema r.pt :: env in
-        Tuple.of_list (List.map (Eval.expr db ~env:fenv) group_exprs)
+        Tuple.of_list (List.map (Eval.expr_reference db ~env:fenv) group_exprs)
       in
       let group_positions = Array.init n_group (fun i -> i) in
       List.concat_map
@@ -176,7 +182,7 @@ let rec rows db (env : Eval.env) (q : query) : prow list =
       let all = left @ right in
       (match sem with Bag -> all | SetSem -> dedup all)
   | Inter (sem, a, b) ->
-      let result = Eval.query ~env db (Inter (sem, a, b)) in
+      let result = Eval.query_reference ~env db (Inter (sem, a, b)) in
       let ra = rows db env a and rb = rows db env b in
       List.concat_map
         (fun t ->
@@ -187,7 +193,7 @@ let rec rows db (env : Eval.env) (q : query) : prow list =
             wl)
         (Relation.tuples result)
   | Diff (sem, a, b) ->
-      let result = Eval.query ~env db (Diff (sem, a, b)) in
+      let result = Eval.query_reference ~env db (Diff (sem, a, b)) in
       let ra = rows db env a in
       let wb = width db b in
       List.concat_map
@@ -220,13 +226,13 @@ and witness_combos db fenv (exprs : expr list) : Value.t array list =
    rewriter's two-valued Jsub). *)
 and sublink_witnesses db fenv (s : sublink) : Value.t array list =
   let sub_rows = rows db fenv s.query in
-  let truth = Eval.expr db ~env:fenv (Sublink s) in
+  let truth = Eval.expr_reference db ~env:fenv (Sublink s) in
   let kept =
     match s.kind with
     | Exists | Scalar -> sub_rows
     | AnyOp (op, lhs) ->
         if Value.is_true truth then begin
-          let lv = Eval.expr db ~env:fenv lhs in
+          let lv = Eval.expr_reference db ~env:fenv lhs in
           List.filter
             (fun r -> Value.is_true (Eval.cmp3 op lv (Tuple.get r.pt 0)))
             sub_rows
@@ -234,7 +240,7 @@ and sublink_witnesses db fenv (s : sublink) : Value.t array list =
         else sub_rows
     | AllOp (op, lhs) ->
         if Value.is_false truth then begin
-          let lv = Eval.expr db ~env:fenv lhs in
+          let lv = Eval.expr_reference db ~env:fenv lhs in
           List.filter
             (fun r -> Value.is_false (Eval.cmp3 op lv (Tuple.get r.pt 0)))
             sub_rows

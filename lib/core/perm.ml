@@ -66,7 +66,7 @@ let optimize_step db ~optimize ~certify q =
       end
       else (Optimizer.optimize db q, None))
 
-let prov_pipeline db ~strategy ~engine ~optimize ~certify ~lint ~werror q :
+let prov_pipeline db ~strategy ~optimize ~certify ~lint ~werror q :
     result =
   ignore werror;
   let q_plus, provs =
@@ -84,62 +84,60 @@ let prov_pipeline db ~strategy ~engine ~optimize ~certify ~lint ~werror q :
     Resilience.enter Resilience.Rewrite (fun () ->
         Lint.fail_on (Provcheck.oracle_check db ~original:q plan));
   let relation =
-    Resilience.enter Resilience.Eval (fun () -> Eval.query ?engine db plan)
+    Resilience.enter Resilience.Eval (fun () -> Eval.query db plan)
   in
   { relation; provenance = provs; plan; ladder = None; certificate }
 
-let plain_pipeline db ~engine ~optimize ~certify ~lint q : result =
+let plain_pipeline db ~optimize ~certify ~lint q : result =
   let plan, certificate = optimize_step db ~optimize ~certify q in
   Resilience.enter Resilience.Optimize (fun () ->
       gate_plain db ~lint ~original:q plan);
   let relation =
-    Resilience.enter Resilience.Eval (fun () -> Eval.query ?engine db plan)
+    Resilience.enter Resilience.Eval (fun () -> Eval.query db plan)
   in
   { relation; provenance = []; plan; ladder = None; certificate }
 
 (* Evaluation of an analyzed query under the optional budget, with the
    strategy-fallback ladder when [fallback] is set on a provenance
    run. *)
-let run_analyzed db ~strategy ~engine ~optimize ~certify ~lint ~werror
+let run_analyzed db ~strategy ~optimize ~certify ~lint ~werror
     ~budget ~backoff ~fallback ~wants q : result =
   if wants then
     if fallback then begin
       let r, lad =
         Resilience.run_ladder db ~strategy ~budget ?backoff q (fun s ->
-            prov_pipeline db ~strategy:s ~engine ~optimize ~certify ~lint
-              ~werror q)
+            prov_pipeline db ~strategy:s ~optimize ~certify ~lint ~werror q)
       in
       { r with ladder = Some lad }
     end
     else
       Guard.with_budget budget (fun () ->
-          prov_pipeline db ~strategy ~engine ~optimize ~certify ~lint ~werror
-            q)
+          prov_pipeline db ~strategy ~optimize ~certify ~lint ~werror q)
   else
     Guard.with_budget budget (fun () ->
-        plain_pipeline db ~engine ~optimize ~certify ~lint q)
+        plain_pipeline db ~optimize ~certify ~lint q)
 
 (** [provenance db ?strategy ?optimize ?lint ?werror ?budget ?fallback q]
     evaluates the provenance of an algebra query directly. *)
-let provenance db ?(strategy = Strategy.Gen) ?engine ?(optimize = true)
+let provenance db ?(strategy = Strategy.Gen) ?(optimize = true)
     ?(certify = false) ?(lint = false) ?(werror = false) ?budget ?backoff
     ?(fallback = false) q =
   Resilience.enter Resilience.Analyze (fun () ->
       gate_source db ~lint ~werror q);
   let r =
-    run_analyzed db ~strategy ~engine ~optimize ~certify ~lint ~werror
+    run_analyzed db ~strategy ~optimize ~certify ~lint ~werror
       ~budget ~backoff ~fallback ~wants:true q
   in
   (r.relation, r.provenance)
 
 (** [run_query db ?strategy ?optimize ?lint ?werror ?budget ?fallback
     ~provenance q] is {!run} for an already-analyzed algebra query. *)
-let run_query db ?(strategy = Strategy.Gen) ?engine ?(optimize = true)
+let run_query db ?(strategy = Strategy.Gen) ?(optimize = true)
     ?(certify = false) ?(lint = false) ?(werror = false) ?budget ?backoff
     ?(fallback = false) ~provenance:wants q : result =
   Resilience.enter Resilience.Analyze (fun () ->
       gate_source db ~lint ~werror q);
-  run_analyzed db ~strategy ~engine ~optimize ~certify ~lint ~werror ~budget
+  run_analyzed db ~strategy ~optimize ~certify ~lint ~werror ~budget
     ~backoff ~fallback ~wants q
 
 (** [run db ?strategy ?optimize ?lint ?werror ?budget ?fallback sql]
@@ -148,7 +146,7 @@ let run_query db ?(strategy = Strategy.Gen) ?engine ?(optimize = true)
     applied first; with [~fallback:true] a strategy that is
     inapplicable or blows [budget] degrades to the next-ranked one.
     Failures raise {!Resilience.Perm_error}. *)
-let run db ?(strategy = Strategy.Gen) ?engine ?(optimize = true)
+let run db ?(strategy = Strategy.Gen) ?(optimize = true)
     ?(certify = false) ?(lint = false) ?(werror = false) ?budget ?backoff
     ?(fallback = false) sql : result =
   let analyzed =
@@ -156,7 +154,7 @@ let run db ?(strategy = Strategy.Gen) ?engine ?(optimize = true)
         Sql_frontend.Analyzer.analyze_string db sql)
   in
   let q = analyzed.Sql_frontend.Analyzer.query in
-  run_query db ~strategy ?engine ~optimize ~certify ~lint ~werror ?budget
+  run_query db ~strategy ~optimize ~certify ~lint ~werror ?budget
     ?backoff ~fallback
     ~provenance:analyzed.Sql_frontend.Analyzer.wants_provenance q
 
@@ -169,7 +167,7 @@ type exec_result =
   | Dropped of string
 
 (* Execute one already-parsed statement. *)
-let exec_parsed db ~strategy ~engine ~optimize ~certify ~lint ~werror ~budget
+let exec_parsed db ~strategy ~optimize ~certify ~lint ~werror ~budget
     ~backoff ~fallback stmt : exec_result =
   let analyze sel =
     Resilience.enter Resilience.Analyze (fun () ->
@@ -182,7 +180,7 @@ let exec_parsed db ~strategy ~engine ~optimize ~certify ~lint ~werror ~budget
   | Sql_frontend.Ast.Stmt_select sel ->
       let q, wants = analyze sel in
       Rows
-        (run_analyzed db ~strategy ~engine ~optimize ~certify ~lint ~werror
+        (run_analyzed db ~strategy ~optimize ~certify ~lint ~werror
            ~budget ~backoff ~fallback ~wants q)
   | Sql_frontend.Ast.Stmt_create_view (name, sel) ->
       let q, wants = analyze sel in
@@ -207,7 +205,7 @@ let exec_parsed db ~strategy ~engine ~optimize ~certify ~lint ~werror ~budget
   | Sql_frontend.Ast.Stmt_create_table_as (name, sel) ->
       let q, wants = analyze sel in
       let r =
-        run_analyzed db ~strategy ~engine ~optimize ~certify ~lint ~werror
+        run_analyzed db ~strategy ~optimize ~certify ~lint ~werror
           ~budget ~backoff ~fallback ~wants q
       in
       Database.add db name r.relation;
@@ -227,10 +225,10 @@ let exec_parsed db ~strategy ~engine ~optimize ~certify ~lint ~werror ~budget
     AS SELECT PROVENANCE ...] stores the *rewritten* query, so querying
     [v] later sees the provenance columns — Perm's "provenance as a
     view". [CREATE TABLE t AS ...] materializes the result. *)
-let exec db ?(strategy = Strategy.Gen) ?engine ?(optimize = true)
+let exec db ?(strategy = Strategy.Gen) ?(optimize = true)
     ?(certify = false) ?(lint = false) ?(werror = false) ?budget ?backoff
     ?(fallback = false) sql : exec_result =
-  exec_parsed db ~strategy ~engine ~optimize ~certify ~lint ~werror ~budget
+  exec_parsed db ~strategy ~optimize ~certify ~lint ~werror ~budget
     ~backoff ~fallback
     (Resilience.enter Resilience.Parse (fun () ->
          Sql_frontend.Parser.parse_statement sql))
@@ -239,11 +237,11 @@ let exec db ?(strategy = Strategy.Gen) ?engine ?(optimize = true)
     sql] runs a [;]-separated statement sequence, returning each
     statement's result in order. Execution stops at the first error
     (exception propagates). *)
-let exec_script db ?(strategy = Strategy.Gen) ?engine ?(optimize = true)
+let exec_script db ?(strategy = Strategy.Gen) ?(optimize = true)
     ?(certify = false) ?(lint = false) ?(werror = false) ?budget ?backoff
     ?(fallback = false) sql : exec_result list =
   List.map
-    (exec_parsed db ~strategy ~engine ~optimize ~certify ~lint ~werror
+    (exec_parsed db ~strategy ~optimize ~certify ~lint ~werror
        ~budget ~backoff ~fallback)
     (Resilience.enter Resilience.Parse (fun () ->
          Sql_frontend.Parser.parse_script sql))

@@ -36,14 +36,11 @@ val rewrite :
     the {!Relalg.Guard} execution governor; with [~fallback:true] a
     strategy that is inapplicable or blows its budget degrades to the
     next strategy of {!Resilience.strategy_ranking}, the static order
-    Unn → Move → Left → Gen. [?engine] picks
-    the evaluation engine for this call without touching the shared
-    {!Eval.default_engine}; [?backoff] adds pauses between ladder
+    Unn → Move → Left → Gen. [?backoff] adds pauses between ladder
     attempts (see {!Resilience.run_ladder}). *)
 val provenance :
   Database.t ->
   ?strategy:Strategy.t ->
-  ?engine:Eval.engine ->
   ?optimize:bool ->
   ?certify:bool ->
   ?lint:bool ->
@@ -62,7 +59,6 @@ val provenance :
 val run :
   Database.t ->
   ?strategy:Strategy.t ->
-  ?engine:Eval.engine ->
   ?optimize:bool ->
   ?certify:bool ->
   ?lint:bool ->
@@ -78,7 +74,6 @@ val run :
 val run_query :
   Database.t ->
   ?strategy:Strategy.t ->
-  ?engine:Eval.engine ->
   ?optimize:bool ->
   ?certify:bool ->
   ?lint:bool ->
@@ -105,7 +100,6 @@ type exec_result =
 val exec :
   Database.t ->
   ?strategy:Strategy.t ->
-  ?engine:Eval.engine ->
   ?optimize:bool ->
   ?certify:bool ->
   ?lint:bool ->
@@ -122,7 +116,6 @@ val exec :
 val exec_script :
   Database.t ->
   ?strategy:Strategy.t ->
-  ?engine:Eval.engine ->
   ?optimize:bool ->
   ?certify:bool ->
   ?lint:bool ->

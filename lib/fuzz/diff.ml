@@ -89,8 +89,7 @@ let check ?(budget = default_budget) (case : Qgen.case) : verdict =
                 Relation.tuples (Eval.query_reference db q))
           in
           let plain_vec =
-            guarded budget (fun () ->
-                Relation.tuples (Eval.query_vectorized db q))
+            guarded budget (fun () -> Relation.tuples (Eval.query db q))
           in
           let oracle =
             guarded budget (fun () -> Oracle.provenance db q)
@@ -115,7 +114,7 @@ let check ?(budget = default_budget) (case : Qgen.case) : verdict =
                             Relation.tuples (Eval.query_reference db plan)) );
                       ( "prov/" ^ name ^ "/vectorized",
                         guarded budget (fun () ->
-                            Relation.tuples (Eval.query_vectorized db plan)) );
+                            Relation.tuples (Eval.query db plan)) );
                     ])
               Strategy.all
             |> List.concat

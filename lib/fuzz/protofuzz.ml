@@ -75,7 +75,6 @@ let seed_frame rng =
       Protocol.Ping;
       Protocol.Query "SELECT a FROM r WHERE a > 1";
       Protocol.Set_strategy "left";
-      Protocol.Set_engine "reference";
       Protocol.Load_snapshot "synthetic";
       Protocol.Stats;
     |]

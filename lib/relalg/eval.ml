@@ -3,13 +3,16 @@
 
     Two engines implement the same semantics:
 
-    - the {e vectorized} engine ({!Vexec}) — the default — lowers the
-      plan once into columnar batch kernels and offset-resolved
-      closures and only moves values at run time;
+    - the {e vectorized} engine ({!Vexec}), the only production
+      engine, lowers the plan once into columnar batch kernels and
+      offset-resolved closures and only moves values at run time;
+      {!query}, {!query_stats} and {!expr} run it;
     - the {e reference} engine (this module's tree walker) interprets
       the AST per tuple, resolving attributes by name. It is the
       executable specification the vectorized engine is
-      property-tested against ({!query_reference} et al.).
+      property-tested against, reachable only through
+      {!query_reference}, {!query_stats_reference} and
+      {!expr_reference}.
 
     Design points that matter for reproducing the paper's performance
     shape (these mirror what PostgreSQL gives the original Perm, and
@@ -494,67 +497,28 @@ and eval_agg ctx here env { group_by; aggs; agg_input } : Relation.t =
 
 (** {1 Public API} *)
 
-(** Which engine {!query}, {!query_stats} and {!expr} dispatch to.
-    [Vectorized] (the production engine, {!Vexec}) is the default;
-    [Reference] selects the tree walker — permcli's and the benchmark
-    harness's [--engine] set this. *)
-type engine = Reference | Vectorized
-
-let default_engine = ref Vectorized
-
-let engine_name = function
-  | Reference -> "reference"
-  | Vectorized -> "vectorized"
-
-let engine_of_string = function
-  | "reference" -> Reference
-  | "vectorized" -> Vectorized
-  | s ->
-      invalid_arg
-        (Printf.sprintf "unknown engine %S (reference|vectorized)" s)
-
 let compile_env env = List.map (fun f -> (f.f_schema, f.f_tuple)) env
+
+(** [query db q] executes [q] with the columnar batch engine ({!Vexec};
+    worker count and batch size from {!Vexec.domains} /
+    {!Vexec.batch_rows}); [env] supplies outer frames for correlated
+    evaluation. *)
+let query ?(env = []) db q = Vexec.query ~env:(compile_env env) db q
 
 (** [query_reference db q] evaluates [q] with the reference tree walker. *)
 let query_reference ?(env = []) db q = eval_query (mk_ctx db) [] env q
 
-(** [query_vectorized db q] executes [q] with the columnar batch
-    engine (worker count and batch size from {!Vexec.domains} /
-    {!Vexec.batch_rows}). *)
-let query_vectorized ?(env = []) db q = Vexec.query ~env:(compile_env env) db q
-
-(** [query db q] evaluates [q] against [db] with a fresh context, using
-    [engine] when given, else the engine selected by {!default_engine}
-    (vectorized by default); [env] supplies outer frames for correlated
-    evaluation. The explicit parameter lets concurrent callers (the
-    provenance server's sessions) pick an engine per request without
-    mutating the shared default. *)
-let query ?engine ?(env = []) db q =
-  match Option.value engine ~default:!default_engine with
-  | Reference -> query_reference ~env db q
-  | Vectorized -> query_vectorized ~env db q
+(** [query_stats db q] additionally reports the execution counters —
+    an EXPLAIN-ANALYZE-style summary of how the plan ran. *)
+let query_stats ?(env = []) db q = Vexec.query_stats ~env:(compile_env env) db q
 
 let query_stats_reference ?(env = []) db q =
   let ctx = mk_ctx db in
   let rel = eval_query ctx [] env q in
   (rel, ctx.stats)
 
-let query_stats_vectorized ?(env = []) db q =
-  Vexec.query_stats ~env:(compile_env env) db q
-
-(** [query_stats db q] additionally reports the execution counters —
-    an EXPLAIN-ANALYZE-style summary of how the plan ran. *)
-let query_stats ?engine ?(env = []) db q =
-  match Option.value engine ~default:!default_engine with
-  | Reference -> query_stats_reference ~env db q
-  | Vectorized -> query_stats_vectorized ~env db q
+(** [expr db e] evaluates a scalar expression with the production
+    engine's expression compiler. *)
+let expr ?(env = []) db e = Vexec.expr ~env:(compile_env env) db e
 
 let expr_reference ?(env = []) db e = eval_expr (mk_ctx db) env e
-
-(** [expr db env e] evaluates a scalar expression (used by tests and the
-    provenance oracle), dispatching like {!query}; [Vectorized] runs the
-    production engine's expression compiler. *)
-let expr ?engine ?(env = []) db e =
-  match Option.value engine ~default:!default_engine with
-  | Vectorized -> Vexec.expr ~env:(compile_env env) db e
-  | Reference -> expr_reference ~env db e

@@ -1,11 +1,12 @@
 (** Evaluation entry points for the extended algebra of Figure 1.
 
     Two engines implement the same semantics: the {e vectorized}
-    engine ({!Vexec}, the default and the production engine) lowers
-    the plan once into columnar batch kernels and offset-resolved
-    closures; the {e reference} engine is the tree-walking interpreter
-    kept in this module as the executable specification. {!query}, {!query_stats} and {!expr} dispatch on
-    {!default_engine}.
+    engine ({!Vexec}, the production engine) lowers the plan once into
+    columnar batch kernels and offset-resolved closures, and {!query},
+    {!query_stats} and {!expr} run it; the {e reference} engine is the
+    tree-walking interpreter kept in this module as the executable
+    specification, reachable only through the [*_reference] entry
+    points — the ones the oracle and the differential checks use.
 
     Performance features shared by the engines, mirroring what
     PostgreSQL gives the original Perm: hash execution of equi-join
@@ -50,39 +51,16 @@ val summarize : Value.t list -> summary
 val any_of_summary : Algebra.cmpop -> Value.t -> summary -> Value.t
 val all_of_summary : Algebra.cmpop -> Value.t -> summary -> Value.t
 
-(** {1 Engine selection} *)
-
-(** [Reference] interprets the AST per tuple; [Vectorized] executes
-    columnar batch kernels, optionally across domains ({!Vexec}). *)
-type engine = Reference | Vectorized
-
-(** The engine used by {!query}, {!query_stats} and {!expr}. Defaults to
-    [Vectorized]; permcli's and the benchmark harness's [--engine] set
-    it when given. *)
-val default_engine : engine ref
-
-val engine_name : engine -> string
-
-(** [engine_of_string s] parses ["reference"|"vectorized"];
-    raises [Invalid_argument] otherwise. *)
-val engine_of_string : string -> engine
-
 (** {1 Evaluation} *)
 
-(** [query db q] evaluates [q] with a fresh memoization context, using
-    [engine] when given, else {!default_engine}; [env] supplies outer
-    frames for correlated evaluation. Concurrent callers (the server's
-    sessions) pass [engine] explicitly instead of mutating the shared
-    default. *)
-val query : ?engine:engine -> ?env:env -> Database.t -> Algebra.query -> Relation.t
+(** [query db q] evaluates [q] with the vectorized engine and a fresh
+    memoization context; [env] supplies outer frames for correlated
+    evaluation. Worker count and batch size come from {!Vexec.domains}
+    / {!Vexec.batch_rows}. *)
+val query : ?env:env -> Database.t -> Algebra.query -> Relation.t
 
-(** [query_reference db q] always uses the reference tree walker. *)
+(** [query_reference db q] evaluates [q] with the reference tree walker. *)
 val query_reference : ?env:env -> Database.t -> Algebra.query -> Relation.t
-
-(** [query_vectorized db q] always runs the columnar engine
-    ({!Vexec}); worker count and batch size come from
-    {!Vexec.domains} / {!Vexec.batch_rows}. *)
-val query_vectorized : ?env:env -> Database.t -> Algebra.query -> Relation.t
 
 (** Execution counters, in the spirit of EXPLAIN ANALYZE (shared between
     the engines via {!Sem}). *)
@@ -98,17 +76,13 @@ type stats = Sem.stats = {
 val stats_to_string : stats -> string
 
 (** [query_stats db q] also reports how the plan actually executed. *)
-val query_stats :
-  ?engine:engine -> ?env:env -> Database.t -> Algebra.query -> Relation.t * stats
+val query_stats : ?env:env -> Database.t -> Algebra.query -> Relation.t * stats
 
 val query_stats_reference :
   ?env:env -> Database.t -> Algebra.query -> Relation.t * stats
 
-val query_stats_vectorized :
-  ?env:env -> Database.t -> Algebra.query -> Relation.t * stats
-
-(** [expr db e] evaluates a scalar expression (sublinks allowed),
-    dispatching on [engine] when given, else {!default_engine}. *)
-val expr : ?engine:engine -> ?env:env -> Database.t -> Algebra.expr -> Value.t
+(** [expr db e] evaluates a scalar expression (sublinks allowed) with
+    the vectorized engine's expression compiler. *)
+val expr : ?env:env -> Database.t -> Algebra.expr -> Value.t
 
 val expr_reference : ?env:env -> Database.t -> Algebra.expr -> Value.t

@@ -91,9 +91,6 @@ let inventory =
       "report dedup set";
     entry "race" "seed_ref" "ref" (LockProtected "race.lock")
       "schedule seed carried into reports";
-    (* eval *)
-    entry "eval" "default_engine" "ref" InitOnce
-      "engine selection; set by the CLI before execution";
     (* rewrite_trace *)
     entry "rewrite_trace" "hook" "ref" DomainLocal
       "process-local tracer hook; installed and fired on the \

@@ -123,11 +123,10 @@ let request cl req =
   in
   go 0 "no attempt made"
 
-let session_setup ~strategy ?engine budget =
+let session_setup ~strategy budget =
   List.concat
     [
       (if strategy = "gen" || strategy = "auto" then []
        else [ Protocol.Set_strategy strategy ]);
-      (match engine with Some e -> [ Protocol.Set_engine e ] | None -> []);
       (if Relalg.Guard.is_unlimited budget then [] else [ Protocol.Set_budget budget ]);
     ]

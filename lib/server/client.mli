@@ -32,10 +32,8 @@ val reconnects : t -> int
 
 val close : t -> unit
 
-(** [session_setup ~strategy ?engine budget] — the requests that put a
-    fresh session into a client's command-line state before its first
+(** [session_setup ~strategy budget] — the requests that put a fresh
+    session into a client's command-line state before its first
     statement: the strategy unless it is the server's [gen] default (or
-    [auto]), the engine whenever one is named — the client cannot know
-    the server's default engine — and the budget unless unlimited. *)
-val session_setup :
-  strategy:string -> ?engine:string -> Relalg.Guard.budget -> Protocol.request list
+    [auto]), and the budget unless unlimited. *)
+val session_setup : strategy:string -> Relalg.Guard.budget -> Protocol.request list

@@ -26,7 +26,6 @@ type request =
   | Ping
   | Query of string
   | Set_strategy of string
-  | Set_engine of string
   | Set_budget of Guard.budget
   | Load_snapshot of string
   | Stats
@@ -133,9 +132,6 @@ let encode_request r =
       | Set_strategy s ->
           put_u8 w 0x03;
           put_string w s
-      | Set_engine e ->
-          put_u8 w 0x04;
-          put_string w e
       | Set_budget g ->
           put_u8 w 0x05;
           put_opt w put_f64 g.Guard.g_timeout;
@@ -256,7 +252,7 @@ let decode_request payload =
         | 0x01 -> Ping
         | 0x02 -> Query (get_string c)
         | 0x03 -> Set_strategy (get_string c)
-        | 0x04 -> Set_engine (get_string c)
+        (* 0x04 is retired, never reused: it decodes as [Bad_tag 0x04] *)
         | 0x05 ->
             let g_timeout = get_opt c get_f64 in
             let g_max_rows = get_opt c get_u32 in

@@ -359,7 +359,6 @@ let eval_query sv session sql =
                 inject ();
                 Perm.exec db
                   ~strategy:(Session.strategy session)
-                  ?engine:(Session.engine session)
                   ?budget ?backoff:sv.sv_cfg.c_backoff ~fallback:true sql
               in
               (* Pre-eval transient faults retry here with the same
@@ -403,13 +402,6 @@ let handle_request sv session (req : Protocol.request) =
       | st ->
           Session.set_strategy session st;
           Protocol.Ok_msg ("strategy " ^ s)
-      | exception Invalid_argument m ->
-          Protocol.Error_msg { e_phase = "protocol"; e_kind = "message"; e_msg = m })
-  | Protocol.Set_engine e -> (
-      match Eval.engine_of_string e with
-      | eng ->
-          Session.set_engine session (Some eng);
-          Protocol.Ok_msg ("engine " ^ e)
       | exception Invalid_argument m ->
           Protocol.Error_msg { e_phase = "protocol"; e_kind = "message"; e_msg = m })
   | Protocol.Set_budget b ->

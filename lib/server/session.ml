@@ -77,7 +77,6 @@ type t = {
   mutable s_db : Database.t;
   mutable s_ops : op list;  (* newest first; replayed in reverse *)
   mutable s_strategy : Strategy.t;
-  mutable s_engine : Eval.engine option;
   mutable s_budget : Guard.budget option;
 }
 
@@ -98,7 +97,7 @@ let overlay_of (snap : Database.t) ops =
     (List.rev ops);
   db
 
-let create ?(strategy = Strategy.Gen) ?engine st ~id =
+let create ?(strategy = Strategy.Gen) st ~id =
   let epoch, snap = snapshot st in
   {
     s_id = id;
@@ -107,7 +106,6 @@ let create ?(strategy = Strategy.Gen) ?engine st ~id =
     s_db = overlay_of snap [];
     s_ops = [];
     s_strategy = strategy;
-    s_engine = engine;
     s_budget = None;
   }
 
@@ -115,8 +113,6 @@ let id s = s.s_id
 let epoch_of s = s.s_epoch
 let strategy s = s.s_strategy
 let set_strategy s v = s.s_strategy <- v
-let engine s = s.s_engine
-let set_engine s v = s.s_engine <- v
 let budget s = s.s_budget
 let set_budget s v = s.s_budget <- v
 

@@ -31,9 +31,9 @@ val swaps : store -> int
 
 type t
 
-(** [create ?strategy ?engine st ~id] opens a session on the store's
-    current epoch. [engine = None] follows {!Eval.default_engine}. *)
-val create : ?strategy:Strategy.t -> ?engine:Eval.engine -> store -> id:int -> t
+(** [create ?strategy st ~id] opens a session on the store's current
+    epoch. *)
+val create : ?strategy:Strategy.t -> store -> id:int -> t
 
 val id : t -> int
 
@@ -42,8 +42,6 @@ val epoch_of : t -> int
 
 val strategy : t -> Strategy.t
 val set_strategy : t -> Strategy.t -> unit
-val engine : t -> Eval.engine option
-val set_engine : t -> Eval.engine option -> unit
 val budget : t -> Guard.budget option
 val set_budget : t -> Guard.budget option -> unit
 

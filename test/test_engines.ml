@@ -14,7 +14,7 @@
    - the synthetic workload q1/q2 instances, all applicable strategies;
    - all TPC-H sublink queries, all applicable strategies;
    - the benchmark's Figure 6-7 cells run through [Perm.exec] on the
-     default (vectorized) engine, against the reference walker's row
+     production (vectorized) engine, against the reference walker's row
      order and counters. *)
 
 open Relalg
@@ -63,7 +63,7 @@ let same_execution db plan =
     (fun cfg ->
       let rv =
         with_vec_config cfg (fun () ->
-            run (fun () -> Eval.query_vectorized db plan))
+            run (fun () -> Eval.query db plan))
       in
       match (rr, rv) with
       | Ok ra, Ok rb ->
@@ -78,7 +78,7 @@ let check_same msg db plan =
   List.iter
     (fun ((label, _, _) as cfg) ->
       let rv, sv =
-        with_vec_config cfg (fun () -> Eval.query_stats_vectorized db plan)
+        with_vec_config cfg (fun () -> Eval.query_stats db plan)
       in
       Alcotest.(check (list string))
         (Printf.sprintf "%s: vectorized[%s] schema" msg label)
@@ -198,7 +198,7 @@ let test_tpch_strategies () =
 (* The Figure 6-7 cells the benchmark's paper-figs workload runs, at
    test scale (TPC-H at the workload's scale factor, three instances
    per template; a smaller synthetic database): SQL through
-   [Perm.exec] with no [?engine], i.e. on the default engine. The
+   [Perm.exec], i.e. on the production engine. The
    answer must match the reference walker's rows in order (the server
    renders rows in order) and its execution counters. *)
 let figure_cells () =
@@ -265,33 +265,8 @@ let test_figure_cells_on_default () =
     (figure_cells ())
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch and error parity                                            *)
+(* Error parity                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let test_dispatch () =
-  let db = mk_db [ [ i 1; i 2 ] ] [ [ i 1; i 3 ] ] in
-  let q = Algebra.(Select (eq (attr "a") (int 1), Base "R")) in
-  let saved = !Eval.default_engine in
-  Eval.default_engine := Eval.Reference;
-  let a = Eval.query db q in
-  Eval.default_engine := Eval.Vectorized;
-  let c = Eval.query db q in
-  Eval.default_engine := saved;
-  Alcotest.(check bool) "same result vectorized" true (Relation.equal_bag a c);
-  Alcotest.(check string) "names" "reference" (Eval.engine_name Eval.Reference);
-  Alcotest.(check string)
-    "vectorized name" "vectorized"
-    (Eval.engine_name Eval.Vectorized);
-  Alcotest.(check bool) "parse" true (Eval.engine_of_string "reference" = Eval.Reference);
-  Alcotest.(check bool)
-    "parse vectorized" true
-    (Eval.engine_of_string "vectorized" = Eval.Vectorized);
-  Alcotest.(check bool)
-    "compiled is an unknown engine" true
-    (match Eval.engine_of_string "compiled" with
-    | _ -> false
-    | exception Invalid_argument m ->
-        String.starts_with ~prefix:"unknown engine" m)
 
 let test_error_parity () =
   let db = mk_db [ [ i 1; i 1 ]; [ i 2; i 2 ] ] [ [ i 1; i 1 ]; [ i 2; i 2 ] ] in
@@ -305,14 +280,14 @@ let test_error_parity () =
   Alcotest.(check string)
     "scalar cardinality error, vectorized"
     (msg_of (fun () -> Eval.query_reference db bad))
-    (msg_of (fun () -> Eval.query_vectorized db bad));
+    (msg_of (fun () -> Eval.query db bad));
   (* unknown attribute: runtime in the walker, lowering time in Vexec,
      same exception and message either way *)
   let ghost = Algebra.attr "ghost" in
   Alcotest.(check string)
     "unknown attribute error"
     (msg_of (fun () -> Eval.expr_reference db ghost))
-    (msg_of (fun () -> Eval.expr ~engine:Eval.Vectorized db ghost))
+    (msg_of (fun () -> Eval.expr db ghost))
 
 (* Correlated sublink bodies whose binding-independent subtrees the
    vectorized engine runs once per execution and replays for later
@@ -520,7 +495,7 @@ let test_replay_parity () =
            (fun ((label, _, _) as cfg) ->
              ( "vectorized[" ^ label ^ "]",
                fun db plan ->
-                 with_vec_config cfg (fun () -> Eval.query_stats_vectorized db plan) ))
+                 with_vec_config cfg (fun () -> Eval.query_stats db plan) ))
            vec_configs))
     (replay_cases ())
 
@@ -538,7 +513,7 @@ let test_vectorized_guard_trips () =
   let trip_of budget =
     with_vec_config ("d1/b64", 1, 64) (fun () ->
         match
-          Guard.with_budget (Some budget) (fun () -> Eval.query_vectorized db q)
+          Guard.with_budget (Some budget) (fun () -> Eval.query db q)
         with
         | _ -> None
         | exception Guard.Budget_exceeded t -> Some t)
@@ -570,7 +545,7 @@ let test_vectorized_guard_trips () =
          match
            Guard.with_budget
              (Some (Guard.budget ~timeout:0.0 ()))
-             (fun () -> Eval.query_vectorized tdb tq)
+             (fun () -> Eval.query tdb tq)
          with
          | _ -> None
          | exception Guard.Budget_exceeded t -> Some t)
@@ -588,7 +563,7 @@ let test_vectorized_guard_trips () =
         match
           Guard.with_budget
             (Some (Guard.budget ~max_rows:100 ()))
-            (fun () -> Eval.query_vectorized db q)
+            (fun () -> Eval.query db q)
         with
         | _ -> None
         | exception Guard.Budget_exceeded t -> Some t)
@@ -679,7 +654,6 @@ let () =
         [
           tc "synthetic workload, all strategies" `Quick test_workload_strategies;
           tc "tpch, all strategies" `Quick test_tpch_strategies;
-          tc "engine dispatch" `Quick test_dispatch;
           tc "error parity" `Quick test_error_parity;
           tc "correlated bodies with replayed subtrees" `Quick
             test_replay_parity;

@@ -1,7 +1,8 @@
 (* Execution governor and resilience: budget trips (every ceiling, with
    operator-path attribution), scope nesting, the deterministic
-   fault-injection matrix over 4 strategies x 2 engines (a fault at any
-   boundary yields a phase-attributed error, never a wrong answer), the
+   fault-injection matrix over 4 strategies on the production engine and
+   on the reference walker (a fault at any boundary yields a
+   phase-attributed error, never a wrong answer), the
    strategy-fallback ladder, the error taxonomy, CSV load errors with
    file:line attribution, and a qcheck property that a budget either
    trips or leaves the answer exactly as the unbudgeted run's. *)
@@ -30,42 +31,26 @@ let small_db () =
 
 let rows rel = List.map Tuple.to_list (Relation.sorted_tuples rel)
 
-let with_engine engine f =
-  let saved = !Eval.default_engine in
-  Eval.default_engine := engine;
-  Fun.protect ~finally:(fun () -> Eval.default_engine := saved) f
-
-(* Trip and fallback behavior is engine-specific (checkpoint and row
-   accounting granularity differ), so every test below names its
-   engines instead of inheriting the default: the production engine. *)
-let production_engines = [ Eval.Vectorized ]
-
-let on_production_engines f =
-  List.iter (fun e -> with_engine e (fun () -> f e)) production_engines
-
 (* ------------------------------------------------------------------ *)
 (* Budget trips: every ceiling, with a non-empty operator path          *)
 (* ------------------------------------------------------------------ *)
 
 let test_row_ceiling () =
   let db = small_db () in
-  on_production_engines (fun engine ->
-      match
-        Guard.with_budget
-          (Some (Guard.budget ~max_rows:2 ()))
-          (fun () -> Eval.query ~engine db (Algebra.Base "R"))
-      with
-      | _ -> Alcotest.failf "row ceiling did not trip (%s)" (Eval.engine_name engine)
-      | exception Guard.Budget_exceeded t ->
-          (match t.Guard.t_reason with
-          | Guard.Rows_exceeded 2 -> ()
-          | _ -> Alcotest.fail "wrong trip reason");
-          Alcotest.(check bool)
-            "trip names an operator" true
-            (t.Guard.t_path <> []);
-          Alcotest.(check bool)
-            "trip path mentions the scan" true
-            (String.length (Guard.path_to_string t.Guard.t_path) > 0))
+  match
+    Guard.with_budget
+      (Some (Guard.budget ~max_rows:2 ()))
+      (fun () -> Eval.query db (Algebra.Base "R"))
+  with
+  | _ -> Alcotest.fail "row ceiling did not trip"
+  | exception Guard.Budget_exceeded t ->
+      (match t.Guard.t_reason with
+      | Guard.Rows_exceeded 2 -> ()
+      | _ -> Alcotest.fail "wrong trip reason");
+      Alcotest.(check bool) "trip names an operator" true (t.Guard.t_path <> []);
+      Alcotest.(check bool)
+        "trip path mentions the scan" true
+        (String.length (Guard.path_to_string t.Guard.t_path) > 0)
 
 let test_pair_ceiling_preflight () =
   (* the reference walker knows both input cardinalities up front, so
@@ -74,49 +59,40 @@ let test_pair_ceiling_preflight () =
      counting checkpoint instead — both must stop the cross product *)
   let db = small_db () in
   let q = Algebra.Cross (Algebra.Base "R", Algebra.Base "S") in
-  let trip engine =
-    with_engine engine (fun () ->
-        match
-          Guard.with_budget
-            (Some (Guard.budget ~max_pairs:5 ()))
-            (fun () -> Eval.query db q)
-        with
-        | _ -> Alcotest.failf "pair ceiling did not trip (%s)"
-                 (Eval.engine_name engine)
-        | exception Guard.Budget_exceeded t -> t)
+  let trip label eval =
+    match
+      Guard.with_budget (Some (Guard.budget ~max_pairs:5 ())) (fun () -> eval db q)
+    with
+    | _ -> Alcotest.failf "pair ceiling did not trip (%s)" label
+    | exception Guard.Budget_exceeded t -> t
   in
-  let tr = trip Eval.Reference in
+  let tr = trip "reference" Eval.query_reference in
   (match tr.Guard.t_reason with
   | Guard.Pairs_exceeded 5 ->
       Alcotest.(check int) "preflight: no pairs enumerated" 0
         tr.Guard.t_counters.Guard.c_pairs
   | _ -> Alcotest.fail "wrong trip reason (reference)");
-  List.iter
-    (fun engine ->
-      match (trip engine).Guard.t_reason with
-      | Guard.Pairs_exceeded 5 -> ()
-      | _ -> Alcotest.failf "wrong trip reason (%s)" (Eval.engine_name engine))
-    production_engines
+  match (trip "vectorized" Eval.query).Guard.t_reason with
+  | Guard.Pairs_exceeded 5 -> ()
+  | _ -> Alcotest.fail "wrong trip reason (vectorized)"
 
 (* a workload big enough that the per-push fuel clock re-checks the
    wall clock / allocation meter at least once *)
-let heavy_gen_run ~engine ~budget () =
+let heavy_gen_run ~budget () =
   let n1 = 2000 and n2 = 300 in
   let db = Synthetic.Workload.make_db ~seed:3 ~n1 ~n2 () in
   let inst = Synthetic.Workload.q1 ~seed:3 ~n1 ~n2 () in
   Guard.with_budget (Some budget) (fun () ->
-      Perm.provenance db ~strategy:Strategy.Gen ~engine
-        inst.Synthetic.Workload.query)
+      Perm.provenance db ~strategy:Strategy.Gen inst.Synthetic.Workload.query)
 
 let test_timeout_trips () =
-  on_production_engines (fun engine ->
-      match heavy_gen_run ~engine ~budget:(Guard.budget ~timeout:0.0 ()) () with
-      | _ -> Alcotest.failf "timeout did not trip (%s)" (Eval.engine_name engine)
-      | exception Resilience.Perm_error
-          { e_detail = Resilience.Budget t; e_phase = Resilience.Eval } -> (
-          match t.Guard.t_reason with
-          | Guard.Timed_out _ -> ()
-          | _ -> Alcotest.fail "wrong trip reason"))
+  match heavy_gen_run ~budget:(Guard.budget ~timeout:0.0 ()) () with
+  | _ -> Alcotest.fail "timeout did not trip"
+  | exception Resilience.Perm_error
+      { e_detail = Resilience.Budget t; e_phase = Resilience.Eval } -> (
+      match t.Guard.t_reason with
+      | Guard.Timed_out _ -> ()
+      | _ -> Alcotest.fail "wrong trip reason")
 
 (* Regression: the reference walker must reach the clock through its
    per-row ticks alone. A sublink-free plan with a handful of operators
@@ -150,18 +126,13 @@ let test_reference_timeout () =
       | _ -> Alcotest.fail "wrong trip reason")
 
 let test_alloc_trips () =
-  on_production_engines (fun engine ->
-      match
-        heavy_gen_run ~engine ~budget:(Guard.budget ~max_alloc_mb:0.05 ()) ()
-      with
-      | _ ->
-          Alcotest.failf "allocation ceiling did not trip (%s)"
-            (Eval.engine_name engine)
-      | exception Resilience.Perm_error
-          { e_detail = Resilience.Budget t; e_phase = Resilience.Eval } -> (
-          match t.Guard.t_reason with
-          | Guard.Alloc_exceeded _ -> ()
-          | _ -> Alcotest.fail "wrong trip reason"))
+  match heavy_gen_run ~budget:(Guard.budget ~max_alloc_mb:0.05 ()) () with
+  | _ -> Alcotest.fail "allocation ceiling did not trip"
+  | exception Resilience.Perm_error
+      { e_detail = Resilience.Budget t; e_phase = Resilience.Eval } -> (
+      match t.Guard.t_reason with
+      | Guard.Alloc_exceeded _ -> ()
+      | _ -> Alcotest.fail "wrong trip reason")
 
 let test_scope_nesting () =
   Alcotest.(check bool) "inactive outside" false (Guard.is_active ());
@@ -201,11 +172,11 @@ let test_counts_rows_gating () =
    fallback tests below and the Figure 6-7 plans that replay the most
    (synthetic Gen q1/q2, TPC-H Q4 Unn and Q22 Gen). *)
 let test_row_totals_pinned () =
-  let charged engine db plan =
+  let charged db plan =
     Guard.with_budget
       (Some (Guard.budget ~max_rows:max_int ()))
       (fun () ->
-        ignore (Eval.query ~engine db plan);
+        ignore (Eval.query db plan);
         (Guard.observed ()).Guard.c_rows)
   in
   let plan_of db strategy sql =
@@ -246,13 +217,7 @@ let test_row_totals_pinned () =
   in
   List.iter
     (fun (label, db, plan, expected) ->
-      List.iter
-        (fun engine ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s rows charged (%s)" label
-               (Eval.engine_name engine))
-            expected (charged engine db plan))
-        production_engines)
+      Alcotest.(check int) (label ^ " rows charged") expected (charged db plan))
     [
       fallback_plan;
       synthetic_plan "Gen q1" "= ANY" 68_194;
@@ -265,62 +230,58 @@ let test_row_totals_pinned () =
 (* Fault matrix: 4 strategies x 2 engines                               *)
 (* ------------------------------------------------------------------ *)
 
-(* For every strategy and engine: count the fault-injection boundary
+(* For every strategy, on one engine: count the fault-injection boundary
    crossings N of a clean provenance run, then re-run once per k in
    1..N with a countdown fault armed at the k-th crossing. Every such
    run must either report a phase-attributed injected fault or return
-   exactly the clean result — a wrong answer is never acceptable. *)
-let fault_matrix engines () =
+   exactly the clean result — a wrong answer is never acceptable.
+   [prepare db ~strategy q] returns the run to repeat. *)
+let fault_matrix label prepare () =
   let n1 = 12 and n2 = 6 in
   let db = Synthetic.Workload.make_db ~seed:7 ~n1 ~n2 () in
   let inst = Synthetic.Workload.q1 ~seed:7 ~n1 ~n2 () in
   let q = inst.Synthetic.Workload.query in
   Fun.protect ~finally:Guard.Faults.disarm (fun () ->
       List.iter
-        (fun engine ->
-          with_engine engine (fun () ->
-              List.iter
-                (fun strategy ->
-                  let name =
-                    Printf.sprintf "%s/%s" (Eval.engine_name engine)
-                      (Strategy.to_string strategy)
-                  in
-                  let clean =
-                    let r = Perm.run_query db ~strategy ~provenance:true q in
-                    rows r.Perm.relation
-                  in
-                  (* learn N with a countdown that can never fire *)
-                  Guard.Faults.arm (Guard.Faults.Countdown max_int);
-                  ignore (Perm.run_query db ~strategy ~provenance:true q);
-                  let n = Guard.Faults.events () in
-                  Alcotest.(check bool)
-                    (name ^ ": boundaries crossed") true (n > 0);
-                  for k = 1 to n do
-                    Guard.Faults.arm (Guard.Faults.Countdown k);
-                    match Perm.run_query db ~strategy ~provenance:true q with
-                    | r ->
-                        (* the fault did not surface: the answer must
-                           still be the clean one *)
-                        Alcotest.(check (list (list string)))
-                          (Printf.sprintf "%s k=%d: result unchanged" name k)
-                          (List.map (List.map Value.to_string) clean)
-                          (List.map (List.map Value.to_string)
-                             (rows r.Perm.relation))
-                    | exception Resilience.Perm_error
-                        {
-                          e_phase = Resilience.Eval;
-                          e_detail = Resilience.Fault _;
-                        } ->
-                        ()
-                    | exception e ->
-                        Alcotest.failf "%s k=%d: unclassified escape: %s" name
-                          k (Printexc.to_string e)
-                  done)
-                [ Strategy.Gen; Strategy.Left; Strategy.Move; Strategy.Unn ]))
-        engines)
+        (fun strategy ->
+          let name = Printf.sprintf "%s/%s" label (Strategy.to_string strategy) in
+          let run = prepare db ~strategy q in
+          let clean = rows (run ()) in
+          (* learn N with a countdown that can never fire *)
+          Guard.Faults.arm (Guard.Faults.Countdown max_int);
+          ignore (run ());
+          let n = Guard.Faults.events () in
+          Alcotest.(check bool) (name ^ ": boundaries crossed") true (n > 0);
+          for k = 1 to n do
+            Guard.Faults.arm (Guard.Faults.Countdown k);
+            match run () with
+            | rel ->
+                (* the fault did not surface: the answer must still be
+                   the clean one *)
+                Alcotest.(check (list (list string)))
+                  (Printf.sprintf "%s k=%d: result unchanged" name k)
+                  (List.map (List.map Value.to_string) clean)
+                  (List.map (List.map Value.to_string) (rows rel))
+            | exception Resilience.Perm_error
+                { e_phase = Resilience.Eval; e_detail = Resilience.Fault _ } ->
+                ()
+            | exception e ->
+                Alcotest.failf "%s k=%d: unclassified escape: %s" name k
+                  (Printexc.to_string e)
+          done)
+        [ Strategy.Gen; Strategy.Left; Strategy.Move; Strategy.Unn ])
 
-let test_fault_matrix = fault_matrix [ Eval.Reference ]
-let test_fault_matrix_vectorized = fault_matrix [ Eval.Vectorized ]
+(* The walker leg runs the rewritten, optimized plan through the
+   reference walker, as the differential fuzzer does. *)
+let test_fault_matrix =
+  fault_matrix "reference" (fun db ~strategy q ->
+      let plan = Optimizer.optimize db (fst (Perm.rewrite db ~strategy q)) in
+      fun () ->
+        Resilience.enter Resilience.Eval (fun () -> Eval.query_reference db plan))
+
+let test_fault_matrix_vectorized =
+  fault_matrix "vectorized" (fun db ~strategy q () ->
+      (Perm.run_query db ~strategy ~provenance:true q).Perm.relation)
 
 let test_seeded_faults_deterministic () =
   let db = small_db () in
@@ -334,20 +295,15 @@ let test_seeded_faults_deterministic () =
   let scrub s =
     Str.global_replace (Str.regexp "sublink\\[[0-9]+\\]") "sublink[_]" s
   in
-  let outcome engine =
+  let outcome () =
     Guard.Faults.arm (Guard.Faults.Seeded 42);
-    match Perm.run_query db ~strategy:Strategy.Gen ~engine ~provenance:true q with
+    match Perm.run_query db ~strategy:Strategy.Gen ~provenance:true q with
     | r -> "ok:" ^ String.concat "|" (List.concat_map (List.map Value.to_string) (rows r.Perm.relation))
     | exception Resilience.Perm_error e ->
         "err:" ^ scrub (Resilience.error_to_string e)
   in
   Fun.protect ~finally:Guard.Faults.disarm (fun () ->
-      List.iter
-        (fun engine ->
-          Alcotest.(check string)
-            ("same seed, same outcome on " ^ Eval.engine_name engine)
-            (outcome engine) (outcome engine))
-        production_engines)
+      Alcotest.(check string) "same seed, same outcome" (outcome ()) (outcome ()))
 
 (* ------------------------------------------------------------------ *)
 (* Fallback ladder                                                      *)
@@ -362,10 +318,9 @@ let test_fallback_from_budget () =
   let db = Synthetic.Workload.make_db ~seed:2 ~n1 ~n2 () in
   let inst = Synthetic.Workload.q1 ~seed:2 ~n1 ~n2 () in
   let q = inst.Synthetic.Workload.query in
-  on_production_engines @@ fun engine ->
-  let unbounded = Perm.run_query db ~strategy:Strategy.Gen ~engine ~provenance:true q in
+  let unbounded = Perm.run_query db ~strategy:Strategy.Gen ~provenance:true q in
   let governed =
-    Perm.run_query db ~strategy:Strategy.Gen ~engine
+    Perm.run_query db ~strategy:Strategy.Gen
       ~budget:(Guard.budget ~max_rows:20_000 ())
       ~fallback:true ~provenance:true q
   in
@@ -399,10 +354,7 @@ let test_fallback_from_unsupported () =
   let db = Synthetic.Workload.make_db ~seed:9 ~n1 ~n2 () in
   let inst = Synthetic.Workload.q2 ~seed:9 ~n1 ~n2 () in
   let q = inst.Synthetic.Workload.query in
-  on_production_engines @@ fun engine ->
-  let r =
-    Perm.run_query db ~strategy:Strategy.Unn ~engine ~fallback:true ~provenance:true q
-  in
+  let r = Perm.run_query db ~strategy:Strategy.Unn ~fallback:true ~provenance:true q in
   let lad = Option.get r.Perm.ladder in
   Alcotest.(check bool)
     "Unn abandoned as unsupported" true
@@ -424,13 +376,12 @@ let test_no_fallback_propagates () =
   let n1 = 1000 and n2 = 300 in
   let db = Synthetic.Workload.make_db ~seed:2 ~n1 ~n2 () in
   let inst = Synthetic.Workload.q1 ~seed:2 ~n1 ~n2 () in
-  on_production_engines @@ fun engine ->
   match
-    Perm.run_query db ~strategy:Strategy.Gen ~engine
+    Perm.run_query db ~strategy:Strategy.Gen
       ~budget:(Guard.budget ~max_rows:20_000 ())
       ~provenance:true inst.Synthetic.Workload.query
   with
-  | _ -> Alcotest.failf "expected a budget error (%s)" (Eval.engine_name engine)
+  | _ -> Alcotest.fail "expected a budget error"
   | exception Resilience.Perm_error { e_detail = Resilience.Budget _; _ } -> ()
 
 (* The ladder consults the ranking hook only once a rung is abandoned:
@@ -560,15 +511,16 @@ let prop_trip_or_exact =
     (QCheck.triple
        (QCheck.int_range 1 40)
        (QCheck.int_bound (List.length budget_queries - 1))
-       (QCheck.oneofl [ Eval.Reference; Eval.Vectorized ]))
-    (fun (k, qi, engine) ->
+       QCheck.bool)
+    (fun (k, qi, walker) ->
+      let eval = if walker then Eval.query_reference else Eval.query in
       let db = small_db () in
       let q = List.nth budget_queries qi in
-      let clean = rows (Eval.query ~engine db q) in
+      let clean = rows (eval db q) in
       match
         Guard.with_budget
           (Some (Guard.budget ~max_rows:k ()))
-          (fun () -> Eval.query ~engine db q)
+          (fun () -> eval db q)
       with
       | rel -> rows rel = clean
       | exception Guard.Budget_exceeded _ -> true)

@@ -56,7 +56,6 @@ let test_request_roundtrips () =
       Protocol.Query "SELECT PROVENANCE * FROM r WHERE a = ANY (SELECT c FROM s)";
       Protocol.Query "";
       Protocol.Set_strategy "left";
-      Protocol.Set_engine "vectorized";
       Protocol.Set_budget (Guard.budget ~timeout:2.5 ~max_rows:1000 ());
       Protocol.Set_budget (Guard.budget ());
       Protocol.Set_budget (Guard.budget ~max_pairs:7 ~max_alloc_mb:0.5 ());
@@ -131,9 +130,6 @@ module Reference = struct
         | Protocol.Set_strategy s ->
             add_u8 b 0x03;
             add_string b s
-        | Protocol.Set_engine e ->
-            add_u8 b 0x04;
-            add_string b e
         | Protocol.Set_budget g ->
             add_u8 b 0x05;
             add_opt b (add_f64 b) g.Guard.g_timeout;
@@ -272,7 +268,6 @@ let test_frames_fixed () =
       Protocol.Query "SELECT PROVENANCE * FROM r";
       Protocol.Query "";
       Protocol.Set_strategy "left";
-      Protocol.Set_engine "vectorized";
       Protocol.Set_budget (Guard.budget ~timeout:2.5 ~max_rows:1000 ());
       Protocol.Set_budget (Guard.budget ~max_pairs:7 ~max_alloc_mb:0.5 ());
       Protocol.Load_snapshot "tpch";
@@ -320,7 +315,19 @@ let prop_decoder_total =
     QCheck.(string_of_size Gen.(0 -- 64))
     (fun s -> Fuzz.Protofuzz.decoder_total (Bytes.of_string s))
 
+(* Tag 0x04 is retired and never reused: a well-formed version-1 frame
+   carrying it, with the string field it once had. *)
+let retired_tag_frame () =
+  Reference.frame (fun b ->
+      Reference.add_u8 b 0x04;
+      Reference.add_string b "reference")
+
 let test_violation_classes () =
+  Alcotest.(check bool)
+    "retired tag 0x04 decodes to a recoverable Bad_tag" true
+    (Protocol.decode_request (payload (retired_tag_frame ()))
+     = Error (Protocol.Bad_tag 0x04)
+    && not (Protocol.fatal (Protocol.Bad_tag 0x04)));
   Alcotest.(check bool)
     "oversized is fatal" true
     (Protocol.fatal (Protocol.Oversized (Protocol.max_frame + 1)));
@@ -345,10 +352,8 @@ let test_session_isolation () =
   let s2 = Session.create st ~id:2 in
   Session.set_strategy s1 Strategy.Left;
   Session.set_budget s1 (Some (Guard.budget ~max_rows:10 ()));
-  Session.set_engine s1 (Some Eval.Reference);
   Alcotest.(check bool) "s2 strategy untouched" true (Session.strategy s2 = Strategy.Gen);
   Alcotest.(check bool) "s2 budget untouched" true (Session.budget s2 = None);
-  Alcotest.(check bool) "s2 engine untouched" true (Session.engine s2 = None);
   (* DDL in s1 stays invisible to s2 *)
   let res =
     Perm.exec (Session.db s1) "CREATE VIEW v AS SELECT a FROM r WHERE a > 1"
@@ -495,46 +500,30 @@ let test_drain () =
       | _ -> Alcotest.fail "drained server answered a new connection")
   | exception _ -> ()
 
-(* A client that names an engine configures its session with it: the
-   client cannot know the server's default engine, so it never skips
-   the request. With no engine named, the session keeps the server's.
-   An engine the server does not know gets a typed error, and the
-   session keeps answering. *)
-let test_named_engine_reaches_session () =
-  let reqs = Client.session_setup ~strategy:"gen" ~engine:"reference" Guard.unlimited in
-  Alcotest.(check bool)
-    "only Set_engine reference" true
-    (reqs = [ Protocol.Set_engine "reference" ]);
-  Alcotest.(check bool)
-    "no engine named, no request" true
-    (Client.session_setup ~strategy:"gen" Guard.unlimited = []);
+(* The retired tag on a live connection: the server answers it with a
+   typed protocol error and the same connection serves the next
+   query. *)
+let test_retired_tag_served () =
   let sv = Server.start (Server.config ~port:0 (small_db ())) in
   Fun.protect
     ~finally:(fun () -> Server.stop sv)
     (fun () ->
-      let cl = Client.create ~host:"127.0.0.1" ~port:(Server.port sv) () in
+      let fd = connect (Server.port sv) in
       Fun.protect
-        ~finally:(fun () -> Client.close cl)
+        ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          List.iter
-            (fun req ->
-              match Client.request cl req with
-              | Protocol.Ok_msg m, _ ->
-                  Alcotest.(check string) "session switched" "engine reference" m
-              | _ -> Alcotest.fail "Set_engine was not acknowledged")
-            reqs;
-          (match Client.request cl (Protocol.Set_engine "compiled") with
-          | Protocol.Error_msg { e_phase; e_msg; _ }, _ ->
+          let f = retired_tag_frame () in
+          ignore (Unix.write fd f 0 (Bytes.length f));
+          (match Protocol.recv_response fd with
+          | Protocol.Got (Protocol.Error_msg { e_phase; e_kind; _ }) ->
               Alcotest.(check string) "typed protocol error" "protocol" e_phase;
-              Alcotest.(check bool)
-                "names the unknown engine" true
-                (String.starts_with ~prefix:"unknown engine" e_msg)
-          | _ -> Alcotest.fail "Set_engine compiled was not refused");
-          match Client.request cl (Protocol.Query "SELECT a FROM r") with
-          | Protocol.Result { r_rows; _ }, _ ->
-              Alcotest.(check int) "query runs on the session's engine" 3
+              Alcotest.(check string) "a violation" "violation" e_kind
+          | _ -> Alcotest.fail "retired tag got no typed error");
+          match ask fd (Protocol.Query "SELECT a FROM r") with
+          | Protocol.Result { r_rows; _ } ->
+              Alcotest.(check int) "connection still serves queries" 3
                 (List.length r_rows)
-          | _ -> Alcotest.fail "query failed after Set_engine"))
+          | _ -> Alcotest.fail "query failed after the retired tag"))
 
 (* ------------------------------------------------------------------ *)
 (* Ladder backoff                                                      *)
@@ -651,8 +640,8 @@ let () =
           Alcotest.test_case "admission shed is typed and prompt" `Quick
             test_admission_shed;
           Alcotest.test_case "graceful drain" `Quick test_drain;
-          Alcotest.test_case "named engine reaches the session" `Quick
-            test_named_engine_reaches_session;
+          Alcotest.test_case "retired tag gets a typed error" `Quick
+            test_retired_tag_served;
         ] );
       ( "backoff",
         [
