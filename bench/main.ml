@@ -1350,7 +1350,7 @@ let fuzz_cmd =
    scheduler with the vector-clock race detector armed; detector
    reports or parity divergence fail the case, which is shrunk under
    its exact schedule seed. Exit 1 on any failure, so CI can gate on it. *)
-let racefuzz_campaign ~seed ~count ~domains ~json () =
+let racefuzz_campaign ~seed ~count ~domains () =
   let t0 = Unix.gettimeofday () in
   Printf.printf "racefuzz: seed %d, %d cases, up to %d domains\n%!" seed count
     domains;
@@ -1360,9 +1360,6 @@ let racefuzz_campaign ~seed ~count ~domains ~json () =
   let stats = Fuzz.Racefuzz.campaign ~seed ~count ~domains ~progress () in
   print_string (Fuzz.Racefuzz.stats_to_string stats);
   Printf.printf "wall clock: %.1f s\n" (Unix.gettimeofday () -. t0);
-  if json then
-    print_endline
-      (Share_lint.diagnostics_json (Fuzz.Racefuzz.failure_diagnostics stats));
   if stats.Fuzz.Racefuzz.rs_failures <> [] then Stdlib.exit 1
 
 let racefuzz_cmd =
@@ -1383,22 +1380,14 @@ let racefuzz_cmd =
       & info [ "domains" ]
           ~doc:"Largest pool size; cases cycle over 2..$(docv).")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "lint-json" ]
-          ~doc:"Also print failures as machine-readable diagnostics.")
-  in
-  let run seed count domains json =
-    racefuzz_campaign ~seed ~count ~domains ~json ()
-  in
+  let run seed count domains = racefuzz_campaign ~seed ~count ~domains () in
   Cmd.v
     (Cmd.info "racefuzz"
        ~doc:
          "Schedule fuzzing: generated queries under chaos schedules on \
           multi-domain pools with the race detector armed, vs the reference \
           walker")
-    Term.(const run $ seed_arg $ count_arg $ domains_arg $ json_arg)
+    Term.(const run $ seed_arg $ count_arg $ domains_arg)
 
 (* ------------------------------------------------------------------ *)
 (* [bench serve]: closed-loop load driver for the provenance server    *)
@@ -1812,7 +1801,7 @@ let share_lint_run ~root ~werror ~json () =
   let diags = Share_lint.check_sources ~root in
   if json then print_endline (Share_lint.diagnostics_json diags)
   else begin
-    if diags <> [] then print_string (Lint.report diags);
+    if diags <> [] then print_endline (Lint.report diags);
     Printf.printf "share-lint: %d modules, %d diagnostics (%d errors)\n"
       (List.length Share_lint.modules)
       (List.length diags)

@@ -181,7 +181,7 @@ let execute session sql =
     Race.disarm ();
     if reports = [] then print_endline "race check: no unordered accesses"
     else
-      print_string
+      print_endline
         (Lint.report (List.map Share_lint.diagnostic_of_race reports));
     outcome
   end

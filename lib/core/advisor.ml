@@ -156,13 +156,13 @@ let note_outcome db q strategy ~obs_rows ~tripped =
         ~est_rows:(Estimate.rows est plan) ~obs_rows ~tripped
   | exception Strategy.Unsupported _ -> ()
 
-(** [run db ?optimize ?lint ?werror ?budget ?fallback sql] is
+(** [run db ?certify ?lint ?werror ?budget ?fallback sql] is
     {!Perm.run} with the strategy chosen by the cost model. Returns the
     chosen strategy alongside the result. [?lint] / [?werror] gate the
     plans exactly as in {!Perm.run}; [?budget] / [?fallback] govern the
     execution as in {!Perm.run} (with fallback, later rungs follow the
     ladder's static order). *)
-let run db ?(optimize = true) ?(certify = false) ?(lint = false)
+let run db ?(certify = false) ?(lint = false)
     ?(werror = false) ?budget ?(fallback = false) sql :
     Strategy.t * Perm.result =
   let analyzed =
@@ -176,7 +176,7 @@ let run db ?(optimize = true) ?(certify = false) ?(lint = false)
     in
     let r =
       match
-        Perm.run_query db ~strategy ~optimize ~certify ~lint ~werror ?budget
+        Perm.run_query db ~strategy ~certify ~lint ~werror ?budget
           ~fallback ~provenance:true q
       with
       | r -> r
@@ -199,5 +199,5 @@ let run db ?(optimize = true) ?(certify = false) ?(lint = false)
   end
   else
     ( Strategy.Gen,
-      Perm.run_query db ~optimize ~certify ~lint ~werror ?budget ~fallback
+      Perm.run_query db ~certify ~lint ~werror ?budget ~fallback
         ~provenance:false q )

@@ -40,7 +40,7 @@ val estimates : Database.t -> Algebra.query -> estimate list
     strategy applies. *)
 val choose : Database.t -> Algebra.query -> Strategy.t
 
-(** [run db ?optimize ?certify ?lint ?werror ?budget ?fallback sql] is
+(** [run db ?certify ?lint ?werror ?budget ?fallback sql] is
     {!Perm.run} with an advisor-chosen strategy; returns the strategy
     that answered alongside the result (with [~fallback:true] that may
     be a later rung of the ladder, not the initial choice). [?lint] /
@@ -57,7 +57,6 @@ val choose : Database.t -> Algebra.query -> Strategy.t
     as the static default. *)
 val run :
   Database.t ->
-  ?optimize:bool ->
   ?certify:bool ->
   ?lint:bool ->
   ?werror:bool ->

@@ -56,25 +56,22 @@ let gate_plain db ~lint ~original plan =
 (* The optimizer step shared by both pipelines: with [~certify:true]
    the pass runs under the {!Certify} translation validator and a
    failed certificate aborts the run (phase [Optimize]). *)
-let optimize_step db ~optimize ~certify q =
+let optimize_step db ~certify q =
   Resilience.enter Resilience.Optimize (fun () ->
-      if not optimize then (q, None)
-      else if certify then begin
+      if certify then begin
         let plan, report = Certify.optimize db q in
         Certify.fail_on report;
         (plan, Some report)
       end
       else (Optimizer.optimize db q, None))
 
-let prov_pipeline db ~strategy ~optimize ~certify ~lint ~werror q :
-    result =
-  ignore werror;
+let prov_pipeline db ~strategy ~certify ~lint q : result =
   let q_plus, provs =
     Resilience.enter Resilience.Rewrite (fun () ->
         Rewrite.rewrite db ~strategy q)
   in
   Resilience.enter Resilience.Typecheck (fun () -> Typecheck.check db q_plus);
-  let plan, certificate = optimize_step db ~optimize ~certify q_plus in
+  let plan, certificate = optimize_step db ~certify q_plus in
   Resilience.enter Resilience.Rewrite (fun () ->
       gate_rewrite db ~lint ~strategy ~original:q ~optimized:plan
         (q_plus, provs));
@@ -88,8 +85,8 @@ let prov_pipeline db ~strategy ~optimize ~certify ~lint ~werror q :
   in
   { relation; provenance = provs; plan; ladder = None; certificate }
 
-let plain_pipeline db ~optimize ~certify ~lint q : result =
-  let plan, certificate = optimize_step db ~optimize ~certify q in
+let plain_pipeline db ~certify ~lint q : result =
+  let plan, certificate = optimize_step db ~certify q in
   Resilience.enter Resilience.Optimize (fun () ->
       gate_plain db ~lint ~original:q plan);
   let relation =
@@ -100,61 +97,61 @@ let plain_pipeline db ~optimize ~certify ~lint q : result =
 (* Evaluation of an analyzed query under the optional budget, with the
    strategy-fallback ladder when [fallback] is set on a provenance
    run. *)
-let run_analyzed db ~strategy ~optimize ~certify ~lint ~werror
-    ~budget ~backoff ~fallback ~wants q : result =
+let run_analyzed db ~strategy ~certify ~lint ~budget ~backoff ~fallback
+    ~wants q : result =
   if wants then
     if fallback then begin
       let r, lad =
         Resilience.run_ladder db ~strategy ~budget ?backoff q (fun s ->
-            prov_pipeline db ~strategy:s ~optimize ~certify ~lint ~werror q)
+            prov_pipeline db ~strategy:s ~certify ~lint q)
       in
       { r with ladder = Some lad }
     end
     else
       Guard.with_budget budget (fun () ->
-          prov_pipeline db ~strategy ~optimize ~certify ~lint ~werror q)
+          prov_pipeline db ~strategy ~certify ~lint q)
   else
     Guard.with_budget budget (fun () ->
-        plain_pipeline db ~optimize ~certify ~lint q)
+        plain_pipeline db ~certify ~lint q)
 
-(** [provenance db ?strategy ?optimize ?lint ?werror ?budget ?fallback q]
+(** [provenance db ?strategy ?lint ?werror ?budget ?fallback q]
     evaluates the provenance of an algebra query directly. *)
-let provenance db ?(strategy = Strategy.Gen) ?(optimize = true)
-    ?(certify = false) ?(lint = false) ?(werror = false) ?budget ?backoff
+let provenance db ?(strategy = Strategy.Gen) ?(certify = false)
+    ?(lint = false) ?(werror = false) ?budget ?backoff
     ?(fallback = false) q =
   Resilience.enter Resilience.Analyze (fun () ->
       gate_source db ~lint ~werror q);
   let r =
-    run_analyzed db ~strategy ~optimize ~certify ~lint ~werror
-      ~budget ~backoff ~fallback ~wants:true q
+    run_analyzed db ~strategy ~certify ~lint ~budget ~backoff ~fallback
+      ~wants:true q
   in
   (r.relation, r.provenance)
 
-(** [run_query db ?strategy ?optimize ?lint ?werror ?budget ?fallback
+(** [run_query db ?strategy ?lint ?werror ?budget ?fallback
     ~provenance q] is {!run} for an already-analyzed algebra query. *)
-let run_query db ?(strategy = Strategy.Gen) ?(optimize = true)
-    ?(certify = false) ?(lint = false) ?(werror = false) ?budget ?backoff
+let run_query db ?(strategy = Strategy.Gen) ?(certify = false)
+    ?(lint = false) ?(werror = false) ?budget ?backoff
     ?(fallback = false) ~provenance:wants q : result =
   Resilience.enter Resilience.Analyze (fun () ->
       gate_source db ~lint ~werror q);
-  run_analyzed db ~strategy ~optimize ~certify ~lint ~werror ~budget
-    ~backoff ~fallback ~wants q
+  run_analyzed db ~strategy ~certify ~lint ~budget ~backoff ~fallback
+    ~wants q
 
-(** [run db ?strategy ?optimize ?lint ?werror ?budget ?fallback sql]
+(** [run db ?strategy ?lint ?werror ?budget ?fallback sql]
     parses, analyzes and evaluates [sql]. If the statement carries the
     [PROVENANCE] marker, the provenance rewrite with [strategy] is
     applied first; with [~fallback:true] a strategy that is
     inapplicable or blows [budget] degrades to the next-ranked one.
     Failures raise {!Resilience.Perm_error}. *)
-let run db ?(strategy = Strategy.Gen) ?(optimize = true)
-    ?(certify = false) ?(lint = false) ?(werror = false) ?budget ?backoff
+let run db ?(strategy = Strategy.Gen) ?(certify = false)
+    ?(lint = false) ?(werror = false) ?budget ?backoff
     ?(fallback = false) sql : result =
   let analyzed =
     Resilience.enter Resilience.Analyze (fun () ->
         Sql_frontend.Analyzer.analyze_string db sql)
   in
   let q = analyzed.Sql_frontend.Analyzer.query in
-  run_query db ~strategy ~optimize ~certify ~lint ~werror ?budget
+  run_query db ~strategy ~certify ~lint ~werror ?budget
     ?backoff ~fallback
     ~provenance:analyzed.Sql_frontend.Analyzer.wants_provenance q
 
@@ -167,7 +164,7 @@ type exec_result =
   | Dropped of string
 
 (* Execute one already-parsed statement. *)
-let exec_parsed db ~strategy ~optimize ~certify ~lint ~werror ~budget
+let exec_parsed db ~strategy ~certify ~lint ~werror ~budget
     ~backoff ~fallback stmt : exec_result =
   let analyze sel =
     Resilience.enter Resilience.Analyze (fun () ->
@@ -180,8 +177,8 @@ let exec_parsed db ~strategy ~optimize ~certify ~lint ~werror ~budget
   | Sql_frontend.Ast.Stmt_select sel ->
       let q, wants = analyze sel in
       Rows
-        (run_analyzed db ~strategy ~optimize ~certify ~lint ~werror
-           ~budget ~backoff ~fallback ~wants q)
+        (run_analyzed db ~strategy ~certify ~lint ~budget ~backoff
+           ~fallback ~wants q)
   | Sql_frontend.Ast.Stmt_create_view (name, sel) ->
       let q, wants = analyze sel in
       let stored =
@@ -205,8 +202,8 @@ let exec_parsed db ~strategy ~optimize ~certify ~lint ~werror ~budget
   | Sql_frontend.Ast.Stmt_create_table_as (name, sel) ->
       let q, wants = analyze sel in
       let r =
-        run_analyzed db ~strategy ~optimize ~certify ~lint ~werror
-          ~budget ~backoff ~fallback ~wants q
+        run_analyzed db ~strategy ~certify ~lint ~budget ~backoff
+          ~fallback ~wants q
       in
       Database.add db name r.relation;
       Created_table (name, Relation.cardinality r.relation)
@@ -220,28 +217,28 @@ let exec_parsed db ~strategy ~optimize ~certify ~lint ~werror ~budget
                e_detail = Resilience.Message ("unknown table or view " ^ name);
              })
 
-(** [exec db ?strategy ?optimize ?lint ?werror ?budget ?fallback sql]
+(** [exec db ?strategy ?lint ?werror ?budget ?fallback sql]
     executes one statement. SELECTs behave like {!run}. [CREATE VIEW v
     AS SELECT PROVENANCE ...] stores the *rewritten* query, so querying
     [v] later sees the provenance columns — Perm's "provenance as a
     view". [CREATE TABLE t AS ...] materializes the result. *)
-let exec db ?(strategy = Strategy.Gen) ?(optimize = true)
-    ?(certify = false) ?(lint = false) ?(werror = false) ?budget ?backoff
+let exec db ?(strategy = Strategy.Gen) ?(certify = false)
+    ?(lint = false) ?(werror = false) ?budget ?backoff
     ?(fallback = false) sql : exec_result =
-  exec_parsed db ~strategy ~optimize ~certify ~lint ~werror ~budget
+  exec_parsed db ~strategy ~certify ~lint ~werror ~budget
     ~backoff ~fallback
     (Resilience.enter Resilience.Parse (fun () ->
          Sql_frontend.Parser.parse_statement sql))
 
-(** [exec_script db ?strategy ?optimize ?lint ?werror ?budget ?fallback
+(** [exec_script db ?strategy ?lint ?werror ?budget ?fallback
     sql] runs a [;]-separated statement sequence, returning each
     statement's result in order. Execution stops at the first error
     (exception propagates). *)
-let exec_script db ?(strategy = Strategy.Gen) ?(optimize = true)
-    ?(certify = false) ?(lint = false) ?(werror = false) ?budget ?backoff
+let exec_script db ?(strategy = Strategy.Gen) ?(certify = false)
+    ?(lint = false) ?(werror = false) ?budget ?backoff
     ?(fallback = false) sql : exec_result list =
   List.map
-    (exec_parsed db ~strategy ~optimize ~certify ~lint ~werror
+    (exec_parsed db ~strategy ~certify ~lint ~werror
        ~budget ~backoff ~fallback)
     (Resilience.enter Resilience.Parse (fun () ->
          Sql_frontend.Parser.parse_script sql))
@@ -324,10 +321,9 @@ let witness_sets db q (rel : Relation.t) (provs : Pschema.prov_rel list) :
 
 (** [explain db ?strategy q] is a printable rendering of the rewritten,
     optimized plan for [q]. *)
-let explain db ?(strategy = Strategy.Gen) ?(optimize = true) q =
+let explain db ?(strategy = Strategy.Gen) q =
   let q_plus, _ = Rewrite.rewrite db ~strategy q in
-  let plan = if optimize then Optimizer.optimize db q_plus else q_plus in
-  Pp.query_to_string plan
+  Pp.query_to_string (Optimizer.optimize db q_plus)
 
 (** Strategies whose applicability conditions [q] satisfies, by actually
     attempting the rewrite (cheap — rewriting is syntactic). *)

@@ -27,8 +27,8 @@ val rewrite :
   Algebra.query ->
   Algebra.query * Pschema.prov_rel list
 
-(** [provenance db ?strategy ?optimize ?lint ?werror ?budget ?fallback q]
-    rewrites, typechecks, optionally optimizes, and evaluates the
+(** [provenance db ?strategy ?lint ?werror ?budget ?fallback q]
+    rewrites, typechecks, optimizes and evaluates the
     provenance of [q]. With [~lint:true], [q] must pass the {!Lint}
     rules ([~werror:true] escalating warnings) and the rewrite must pass
     the {!Provcheck} contract rules. Failures of any phase raise
@@ -41,7 +41,6 @@ val rewrite :
 val provenance :
   Database.t ->
   ?strategy:Strategy.t ->
-  ?optimize:bool ->
   ?certify:bool ->
   ?lint:bool ->
   ?werror:bool ->
@@ -51,7 +50,7 @@ val provenance :
   Algebra.query ->
   Relation.t * Pschema.prov_rel list
 
-(** [run db ?strategy ?optimize ?lint ?werror ?budget ?fallback sql]
+(** [run db ?strategy ?lint ?werror ?budget ?fallback sql]
     parses, analyzes and evaluates [sql]; the [PROVENANCE] marker
     triggers the rewrite. [?lint] / [?werror] / [?budget] / [?fallback]
     behave as in {!provenance}; failures raise
@@ -59,7 +58,6 @@ val provenance :
 val run :
   Database.t ->
   ?strategy:Strategy.t ->
-  ?optimize:bool ->
   ?certify:bool ->
   ?lint:bool ->
   ?werror:bool ->
@@ -74,7 +72,6 @@ val run :
 val run_query :
   Database.t ->
   ?strategy:Strategy.t ->
-  ?optimize:bool ->
   ?certify:bool ->
   ?lint:bool ->
   ?werror:bool ->
@@ -100,7 +97,6 @@ type exec_result =
 val exec :
   Database.t ->
   ?strategy:Strategy.t ->
-  ?optimize:bool ->
   ?certify:bool ->
   ?lint:bool ->
   ?werror:bool ->
@@ -116,7 +112,6 @@ val exec :
 val exec_script :
   Database.t ->
   ?strategy:Strategy.t ->
-  ?optimize:bool ->
   ?certify:bool ->
   ?lint:bool ->
   ?werror:bool ->
@@ -148,9 +143,8 @@ val witness_sets :
   Pschema.prov_rel list ->
   witness_sets list
 
-(** [explain db ?strategy ?optimize q] renders the rewritten plan. *)
-val explain :
-  Database.t -> ?strategy:Strategy.t -> ?optimize:bool -> Algebra.query -> string
+(** [explain db ?strategy q] renders the rewritten, optimized plan. *)
+val explain : Database.t -> ?strategy:Strategy.t -> Algebra.query -> string
 
 (** Strategies whose applicability conditions [q] satisfies. *)
 val applicable_strategies : Database.t -> Algebra.query -> Strategy.t list

@@ -249,12 +249,3 @@ let stats_to_string s =
         f.rf_shrunk.Qgen.c_tables)
     s.rs_failures;
   Buffer.contents b
-
-let failure_diagnostics s =
-  List.map
-    (fun f ->
-      Lint.diag Lint.Error ~rule:"race-fuzz-failure"
-        ~path:[ Printf.sprintf "case%d" f.rf_index ]
-        (Printf.sprintf "schedule seed %d, %d domains: %s" f.rf_sched_seed
-           f.rf_domains f.rf_detail))
-    s.rs_failures

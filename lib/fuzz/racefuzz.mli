@@ -65,7 +65,3 @@ val campaign :
   stats
 
 val stats_to_string : stats -> string
-
-(** Failures as machine-readable diagnostics
-    (rule [race-fuzz-failure]). *)
-val failure_diagnostics : stats -> Lint.diagnostic list

@@ -963,9 +963,9 @@ and reorder_spine db est prefix q =
    relations, which the second pass folds to constants (emitting its
    usual traced, certified rule applications) — and finally drop the
    columns nothing above reads. *)
-let optimize ?(prune = true) ?(reorder = true) db q =
+let optimize ?(prune = true) db q =
   let q = Simplify.query q in
-  let q = if reorder then reorder_query db (Estimate.create db) [] q else q in
+  let q = reorder_query db (Estimate.create db) [] q in
   let q' = optimize db [] q in
   let q' = Simplify.query q' in
   if prune then prune_query db [] (all_out db q') q' else q'

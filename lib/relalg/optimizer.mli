@@ -7,11 +7,10 @@
 
 (** [optimize db q] rewrites [q] into an equivalent, typically faster
     plan. Sublink queries embedded in conditions are optimized too.
-    [prune] (default [true]) additionally runs dead-column pruning;
-    [reorder] (default [true]) runs the {!Estimate}-driven greedy join
-    reorder over Select/Cross/Join clusters first. *)
-val optimize :
-  ?prune:bool -> ?reorder:bool -> Database.t -> Algebra.query -> Algebra.query
+    It first runs the {!Estimate}-driven greedy join reorder over
+    Select/Cross/Join clusters; [prune] (default [true]) additionally
+    runs dead-column pruning. *)
+val optimize : ?prune:bool -> Database.t -> Algebra.query -> Algebra.query
 
 (** [prune db q] drops columns nothing above reads: a backward
     needed-column pass that narrows projections and base scans
