@@ -312,3 +312,15 @@ let rec base_relations q =
   | Union (_, a, b) | Inter (_, a, b) | Diff (_, a, b) ->
       base_relations a @ base_relations b
   | Order (_, q) | Limit (_, q) -> base_relations q
+
+(** Tables keyed on a query's physical identity. Plans are DAGs (the
+    provenance rewrite embeds one sublink query several times), and a
+    per-node memo wants one entry per shared object. The hash reads a
+    bounded prefix of the node, enough to spread distinct operators,
+    without walking the subtree; [==] decides. *)
+module Qtbl = Hashtbl.Make (struct
+  type t = query
+
+  let equal = ( == )
+  let hash q = Hashtbl.hash_param 6 16 q
+end)

@@ -157,3 +157,8 @@ val root_exprs : query -> expr list
     multiple references (footnote 1). The provenance contract appends
     one provenance attribute group per entry of this list. *)
 val base_relations : query -> string list
+
+(** Hash tables keyed on a query's physical identity ([==]), hashing a
+    bounded prefix of the node. Memo tables over plans use it: plans
+    are DAGs, and one shared subplan is one entry. *)
+module Qtbl : Hashtbl.S with type key = query

@@ -115,6 +115,7 @@ module type DOMAIN = sig
 
   val transfer :
     Database.t ->
+    frees:Scope.memo ->
     recurse:(env:fact list -> query -> fact) ->
     env:fact list ->
     inputs:fact list ->
@@ -125,38 +126,36 @@ end
 module Engine (D : DOMAIN) : sig
   type t
 
-  val create : Database.t -> t
+  val create : ?frees:Scope.memo -> Database.t -> t
   val query : t -> ?env:D.fact list -> query -> D.fact
 end = struct
-  (* Memoization is keyed on physical node identity: structural hashing
-     (depth-bounded) narrows the bucket, pointer equality decides. *)
-  module H = Hashtbl.Make (struct
-    type t = query
+  (* Memoization is keyed on physical node identity: a hash of the
+     node's bounded prefix narrows the bucket, pointer equality
+     decides. *)
+  type t = {
+    db : Database.t;
+    frees : Scope.memo;
+    memo : (D.fact list * D.fact) Qtbl.t;
+  }
 
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
-
-  type t = { db : Database.t; memo : (D.fact list * D.fact) H.t }
-
-  let create db = { db; memo = H.create 64 }
+  let create ?(frees = Scope.memo ()) db = { db; frees; memo = Qtbl.create 64 }
 
   let same_env a b =
     List.length a = List.length b && List.for_all2 ( == ) a b
 
   let rec query t ?(env = []) q =
-    match H.find_opt t.memo q with
+    match Qtbl.find_opt t.memo q with
     | Some (env0, fact) when same_env env0 env -> fact
     | previous ->
         let recurse ~env q = query t ~env q in
         let inputs = List.map (fun i -> query t ~env i) (inputs q) in
-        let fact = D.transfer t.db ~recurse ~env ~inputs q in
+        let fact = D.transfer t.db ~frees:t.frees ~recurse ~env ~inputs q in
         let fact =
           match previous with
           | Some (_, f0) -> D.join f0 fact
           | None -> fact
         in
-        H.replace t.memo q (env, fact);
+        Qtbl.replace t.memo q (env, fact);
         fact
 end
 
@@ -257,7 +256,7 @@ module Null_domain = struct
       n_maybe = Array.to_list (Relation.nullable_columns r);
     }
 
-  let transfer db ~recurse ~env ~inputs q =
+  let transfer db ~frees:_ ~recurse ~env ~inputs q =
     let input_fact () =
       match inputs with
       | [] -> { n_names = []; n_maybe = [] }
@@ -367,7 +366,7 @@ module Lin_domain = struct
         | Scalar -> sub ()
         | AnyOp (_, lhs) | AllOp (_, lhs) -> Deps.union (deps lhs) (sub ()))
 
-  let transfer db ~recurse ~env ~inputs q =
+  let transfer db ~frees:_ ~recurse ~env ~inputs q =
     let input_fact () =
       match inputs with
       | [] -> { l_names = []; l_deps = [] }
@@ -432,7 +431,7 @@ module Card_domain = struct
   let join a b =
     { c_lo = min a.c_lo b.c_lo; c_hi = bound_max a.c_hi b.c_hi }
 
-  let transfer db ~recurse:_ ~env:_ ~inputs q =
+  let transfer db ~frees:_ ~recurse:_ ~env:_ ~inputs q =
     let one () = match inputs with [ f ] -> f | _ -> card_top in
     let two () = match inputs with [ a; b ] -> (a, b) | _ -> (card_top, card_top) in
     match q with

@@ -45,8 +45,9 @@ val inputs : Algebra.query -> Algebra.query list
 
 (** A client analysis: one lattice of per-subplan facts plus a transfer
     function. [transfer] receives the already-computed facts of the
-    operator's direct input queries and a [recurse] callback for
-    analysing sublink queries under an extended environment. *)
+    operator's direct input queries, a [recurse] callback for
+    analysing sublink queries under an extended environment, and the
+    engine's free-name memo for sublink bodies. *)
 module type DOMAIN = sig
   type fact
 
@@ -56,6 +57,7 @@ module type DOMAIN = sig
 
   val transfer :
     Database.t ->
+    frees:Scope.memo ->
     recurse:(env:fact list -> Algebra.query -> fact) ->
     env:fact list ->
     inputs:fact list ->
@@ -66,7 +68,11 @@ end
 module Engine (D : DOMAIN) : sig
   type t
 
-  val create : Database.t -> t
+  (** [create ?frees db]: an engine with an empty fact memo. [frees]
+      lets a caller share one free-name memo between its own scope
+      queries and the engine's (default: a fresh one). *)
+  val create : ?frees:Scope.memo -> Database.t -> t
+
   val query : t -> ?env:D.fact list -> Algebra.query -> D.fact
 end
 

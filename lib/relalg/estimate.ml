@@ -224,29 +224,36 @@ module Est_domain = struct
     | _ -> (
         match Symbolic.always_true sctx cond with
         | Symbolic.Proved -> 1.0
-        | _ ->
-            List.fold_left
-              (fun acc c ->
-                let s =
-                  match Symbolic.never_true sctx c with
-                  | Symbolic.Proved -> 0.0
-                  | _ -> (
-                      match Symbolic.always_true sctx c with
-                      | Symbolic.Proved -> 1.0
-                      | _ -> conjunct_sel ~recurse ~env c)
-                in
-                acc *. s)
-              1.0 (conjuncts cond))
+        | _ -> (
+            match conjuncts cond with
+            | [ c ] when c == cond ->
+                (* the condition is its own only conjunct: the solver
+                   (deterministic on a fresh context) already answered
+                   both questions about it *)
+                conjunct_sel ~recurse ~env c
+            | cs ->
+                List.fold_left
+                  (fun acc c ->
+                    let s =
+                      match Symbolic.never_true sctx c with
+                      | Symbolic.Proved -> 0.0
+                      | _ -> (
+                          match Symbolic.always_true sctx c with
+                          | Symbolic.Proved -> 1.0
+                          | _ -> conjunct_sel ~recurse ~env c)
+                    in
+                    acc *. s)
+                  1.0 cs))
 
   (* Evaluation cost of the sublinks of [exprs]: one evaluation of the
      sublink plan per distinct binding of its free attributes, capped
      at [rows] (the evaluator memoizes per binding); an uncorrelated
      sublink has no frees and is paid exactly once. *)
-  let sublinks_cost db ~recurse ~env ~rows exprs =
+  let sublinks_cost db ~frees:memo ~recurse ~env ~rows exprs =
     List.fold_left
       (fun acc (s : sublink) ->
         let sub = recurse ~env s.query in
-        let frees = Scope.free_of_query db s.query in
+        let frees = Scope.body_frees memo db s.query in
         let bindings =
           if frees = [] then Float.min 1.0 rows
           else
@@ -277,7 +284,7 @@ module Est_domain = struct
         | _ -> false)
       (conjuncts cond)
 
-  let transfer db ~recurse ~env ~inputs q =
+  let transfer db ~frees ~recurse ~env ~inputs q =
     let input_fact () =
       match inputs with
       | [] -> { e_names = []; e_cols = []; e_rows = default_rows; e_cost = 0.0 }
@@ -302,7 +309,9 @@ module Est_domain = struct
         let env' = f :: env in
         let s = selectivity ~recurse ~env:env' cond in
         let rows = f.e_rows *. s in
-        let sub = sublinks_cost db ~recurse ~env:env' ~rows:f.e_rows [ cond ] in
+        let sub =
+          sublinks_cost db ~frees ~recurse ~env:env' ~rows:f.e_rows [ cond ]
+        in
         {
           e_names = f.e_names;
           e_cols = shrink rows f.e_cols;
@@ -330,7 +339,7 @@ module Est_domain = struct
               (List.fold_left (fun acc c -> acc *. Float.max 1.0 c.ci_ndv) 1.0 cols)
         in
         let sub =
-          sublinks_cost db ~recurse ~env:env' ~rows:f.e_rows
+          sublinks_cost db ~frees ~recurse ~env:env' ~rows:f.e_rows
             (List.map fst p.cols)
         in
         {
@@ -361,7 +370,7 @@ module Est_domain = struct
           else a.e_rows *. b.e_rows
         in
         let sub =
-          sublinks_cost db ~recurse ~env:env' ~rows:(a.e_rows *. b.e_rows)
+          sublinks_cost db ~frees ~recurse ~env:env' ~rows:(a.e_rows *. b.e_rows)
             [ cond ]
         in
         {
@@ -391,7 +400,7 @@ module Est_domain = struct
           else a.e_rows *. b.e_rows
         in
         let sub =
-          sublinks_cost db ~recurse ~env:env' ~rows:(a.e_rows *. b.e_rows)
+          sublinks_cost db ~frees ~recurse ~env:env' ~rows:(a.e_rows *. b.e_rows)
             [ cond ]
         in
         {
@@ -428,7 +437,7 @@ module Est_domain = struct
             ag.aggs
         in
         let sub =
-          sublinks_cost db ~recurse ~env:env' ~rows:f.e_rows
+          sublinks_cost db ~frees ~recurse ~env:env' ~rows:f.e_rows
             (List.map fst ag.group_by
             @ List.filter_map (fun c -> c.agg_arg) ag.aggs)
         in
@@ -481,7 +490,7 @@ module Est_domain = struct
     | Order (keys, _) ->
         let f = input_fact () in
         let sub =
-          sublinks_cost db ~recurse ~env:(f :: env) ~rows:f.e_rows
+          sublinks_cost db ~frees ~recurse ~env:(f :: env) ~rows:f.e_rows
             (List.map fst keys)
         in
         { f with e_cost = f.e_cost +. f.e_rows +. sub }
@@ -495,7 +504,7 @@ module Est_engine = Dataflow.Engine (Est_domain)
 
 type t = Est_engine.t
 
-let create db = Est_engine.create db
+let create ?frees db = Est_engine.create ?frees db
 let query t ?env q = Est_engine.query t ?env q
 let rows t q = (query t q).e_rows
 let cost t q = (query t q).e_cost

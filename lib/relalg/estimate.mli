@@ -28,7 +28,9 @@ type fact = {
 
 type t
 
-val create : Database.t -> t
+(** [create ?frees db]; [frees] shares a caller's free-name memo (see
+    {!Dataflow.Engine.create}). *)
+val create : ?frees:Scope.memo -> Database.t -> t
 
 (** [query t ?env q]: the estimate fact of [q]; [env] supplies facts
     of enclosing correlation scopes, innermost first. *)

@@ -15,24 +15,39 @@
     validator ({!Certify}) can discharge a proof obligation per
     application. Paths locate the node the rule fired at in the tree it
     matched (selection-pushdown cascades are attributed to the
-    outermost selection they started from). Deliberately broken rule
-    variants sit behind the test-only [Rewrite_trace.mutant] hook — see
-    [test/test_certify.ml]. *)
+    outermost selection they started from). Paths and the before/after
+    plans of those reports are built only while a tracer is installed.
+    Deliberately broken rule variants sit behind the test-only
+    [Rewrite_trace.mutant] hook — see [test/test_certify.ml].
+
+    One [optimize] call does each sublink body's work once: the
+    provenance rewrite embeds a body up to three times (Gen's [Csub+]
+    refers to the sublink itself), and every pass keeps a table per
+    physical body ({!Rewrite_trace.Shared}), so copies come out shared
+    and the free names of a body are computed once ({!Scope.memo}). *)
 
 open Algebra
 
-let sublink_seg k = Printf.sprintf "sublink[%d]" k
+(* One call's working state: the database, the free names of the sublink
+   bodies met so far, and the pushdown result per physical body. *)
+type cx = {
+  db : Database.t;
+  frees : Scope.memo;
+  bodies : query Rewrite_trace.Shared.t;
+}
+
+let context db =
+  { db; frees = Scope.memo (); bodies = Rewrite_trace.Shared.create () }
+
+let refs_of cx e = Scope.refs_of_expr ~memo:cx.frees cx.db e
 
 (* A conjunct can move to a side of a binary operator when all its
    attribute references are produced by that side. References to
    attributes of neither side are correlated (bound by an enclosing
-   sublink scope) and do not block the move. *)
-let movable_to db side_names e =
-  let refs = Scope.refs_of_expr db e in
-  ignore refs;
-  (* A conjunct is movable to [side] iff none of its references belong to
-     the opposite side; the caller passes the names of the opposite side. *)
-  not (List.exists (fun n -> List.mem n side_names) (Scope.refs_of_expr db e))
+   sublink scope) and do not block the move. The caller passes the
+   names of the opposite side. *)
+let movable_to cx side_names e =
+  not (List.exists (fun n -> List.mem n side_names) (refs_of cx e))
 
 (* Rewrite attribute references through a projection's renaming map.
    Only valid on sublink-free expressions whose references are all in
@@ -70,15 +85,16 @@ let static_schema db q =
    column types only (they enable integer bound tightening), never
    witness-data facts like observed nullability — the passes' claims
    must hold on every database, or {!Certify} would refute them on its
-   NULL-rich witness variants. *)
+   NULL-rich witness variants. [q] is typed only when the solver first
+   asks for a column's type. *)
 let pred_ctx db q =
-  match static_schema db q with
-  | Some s ->
-      let assoc =
-        List.map2 (fun n t -> (n, t)) (Schema.names s) (Schema.types s)
-      in
-      Symbolic.ctx ~types:(fun n -> List.assoc_opt n assoc) ()
-  | None -> Symbolic.ctx ()
+  let types =
+    lazy
+      (match static_schema db q with
+      | Some s -> List.combine (Schema.names s) (Schema.types s)
+      | None -> [])
+  in
+  Symbolic.ctx ~types:(fun n -> List.assoc_opt n (Lazy.force types)) ()
 
 (* Conjuncts of every Select/Join condition in a Select/Cross/Join
    tree, plus the leaf subplans below them (mirrors the flattening the
@@ -100,17 +116,17 @@ let rec flat_conjuncts (q : query) : expr list * query list =
    only sound when every name binds to the same column at every level:
    leaf output names pairwise distinct and disjoint from the plan's
    correlated (free) references. *)
-let flat_namespace db before leaves =
+let flat_namespace cx before leaves =
   match
-    ( List.concat_map (fun l -> Scope.out_names db l) leaves,
-      Scope.free_of_query db before )
+    ( List.concat_map (fun l -> Scope.out_names cx.db l) leaves,
+      Scope.free_of_query ~memo:cx.frees cx.db before )
   with
   | names, frees ->
       List.length (List.sort_uniq String.compare names) = List.length names
       && List.for_all (fun f -> not (List.mem f names)) frees
   | exception _ -> false
 
-(* [symbolic_conds db prefix conds q] runs the solver-driven passes on
+(* [symbolic_conds cx prefix conds q] runs the solver-driven passes on
    the conjuncts accumulated at a selection site over [q]:
    - {b unsat-fold}: the conjunction (together with the conditions
      already inside [q], when the namespace is flat) provably never
@@ -123,14 +139,17 @@ let flat_namespace db before leaves =
    differ only in the predicate, so Certify can usually re-prove it
    symbolically. Returns [Error folded] when the site folded to an
    empty relation, [Ok conds'] otherwise. *)
-let symbolic_conds db (prefix : string list) (conds : expr list) (q : query) :
+let symbolic_conds cx (prefix : string list) (conds : expr list) (q : query) :
     (expr list, query) result =
   if conds = [] then Ok conds
   else begin
+    let db = cx.db in
     let ctx = pred_ctx db q in
     let sel cs = Select (conj cs, q) in
-    let emit rule before after =
-      Rewrite_trace.emit ~rule ~path:(prefix @ [ Guard.op_label before ])
+    (* callers test [Rewrite_trace.active] first *)
+    let emit rule after =
+      let before = sel conds in
+      Rewrite_trace.emit ~rule ~path:(Rewrite_trace.node prefix before)
         ~before ~after
     in
     (* --- unsatisfiable selection: fold to the empty relation -------- *)
@@ -144,12 +163,12 @@ let symbolic_conds db (prefix : string list) (conds : expr list) (q : query) :
           (* mutant: assumes base columns are never NULL, a witness-data
              fact the NULL-rich databases refute *)
           if Rewrite_trace.mutant "sym-unsat-notnull-db" then
-            Symbolic.ctx ~notnull:(Scope.refs_of_expr db (conj conds)) ()
+            Symbolic.ctx ~notnull:(refs_of cx (conj conds)) ()
           else ctx
         in
         let deep_cs, leaves = flat_conjuncts q in
         let full =
-          if deep_cs <> [] && flat_namespace db (sel conds) leaves then
+          if deep_cs <> [] && flat_namespace cx (sel conds) leaves then
             conds @ deep_cs
           else conds
         in
@@ -158,7 +177,7 @@ let symbolic_conds db (prefix : string list) (conds : expr list) (q : query) :
     match (if unsat then static_schema db (sel conds) else None) with
     | Some schema ->
         let after = TableExpr (Relation.empty schema) in
-        emit "unsat-fold" (sel conds) after;
+        if Rewrite_trace.active () then emit "unsat-fold" after;
         Error after
     | None ->
         (* --- tautological selection: drop it ------------------------ *)
@@ -170,7 +189,7 @@ let symbolic_conds db (prefix : string list) (conds : expr list) (q : query) :
           else Symbolic.always_true ctx (conj conds) = Symbolic.Proved
         in
         if taut then begin
-          emit "taut-fold" (sel conds) q;
+          if Rewrite_trace.active () then emit "taut-fold" q;
           Ok []
         end
         else begin
@@ -190,8 +209,8 @@ let symbolic_conds db (prefix : string list) (conds : expr list) (q : query) :
                 else drop (x :: kept) rest
           in
           let conds' = drop [] conds in
-          if List.length conds' <> List.length conds then
-            emit "drop-implied" (sel conds) (sel conds');
+          if List.length conds' <> List.length conds && Rewrite_trace.active ()
+          then emit "drop-implied" (sel conds');
           Ok conds'
         end
   end
@@ -288,35 +307,42 @@ let derive_implied path before ~wrap (all : expr list) : expr list =
     in
     if derived = [] then all
     else begin
-      Rewrite_trace.emit ~rule:"implied-predicate" ~path ~before
-        ~after:(wrap derived);
+      if Rewrite_trace.active () then
+        Rewrite_trace.emit ~rule:"implied-predicate" ~path ~before
+          ~after:(wrap derived);
       all @ derived
     end
   end
 
-(* [push_select db prefix conds q] pushes the accumulated conjuncts
+(* [push_select cx prefix conds q] pushes the accumulated conjuncts
    [conds] into [q]. The subplan being rewritten — the proof
    obligation's before side — is [Select (conj conds, q)] (or [q] when
    no conjuncts accumulated); [prefix] is the path prefix of that
    subplan's root. *)
-let rec push_select db (prefix : string list) (conds : expr list) (q : query) :
+let rec push_select cx (prefix : string list) (conds : expr list) (q : query) :
     query =
   match q with
-  | Select (c, input) -> push_select db prefix (conds @ conjuncts c) input
+  | Select (c, input) -> push_select cx prefix (conds @ conjuncts c) input
   | _ -> (
-      match symbolic_conds db prefix conds q with
+      match symbolic_conds cx prefix conds q with
       | Error folded -> folded
-      | Ok conds -> push_conds db prefix conds q)
+      | Ok conds -> push_conds cx prefix conds q)
 
-and push_conds db (prefix : string list) (conds : expr list) (q : query) :
+and push_conds cx (prefix : string list) (conds : expr list) (q : query) :
     query =
-      let before = if conds = [] then q else Select (conj conds, q) in
-      let here = prefix @ [ Guard.op_label before ] in
+      let db = cx.db in
+      let tracing = Rewrite_trace.active () in
+      (* the obligations' before side, built only under a tracer (it is
+         read by nothing else) *)
+      let before =
+        if tracing && conds <> [] then Select (conj conds, q) else q
+      in
+      let here = Rewrite_trace.node prefix before in
       (* prefix of [q] itself: below the accumulated selection, if any *)
       let qprefix = if conds = [] then prefix else here in
-      let qchild qual = qprefix @ [ Guard.op_label q ^ qual ] in
+      let qchild qual = Rewrite_trace.child qprefix q qual in
       let emit rule after =
-        Rewrite_trace.emit ~rule ~path:here ~before ~after;
+        if tracing then Rewrite_trace.emit ~rule ~path:here ~before ~after;
         after
       in
       (match q with
@@ -329,9 +355,9 @@ and push_conds db (prefix : string list) (conds : expr list) (q : query) :
           (* The motion obligation's before side includes any derived
              conjuncts: the [implied-predicate] entry already justified
              adding them, so this entry stays a pure conjunct motion. *)
-          let before_m = if conds = [] then q else Select (conj conds, q) in
-          distribute db ~left:(qchild "[left]") ~right:(qchild "[right]")
+          distribute cx ~left:(qchild "[left]") ~right:(qchild "[right]")
             ~motion:(fun after ->
+              let before_m = if conds = [] then q else Select (conj conds, q) in
               Rewrite_trace.emit ~rule:"pushdown-into-cross" ~path:here
                 ~before:before_m ~after)
             conds a b
@@ -348,15 +374,17 @@ and push_conds db (prefix : string list) (conds : expr list) (q : query) :
                 if conds = [] then j else Select (conj conds, j))
               all0
           in
-          let before_m =
-            if List.length all = List.length all0 then before
-            else
-              let ds = List.filteri (fun i _ -> i >= List.length all0) all in
-              let j = Join (And (c, conj ds), a, b) in
-              if conds = [] then j else Select (conj conds, j)
-          in
-          distribute db ~left:(qchild "[left]") ~right:(qchild "[right]")
+          distribute cx ~left:(qchild "[left]") ~right:(qchild "[right]")
             ~motion:(fun after ->
+              let before_m =
+                if List.length all = List.length all0 then before
+                else
+                  let ds =
+                    List.filteri (fun i _ -> i >= List.length all0) all
+                  in
+                  let j = Join (And (c, conj ds), a, b) in
+                  if conds = [] then j else Select (conj conds, j)
+              in
               Rewrite_trace.emit ~rule:"pushdown-into-join" ~path:here
                 ~before:before_m ~after)
             all a b
@@ -367,27 +395,29 @@ and push_conds db (prefix : string list) (conds : expr list) (q : query) :
              condition itself stays put. *)
           let a_names = Scope.out_names db a in
           let b_names = Scope.out_names db b in
-          ignore a_names;
           let to_left, residual =
-            List.partition (fun e -> movable_to db b_names e) conds
+            List.partition (fun e -> movable_to cx b_names e) conds
           in
           (* mutant: pushes conditions into the nullable side too, the
              classic outer-join pushdown bug *)
           let to_right, residual =
             if Rewrite_trace.mutant "opt-leftjoin-push-right" then
-              List.partition (fun e -> movable_to db a_names e) residual
+              List.partition (fun e -> movable_to cx a_names e) residual
             else ([], residual)
           in
           (* Emit the pure motion step (sides untouched) before
              recursing — the sides' rewrites are their own entries. *)
           let wrap cs p = if cs = [] then p else Select (conj cs, p) in
-          Rewrite_trace.emit ~rule:"pushdown-into-leftjoin" ~path:here ~before
-            ~after:(wrap residual (LeftJoin (c, wrap to_left a, wrap to_right b)));
+          if tracing then
+            Rewrite_trace.emit ~rule:"pushdown-into-leftjoin" ~path:here
+              ~before
+              ~after:
+                (wrap residual (LeftJoin (c, wrap to_left a, wrap to_right b)));
           let left = qchild "[left]" and right = qchild "[right]" in
-          let a' = push_select db left to_left (optimize db left a) in
-          let b' = optimize db right b in
+          let a' = push_select cx left to_left (optimize cx left a) in
+          let b' = optimize cx right b in
           let b' =
-            if to_right = [] then b' else push_select db right to_right b'
+            if to_right = [] then b' else push_select cx right to_right b'
           in
           let inner = LeftJoin (c, a', b') in
           if residual = [] then inner else Select (conj residual, inner)
@@ -410,42 +440,37 @@ and push_conds db (prefix : string list) (conds : expr list) (q : query) :
                     Rewrite_trace.mutant "opt-push-nonrename"
                    || List.for_all
                         (fun n -> List.mem_assoc n rename_map)
-                        (Scope.refs_of_expr db c)))
+                        (refs_of cx c)))
               conds
           in
           let renamed = List.map (rename_attrs rename_map) pushable in
-          let phere = qprefix @ [ Guard.op_label q ] in
-          let inner = push_select db (qchild "") renamed p.proj_input in
+          let phere = Rewrite_trace.node qprefix q in
+          let inner = push_select cx (qchild "") renamed p.proj_input in
           let counter = ref 0 in
           let cols =
             List.map
-              (fun (e, n) ->
-                ( map_expr_query
-                    (fun sq ->
-                      incr counter;
-                      optimize db (phere @ [ sublink_seg !counter ]) sq)
-                    e,
-                  n ))
+              (fun (e, n) -> (map_expr_query (body cx phere counter) e, n))
               p.cols
           in
           let projected = Project { p with cols; proj_input = inner } in
           emit "pushdown-through-project"
             (if rest = [] then projected else Select (conj rest, projected))
       | _ ->
-          let q' = optimize_children db qprefix q in
+          let q' = optimize_children cx qprefix q in
           if conds = [] then q'
           else emit "pushdown-residual" (Select (conj conds, q')))
 
-and distribute db ~left ~right ~motion conds a b ~mk =
+and distribute cx ~left ~right ~motion conds a b ~mk =
+  let db = cx.db in
   let a_names = Scope.out_names db a and b_names = Scope.out_names db b in
-  let to_a, rest = List.partition (fun e -> movable_to db b_names e) conds in
+  let to_a, rest = List.partition (fun e -> movable_to cx b_names e) conds in
   (* mutant: loses the first conjunct headed for the left side *)
   let to_a =
     if Rewrite_trace.mutant "opt-drop-conjunct" then
       match to_a with _ :: t -> t | [] -> []
     else to_a
   in
-  let to_b, residual = List.partition (fun e -> movable_to db a_names e) rest in
+  let to_b, residual = List.partition (fun e -> movable_to cx a_names e) rest in
   (* mutant: forgets the residual join condition *)
   let residual =
     if Rewrite_trace.mutant "opt-residual-drop" then [] else residual
@@ -455,22 +480,25 @@ and distribute db ~left ~right ~motion conds a b ~mk =
      conjuncts sit, so Certify can discharge it symbolically. The
      sides' own rewrites below are emitted as their own entries. *)
   let wrap cs q = if cs = [] then q else Select (conj cs, q) in
-  motion (mk residual (wrap to_a a) (wrap to_b b));
-  let a' = push_select db left to_a (optimize db left a) in
-  let b' = push_select db right to_b (optimize db right b) in
+  if Rewrite_trace.active () then
+    motion (mk residual (wrap to_a a) (wrap to_b b));
+  let a' = push_select cx left to_a (optimize cx left a) in
+  let b' = push_select cx right to_b (optimize cx right b) in
   mk residual a' b'
 
-and optimize_children db prefix q =
-  let here = prefix @ [ Guard.op_label q ] in
-  let child qual i = optimize db (prefix @ [ Guard.op_label q ^ qual ]) i in
+(* The [k]-th sublink body of the operator at [here] ([counter] counts
+   across the operator's expressions): optimized once per physical
+   body, so the copies the provenance rewrite embeds stay shared. *)
+and body cx here counter sq =
+  incr counter;
+  let path = Rewrite_trace.sublink here !counter in
+  Rewrite_trace.Shared.visit cx.bodies sq ~path (fun () -> optimize cx path sq)
+
+and optimize_children cx prefix q =
+  let here = Rewrite_trace.node prefix q in
+  let child qual i = optimize cx (Rewrite_trace.child prefix q qual) i in
   let counter = ref 0 in
-  let sub e =
-    map_expr_query
-      (fun sq ->
-        incr counter;
-        optimize db (here @ [ sublink_seg !counter ]) sq)
-      e
-  in
+  let sub e = map_expr_query (body cx here counter) e in
   match q with
   | Base _ | TableExpr _ -> q
   | Select (c, i) ->
@@ -542,29 +570,20 @@ and merge_projects prefix q =
           }
       in
       Rewrite_trace.emit ~rule:"merge-projects"
-        ~path:(prefix @ [ Guard.op_label q ])
-        ~before:q ~after;
+        ~path:(Rewrite_trace.node prefix q) ~before:q ~after;
       merge_projects prefix after
   | q -> q
 
-(** [optimize db prefix q] rewrites [q] into an equivalent, typically
+(** [optimize cx prefix q] rewrites [q] into an equivalent, typically
     faster plan. Sublink queries embedded in conditions are optimized
     too. *)
-and optimize db (prefix : string list) (q : query) : query =
+and optimize cx (prefix : string list) (q : query) : query =
   match merge_projects prefix q with
-  | Select (c, input) ->
-      let here = prefix @ [ Guard.op_label (Select (c, input)) ] in
-      let counter = ref 0 in
-      let c =
-        map_expr_query
-          (fun sq ->
-            incr counter;
-            optimize db (here @ [ sublink_seg !counter ]) sq)
-          c
-      in
-      push_select db prefix (conjuncts c) input
-  | (Cross _ | Join _ | LeftJoin _) as q -> push_select db prefix [] q
-  | q -> optimize_children db prefix q
+  | Select (c, input) as q ->
+      let c = map_expr_query (body cx (Rewrite_trace.node prefix q) (ref 0)) c in
+      push_select cx prefix (conjuncts c) input
+  | (Cross _ | Join _ | LeftJoin _) as q -> push_select cx prefix [] q
+  | q -> optimize_children cx prefix q
 
 (** {1 Dead-column pruning}
 
@@ -600,18 +619,28 @@ and optimize db (prefix : string list) (q : query) : query =
 
 module SS = Set.Make (String)
 
-let refs db e = SS.of_list (Scope.refs_of_expr db e)
+(* One prune call's state: the pruned plan per physical sublink body,
+   in one table for EXISTS bodies (which need no columns) and one for
+   value bodies (which keep their value column). *)
+type pcx = {
+  p_cx : cx;
+  p_exists : query Rewrite_trace.Shared.t;
+  p_value : query Rewrite_trace.Shared.t;
+}
 
-let refs_of_exprs db es =
-  List.fold_left (fun acc e -> SS.union acc (refs db e)) SS.empty es
+let refs pcx e = SS.of_list (refs_of pcx.p_cx e)
+
+let refs_of_exprs pcx es =
+  List.fold_left (fun acc e -> SS.union acc (refs pcx e)) SS.empty es
 
 let all_out db q = SS.of_list (Scope.out_names db q)
 
-(* [prune_expr db here counter e] prunes the sublink queries of [e];
+(* [prune_expr pcx here counter e] prunes the sublink queries of [e];
    [counter] numbers sublinks across all expressions of the node at
    path [here], in Lint's enumeration order. *)
-let rec prune_expr db here counter (e : expr) : expr =
-  let go = prune_expr db here counter in
+let rec prune_expr pcx here counter (e : expr) : expr =
+  let db = pcx.p_cx.db in
+  let go = prune_expr pcx here counter in
   match e with
   | Const _ | TypedNull _ | Attr _ -> e
   | Binop (op, a, b) ->
@@ -644,23 +673,32 @@ let rec prune_expr db here counter (e : expr) : expr =
   | FunCall (f, es) -> FunCall (f, List.map go es)
   | Sublink s ->
       incr counter;
-      let spfx = here @ [ sublink_seg !counter ] in
-      let kind, needed =
+      let spfx = Rewrite_trace.sublink here !counter in
+      let kind =
         match s.kind with
-        | Exists -> (Exists, SS.empty)
-        | Scalar -> (Scalar, all_out db s.query)
-        | AnyOp (op, lhs) -> (AnyOp (op, go lhs), all_out db s.query)
-        | AllOp (op, lhs) -> (AllOp (op, go lhs), all_out db s.query)
+        | (Exists | Scalar) as k -> k
+        | AnyOp (op, lhs) -> AnyOp (op, go lhs)
+        | AllOp (op, lhs) -> AllOp (op, go lhs)
       in
-      Sublink { s with kind; query = prune_query db spfx needed s.query }
+      let exists = match s.kind with Exists -> true | _ -> false in
+      let query =
+        Rewrite_trace.Shared.visit
+          (if exists then pcx.p_exists else pcx.p_value)
+          s.query ~path:spfx
+          (fun () ->
+            let needed = if exists then SS.empty else all_out db s.query in
+            prune_query pcx spfx needed s.query)
+      in
+      Sublink { s with kind; query }
 
-and prune_query db prefix (needed : SS.t) (q : query) : query =
-  let here = prefix @ [ Guard.op_label q ] in
+and prune_query pcx prefix (needed : SS.t) (q : query) : query =
+  let db = pcx.p_cx.db in
+  let here = Rewrite_trace.node prefix q in
   let child qual i needed =
-    prune_query db (prefix @ [ Guard.op_label q ^ qual ]) needed i
+    prune_query pcx (Rewrite_trace.child prefix q qual) needed i
   in
   let counter = ref 0 in
-  let pexpr e = prune_expr db here counter e in
+  let pexpr e = prune_expr pcx here counter e in
   let after =
     match q with
     | Base name -> (
@@ -673,31 +711,31 @@ and prune_query db prefix (needed : SS.t) (q : query) : query =
             else project (List.map (fun n -> (Attr n, n)) kept) q)
     | TableExpr _ -> q
     | Select (c, input) ->
-        let below = SS.union needed (refs db c) in
+        let below = SS.union needed (refs pcx c) in
         let c = pexpr c in
         Select (c, child "" input below)
     | Project p when p.distinct && not (Rewrite_trace.mutant "prune-distinct")
       ->
-        let below = refs_of_exprs db (List.map fst p.cols) in
+        let below = refs_of_exprs pcx (List.map fst p.cols) in
         let cols = List.map (fun (e, n) -> (pexpr e, n)) p.cols in
         Project { p with cols; proj_input = child "" p.proj_input below }
     | Project p ->
         (* the [prune-distinct] mutant routes DISTINCT projections here,
            narrowing the column set they deduplicate on *)
         let cols = List.filter (fun (_, n) -> SS.mem n needed) p.cols in
-        let below = refs_of_exprs db (List.map fst cols) in
+        let below = refs_of_exprs pcx (List.map fst cols) in
         let cols = List.map (fun (e, n) -> (pexpr e, n)) cols in
         Project { p with cols; proj_input = child "" p.proj_input below }
     | Cross (a, b) ->
         let a = child "[left]" a needed in
         Cross (a, child "[right]" b needed)
     | Join (c, a, b) ->
-        let below = SS.union needed (refs db c) in
+        let below = SS.union needed (refs pcx c) in
         let c = pexpr c in
         let a = child "[left]" a below in
         Join (c, a, child "[right]" b below)
     | LeftJoin (c, a, b) ->
-        let below = SS.union needed (refs db c) in
+        let below = SS.union needed (refs pcx c) in
         let c = pexpr c in
         let a = child "[left]" a below in
         LeftJoin (c, a, child "[right]" b below)
@@ -718,8 +756,8 @@ and prune_query db prefix (needed : SS.t) (q : query) : query =
         in
         let below =
           SS.union
-            (refs_of_exprs db (List.map fst group_by))
-            (refs_of_exprs db (List.filter_map (fun c -> c.agg_arg) aggs))
+            (refs_of_exprs pcx (List.map fst group_by))
+            (refs_of_exprs pcx (List.filter_map (fun c -> c.agg_arg) aggs))
         in
         let group_by = List.map (fun (e, n) -> (pexpr e, n)) group_by in
         let aggs =
@@ -760,7 +798,7 @@ and prune_query db prefix (needed : SS.t) (q : query) : query =
         let a = arm "[left]" a in
         Diff (s, a, arm "[right]" b)
     | Order (keys, input) ->
-        let below = SS.union needed (refs_of_exprs db (List.map fst keys)) in
+        let below = SS.union needed (refs_of_exprs pcx (List.map fst keys)) in
         let keys = List.map (fun (e, d) -> (pexpr e, d)) keys in
         Order (keys, child "" input below)
     | Limit (n, input) -> Limit (n, child "" input needed)
@@ -768,9 +806,19 @@ and prune_query db prefix (needed : SS.t) (q : query) : query =
   Rewrite_trace.emit ~rule:"prune" ~path:here ~before:q ~after;
   after
 
+let prune_with cx q =
+  let pcx =
+    {
+      p_cx = cx;
+      p_exists = Rewrite_trace.Shared.create ();
+      p_value = Rewrite_trace.Shared.create ();
+    }
+  in
+  prune_query pcx [] (all_out cx.db q) q
+
 (** [prune db q] drops dead columns everywhere below the root; the
     root's own schema is preserved. *)
-let prune db q = prune_query db [] (all_out db q) q
+let prune db q = prune_with (context db) q
 
 (** {1 Cost-based join reorder}
 
@@ -791,10 +839,11 @@ let prune db q = prune_query db [] (all_out db q) q
 
 let reorder_min_leaves = 3
 
-let try_reorder db est (prefix : string list) (q : query) : query option =
+let try_reorder cx est (prefix : string list) (q : query) : query option =
+  let db = cx.db in
   let conds, leaves = flat_conjuncts q in
   if List.length leaves < reorder_min_leaves then None
-  else if not (flat_namespace db q leaves) then None
+  else if not (flat_namespace cx q leaves) then None
   else
     match Scope.out_names db q with
     | exception _ -> None
@@ -810,7 +859,7 @@ let try_reorder db est (prefix : string list) (q : query) : query option =
             match plain with _ :: t -> t | [] -> []
           else plain
         in
-        let refs = List.map (fun e -> (e, Scope.refs_of_expr db e)) plain in
+        let refs = List.map (fun e -> (e, refs_of cx e)) plain in
         (* a conjunct is placeable once every reference that the cluster
            produces is available; references outside the cluster are
            correlated and never block *)
@@ -880,8 +929,7 @@ let try_reorder db est (prefix : string list) (q : query) : query option =
         if unchanged then None
         else if Estimate.cost est after < 0.99 *. Estimate.cost est q then begin
           Rewrite_trace.emit ~rule:"join-reorder"
-            ~path:(prefix @ [ Guard.op_label q ])
-            ~before:q ~after;
+            ~path:(Rewrite_trace.node prefix q) ~before:q ~after;
           Some after
         end
         else None
@@ -889,31 +937,35 @@ let try_reorder db est (prefix : string list) (q : query) : query option =
 (* The walk: attempt a reorder at every maximal cluster root, then
    descend — through the (possibly rebuilt) cluster spine without
    re-attempting, and into leaves, sublink queries and every other
-   operator with the standard path scheme. *)
-let rec reorder_query db est (prefix : string list) (q : query) : query =
+   operator with the standard path scheme. [bodies] holds the result
+   per physical sublink body. *)
+let rec reorder_query cx est bodies (prefix : string list) (q : query) : query
+    =
   match q with
   | Select _ | Cross _ | Join _ ->
       let q =
-        match try_reorder db est prefix q with Some q' -> q' | None -> q
+        match try_reorder cx est prefix q with Some q' -> q' | None -> q
       in
-      reorder_spine db est prefix q
-  | _ -> reorder_spine db est prefix q
+      reorder_spine cx est bodies prefix q
+  | _ -> reorder_spine cx est bodies prefix q
 
-and reorder_spine db est prefix q =
-  let here = prefix @ [ Guard.op_label q ] in
+and reorder_spine cx est bodies prefix q =
+  let here = Rewrite_trace.node prefix q in
   let counter = ref 0 in
   let sub e =
     map_expr_query
       (fun sq ->
         incr counter;
-        reorder_query db est (here @ [ sublink_seg !counter ]) sq)
+        let path = Rewrite_trace.sublink here !counter in
+        Rewrite_trace.Shared.visit bodies sq ~path (fun () ->
+            reorder_query cx est bodies path sq))
       e
   in
   let child qual i =
-    reorder_query db est (prefix @ [ Guard.op_label q ^ qual ]) i
+    reorder_query cx est bodies (Rewrite_trace.child prefix q qual) i
   in
   let spine qual i =
-    reorder_spine db est (prefix @ [ Guard.op_label q ^ qual ]) i
+    reorder_spine cx est bodies (Rewrite_trace.child prefix q qual) i
   in
   match q with
   | Base _ | TableExpr _ -> q
@@ -964,8 +1016,14 @@ and reorder_spine db est prefix q =
    usual traced, certified rule applications) — and finally drop the
    columns nothing above reads. *)
 let optimize ?(prune = true) db q =
+  let cx = context db in
   let q = Simplify.query q in
-  let q = reorder_query db (Estimate.create db) [] q in
-  let q' = optimize db [] q in
+  let q =
+    reorder_query cx
+      (Estimate.create ~frees:cx.frees db)
+      (Rewrite_trace.Shared.create ())
+      [] q
+  in
+  let q' = optimize cx [] q in
   let q' = Simplify.query q' in
-  if prune then prune_query db [] (all_out db q') q' else q'
+  if prune then prune_with cx q' else q'

@@ -82,6 +82,63 @@ let with_tracer f body =
   hook := Some f;
   Fun.protect ~finally:(fun () -> hook := saved) body
 
+(** {1 Operator paths}
+
+    Entry paths are built only while a tracer is installed: without
+    one, every helper returns its prefix unchanged (the empty path the
+    passes start from), so the stock pipeline allocates no path. *)
+
+let node prefix q = if active () then prefix @ [ Guard.op_label q ] else prefix
+
+let child prefix q qual =
+  if active () then prefix @ [ Guard.op_label q ^ qual ] else prefix
+
+let sublink here k =
+  if active () then here @ [ "sublink[" ^ string_of_int k ^ "]" ] else here
+
+(** {1 Shared sublink bodies}
+
+    A table of one pass's results per physical sublink body, local to
+    one pass invocation. The first visit of a body runs the pass and,
+    under a tracer, records the entries it emitted with paths relative
+    to the body; a later visit of the same object returns the first
+    result (so the output stays shared) and re-emits those entries
+    under its own path, so the tracer sees the same entry list as a
+    walk that rewrote every copy. *)
+module Shared = struct
+  type 'a t = ('a * entry list) Algebra.Qtbl.t
+
+  let create () : 'a t = Algebra.Qtbl.create 8
+
+  let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l)
+
+  let visit (t : 'a t) body ~path run =
+    match Algebra.Qtbl.find_opt t body with
+    | Some (r, entries) ->
+        (match !hook with
+        | Some f ->
+            List.iter (fun e -> f { e with e_path = path @ e.e_path }) entries
+        | None -> ());
+        r
+    | None ->
+        let r, entries =
+          match !hook with
+          | None -> (run (), [])
+          | Some outer ->
+              let depth = List.length path and acc = ref [] in
+              let r =
+                with_tracer
+                  (fun e ->
+                    acc := { e with e_path = drop depth e.e_path } :: !acc;
+                    outer e)
+                  run
+              in
+              (r, List.rev !acc)
+        in
+        Algebra.Qtbl.add t body (r, entries);
+        r
+end
+
 (** {1 Test-only mutation hook}
 
     [mutation := Some name] arms one deliberately broken variant of a

@@ -43,6 +43,41 @@ val emit :
     the previous tracer is restored on exit (scopes nest). *)
 val with_tracer : (entry -> unit) -> (unit -> 'a) -> 'a
 
+(** {1 Operator paths}
+
+    Path builders for the passes. Each extends its prefix only while a
+    tracer is installed ({!active}); otherwise it returns the prefix
+    unchanged, so the stock pipeline builds no paths. *)
+
+(** [node prefix q]: the path of operator [q] under [prefix]. *)
+val node : string list -> Algebra.query -> string list
+
+(** [child prefix q qual]: the path prefix of [q]'s input, with the
+    Lint qualifier [qual] (["[left]"], ["[right]"] or [""]). *)
+val child : string list -> Algebra.query -> string -> string list
+
+(** [sublink here k]: the path prefix of the [k]-th sublink (from 1)
+    of the operator at [here]. *)
+val sublink : string list -> int -> string list
+
+(** {1 Shared sublink bodies} *)
+
+(** One pass's results per physical sublink body. A table is created
+    by one pass invocation and dropped when it returns. *)
+module Shared : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  (** [visit t body ~path run] is [run ()] on the first visit of
+      [body] (physical identity). A later visit returns the first
+      result without running the pass again and, under a tracer,
+      re-emits the entries the first visit emitted, re-rooted from the
+      first visit's [path] to this one's. [run] must depend on [body]
+      only, and its entry paths must extend [path]. *)
+  val visit : 'a t -> Algebra.query -> path:string list -> (unit -> 'a) -> 'a
+end
+
 (** {1 Test-only mutation hook} *)
 
 (** The armed rule mutant, if any. Production code never sets this;

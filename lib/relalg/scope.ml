@@ -29,33 +29,61 @@ let rec out_names db (q : query) : string list =
 
 let defined_in local name = List.exists (List.mem name) local
 
-let rec free_expr db (local : string list list) (e : expr) (acc : S.t) : S.t =
+(* Free names per physical sublink body, for the length of one caller's
+   analysis. A body's names free under [local] are its names free under
+   no scope at all, minus those [local] binds, so the walk below each
+   body runs once however often the body is reached. *)
+type memo = string list Qtbl.t
+
+let memo () : memo = Qtbl.create 16
+
+let rec free_expr memo db (local : string list list) (e : expr) (acc : S.t) :
+    S.t =
   match e with
   | Const _ | TypedNull _ -> acc
   | Attr name -> if defined_in local name then acc else S.add name acc
   | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
-      free_expr db local b (free_expr db local a acc)
-  | Not a | IsNull a | Like (a, _) -> free_expr db local a acc
+      free_expr memo db local b (free_expr memo db local a acc)
+  | Not a | IsNull a | Like (a, _) -> free_expr memo db local a acc
   | Case (whens, els) ->
       let acc =
         List.fold_left
-          (fun acc (c, x) -> free_expr db local x (free_expr db local c acc))
+          (fun acc (c, x) ->
+            free_expr memo db local x (free_expr memo db local c acc))
           acc whens
       in
-      Option.fold ~none:acc ~some:(fun e -> free_expr db local e acc) els
+      Option.fold ~none:acc ~some:(fun e -> free_expr memo db local e acc) els
   | InList (a, es) ->
-      List.fold_left (fun acc e -> free_expr db local e acc) (free_expr db local a acc) es
+      List.fold_left
+        (fun acc e -> free_expr memo db local e acc)
+        (free_expr memo db local a acc)
+        es
   | FunCall (_, es) ->
-      List.fold_left (fun acc e -> free_expr db local e acc) acc es
+      List.fold_left (fun acc e -> free_expr memo db local e acc) acc es
   | Sublink s ->
       let acc =
         match s.kind with
         | Exists | Scalar -> acc
-        | AnyOp (_, lhs) | AllOp (_, lhs) -> free_expr db local lhs acc
+        | AnyOp (_, lhs) | AllOp (_, lhs) -> free_expr memo db local lhs acc
       in
-      free_query_acc db local s.query acc
+      (match memo with
+      | None -> free_query_acc None db local s.query acc
+      | Some m ->
+          List.fold_left
+            (fun acc n -> if defined_in local n then acc else S.add n acc)
+            acc
+            (body_frees m db s.query))
 
-and free_query_acc db (local : string list list) (q : query) (acc : S.t) : S.t =
+and body_frees m db q =
+  match Qtbl.find_opt m q with
+  | Some names -> names
+  | None ->
+      let names = S.elements (free_query_acc (Some m) db [] q S.empty) in
+      Qtbl.add m q names;
+      names
+
+and free_query_acc memo db (local : string list list) (q : query) (acc : S.t) :
+    S.t =
   let with_input input f acc =
     let scope = out_names db input :: local in
     f scope acc
@@ -63,61 +91,74 @@ and free_query_acc db (local : string list list) (q : query) (acc : S.t) : S.t =
   match q with
   | Base _ | TableExpr _ -> acc
   | Select (cond, input) ->
-      let acc = with_input input (fun scope acc -> free_expr db scope cond acc) acc in
-      free_query_acc db local input acc
+      let acc =
+        with_input input (fun scope acc -> free_expr memo db scope cond acc) acc
+      in
+      free_query_acc memo db local input acc
   | Project { cols; proj_input; _ } ->
       let acc =
         with_input proj_input
           (fun scope acc ->
-            List.fold_left (fun acc (e, _) -> free_expr db scope e acc) acc cols)
+            List.fold_left
+              (fun acc (e, _) -> free_expr memo db scope e acc)
+              acc cols)
           acc
       in
-      free_query_acc db local proj_input acc
-  | Cross (a, b) -> free_query_acc db local b (free_query_acc db local a acc)
+      free_query_acc memo db local proj_input acc
+  | Cross (a, b) ->
+      free_query_acc memo db local b (free_query_acc memo db local a acc)
   | Join (cond, a, b) | LeftJoin (cond, a, b) ->
       let scope = (out_names db a @ out_names db b) :: local in
-      let acc = free_expr db scope cond acc in
-      free_query_acc db local b (free_query_acc db local a acc)
+      let acc = free_expr memo db scope cond acc in
+      free_query_acc memo db local b (free_query_acc memo db local a acc)
   | Agg { group_by; aggs; agg_input } ->
       let acc =
         with_input agg_input
           (fun scope acc ->
             let acc =
-              List.fold_left (fun acc (e, _) -> free_expr db scope e acc) acc group_by
+              List.fold_left
+                (fun acc (e, _) -> free_expr memo db scope e acc)
+                acc group_by
             in
             List.fold_left
               (fun acc c ->
                 match c.agg_arg with
-                | Some e -> free_expr db scope e acc
+                | Some e -> free_expr memo db scope e acc
                 | None -> acc)
               acc aggs)
           acc
       in
-      free_query_acc db local agg_input acc
+      free_query_acc memo db local agg_input acc
   | Union (_, a, b) | Inter (_, a, b) | Diff (_, a, b) ->
-      free_query_acc db local b (free_query_acc db local a acc)
+      free_query_acc memo db local b (free_query_acc memo db local a acc)
   | Order (keys, input) ->
       let acc =
         with_input input
           (fun scope acc ->
-            List.fold_left (fun acc (e, _) -> free_expr db scope e acc) acc keys)
+            List.fold_left
+              (fun acc (e, _) -> free_expr memo db scope e acc)
+              acc keys)
           acc
       in
-      free_query_acc db local input acc
-  | Limit (_, input) -> free_query_acc db local input acc
+      free_query_acc memo db local input acc
+  | Limit (_, input) -> free_query_acc memo db local input acc
 
 (** Free attribute names of [q]: correlated references that must be
     bound by enclosing scopes. Sorted, duplicate-free. *)
-let free_of_query db q = S.elements (free_query_acc db [] q S.empty)
+let free_of_query ?memo db q = S.elements (free_query_acc memo db [] q S.empty)
+
+(** [body_frees m db q]: {!free_of_query} of a sublink body, computed
+    once per physical [q] and memo. *)
+let body_frees m db q = body_frees m db q
 
 (** Free attribute names of expression [e] under an operator whose input
     schema provides [input_names]. *)
 let free_of_expr db input_names e =
-  S.elements (free_expr db [ input_names ] e S.empty)
+  S.elements (free_expr None db [ input_names ] e S.empty)
 
 (** Names referenced by [e] that are NOT bound by any scope — i.e. with
     no local scope at all. Used by the optimizer to decide pushdown. *)
-let refs_of_expr db e = S.elements (free_expr db [] e S.empty)
+let refs_of_expr ?memo db e = S.elements (free_expr memo db [] e S.empty)
 
 (** [is_uncorrelated db s] holds when sublink [s] has no correlated
     references — the applicability condition of the Left, Move and Unn

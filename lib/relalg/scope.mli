@@ -7,16 +7,30 @@
 (** Output attribute names of a query (no type information needed). *)
 val out_names : Database.t -> Algebra.query -> string list
 
-(** Free attribute names of a query: sorted, duplicate-free. *)
-val free_of_query : Database.t -> Algebra.query -> string list
+(** Free names per physical sublink body, filled as the functions
+    below meet bodies. A caller creates one for one analysis (one
+    optimizer call) and drops it after, so a body reached many times is
+    walked once. *)
+type memo
+
+val memo : unit -> memo
+
+(** Free attribute names of a query: sorted, duplicate-free. With
+    [memo], the sublink bodies below the query are looked up there. *)
+val free_of_query : ?memo:memo -> Database.t -> Algebra.query -> string list
+
+(** [body_frees m db q]: the free names of sublink body [q], computed
+    once per physical [q] and memo. *)
+val body_frees : memo -> Database.t -> Algebra.query -> string list
 
 (** Free names of an expression under an operator whose input provides
     [input_names]. *)
 val free_of_expr : Database.t -> string list -> Algebra.expr -> string list
 
 (** All names referenced by an expression with no local scope at all
-    (used by the optimizer to decide pushdown). *)
-val refs_of_expr : Database.t -> Algebra.expr -> string list
+    (used by the optimizer to decide pushdown). With [memo], sublink
+    bodies are looked up there instead of walked. *)
+val refs_of_expr : ?memo:memo -> Database.t -> Algebra.expr -> string list
 
 (** [is_uncorrelated db s]: the applicability condition of the Left,
     Move and Unn strategies (Section 3.6). *)

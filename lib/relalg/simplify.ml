@@ -176,21 +176,25 @@ and sublink_kind = function
   | AnyOp (op, lhs) -> AnyOp (op, expr lhs)
   | AllOp (op, lhs) -> AllOp (op, expr lhs)
 
-let sublink_seg k = Printf.sprintf "sublink[%d]" k
-
 (* Path-carrying plan recursion, matching Lint's path conventions:
    [op_label] segments, ["[left]"]/["[right]"] qualifiers on binary
    operators, and [sublink[k]] segments counted across the node's
-   expressions in Lint's enumeration order. *)
-let rec query_at (prefix : string list) (q : Algebra.query) : Algebra.query =
-  let here = prefix @ [ Guard.op_label q ] in
-  let child qual i = query_at (prefix @ [ Guard.op_label q ^ qual ]) i in
+   expressions in Lint's enumeration order (paths are built only under
+   a tracer). [bodies] holds the result per physical sublink body, so a
+   body the plan embeds several times is simplified once and stays
+   shared. *)
+let rec query_at bodies (prefix : string list) (q : Algebra.query) :
+    Algebra.query =
+  let here = Rewrite_trace.node prefix q in
+  let child qual i = query_at bodies (Rewrite_trace.child prefix q qual) i in
   let counter = ref 0 in
   let sub e =
     map_expr_query
       (fun sq ->
         incr counter;
-        query_at (here @ [ sublink_seg !counter ]) sq)
+        let path = Rewrite_trace.sublink here !counter in
+        Rewrite_trace.Shared.visit bodies sq ~path (fun () ->
+            query_at bodies path sq))
       e
   in
   (* Phase 1: recurse into child queries and sublink queries. *)
@@ -278,4 +282,5 @@ let rec query_at (prefix : string list) (q : Algebra.query) : Algebra.query =
 (** [query q] simplifies every expression in the plan (including inside
     sublink queries) and drops selections whose condition folded to
     [TRUE]. *)
-let query (q : Algebra.query) : Algebra.query = query_at [] q
+let query (q : Algebra.query) : Algebra.query =
+  query_at (Rewrite_trace.Shared.create ()) [] q

@@ -99,9 +99,14 @@ type prop =
   | POr of prop * prop
 
 (* Structural equality tolerant of closures buried in [TableExpr]
-   relations inside sublink plans. *)
+   relations inside sublink plans. [=] never short-circuits on physical
+   equality (NaN is not equal to itself), so it would walk the whole
+   sublink body the two copies of a Gen atom share; [compare] skips
+   shared blocks at every depth. The two differ only on atoms holding
+   NaN constants, which [compare] identifies with themselves — sound,
+   as one atom has one value per row. *)
 let safe_equal (a : expr) (b : expr) =
-  try a = b with Invalid_argument _ -> false
+  a == b || try compare a b = 0 with Invalid_argument _ -> false
 
 let negate_cmp = function
   | Eq -> Neq

@@ -392,6 +392,131 @@ let test_stock_plans_certify () =
     mutant_cases
 
 (* ------------------------------------------------------------------ *)
+(* Shared sublink bodies: the memo-hit path equals the miss path        *)
+(* ------------------------------------------------------------------ *)
+
+(* A deep copy with every node rebuilt, so no two sublink references
+   share a body: each pass then rewrites every copy itself. *)
+let rec unshare (q : A.query) : A.query =
+  match q with
+  | A.Base n -> A.Base n
+  | A.TableExpr r -> A.TableExpr r
+  | q -> A.map_queries unshare q
+
+let traced_optimize db q =
+  let entries = ref [] in
+  let plan =
+    Rewrite_trace.with_tracer
+      (fun e -> entries := e :: !entries)
+      (fun () -> Optimizer.optimize db q)
+  in
+  let show (e : Rewrite_trace.entry) =
+    Printf.sprintf "%s at %s: %s => %s" e.e_rule
+      (Guard.path_to_string e.e_path)
+      (Pp.query_to_string e.e_before)
+      (Pp.query_to_string e.e_after)
+  in
+  (Pp.query_to_string plan, List.rev_map show !entries)
+
+(* [optimize q_plus] and [optimize (unshare q_plus)] print the same
+   plan, untraced and traced, and the traced runs emit the same entry
+   list (rule, path, before, after): the replay of a shared body's
+   entries under each copy's path stands in for rewriting the copy. *)
+let check_shared_unshared ~what db q_plus =
+  let copy = unshare q_plus in
+  let plain = Pp.query_to_string (Optimizer.optimize db q_plus) in
+  Alcotest.(check string) (what ^ ": plan") plain
+    (Pp.query_to_string (Optimizer.optimize db copy));
+  let plan_s, entries_s = traced_optimize db q_plus in
+  let plan_u, entries_u = traced_optimize db copy in
+  Alcotest.(check string) (what ^ ": traced plan") plain plan_s;
+  Alcotest.(check string) (what ^ ": traced unshared plan") plain plan_u;
+  Alcotest.(check (list string)) (what ^ ": entries") entries_u entries_s
+
+(* Whether two sublink references of [q] share one body object. *)
+let has_shared_body q =
+  let seen = ref [] and shared = ref false in
+  let rec walk q =
+    List.iter
+      (fun (sl : A.sublink) ->
+        if List.memq sl.A.query !seen then shared := true
+        else begin
+          seen := sl.A.query :: !seen;
+          walk sl.A.query
+        end)
+      (List.concat_map A.sublinks_of_expr (A.root_exprs q));
+    List.iter walk (Dataflow.inputs q)
+  in
+  walk q;
+  !shared
+
+let strategy_plans db q =
+  List.filter_map
+    (fun strategy ->
+      match Rewrite.rewrite db ~strategy q with
+      | q_plus, _ -> Some (strategy, q_plus)
+      | exception Strategy.Unsupported _ -> None)
+    Strategy.all
+
+let test_shared_bodies_qgen () =
+  let plans = ref 0 and shared = ref 0 in
+  for seed = 1 to 300 do
+    let case = Fuzz.Qgen.case_of_seed seed in
+    let db = Fuzz.Qgen.database case in
+    match Sql_frontend.Analyzer.analyze db case.Fuzz.Qgen.c_select with
+    | exception _ -> ()
+    | a ->
+        List.iter
+          (fun (strategy, q_plus) ->
+            incr plans;
+            if has_shared_body (Optimizer.optimize db q_plus) then incr shared;
+            check_shared_unshared db q_plus
+              ~what:
+                (Printf.sprintf "qgen %d under %s" seed
+                   (Strategy.to_string strategy)))
+          (strategy_plans db a.Sql_frontend.Analyzer.query)
+  done;
+  Alcotest.(check bool) "the corpus has plans" true (!plans > 300);
+  (* the memo-hit path runs: Gen's copies come out of the optimizer
+     still sharing their body *)
+  Alcotest.(check bool) "some optimized plans share a body" true (!shared > 100)
+
+(* The Figure 6 TPC-H queries and the Figure 7 synthetic templates,
+   under every strategy that applies. *)
+let test_shared_bodies_figures () =
+  let db = Tpch.Tpch_gen.generate ~seed:5 ~sf:0.01 () in
+  List.iter
+    (fun number ->
+      let q = Tpch.Tpch_queries.instantiate ~seed:100 number in
+      let query =
+        (Sql_frontend.Analyzer.analyze_string db q.Tpch.Tpch_queries.sql)
+          .Sql_frontend.Analyzer.query
+      in
+      List.iter
+        (fun (strategy, q_plus) ->
+          check_shared_unshared db q_plus
+            ~what:
+              (Printf.sprintf "TPC-H q%d under %s" number
+                 (Strategy.to_string strategy)))
+        (strategy_plans db query))
+    [ 4; 11; 15; 16; 17; 22 ];
+  let n1 = 60 and n2 = 30 in
+  let db = Synthetic.Workload.make_db ~seed:11 ~n1 ~n2 () in
+  List.iter
+    (fun (template, inst) ->
+      List.iter
+        (fun (strategy, q_plus) ->
+          check_shared_unshared db q_plus
+            ~what:
+              (Printf.sprintf "synthetic %s under %s" template
+                 (Strategy.to_string strategy)))
+        (strategy_plans db inst.Synthetic.Workload.query))
+    [
+      ("q1", Synthetic.Workload.q1 ~seed:11 ~n1 ~n2 ());
+      ("q2", Synthetic.Workload.q2 ~seed:11 ~n1 ~n2 ());
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Certify failures surface through the Perm API                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -430,6 +555,13 @@ let () =
             test_synthetic_certifies;
           Alcotest.test_case "TPC-H, all strategies" `Slow
             test_tpch_certifies;
+        ] );
+      ( "shared bodies",
+        [
+          Alcotest.test_case "qgen 1-300, shared = unshared" `Quick
+            test_shared_bodies_qgen;
+          Alcotest.test_case "figure cells, shared = unshared" `Quick
+            test_shared_bodies_figures;
         ] );
       ( "integration",
         [
