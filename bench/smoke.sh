@@ -54,8 +54,9 @@ logged() {
 }
 
 # The governor must make every failure mode graceful: the bench under a
-# short execution budget (censored cells, not hangs), and a REPL that
-# survives a statement from every error class.
+# short execution budget (censored cells, not hangs), a REPL that
+# survives a statement from every error class, and a budget trip that
+# names the operator by the path \explain gives it.
 resilience() {
   step "bench under a short execution budget"
   timeout 300 dune exec bench/main.exe -- fig7 \
@@ -85,6 +86,21 @@ resilience() {
   # answer or error it prints is the final statement's 3 rows
   grep -E 'row\(s\)|error' "$tmp/repl_smoke.out" | tail -n 1 \
     | grep -qxF '(3 row(s))'
+
+  step "a budget trip names an operator of the plan"
+  q="SELECT PROVENANCE a FROM r WHERE a = ANY (SELECT c FROM s)"
+  code=0
+  timeout 60 dune exec bin/permcli.exe -- --demo --strategy gen \
+    --max-rows 2 -e "$q" > "$tmp/trip.out" 2>&1 || code=$?
+  cat "$tmp/trip.out"
+  [ "$code" -eq 1 ]
+  path=$(sed -n 's/^error: \[eval\] budget exceeded at \([^:]*\): .*/\1/p' \
+    "$tmp/trip.out")
+  [ -n "$path" ]
+  # the tripped operator's path, verbatim, is one \explain reports
+  timeout 60 dune exec bin/permcli.exe -- --demo --strategy gen \
+    --explain-json "$q" > "$tmp/trip_explain.json"
+  grep -qF "\"path\":\"$path\"" "$tmp/trip_explain.json"
 }
 
 # A pinned-seed differential campaign (4 strategies x 2 engines x

@@ -399,7 +399,7 @@ let explain_statement session sql =
       List.iter
         (fun (a, actual) ->
           Printf.printf "%-52s %12.6g %14.6g %8s\n"
-            (Guard.path_to_string a.Estimate.a_path)
+            (Algebra.Path.to_string a.Estimate.a_path)
             a.Estimate.a_rows a.Estimate.a_cost
             (match actual with Some n -> string_of_int n | None -> "-"))
         annots
@@ -428,7 +428,7 @@ let explain_json_statement session sql : int =
           Buffer.add_string buf
             (Printf.sprintf
                "{\"path\":\"%s\",\"est_rows\":%s,\"est_cost\":%s,\"actual_rows\":%s}"
-               (json_escape (Guard.path_to_string a.Estimate.a_path))
+               (json_escape (Algebra.Path.to_string a.Estimate.a_path))
                (json_num a.Estimate.a_rows)
                (json_num a.Estimate.a_cost)
                (match actual with Some n -> string_of_int n | None -> "null")))

@@ -80,7 +80,7 @@ let unn_equi_safe db (q : query) : bool =
       List.fold_left
         (fun f i -> Dataflow.concat_null f (Dataflow.nullability dfa ~env i))
         { Dataflow.n_names = []; n_maybe = [] }
-        (Dataflow.inputs q)
+        (inputs q)
     in
     let env' = input_fact :: env in
     List.iter
@@ -100,7 +100,7 @@ let unn_equi_safe db (q : query) : bool =
             walk ~env:env' s.query)
           (sublinks_of_expr e))
       (root_exprs q);
-    List.iter (walk ~env) (Dataflow.inputs q)
+    List.iter (walk ~env) (inputs q)
   in
   match walk ~env:[] q with () -> true | exception Unsafe -> false
 

@@ -9,16 +9,9 @@ let diag = Lint.diag
 (* Strategy preconditions                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Sublinks of a site's root expressions, numbered like the site
-   walker's [sublink[k]] path segments. *)
-let site_sublinks (s : Lint.site) =
-  List.concat_map (fun (_, e) -> sublinks_of_expr e) s.Lint.s_exprs
-  |> List.mapi (fun i sub ->
-         (s.Lint.s_path @ [ Printf.sprintf "sublink[%d]" (i + 1) ], sub))
-
 let uncorrelated_precondition db name (s : Lint.site) =
   List.filter_map
-    (fun (path, sub) ->
+    (fun (sub, path) ->
       if Scope.is_uncorrelated db sub then None
       else
         Some
@@ -27,7 +20,7 @@ let uncorrelated_precondition db name (s : Lint.site) =
                 "the %s strategy requires uncorrelated sublinks, but this one \
                  references the enclosing scope"
                 name)))
-    (site_sublinks s)
+    (Path.sublinks s.Lint.s_path (List.map snd s.Lint.s_exprs))
 
 (* Mirror of [Rewrite.unn_selection]'s conjunct classification: which
    sublink forms the Unn strategy can un-nest. *)
@@ -226,22 +219,13 @@ let bump tbl key by =
 
 (* A base-relation access at sublink nesting depth d is re-scanned by
    the CrossBase of each of its d enclosing sublinks. *)
-let gen_required db original =
+let gen_required original =
   let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Lint.site) ->
-      match s.Lint.s_query with
-      | Base r ->
-          let depth =
-            List.length
-              (List.filter
-                 (fun seg ->
-                   String.length seg >= 8 && String.sub seg 0 8 = "sublink[")
-                 s.Lint.s_path)
-          in
-          if depth > 0 then bump tbl r depth
-      | _ -> ())
-    (Lint.sites db original);
+  Path.walk
+    (fun _ depth q ->
+      (match q with Base r when depth > 0 -> bump tbl r depth | _ -> ());
+      depth + 1)
+    0 original;
   tbl
 
 let is_null_row rel =
@@ -259,8 +243,8 @@ let crossbase_scans q =
   walk q;
   tbl
 
-let gen_crossbase db ~original rewritten =
-  let required = gen_required db original in
+let gen_crossbase ~original rewritten =
+  let required = gen_required original in
   let actual = crossbase_scans rewritten in
   Hashtbl.fold
     (fun r need acc ->
@@ -381,7 +365,7 @@ let check db ~strategy ?optimized ~original (rewritten, provs) =
   precondition db ~strategy original
   @ contract db ~original rewritten provs
   @ (match strategy with
-    | Strategy.Gen -> gen_crossbase db ~original rewritten
+    | Strategy.Gen -> gen_crossbase ~original rewritten
     | _ -> [])
   @
   match optimized with

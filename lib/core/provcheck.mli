@@ -50,13 +50,13 @@ val contract :
   Pschema.prov_rel list ->
   Lint.diagnostic list
 
-(** [gen_crossbase db ~original rewritten] checks that the Gen
+(** [gen_crossbase ~original rewritten] checks that the Gen
     strategy's NULL-extended CrossBase scans are present: for every
     base-relation access at sublink nesting depth [d] in [original],
     [rewritten] must contain [d] scans of the form
     [Project (_, Union (Bag, Base r, TableExpr all-NULL-row))]. *)
 val gen_crossbase :
-  Database.t -> original:Algebra.query -> Algebra.query -> Lint.diagnostic list
+  original:Algebra.query -> Algebra.query -> Lint.diagnostic list
 
 (** [oracle_check db ~original rewritten] is the bounded ground-truth
     check ([prov-oracle]): the rewritten provenance plan is evaluated

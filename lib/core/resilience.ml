@@ -59,7 +59,7 @@ let error_to_string e =
     | Budget t -> Guard.trip_to_string t
     | Fault { f_site; f_path } ->
         Printf.sprintf "injected %s fault at %s" f_site
-          (Guard.path_to_string f_path)
+          (Algebra.Path.to_string f_path)
     | Lint ds -> Lint.report ds
     | Unsupported m -> "strategy not applicable: " ^ m
     | Overloaded { retry_after } ->

@@ -274,17 +274,111 @@ let map_queries f = function
       Order (List.map (fun (e, d) -> (map_expr_query f e, d)) keys, f q)
   | Limit (n, q) -> Limit (n, f q)
 
-(** All expressions syntactically present in the root operator of [q]
-    (conditions, projection columns, group/agg/order expressions). *)
-let root_exprs = function
-  | Base _ | TableExpr _ | Cross _ | Limit _ -> []
-  | Select (c, _) | Join (c, _, _) | LeftJoin (c, _, _) -> [ c ]
-  | Project p -> List.map fst p.cols
-  | Agg a ->
-      List.map fst a.group_by
-      @ List.filter_map (fun c -> c.agg_arg) a.aggs
-  | Union _ | Inter _ | Diff _ -> []
-  | Order (keys, _) -> List.map fst keys
+(** The expressions syntactically present in the root operator of [q]
+    (conditions, projection columns, group/agg/order expressions), each
+    named for diagnostics. This order numbers the operator's sublinks. *)
+let labelled_exprs = function
+  | Select (c, _) -> [ ("the selection condition", c) ]
+  | Join (c, _, _) -> [ ("the join condition", c) ]
+  | LeftJoin (c, _, _) -> [ ("the outer-join condition", c) ]
+  | Project { cols; _ } -> List.map (fun (e, n) -> ("column " ^ n, e)) cols
+  | Agg { group_by; aggs; _ } ->
+      List.map (fun (e, n) -> ("group-by column " ^ n, e)) group_by
+      @ List.filter_map
+          (fun c ->
+            Option.map (fun e -> ("the argument of " ^ c.agg_name, e)) c.agg_arg)
+          aggs
+  | Order (keys, _) ->
+      List.mapi (fun i (e, _) -> ("order key " ^ string_of_int (i + 1), e)) keys
+  | Base _ | TableExpr _ | Cross _ | Union _ | Inter _ | Diff _ | Limit _ -> []
+
+let root_exprs q = List.map snd (labelled_exprs q)
+
+(** Direct input queries of an operator, left to right (sublink queries
+    excluded). *)
+let inputs = function
+  | Base _ | TableExpr _ -> []
+  | Select (_, i) | Order (_, i) | Limit (_, i) -> [ i ]
+  | Project { proj_input; _ } -> [ proj_input ]
+  | Agg { agg_input; _ } -> [ agg_input ]
+  | Cross (a, b)
+  | Join (_, a, b)
+  | LeftJoin (_, a, b)
+  | Union (_, a, b)
+  | Inter (_, a, b)
+  | Diff (_, a, b) ->
+      [ a; b ]
+
+(** Operator paths: the one definition of how an operator is named
+    (see algebra.mli). *)
+module Path = struct
+  type t = string list
+  type side = Input | Left | Right
+
+  let label = function
+    | Base name -> "Base(" ^ name ^ ")"
+    | TableExpr _ -> "Table"
+    | Select _ -> "Select"
+    | Project _ -> "Project"
+    | Cross _ -> "Cross"
+    | Join _ -> "Join"
+    | LeftJoin _ -> "LeftJoin"
+    | Agg _ -> "Agg"
+    | Union _ -> "Union"
+    | Inter _ -> "Inter"
+    | Diff _ -> "Diff"
+    | Order _ -> "Order"
+    | Limit _ -> "Limit"
+
+  let to_string = function [] -> "plan" | p -> String.concat "/" p
+  let here prefix q = prefix @ [ label q ]
+
+  let child prefix q side =
+    let segment =
+      match side with
+      | Input -> label q
+      | Left -> label q ^ "[left]"
+      | Right -> label q ^ "[right]"
+    in
+    prefix @ [ segment ]
+
+  let segment k = "sublink[" ^ string_of_int k ^ "]"
+  let sublink here k = here @ [ segment k ]
+
+  let sublinks here exprs =
+    List.mapi
+      (fun i s -> (s, sublink here (i + 1)))
+      (List.concat_map sublinks_of_expr exprs)
+
+  let locate owners s =
+    let rec position k = function
+      | [] -> None
+      | x :: _ when x == s -> Some k
+      | _ :: rest -> position (k + 1) rest
+    in
+    let rec go = function
+      | [] -> invalid_arg "Path.locate: sublink outside its operators"
+      | (here, exprs) :: rest -> (
+          match position 1 (List.concat_map sublinks_of_expr exprs) with
+          | Some k -> sublink here k
+          | None -> go rest)
+    in
+    go owners
+
+  let walk visit env q =
+    let rec go prefix env q =
+      let here = here prefix q in
+      let inner = visit here env q in
+      (match inputs q with
+      | [ i ] -> go (child prefix q Input) env i
+      | [ a; b ] ->
+          go (child prefix q Left) env a;
+          go (child prefix q Right) env b
+      | _ -> ());
+      List.iter (fun (s, p) -> go p inner s.query) (sublinks here (root_exprs q))
+    in
+    go [] env q
+end
 
 (** Base relation names accessed anywhere in [q] (including sublink
     queries), in the provenance rewriter's traversal order — operator

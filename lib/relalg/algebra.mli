@@ -148,8 +148,79 @@ val replace_sublinks : (int * expr) list -> expr -> expr
     inside conditions). *)
 val map_queries : (query -> query) -> query -> query
 
-(** Expressions syntactically present in the root operator of a query. *)
+(** Expressions syntactically present in the root operator of a query,
+    each with its name in diagnostics (["the join condition"],
+    ["column x"], ...). The operator's sublinks are numbered in this
+    order. *)
+val labelled_exprs : query -> (string * expr) list
+
+(** [List.map snd (labelled_exprs q)]. *)
 val root_exprs : query -> expr list
+
+(** Direct input queries of an operator, left to right (sublink queries
+    excluded). *)
+val inputs : query -> query list
+
+(** {1 Operator paths}
+
+    The one owner of the path format that Lint diagnostics, [\explain],
+    [\analyze], the optimizer trace, Guard trips and fault injection
+    share. A path lists, root first, one segment per operator on the
+    way down, e.g. [Project/Join[left]/Select/sublink[1]/Base(s)]:
+    - an operator's own segment is its {!Path.label};
+    - a unary operator's input extends that segment unchanged, a binary
+      operator's inputs qualify it with [[left]]/[[right]];
+    - the body of an operator's k-th sublink (1-based, in
+      {!sublinks_of_expr} order over {!root_exprs}) extends the
+      operator's path with [sublink[k]].
+
+    A {e prefix} is the path down to, but excluding, an operator's own
+    segment: the root's prefix is [[]]. *)
+module Path : sig
+  type t = string list
+
+  type side =
+    | Input  (** the input of a unary operator *)
+    | Left
+    | Right
+
+  (** The operator's segment: ["Base(r)"], ["Table"], ["Select"], ... *)
+  val label : query -> string
+
+  (** Joins with ["/"]; the empty path renders as ["plan"]. *)
+  val to_string : t -> string
+
+  (** [here prefix q]: the path of operator [q] under [prefix]. *)
+  val here : t -> query -> t
+
+  (** [child prefix q side]: the prefix of [q]'s input on [side]. *)
+  val child : t -> query -> side -> t
+
+  (** ["sublink[k]"], the segment of an operator's k-th sublink. *)
+  val segment : int -> string
+
+  (** [sublink here k]: the prefix of the body of the k-th sublink of
+      the operator at [here]. *)
+  val sublink : t -> int -> t
+
+  (** [sublinks here exprs]: every top-level sublink of [exprs] — the
+      root expressions of the operator at [here] — with the prefix of
+      its body. *)
+  val sublinks : t -> expr list -> (sublink * t) list
+
+  (** [locate owners s]: the body prefix of [s] among the sublinks of
+      [owners], the [(path, root expressions)] of the operators whose
+      expressions an engine evaluates together; the first physical
+      occurrence wins. Raises [Invalid_argument] when [s] is not there. *)
+  val locate : (t * expr list) list -> sublink -> t
+
+  (** [walk visit env q] visits every operator of [q], sublink bodies
+      included: the root, then its inputs left to right, then its
+      sublink bodies. [visit path env op] receives the environment of
+      [op]'s scope and returns the environment its sublink bodies see;
+      its inputs see [env] itself. *)
+  val walk : (t -> 'env -> query -> 'env) -> 'env -> query -> unit
+end
 
 (** Base relation names accessed anywhere in a query (including sublink
     queries), in the provenance rewriter's traversal order — operator

@@ -510,7 +510,7 @@ let check_obligation db flow ~budget acc (ob : obligation) =
       :: acc.a_failures
   in
   let skip reason =
-    acc.a_skips <- (Guard.path_to_string ob.ob_path, reason) :: acc.a_skips
+    acc.a_skips <- (Path.to_string ob.ob_path, reason) :: acc.a_skips
   in
   let failures_at_entry = List.length acc.a_failures in
   let before = ob.ob_before and after = ob.ob_after in
@@ -598,7 +598,7 @@ let check_obligation db flow ~budget acc (ob : obligation) =
         && symbolic_discharge db ob
       then
         acc.a_proved <-
-          (ob.ob_rule, Guard.path_to_string ob.ob_path) :: acc.a_proved
+          (ob.ob_rule, Path.to_string ob.ob_path) :: acc.a_proved
       else
       (* --- bounded equivalence on witness databases ---------------- *)
       match witness_databases_for db [ before; after ] with
@@ -721,7 +721,7 @@ let check_entries ?(budget = default_budget) db entries : report =
         (* an analysis crash must not take down the whole certificate
            run; record the obligation as skipped *)
         acc.a_skips <-
-          ( Guard.path_to_string ob.ob_path,
+          ( Path.to_string ob.ob_path,
             "internal error while checking: " ^ Printexc.to_string exn )
           :: acc.a_skips)
     entries;
@@ -762,7 +762,7 @@ let optimize ?prune ?budget db q =
 let failure_to_string ?(verbose = true) f =
   let b = Buffer.create 256 in
   Printf.bprintf b "FAILED [%s] at %s (%s): %s\n" f.f_rule
-    (Guard.path_to_string f.f_path)
+    (Path.to_string f.f_path)
     f.f_stage f.f_message;
   if verbose then begin
     List.iter

@@ -84,22 +84,6 @@ let pp_bound ppf = function
 
 let pp_card ppf c = Format.fprintf ppf "%d..%a" c.c_lo pp_bound c.c_hi
 
-(** Direct input queries of an operator (sublink queries excluded —
-    they are analysed under extended environments by the transfer
-    functions). *)
-let inputs = function
-  | Base _ | TableExpr _ -> []
-  | Select (_, i) | Order (_, i) | Limit (_, i) -> [ i ]
-  | Project { proj_input; _ } -> [ proj_input ]
-  | Agg { agg_input; _ } -> [ agg_input ]
-  | Cross (a, b)
-  | Join (_, a, b)
-  | LeftJoin (_, a, b)
-  | Union (_, a, b)
-  | Inter (_, a, b)
-  | Diff (_, a, b) ->
-      [ a; b ]
-
 (** {1 The generic engine} *)
 
 (** A client analysis: one lattice of per-subplan facts plus a transfer
@@ -521,20 +505,10 @@ let attr_deps f name =
 (** {1 Per-operator fact dump} *)
 
 let op_name = function
-  | Base name -> Printf.sprintf "Base(%s)" name
   | TableExpr r -> Printf.sprintf "TableExpr[%d]" (Relation.cardinality r)
-  | Select _ -> "Select"
   | Project { distinct = true; _ } -> "Project distinct"
-  | Project _ -> "Project"
-  | Cross _ -> "Cross"
-  | Join _ -> "Join"
-  | LeftJoin _ -> "LeftJoin"
-  | Agg _ -> "Agg"
-  | Union _ -> "Union"
-  | Inter _ -> "Inter"
-  | Diff _ -> "Diff"
-  | Order _ -> "Order"
   | Limit (n, _) -> Printf.sprintf "Limit(%d)" n
+  | q -> Path.label q
 
 let deps_to_string deps =
   match Deps.elements deps with
@@ -587,7 +561,8 @@ let dump t q =
           | AnyOp (_, _) -> "any"
           | AllOp (_, _) -> "all"
         in
-        Buffer.add_string buf (Printf.sprintf "%s  sublink[%d] %s:\n" pad k kind);
+        Buffer.add_string buf
+          (Printf.sprintf "%s  %s %s:\n" pad (Path.segment (k + 1)) kind);
         walk (indent + 4)
           ~nenv:(child_nf :: nenv)
           ~lenv:(child_lf :: lenv)

@@ -30,12 +30,6 @@ type card = { c_lo : int; c_hi : bound }
 
 val pp_card : Format.formatter -> card -> unit
 
-(** Direct input queries of an operator, in schema order (sublink
-    queries excluded — they live in expressions and are analysed under
-    extended environments). Shared by the fact-consuming walks in
-    [Lint] and [Core.Advisor]. *)
-val inputs : Algebra.query -> Algebra.query list
-
 (** {1 The generic engine}
 
     New analyses (e.g. {!Estimate}'s cardinality/cost interpretation)
@@ -76,7 +70,8 @@ module Engine (D : DOMAIN) : sig
   val query : t -> ?env:D.fact list -> Algebra.query -> D.fact
 end
 
-(** Operator label used by the fact dump ([Base(name)], [Select], ...). *)
+(** Operator label used by the fact dump: {!Algebra.Path.label}, with
+    [Project distinct], [TableExpr[n]] and [Limit(n)] spelled out. *)
 val op_name : Algebra.query -> string
 
 (** [index_of name names]: position of [name], if present. *)

@@ -514,45 +514,29 @@ let cost t q = (query t q).e_cost
 (* ------------------------------------------------------------------ *)
 
 type annot = {
-  a_path : string list;  (** Lint-style operator path, root first *)
+  a_path : string list;  (** plan path ({!Algebra.Path}), root first *)
   a_query : query;  (** the operator this annotation describes *)
   a_rows : float;
   a_cost : float;  (** cumulative cost of the subtree *)
 }
 
+let concat_facts = function
+  | [] -> { e_names = []; e_cols = []; e_rows = 0.0; e_cost = 0.0 }
+  | x :: rest -> List.fold_left Est_domain.concat x rest
+
 (** [annotate t q]: every operator of [q] (sublink queries included)
-    with its estimated rows and cumulative subtree cost, on the same
-    operator paths as {!Lint} diagnostics — root first. *)
+    with its estimated rows and cumulative subtree cost, on its plan
+    path — root first. *)
 let annotate t q : annot list =
   let acc = ref [] in
-  let rec walk prefix ~env q =
-    let here = prefix @ [ Guard.op_label q ] in
-    let f = query t ~env q in
-    acc := { a_path = here; a_query = q; a_rows = f.e_rows; a_cost = f.e_cost } :: !acc;
-    let inputs = Dataflow.inputs q in
-    let input_fact =
-      match List.map (fun i -> query t ~env i) inputs with
-      | [] -> { e_names = []; e_cols = []; e_rows = 0.0; e_cost = 0.0 }
-      | [ x ] -> x
-      | x :: rest -> List.fold_left Est_domain.concat x rest
-    in
-    let env' = input_fact :: env in
-    let child_prefix qualifier = prefix @ [ Guard.op_label q ^ qualifier ] in
-    (match inputs with
-    | [] -> ()
-    | [ i ] -> walk (child_prefix "") ~env i
-    | [ a; b ] ->
-        walk (child_prefix "[left]") ~env a;
-        walk (child_prefix "[right]") ~env b
-    | _ -> ());
-    List.iteri
-      (fun i s ->
-        walk
-          (here @ [ Printf.sprintf "sublink[%d]" (i + 1) ])
-          ~env:env' s.Algebra.query)
-      (List.concat_map sublinks_of_expr (root_exprs q))
-  in
-  walk [] ~env:[] q;
+  Path.walk
+    (fun here env q ->
+      let f = query t ~env q in
+      acc :=
+        { a_path = here; a_query = q; a_rows = f.e_rows; a_cost = f.e_cost }
+        :: !acc;
+      concat_facts (List.map (fun i -> query t ~env i) (inputs q)) :: env)
+    [] q;
   List.rev !acc
 
 let report t q =
@@ -561,7 +545,7 @@ let report t q =
     (fun a ->
       Buffer.add_string buf
         (Printf.sprintf "%-60s rows≈%-12.6g cost≈%.6g\n"
-           (Guard.path_to_string a.a_path)
+           (Path.to_string a.a_path)
            a.a_rows a.a_cost))
     (annotate t q);
   Buffer.contents buf

@@ -44,15 +44,20 @@ val cost : t -> Algebra.query -> float
 (** {1 Per-operator annotation} — [\explain] and the estimate lint
     rules. *)
 
+(** The facts of an operator's inputs, concatenated: the innermost
+    scope of its expressions and sublink bodies. *)
+val concat_facts : fact list -> fact
+
 type annot = {
-  a_path : string list;  (** Lint-style operator path, root first *)
+  a_path : string list;  (** plan path ({!Algebra.Path}), root first *)
   a_query : Algebra.query;  (** the operator this annotation describes *)
   a_rows : float;
   a_cost : float;  (** cumulative cost of the subtree *)
 }
 
 (** [annotate t q]: every operator of [q] (sublink queries included),
-    root first, on the same operator paths as {!Lint} diagnostics. *)
+    root first, on its plan path ({!Algebra.Path}) — the path Lint
+    diagnostics, Guard trips and fault points give the same operator. *)
 val annotate : t -> Algebra.query -> annot list
 
 (** Rendered annotation table. *)

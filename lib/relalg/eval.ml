@@ -89,9 +89,9 @@ type ctx = {
   sub_results : (int * Value.t list, Relation.t) Hashtbl.t;
   sub_summaries : (int * Value.t list, summary) Hashtbl.t;
   stats : stats;
-  mutable cur_path : string list;
-      (** {!Guard} path of the operator whose expressions are being
-          evaluated — the prefix for sublink paths *)
+  mutable cur_subs : (Path.t * expr list) list;
+      (** the operators whose expressions are being evaluated, with
+          their paths: where {!Path.locate} finds a sublink's body path *)
 }
 
 let mk_ctx db =
@@ -100,7 +100,7 @@ let mk_ctx db =
     sub_results = Hashtbl.create 64;
     sub_summaries = Hashtbl.create 64;
     stats = fresh_stats ();
-    cur_path = [];
+    cur_subs = [];
   }
 
 (* Computed per occurrence, not cached per [s.id]: the optimizer's
@@ -187,11 +187,11 @@ and materialize ctx env key (s : sublink) : Relation.t =
       rel
   | None ->
       ctx.stats.st_sublink_evals <- ctx.stats.st_sublink_evals + 1;
-      let saved = ctx.cur_path in
-      let spath = saved @ [ Printf.sprintf "sublink[%d]" s.id ] in
+      let saved = ctx.cur_subs in
+      let spath = Path.locate saved s in
       Guard.Faults.fire_point Guard.Faults.Sublink spath;
       let rel = eval_query ctx spath env s.query in
-      ctx.cur_path <- saved;
+      ctx.cur_subs <- saved;
       Hashtbl.add ctx.sub_results key rel;
       rel
 
@@ -209,10 +209,11 @@ and summary ctx env key s : summary =
 (** {1 Query evaluation (reference engine)} *)
 
 and eval_query ctx path (env : env) (q : query) : Relation.t =
-  (* [here] mirrors Lint's diagnostic paths; children extend the parent
-     segment with a [left]/[right] qualifier exactly like Lint does. *)
-  let here = path @ [ Guard.op_label q ] in
-  let child ?(qual = "") i = path @ [ Guard.op_label q ^ qual ] |> fun p -> eval_query ctx p env i in
+  let here = Path.here path q in
+  let child ?(side = Path.Input) i =
+    eval_query ctx (Path.child path q side) env i
+  in
+  let own () = ctx.cur_subs <- [ (here, root_exprs q) ] in
   Guard.tick here;
   let rel =
     match q with
@@ -224,13 +225,12 @@ and eval_query ctx path (env : env) (q : query) : Relation.t =
         rel
     (* Fuse a selection over a product/join so pairs stream instead of
        the product being materialized first. *)
-    | Select (cond, Cross (a, b)) -> eval_join ctx here env ~outer:false cond a b
-    | Select (cond, Join (c, a, b)) ->
-        eval_join ctx here env ~outer:false (And (c, cond)) a b
+    | Select (_, (Cross _ | Join _)) | Join _ | LeftJoin _ ->
+        eval_join ctx env (Option.get (Sem.join_of path q))
     | Select (cond, input) ->
         let rel = child input in
         let schema = Relation.schema rel in
-        ctx.cur_path <- here;
+        own ();
         let keep =
           List.filter
             (fun t ->
@@ -246,7 +246,7 @@ and eval_query ctx path (env : env) (q : query) : Relation.t =
           Typecheck.projection_schema ctx.db (in_schema :: schemas_of_env env) cols
         in
         let exprs = List.map fst cols in
-        ctx.cur_path <- here;
+        own ();
         let rows =
           List.map
             (fun t ->
@@ -259,7 +259,7 @@ and eval_query ctx path (env : env) (q : query) : Relation.t =
         if distinct then Relation.distinct out else out
     | Cross (a, b) ->
         Guard.Faults.fire_point Guard.Faults.Join here;
-        let ra = child ~qual:"[left]" a and rb = child ~qual:"[right]" b in
+        let ra = child ~side:Path.Left a and rb = child ~side:Path.Right b in
         if Guard.is_active () then begin
           let ca = Relation.cardinality ra and cb = Relation.cardinality rb in
           Guard.cross_guard here ~left:ca ~right:cb;
@@ -277,22 +277,20 @@ and eval_query ctx path (env : env) (q : query) : Relation.t =
             (Relation.tuples ra)
         in
         Relation.make schema rows
-    | Join (cond, a, b) -> eval_join ctx here env ~outer:false cond a b
-    | LeftJoin (cond, a, b) -> eval_join ctx here env ~outer:true cond a b
     | Agg spec -> eval_agg ctx here env spec
     | Union (sem, a, b) ->
         let op = match sem with Bag -> Relation.union_bag | SetSem -> Relation.union_set in
-        op (child ~qual:"[left]" a) (child ~qual:"[right]" b)
+        op (child ~side:Path.Left a) (child ~side:Path.Right b)
     | Inter (sem, a, b) ->
         let op = match sem with Bag -> Relation.inter_bag | SetSem -> Relation.inter_set in
-        op (child ~qual:"[left]" a) (child ~qual:"[right]" b)
+        op (child ~side:Path.Left a) (child ~side:Path.Right b)
     | Diff (sem, a, b) ->
         let op = match sem with Bag -> Relation.diff_bag | SetSem -> Relation.diff_set in
-        op (child ~qual:"[left]" a) (child ~qual:"[right]" b)
+        op (child ~side:Path.Left a) (child ~side:Path.Right b)
     | Order (keys, input) ->
         let rel = child input in
         let schema = Relation.schema rel in
-        ctx.cur_path <- here;
+        own ();
         let decorated =
           List.map
             (fun t ->
@@ -333,22 +331,23 @@ and eval_limit ctx here env n input =
 
 (* ---------------- joins ---------------- *)
 
-and eval_join ctx here env ~outer cond a b : Relation.t =
+(* Checkpoints report at the join node's own path, also when a
+   selection is fused into it. *)
+and eval_join ctx env (j : Sem.join) : Relation.t =
+  let here = Path.here j.j_prefix j.j_node in
+  let outer = j.j_outer and cond = j.j_cond in
   Guard.Faults.fire_point Guard.Faults.Join here;
-  let qual s =
-    match List.rev here with
-    | last :: rest -> List.rev ((last ^ s) :: rest)
-    | [] -> [ s ]
+  let ra = eval_query ctx (Path.child j.j_prefix j.j_node Path.Left) env j.j_left
+  and rb =
+    eval_query ctx (Path.child j.j_prefix j.j_node Path.Right) env j.j_right
   in
-  let ra = eval_query ctx (qual "[left]") env a
-  and rb = eval_query ctx (qual "[right]") env b in
   let sa = Relation.schema ra and sb = Relation.schema rb in
   let schema = Schema.concat sa sb in
   let pairs, residual =
     Scope.split_equi ctx.db ~left:(Schema.names sa) ~right:(Schema.names sb)
       cond
   in
-  ctx.cur_path <- here;
+  ctx.cur_subs <- Sem.join_owners j here;
   let rows =
     if pairs = [] then begin
       ctx.stats.st_nested_loop_joins <- ctx.stats.st_nested_loop_joins + 1;
@@ -356,20 +355,17 @@ and eval_join ctx here env ~outer cond a b : Relation.t =
       ctx.stats.st_nested_pairs <- ctx.stats.st_nested_pairs + (ca * cb);
       Guard.cross_guard here ~left:ca ~right:cb;
       Guard.count_pairs here (ca * cb);
-      nested_loop ctx env ~outer schema sa sb ra rb cond
+      nested_loop ctx here env ~outer schema sa sb ra rb cond
     end
     else begin
       ctx.stats.st_hash_joins <- ctx.stats.st_hash_joins + 1;
-      hash_join ctx env ~outer schema sa sb ra rb pairs residual
+      hash_join ctx here env ~outer schema sa sb ra rb pairs residual
     end
   in
   ctx.stats.st_rows_emitted <- ctx.stats.st_rows_emitted + List.length rows;
   Relation.make schema rows
 
-and hash_join ctx env ~outer schema sa sb ra rb pairs residual =
-  (* per-row checkpoints: capture the operator path before expression
-     evaluation can move [cur_path] into a sublink *)
-  let path = ctx.cur_path in
+and hash_join ctx path env ~outer schema sa sb ra rb pairs residual =
   let residual_cond = conj residual in
   let key_of fschema t exprs =
     let fenv = frame fschema t :: env in
@@ -418,9 +414,8 @@ and hash_join ctx env ~outer schema sa sb ra rb pairs residual =
   in
   List.rev (List.fold_left emit_left [] (Relation.tuples ra))
 
-and nested_loop ctx env ~outer schema sa sb ra rb cond =
+and nested_loop ctx path env ~outer schema sa sb ra rb cond =
   ignore sa;
-  let path = ctx.cur_path in
   let pad = Tuple.nulls (Schema.arity sb) in
   ignore sb;
   let emit_left acc ta =
@@ -442,9 +437,9 @@ and nested_loop ctx env ~outer schema sa sb ra rb cond =
 
 (* ---------------- aggregation ---------------- *)
 
-and eval_agg ctx here env { group_by; aggs; agg_input } : Relation.t =
+and eval_agg ctx here env ({ group_by; aggs; agg_input } as spec) : Relation.t =
   let rel = eval_query ctx (here : string list) env agg_input in
-  ctx.cur_path <- here;
+  ctx.cur_subs <- [ (here, root_exprs (Agg spec)) ];
   let in_schema = Relation.schema rel in
   let out_schema =
     Typecheck.aggregation_schema ctx.db
@@ -521,4 +516,7 @@ let query_stats_reference ?(env = []) db q =
     engine's expression compiler. *)
 let expr ?(env = []) db e = Vexec.expr ~env:(compile_env env) db e
 
-let expr_reference ?(env = []) db e = eval_expr (mk_ctx db) env e
+let expr_reference ?(env = []) db e =
+  let ctx = mk_ctx db in
+  ctx.cur_subs <- [ ([], [ e ]) ];
+  eval_expr ctx env e

@@ -33,30 +33,6 @@
     increment plus one plain atomic load for the ceiling compare. *)
 
 (* ------------------------------------------------------------------ *)
-(* Paths (same rendering as Lint's diagnostics)                        *)
-(* ------------------------------------------------------------------ *)
-
-let op_label (q : Algebra.query) =
-  match q with
-  | Algebra.Base name -> "Base(" ^ name ^ ")"
-  | TableExpr _ -> "Table"
-  | Select _ -> "Select"
-  | Project _ -> "Project"
-  | Cross _ -> "Cross"
-  | Join _ -> "Join"
-  | LeftJoin _ -> "LeftJoin"
-  | Agg _ -> "Agg"
-  | Union _ -> "Union"
-  | Inter _ -> "Inter"
-  | Diff _ -> "Diff"
-  | Order _ -> "Order"
-  | Limit _ -> "Limit"
-
-let path_to_string = function
-  | [] -> "plan"
-  | path -> String.concat "/" path
-
-(* ------------------------------------------------------------------ *)
 (* Budgets                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -120,7 +96,7 @@ let reason_to_string = function
 let trip_to_string t =
   Printf.sprintf
     "budget exceeded at %s: %s; %d rows, %d pairs, %.2f s, %.1f MB allocated"
-    (path_to_string t.t_path)
+    (Algebra.Path.to_string t.t_path)
     (reason_to_string t.t_reason)
     t.t_counters.c_rows t.t_counters.c_pairs t.t_counters.c_elapsed
     t.t_counters.c_alloc_mb
@@ -490,7 +466,7 @@ module Faults = struct
                 c.f_remaining <- c.f_remaining - 1;
                 c.f_remaining = 0
             | At_path p ->
-                let r = path_to_string path in
+                let r = Algebra.Path.to_string path in
                 String.equal r p
                 || String.length r > String.length p
                    && String.sub r 0 (String.length p + 1) = p ^ "/"

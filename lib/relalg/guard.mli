@@ -8,7 +8,8 @@
     run. With a budget installed, counters are maintained per
     {!with_budget} scope and a structured {!Budget_exceeded} is raised
     at the first operator that exceeds a ceiling, carrying the operator
-    path (same [Lint]-style path syntax as {!Lint.path_to_string}) and
+    path ({!Algebra.Path}, the path Lint and [Estimate.annotate] give
+    the same operator) and
     the counter values at trip time.
 
     Budgets are installed dynamically ({!with_budget}) rather than
@@ -74,7 +75,9 @@ type reason =
 
 type trip = {
   t_path : string list;
-      (** operator path of the checkpoint that tripped, root first *)
+      (** plan path ({!Algebra.Path}) of the operator whose checkpoint
+          tripped: a fused operator reports at its own node, so the
+          path is one of [Lint.sites] of the executed plan *)
   t_reason : reason;
   t_counters : counters;
 }
@@ -201,15 +204,6 @@ module Pool : sig
   val slots : t -> int
 end
 
-(** {1 Paths} *)
-
-(** Same operator labels as [Lint]'s diagnostics paths. *)
-val op_label : Algebra.query -> string
-
-(** [path_to_string p] joins with ["/"]; the empty path renders as
-    ["plan"]. *)
-val path_to_string : string list -> string
-
 (** {1 Fault injection} *)
 
 module Faults : sig
@@ -248,6 +242,9 @@ module Faults : sig
   val fired : unit -> int
 
   (** [fire_point site path] is called by the engines at scan, join and
-      sublink boundaries. *)
+      sublink boundaries. [path] is a plan path ({!Algebra.Path}): the
+      scanned or joining operator's, or for a sublink the prefix
+      [op/sublink[k]] of its body — the same on both engines, and the
+      same on every run of one plan. *)
   val fire_point : site -> string list -> unit
 end

@@ -32,14 +32,10 @@ let severity_to_string = function
 
 let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
-let path_to_string = function
-  | [] -> "plan"
-  | path -> String.concat "/" path
-
 let diagnostic_to_string d =
   Printf.sprintf "%s[%s] at %s: %s"
     (severity_to_string d.severity)
-    d.rule (path_to_string d.path) d.message
+    d.rule (Path.to_string d.path) d.message
 
 let diag severity ~rule ~path message = { severity; rule; path; message }
 
@@ -56,21 +52,6 @@ type site = {
   s_exprs : (string * expr) list;
 }
 
-let op_label = function
-  | Base name -> "Base(" ^ name ^ ")"
-  | TableExpr _ -> "Table"
-  | Select _ -> "Select"
-  | Project _ -> "Project"
-  | Cross _ -> "Cross"
-  | Join _ -> "Join"
-  | LeftJoin _ -> "LeftJoin"
-  | Agg _ -> "Agg"
-  | Union _ -> "Union"
-  | Inter _ -> "Inter"
-  | Diff _ -> "Diff"
-  | Order _ -> "Order"
-  | Limit _ -> "Limit"
-
 (* Tolerant schema inference: [None] where the plan is too broken to
    type — the rules report the root cause at a deeper site. *)
 let schema_of db (outer : Typecheck.env) q =
@@ -82,80 +63,40 @@ let schema_of db (outer : Typecheck.env) q =
       | Invalid_argument _ ) ->
       None
 
-let labelled_exprs = function
-  | Select (c, _) -> [ ("the selection condition", c) ]
-  | Join (c, _, _) -> [ ("the join condition", c) ]
-  | LeftJoin (c, _, _) -> [ ("the outer-join condition", c) ]
-  | Project { cols; _ } ->
-      List.map (fun (e, n) -> ("column " ^ n, e)) cols
-  | Agg { group_by; aggs; _ } ->
-      List.map (fun (e, n) -> ("group-by column " ^ n, e)) group_by
-      @ List.filter_map
-          (fun c ->
-            Option.map (fun e -> ("the argument of " ^ c.agg_name, e)) c.agg_arg)
-          aggs
-  | Order (keys, _) ->
-      List.mapi (fun i (e, _) -> (Printf.sprintf "order key %d" (i + 1), e)) keys
-  | Base _ | TableExpr _ | Cross _ | Union _ | Inter _ | Diff _ | Limit _ -> []
-
-let rec collect db (outer : Typecheck.env option) prefix q : site list =
-  let here = prefix @ [ op_label q ] in
-  let inputs =
-    match q with
-    | Base _ | TableExpr _ -> []
-    | Select (_, i) | Order (_, i) | Limit (_, i) -> [ i ]
-    | Project { proj_input; _ } -> [ proj_input ]
-    | Agg { agg_input; _ } -> [ agg_input ]
-    | Cross (a, b)
-    | Join (_, a, b)
-    | LeftJoin (_, a, b)
-    | Union (_, a, b)
-    | Inter (_, a, b)
-    | Diff (_, a, b) ->
-        [ a; b ]
-  in
-  let s_inputs =
-    (* input schemas are inferable even under an unknown outer scope as
-       long as the inputs are self-contained *)
-    let base = Option.value ~default:[] outer in
-    let schemas = List.map (schema_of db base) inputs in
-    if List.for_all Option.is_some schemas then
-      Some (List.map Option.get schemas)
-    else None
-  in
-  let s_env =
-    match (outer, s_inputs) with
-    | Some out, Some schemas -> (
-        match Schema.of_list (List.concat_map Schema.to_list schemas) with
-        | s -> Some (s :: out)
-        | exception Schema.Schema_error _ -> None)
-    | _ -> None
-  in
-  let s_exprs = labelled_exprs q in
-  let site = { s_path = here; s_outer = outer; s_inputs; s_env; s_query = q; s_exprs } in
-  let child_prefix qualifier = prefix @ [ op_label q ^ qualifier ] in
-  let children =
-    match inputs with
-    | [] -> []
-    | [ i ] -> collect db outer (child_prefix "") i
-    | [ a; b ] ->
-        collect db outer (child_prefix "[left]") a
-        @ collect db outer (child_prefix "[right]") b
-    | _ -> assert false
-  in
-  let sublink_sites =
-    let subs = List.concat_map (fun (_, e) -> sublinks_of_expr e) s_exprs in
-    List.concat
-      (List.mapi
-         (fun i s ->
-           collect db s_env
-             (here @ [ Printf.sprintf "sublink[%d]" (i + 1) ])
-             s.query)
-         subs)
-  in
-  (site :: children) @ sublink_sites
-
-let sites db q = collect db (Some []) [] q
+let sites db q : site list =
+  let acc = ref [] in
+  Path.walk
+    (fun here outer q ->
+      let s_inputs =
+        (* input schemas are inferable even under an unknown outer scope
+           as long as the inputs are self-contained *)
+        let base = Option.value ~default:[] outer in
+        let schemas = List.map (schema_of db base) (inputs q) in
+        if List.for_all Option.is_some schemas then
+          Some (List.map Option.get schemas)
+        else None
+      in
+      let s_env =
+        match (outer, s_inputs) with
+        | Some out, Some schemas -> (
+            match Schema.of_list (List.concat_map Schema.to_list schemas) with
+            | s -> Some (s :: out)
+            | exception Schema.Schema_error _ -> None)
+        | _ -> None
+      in
+      acc :=
+        {
+          s_path = here;
+          s_outer = outer;
+          s_inputs;
+          s_env;
+          s_query = q;
+          s_exprs = labelled_exprs q;
+        }
+        :: !acc;
+      s_env)
+    (Some []) q;
+  List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* Expression helpers                                                   *)
@@ -682,9 +623,9 @@ let check_rewrite_support db (s : site) : diagnostic list =
 (* These rules need facts that flow across operators (nullability of a
    sublink's column under its correlation scope, cardinality of a
    sublink query), so they run as one dedicated walk sharing a single
-   {!Dataflow} handle instead of as per-site checks. The walk mirrors
-   [collect]'s path construction exactly, so diagnostics land on the
-   same operator paths as every other rule. *)
+   {!Dataflow} handle instead of as per-site checks. Like [sites], it
+   is a visitor of {!Algebra.Path.walk}, so diagnostics land on the same
+   operator paths as every other rule. *)
 
 let may_exceed_one = function
   | Dataflow.Fin n -> n > 1
@@ -693,76 +634,65 @@ let may_exceed_one = function
 let check_semantics db q : diagnostic list =
   let dfa = Dataflow.create db in
   let acc = ref [] in
-  let rec walk prefix ~env q =
-    let here = prefix @ [ op_label q ] in
-    let inputs = Dataflow.inputs q in
-    let input_fact =
-      List.fold_left
-        (fun f i -> Dataflow.concat_null f (Dataflow.nullability dfa ~env i))
-        { Dataflow.n_names = []; n_maybe = [] }
-        inputs
-    in
-    let env' = input_fact :: env in
-    let sub_column_nullable s =
-      List.exists Fun.id (Dataflow.nullability dfa ~env:env' s.query).Dataflow.n_maybe
-    in
-    let null_trap form s lhs =
-      let lhs_null = Dataflow.expr_nullable dfa ~env:env' lhs in
-      let col_null = sub_column_nullable s in
-      if lhs_null || col_null then begin
-        let side =
-          match (lhs_null, col_null) with
-          | true, true -> "both the left-hand side and the sublink column"
-          | true, false -> "the left-hand side"
-          | _ -> "the sublink column"
-        in
-        acc :=
-          diag Warning ~rule:"sublink-null-trap" ~path:here
-            (Printf.sprintf
-               "%s where %s may be NULL: a single NULL makes the membership \
-                test UNKNOWN and silently rejects every row — filter with IS \
-                NOT NULL or use NOT EXISTS"
-               form side)
-          :: !acc
-      end
-    in
-    let check_expr e =
-      List.iter
-        (fun x ->
-          match x with
-          | Not (Sublink ({ kind = AnyOp (Eq, lhs); _ } as s)) ->
-              null_trap "NOT IN" s lhs
-          | Sublink ({ kind = AllOp (Neq, lhs); _ } as s) ->
-              null_trap "<> ALL" s lhs
-          | Sublink { kind = Scalar; query = sq; _ } ->
-              let c = Dataflow.cardinality dfa sq in
-              if may_exceed_one c.Dataflow.c_hi then
-                acc :=
-                  diag Warning ~rule:"scalar-cardinality" ~path:here
-                    (Format.asprintf
-                       "scalar sublink may return %a rows — evaluation raises \
-                        as soon as it returns more than one (aggregate the \
-                        sublink or add LIMIT-like uniqueness)"
-                       Dataflow.pp_card c)
-                  :: !acc
-          | _ -> ())
-        (subexprs e)
-    in
-    List.iter check_expr (List.map snd (labelled_exprs q));
-    let child_prefix qualifier = prefix @ [ op_label q ^ qualifier ] in
-    (match inputs with
-    | [] -> ()
-    | [ i ] -> walk (child_prefix "") ~env i
-    | [ a; b ] ->
-        walk (child_prefix "[left]") ~env a;
-        walk (child_prefix "[right]") ~env b
-    | _ -> assert false);
-    List.iteri
-      (fun i s ->
-        walk (here @ [ Printf.sprintf "sublink[%d]" (i + 1) ]) ~env:env' s.query)
-      (List.concat_map (fun (_, e) -> sublinks_of_expr e) (labelled_exprs q))
-  in
-  walk [] ~env:[] q;
+  Path.walk
+    (fun here env q ->
+      let input_fact =
+        List.fold_left
+          (fun f i -> Dataflow.concat_null f (Dataflow.nullability dfa ~env i))
+          { Dataflow.n_names = []; n_maybe = [] }
+          (inputs q)
+      in
+      let env' = input_fact :: env in
+      let sub_column_nullable s =
+        List.exists Fun.id
+          (Dataflow.nullability dfa ~env:env' s.query).Dataflow.n_maybe
+      in
+      let null_trap form s lhs =
+        let lhs_null = Dataflow.expr_nullable dfa ~env:env' lhs in
+        let col_null = sub_column_nullable s in
+        if lhs_null || col_null then begin
+          let side =
+            match (lhs_null, col_null) with
+            | true, true -> "both the left-hand side and the sublink column"
+            | true, false -> "the left-hand side"
+            | _ -> "the sublink column"
+          in
+          acc :=
+            diag Warning ~rule:"sublink-null-trap" ~path:here
+              (Printf.sprintf
+                 "%s where %s may be NULL: a single NULL makes the membership \
+                  test UNKNOWN and silently rejects every row — filter with IS \
+                  NOT NULL or use NOT EXISTS"
+                 form side)
+            :: !acc
+        end
+      in
+      let check_expr e =
+        List.iter
+          (fun x ->
+            match x with
+            | Not (Sublink ({ kind = AnyOp (Eq, lhs); _ } as s)) ->
+                null_trap "NOT IN" s lhs
+            | Sublink ({ kind = AllOp (Neq, lhs); _ } as s) ->
+                null_trap "<> ALL" s lhs
+            | Sublink { kind = Scalar; query = sq; _ } ->
+                let c = Dataflow.cardinality dfa sq in
+                if may_exceed_one c.Dataflow.c_hi then
+                  acc :=
+                    diag Warning ~rule:"scalar-cardinality" ~path:here
+                      (Format.asprintf
+                         "scalar sublink may return %a rows — evaluation \
+                          raises as soon as it returns more than one \
+                          (aggregate the sublink or add LIMIT-like \
+                          uniqueness)"
+                         Dataflow.pp_card c)
+                    :: !acc
+            | _ -> ())
+          (subexprs e)
+      in
+      List.iter check_expr (root_exprs q);
+      env')
+    [] q;
   List.rev !acc
 
 (* --- statistics-backed estimate rules ---------------------------------- *)
@@ -770,8 +700,8 @@ let check_semantics db q : diagnostic list =
 (* These rules predict run-time blowups before execution from {!Stats}
    statistics, so a plan the Guard would kill can be flagged (and a
    cheaper strategy chosen) without paying for the failed run. One
-   {!Estimate} handle serves the whole walk; paths mirror
-   [check_semantics]'s construction. *)
+   {!Estimate} handle serves the whole walk, another visitor of
+   {!Algebra.Path.walk}. *)
 
 let blowup_pairs = 1.0e6
 
@@ -784,14 +714,6 @@ let estimate_rules =
 let check_estimates db q : diagnostic list =
   let est = Estimate.create db in
   let acc = ref [] in
-  let concat_fact a b =
-    {
-      Estimate.e_names = a.Estimate.e_names @ b.Estimate.e_names;
-      e_cols = a.Estimate.e_cols @ b.Estimate.e_cols;
-      e_rows = a.Estimate.e_rows;
-      e_cost = a.Estimate.e_cost;
-    }
-  in
   let hashable c =
     List.exists
       (fun cj ->
@@ -801,79 +723,61 @@ let check_estimates db q : diagnostic list =
         | _ -> false)
       (conjuncts c)
   in
-  let rec walk prefix ~env q =
-    let here = prefix @ [ op_label q ] in
-    let inputs = Dataflow.inputs q in
-    let input_facts = List.map (fun i -> Estimate.query est ~env i) inputs in
-    (match (q, input_facts) with
-    | (Cross _ | Join _ | LeftJoin _), [ la; ra ] ->
-        let enumerated =
-          match q with
-          | Join (c, _, _) | LeftJoin (c, _, _) -> not (hashable c)
-          | _ -> true
-        in
-        let pairs = la.Estimate.e_rows *. ra.Estimate.e_rows in
-        (* the operator's own estimated work: its cumulative cost minus
-           its inputs' — candidate pairs plus per-pair sublink
-           evaluation, which dwarfs the raw pair count when the join
-           condition carries sublinks *)
-        let own_work =
-          (Estimate.query est ~env q).Estimate.e_cost
-          -. la.Estimate.e_cost -. ra.Estimate.e_cost
-        in
-        if enumerated && (pairs > blowup_pairs || own_work > blowup_pairs) then
-          acc :=
-            diag Warning ~rule:"estimate-cross-blowup" ~path:here
-              (Printf.sprintf
-                 "estimated %.3g candidate pairs (%.3g tuples of work) with \
-                  no hashable equality — this operator enumerates them all \
-                  and a Guard pair budget would trip; prefer a cheaper \
-                  strategy or add a join predicate"
-                 pairs (Float.max pairs own_work))
-            :: !acc
-    | _ -> ());
-    let input_fact =
-      match input_facts with
-      | [] -> { Estimate.e_names = []; e_cols = []; e_rows = 0.0; e_cost = 0.0 }
-      | [ x ] -> x
-      | x :: rest -> List.fold_left concat_fact x rest
-    in
-    let env' = input_fact :: env in
-    List.iter
-      (fun e ->
-        List.iter
-          (fun x ->
-            match x with
-            | Sublink { kind = Scalar; query = sq; _ } ->
-                let r = (Estimate.query est ~env:env' sq).Estimate.e_rows in
-                if r > 1.0 +. 1e-9 then
-                  acc :=
-                    diag Warning ~rule:"estimate-scalar-sublink-fanout"
-                      ~path:here
-                      (Printf.sprintf
-                         "scalar sublink estimated to return ~%.3g rows — \
-                          evaluation raises as soon as it returns more than \
-                          one (aggregate the sublink or make its filter a \
-                          key lookup)"
-                         r)
-                    :: !acc
-            | _ -> ())
-          (subexprs e))
-      (List.map snd (labelled_exprs q));
-    let child_prefix qualifier = prefix @ [ op_label q ^ qualifier ] in
-    (match inputs with
-    | [] -> ()
-    | [ i ] -> walk (child_prefix "") ~env i
-    | [ a; b ] ->
-        walk (child_prefix "[left]") ~env a;
-        walk (child_prefix "[right]") ~env b
-    | _ -> assert false);
-    List.iteri
-      (fun i s ->
-        walk (here @ [ Printf.sprintf "sublink[%d]" (i + 1) ]) ~env:env' s.query)
-      (List.concat_map (fun (_, e) -> sublinks_of_expr e) (labelled_exprs q))
-  in
-  walk [] ~env:[] q;
+  Path.walk
+    (fun here env q ->
+      let input_facts = List.map (fun i -> Estimate.query est ~env i) (inputs q) in
+      (match (q, input_facts) with
+      | (Cross _ | Join _ | LeftJoin _), [ la; ra ] ->
+          let enumerated =
+            match q with
+            | Join (c, _, _) | LeftJoin (c, _, _) -> not (hashable c)
+            | _ -> true
+          in
+          let pairs = la.Estimate.e_rows *. ra.Estimate.e_rows in
+          (* the operator's own estimated work: its cumulative cost minus
+             its inputs' — candidate pairs plus per-pair sublink
+             evaluation, which dwarfs the raw pair count when the join
+             condition carries sublinks *)
+          let own_work =
+            (Estimate.query est ~env q).Estimate.e_cost
+            -. la.Estimate.e_cost -. ra.Estimate.e_cost
+          in
+          if enumerated && (pairs > blowup_pairs || own_work > blowup_pairs)
+          then
+            acc :=
+              diag Warning ~rule:"estimate-cross-blowup" ~path:here
+                (Printf.sprintf
+                   "estimated %.3g candidate pairs (%.3g tuples of work) with \
+                    no hashable equality — this operator enumerates them all \
+                    and a Guard pair budget would trip; prefer a cheaper \
+                    strategy or add a join predicate"
+                   pairs (Float.max pairs own_work))
+              :: !acc
+      | _ -> ());
+      let env' = Estimate.concat_facts input_facts :: env in
+      List.iter
+        (fun e ->
+          List.iter
+            (fun x ->
+              match x with
+              | Sublink { kind = Scalar; query = sq; _ } ->
+                  let r = (Estimate.query est ~env:env' sq).Estimate.e_rows in
+                  if r > 1.0 +. 1e-9 then
+                    acc :=
+                      diag Warning ~rule:"estimate-scalar-sublink-fanout"
+                        ~path:here
+                        (Printf.sprintf
+                           "scalar sublink estimated to return ~%.3g rows — \
+                            evaluation raises as soon as it returns more than \
+                            one (aggregate the sublink or make its filter a \
+                            key lookup)"
+                           r)
+                      :: !acc
+              | _ -> ())
+            (subexprs e))
+        (root_exprs q);
+      env')
+    [] q;
   (* root emptiness: only meaningful over nonempty stored inputs —
      otherwise an empty base table would warn on every plan over it *)
   let bases = base_relations q in
@@ -888,7 +792,7 @@ let check_estimates db q : diagnostic list =
   in
   if nonempty_inputs && (Estimate.query est q).Estimate.e_rows = 0.0 then
     acc :=
-      diag Warning ~rule:"estimate-empty-result" ~path:[ op_label q ]
+      diag Warning ~rule:"estimate-empty-result" ~path:(Path.here [] q)
         "the estimator predicts zero result rows: a predicate is \
          unsatisfiable or outside the stored data's value range"
       :: !acc;

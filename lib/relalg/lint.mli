@@ -17,14 +17,11 @@ type severity = Info | Warning | Error
 type diagnostic = {
   severity : severity;
   rule : string;  (** registry name of the rule that fired *)
-  path : string list;  (** operator path, root first *)
+  path : string list;  (** plan path ({!Algebra.Path}), root first *)
   message : string;
 }
 
 val severity_to_string : severity -> string
-
-(** ["Project/Join[left]/Select"]. An empty path renders as ["plan"]. *)
-val path_to_string : string list -> string
 
 (** ["error[rule] at Project/Select: message"]. *)
 val diagnostic_to_string : diagnostic -> string
@@ -52,8 +49,8 @@ type site = {
   s_exprs : (string * Algebra.expr) list;
 }
 
-(** Every operator of [q], root first, including operators inside
-    sublink queries (path segment [sublink[k]]). *)
+(** Every operator of [q], in {!Algebra.Path.walk} order, including
+    operators inside sublink queries. *)
 val sites : Database.t -> Algebra.query -> site list
 
 (** {1 The registry} *)

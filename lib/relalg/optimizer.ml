@@ -355,7 +355,7 @@ and push_conds cx (prefix : string list) (conds : expr list) (q : query) :
           (* The motion obligation's before side includes any derived
              conjuncts: the [implied-predicate] entry already justified
              adding them, so this entry stays a pure conjunct motion. *)
-          distribute cx ~left:(qchild "[left]") ~right:(qchild "[right]")
+          distribute cx ~left:(qchild Path.Left) ~right:(qchild Path.Right)
             ~motion:(fun after ->
               let before_m = if conds = [] then q else Select (conj conds, q) in
               Rewrite_trace.emit ~rule:"pushdown-into-cross" ~path:here
@@ -374,7 +374,7 @@ and push_conds cx (prefix : string list) (conds : expr list) (q : query) :
                 if conds = [] then j else Select (conj conds, j))
               all0
           in
-          distribute cx ~left:(qchild "[left]") ~right:(qchild "[right]")
+          distribute cx ~left:(qchild Path.Left) ~right:(qchild Path.Right)
             ~motion:(fun after ->
               let before_m =
                 if List.length all = List.length all0 then before
@@ -413,7 +413,7 @@ and push_conds cx (prefix : string list) (conds : expr list) (q : query) :
               ~before
               ~after:
                 (wrap residual (LeftJoin (c, wrap to_left a, wrap to_right b)));
-          let left = qchild "[left]" and right = qchild "[right]" in
+          let left = qchild Path.Left and right = qchild Path.Right in
           let a' = push_select cx left to_left (optimize cx left a) in
           let b' = optimize cx right b in
           let b' =
@@ -445,7 +445,7 @@ and push_conds cx (prefix : string list) (conds : expr list) (q : query) :
           in
           let renamed = List.map (rename_attrs rename_map) pushable in
           let phere = Rewrite_trace.node qprefix q in
-          let inner = push_select cx (qchild "") renamed p.proj_input in
+          let inner = push_select cx (qchild Path.Input) renamed p.proj_input in
           let counter = ref 0 in
           let cols =
             List.map
@@ -503,21 +503,21 @@ and optimize_children cx prefix q =
   | Base _ | TableExpr _ -> q
   | Select (c, i) ->
       let c = sub c in
-      Select (c, child "" i)
+      Select (c, child Path.Input i)
   | Project p ->
       let cols = List.map (fun (e, n) -> (sub e, n)) p.cols in
-      Project { p with cols; proj_input = child "" p.proj_input }
+      Project { p with cols; proj_input = child Path.Input p.proj_input }
   | Cross (a, b) ->
-      let a = child "[left]" a in
-      Cross (a, child "[right]" b)
+      let a = child Path.Left a in
+      Cross (a, child Path.Right b)
   | Join (c, a, b) ->
       let c = sub c in
-      let a = child "[left]" a in
-      Join (c, a, child "[right]" b)
+      let a = child Path.Left a in
+      Join (c, a, child Path.Right b)
   | LeftJoin (c, a, b) ->
       let c = sub c in
-      let a = child "[left]" a in
-      LeftJoin (c, a, child "[right]" b)
+      let a = child Path.Left a in
+      LeftJoin (c, a, child Path.Right b)
   | Agg a ->
       let group_by = List.map (fun (e, n) -> (sub e, n)) a.group_by in
       let aggs =
@@ -525,20 +525,20 @@ and optimize_children cx prefix q =
           (fun call -> { call with agg_arg = Option.map sub call.agg_arg })
           a.aggs
       in
-      Agg { group_by; aggs; agg_input = child "" a.agg_input }
+      Agg { group_by; aggs; agg_input = child Path.Input a.agg_input }
   | Union (s, a, b) ->
-      let a = child "[left]" a in
-      Union (s, a, child "[right]" b)
+      let a = child Path.Left a in
+      Union (s, a, child Path.Right b)
   | Inter (s, a, b) ->
-      let a = child "[left]" a in
-      Inter (s, a, child "[right]" b)
+      let a = child Path.Left a in
+      Inter (s, a, child Path.Right b)
   | Diff (s, a, b) ->
-      let a = child "[left]" a in
-      Diff (s, a, child "[right]" b)
+      let a = child Path.Left a in
+      Diff (s, a, child Path.Right b)
   | Order (keys, i) ->
       let keys = List.map (fun (e, d) -> (sub e, d)) keys in
-      Order (keys, child "" i)
-  | Limit (n, i) -> Limit (n, child "" i)
+      Order (keys, child Path.Input i)
+  | Limit (n, i) -> Limit (n, child Path.Input i)
 
 (* Merge Project-over-Project when the outer projection only reorders,
    renames or drops columns (plain attribute references) and the inner
@@ -713,32 +713,32 @@ and prune_query pcx prefix (needed : SS.t) (q : query) : query =
     | Select (c, input) ->
         let below = SS.union needed (refs pcx c) in
         let c = pexpr c in
-        Select (c, child "" input below)
+        Select (c, child Path.Input input below)
     | Project p when p.distinct && not (Rewrite_trace.mutant "prune-distinct")
       ->
         let below = refs_of_exprs pcx (List.map fst p.cols) in
         let cols = List.map (fun (e, n) -> (pexpr e, n)) p.cols in
-        Project { p with cols; proj_input = child "" p.proj_input below }
+        Project { p with cols; proj_input = child Path.Input p.proj_input below }
     | Project p ->
         (* the [prune-distinct] mutant routes DISTINCT projections here,
            narrowing the column set they deduplicate on *)
         let cols = List.filter (fun (_, n) -> SS.mem n needed) p.cols in
         let below = refs_of_exprs pcx (List.map fst cols) in
         let cols = List.map (fun (e, n) -> (pexpr e, n)) cols in
-        Project { p with cols; proj_input = child "" p.proj_input below }
+        Project { p with cols; proj_input = child Path.Input p.proj_input below }
     | Cross (a, b) ->
-        let a = child "[left]" a needed in
-        Cross (a, child "[right]" b needed)
+        let a = child Path.Left a needed in
+        Cross (a, child Path.Right b needed)
     | Join (c, a, b) ->
         let below = SS.union needed (refs pcx c) in
         let c = pexpr c in
-        let a = child "[left]" a below in
-        Join (c, a, child "[right]" b below)
+        let a = child Path.Left a below in
+        Join (c, a, child Path.Right b below)
     | LeftJoin (c, a, b) ->
         let below = SS.union needed (refs pcx c) in
         let c = pexpr c in
-        let a = child "[left]" a below in
-        LeftJoin (c, a, child "[right]" b below)
+        let a = child Path.Left a below in
+        LeftJoin (c, a, child Path.Right b below)
     | Agg a ->
         let aggs = List.filter (fun c -> SS.mem c.agg_name needed) a.aggs in
         let aggs =
@@ -765,7 +765,7 @@ and prune_query pcx prefix (needed : SS.t) (q : query) : query =
             (fun c -> { c with agg_arg = Option.map pexpr c.agg_arg })
             aggs
         in
-        Agg { group_by; aggs; agg_input = child "" a.agg_input below }
+        Agg { group_by; aggs; agg_input = child Path.Input a.agg_input below }
     | Union (s, a, b) ->
         (* positional semantics: arms keep their full width, but pruning
            still reaches sublink conditions and scans below them. The
@@ -777,8 +777,8 @@ and prune_query pcx prefix (needed : SS.t) (q : query) : query =
           in
           child qual q keep
         in
-        let a = arm "[left]" a in
-        Union (s, a, arm "[right]" b)
+        let a = arm Path.Left a in
+        Union (s, a, arm Path.Right b)
     | Inter (s, a, b) ->
         let arm qual q =
           let keep =
@@ -786,8 +786,8 @@ and prune_query pcx prefix (needed : SS.t) (q : query) : query =
           in
           child qual q keep
         in
-        let a = arm "[left]" a in
-        Inter (s, a, arm "[right]" b)
+        let a = arm Path.Left a in
+        Inter (s, a, arm Path.Right b)
     | Diff (s, a, b) ->
         let arm qual q =
           let keep =
@@ -795,13 +795,13 @@ and prune_query pcx prefix (needed : SS.t) (q : query) : query =
           in
           child qual q keep
         in
-        let a = arm "[left]" a in
-        Diff (s, a, arm "[right]" b)
+        let a = arm Path.Left a in
+        Diff (s, a, arm Path.Right b)
     | Order (keys, input) ->
         let below = SS.union needed (refs_of_exprs pcx (List.map fst keys)) in
         let keys = List.map (fun (e, d) -> (pexpr e, d)) keys in
-        Order (keys, child "" input below)
-    | Limit (n, input) -> Limit (n, child "" input needed)
+        Order (keys, child Path.Input input below)
+    | Limit (n, input) -> Limit (n, child Path.Input input needed)
   in
   Rewrite_trace.emit ~rule:"prune" ~path:here ~before:q ~after;
   after
@@ -971,21 +971,21 @@ and reorder_spine cx est bodies prefix q =
   | Base _ | TableExpr _ -> q
   | Select (c, i) ->
       let c = sub c in
-      Select (c, spine "" i)
+      Select (c, spine Path.Input i)
   | Cross (a, b) ->
-      let a = spine "[left]" a in
-      Cross (a, spine "[right]" b)
+      let a = spine Path.Left a in
+      Cross (a, spine Path.Right b)
   | Join (c, a, b) ->
       let c = sub c in
-      let a = spine "[left]" a in
-      Join (c, a, spine "[right]" b)
+      let a = spine Path.Left a in
+      Join (c, a, spine Path.Right b)
   | LeftJoin (c, a, b) ->
       let c = sub c in
-      let a = child "[left]" a in
-      LeftJoin (c, a, child "[right]" b)
+      let a = child Path.Left a in
+      LeftJoin (c, a, child Path.Right b)
   | Project p ->
       let cols = List.map (fun (e, nm) -> (sub e, nm)) p.cols in
-      Project { p with cols; proj_input = child "" p.proj_input }
+      Project { p with cols; proj_input = child Path.Input p.proj_input }
   | Agg a ->
       let group_by = List.map (fun (e, nm) -> (sub e, nm)) a.group_by in
       let aggs =
@@ -993,20 +993,20 @@ and reorder_spine cx est bodies prefix q =
           (fun call -> { call with agg_arg = Option.map sub call.agg_arg })
           a.aggs
       in
-      Agg { group_by; aggs; agg_input = child "" a.agg_input }
+      Agg { group_by; aggs; agg_input = child Path.Input a.agg_input }
   | Union (s, a, b) ->
-      let a = child "[left]" a in
-      Union (s, a, child "[right]" b)
+      let a = child Path.Left a in
+      Union (s, a, child Path.Right b)
   | Inter (s, a, b) ->
-      let a = child "[left]" a in
-      Inter (s, a, child "[right]" b)
+      let a = child Path.Left a in
+      Inter (s, a, child Path.Right b)
   | Diff (s, a, b) ->
-      let a = child "[left]" a in
-      Diff (s, a, child "[right]" b)
+      let a = child Path.Left a in
+      Diff (s, a, child Path.Right b)
   | Order (keys, i) ->
       let keys = List.map (fun (e, d) -> (sub e, d)) keys in
-      Order (keys, child "" i)
-  | Limit (k, i) -> Limit (k, child "" i)
+      Order (keys, child Path.Input i)
+  | Limit (k, i) -> Limit (k, child Path.Input i)
 
 (* Entry point: simplify first (constant folding may expose TRUE/FALSE
    selections and negation-free comparisons), reorder join clusters by

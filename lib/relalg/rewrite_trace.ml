@@ -88,13 +88,12 @@ let with_tracer f body =
     one, every helper returns its prefix unchanged (the empty path the
     passes start from), so the stock pipeline allocates no path. *)
 
-let node prefix q = if active () then prefix @ [ Guard.op_label q ] else prefix
+let node prefix q = if active () then Algebra.Path.here prefix q else prefix
 
-let child prefix q qual =
-  if active () then prefix @ [ Guard.op_label q ^ qual ] else prefix
+let child prefix q side =
+  if active () then Algebra.Path.child prefix q side else prefix
 
-let sublink here k =
-  if active () then here @ [ "sublink[" ^ string_of_int k ^ "]" ] else here
+let sublink here k = if active () then Algebra.Path.sublink here k else here
 
 (** {1 Shared sublink bodies}
 

@@ -10,7 +10,8 @@ type entry = {
   e_rule : string;  (** rule identifier, e.g. ["pushdown-into-join"] *)
   e_path : string list;
       (** operator path of the rewritten node, root first — same syntax
-          as {!Lint} diagnostics and {!Guard} trip reports *)
+          as {!Lint} diagnostics and {!Guard} trip reports
+          ({!Algebra.Path}) *)
   e_before : Algebra.query;  (** the subplan before the rule fired *)
   e_after : Algebra.query;  (** the replacement subplan *)
 }
@@ -52,9 +53,8 @@ val with_tracer : (entry -> unit) -> (unit -> 'a) -> 'a
 (** [node prefix q]: the path of operator [q] under [prefix]. *)
 val node : string list -> Algebra.query -> string list
 
-(** [child prefix q qual]: the path prefix of [q]'s input, with the
-    Lint qualifier [qual] (["[left]"], ["[right]"] or [""]). *)
-val child : string list -> Algebra.query -> string -> string list
+(** [child prefix q side]: the path prefix of [q]'s input on [side]. *)
+val child : string list -> Algebra.query -> Algebra.Path.side -> string list
 
 (** [sublink here k]: the path prefix of the [k]-th sublink (from 1)
     of the operator at [here]. *)

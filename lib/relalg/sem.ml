@@ -178,6 +178,44 @@ let all_of_summary op lhs s : Value.t =
         else Value.vtrue
     | EqNull -> assert false
 
+(** {1 Joins} *)
+
+type join = {
+  j_prefix : Path.t;
+  j_node : query;
+  j_filter : expr option;
+  j_outer : bool;
+  j_cond : expr;
+  j_left : query;
+  j_right : query;
+}
+
+let join_of prefix q =
+  let mk prefix node ?filter outer cond a b =
+    Some
+      {
+        j_prefix = prefix;
+        j_node = node;
+        j_filter = filter;
+        j_outer = outer;
+        j_cond = cond;
+        j_left = a;
+        j_right = b;
+      }
+  in
+  match q with
+  | Join (c, a, b) -> mk prefix q false c a b
+  | LeftJoin (c, a, b) -> mk prefix q true c a b
+  | Select (c, (Cross (a, b) as j)) ->
+      mk (Path.here prefix q) j ~filter:c false c a b
+  | Select (c, (Join (jc, a, b) as j)) ->
+      mk (Path.here prefix q) j ~filter:c false (And (jc, c)) a b
+  | _ -> None
+
+let join_owners j here =
+  (here, root_exprs j.j_node)
+  :: (match j.j_filter with Some c -> [ (j.j_prefix, [ c ]) ] | None -> [])
+
 (** {1 Execution counters}
 
     In the spirit of EXPLAIN ANALYZE: how a plan actually executed.

@@ -36,6 +36,37 @@ val summary_has_null : summary -> bool
 (** Distinct non-null values of the summarized column (unordered). *)
 val summary_distinct_values : summary -> Value.t list
 
+(** {1 Joins} *)
+
+(** A join as both engines run it: a [Join] or [LeftJoin], or a
+    selection over a product or join fused into one operator. The
+    fused operator keeps its own plan paths: its checkpoints report at
+    the join node, its inputs under the join node's [[left]]/[[right]]
+    prefixes, and each sublink of the fused condition under the
+    operator whose expression holds it ({!join_owners}). *)
+type join = {
+  j_prefix : Algebra.Path.t;  (** the join node's path prefix *)
+  j_node : Algebra.query;  (** the [Cross], [Join] or [LeftJoin] node *)
+  j_filter : Algebra.expr option;
+      (** the condition of the selection fused over the node, whose
+          path is [j_prefix] *)
+  j_outer : bool;
+  j_cond : Algebra.expr;  (** the fused condition *)
+  j_left : Algebra.query;
+  j_right : Algebra.query;
+}
+
+(** [join_of prefix q]: [q], under [prefix], as one join — [None] when
+    [q] is no join or selection over a product or join. No path is
+    built. *)
+val join_of : Algebra.Path.t -> Algebra.query -> join option
+
+(** [join_owners j here]: for {!Algebra.Path.locate}, the operators
+    whose root expressions [j.j_cond] is made of — the join node at
+    [here], then the fused selection. *)
+val join_owners :
+  join -> Algebra.Path.t -> (Algebra.Path.t * Algebra.expr list) list
+
 (** {1 Execution counters} — in the spirit of EXPLAIN ANALYZE. *)
 
 type stats = {

@@ -65,9 +65,6 @@ let inventory =
       "probe ids for per-probe race-detector locations";
     entry "vexec" "ctx_counter" "atomic" AtomicOnly
       "ctx tags for per-execution race-detector locations";
-    entry "vexec" "cur_compile_path" "ref" DomainLocal
-      "operator path during lowering; lowering runs on the coordinator \
-       before any fan-out";
     (* relation *)
     entry "relation" "memo_lock" "mutex" Immutable
       "serializes memo builds; the memo cells themselves are Atomic \
@@ -494,7 +491,7 @@ let diagnostic_json (d : Lint.diagnostic) =
     {|{"severity":"%s","rule":"%s","path":"%s","message":"%s"}|}
     (json_escape (Lint.severity_to_string d.Lint.severity))
     (json_escape d.Lint.rule)
-    (json_escape (Lint.path_to_string d.Lint.path))
+    (json_escape (Algebra.Path.to_string d.Lint.path))
     (json_escape d.Lint.message)
 
 let diagnostics_json diags =

@@ -176,11 +176,9 @@ and sublink_kind = function
   | AnyOp (op, lhs) -> AnyOp (op, expr lhs)
   | AllOp (op, lhs) -> AllOp (op, expr lhs)
 
-(* Path-carrying plan recursion, matching Lint's path conventions:
-   [op_label] segments, ["[left]"]/["[right]"] qualifiers on binary
-   operators, and [sublink[k]] segments counted across the node's
-   expressions in Lint's enumeration order (paths are built only under
-   a tracer). [bodies] holds the result per physical sublink body, so a
+(* Path-carrying plan recursion on {!Algebra.Path}'s plan paths, with
+   sublinks counted across the node's expressions in [root_exprs] order
+   (paths are built only under a tracer). [bodies] holds the result per physical sublink body, so a
    body the plan embeds several times is simplified once and stays
    shared. *)
 let rec query_at bodies (prefix : string list) (q : Algebra.query) :
@@ -203,21 +201,21 @@ let rec query_at bodies (prefix : string list) (q : Algebra.query) :
     | Base _ | TableExpr _ -> q
     | Select (c, i) ->
         let c = sub c in
-        Select (c, child "" i)
+        Select (c, child Path.Input i)
     | Project p ->
         let cols = List.map (fun (e, n) -> (sub e, n)) p.cols in
-        Project { p with cols; proj_input = child "" p.proj_input }
+        Project { p with cols; proj_input = child Path.Input p.proj_input }
     | Cross (a, b) ->
-        let a = child "[left]" a in
-        Cross (a, child "[right]" b)
+        let a = child Path.Left a in
+        Cross (a, child Path.Right b)
     | Join (c, a, b) ->
         let c = sub c in
-        let a = child "[left]" a in
-        Join (c, a, child "[right]" b)
+        let a = child Path.Left a in
+        Join (c, a, child Path.Right b)
     | LeftJoin (c, a, b) ->
         let c = sub c in
-        let a = child "[left]" a in
-        LeftJoin (c, a, child "[right]" b)
+        let a = child Path.Left a in
+        LeftJoin (c, a, child Path.Right b)
     | Agg a ->
         let group_by = List.map (fun (e, n) -> (sub e, n)) a.group_by in
         let aggs =
@@ -225,20 +223,20 @@ let rec query_at bodies (prefix : string list) (q : Algebra.query) :
             (fun call -> { call with agg_arg = Option.map sub call.agg_arg })
             a.aggs
         in
-        Agg { group_by; aggs; agg_input = child "" a.agg_input }
+        Agg { group_by; aggs; agg_input = child Path.Input a.agg_input }
     | Union (s, a, b) ->
-        let a = child "[left]" a in
-        Union (s, a, child "[right]" b)
+        let a = child Path.Left a in
+        Union (s, a, child Path.Right b)
     | Inter (s, a, b) ->
-        let a = child "[left]" a in
-        Inter (s, a, child "[right]" b)
+        let a = child Path.Left a in
+        Inter (s, a, child Path.Right b)
     | Diff (s, a, b) ->
-        let a = child "[left]" a in
-        Diff (s, a, child "[right]" b)
+        let a = child Path.Left a in
+        Diff (s, a, child Path.Right b)
     | Order (keys, i) ->
         let keys = List.map (fun (e, d) -> (sub e, d)) keys in
-        Order (keys, child "" i)
-    | Limit (n, i) -> Limit (n, child "" i)
+        Order (keys, child Path.Input i)
+    | Limit (n, i) -> Limit (n, child Path.Input i)
   in
   (* Phase 2: fold the node's own expressions. *)
   let q2 =

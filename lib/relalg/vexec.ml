@@ -133,12 +133,6 @@ type renv = Tuple.t list
 (** A compiled scalar expression. *)
 type cexpr = ctx -> renv -> Value.t
 
-(* The operator path under lowering — read (at lowering time only) by
-   [compile_sublink] to place sublink boundaries without threading a
-   path through every expression-compiler signature. Set by the
-   [*_at here] helpers before an operator's own expressions compile. *)
-let cur_compile_path : string list ref = ref []
-
 (** Per-execution runtime: the context, the outer tuple frames, and the
     worker pool. *)
 type rt = { cctx : ctx; renv : renv; pool : Morsel.pool option }
@@ -324,15 +318,15 @@ let counter_silent (e : expr) : bool =
    count themselves, their pairs and emitted rows, and sublinks their
    evaluations and memo hits; no other operator touches {!Sem.stats}. *)
 let rec counter_free q =
-  (not (List.exists has_sublink (root_exprs q)))
-  &&
   match q with
-  | Base _ | TableExpr _ -> true
   | Join _ | LeftJoin _ | Cross _ -> false
-  | Select (_, c) | Order (_, c) | Limit (_, c) -> counter_free c
-  | Project { proj_input = c; _ } | Agg { agg_input = c; _ } -> counter_free c
-  | Union (_, a, b) | Inter (_, a, b) | Diff (_, a, b) ->
-      counter_free a && counter_free b
+  | _ ->
+      (not (List.exists has_sublink (root_exprs q)))
+      && List.for_all counter_free (inputs q)
+
+(* The operator at [here] as the one owner of the sublinks its
+   expressions compile ({!Path.locate}). *)
+let owner here q = [ (here, root_exprs q) ]
 
 (* Offsets of a projection list that only reads the input frame's own
    columns; [None] as soon as any item is not a bare in-frame [Attr]. *)
@@ -350,29 +344,20 @@ let own_offsets (schema : Schema.t) cols : int array option =
    over a join (or a select-over-product that lowers into one) gathers
    output rows straight from the two input tuples inside the join's emit
    step — the concatenated intermediate tuple is never built. Returns
-   the join's [(outer, cond, left, right)] and the fused projection's
-   output offsets and schema. Offsets are checked against the join's
-   inferred output schema so correlated names (resolving to an outer
-   frame) fall back to the generic path. *)
-let fused_join db cenv cols proj_input =
-  let parts =
-    match proj_input with
-    | Join (c, a, b) -> Some (false, c, a, b)
-    | LeftJoin (c, a, b) -> Some (true, c, a, b)
-    | Select (c, Cross (a, b)) -> Some (false, c, a, b)
-    | Select (c, Join (jc, a, b)) -> Some (false, And (jc, c), a, b)
-    | _ -> None
+   the join with the fused projection's output offsets and schema.
+   Offsets are checked against the join's inferred output schema so
+   correlated names (resolving to an outer frame) fall back to the
+   generic path. *)
+let fused_projection db cenv cols (j : Sem.join) =
+  let joint =
+    Schema.concat
+      (Typecheck.infer_query_env db cenv j.j_left)
+      (Typecheck.infer_query_env db cenv j.j_right)
   in
-  Option.bind parts (fun (outer, cond, a, b) ->
-      let joint =
-        Schema.concat
-          (Typecheck.infer_query_env db cenv a)
-          (Typecheck.infer_query_env db cenv b)
-      in
-      Option.map
-        (fun offs ->
-          (outer, cond, a, b, (offs, Typecheck.projection_schema db (joint :: cenv) cols)))
-        (own_offsets joint cols))
+  Option.map
+    (fun offs ->
+      (j, (offs, Typecheck.projection_schema db (joint :: cenv) cols)))
+    (own_offsets joint cols)
 
 (* Evaluate an array of compiled expressions into a fresh tuple with an
    explicit loop — [Array.map] would allocate a closure per row. *)
@@ -929,13 +914,13 @@ let keep_rows (b : Vector.t) =
    lower to batch kernels, and a sublink's body is lowered by the same
    [lower] — one recursive group. *)
 
-let rec compile_expr db (cenv : Schema.t list) (e : expr) : cexpr =
+let rec compile_expr db at (cenv : Schema.t list) (e : expr) : cexpr =
   match e with
   | Const v -> fun _ _ -> v
   | TypedNull _ -> fun _ _ -> Value.Null
   | Attr name -> attr_access (resolve_attr cenv name)
   | Binop (op, a, b) ->
-      let ca = compile_expr db cenv a and cb = compile_expr db cenv b in
+      let ca = compile_expr db at cenv a and cb = compile_expr db at cenv b in
       let f =
         match op with
         | Add -> Value.add
@@ -947,31 +932,31 @@ let rec compile_expr db (cenv : Schema.t list) (e : expr) : cexpr =
       in
       fun ctx env -> f (ca ctx env) (cb ctx env)
   | Cmp (op, a, b) ->
-      let ca = compile_expr db cenv a and cb = compile_expr db cenv b in
+      let ca = compile_expr db at cenv a and cb = compile_expr db at cenv b in
       fun ctx env -> Sem.cmp3 op (ca ctx env) (cb ctx env)
   | And (a, b) ->
-      let ca = compile_expr db cenv a and cb = compile_expr db cenv b in
+      let ca = compile_expr db at cenv a and cb = compile_expr db at cenv b in
       fun ctx env ->
         let va = ca ctx env in
         if Value.is_false va then Value.vfalse else Value.and3 va (cb ctx env)
   | Or (a, b) ->
-      let ca = compile_expr db cenv a and cb = compile_expr db cenv b in
+      let ca = compile_expr db at cenv a and cb = compile_expr db at cenv b in
       fun ctx env ->
         let va = ca ctx env in
         if Value.is_true va then Value.vtrue else Value.or3 va (cb ctx env)
   | Not a ->
-      let ca = compile_expr db cenv a in
+      let ca = compile_expr db at cenv a in
       fun ctx env -> Value.not3 (ca ctx env)
   | IsNull a ->
-      let ca = compile_expr db cenv a in
+      let ca = compile_expr db at cenv a in
       fun ctx env -> Value.Bool (Value.is_null (ca ctx env))
   | Case (whens, els) ->
       let cwhens =
         List.map
-          (fun (c, e) -> (compile_expr db cenv c, compile_expr db cenv e))
+          (fun (c, e) -> (compile_expr db at cenv c, compile_expr db at cenv e))
           whens
       in
-      let cels = Option.map (compile_expr db cenv) els in
+      let cels = Option.map (compile_expr db at cenv) els in
       fun ctx env ->
         let rec go = function
           | (cc, ce) :: rest ->
@@ -980,15 +965,15 @@ let rec compile_expr db (cenv : Schema.t list) (e : expr) : cexpr =
         in
         go cwhens
   | Like (a, pattern) -> (
-      let ca = compile_expr db cenv a in
+      let ca = compile_expr db at cenv a in
       fun ctx env ->
         match ca ctx env with
         | Value.Null -> Value.Null
         | Value.String s -> Value.Bool (Builtin.like_match ~pattern s)
         | v -> Sem.eval_error "LIKE over non-string %s" (Value.to_string v))
   | InList (a, es) ->
-      let ca = compile_expr db cenv a in
-      let ces = List.map (compile_expr db cenv) es in
+      let ca = compile_expr db at cenv a in
+      let ces = List.map (compile_expr db at cenv) es in
       fun ctx env ->
         let x = ca ctx env in
         let rec go acc = function
@@ -1002,10 +987,10 @@ let rec compile_expr db (cenv : Schema.t list) (e : expr) : cexpr =
       if Builtin.is_aggregate name then
         Sem.eval_error "aggregate function %s in scalar context" name
       else
-        let cargs = List.map (compile_expr db cenv) args in
+        let cargs = List.map (compile_expr db at cenv) args in
         fun ctx env ->
           Builtin.apply_scalar name (List.map (fun ce -> ce ctx env) cargs)
-  | Sublink s -> compile_sublink db cenv s
+  | Sublink s -> compile_sublink db at cenv s
 
 (* Selection and join conditions compile to unboxed three-valued
    predicates (the {!b3_of_value} encoding), so the boolean skeleton
@@ -1013,7 +998,7 @@ let rec compile_expr db (cenv : Schema.t list) (e : expr) : cexpr =
    short-circuiting mirror the reference evaluator exactly, including
    {e which} operand subexpressions are evaluated — sublink memo
    counters depend on that. *)
-and compile_pred db (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
+and compile_pred db at (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
   match e with
   | Const v ->
       let b = b3_of_value v in
@@ -1022,20 +1007,20 @@ and compile_pred db (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
      provenance rewrites wrap around moved sublink tests — reduces to a
      truth-table check on the operand's unboxed value. *)
   | Cmp (EqNull, p, Const (Value.Bool b)) when is_boolean_shape p ->
-      let pp = compile_pred db cenv p in
+      let pp = compile_pred db at cenv p in
       fun ctx env ->
         let v = pp ctx env in
         if v = 2 then 0 else if (v = 1) = b then 1 else 0
   | Cmp (EqNull, Const (Value.Bool b), p) when is_boolean_shape p ->
-      let pp = compile_pred db cenv p in
+      let pp = compile_pred db at cenv p in
       fun ctx env ->
         let v = pp ctx env in
         if v = 2 then 0 else if (v = 1) = b then 1 else 0
   | Cmp (op, a, b) ->
-      let ca = compile_expr db cenv a and cb = compile_expr db cenv b in
+      let ca = compile_expr db at cenv a and cb = compile_expr db at cenv b in
       fun ctx env -> cmp_b3 op (ca ctx env) (cb ctx env)
   | And (a, b) ->
-      let pa = compile_pred db cenv a and pb = compile_pred db cenv b in
+      let pa = compile_pred db at cenv a and pb = compile_pred db at cenv b in
       fun ctx env ->
         let va = pa ctx env in
         if va = 0 then 0
@@ -1043,7 +1028,7 @@ and compile_pred db (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
           let vb = pb ctx env in
           if vb = 0 then 0 else if va = 2 || vb = 2 then 2 else 1
   | Or (a, b) ->
-      let pa = compile_pred db cenv a and pb = compile_pred db cenv b in
+      let pa = compile_pred db at cenv a and pb = compile_pred db at cenv b in
       fun ctx env ->
         let va = pa ctx env in
         if va = 1 then 1
@@ -1051,32 +1036,23 @@ and compile_pred db (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
           let vb = pb ctx env in
           if vb = 1 then 1 else if va = 2 || vb = 2 then 2 else 0
   | Not a ->
-      let pa = compile_pred db cenv a in
+      let pa = compile_pred db at cenv a in
       fun ctx env -> (
         match pa ctx env with 0 -> 1 | 1 -> 0 | _ -> 2)
   | IsNull a ->
-      let ca = compile_expr db cenv a in
+      let ca = compile_expr db at cenv a in
       fun ctx env -> if Value.is_null (ca ctx env) then 1 else 0
   | _ ->
-      let ce = compile_expr db cenv e in
+      let ce = compile_expr db at cenv e in
       fun ctx env -> b3_of_value (ce ctx env)
-
-(* An operator's own expressions, compiled at its path [here]. *)
-and scalar_at here db cenv e : cexpr =
-  cur_compile_path := here;
-  compile_expr db cenv e
-
-and pred_at here db cenv e : ctx -> renv -> int =
-  cur_compile_path := here;
-  compile_pred db cenv e
 
 (* A sublink's memoized result and ANY/ALL summary per key
    [(id, binding of the correlated attributes)]. The body is lowered
    under the full environment at the expression's location, exactly the
    scope the reference evaluator gives it, with replay on when it is
    correlated. *)
-and sublink_memo db cenv (s : sublink) ~correlated =
-  let spath = !cur_compile_path @ [ Printf.sprintf "sublink[%d]" s.id ] in
+and sublink_memo db at cenv (s : sublink) ~correlated =
+  let spath = Path.locate at s in
   let body = lower db ~replay:correlated spath cenv s.query in
   (* Bodies run sequentially on the enclosing execution's context. An
      empty result, the common one of a correlated EXISTS body, is one
@@ -1118,15 +1094,13 @@ and sublink_memo db cenv (s : sublink) ~correlated =
 
 (* The correlated attributes are resolved to offset accessors once, so
    the per-binding memo key is assembled without any name resolution. *)
-and compile_sublink db (cenv : Schema.t list) (s : sublink) : cexpr =
-  let saved_path = !cur_compile_path in
+and compile_sublink db at (cenv : Schema.t list) (s : sublink) : cexpr =
   let free = Scope.free_of_query db s.query in
   let free_getters =
     Array.of_list (List.map (fun n -> attr_access (resolve_attr cenv n)) free)
   in
   let correlated = free <> [] in
-  let materialize, summary = sublink_memo db cenv s ~correlated in
-  cur_compile_path := saved_path;
+  let materialize, summary = sublink_memo db at cenv s ~correlated in
   let key ctx env =
     (s.id, Array.to_list (Array.map (fun g -> g ctx env) free_getters))
   in
@@ -1178,13 +1152,13 @@ and compile_sublink db (cenv : Schema.t list) (s : sublink) : cexpr =
         first (materialize ctx env (key ctx env))
       else fun ctx env -> first (cached_rel ctx env)
   | AnyOp (op, lhs) ->
-      let clhs = compile_expr db cenv lhs in
+      let clhs = compile_expr db at cenv lhs in
       if correlated then fun ctx env ->
         Sem.any_of_summary op (clhs ctx env) (summary ctx env (key ctx env))
       else fun ctx env ->
         Sem.any_of_summary op (clhs ctx env) (cached_summary ctx env)
   | AllOp (op, lhs) ->
-      let clhs = compile_expr db cenv lhs in
+      let clhs = compile_expr db at cenv lhs in
       if correlated then fun ctx env ->
         Sem.all_of_summary op (clhs ctx env) (summary ctx env (key ctx env))
       else fun ctx env ->
@@ -1196,13 +1170,11 @@ and compile_sublink db (cenv : Schema.t list) (s : sublink) : cexpr =
    behaves); [None] when [s] is correlated. The ANY/ALL probe kernels
    call it once per execution, before any parallel section, so the
    summary is immutable by the time workers read it. *)
-and sublink_summary here db cenv (s : sublink) :
+and sublink_summary db at cenv (s : sublink) :
     (ctx -> renv -> Sem.summary) option =
   if Scope.free_of_query db s.query <> [] then None
   else begin
-    cur_compile_path := here;
-    let _, summary = sublink_memo db cenv s ~correlated:false in
-    cur_compile_path := here;
+    let _, summary = sublink_memo db at cenv s ~correlated:false in
     let k0 = (s.id, []) in
     Some (fun ctx env -> summary ctx env k0)
   end
@@ -1214,7 +1186,7 @@ and sublink_summary here db cenv (s : sublink) :
    falls back to the compiled row-wise form (which preserves evaluation
    order, sublink correlation and error behavior by construction). The
    match arms mirror {!compile_pred}'s, in the same order. *)
-and vectorize db here schema cenv (e : expr) : mask option =
+and vectorize db at schema cenv (e : expr) : mask option =
   let find n = Schema.find schema n in
   let outer n =
     match resolve_attr cenv n with
@@ -1224,11 +1196,11 @@ and vectorize db here schema cenv (e : expr) : mask option =
   match e with
   | Const v -> Some (MConst (b3_of_value v))
   | Cmp (EqNull, p, Const (Value.Bool bv)) when is_boolean_shape p -> (
-      match vectorize db here schema cenv p with
+      match vectorize db at schema cenv p with
       | Some m -> Some (MBoolEq (m, bv))
       | None -> None)
   | Cmp (EqNull, Const (Value.Bool bv), p) when is_boolean_shape p -> (
-      match vectorize db here schema cenv p with
+      match vectorize db at schema cenv p with
       | Some m -> Some (MBoolEq (m, bv))
       | None -> None)
   | Cmp (op, Attr n1, Attr n2) -> (
@@ -1249,33 +1221,33 @@ and vectorize db here schema cenv (e : expr) : mask option =
       | None -> None)
   | And (a, b) -> (
       match
-        (vectorize db here schema cenv a, vectorize db here schema cenv b)
+        (vectorize db at schema cenv a, vectorize db at schema cenv b)
       with
       | Some ma, Some mb -> Some (MAnd (ma, mb))
       | _ -> None)
   | Or (a, b) -> (
       match
-        (vectorize db here schema cenv a, vectorize db here schema cenv b)
+        (vectorize db at schema cenv a, vectorize db at schema cenv b)
       with
       | Some ma, Some mb -> Some (MOr (ma, mb))
       | _ -> None)
   | Not a ->
-      Option.map (fun m -> MNot m) (vectorize db here schema cenv a)
+      Option.map (fun m -> MNot m) (vectorize db at schema cenv a)
   | IsNull (Attr n) -> (
       match find n with Some j -> Some (MLeaf (LIsNull j)) | None -> None)
   | Attr n -> (
       match find n with Some j -> Some (MLeaf (LAttr j)) | None -> None)
   | Sublink ({ kind = AnyOp (op, Attr n); _ } as s) ->
-      probe_of db here schema cenv ~any:true op n s
+      probe_of db at schema cenv ~any:true op n s
   | Sublink ({ kind = AllOp (op, Attr n); _ } as s) ->
-      probe_of db here schema cenv ~any:false op n s
+      probe_of db at schema cenv ~any:false op n s
   | _ -> None
 
-and probe_of db here schema cenv ~any op n s : mask option =
+and probe_of db at schema cenv ~any op n s : mask option =
   match Schema.find schema n with
   | None -> None
   | Some j -> (
-      match sublink_summary here db (schema :: cenv) s with
+      match sublink_summary db at (schema :: cenv) s with
       | None -> None (* correlated: row-wise fallback *)
       | Some get ->
           Some
@@ -1295,12 +1267,12 @@ and probe_of db here schema cenv ~any op n s : mask option =
    or a total, vectorizable boolean expression, and at most one item
    probes a sublink — so materializing the sublinks column by column
    happens in the per-row path's row-by-row order. *)
-and mask_projection db here schema cenv cols : pcol array option =
+and mask_projection db at schema cenv cols : pcol array option =
   let item (e, _) =
     match e with
     | Attr n -> Option.map (fun j -> PAttr j) (Schema.find schema n)
     | e when is_boolean_shape e && scalar_safe e ->
-        Option.map (fun m -> PMask m) (vectorize db here schema cenv e)
+        Option.map (fun m -> PMask m) (vectorize db at schema cenv e)
     | _ -> None
   in
   let items = List.map item cols in
@@ -1331,7 +1303,7 @@ and lower db ~replay path (cenv : Schema.t list) (q : query) : vop =
    like the memo tables. *)
 and lower_replayed db path q : vop =
   let v = lower_node db ~replay:false path [] q in
-  let here = path @ [ Guard.op_label q ] in
+  let here = Path.here path q in
   let slot = ref None in
   {
     v_schema = v.v_schema;
@@ -1350,15 +1322,15 @@ and lower_replayed db path q : vop =
             bats);
   }
 
-(* [lower_node] lowers one operator: child paths carry the
-   rev-last-segment [left]/[right] qualifiers for joins (Lint's path
-   vocabulary), selections over products/joins and attribute
-   projections over joins are fused, join inputs run right before left
-   as in the reference walker, and stats updates count the walker's
-   plan events. *)
+(* [lower_node] lowers one operator at its plan path ({!Path}):
+   selections over products/joins and attribute projections over joins
+   are fused, each fused node keeping its own path; binary inputs run
+   right before left, and stats updates count the walker's plan
+   events. An operator's expressions compile with [at], the operators
+   they belong to, where their sublinks' body paths are found. *)
 and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
-  let here = path @ [ Guard.op_label q ] in
-  let cpath qual = path @ [ Guard.op_label q ^ qual ] in
+  let here = Path.here path q in
+  let cpath side = Path.child path q side in
   guarded here
   @@
   match q with
@@ -1385,13 +1357,12 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
             Guard.Faults.fire_point Guard.Faults.Scan here;
             chunk_rows schema (Relation.tuples rel));
       }
-  | Select (cond, Cross (a, b)) -> lower_join db ~replay here cenv ~outer:false cond a b
-  | Select (cond, Join (c, a, b)) ->
-      lower_join db ~replay here cenv ~outer:false (And (c, cond)) a b
+  | Select (_, (Cross _ | Join _)) | Join _ | LeftJoin _ ->
+      lower_join db ~replay cenv (Option.get (Sem.join_of path q))
   | Select (cond, input) -> (
-      let vin = lower db ~replay (cpath "") cenv input in
+      let vin = lower db ~replay (cpath Path.Input) cenv input in
       let schema = vin.v_schema in
-      match vectorize db here schema cenv cond with
+      match vectorize db (owner here q) schema cenv cond with
       | Some m ->
           let probes = mask_probes [] m in
           {
@@ -1433,9 +1404,7 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
                 List.filter_map Fun.id (Array.to_list out));
           }
       | None ->
-          let pcond =
-            pred_at here db (schema :: cenv) cond
-          in
+          let pcond = compile_pred db (owner here q) (schema :: cenv) cond in
           {
             v_schema = schema;
             v_run =
@@ -1455,13 +1424,18 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
                   (vin.v_run rt));
           })
   | Project { distinct; cols; proj_input } -> (
-      match if distinct then None else fused_join db cenv cols proj_input with
-      | Some (outer, cond, a, b, project) ->
-          lower_join db ~replay here cenv ~outer ~project cond a b
-      | None -> lower_project db ~replay here (cpath "") cenv ~distinct cols proj_input)
+      let fused =
+        if distinct then None
+        else Sem.join_of (cpath Path.Input) proj_input
+      in
+      match Option.bind fused (fused_projection db cenv cols) with
+      | Some (j, project) -> lower_join db ~replay cenv ~project j
+      | None ->
+          lower_project db ~replay here q (cpath Path.Input) cenv ~distinct
+            cols proj_input)
   | Cross (a, b) ->
-      let va = lower db ~replay (cpath "[left]") cenv a
-      and vb = lower db ~replay (cpath "[right]") cenv b in
+      let va = lower db ~replay (cpath Path.Left) cenv a
+      and vb = lower db ~replay (cpath Path.Right) cenv b in
       let schema = Schema.concat va.v_schema vb.v_schema in
       {
         v_schema = schema;
@@ -1480,26 +1454,21 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
               (va.v_run rt);
             chunk_rows schema (List.rev !acc));
       }
-  | Join (cond, a, b) -> lower_join db ~replay here cenv ~outer:false cond a b
-  | LeftJoin (cond, a, b) -> lower_join db ~replay here cenv ~outer:true cond a b
   | Agg { group_by; aggs; agg_input } ->
-      (* Child lowered at [here] itself (no qualifier): aggregation's
-         input shares its operator path. *)
-      let vin = lower db ~replay here cenv agg_input in
+      let vin = lower db ~replay (cpath Path.Input) cenv agg_input in
       let ienv = vin.v_schema :: cenv in
       let out_schema = Typecheck.aggregation_schema db ienv group_by aggs in
+      let at = owner here q in
       let group_cexprs =
         Array.of_list
-          (List.map
-             (fun (e, _) -> scalar_at here db ienv e)
-             group_by)
+          (List.map (fun (e, _) -> compile_expr db at ienv e) group_by)
       in
       let agg_specs =
         List.map
           (fun call ->
             ( call.agg_func,
               call.agg_distinct,
-              Option.map (scalar_at here db ienv) call.agg_arg
+              Option.map (compile_expr db at ienv) call.agg_arg
             ))
           aggs
       in
@@ -1556,8 +1525,8 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
             chunk_rows out_schema (List.map compute_group keys));
       }
   | Union (Bag, a, b) ->
-      let va = lower db ~replay (cpath "[left]") cenv a
-      and vb = lower db ~replay (cpath "[right]") cenv b in
+      let va = lower db ~replay (cpath Path.Left) cenv a
+      and vb = lower db ~replay (cpath Path.Right) cenv b in
       if not (Schema.equal_types va.v_schema vb.v_schema) then
         setop_of va vb Relation.union_bag
       else
@@ -1572,25 +1541,24 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
               List.map (Vector.with_schema va.v_schema) (ra @ rb));
         }
   | Union (SetSem, a, b) ->
-      lower_setop db ~replay (cpath "[left]") (cpath "[right]") cenv Relation.union_set a b
+      lower_setop db ~replay (cpath Path.Left) (cpath Path.Right) cenv Relation.union_set a b
   | Inter (sem, a, b) ->
       let op =
         match sem with Bag -> Relation.inter_bag | SetSem -> Relation.inter_set
       in
-      lower_setop db ~replay (cpath "[left]") (cpath "[right]") cenv op a b
+      lower_setop db ~replay (cpath Path.Left) (cpath Path.Right) cenv op a b
   | Diff (sem, a, b) ->
       let op =
         match sem with Bag -> Relation.diff_bag | SetSem -> Relation.diff_set
       in
-      lower_setop db ~replay (cpath "[left]") (cpath "[right]") cenv op a b
+      lower_setop db ~replay (cpath Path.Left) (cpath Path.Right) cenv op a b
   | Order (keys, input) ->
-      let vin = lower db ~replay (cpath "") cenv input in
+      let vin = lower db ~replay (cpath Path.Input) cenv input in
       let ienv = vin.v_schema :: cenv in
+      let at = owner here q in
       let ckeys =
         Array.of_list
-          (List.map
-             (fun (e, d) -> (scalar_at here db ienv e, d))
-             keys)
+          (List.map (fun (e, d) -> (compile_expr db at ienv e, d)) keys)
       in
       let nkeys = Array.length ckeys in
       let kexprs = Array.map fst ckeys in
@@ -1622,7 +1590,7 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
               (List.map snd (List.stable_sort cmp (List.rev !decorated))));
       }
   | Limit (n, input) ->
-      let vin = lower db ~replay (cpath "") cenv input in
+      let vin = lower db ~replay (cpath Path.Input) cenv input in
       {
         v_schema = vin.v_schema;
         v_run =
@@ -1656,7 +1624,7 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
               bats);
       }
 
-and lower_project db ~replay here cpath cenv ~distinct cols proj_input : vop =
+and lower_project db ~replay here q cpath cenv ~distinct cols proj_input : vop =
   let vin = lower db ~replay cpath cenv proj_input in
   let ienv = vin.v_schema :: cenv in
   let out_schema = Typecheck.projection_schema db ienv cols in
@@ -1687,7 +1655,10 @@ and lower_project db ~replay here cpath cenv ~distinct cols proj_input : vop =
                  (vin.v_run rt)));
       }
   | None -> (
-      match if distinct then None else mask_projection db here vin.v_schema cenv cols with
+      let at = owner here q in
+      match
+        if distinct then None else mask_projection db at vin.v_schema cenv cols
+      with
       | Some pcols ->
           (* Attribute and boolean-mask items: masks are computed per
              batch over the input columns, and output rows gather the
@@ -1726,9 +1697,7 @@ and lower_project db ~replay here cpath cenv ~distinct cols proj_input : vop =
       | None ->
           let cexprs =
             Array.of_list
-              (List.map
-                 (fun (e, _) -> scalar_at here db ienv e)
-                 cols)
+              (List.map (fun (e, _) -> compile_expr db at ienv e) cols)
           in
           let eval_rows rt =
             List.concat_map
@@ -1768,14 +1737,14 @@ and setop_of va vb op : vop =
    the concatenated schema, output schema): rows are gathered from the
    (left, right) pair instead of concatenated, and factored cross blocks
    just remap their sources. *)
-and lower_join db ~replay here cenv ~outer ?project cond a b : vop =
-  let qual s =
-    match List.rev here with
-    | last :: rest -> List.rev ((last ^ s) :: rest)
-    | [] -> [ s ]
+and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
+  let here = Path.here j.j_prefix j.j_node in
+  let at = Sem.join_owners j here in
+  let outer = j.j_outer and cond = j.j_cond in
+  let va = lower db ~replay (Path.child j.j_prefix j.j_node Path.Left) cenv j.j_left
+  and vb =
+    lower db ~replay (Path.child j.j_prefix j.j_node Path.Right) cenv j.j_right
   in
-  let va = lower db ~replay (qual "[left]") cenv a
-  and vb = lower db ~replay (qual "[right]") cenv b in
   let sa = va.v_schema and sb = vb.v_schema in
   let joint = Schema.concat sa sb in
   let arity_a = Schema.arity sa and arity_b = Schema.arity sb in
@@ -1825,13 +1794,11 @@ and lower_join db ~replay here cenv ~outer ?project cond a b : vop =
       | Const (Value.Bool true) -> `All
       | Or (x, y) when hoistable x ->
           `Or
-            ( pred_at here db (sa :: cenv) x,
-              pred_at here db penv y )
+            (compile_pred db at (sa :: cenv) x, compile_pred db at penv y)
       | And (x, y) when hoistable x ->
           `And
-            ( pred_at here db (sa :: cenv) x,
-              pred_at here db penv y )
-      | _ -> `Whole (pred_at here db penv cond)
+            (compile_pred db at (sa :: cenv) x, compile_pred db at penv y)
+      | _ -> `Whole (compile_pred db at penv cond)
     in
     {
       v_schema = out_schema;
@@ -1958,13 +1925,13 @@ and lower_join db ~replay here cenv ~outer ?project cond a b : vop =
     let left_keys =
       Array.of_list
         (List.map
-           (fun (e, _, _) -> scalar_at here db (sa :: cenv) e)
+           (fun (e, _, _) -> compile_expr db at (sa :: cenv) e)
            pairs)
     in
     let right_keys =
       Array.of_list
         (List.map
-           (fun (_, e, _) -> scalar_at here db (sb :: cenv) e)
+           (fun (_, e, _) -> compile_expr db at (sb :: cenv) e)
            pairs)
     in
     let safe = Array.of_list (List.map (fun (_, _, s) -> s) pairs) in
@@ -1972,7 +1939,7 @@ and lower_join db ~replay here cenv ~outer ?project cond a b : vop =
     let cresidual =
       match residual with
       | [] -> None
-      | r -> Some (pred_at here db (sb :: sa :: cenv) (conj r))
+      | r -> Some (compile_pred db at (sb :: sa :: cenv) (conj r))
     in
     let usable (key : Tuple.t) =
       let rec go i =
@@ -2104,7 +2071,6 @@ and lower_join db ~replay here cenv ~outer ?project cond a b : vop =
 
 let query_stats ?(env = []) db q : Relation.t * Sem.stats =
   let cenv = List.map fst env and renv = List.map snd env in
-  cur_compile_path := [];
   let v = lower db ~replay:false [] cenv q in
   let pool =
     match !pool_override with
@@ -2118,5 +2084,5 @@ let query_stats ?(env = []) db q : Relation.t * Sem.stats =
 let query ?(env = []) db q = fst (query_stats ~env db q)
 
 let expr ?(env = []) db e =
-  cur_compile_path := [];
-  compile_expr db (List.map fst env) e (mk_ctx db) (List.map snd env)
+  compile_expr db [ ([], [ e ]) ] (List.map fst env) e (mk_ctx db)
+    (List.map snd env)

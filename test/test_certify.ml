@@ -242,7 +242,7 @@ let test_mutant (c : mutant_case) () =
     Alcotest.failf
       "mutant %s caught, but not attributed to rule %S at path %s:\n%s"
       c.m_name c.m_rule
-      (Guard.path_to_string c.m_path)
+      (Algebra.Path.to_string c.m_path)
       (Certify.report_to_string ~verbose:true report)
 
 (* Arming one mutant must not break the others' rules: a plan touching
@@ -412,7 +412,7 @@ let traced_optimize db q =
   in
   let show (e : Rewrite_trace.entry) =
     Printf.sprintf "%s at %s: %s => %s" e.e_rule
-      (Guard.path_to_string e.e_path)
+      (Algebra.Path.to_string e.e_path)
       (Pp.query_to_string e.e_before)
       (Pp.query_to_string e.e_after)
   in
@@ -445,7 +445,7 @@ let has_shared_body q =
           walk sl.A.query
         end)
       (List.concat_map A.sublinks_of_expr (A.root_exprs q));
-    List.iter walk (Dataflow.inputs q)
+    List.iter walk (A.inputs q)
   in
   walk q;
   !shared

@@ -422,7 +422,7 @@ let flagged name ~rule ~path diags =
   if not (List.exists (fun d -> d.Lint.rule = rule && d.Lint.path = path) diags)
   then
     Alcotest.failf "%s: expected %s at %s, got:\n%s" name rule
-      (Lint.path_to_string path)
+      (Algebra.Path.to_string path)
       (if diags = [] then "(no diagnostics)" else Lint.report diags)
 
 let none name ~rules diags =

@@ -157,7 +157,7 @@ let test_annotate_paths () =
   Alcotest.(check (list string))
     "paths are Lint-style, root first"
     [ "Select"; "Select/Base(r)" ]
-    (List.map (fun a -> Guard.path_to_string a.Estimate.a_path) anns);
+    (List.map (fun a -> Algebra.Path.to_string a.Estimate.a_path) anns);
   let root = List.hd anns in
   check_bool "root rows below input" true (root.Estimate.a_rows < 3.0)
 

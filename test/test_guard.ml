@@ -50,7 +50,7 @@ let test_row_ceiling () =
       Alcotest.(check bool) "trip names an operator" true (t.Guard.t_path <> []);
       Alcotest.(check bool)
         "trip path mentions the scan" true
-        (String.length (Guard.path_to_string t.Guard.t_path) > 0)
+        (String.length (Algebra.Path.to_string t.Guard.t_path) > 0)
 
 let test_pair_ceiling_preflight () =
   (* the reference walker knows both input cardinalities up front, so
@@ -230,28 +230,52 @@ let test_row_totals_pinned () =
 (* Fault matrix: 4 strategies x 2 engines                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The plan paths at which a fault of each boundary kind may fire in
+   [plan]: scans at a [Base]/[Table] site of [Lint.sites], joins at a
+   [Cross]/[Join]/[LeftJoin] site (a fused selection or projection
+   reports at its join node), sublinks at the [op/sublink[k]] prefix of
+   the body of a site's k-th sublink. *)
+let fault_paths db plan =
+  List.concat_map
+    (fun (s : Lint.site) ->
+      let kind =
+        match s.Lint.s_query with
+        | Algebra.Base _ | TableExpr _ -> [ ("scan", s.Lint.s_path) ]
+        | Cross _ | Join _ | LeftJoin _ -> [ ("join", s.Lint.s_path) ]
+        | _ -> []
+      in
+      kind
+      @ List.map
+          (fun (_, p) -> ("sublink", p))
+          (Algebra.Path.sublinks s.Lint.s_path (List.map snd s.Lint.s_exprs)))
+    (Lint.sites db plan)
+
 (* For every strategy, on one engine: count the fault-injection boundary
    crossings N of a clean provenance run, then re-run once per k in
    1..N with a countdown fault armed at the k-th crossing. Every such
-   run must either report a phase-attributed injected fault or return
-   exactly the clean result — a wrong answer is never acceptable.
-   [prepare db ~strategy q] returns the run to repeat. *)
-let fault_matrix label prepare () =
+   run must either report a phase-attributed injected fault at a plan
+   path of the executed plan ({!fault_paths}) or return exactly the
+   clean result — a wrong answer is never acceptable. [prepare db
+   ~strategy q] returns the executed plan and the run to repeat. The
+   result is, per strategy, the sorted paths that fired. *)
+let fault_matrix label prepare =
   let n1 = 12 and n2 = 6 in
   let db = Synthetic.Workload.make_db ~seed:7 ~n1 ~n2 () in
   let inst = Synthetic.Workload.q1 ~seed:7 ~n1 ~n2 () in
   let q = inst.Synthetic.Workload.query in
   Fun.protect ~finally:Guard.Faults.disarm (fun () ->
-      List.iter
+      List.map
         (fun strategy ->
           let name = Printf.sprintf "%s/%s" label (Strategy.to_string strategy) in
-          let run = prepare db ~strategy q in
+          let plan, run = prepare db ~strategy q in
+          let valid = fault_paths db plan in
           let clean = rows (run ()) in
           (* learn N with a countdown that can never fire *)
           Guard.Faults.arm (Guard.Faults.Countdown max_int);
           ignore (run ());
           let n = Guard.Faults.events () in
           Alcotest.(check bool) (name ^ ": boundaries crossed") true (n > 0);
+          let fired = ref [] in
           for k = 1 to n do
             Guard.Faults.arm (Guard.Faults.Countdown k);
             match run () with
@@ -262,26 +286,101 @@ let fault_matrix label prepare () =
                   (Printf.sprintf "%s k=%d: result unchanged" name k)
                   (List.map (List.map Value.to_string) clean)
                   (List.map (List.map Value.to_string) (rows rel))
-            | exception Resilience.Perm_error
-                { e_phase = Resilience.Eval; e_detail = Resilience.Fault _ } ->
-                ()
+            | exception
+                Resilience.Perm_error
+                  {
+                    e_phase = Resilience.Eval;
+                    e_detail = Resilience.Fault { f_site; f_path };
+                  } ->
+                if not (List.mem (f_site, f_path) valid) then
+                  Alcotest.failf "%s k=%d: %s fault at %s, no such plan path"
+                    name k f_site
+                    (Algebra.Path.to_string f_path);
+                fired := Algebra.Path.to_string f_path :: !fired
             | exception e ->
                 Alcotest.failf "%s k=%d: unclassified escape: %s" name k
                   (Printexc.to_string e)
-          done)
+          done;
+          (strategy, List.sort_uniq compare !fired))
         [ Strategy.Gen; Strategy.Left; Strategy.Move; Strategy.Unn ])
 
 (* The walker leg runs the rewritten, optimized plan through the
    reference walker, as the differential fuzzer does. *)
-let test_fault_matrix =
-  fault_matrix "reference" (fun db ~strategy q ->
-      let plan = Optimizer.optimize db (fst (Perm.rewrite db ~strategy q)) in
-      fun () ->
-        Resilience.enter Resilience.Eval (fun () -> Eval.query_reference db plan))
+let reference_matrix =
+  lazy
+    (fault_matrix "reference" (fun db ~strategy q ->
+         let plan = Optimizer.optimize db (fst (Perm.rewrite db ~strategy q)) in
+         ( plan,
+           fun () ->
+             Resilience.enter Resilience.Eval (fun () ->
+                 Eval.query_reference db plan) )))
 
-let test_fault_matrix_vectorized =
-  fault_matrix "vectorized" (fun db ~strategy q () ->
-      (Perm.run_query db ~strategy ~provenance:true q).Perm.relation)
+let vectorized_matrix =
+  lazy
+    (fault_matrix "vectorized" (fun db ~strategy q ->
+         let run () = Perm.run_query db ~strategy ~provenance:true q in
+         ((run ()).Perm.plan, fun () -> (run ()).Perm.relation)))
+
+let test_fault_matrix () = ignore (Lazy.force reference_matrix)
+let test_fault_matrix_vectorized () = ignore (Lazy.force vectorized_matrix)
+
+(* Both engines name a plan's operators alike, so the two matrices fire
+   at the same paths. *)
+let test_fault_paths_agree () =
+  List.iter2
+    (fun (strategy, reference) (_, vectorized) ->
+      Alcotest.(check (list string))
+        (Strategy.to_string strategy ^ ": fault paths")
+        reference vectorized)
+    (Lazy.force reference_matrix)
+    (Lazy.force vectorized_matrix)
+
+(* A path copied from [Estimate.annotate] arms a fault at exactly that
+   operator, on both engines. Every scan and join of a Gen plan is
+   tried; one whose body a sublink memo hit skips never fires, but the
+   two engines reach the same ones, sublink bodies included. *)
+let test_at_path_from_annotate () =
+  let db = small_db () in
+  let q =
+    Algebra.(
+      Select (any_op Eq (attr "a") (project [ (attr "c", "c") ] (Base "S")),
+              Base "R"))
+  in
+  let plan = (Perm.run_query db ~strategy:Strategy.Gen ~provenance:true q).Perm.plan in
+  let boundaries =
+    List.filter_map
+      (fun (a : Estimate.annot) ->
+        match a.Estimate.a_query with
+        | Algebra.Base _ | TableExpr _ | Cross _ | Join _ | LeftJoin _ ->
+            Some (Algebra.Path.to_string a.Estimate.a_path)
+        | _ -> None)
+      (Estimate.annotate (Estimate.create db) plan)
+  in
+  let fired engine run =
+    List.filter
+      (fun path ->
+        Guard.Faults.arm (Guard.Faults.At_path path);
+        match run () with
+        | _ -> false
+        | exception Guard.Faults.Injected { i_path; _ } ->
+            Alcotest.(check string)
+              (engine ^ ": fault fires at the annotated operator")
+              path
+              (Algebra.Path.to_string i_path);
+            true)
+      boundaries
+  in
+  Fun.protect ~finally:Guard.Faults.disarm (fun () ->
+      let reference = fired "reference" (fun () -> Eval.query_reference db plan)
+      and vectorized = fired "vectorized" (fun () -> Eval.query db plan) in
+      Alcotest.(check (list string)) "same operators fire" reference vectorized;
+      Alcotest.(check bool) "the root join fires" true
+        (List.mem "Project/Join" reference);
+      Alcotest.(check bool) "a sublink body's scan fires" true
+        (List.exists
+           (fun p ->
+             List.mem (Algebra.Path.segment 1) (String.split_on_char '/' p))
+           reference))
 
 let test_seeded_faults_deterministic () =
   let db = small_db () in
@@ -290,20 +389,20 @@ let test_seeded_faults_deterministic () =
       Select (any_op Eq (attr "a") (project [ (attr "c", "c") ] (Base "S")),
               Base "R"))
   in
-  (* sublink path segments carry globally allocated ids that differ
-     between two rewrites of the same query; normalize them away *)
-  let scrub s =
-    Str.global_replace (Str.regexp "sublink\\[[0-9]+\\]") "sublink[_]" s
-  in
-  let outcome () =
-    Guard.Faults.arm (Guard.Faults.Seeded 42);
+  (* each run rewrites afresh, with fresh sublink ids: a fault path
+     must not depend on them *)
+  let outcome seed =
+    Guard.Faults.arm (Guard.Faults.Seeded seed);
     match Perm.run_query db ~strategy:Strategy.Gen ~provenance:true q with
     | r -> "ok:" ^ String.concat "|" (List.concat_map (List.map Value.to_string) (rows r.Perm.relation))
-    | exception Resilience.Perm_error e ->
-        "err:" ^ scrub (Resilience.error_to_string e)
+    | exception Resilience.Perm_error e -> "err:" ^ Resilience.error_to_string e
   in
   Fun.protect ~finally:Guard.Faults.disarm (fun () ->
-      Alcotest.(check string) "same seed, same outcome" (outcome ()) (outcome ()))
+      for seed = 1 to 30 do
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d: same outcome" seed)
+          (outcome seed) (outcome seed)
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Fallback ladder                                                      *)
@@ -555,6 +654,10 @@ let () =
             test_seeded_faults_deterministic;
           Alcotest.test_case "vectorized matrix: 4 strategies" `Slow
             test_fault_matrix_vectorized;
+          Alcotest.test_case "both engines fault at the same plan paths"
+            `Slow test_fault_paths_agree;
+          Alcotest.test_case "At_path from Estimate.annotate" `Quick
+            test_at_path_from_annotate;
         ] );
       ( "fallback",
         [

@@ -57,7 +57,7 @@ let flagged name ~rule ~path diags =
   in
   if not hit then
     Alcotest.failf "%s: expected %s at %s, got:\n%s" name rule
-      (Lint.path_to_string path)
+      (Algebra.Path.to_string path)
       (if diags = [] then "(no diagnostics)" else Lint.report diags)
 
 let no_errors name diags =
@@ -267,7 +267,7 @@ let test_missing_crossbase () =
     | q -> map_queries strip q
   in
   flagged "missing crossbase" ~rule:"gen-crossbase" ~path:[]
-    (Provcheck.gen_crossbase (db ()) ~original:q0 (strip q_plus))
+    (Provcheck.gen_crossbase ~original:q0 (strip q_plus))
 
 let test_left_on_correlated () =
   let q =
