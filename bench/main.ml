@@ -46,6 +46,11 @@ type outcome = Time of float | Timeout of float | Failed of string | Excluded
    execution counters, which the child serializes after the elapsed
    time: "ok <dt> <6 counters>".
 
+   The child reports "ready" once its setup, an untimed warm-up run
+   and a compaction are done. The cell's [timeout] covers only what
+   follows, the timed run, so a slow setup cannot censor a run that
+   fits; the setup itself is bounded by [setup_backstop].
+
    Cancellation is two-layered: the child installs a Guard wall-clock
    budget (slightly inside the harness timeout) so overlong runs trip
    cooperatively at an operator checkpoint and report a structured
@@ -53,6 +58,37 @@ type outcome = Time of float | Timeout of float | Failed of string | Excluded
    backstop for runs that never reach a checkpoint. [~guard:false]
    drops the in-child budget — used by the governor benchmark to
    measure the checkpoints' own overhead. *)
+let setup_backstop = 600.
+
+(* [next limit] is the next line the child wrote to [fd], or [None]
+   when [limit] seconds pass first; at end of file, what arrived
+   ("err truncated" if nothing did). *)
+let line_reader fd =
+  let pending = Buffer.create 64 and chunk = Bytes.create 256 in
+  let rec next limit =
+    let s = Buffer.contents pending in
+    match String.index_opt s '\n' with
+    | Some i ->
+        Buffer.clear pending;
+        Buffer.add_string pending (String.sub s (i + 1) (String.length s - i - 1));
+        Some (String.sub s 0 i)
+    | None -> (
+        let t0 = Unix.gettimeofday () in
+        match Unix.select [ fd ] [] [] (Float.max 0. limit) with
+        | [], _, _ -> None
+        | _ -> (
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 ->
+                Buffer.clear pending;
+                Some (if s = "" then "err truncated" else s)
+            | n ->
+                Buffer.add_subbytes pending chunk 0 n;
+                next (limit -. (Unix.gettimeofday () -. t0)))
+        | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+            next (limit -. (Unix.gettimeofday () -. t0)))
+  in
+  next
+
 let run_child ~timeout ?(guard = true) (f : unit -> unit -> Eval.stats) :
     outcome * Eval.stats option =
   (* flush before forking so the child does not replay buffered output *)
@@ -79,6 +115,8 @@ let run_child ~timeout ?(guard = true) (f : unit -> unit -> Eval.stats) :
             region, which then reports steady-state evaluator cost *)
          Guard.with_budget budget (fun () -> ignore (work ()));
          Gc.compact ();
+         output_string oc "ready\n";
+         flush oc;
          let t0 = Unix.gettimeofday () in
          let st = Guard.with_budget budget (fun () -> work ()) in
          let dt = Unix.gettimeofday () -. t0 in
@@ -94,18 +132,26 @@ let run_child ~timeout ?(guard = true) (f : unit -> unit -> Eval.stats) :
       Stdlib.exit 0
   | pid -> (
       Unix.close wr;
-      let ready, _, _ = Unix.select [ rd ] [] [] timeout in
-      if ready = [] then begin
-        Unix.kill pid Sys.sigkill;
-        ignore (Unix.waitpid [] pid);
-        Unix.close rd;
-        (Timeout timeout, None)
-      end
-      else begin
-        let ic = Unix.in_channel_of_descr rd in
-        let line = try input_line ic with End_of_file -> "err truncated" in
-        ignore (Unix.waitpid [] pid);
-        close_in ic;
+      let next = line_reader rd in
+      let kill () = Unix.kill pid Sys.sigkill in
+      let reply =
+        match next setup_backstop with
+        | None ->
+            kill ();
+            `Line (Printf.sprintf "err setup exceeded the %g s backstop" setup_backstop)
+        | Some "ready" -> (
+            match next timeout with
+            | None ->
+                kill ();
+                `Killed
+            | Some line -> `Line line)
+        | Some line -> `Line line
+      in
+      ignore (Unix.waitpid [] pid);
+      Unix.close rd;
+      match reply with
+      | `Killed -> (Timeout timeout, None)
+      | `Line line -> (
         match String.split_on_char ' ' line with
         | "ok" :: t :: rest ->
             let stats =
@@ -125,8 +171,7 @@ let run_child ~timeout ?(guard = true) (f : unit -> unit -> Eval.stats) :
             (Time (float_of_string t), stats)
         | "to" :: _ -> (Timeout child_limit, None)
         | "err" :: rest -> (Failed (String.concat " " rest), None)
-        | _ -> (Failed line, None)
-      end)
+        | _ -> (Failed line, None)))
 
 (* Average [instances] timed runs; a timeout or failure on the first run
    short-circuits. Counters are reported from the first run. *)
@@ -266,18 +311,79 @@ let json_of_record r =
   Buffer.add_string b "}";
   Buffer.contents b
 
+(* The report holds one record per line, so a run merges into it line
+   by line: a record is replaced when this run measured the same cell,
+   that is the same figure, query, series, domains, batch rows and
+   size (sf, n1, n2); every other record is kept. *)
+let key_fields = [ "figure"; "query"; "series"; "domains"; "batch_rows"; "sf"; "n1"; "n2" ]
+
+(* The text of field [name] in the record [line], as written there;
+   "" when the record has no such field. *)
+let field line name =
+  let pat = Printf.sprintf "\"%s\": " name in
+  let n = String.length line and m = String.length pat in
+  let rec find i = if i + m > n then None else if String.sub line i m = pat then Some (i + m) else find (i + 1) in
+  let rec until j stop = if j >= n || stop line.[j] then j else until (j + 1) stop in
+  match find 0 with
+  | None -> ""
+  | Some j when j < n && line.[j] = '"' ->
+      (* a string: up to its closing, unescaped quote *)
+      let rec close k = if k >= n || line.[k] = '"' then k else close (k + if line.[k] = '\\' then 2 else 1) in
+      String.sub line j (Int.min n (close (j + 1) + 1) - j)
+  | Some j -> String.sub line j (until j (fun c -> c = ',' || c = '}') - j)
+
+let record_key line = List.map (field line) key_fields
+
+let is_record line =
+  let t = String.trim line in
+  String.length t > 11 && String.sub t 0 11 = "{\"figure\": "
+
+(* The records of the report at [path], one per line, without their
+   separating commas; [None] when the file is not in that form. *)
+let report_records path =
+  if not (Sys.file_exists path) then Some []
+  else begin
+    let ic = open_in path in
+    let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+    close_in ic;
+    let records = List.filter is_record lines in
+    let figures = List.filter (fun l -> field l "figure" <> "") lines in
+    if List.length records <> List.length figures then None
+    else
+      Some
+        (List.map
+           (fun l ->
+             let l = String.trim l in
+             if l <> "" && l.[String.length l - 1] = ',' then String.sub l 0 (String.length l - 1) else l)
+           records)
+  end
+
 (* Written explicitly at the end of each command — NOT via [at_exit],
    which the forked measurement children would also run. *)
 let write_json () =
   match List.rev !json_records with
   | [] -> ()
   | records ->
-      let oc = open_out !json_path in
+      let fresh = List.map json_of_record records in
+      let path, kept =
+        match report_records !json_path with
+        | Some old ->
+            let measured = List.map (fun l -> record_key (String.trim l)) fresh in
+            (!json_path, List.filter (fun l -> not (List.mem (record_key l) measured)) old)
+        | None ->
+            (* never overwrite records that cannot be merged line by line *)
+            Printf.printf "\n%s is not one record per line; this run goes to %s.new\n"
+              !json_path !json_path;
+            (!json_path ^ ".new", [])
+      in
+      let oc = open_out path in
       output_string oc "{\n  \"records\": [\n";
-      output_string oc (String.concat ",\n" (List.map json_of_record records));
+      output_string oc
+        (String.concat ",\n" (List.map (fun l -> "    " ^ String.trim l) (kept @ fresh)));
       output_string oc "\n  ]\n}\n";
       close_out oc;
-      Printf.printf "\nwrote %s (%d records)\n" !json_path (List.length records)
+      Printf.printf "\nwrote %s (%d records measured, %d kept)\n" path (List.length fresh)
+        (List.length kept)
 
 (* ------------------------------------------------------------------ *)
 (* Table printing                                                       *)

@@ -206,7 +206,8 @@ race() {
 # malformed frame the server answers typed and survives, a typed query
 # failure), a budget-tripped request that fails typed or degrades —
 # never 70, never a hang — graceful drain on SIGTERM inside an
-# envelope, pinned-seed protocol fuzzing, a pinned-seed fault-injected
+# envelope, an answer over the frame limit refused with a typed error,
+# pinned-seed protocol fuzzing, a pinned-seed fault-injected
 # load run asserting the full matrix (no wedge, no leaked sessions, no
 # wrong answers), and the serve-wide workload's answer check.
 serve() {
@@ -276,6 +277,25 @@ serve() {
   fi
   wait $SRV
   grep -q "drain complete" "$tmp/drain.out"
+
+  step "an answer over the frame limit gets a typed error (exit 1)"
+  dune exec bin/permserver.exe -- --tpch 1 --port 7657 &
+  SRV=$!
+  sleep 3
+  # a Left provenance answer of 6 049 rows, about 2.8 MB framed
+  code=0
+  timeout 120 dune exec bin/permcli.exe -- --connect 127.0.0.1:7657 \
+    --strategy left \
+    -e "SELECT PROVENANCE * FROM lineitem WHERE l_orderkey = ANY (SELECT o_orderkey FROM orders)" \
+    > "$tmp/oversized.out" 2>&1 || code=$?
+  cat "$tmp/oversized.out"
+  [ "$code" -eq 1 ]
+  grep -q "^error: result of [0-9]* rows encodes to [0-9]* bytes, over the 1048576-byte frame limit$" \
+    "$tmp/oversized.out"
+  # the server still answers
+  dune exec bin/permcli.exe -- --connect 127.0.0.1:7657 \
+    -e "SELECT count(*) FROM region" | grep -qF "(1 rows)"
+  kill -TERM $SRV; wait $SRV
 
   step "pinned-seed protocol fuzzing"
   timeout 300 dune exec bench/main.exe -- serve \

@@ -66,8 +66,8 @@ let pp ppf (t : t) =
 let to_string t = Format.asprintf "%a" pp t
 
 (** [render t] is every value through {!Value.to_string}, in order: a
-    result row as the CLI table and the wire protocol show it. Built
-    from the array directly, one cons per value. *)
+    result row as the CLI table shows it and a client decodes it.
+    Built from the array directly, one cons per value. *)
 let render (t : t) =
   let row = ref [] in
   for i = Array.length t - 1 downto 0 do

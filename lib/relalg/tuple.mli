@@ -34,7 +34,9 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** [render t] renders every value with {!Value.to_string}, in order:
-    a result row as shown by the CLI table and sent over the wire. *)
+    a result row as the CLI table shows it, and the cell texts a
+    client decodes from the wire (where the server writes them
+    straight from the values). *)
 val render : t -> string list
 
 (** Hashtbl key module over tuple identity. *)

@@ -44,37 +44,38 @@ let zero_of = function
 
 (** {1 Rendering}
 
-    Result rows are rendered value by value, so these two are the hot
-    loop of every served answer. Both produce exactly the bytes of
-    [string_of_int] and [Printf.sprintf "%.6g"] (plus the [".0"] rule),
-    without the format interpreter. *)
+    A value's text is written in place: {!text_length} says how many
+    bytes it takes and {!write_text} writes them. {!to_string} builds
+    the same text from the same pieces. Served answers are written
+    cell by cell through them, so they are the hot loop of every
+    reply. They produce exactly the bytes of [string_of_int] and
+    [Printf.sprintf "%.6g"] (plus the [".0"] rule), without the format
+    interpreter. *)
 
-(* Decimal digits written straight into one exact-length string. The
-   digits are produced from the non-positive form of [i], which,
-   unlike the positive one, exists for [min_int]. *)
-let int_to_string i =
-  let neg = if i < 0 then i else -i in
-  let rec width n k = if n > -10 then k else width (n / 10) (k + 1) in
-  let sign = if i < 0 then 1 else 0 in
-  let len = sign + width neg 1 in
-  let b = Bytes.create len in
-  if sign = 1 then Bytes.unsafe_set b 0 '-';
-  let n = ref neg in
-  for p = len - 1 downto sign do
+(* Decimal digits of the non-positive [n], counted by comparison with
+   growing powers of ten. The non-positive form, unlike the positive
+   one, exists for [min_int]; 19 digits is the most an int has. *)
+let rec neg_width n k p = if k = 19 || n > -p then k else neg_width n (k + 1) (p * 10)
+
+let int_length i = (if i < 0 then 1 else 0) + neg_width (if i < 0 then i else -i) 1 10
+
+(* [i]'s [len] = [int_length i] bytes, written at [pos]. *)
+let write_int i len b pos =
+  if i < 0 then Bytes.unsafe_set b pos '-';
+  let n = ref (if i < 0 then i else -i) in
+  for p = pos + len - 1 downto pos + if i < 0 then 1 else 0 do
     Bytes.unsafe_set b p (Char.unsafe_chr (48 - (!n mod 10)));
     n := !n / 10
-  done;
-  Bytes.unsafe_to_string b
+  done
 
 external format_float : string -> float -> string = "caml_format_float"
 
-(* [%.6g] through the C formatter, with the [".0"] rule: avoid "3",
-   which the SQL lexer would read back as an int. *)
-let format_g f =
-  let s = format_float "%.6g" f in
-  if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
-  then s
-  else s ^ ".0"
+(* [%.6g] through the C formatter. The [".0"] rule is applied by the
+   caller: [bare s] says [s] reads as an int ("3", which the SQL lexer
+   would read back as one) and takes a [".0"] suffix. *)
+let format_g f = format_float "%.6g" f
+
+let bare s = not (String.contains s '.' || String.contains s 'e' || String.contains s 'n')
 
 let pow10 = [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9 |]
 let int_pow10 = [| 1; 10; 100; 1_000; 10_000; 100_000 |]
@@ -82,56 +83,129 @@ let int_pow10 = [| 1; 10; 100; 1_000; 10_000; 100_000 |]
 (* digit [j] of the six-digit [d], most significant first *)
 let digit d j = d / Array.unsafe_get int_pow10 (5 - j) mod 10
 
-(* [format_g f], written directly when [f] renders positionally, that
-   is 1e-4 <= |f| < 1e6 after rounding to six significant digits.
-   [m = |f| * 10^k] is scaled into [1e5, 1e6] with one rounding (error
-   below 2^-53 relative, so below 2e-10), and its nearest integer [d]
-   is the six significant digits. Within 1e-9 of a rounding tie the
-   exact decimal expansion decides, so the C formatter is asked. *)
-let float_to_string f =
+(* The positional layout of [f], when it renders positionally, that is
+   1e-4 <= |f| < 1e6 after rounding to six significant digits; -1 when
+   the C formatter must decide. [m = |f| * 10^k] is scaled into
+   [1e5, 1e6] with one rounding (error below 2^-53 relative, so below
+   2e-10), and its nearest integer [d] is the six significant digits.
+   Within 1e-9 of a rounding tie the exact decimal expansion decides,
+   so the C formatter is asked.
+
+   The layout is packed into one int so that it costs no allocation:
+   [d] in bits 0-19, the decimal exponent [x + 4] (x in -4..5) in bits
+   20-23, the index [last] of the last digit kept in bits 24-26 and
+   the sign in bit 27. *)
+let float_layout f =
   let a = Float.abs f in
-  if not (a >= 1e-4 && a < 1e6) then format_g f
+  if not (a >= 1e-4 && a < 1e6) then -1
   else begin
     let k = ref 0 in
     while !k < 9 && a *. Array.unsafe_get pow10 !k < 1e5 do incr k done;
     let m = a *. Array.unsafe_get pow10 !k in
     let fl = Float.of_int (int_of_float m) in
-    if m < 1e5 || Float.abs (m -. fl -. 0.5) < 1e-9 then format_g f
+    if m < 1e5 || Float.abs (m -. fl -. 0.5) < 1e-9 then -1
     else begin
       let d = int_of_float m + if m -. fl > 0.5 then 1 else 0 in
       (* a carry into a seventh digit moves the decimal exponent [x] *)
       let carry = d >= 1_000_000 in
       let d = if carry then d / 10 else d in
       let x = (if carry then 6 else 5) - !k in
-      if x > 5 then format_g f
+      if x > 5 then -1
       else begin
         (* digits kept: trailing zeros dropped, but not the integer part *)
         let last = ref 5 in
         while !last > Int.max x 0 && digit d !last = 0 do decr last done;
-        let sign = if f < 0. then 1 else 0 in
-        (* "ddd.ddd" (at least one fraction digit, the [".0"] rule) or
-           "0.000ddd" *)
-        let len =
-          if x >= 0 then sign + x + 2 + Int.max 1 (!last - x) else sign + 2 - x + !last
-        in
-        let b = Bytes.make len '0' in
-        if sign = 1 then Bytes.unsafe_set b 0 '-';
-        Bytes.unsafe_set b (if x >= 0 then sign + x + 1 else sign + 1) '.';
-        for j = 0 to !last do
-          let pos =
-            if x < 0 then sign + 1 - x + j else if j <= x then sign + j else sign + j + 1
-          in
-          Bytes.unsafe_set b pos (Char.unsafe_chr (48 + digit d j))
-        done;
-        Bytes.unsafe_to_string b
+        d lor ((x + 4) lsl 20) lor (!last lsl 24) lor ((if f < 0. then 1 else 0) lsl 27)
       end
     end
   end
 
+let lay_x l = ((l lsr 20) land 0xf) - 4
+let lay_last l = (l lsr 24) land 0x7
+let lay_sign l = (l lsr 27) land 1
+
+(* "ddd.ddd" (at least one fraction digit, the [".0"] rule) or
+   "0.000ddd" *)
+let layout_length l =
+  let x = lay_x l and last = lay_last l and sign = lay_sign l in
+  if x >= 0 then sign + x + 2 + Int.max 1 (last - x) else sign + 2 - x + last
+
+let write_layout l len b pos =
+  let d = l land 0xfffff and x = lay_x l and last = lay_last l and sign = lay_sign l in
+  Bytes.unsafe_fill b pos len '0';
+  if sign = 1 then Bytes.unsafe_set b pos '-';
+  Bytes.unsafe_set b (if x >= 0 then pos + sign + x + 1 else pos + sign + 1) '.';
+  for j = 0 to last do
+    let p = if x < 0 then sign + 1 - x + j else if j <= x then sign + j else sign + j + 1 in
+    Bytes.unsafe_set b (pos + p) (Char.unsafe_chr (48 + digit d j))
+  done
+
+(* The text of a float outside the positional fast path; zeros, common
+   in answers, without the C formatter. *)
+let fallback_text f =
+  if f = 0. then if Float.sign_bit f then "-0.0" else "0.0"
+  else
+    let s = format_g f in
+    if bare s then s ^ ".0" else s
+
+let text_length = function
+  | Null -> 4
+  | Int i -> int_length i
+  | Float f ->
+      let l = float_layout f in
+      if l >= 0 then layout_length l else String.length (fallback_text f)
+  | String s -> String.length s
+  | Bool b -> if b then 4 else 5
+
+(* [len] bytes fit in [b] at [pos] *)
+let check b pos len =
+  if pos < 0 || pos > Bytes.length b - len then invalid_arg "Value.write_text"
+
+let blit s b pos =
+  let n = String.length s in
+  check b pos n;
+  Bytes.unsafe_blit_string s 0 b pos n;
+  n
+
+let write_text v b pos =
+  match v with
+  | Null -> blit "NULL" b pos
+  | Int i ->
+      let len = int_length i in
+      check b pos len;
+      write_int i len b pos;
+      len
+  | Float f ->
+      let l = float_layout f in
+      if l >= 0 then begin
+        let len = layout_length l in
+        check b pos len;
+        write_layout l len b pos;
+        len
+      end
+      else blit (fallback_text f) b pos
+  | String s -> blit s b pos
+  | Bool b' -> blit (if b' then "true" else "false") b pos
+
+(* The same text from the same pieces, in one exact-size string: a
+   float's digits are worked out once, where [text_length] followed by
+   [write_text] would work them out twice. *)
 let to_string = function
   | Null -> "NULL"
-  | Int i -> int_to_string i
-  | Float f -> float_to_string f
+  | Int i ->
+      let len = int_length i in
+      let b = Bytes.create len in
+      write_int i len b 0;
+      Bytes.unsafe_to_string b
+  | Float f ->
+      let l = float_layout f in
+      if l >= 0 then begin
+        let len = layout_length l in
+        let b = Bytes.create len in
+        write_layout l len b 0;
+        Bytes.unsafe_to_string b
+      end
+      else fallback_text f
   | String s -> s
   | Bool b -> if b then "true" else "false"
 

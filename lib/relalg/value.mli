@@ -40,8 +40,21 @@ val zero_of : Vtype.t -> t
 (** Display rendering, as result rows show it: ints in decimal, floats
     as [Printf.sprintf "%.6g"] with [".0"] appended when that reads as
     an integer (["3"] becomes ["3.0"]), strings unquoted, [NULL] and
-    [true]/[false] as words. *)
+    [true]/[false] as words. The bytes {!write_text} writes, built
+    from the same digit writers in one exact-size string: there is one
+    text algorithm. *)
 val to_string : t -> string
+
+(** [text_length v] is the length of [to_string v], computed without
+    building it. *)
+val text_length : t -> int
+
+(** [write_text v b pos] writes the bytes of [to_string v] into [b] at
+    [pos] and returns their number, {!text_length}[ v]. Ints, NULL,
+    booleans, strings and positionally rendered floats allocate
+    nothing; other floats allocate their C-formatted text. Raises
+    [Invalid_argument] when they do not fit in [b]. *)
+val write_text : t -> bytes -> int -> int
 
 (** SQL-literal rendering: strings quoted and escaped. *)
 val to_literal : t -> string

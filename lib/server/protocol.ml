@@ -96,6 +96,16 @@ let put_string w s =
   if not w.w_counting then Bytes.blit_string s 0 w.w_buf w.w_pos n;
   w.w_pos <- w.w_pos + n
 
+(* A value as the string field of its text: written in place behind
+   its length, which the write itself returns. *)
+let put_value w v =
+  if w.w_counting then w.w_pos <- w.w_pos + 4 + Value.text_length v
+  else begin
+    let n = Value.write_text v w.w_buf (w.w_pos + 4) in
+    put_u32 w n;
+    w.w_pos <- w.w_pos + n
+  end
+
 let put_opt w put = function
   | None -> put_u8 w 0
   | Some v ->
@@ -112,15 +122,37 @@ let put_list w put xs =
   put_u32 w (List.length xs);
   put_all w put xs
 
-let frame body =
+(* The one [Result] layout, over any row type: the first [max_rows] of
+   [rows] are sent, and [put_row] puts one row's cells. *)
+let put_result w ~put_row ~max_rows ~cols ~ladder rows =
+  let rec count k = function _ :: rest when k < max_rows -> count (k + 1) rest | _ -> k in
+  let rec put_rows k = function
+    | row :: rest when k > 0 ->
+        put_row w row;
+        put_rows (k - 1) rest
+    | _ -> ()
+  in
+  let n = count 0 rows in
+  put_u8 w 0x83;
+  put_list w put_string cols;
+  put_u32 w n;
+  put_rows n rows;
+  put_opt w put_string ladder
+
+(* The payload length of [body]'s message, by a counting run. *)
+let payload_length body =
   let counter = { w_buf = Bytes.empty; w_pos = 0; w_counting = true } in
   body counter;
-  let len = 1 + counter.w_pos in
+  1 + counter.w_pos
+
+let fill len body =
   let w = { w_buf = Bytes.create (4 + len); w_pos = 0; w_counting = false } in
   put_u32 w len;
   put_u8 w version;
   body w;
   w.w_buf
+
+let frame body = fill (payload_length body) body
 
 let encode_request r =
   frame (fun w ->
@@ -151,10 +183,9 @@ let encode_response r =
           put_u8 w 0x82;
           put_string w m
       | Result { r_cols; r_rows; r_ladder } ->
-          put_u8 w 0x83;
-          put_list w put_string r_cols;
-          put_list w (fun w row -> put_list w put_string row) r_rows;
-          put_opt w put_string r_ladder
+          put_result w
+            ~put_row:(fun w row -> put_list w put_string row)
+            ~max_rows:max_int ~cols:r_cols ~ladder:r_ladder r_rows
       | Error_msg { e_phase; e_kind; e_msg } ->
           put_u8 w 0x84;
           put_string w e_phase;
@@ -170,6 +201,21 @@ let encode_response r =
               put_string w k;
               put_f64 w v)
             kvs)
+
+let put_tuple w (t : Tuple.t) =
+  put_u32 w (Array.length t);
+  for i = 0 to Array.length t - 1 do
+    put_value w (Array.unsafe_get t i)
+  done
+
+let encode_result ~max_rows ~ladder rel =
+  let body w =
+    put_result w ~put_row:put_tuple ~max_rows
+      ~cols:(Schema.names (Relation.schema rel))
+      ~ladder (Relation.tuples rel)
+  in
+  let len = payload_length body in
+  if len > max_frame then Error len else Ok (fill len body)
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)

@@ -58,6 +58,15 @@ val encode_request : request -> bytes
 
 val encode_response : response -> bytes
 
+(** [encode_result ~max_rows ~ladder rel] is the [Result] frame of the
+    first [max_rows] tuples of [rel], each cell written straight from
+    its value: the bytes of [encode_response] on the same rows rendered
+    by {!Relalg.Tuple.render}, with no string built per cell.
+    [Error n] when the payload would take [n] bytes, over
+    {!max_frame}; the frame is then never allocated. *)
+val encode_result :
+  max_rows:int -> ladder:string option -> Relation.t -> (bytes, int) result
+
 (** [decode_request payload] / [decode_response payload] parse a frame
     payload (header already stripped). *)
 val decode_request : bytes -> (request, violation) result

@@ -294,31 +294,50 @@ let error_response (e : Resilience.error) =
           e_msg = Resilience.error_to_string e;
         }
 
-let render_result ~max_rows (r : Perm.result) =
+let bump sv f = locked sv (fun () -> f sv.sv_ctr)
+
+(* The reply to a query that was answered. *)
+let answered sv resp =
+  bump sv (fun c -> c.n_queries_ok <- c.n_queries_ok + 1);
+  Protocol.encode_response resp
+
+(* The [Result] frame of [r], written straight from its values. An
+   answer whose frame would pass the frame limit gets a typed error
+   instead, and the connection stays usable. *)
+let result_frame sv (r : Perm.result) =
   let rel = r.Perm.relation in
-  let r_cols = Schema.names (Relation.schema rel) in
-  (* the first [max_rows] tuples, rendered as they are reached *)
-  let[@tail_mod_cons] rec rows k = function
-    | t :: rest when k > 0 -> Tuple.render t :: rows (k - 1) rest
-    | _ -> []
-  in
-  let r_rows = rows max_rows (Relation.tuples rel) in
-  let r_ladder =
+  let max_rows = sv.sv_cfg.c_max_result_rows in
+  let ladder =
     match r.Perm.ladder with
     | Some l when l.Resilience.lad_abandoned <> [] ->
         Some (Resilience.ladder_to_string l)
     | _ -> None
   in
-  Protocol.Result { r_cols; r_rows; r_ladder }
+  match Protocol.encode_result ~max_rows ~ladder rel with
+  | Ok frame ->
+      bump sv (fun c -> c.n_queries_ok <- c.n_queries_ok + 1);
+      frame
+  | Error bytes ->
+      bump sv (fun c -> c.n_queries_err <- c.n_queries_err + 1);
+      Protocol.encode_response
+        (Protocol.Error_msg
+           {
+             e_phase = "protocol";
+             e_kind = "oversized";
+             e_msg =
+               Printf.sprintf
+                 "result of %d rows encodes to %d bytes, over the %d-byte frame limit"
+                 (Int.min max_rows (Relation.cardinality rel))
+                 bytes Protocol.max_frame;
+           })
 
-let bump sv f = locked sv (fun () -> f sv.sv_ctr)
-
-(* Evaluate one SQL statement for [session] under admission control. *)
+(* Evaluate one SQL statement for [session] under admission control;
+   the reply's frame. *)
 let eval_query sv session sql =
   match gate_admit sv.sv_gate with
   | `Shed retry_after ->
       bump sv (fun c -> c.n_shed <- c.n_shed + 1);
-      Protocol.Overloaded { retry_after }
+      Protocol.encode_response (Protocol.Overloaded { retry_after })
   | `Admitted ->
       Fun.protect
         ~finally:(fun () -> gate_release sv.sv_gate)
@@ -387,54 +406,59 @@ let eval_query sv session sql =
                   | Some l when l.Resilience.lad_abandoned <> [] ->
                       bump sv (fun c -> c.n_degraded <- c.n_degraded + 1)
                   | _ -> ());
-                  render_result ~max_rows:sv.sv_cfg.c_max_result_rows r
-              | Perm.Created_view n -> Protocol.Ok_msg ("created view " ^ n)
+                  result_frame sv r
+              | Perm.Created_view n -> answered sv (Protocol.Ok_msg ("created view " ^ n))
               | Perm.Created_table (n, k) ->
-                  Protocol.Ok_msg (Printf.sprintf "created table %s (%d rows)" n k)
-              | Perm.Dropped n -> Protocol.Ok_msg ("dropped " ^ n)))
+                  answered sv
+                    (Protocol.Ok_msg (Printf.sprintf "created table %s (%d rows)" n k))
+              | Perm.Dropped n -> answered sv (Protocol.Ok_msg ("dropped " ^ n))))
 
+(* The reply's frame. *)
 let handle_request sv session (req : Protocol.request) =
+  let reply = Protocol.encode_response in
   match req with
-  | Protocol.Ping -> Protocol.Pong
-  | Protocol.Stats -> Protocol.Stats_msg (stats sv)
+  | Protocol.Ping -> reply Protocol.Pong
+  | Protocol.Stats -> reply (Protocol.Stats_msg (stats sv))
   | Protocol.Set_strategy s -> (
       match Strategy.of_string s with
       | st ->
           Session.set_strategy session st;
-          Protocol.Ok_msg ("strategy " ^ s)
+          reply (Protocol.Ok_msg ("strategy " ^ s))
       | exception Invalid_argument m ->
-          Protocol.Error_msg { e_phase = "protocol"; e_kind = "message"; e_msg = m })
+          reply (Protocol.Error_msg { e_phase = "protocol"; e_kind = "message"; e_msg = m }))
   | Protocol.Set_budget b ->
       Session.set_budget session
         (if Guard.is_unlimited b then None else Some b);
-      Protocol.Ok_msg ("budget " ^ Guard.budget_to_string b)
+      reply (Protocol.Ok_msg ("budget " ^ Guard.budget_to_string b))
   | Protocol.Load_snapshot name -> (
       match List.assoc_opt name sv.sv_cfg.c_snapshots with
       | None ->
-          Protocol.Error_msg
-            {
-              e_phase = "protocol";
-              e_kind = "message";
-              e_msg = "unknown snapshot " ^ name;
-            }
+          reply
+            (Protocol.Error_msg
+               {
+                 e_phase = "protocol";
+                 e_kind = "message";
+                 e_msg = "unknown snapshot " ^ name;
+               })
       | Some build -> (
           match build () with
           | db ->
               let e = Session.swap sv.sv_store db in
-              Protocol.Ok_msg (Printf.sprintf "snapshot %s at epoch %d" name e)
+              reply (Protocol.Ok_msg (Printf.sprintf "snapshot %s at epoch %d" name e))
           | exception exn ->
-              Protocol.Error_msg
-                {
-                  e_phase = "load";
-                  e_kind = "message";
-                  e_msg = Printexc.to_string exn;
-                }))
+              reply
+                (Protocol.Error_msg
+                   {
+                     e_phase = "load";
+                     e_kind = "message";
+                     e_msg = Printexc.to_string exn;
+                   })))
   | Protocol.Query sql -> (
       match eval_query sv session sql with
-      | resp -> resp
+      | frame -> frame
       | exception Resilience.Perm_error e ->
           bump sv (fun c -> c.n_queries_err <- c.n_queries_err + 1);
-          error_response e)
+          reply (error_response e))
 
 (* ------------------------------------------------------------------ *)
 (* Connection handler                                                  *)
@@ -447,12 +471,12 @@ let faulty_recv sv fd =
       raise (Wire_fault F_read)
   | _ -> Protocol.recv_request fd
 
-let faulty_send sv fd resp =
+let faulty_send sv fd frame =
   match sv.sv_faults with
   | Some fs when fault_fires fs F_write ->
       bump sv (fun c -> c.n_faults <- c.n_faults + 1);
       raise (Wire_fault F_write)
-  | _ -> Protocol.send_response fd resp
+  | _ -> Protocol.send_frame fd frame
 
 let handle_connection sv id fd =
   let session = Session.create sv.sv_store ~id in
@@ -472,34 +496,28 @@ let handle_connection sv id fd =
         in
         (* Best effort even on fatal violations — the peer may already
            be gone. *)
-        (try faulty_send sv fd resp with _ -> ());
+        (try faulty_send sv fd (Protocol.encode_response resp) with _ -> ());
         if not (Protocol.fatal v) then loop ()
     | Protocol.Got req ->
         bump sv (fun c -> c.n_requests <- c.n_requests + 1);
-        let resp =
+        let frame =
           match handle_request sv session req with
-          | resp ->
-              (match req with
-              | Protocol.Query _ ->
-                  (match resp with
-                  | Protocol.Overloaded _ | Protocol.Error_msg _ -> ()
-                  | _ -> bump sv (fun c -> c.n_queries_ok <- c.n_queries_ok + 1))
-              | _ -> ());
-              resp
+          | frame -> frame
           | exception Wire_fault s -> raise (Wire_fault s)
           | exception exn ->
               (* A handler bug must cost one request, not the server. *)
               bump sv (fun c ->
                   c.n_internal <- c.n_internal + 1;
                   c.n_queries_err <- c.n_queries_err + 1);
-              Protocol.Error_msg
-                {
-                  e_phase = "eval";
-                  e_kind = "internal";
-                  e_msg = Printexc.to_string exn;
-                }
+              Protocol.encode_response
+                (Protocol.Error_msg
+                   {
+                     e_phase = "eval";
+                     e_kind = "internal";
+                     e_msg = Printexc.to_string exn;
+                   })
         in
-        faulty_send sv fd resp;
+        faulty_send sv fd frame;
         loop ()
   in
   Fun.protect

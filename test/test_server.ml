@@ -274,6 +274,222 @@ let test_frames_fixed () =
       Protocol.Stats;
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Result frames written straight from values                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The text every value must get, from the format interpreter and
+   nothing of [Value]: the wire shows it, so [Value.write_text] must
+   write exactly these bytes. *)
+let ref_text = function
+  | Value.Null -> "NULL"
+  | Value.Int n -> string_of_int n
+  | Value.Float f ->
+      let s = Printf.sprintf "%.6g" f in
+      if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
+      then s
+      else s ^ ".0"
+  | Value.String s -> s
+  | Value.Bool b -> string_of_bool b
+
+(* NaN, the infinities and -0.0, both sides of the 1e-4 and 1e6 bounds
+   of positional rendering, six-digit rounding ties, and one ulp either
+   side of each. *)
+let edge_float =
+  let open QCheck.Gen in
+  oneofl
+    [
+      0.; -0.; nan; infinity; neg_infinity; 1e-4; -1e-4; 1e6; -1e6; 999_999.5;
+      999_999.4; 0.000_099_999_95; 0.000_123_456_5; 1.000_000_5; 123_456.5;
+      2.5; 0.5; 5e-324; Float.max_float; 3.; -7.;
+    ]
+  >>= fun f -> oneofl [ Float.pred f; f; Float.succ f ]
+
+(* Edge values of every kind: those floats, the int extremes and every
+   decimal width, NULL, the booleans, the empty string and the string
+   'NULL'. *)
+let edge_value_gen =
+  let open QCheck.Gen in
+  let width = map2 (fun e n -> n * Int.shift_left 1 e) (0 -- 62) (-10 -- 10) in
+  frequency
+    [
+      (2, oneofl Value.[ Null; Bool true; Bool false; String ""; String "NULL"; String "3" ]);
+      ( 2,
+        map (fun n -> Value.Int n)
+          (oneofl [ 0; 1; -1; 9; -9; 10; -10; min_int; max_int; min_int + 1; max_int - 1 ]) );
+      (2, map (fun n -> Value.Int n) width);
+      (1, map (fun n -> Value.Int n) int);
+      (3, map (fun f -> Value.Float f) edge_float);
+      (2, map (fun f -> Value.Float f) float);
+      (1, map (fun f -> Value.Float f) (map2 (fun m e -> m *. (10. ** float_of_int e)) (float_bound_exclusive 10.) (-6 -- 8)));
+      (1, map (fun s -> Value.String s) (string_size ~gen:printable (0 -- 12)));
+    ]
+
+let value_print v =
+  match v with
+  | Value.Float f -> Printf.sprintf "Float %h" f
+  | Value.String s -> Printf.sprintf "String %S" s
+  | v -> ref_text v
+
+(* [write_text] at an arbitrary offset writes exactly the reference
+   text, returns its length (= [text_length]) and touches no byte
+   around it; [to_string] gives the same bytes. *)
+let prop_write_text =
+  QCheck.Test.make ~name:"write_text writes to_string's bytes" ~count:3000
+    (QCheck.make QCheck.Gen.(pair edge_value_gen (0 -- 7)) ~print:(fun (v, k) ->
+         Printf.sprintf "%s at %d" (value_print v) k))
+    (fun (v, k) ->
+      let want = ref_text v in
+      let n = String.length want in
+      let b = Bytes.make (k + n + 3) '#' in
+      let wrote = Value.write_text v b k in
+      wrote = n
+      && Value.text_length v = n
+      && Bytes.sub_string b k n = want
+      && Bytes.sub_string b 0 k = String.make k '#'
+      && Bytes.sub_string b (k + n) 3 = "###"
+      && Value.to_string v = want)
+
+let test_write_text_bounds () =
+  List.iter
+    (fun v ->
+      let n = Value.text_length v in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s one byte short is refused" (value_print v))
+        true
+        (match Value.write_text v (Bytes.create (n + 1)) 2 with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    Value.[ Null; Int min_int; Float 1.5; Float 1e300; String "abc"; Bool false ]
+
+(* The frame [encode_result] must equal: the reference encoder over the
+   first [max_rows] rows rendered by [Tuple.render]. *)
+let rendered_rows ~max_rows rel =
+  List.filteri (fun k _ -> k < max_rows) (List.map Tuple.render (Relation.tuples rel))
+
+let reference_result ~max_rows ~ladder rel =
+  Protocol.Result
+    {
+      r_cols = Schema.names (Relation.schema rel);
+      r_rows = rendered_rows ~max_rows rel;
+      r_ladder = ladder;
+    }
+
+(* [encode_result] agrees with the reference frame byte for byte, and
+   decoding it gives back the rendered strings. *)
+let result_frame_ok ~max_rows ~ladder rel =
+  let want = reference_result ~max_rows ~ladder rel in
+  match Protocol.encode_result ~max_rows ~ladder rel with
+  | Error _ -> false
+  | Ok f ->
+      Bytes.equal f (Reference.encode_response want)
+      && (match Protocol.decode_response (payload f) with
+         | Ok r -> compare r want = 0
+         | Error _ -> false)
+
+let typed_gen =
+  let open QCheck.Gen in
+  let column =
+    oneofl
+      [
+        (Vtype.TInt, map (fun n -> Value.Int n) int);
+        (Vtype.TFloat, map (fun f -> Value.Float f) (oneof [ float; edge_float ]));
+        (Vtype.TString, map (fun s -> Value.String s) (string_size ~gen:printable (0 -- 6)));
+        (Vtype.TBool, map (fun b -> Value.Bool b) bool);
+      ]
+  in
+  let cell (_, g) = frequency [ (1, return Value.Null); (4, g) ] in
+  list_size (1 -- 5) column >>= fun cols ->
+  list_size (0 -- 12) (flatten_l (List.map cell cols)) >>= fun rows ->
+  (0 -- 14) >>= fun max_rows ->
+  opt (string_size ~gen:printable (0 -- 8)) >|= fun ladder ->
+  let schema =
+    Schema.of_list (List.mapi (fun k (ty, _) -> Schema.attr (Printf.sprintf "c%d" k) ty) cols)
+  in
+  (Relation.of_values schema rows, max_rows, ladder)
+
+let prop_encode_result =
+  QCheck.Test.make ~name:"encode_result equals the reference on rendered rows" ~count:500
+    (QCheck.make typed_gen ~print:(fun (rel, max_rows, ladder) ->
+         Printf.sprintf "max_rows %d, ladder %s, %d rows: %s" max_rows
+           (Option.value ladder ~default:"-") (Relation.cardinality rel)
+           (String.concat "; "
+              (List.map (fun t -> String.concat "," (List.map value_print (Array.to_list t)))
+                 (Relation.tuples rel)))))
+    (fun (rel, max_rows, ladder) -> result_frame_ok ~max_rows ~ladder rel)
+
+(* Row caps below, at and above the cardinality, on a fixed relation. *)
+let test_encode_result_caps () =
+  let schema =
+    Schema.of_list
+      [ Schema.attr "a" Vtype.TInt; Schema.attr "f" Vtype.TFloat; Schema.attr "s" Vtype.TString ]
+  in
+  let rel =
+    Relation.of_values schema
+      (List.init 5 (fun k ->
+           Value.[ Int (k - 2); (if k = 3 then Null else Float (float_of_int k /. 3.)); String (string_of_int k) ]))
+  in
+  List.iter
+    (fun max_rows ->
+      List.iter
+        (fun ladder ->
+          Alcotest.(check bool)
+            (Printf.sprintf "cap %d, ladder %b" max_rows (ladder <> None))
+            true
+            (result_frame_ok ~max_rows ~ladder rel))
+        [ None; Some "left after gen: budget" ])
+    [ 0; 1; 4; 5; 6; max_int ]
+
+(* The serve-wide answers' shapes: TPC-H Q15 (44 columns, floats above
+   1e6 among them) and synthetic q2 provenance, under Left and Move. *)
+let test_encode_result_workloads () =
+  let q15_db = Tpch.Tpch_gen.generate ~seed:11 ~sf:0.01 () in
+  let q15 = Tpch.Tpch_queries.with_provenance (Tpch.Tpch_queries.instantiate ~seed:3 15) in
+  let q2 = Synthetic.Workload.q2 ~seed:5 ~n1:300 ~n2:100 () in
+  let q2_db = Synthetic.Workload.make_db ~seed:5 ~n1:300 ~n2:100 () in
+  List.iter
+    (fun strategy ->
+      let name = Strategy.to_string strategy in
+      (match Perm.exec q15_db ~strategy q15 with
+      | Perm.Rows r ->
+          let rel = r.Perm.relation in
+          Alcotest.(check bool) ("Q15 has rows under " ^ name) true (Relation.cardinality rel > 0);
+          Alcotest.(check bool) ("Q15 frame under " ^ name) true
+            (result_frame_ok ~max_rows:10_000 ~ladder:None rel)
+      | _ -> Alcotest.fail "Q15 gave no rows");
+      let r = Perm.run_query q2_db ~strategy ~provenance:true q2.Synthetic.Workload.query in
+      let rel = r.Perm.relation in
+      Alcotest.(check bool) ("q2 has rows under " ^ name) true (Relation.cardinality rel > 0);
+      Alcotest.(check bool) ("q2 frame under " ^ name) true
+        (result_frame_ok ~max_rows:10_000 ~ladder:None rel))
+    [ Strategy.Left; Strategy.Move ]
+
+(* Encoding allocates nothing per cell: 10 000 int cells, and ten times
+   fewer, cost the same few minor words (the frame itself is allocated
+   directly in the major heap). *)
+let test_encode_result_alloc () =
+  let ints rows =
+    let schema = Schema.of_list (List.init 10 (fun k -> Schema.attr (Printf.sprintf "c%d" k) Vtype.TInt)) in
+    let rel =
+      Relation.of_values schema
+        (List.init rows (fun r -> List.init 10 (fun c -> Value.Int ((r * 7919) + (c * 104_729) - 50_000))))
+    in
+    ignore (Relation.tuples rel);
+    rel
+  in
+  let words rel =
+    let w0 = Gc.minor_words () in
+    ignore (Protocol.encode_result ~max_rows:max_int ~ladder:None rel);
+    Gc.minor_words () -. w0
+  in
+  let small = ints 100 and large = ints 1_000 in
+  ignore (words large);
+  let ws = words small and wl = words large in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 000 cells take %.0f minor words, 1 000 take %.0f" wl ws)
+    true
+    (wl < 200. && wl = ws)
+
 (* Cut in the stream instead of the payload: a frame whose sender
    vanishes after [k] bytes is [Closed] at 0, [Truncated] strictly
    inside, and the whole payload at its end. *)
@@ -525,6 +741,62 @@ let test_retired_tag_served () =
                 (List.length r_rows)
           | _ -> Alcotest.fail "query failed after the retired tag"))
 
+(* A one-string-column table whose [SELECT s] answer frames to exactly
+   [payload] bytes: 1 024 rows, the last one taking the remainder. The
+   payload is 16 bytes of layout plus 8 bytes and the text per row. *)
+let string_table payload =
+  let n = 1024 in
+  let text = payload - 16 - (8 * n) in
+  let base = text / n in
+  let rows =
+    List.init n (fun k ->
+        let len = if k = n - 1 then base + (text - (base * n)) else base in
+        [ Value.String (String.make len (Char.chr (97 + (k mod 26)))) ])
+  in
+  Relation.of_values (Schema.of_list [ Schema.attr "s" Vtype.TString ]) rows
+
+(* An answer one byte over the frame limit gets a typed error naming
+   its size, the limit and its row count, and the connection serves the
+   next query; one exactly at the limit is delivered. *)
+let test_oversized_result () =
+  let fits = string_table Protocol.max_frame and over = string_table (Protocol.max_frame + 1) in
+  List.iter
+    (fun (name, rel, want) ->
+      Alcotest.(check int) (name ^ " payload") want
+        (Bytes.length
+           (Reference.encode_response (reference_result ~max_rows:max_int ~ladder:None rel))
+        - 4))
+    [ ("at the limit", fits, Protocol.max_frame); ("over the limit", over, Protocol.max_frame + 1) ];
+  let db = Database.of_list [ ("fits", fits); ("over", over) ] in
+  let sv = Server.start (Server.config ~port:0 db) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop sv)
+    (fun () ->
+      let fd = connect (Server.port sv) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let delivered () =
+            match ask fd (Protocol.Query "SELECT s FROM fits") with
+            | Protocol.Result { r_rows; _ } ->
+                Alcotest.(check int) "a frame at the limit is delivered" 1024 (List.length r_rows)
+            | _ -> Alcotest.fail "the answer at the limit was not delivered"
+          in
+          delivered ();
+          (match ask fd (Protocol.Query "SELECT s FROM over") with
+          | Protocol.Error_msg { e_phase; e_kind; e_msg } ->
+              Alcotest.(check string) "phase" "protocol" e_phase;
+              Alcotest.(check string) "kind" "oversized" e_kind;
+              Alcotest.(check string) "message"
+                (Printf.sprintf
+                   "result of 1024 rows encodes to %d bytes, over the %d-byte frame limit"
+                   (Protocol.max_frame + 1) Protocol.max_frame)
+                e_msg
+          | _ -> Alcotest.fail "an oversized answer got no typed error");
+          delivered ();
+          Alcotest.(check (option (float 0.))) "counted as a failed query" (Some 1.)
+            (List.assoc_opt "queries_err" (Server.stats sv))))
+
 (* ------------------------------------------------------------------ *)
 (* Ladder backoff                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -627,6 +899,15 @@ let () =
           Alcotest.test_case "frame cut in the stream" `Quick
             test_frame_cut_in_stream;
           QCheck_alcotest.to_alcotest ~long:false prop_frames_match_reference;
+          QCheck_alcotest.to_alcotest ~long:false prop_write_text;
+          Alcotest.test_case "write_text refuses a short buffer" `Quick
+            test_write_text_bounds;
+          QCheck_alcotest.to_alcotest ~long:false prop_encode_result;
+          Alcotest.test_case "encode_result row caps" `Quick test_encode_result_caps;
+          Alcotest.test_case "encode_result on Q15 and q2 provenance" `Quick
+            test_encode_result_workloads;
+          Alcotest.test_case "encode_result allocates per frame, not per cell"
+            `Quick test_encode_result_alloc;
         ] );
       ( "sessions",
         [
@@ -642,6 +923,8 @@ let () =
           Alcotest.test_case "graceful drain" `Quick test_drain;
           Alcotest.test_case "retired tag gets a typed error" `Quick
             test_retired_tag_served;
+          Alcotest.test_case "oversized answer gets a typed error" `Quick
+            test_oversized_result;
         ] );
       ( "backoff",
         [
