@@ -46,10 +46,11 @@ type outcome = Time of float | Timeout of float | Failed of string | Excluded
    execution counters, which the child serializes after the elapsed
    time: "ok <dt> <6 counters>".
 
-   The child reports "ready" once its setup, an untimed warm-up run
-   and a compaction are done. The cell's [timeout] covers only what
-   follows, the timed run, so a slow setup cannot censor a run that
-   fits; the setup itself is bounded by [setup_backstop].
+   The child reports "built" once its setup is done, then "ready"
+   once an untimed warm-up run and a compaction are done. The cell's
+   [timeout] covers the warm-up and, again, the timed run, so a slow
+   setup cannot censor a run that fits; the setup itself is bounded
+   by [setup_backstop].
 
    Cancellation is two-layered: the child installs a Guard wall-clock
    budget (slightly inside the harness timeout) so overlong runs trip
@@ -104,6 +105,8 @@ let run_child ~timeout ?(guard = true) (f : unit -> unit -> Eval.stats) :
       let oc = Unix.out_channel_of_descr wr in
       (try
          let work = f () in
+         output_string oc "built\n";
+         flush oc;
          let budget =
            if guard then Some (Guard.budget ~timeout:child_limit ())
            else None
@@ -134,17 +137,23 @@ let run_child ~timeout ?(guard = true) (f : unit -> unit -> Eval.stats) :
       Unix.close wr;
       let next = line_reader rd in
       let kill () = Unix.kill pid Sys.sigkill in
+      let within limit k =
+        match next limit with
+        | None ->
+            kill ();
+            `Killed
+        | Some line -> k line
+      in
       let reply =
         match next setup_backstop with
         | None ->
             kill ();
             `Line (Printf.sprintf "err setup exceeded the %g s backstop" setup_backstop)
-        | Some "ready" -> (
-            match next timeout with
-            | None ->
-                kill ();
-                `Killed
-            | Some line -> `Line line)
+        | Some "built" ->
+            (* the warm-up, then the timed run *)
+            within timeout (function
+              | "ready" -> within timeout (fun line -> `Line line)
+              | line -> `Line line)
         | Some line -> `Line line
       in
       ignore (Unix.waitpid [] pid);
@@ -313,9 +322,9 @@ let json_of_record r =
 
 (* The report holds one record per line, so a run merges into it line
    by line: a record is replaced when this run measured the same cell,
-   that is the same figure, query, series, domains, batch rows and
-   size (sf, n1, n2); every other record is kept. *)
-let key_fields = [ "figure"; "query"; "series"; "domains"; "batch_rows"; "sf"; "n1"; "n2" ]
+   that is the same figure, query, series, engine, domains, batch
+   rows and size (sf, n1, n2); every other record is kept. *)
+let key_fields = [ "figure"; "query"; "series"; "engine"; "domains"; "batch_rows"; "sf"; "n1"; "n2" ]
 
 (* The text of field [name] in the record [line], as written there;
    "" when the record has no such field. *)

@@ -45,8 +45,8 @@ let zero_of = function
 (** {1 Rendering}
 
     A value's text is written in place: {!text_length} says how many
-    bytes it takes and {!write_text} writes them. {!to_string} builds
-    the same text from the same pieces. Served answers are written
+    bytes it takes and {!write_text} writes them; {!to_string} is the
+    two in one exact-size string. Served answers are written
     cell by cell through them, so they are the hot loop of every
     reply. They produce exactly the bytes of [string_of_int] and
     [Printf.sprintf "%.6g"] (plus the [".0"] rule), without the format
@@ -77,71 +77,101 @@ let format_g f = format_float "%.6g" f
 
 let bare s = not (String.contains s '.' || String.contains s 'e' || String.contains s 'n')
 
-let pow10 = [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9 |]
+(* the powers of ten a double holds exactly: 10^0 .. 10^22 *)
+let pow10 = Array.init 23 (fun k -> float_of_string ("1e" ^ string_of_int k))
 let int_pow10 = [| 1; 10; 100; 1_000; 10_000; 100_000 |]
+
+(* [a * 10^k], with one rounding; inlined, so that the float is not
+   boxed *)
+let[@inline] scale a k =
+  if k >= 0 then a *. Array.unsafe_get pow10 k else a /. Array.unsafe_get pow10 (-k)
 
 (* digit [j] of the six-digit [d], most significant first *)
 let digit d j = d / Array.unsafe_get int_pow10 (5 - j) mod 10
 
-(* The positional layout of [f], when it renders positionally, that is
-   1e-4 <= |f| < 1e6 after rounding to six significant digits; -1 when
-   the C formatter must decide. [m = |f| * 10^k] is scaled into
-   [1e5, 1e6] with one rounding (error below 2^-53 relative, so below
-   2e-10), and its nearest integer [d] is the six significant digits.
-   Within 1e-9 of a rounding tie the exact decimal expansion decides,
-   so the C formatter is asked.
+(* The layout of [f]'s [%.6g] text, or -1 when the C formatter must
+   decide. [m = |f| * 10^k] is scaled into [1e5, 1e6) by one exact
+   power of ten, so with one rounding (error below 2^-53 relative, so
+   below 2e-10), and its nearest integer [d] is the six significant
+   digits; [x] is the decimal exponent. Within 1e-9 of a rounding tie
+   the exact decimal expansion decides, so the C formatter is asked;
+   so it is for NaN, the infinities, zero and magnitudes outside
+   [1e-16, 1e27), where no exact power of ten scales [f].
 
-   The layout is packed into one int so that it costs no allocation:
-   [d] in bits 0-19, the decimal exponent [x + 4] (x in -4..5) in bits
-   20-23, the index [last] of the last digit kept in bits 24-26 and
-   the sign in bit 27. *)
+   [%.6g] is positional ("123.456", "0.00012") for -4 <= x <= 5 and
+   in exponent form ("1.23457e+06") otherwise. The layout is packed
+   into one int so that it costs no allocation: [d] in bits 0-19,
+   [x + 32] in bits 20-25, the index [last] of the last digit kept in
+   bits 26-28 and the sign in bit 29. *)
 let float_layout f =
   let a = Float.abs f in
-  if not (a >= 1e-4 && a < 1e6) then -1
+  if not (a >= 1e-16 && a < 1e27) then -1
   else begin
-    let k = ref 0 in
-    while !k < 9 && a *. Array.unsafe_get pow10 !k < 1e5 do incr k done;
-    let m = a *. Array.unsafe_get pow10 !k in
+    (* [log10 a] from the binary exponent [e]: [e * log10 2], as
+       [e * 78913 / 2^18], may fall one short of it, never over *)
+    let e = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float a) 52) - 1023 in
+    let k0 = 5 - ((e * 78_913) asr 18) in
+    let m0 = scale a k0 in
+    let k = if m0 < 1e5 then k0 + 1 else if m0 >= 1e6 then k0 - 1 else k0 in
+    let m = if k = k0 then m0 else scale a k in
     let fl = Float.of_int (int_of_float m) in
-    if m < 1e5 || Float.abs (m -. fl -. 0.5) < 1e-9 then -1
+    if m < 1e5 || m >= 1e6 || Float.abs (m -. fl -. 0.5) < 1e-9 then -1
     else begin
       let d = int_of_float m + if m -. fl > 0.5 then 1 else 0 in
       (* a carry into a seventh digit moves the decimal exponent [x] *)
       let carry = d >= 1_000_000 in
       let d = if carry then d / 10 else d in
-      let x = (if carry then 6 else 5) - !k in
-      if x > 5 then -1
-      else begin
-        (* digits kept: trailing zeros dropped, but not the integer part *)
-        let last = ref 5 in
-        while !last > Int.max x 0 && digit d !last = 0 do decr last done;
-        d lor ((x + 4) lsl 20) lor (!last lsl 24) lor ((if f < 0. then 1 else 0) lsl 27)
-      end
+      let x = (if carry then 6 else 5) - k in
+      (* digits kept: trailing zeros dropped, but not, when positional,
+         the integer part *)
+      let keep = if x >= -4 && x <= 5 then Int.max x 0 else 0 in
+      let last = ref 5 in
+      while !last > keep && digit d !last = 0 do decr last done;
+      d lor ((x + 32) lsl 20) lor (!last lsl 26) lor ((if f < 0. then 1 else 0) lsl 29)
     end
   end
 
-let lay_x l = ((l lsr 20) land 0xf) - 4
-let lay_last l = (l lsr 24) land 0x7
-let lay_sign l = (l lsr 27) land 1
+let lay_x l = ((l lsr 20) land 0x3f) - 32
+let lay_last l = (l lsr 26) land 0x7
+let lay_sign l = (l lsr 29) land 1
 
-(* "ddd.ddd" (at least one fraction digit, the [".0"] rule) or
-   "0.000ddd" *)
+(* "ddd.ddd" (at least one fraction digit, the [".0"] rule),
+   "0.000ddd", or "d.ddde+xx" (|x| < 100, so two exponent digits) *)
 let layout_length l =
   let x = lay_x l and last = lay_last l and sign = lay_sign l in
-  if x >= 0 then sign + x + 2 + Int.max 1 (last - x) else sign + 2 - x + last
+  if x < -4 || x > 5 then sign + (if last > 0 then last + 2 else 1) + 4
+  else if x >= 0 then sign + x + 2 + Int.max 1 (last - x)
+  else sign + 2 - x + last
 
 let write_layout l len b pos =
   let d = l land 0xfffff and x = lay_x l and last = lay_last l and sign = lay_sign l in
-  Bytes.unsafe_fill b pos len '0';
-  if sign = 1 then Bytes.unsafe_set b pos '-';
-  Bytes.unsafe_set b (if x >= 0 then pos + sign + x + 1 else pos + sign + 1) '.';
-  for j = 0 to last do
-    let p = if x < 0 then sign + 1 - x + j else if j <= x then sign + j else sign + j + 1 in
-    Bytes.unsafe_set b (pos + p) (Char.unsafe_chr (48 + digit d j))
-  done
+  if x < -4 || x > 5 then begin
+    let p = pos + sign in
+    Bytes.unsafe_set b p (Char.unsafe_chr (48 + digit d 0));
+    if last > 0 then Bytes.unsafe_set b (p + 1) '.';
+    for j = 1 to last do
+      Bytes.unsafe_set b (p + 1 + j) (Char.unsafe_chr (48 + digit d j))
+    done;
+    let e = pos + len - 4 and ax = Int.abs x in
+    Bytes.unsafe_set b e 'e';
+    Bytes.unsafe_set b (e + 1) (if x < 0 then '-' else '+');
+    Bytes.unsafe_set b (e + 2) (Char.unsafe_chr (48 + (ax / 10)));
+    Bytes.unsafe_set b (e + 3) (Char.unsafe_chr (48 + (ax mod 10)))
+  end
+  else begin
+    Bytes.unsafe_fill b pos len '0';
+    Bytes.unsafe_set b (if x >= 0 then pos + sign + x + 1 else pos + sign + 1) '.';
+    for j = 0 to last do
+      let p = if x < 0 then sign + 1 - x + j else if j <= x then sign + j else sign + j + 1 in
+      Bytes.unsafe_set b (pos + p) (Char.unsafe_chr (48 + digit d j))
+    done
+  end;
+  if sign = 1 then Bytes.unsafe_set b pos '-'
 
-(* The text of a float outside the positional fast path; zeros, common
-   in answers, without the C formatter. *)
+(* The text of a float without a layout; zeros, common in answers,
+   without the C formatter. The rest (NaN, the infinities, ties and
+   extreme magnitudes) are rare enough to be formatted in each of
+   [text_length] and [write_text]. *)
 let fallback_text f =
   if f = 0. then if Float.sign_bit f then "-0.0" else "0.0"
   else
@@ -187,27 +217,12 @@ let write_text v b pos =
   | String s -> blit s b pos
   | Bool b' -> blit (if b' then "true" else "false") b pos
 
-(* The same text from the same pieces, in one exact-size string: a
-   float's digits are worked out once, where [text_length] followed by
-   [write_text] would work them out twice. *)
 let to_string = function
-  | Null -> "NULL"
-  | Int i ->
-      let len = int_length i in
-      let b = Bytes.create len in
-      write_int i len b 0;
-      Bytes.unsafe_to_string b
-  | Float f ->
-      let l = float_layout f in
-      if l >= 0 then begin
-        let len = layout_length l in
-        let b = Bytes.create len in
-        write_layout l len b 0;
-        Bytes.unsafe_to_string b
-      end
-      else fallback_text f
   | String s -> s
-  | Bool b -> if b then "true" else "false"
+  | v ->
+      let b = Bytes.create (text_length v) in
+      ignore (write_text v b 0 : int);
+      Bytes.unsafe_to_string b
 
 (** SQL-literal rendering: strings are quoted and escaped. *)
 let to_literal = function

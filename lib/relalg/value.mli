@@ -40,9 +40,8 @@ val zero_of : Vtype.t -> t
 (** Display rendering, as result rows show it: ints in decimal, floats
     as [Printf.sprintf "%.6g"] with [".0"] appended when that reads as
     an integer (["3"] becomes ["3.0"]), strings unquoted, [NULL] and
-    [true]/[false] as words. The bytes {!write_text} writes, built
-    from the same digit writers in one exact-size string: there is one
-    text algorithm. *)
+    [true]/[false] as words. Defined as {!write_text} into a string of
+    {!text_length} bytes: there is one text algorithm. *)
 val to_string : t -> string
 
 (** [text_length v] is the length of [to_string v], computed without
@@ -51,8 +50,10 @@ val text_length : t -> int
 
 (** [write_text v b pos] writes the bytes of [to_string v] into [b] at
     [pos] and returns their number, {!text_length}[ v]. Ints, NULL,
-    booleans, strings and positionally rendered floats allocate
-    nothing; other floats allocate their C-formatted text. Raises
+    booleans, strings and floats allocate nothing, except a float
+    the C formatter must render (NaN, the infinities, six-digit
+    rounding ties, magnitudes outside [1e-16, 1e27)), which allocates
+    its text. Raises
     [Invalid_argument] when they do not fit in [b]. *)
 val write_text : t -> bytes -> int -> int
 

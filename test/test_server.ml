@@ -293,15 +293,17 @@ let ref_text = function
   | Value.Bool b -> string_of_bool b
 
 (* NaN, the infinities and -0.0, both sides of the 1e-4 and 1e6 bounds
-   of positional rendering, six-digit rounding ties, and one ulp either
-   side of each. *)
+   of positional rendering and of the 1e-16 and 1e27 bounds of the
+   writer's exponent form, six-digit rounding ties in both forms, and
+   one ulp either side of each. *)
 let edge_float =
   let open QCheck.Gen in
   oneofl
     [
       0.; -0.; nan; infinity; neg_infinity; 1e-4; -1e-4; 1e6; -1e6; 999_999.5;
       999_999.4; 0.000_099_999_95; 0.000_123_456_5; 1.000_000_5; 123_456.5;
-      2.5; 0.5; 5e-324; Float.max_float; 3.; -7.;
+      2.5; 0.5; 5e-324; Float.max_float; 3.; -7.; 1e-5; -1.5e-5; 1e-16; 1e27;
+      1e22; 1.234_565e10; 123_456_789.; 9.999_995e-5; 0.000_099_999_4; -2.5e-7;
     ]
   >>= fun f -> oneofl [ Float.pred f; f; Float.succ f ]
 
@@ -321,7 +323,7 @@ let edge_value_gen =
       (1, map (fun n -> Value.Int n) int);
       (3, map (fun f -> Value.Float f) edge_float);
       (2, map (fun f -> Value.Float f) float);
-      (1, map (fun f -> Value.Float f) (map2 (fun m e -> m *. (10. ** float_of_int e)) (float_bound_exclusive 10.) (-6 -- 8)));
+      (1, map (fun f -> Value.Float f) (map2 (fun m e -> m *. (10. ** float_of_int e)) (float_bound_exclusive 10.) (-30 -- 30)));
       (1, map (fun s -> Value.String s) (string_size ~gen:printable (0 -- 12)));
     ]
 
@@ -440,8 +442,9 @@ let test_encode_result_caps () =
         [ None; Some "left after gen: budget" ])
     [ 0; 1; 4; 5; 6; max_int ]
 
-(* The serve-wide answers' shapes: TPC-H Q15 (44 columns, floats above
-   1e6 among them) and synthetic q2 provenance, under Left and Move. *)
+(* The serve-wide answers' shapes: TPC-H Q15 (44 columns, money
+   floats among them) and synthetic q2 provenance, under Left and
+   Move. *)
 let test_encode_result_workloads () =
   let q15_db = Tpch.Tpch_gen.generate ~seed:11 ~sf:0.01 () in
   let q15 = Tpch.Tpch_queries.with_provenance (Tpch.Tpch_queries.instantiate ~seed:3 15) in
@@ -466,13 +469,14 @@ let test_encode_result_workloads () =
 
 (* Encoding allocates nothing per cell: 10 000 int cells, and ten times
    fewer, cost the same few minor words (the frame itself is allocated
-   directly in the major heap). *)
+   directly in the major heap); so do float cells, in positional
+   ("1234.56") and exponent ("1.23456e+07") form. *)
 let test_encode_result_alloc () =
-  let ints rows =
-    let schema = Schema.of_list (List.init 10 (fun k -> Schema.attr (Printf.sprintf "c%d" k) Vtype.TInt)) in
+  let cells ty cell rows =
+    let schema = Schema.of_list (List.init 10 (fun k -> Schema.attr (Printf.sprintf "c%d" k) ty)) in
     let rel =
       Relation.of_values schema
-        (List.init rows (fun r -> List.init 10 (fun c -> Value.Int ((r * 7919) + (c * 104_729) - 50_000))))
+        (List.init rows (fun r -> List.init 10 (fun c -> cell ((r * 7919) + (c * 104_729) - 50_000))))
     in
     ignore (Relation.tuples rel);
     rel
@@ -482,13 +486,22 @@ let test_encode_result_alloc () =
     ignore (Protocol.encode_result ~max_rows:max_int ~ladder:None rel);
     Gc.minor_words () -. w0
   in
-  let small = ints 100 and large = ints 1_000 in
-  ignore (words large);
-  let ws = words small and wl = words large in
-  Alcotest.(check bool)
-    (Printf.sprintf "10 000 cells take %.0f minor words, 1 000 take %.0f" wl ws)
-    true
-    (wl < 200. && wl = ws)
+  List.iter
+    (fun (what, ty, cell) ->
+      let small = cells ty cell 100 and large = cells ty cell 1_000 in
+      ignore (words large);
+      let ws = words small and wl = words large in
+      Alcotest.(check bool)
+        (Printf.sprintf "10 000 %s cells take %.0f minor words, 1 000 take %.0f" what wl ws)
+        true
+        (wl < 200. && wl = ws))
+    [
+      ("int", Vtype.TInt, fun n -> Value.Int n);
+      (* whole numbers and sevenths, never near a six-digit rounding
+         tie, which the C formatter would decide *)
+      ("positional float", Vtype.TFloat, fun n -> Value.Float (float_of_int (n mod 1_000_000) /. 7.));
+      ("exponent float", Vtype.TFloat, fun n -> Value.Float (float_of_int ((7 * n) + 3) *. 1e10 /. 7.));
+    ]
 
 (* Cut in the stream instead of the payload: a frame whose sender
    vanishes after [k] bytes is [Closed] at 0, [Truncated] strictly
