@@ -94,9 +94,10 @@ let digit d j = d / Array.unsafe_get int_pow10 (5 - j) mod 10
    power of ten, so with one rounding (error below 2^-53 relative, so
    below 2e-10), and its nearest integer [d] is the six significant
    digits; [x] is the decimal exponent. Within 1e-9 of a rounding tie
-   the exact decimal expansion decides, so the C formatter is asked;
-   so it is for NaN, the infinities, zero and magnitudes outside
-   [1e-16, 1e27), where no exact power of ten scales [f].
+   the exact decimal expansion decides, so the C formatter is asked.
+   [-1] too for NaN, the infinities, zero ([fallback_text] has it as
+   a constant) and magnitudes outside [1e-16, 1e27), where no exact
+   power of ten scales [f].
 
    [%.6g] is positional ("123.456", "0.00012") for -4 <= x <= 5 and
    in exponent form ("1.23457e+06") otherwise. The layout is packed
@@ -108,7 +109,7 @@ let float_layout f =
   if not (a >= 1e-16 && a < 1e27) then -1
   else begin
     (* [log10 a] from the binary exponent [e]: [e * log10 2], as
-       [e * 78913 / 2^18], may fall one short of it, never over *)
+       [e * 78913 / 2^18], is within one of it; [m0] tells which way *)
     let e = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float a) 52) - 1023 in
     let k0 = 5 - ((e * 78_913) asr 18) in
     let m0 = scale a k0 in
