@@ -22,9 +22,9 @@
    whose CrossBase would exceed a tuple budget instead of thrashing
    memory (reported as "excl").
 
-   Every cell runs on the production (vectorized) engine; --domains and
-   --batch-rows configure its morsel parallelism and batch size. Every
-   measured cell is also appended to a machine-readable JSON report
+   Every cell runs on the production (vectorized) engine, on one
+   domain; --batch-rows sets its batch size. Every measured cell is
+   also appended to a machine-readable JSON report
    (BENCH_eval.json by default, --json to override) together with the
    engine's EXPLAIN-ANALYZE-style counters, which travel back from the
    forked child over the result pipe. *)
@@ -259,7 +259,6 @@ type jrecord = {
   jr_figure : string;
   jr_query : string;
   jr_series : string;  (* strategy, or "orig" *)
-  jr_domains : int;  (* vectorized worker domains *)
   jr_batch_rows : int;  (* vectorized batch size *)
   jr_params : (string * float) list;
   jr_outcome : outcome;
@@ -275,7 +274,6 @@ let record ~figure ~query ~series ~params (outcome, stats) =
       jr_figure = figure;
       jr_query = query;
       jr_series = series;
-      jr_domains = !Vexec.domains;
       jr_batch_rows = !Vexec.batch_rows;
       jr_params = params;
       jr_outcome = outcome;
@@ -289,8 +287,8 @@ let json_of_record r =
   Buffer.add_string b
     (Printf.sprintf
        "    {\"figure\": %S, \"query\": %S, \"series\": %S, \"engine\": \
-        \"vectorized\", \"domains\": %d, \"batch_rows\": %d"
-       r.jr_figure r.jr_query r.jr_series r.jr_domains r.jr_batch_rows);
+        \"vectorized\", \"batch_rows\": %d"
+       r.jr_figure r.jr_query r.jr_series r.jr_batch_rows);
   List.iter
     (fun (k, v) ->
       Buffer.add_string b
@@ -322,9 +320,9 @@ let json_of_record r =
 
 (* The report holds one record per line, so a run merges into it line
    by line: a record is replaced when this run measured the same cell,
-   that is the same figure, query, series, engine, domains, batch
-   rows and size (sf, n1, n2); every other record is kept. *)
-let key_fields = [ "figure"; "query"; "series"; "engine"; "domains"; "batch_rows"; "sf"; "n1"; "n2" ]
+   that is the same figure, query, series, engine, batch rows and
+   size (sf, n1, n2); every other record is kept. *)
+let key_fields = [ "figure"; "query"; "series"; "engine"; "batch_rows"; "sf"; "n1"; "n2" ]
 
 (* The text of field [name] in the record [line], as written there;
    "" when the record has no such field. *)
@@ -885,6 +883,14 @@ let censored_cell ~seed =
   ( Synthetic.Workload.make_db ~seed ~n1 ~n2 (),
     (Synthetic.Workload.q2 ~seed ~n1 ~n2 ()).Synthetic.Workload.query )
 
+(* Nearest-rank percentile over an ascending array. *)
+let percentile sorted p =
+  match Array.length sorted with
+  | 0 -> 0.
+  | n ->
+      let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
+      sorted.(max 0 (min (n - 1) (rank - 1)))
+
 (* Two measurements. (1) Overhead: the hot path (TPC-H Left provenance
    on the vectorized engine) with the Guard checkpoints
    disabled vs armed with un-trippable ceilings — the delta is the cost
@@ -903,29 +909,46 @@ let governor_bench ~timeout ~instances ~sf () =
   ignore timeout;
   let tpch_db = Tpch.Tpch_gen.generate ~sf () in
   (* Overhead is measured in-process (no fork: nothing here can hang)
-     with guarded and unguarded rounds interleaved, so slow machine
-     drift hits both series equally and cancels in the ratio. Each
-     round evaluates the query [reps] times — single evaluations are
-     sub-millisecond at bench scales, far below clock noise, while the
-     checkpoint overhead under test is a few percent. The guarded
-     rounds run under a realistic but un-trippable budget, so every
-     checkpoint does its full bookkeeping. *)
-  let rounds = max 4 (2 * instances) in
+     as the median, over 20 rounds, of each round's guarded/unguarded
+     time ratio. A round evaluates the query [reps] times per series,
+     about 0.1 s each, alternating guarded and unguarded evaluation by
+     evaluation (and which goes first), so the interference a shared
+     machine adds over tens of milliseconds hits both series alike and
+     cancels in the ratio; the median then ignores the rounds it still
+     disturbs. Evaluations take 0.5-2.5 ms at bench scales, while the
+     checkpoint overhead under test is a few percent. Each evaluation
+     is timed in process CPU time ([Sys.time]): it runs on this one
+     domain, and CPU time leaves out the time a shared VM takes the
+     core away. Whole rounds per series, wall-clock and best-of-N,
+     swung a cell by +-25% between runs of one build. Each guarded
+     evaluation runs in its own scope, as a request does, under a
+     realistic but un-trippable budget, so every checkpoint does its
+     full bookkeeping. *)
+  let rounds = max 20 (2 * instances) in
   (* what [--timeout] arms in practice: a wall-clock budget *)
   let armed_budget = Some (Guard.budget ~timeout:1e9 ()) in
-  let time_round guard reps work =
-    let budget = if guard then armed_budget else None in
-    let t0 = Unix.gettimeofday () in
-    Guard.with_budget budget (fun () ->
-        for _ = 1 to reps do
-          ignore (work ())
-        done);
-    Unix.gettimeofday () -. t0
+  let time_eval guard work =
+    let t0 = Sys.time () in
+    Guard.with_budget (if guard then armed_budget else None) (fun () ->
+        ignore (work ()));
+    Sys.time () -. t0
   in
-  (* Take the fastest round of each series: timing noise on a shared
-     machine is one-sided (interference only ever adds time), so the
-     minimum is the least-contaminated estimate of the true cost. *)
-  let best xs = List.fold_left Float.min infinity xs in
+  let time_round reps work =
+    let tu = ref 0. and tg = ref 0. in
+    for i = 1 to reps do
+      let guarded_first = i land 1 = 0 in
+      let t = time_eval guarded_first work in
+      let t' = time_eval (not guarded_first) work in
+      if guarded_first then (tg := !tg +. t; tu := !tu +. t')
+      else (tu := !tu +. t; tg := !tg +. t')
+    done;
+    (!tu, !tg)
+  in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort Float.compare a;
+    percentile a 50.
+  in
   let rows =
     List.map
       (fun number ->
@@ -940,23 +963,16 @@ let governor_bench ~timeout ~instances ~sf () =
             algebra
         in
         ignore (work ());
-        (* warm-up, then size each round to >= ~25 ms so the clock's
-           granularity and scheduling jitter stay well below the
-           few-percent effect under measurement *)
-        let t0 = Unix.gettimeofday () in
+        (* warm-up, then size each run to >= ~0.1 s *)
+        let t0 = Sys.time () in
         ignore (work ());
-        let t1 = Unix.gettimeofday () -. t0 in
+        let t1 = Sys.time () -. t0 in
         let reps =
-          min 5000 (max 10 (int_of_float (ceil (0.025 /. max 1e-6 t1))))
+          min 20_000 (max 10 (int_of_float (ceil (0.1 /. max 1e-6 t1))))
         in
-        let samples =
-          List.init rounds (fun _ ->
-              let tu = time_round false reps work in
-              let tg = time_round true reps work in
-              (tu, tg))
-        in
-        let tu = best (List.map fst samples)
-        and tg = best (List.map snd samples) in
+        let samples = List.init rounds (fun _ -> time_round reps work) in
+        let tu = median (List.map fst samples)
+        and tg = median (List.map snd samples) in
         let per_rep t = t /. float_of_int reps in
         List.iter
           (fun (series, t) ->
@@ -967,7 +983,9 @@ let governor_bench ~timeout ~instances ~sf () =
                  ~params:[ ("sf", sf); ("reps", float_of_int reps) ]
                  (Time (per_rep t), None)))
           [ ("unguarded", tu); ("guarded", tg) ];
-        let overhead = (tg -. tu) /. tu *. 100. in
+        let overhead =
+          (median (List.map (fun (tu, tg) -> tg /. tu) samples) -. 1.) *. 100.
+        in
         [
           Printf.sprintf "Q%d left" number;
           Printf.sprintf "%.5f" (per_rep tu);
@@ -979,8 +997,8 @@ let governor_bench ~timeout ~instances ~sf () =
   print_table
     ~title:
       (Printf.sprintf
-         "governor overhead: TPC-H Left provenance, per-evaluation \
-          best-of-%d rounds [s] (sf=%.2f)"
+         "governor overhead: TPC-H Left provenance, per-evaluation CPU \
+          seconds, median of %d rounds (sf=%.2f)"
          rounds
          sf)
     ~header:[ "query"; "unguarded"; "guarded"; "overhead" ]
@@ -1288,23 +1306,11 @@ let scales_arg =
     & opt (list float) [ 0.05; 0.2; 0.8; 3.2 ]
     & info [ "scales" ] ~doc:"TPC-H scale factors for Figure 6 (a-d).")
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Worker domains (morsel-driven parallelism); 1 runs \
-           sequentially.")
-
 let batch_rows_arg =
   Arg.(
     value & opt int !Vexec.batch_rows
     & info [ "batch-rows" ] ~docv:"N"
         ~doc:"Rows per columnar batch.")
-
-(* --domains/--batch-rows travel together; applied in [with_report]. *)
-let vec_args =
-  Term.(const (fun d b -> (max 1 d, max 1 b)) $ domains_arg $ batch_rows_arg)
 
 let json_arg =
   Arg.(
@@ -1331,39 +1337,37 @@ let prune_check_arg =
            pruning disabled and assert that the pruned and unpruned plans \
            produce identical results (roughly doubles evaluation work).")
 
-(* Apply --json/--lint-check/--prune-check (plus --domains/--batch-rows),
-   run the command body, then flush the report. *)
-let with_report ?(lint = false) ?(prune = false) ?(vec = (1, !Vexec.batch_rows))
+(* Apply --json/--lint-check/--prune-check (plus --batch-rows), run the
+   command body, then flush the report. *)
+let with_report ?(lint = false) ?(prune = false) ?(batch = !Vexec.batch_rows)
     json body =
   lint_check := lint;
   prune_check := prune;
   json_path := json;
-  let domains, batch = vec in
-  Vexec.domains := domains;
-  Vexec.batch_rows := batch;
+  Vexec.batch_rows := max 1 batch;
   body ();
   write_json ()
 
 let fig6_cmd =
-  let run timeout instances scales vec json lint prune =
-    with_report ~lint ~prune ~vec json (fun () ->
+  let run timeout instances scales batch json lint prune =
+    with_report ~lint ~prune ~batch json (fun () ->
         fig6 ~timeout ~instances ~scales ())
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"TPC-H figure 6 (a-d)")
     Term.(
-      const run $ timeout_arg $ instances_arg $ scales_arg $ vec_args
+      const run $ timeout_arg $ instances_arg $ scales_arg $ batch_rows_arg
       $ json_arg $ lint_check_arg $ prune_check_arg)
 
 let mk_synth_cmd name doc f =
-  let run timeout instances full sizes vec json lint prune =
-    with_report ~lint ~prune ~vec json (fun () ->
+  let run timeout instances full sizes batch json lint prune =
+    with_report ~lint ~prune ~batch json (fun () ->
         f ~timeout ~instances ~full ~sizes ())
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(
       const run $ timeout_arg $ instances_arg $ full_arg $ sizes_arg
-      $ vec_args $ json_arg $ lint_check_arg $ prune_check_arg)
+      $ batch_rows_arg $ json_arg $ lint_check_arg $ prune_check_arg)
 
 let prune_cmd =
   let sf_arg =
@@ -1371,15 +1375,15 @@ let prune_cmd =
       value & opt float 1.0
       & info [ "sf" ] ~doc:"TPC-H scale factor for the prune benchmark.")
   in
-  let run timeout instances sf vec json lint prune =
-    with_report ~lint ~prune ~vec json (fun () ->
+  let run timeout instances sf batch json lint prune =
+    with_report ~lint ~prune ~batch json (fun () ->
         prune_bench ~timeout ~instances ~sf ())
   in
   Cmd.v
     (Cmd.info "prune"
        ~doc:"Dead-column pruning: pruned vs unpruned rewritten plans")
     Term.(
-      const run $ timeout_arg $ instances_arg $ sf_arg $ vec_args
+      const run $ timeout_arg $ instances_arg $ sf_arg $ batch_rows_arg
       $ json_arg $ lint_check_arg $ prune_check_arg)
 
 let ablation_cmd =
@@ -1405,14 +1409,14 @@ let governor_cmd =
       value & opt float 0.4
       & info [ "sf" ] ~doc:"TPC-H scale factor for the overhead measurement.")
   in
-  let run timeout instances sf vec json =
-    with_report ~vec json (fun () -> governor_bench ~timeout ~instances ~sf ())
+  let run timeout instances sf batch json =
+    with_report ~batch json (fun () -> governor_bench ~timeout ~instances ~sf ())
   in
   Cmd.v
     (Cmd.info "governor"
        ~doc:"Execution governor: checkpoint overhead and censored cells")
     Term.(
-      const run $ timeout_arg $ instances_arg $ sf_arg $ vec_args $ json_arg)
+      const run $ timeout_arg $ instances_arg $ sf_arg $ batch_rows_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzzing and rewrite certification                       *)
@@ -1458,51 +1462,6 @@ let fuzz_cmd =
          "Differential fuzzing: strategies x engines x oracle on generated \
           sublink queries, with counterexample shrinking")
     Term.(const run $ seed_arg $ count_arg $ artifacts_arg)
-
-(* [bench racefuzz]: schedule fuzzing for the parallel engine — every
-   generated query runs on the reference walker (baseline) and
-   vectorized on a genuinely multi-domain pool under the chaos
-   scheduler with the vector-clock race detector armed; detector
-   reports or parity divergence fail the case, which is shrunk under
-   its exact schedule seed. Exit 1 on any failure, so CI can gate on it. *)
-let racefuzz_campaign ~seed ~count ~domains () =
-  let t0 = Unix.gettimeofday () in
-  Printf.printf "racefuzz: seed %d, %d cases, up to %d domains\n%!" seed count
-    domains;
-  let progress i =
-    if i > 0 && i mod 50 = 0 then Printf.printf "  ... %d/%d\n%!" i count
-  in
-  let stats = Fuzz.Racefuzz.campaign ~seed ~count ~domains ~progress () in
-  print_string (Fuzz.Racefuzz.stats_to_string stats);
-  Printf.printf "wall clock: %.1f s\n" (Unix.gettimeofday () -. t0);
-  if stats.Fuzz.Racefuzz.rs_failures <> [] then Stdlib.exit 1
-
-let racefuzz_cmd =
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ]
-          ~doc:
-            "Campaign seed; case $(i,i) runs under schedule seed \
-             seed*1000003+i.")
-  in
-  let count_arg =
-    Arg.(value & opt int 200 & info [ "count" ] ~doc:"Number of queries.")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "domains" ]
-          ~doc:"Largest pool size; cases cycle over 2..$(docv).")
-  in
-  let run seed count domains = racefuzz_campaign ~seed ~count ~domains () in
-  Cmd.v
-    (Cmd.info "racefuzz"
-       ~doc:
-         "Schedule fuzzing: generated queries under chaos schedules on \
-          multi-domain pools with the race detector armed, vs the reference \
-          walker")
-    Term.(const run $ seed_arg $ count_arg $ domains_arg)
 
 (* ------------------------------------------------------------------ *)
 (* [bench serve]: closed-loop load driver for the provenance server    *)
@@ -1587,14 +1546,6 @@ let serve_client ~port ~mix ~deadline ~seed idx =
   Provserver.Client.close cl;
   tally
 
-(* Nearest-rank percentile over an ascending array. *)
-let serve_percentile sorted p =
-  match Array.length sorted with
-  | 0 -> 0.
-  | n ->
-      let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
-      sorted.(max 0 (min (n - 1) (rank - 1)))
-
 (* Answer-correctness oracle for --faults: the server's rendered rows
    for a sampled query must equal a trusted local evaluation on the
    same snapshot (order-insensitive — strategies are free to permute). *)
@@ -1670,7 +1621,7 @@ let serve_run ~db ~mix ~clients ~duration ~slots ~queue_limit ~timeout ~seed
     Array.sort compare a;
     a
   in
-  let ms p = serve_percentile lat p *. 1000. in
+  let ms p = percentile lat p *. 1000. in
   let thr = float_of_int ok /. elapsed in
   Printf.printf
     "%3d clients: %7.1f q/s  p50 %7.2f ms  p95 %7.2f ms  p99 %7.2f ms  (ok %d, err %d, shed %d, retries %d%s)\n%!"
@@ -2093,7 +2044,6 @@ let () =
             prune_cmd;
             governor_cmd;
             fuzz_cmd;
-            racefuzz_cmd;
             serve_cmd;
             share_lint_cmd;
             certify_cmd;

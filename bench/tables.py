@@ -37,7 +37,7 @@ def main(path):
     records = [
         r
         for r in json.load(open(path))["records"]
-        if r["figure"] in ("fig6", "fig7") and r["engine"] == "vectorized" and r["domains"] == 1
+        if r["figure"] in ("fig6", "fig7") and r["engine"] == "vectorized"
     ]
     by_key = {}
     for r in records:

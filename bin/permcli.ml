@@ -19,8 +19,6 @@
                    \explain SQL  the optimized plan with per-operator
                                  estimated rows/cost next to actual rows
                    \werror       toggle treating lint warnings as errors
-                   \race         toggle the vector-clock race detector
-                                 around every statement (see --race-check)
                    \budget ...   show / set the execution budget, e.g.
                                  \budget timeout=2 rows=1e6; \budget off
                    \fallback     toggle strategy fallback on budget trips
@@ -48,7 +46,6 @@ type session = {
   mutable werror : bool;  (* escalate lint warnings to errors *)
   mutable budget : Guard.budget option;  (* execution governor budget *)
   mutable fallback : bool;  (* degrade strategy on Unsupported / budget trip *)
-  mutable race_check : bool;  (* arm the Race detector around statements *)
   mutable last_provenance : (Relation.t * Pschema.prov_rel list) option;
       (* most recent provenance result, for \influence and \graph *)
 }
@@ -164,27 +161,6 @@ let execute_statement session sql =
       | exception Not_found ->
           Printf.printf "error: [eval] %s\n" (Printexc.to_string exn);
           O_crash)
-
-(* With \race / --race-check on, each statement runs with the
-   vector-clock detector armed; unordered access pairs are reported as
-   diagnostics (rule race-unordered-access) after the rows. Mostly
-   interesting with --domains > 1 — a sequential statement trivially
-   has no cross-domain accesses. *)
-let execute session sql =
-  if not session.race_check then execute_statement session sql
-  else begin
-    Race.arm ~seed:0 ();
-    (* statement errors are caught inside execute_statement, so the
-       harvest below runs whatever the statement did *)
-    let outcome = execute_statement session sql in
-    let reports = Race.reports () in
-    Race.disarm ();
-    if reports = [] then print_endline "race check: no unordered accesses"
-    else
-      print_endline
-        (Lint.report (List.map Share_lint.diagnostic_of_race reports));
-    outcome
-  end
 
 let describe session = function
   | None ->
@@ -576,14 +552,6 @@ let handle_command session line =
       Printf.printf "lint warnings are %s\n"
         (if session.werror then "errors" else "warnings");
       `Continue
-  | [ "\\race" ] ->
-      session.race_check <- not session.race_check;
-      Printf.printf "race detector %s%s\n"
-        (if session.race_check then "armed around statements" else "off")
-        (if session.race_check && !Vexec.domains <= 1 then
-           " (note: only --domains > 1 runs in parallel)"
-         else "");
-      `Continue
   | _ ->
       Printf.printf "unknown command: %s\n" line;
       `Continue
@@ -614,7 +582,7 @@ let repl session =
         if String.contains line ';' then begin
           Buffer.clear buffer;
           let stmt = String.trim text in
-          if stmt <> ";" && stmt <> "" then ignore (execute session stmt);
+          if stmt <> ";" && stmt <> "" then ignore (execute_statement session stmt);
           loop ()
         end
         else loop ()
@@ -873,14 +841,6 @@ let strategy_arg =
 
 let plan_arg = Arg.(value & flag & info [ "plan" ] ~doc:"Print executed plans.")
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Worker domains (morsel-driven parallelism); 1 runs \
-           sequentially.")
-
 let batch_rows_arg =
   Arg.(
     value & opt int !Vexec.batch_rows
@@ -950,17 +910,6 @@ let werror_arg =
     value & flag
     & info [ "Werror" ]
         ~doc:"With $(b,--lint), treat warning diagnostics as errors too.")
-
-let race_check_arg =
-  Arg.(
-    value & flag
-    & info [ "race-check" ]
-        ~doc:
-          "Arm the vector-clock race detector around every statement and \
-           report unordered cross-domain access pairs as diagnostics (rule \
-           $(b,race-unordered-access), both access paths included). Mostly \
-           interesting with $(b,--domains N>1); \
-           toggleable at the prompt with \\\\race.")
 
 let share_lint_arg =
   Arg.(
@@ -1032,8 +981,8 @@ let replay_bundle dir =
       Printf.eprintf "error: cannot read bundle: %s\n" msg;
       Stdlib.exit 2
 
-let main_inner tpch demo loads exec file strategy plan domains
-    batch_rows lint certify replay lint_json explain_json werror race_check
+let main_inner tpch demo loads exec file strategy plan
+    batch_rows lint certify replay lint_json explain_json werror
     share_lint timeout max_rows fallback connect =
   if share_lint then Stdlib.exit (share_lint_json ());
   (match replay with Some dir -> replay_bundle dir | None -> ());
@@ -1042,7 +991,6 @@ let main_inner tpch demo loads exec file strategy plan domains
       Stdlib.exit
         (remote_main ~hostport ~exec ~file ~strategy ~timeout ~max_rows)
   | None -> ());
-  Vexec.domains := max 1 domains;
   Vexec.batch_rows := max 1 batch_rows;
   let db = Database.create () in
   if demo then
@@ -1095,7 +1043,6 @@ let main_inner tpch demo loads exec file strategy plan domains
       werror;
       budget;
       fallback;
-      race_check;
       last_provenance = None;
     }
   in
@@ -1107,7 +1054,7 @@ let main_inner tpch demo loads exec file strategy plan domains
   | None -> ());
   match (exec, file) with
   | Some sql, _ -> (
-      match execute session sql with
+      match execute_statement session sql with
       | O_ok -> ()
       | O_error -> Stdlib.exit 1
       | O_crash -> Stdlib.exit 70)
@@ -1142,12 +1089,12 @@ let main_inner tpch demo loads exec file strategy plan domains
    error, 70 internal crash (EX_SOFTWARE). [Stdlib.exit] calls above
    raise [Exit_with] through this wrapper untouched ([exit] never
    returns); anything else escaping is by definition a crash. *)
-let main tpch demo loads exec file strategy plan domains
-    batch_rows lint certify replay lint_json explain_json werror race_check
+let main tpch demo loads exec file strategy plan
+    batch_rows lint certify replay lint_json explain_json werror
     share_lint timeout max_rows fallback connect =
   try
-    main_inner tpch demo loads exec file strategy plan domains
-      batch_rows lint certify replay lint_json explain_json werror race_check
+    main_inner tpch demo loads exec file strategy plan
+      batch_rows lint certify replay lint_json explain_json werror
       share_lint timeout max_rows fallback connect
   with
   | Resilience.Perm_error e ->
@@ -1165,8 +1112,8 @@ let cmd =
     (Cmd.info "permcli" ~doc:"SQL shell with Perm-style provenance")
     Term.(
       const main $ tpch_arg $ demo_arg $ load_arg $ exec_arg $ file_arg
-      $ strategy_arg $ plan_arg $ domains_arg $ batch_rows_arg $ lint_arg
-      $ certify_arg $ replay_arg $ lint_json_arg $ explain_json_arg $ werror_arg $ race_check_arg $ share_lint_arg
+      $ strategy_arg $ plan_arg $ batch_rows_arg $ lint_arg
+      $ certify_arg $ replay_arg $ lint_json_arg $ explain_json_arg $ werror_arg $ share_lint_arg
       $ timeout_arg $ max_rows_arg $ fallback_arg $ connect_arg)
 
 (* cmdliner reports its own CLI parse failures as [term_err]; map them

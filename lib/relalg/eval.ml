@@ -495,9 +495,8 @@ and eval_agg ctx here env ({ group_by; aggs; agg_input } as spec) : Relation.t =
 let compile_env env = List.map (fun f -> (f.f_schema, f.f_tuple)) env
 
 (** [query db q] executes [q] with the columnar batch engine ({!Vexec};
-    worker count and batch size from {!Vexec.domains} /
-    {!Vexec.batch_rows}); [env] supplies outer frames for correlated
-    evaluation. *)
+    batch size from {!Vexec.batch_rows}) on the calling domain; [env]
+    supplies outer frames for correlated evaluation. *)
 let query ?(env = []) db q = Vexec.query ~env:(compile_env env) db q
 
 (** [query_reference db q] evaluates [q] with the reference tree walker. *)

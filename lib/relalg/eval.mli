@@ -54,9 +54,9 @@ val all_of_summary : Algebra.cmpop -> Value.t -> summary -> Value.t
 (** {1 Evaluation} *)
 
 (** [query db q] evaluates [q] with the vectorized engine and a fresh
-    memoization context; [env] supplies outer frames for correlated
-    evaluation. Worker count and batch size come from {!Vexec.domains}
-    / {!Vexec.batch_rows}. *)
+    memoization context, on the calling domain; [env] supplies outer
+    frames for correlated evaluation. The batch size comes from
+    {!Vexec.batch_rows}. *)
 val query : ?env:env -> Database.t -> Algebra.query -> Relation.t
 
 (** [query_reference db q] evaluates [q] with the reference tree walker. *)

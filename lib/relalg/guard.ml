@@ -20,17 +20,12 @@
     each attempt's row/pair/allocation ceilings are per-attempt, fresh
     allowances.
 
-    Domain safety: the governor used to keep the innermost scope in
-    plain global [ref]s, which worker domains could not safely tick.
-    The scope registry is now [Domain.DLS]-backed: each domain holds a
-    private {e view} of a scope — local row/pair counters, fuel, and a
-    per-domain [Gc.allocated_bytes] baseline — over a shared [state]
-    whose totals are [Atomic] and flushed on each slow checkpoint and
-    at view exit. Worker domains adopt the coordinator's scope with
-    {!with_scope} (the vectorized engine does this per morsel task), so
-    ceilings trip with correct aggregated totals no matter which domain
-    crosses the line. The cheap per-row path stays non-atomic: a local
-    increment plus one plain atomic load for the ceiling compare. *)
+    Domain safety: a scope belongs to the domain that entered it. The
+    scope registry is [Domain.DLS]-backed, so server connection
+    domains each run their own scope concurrently without sharing
+    counters, and a checkpoint is plain loads and stores on the
+    calling domain's own record. Nothing adopts another domain's
+    scope: every query runs on the domain that called it. *)
 
 (* ------------------------------------------------------------------ *)
 (* Budgets                                                             *)
@@ -104,74 +99,40 @@ let trip_to_string t =
 (* How many cheap checkpoints between time/allocation re-checks. *)
 let fuel_interval = 512
 
-(* The scope proper, shared by every domain that adopted it. Totals are
-   [Atomic] so views flush without a lock; ceilings/deadline/baselines
-   are immutable. *)
-type state = {
-  st_budget : budget;
-  st_deadline : float option;
-  st_t0 : float;
+(* One [with_budget] scope: immutable ceilings, deadline and
+   allocation baseline, plus the counters its checkpoints advance.
+   Only the domain that entered the scope ever touches it. *)
+type scope = {
+  s_budget : budget;
+  s_deadline : float option;
+  s_t0 : float;
   (* ceilings flattened to ints ([max_int] = none) so the per-push
      checkpoint compares without an option match *)
-  st_row_limit : int;
-  st_pair_limit : int;
-  st_rows : int Atomic.t;  (* rows flushed by all views *)
-  st_pairs : int Atomic.t;  (* pairs flushed by all views *)
-  st_alloc : int Atomic.t;
-      (* bytes flushed by all views; [Gc.allocated_bytes] is per-domain,
-         so each view folds its own delta in at slow checkpoints and at
-         view exit — this is how parallel sections share one budget *)
+  s_row_limit : int;
+  s_pair_limit : int;
+  s_alloc0 : float;  (* [Gc.allocated_bytes] at entry *)
+  mutable s_rows : int;
+  mutable s_pairs : int;
+  mutable s_fuel : int;
 }
 
-(* A domain's private view of a scope: unflushed counter deltas, fuel,
-   and the domain's own allocation baseline. Single-writer (the owning
-   domain), so the cheap checkpoints stay plain loads and stores. *)
-type dview = {
-  dv_state : state;
-  mutable dv_rows : int;
-  mutable dv_pairs : int;
-  mutable dv_fuel : int;
-  mutable dv_alloc0 : float;
-}
-
-(* The innermost active view of the calling domain. DLS-backed: worker
-   domains adopt a scope with [with_scope] without racing the
-   coordinator's own bookkeeping. *)
-let tls : dview option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+(* The calling domain's innermost active scope. *)
+let tls : scope option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
 let cur () = !(Domain.DLS.get tls)
 
-(* Fold this view's unflushed deltas into the shared totals and reset
-   the local allocation baseline. *)
-let flush dv =
-  let st = dv.dv_state in
-  if dv.dv_rows <> 0 then begin
-    ignore (Atomic.fetch_and_add st.st_rows dv.dv_rows);
-    dv.dv_rows <- 0
-  end;
-  if dv.dv_pairs <> 0 then begin
-    ignore (Atomic.fetch_and_add st.st_pairs dv.dv_pairs);
-    dv.dv_pairs <- 0
-  end;
-  let now = Gc.allocated_bytes () in
-  let delta = now -. dv.dv_alloc0 in
-  if delta <> 0.0 then begin
-    ignore (Atomic.fetch_and_add st.st_alloc (int_of_float delta));
-    dv.dv_alloc0 <- now
-  end
+let alloc_mb sc = (Gc.allocated_bytes () -. sc.s_alloc0) /. 1_048_576.0
 
-let snapshot dv =
-  flush dv;
-  let st = dv.dv_state in
+let snapshot sc =
   {
-    c_rows = Atomic.get st.st_rows;
-    c_pairs = Atomic.get st.st_pairs;
-    c_elapsed = Unix.gettimeofday () -. st.st_t0;
-    c_alloc_mb = float_of_int (Atomic.get st.st_alloc) /. 1_048_576.0;
+    c_rows = sc.s_rows;
+    c_pairs = sc.s_pairs;
+    c_elapsed = Unix.gettimeofday () -. sc.s_t0;
+    c_alloc_mb = alloc_mb sc;
   }
 
-let trip dv path reason =
-  raise (Budget_exceeded { t_path = path; t_reason = reason; t_counters = snapshot dv })
+let trip sc path reason =
+  raise (Budget_exceeded { t_path = path; t_reason = reason; t_counters = snapshot sc })
 
 let is_active () = cur () <> None
 
@@ -180,101 +141,62 @@ let is_active () = cur () <> None
    per-push counting (streaming operators) stays on under any budget. *)
 let counts_rows () =
   match cur () with
-  | Some dv -> dv.dv_state.st_budget.g_max_rows <> None
+  | Some sc -> sc.s_budget.g_max_rows <> None
   | None -> false
 
 let observed () =
   match cur () with
   | None -> { c_rows = 0; c_pairs = 0; c_elapsed = 0.0; c_alloc_mb = 0.0 }
-  | Some dv -> snapshot dv
+  | Some sc -> snapshot sc
 
-let charged_rows () =
-  match cur () with
-  | None -> 0
-  | Some dv -> Atomic.get dv.dv_state.st_rows + dv.dv_rows
+let charged_rows () = match cur () with None -> 0 | Some sc -> sc.s_rows
 
 (* Re-check the clock and the allocation counter; called once every
-   [fuel_interval] cheap checkpoints, and on every bulk checkpoint.
-   Flushing here is also what keeps the shared totals fresh enough for
-   the other domains' ceiling compares. *)
-let slow_check dv path =
-  dv.dv_fuel <- fuel_interval;
-  flush dv;
-  let st = dv.dv_state in
-  (match st.st_deadline with
+   [fuel_interval] cheap checkpoints, and on every bulk checkpoint. *)
+let slow_check sc path =
+  sc.s_fuel <- fuel_interval;
+  (match sc.s_deadline with
   | Some d when Unix.gettimeofday () > d ->
-      trip dv path (Timed_out (Option.get st.st_budget.g_timeout))
+      trip sc path (Timed_out (Option.get sc.s_budget.g_timeout))
   | _ -> ());
-  match st.st_budget.g_max_alloc_mb with
-  | Some mb when float_of_int (Atomic.get st.st_alloc) /. 1_048_576.0 > mb ->
-      trip dv path (Alloc_exceeded mb)
+  match sc.s_budget.g_max_alloc_mb with
+  | Some mb when alloc_mb sc > mb -> trip sc path (Alloc_exceeded mb)
   | _ -> ()
 
-(* Ceiling compares read the shared total (a plain load on the cheap
-   path — no fetch-and-add) plus the local unflushed delta: exact when
-   one domain runs (the common case), at worst [fuel_interval] late per
-   extra domain otherwise. *)
 let count_rows path n =
   match cur () with
   | None -> ()
-  | Some dv ->
-      let st = dv.dv_state in
-      dv.dv_rows <- dv.dv_rows + n;
-      if Atomic.get st.st_rows + dv.dv_rows > st.st_row_limit then
-        trip dv path (Rows_exceeded st.st_row_limit);
-      slow_check dv path
+  | Some sc ->
+      sc.s_rows <- sc.s_rows + n;
+      if sc.s_rows > sc.s_row_limit then trip sc path (Rows_exceeded sc.s_row_limit);
+      slow_check sc path
 
 let count_pairs path n =
   match cur () with
   | None -> ()
-  | Some dv ->
-      let st = dv.dv_state in
-      dv.dv_pairs <- dv.dv_pairs + n;
-      if Atomic.get st.st_pairs + dv.dv_pairs > st.st_pair_limit then
-        trip dv path (Pairs_exceeded st.st_pair_limit);
-      let f = dv.dv_fuel - 1 in
-      dv.dv_fuel <- f;
-      if f <= 0 then slow_check dv path
+  | Some sc ->
+      sc.s_pairs <- sc.s_pairs + n;
+      if sc.s_pairs > sc.s_pair_limit then trip sc path (Pairs_exceeded sc.s_pair_limit);
+      sc.s_fuel <- sc.s_fuel - 1;
+      if sc.s_fuel <= 0 then slow_check sc path
 
 let cross_guard path ~left ~right =
   match cur () with
   | None -> ()
-  | Some dv -> (
-      let st = dv.dv_state in
-      match st.st_budget.g_max_pairs with
+  | Some sc -> (
+      match sc.s_budget.g_max_pairs with
       | Some m
         when float_of_int left *. float_of_int right
-             > float_of_int
-                 (max 0 (m - (Atomic.get st.st_pairs + dv.dv_pairs))) ->
-          trip dv path (Pairs_exceeded m)
+             > float_of_int (max 0 (m - sc.s_pairs)) ->
+          trip sc path (Pairs_exceeded m)
       | _ -> ())
 
 let tick path =
   match cur () with
   | None -> ()
-  | Some dv ->
-      dv.dv_fuel <- dv.dv_fuel - 1;
-      if dv.dv_fuel <= 0 then slow_check dv path
-
-(* [note_alloc path bytes] folds externally measured worker-domain
-   bytes into the active scope. Kept for callers that measure worker
-   allocation themselves instead of adopting the scope ({!with_scope}
-   now subsumes it for the vectorized engine). *)
-let note_alloc path bytes =
-  match cur () with
-  | None -> ()
-  | Some dv ->
-      ignore (Atomic.fetch_and_add dv.dv_state.st_alloc (int_of_float bytes));
-      if dv.dv_state.st_budget.g_max_alloc_mb <> None then slow_check dv path
-
-let mk_view st =
-  {
-    dv_state = st;
-    dv_rows = 0;
-    dv_pairs = 0;
-    dv_fuel = fuel_interval;
-    dv_alloc0 = Gc.allocated_bytes ();
-  }
+  | Some sc ->
+      sc.s_fuel <- sc.s_fuel - 1;
+      if sc.s_fuel <= 0 then slow_check sc path
 
 (** [with_budget b f] runs [f] governed by [b] ([None] = unchanged).
     Installing a scope inside another {e suspends} the outer scope: its
@@ -287,53 +209,23 @@ let with_budget b f =
   | None -> f ()
   | Some b ->
       let now = Unix.gettimeofday () in
-      let st =
+      let sc =
         {
-          st_budget = b;
-          st_deadline = Option.map (fun s -> now +. s) b.g_timeout;
-          st_t0 = now;
-          st_row_limit = Option.value ~default:max_int b.g_max_rows;
-          st_pair_limit = Option.value ~default:max_int b.g_max_pairs;
-          st_rows = Atomic.make 0;
-          st_pairs = Atomic.make 0;
-          st_alloc = Atomic.make 0;
+          s_budget = b;
+          s_deadline = Option.map (fun s -> now +. s) b.g_timeout;
+          s_t0 = now;
+          s_row_limit = Option.value ~default:max_int b.g_max_rows;
+          s_pair_limit = Option.value ~default:max_int b.g_max_pairs;
+          s_alloc0 = Gc.allocated_bytes ();
+          s_rows = 0;
+          s_pairs = 0;
+          s_fuel = fuel_interval;
         }
       in
       let r = Domain.DLS.get tls in
       let saved = !r in
-      r := Some (mk_view st);
+      r := Some sc;
       Fun.protect ~finally:(fun () -> r := saved) f
-
-(* ------------------------------------------------------------------ *)
-(* Scope adoption across domains                                       *)
-(* ------------------------------------------------------------------ *)
-
-type scope = state option
-
-let no_scope : scope = None
-let current_scope () : scope = Option.map (fun dv -> dv.dv_state) (cur ())
-
-(* [with_scope sc f] runs [f] ticking against [sc] from the calling
-   domain: a fresh view (own fuel, own allocation baseline) over the
-   shared totals, flushed at exit so the coordinator's barrier-time
-   counters include this domain's contribution. Re-adopting the scope a
-   domain is already viewing is a no-op wrapper — the existing view
-   keeps the allocation baseline chain intact. *)
-let with_scope (sc : scope) f =
-  match sc with
-  | None -> f ()
-  | Some st -> (
-      let r = Domain.DLS.get tls in
-      match !r with
-      | Some dv when dv.dv_state == st -> f ()
-      | saved ->
-          let dv = mk_view st in
-          r := Some dv;
-          Fun.protect
-            ~finally:(fun () ->
-              flush dv;
-              r := saved)
-            f)
 
 (* ------------------------------------------------------------------ *)
 (* Budget pool                                                         *)

@@ -23,11 +23,10 @@
     wall-clock allowance itself; row/pair/allocation ceilings are fresh
     per attempt.
 
-    The scope registry is [Domain.DLS]-backed with [Atomic] shared
-    totals (see guard.ml), so worker domains may adopt the
-    coordinator's scope with {!with_scope} and tick checkpoints
-    concurrently: budgets trip with correctly aggregated totals no
-    matter which domain crosses a ceiling. *)
+    One scope per domain: a scope belongs to the domain that entered
+    it, and the registry is [Domain.DLS]-backed, so server sessions
+    each own theirs and run them concurrently without sharing
+    counters. Every query runs on the domain that called it. *)
 
 (** {1 Budgets} *)
 
@@ -95,38 +94,14 @@ val trip_to_string : trip -> string
     and allocation baselines start at entry. *)
 val with_budget : budget option -> (unit -> 'a) -> 'a
 
-(** Counters of the innermost active scope (all zero when none). Totals
-    are aggregated across every domain that adopted the scope, up to
-    each remote domain's last flush (slow checkpoint or view exit). *)
+(** Counters of the innermost active scope (all zero when none). *)
 val observed : unit -> counters
 
-(** Rows charged so far to the innermost active scope, flushed or not
-    (0 when none). Cheaper than {!observed}: no flush, no clock read.
+(** Rows charged so far to the innermost active scope (0 when none).
+    Cheaper than {!observed}: no clock read.
     {!Vexec} reads it around a sublink subtree's first run to charge
     the same rows again when it replays the subtree. *)
 val charged_rows : unit -> int
-
-(** {1 Cross-domain scope adoption} *)
-
-(** A handle on the innermost active scope, shareable across domains. *)
-type scope
-
-(** The scope that adopts nothing: {!with_scope}[ no_scope f = f ()]. *)
-val no_scope : scope
-
-(** The calling domain's innermost active scope ({!no_scope} when no
-    budget is installed). The coordinator captures this before fanning
-    tasks out to worker domains. *)
-val current_scope : unit -> scope
-
-(** [with_scope sc f] runs [f] with [sc] adopted on the calling domain:
-    checkpoints inside [f] tick against the shared scope through a
-    fresh domain-private view whose counters are flushed into the
-    shared totals at exit. A ceiling crossed on this domain raises
-    {!Budget_exceeded} here — the morsel scheduler propagates it to the
-    coordinator's barrier. Adopting a scope the domain is already
-    viewing is a no-op wrapper. *)
-val with_scope : scope -> (unit -> 'a) -> 'a
 
 (** Whether a budget scope is active — callers use this to skip
     checkpoint-argument computation (e.g. a cardinality walk) on the
@@ -159,14 +134,6 @@ val cross_guard : string list -> left:int -> right:int -> unit
     engines, and per tuple in the reference walker's hot loops so
     timeout/allocation budgets trip even on plans with few operators. *)
 val tick : string list -> unit
-
-(** [note_alloc path bytes] folds externally measured worker-domain
-    bytes into the active scope's allocation budget
-    ([Gc.allocated_bytes] is per-domain). Checks the allocation ceiling
-    immediately. Superseded for the vectorized engine by worker-side
-    {!with_scope} adoption, which accounts allocation automatically;
-    kept for callers that measure worker allocation themselves. *)
-val note_alloc : string list -> float -> unit
 
 (** {1 Budget pool} *)
 

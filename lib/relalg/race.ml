@@ -40,8 +40,8 @@ let report_to_string r =
     | None -> "")
 
 (* The disabled-path gate: one atomic load per entry point. An Atomic
-   rather than a plain ref because worker domains read it while the
-   coordinator arms/disarms. *)
+   rather than a plain ref because other domains (server sessions, a
+   test's spawned domains) read it while one domain arms/disarms. *)
 let armed_flag = Atomic.make false
 let is_armed () = Atomic.get armed_flag
 

@@ -14,7 +14,8 @@
     The disabled path is near-free — every entry point is gated on a
     single {!Atomic.t} flag load, the same pattern as [Guard.active] —
     so instrumentation stays compiled into the production engine and
-    is armed only by tests, [bench racefuzz] and [permcli --race-check].
+    is armed only by tests (the concurrent-session stress cases and the
+    injected-race mutants).
 
     Detection is sound for what is instrumented and published: an edge
     the scheduler does not publish (e.g. a raw [Domain.join]) does not

@@ -14,8 +14,8 @@
     (so publishing a fully built table establishes the happens-before
     edge a concurrent reader needs to see the table's internals), and
     initialization is serialized by a mutex so two domains racing on
-    first use cannot both build — the vectorized engine's parallel
-    probe workers read these caches concurrently. *)
+    first use cannot both build — server sessions read these caches
+    of shared snapshot relations concurrently. *)
 
 type t = {
   rel_id : int;

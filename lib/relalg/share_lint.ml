@@ -35,29 +35,16 @@ let inventory =
   [
     (* guard *)
     entry "guard" "tls" "dls" DomainLocal
-      "scope registry: each domain's view ref of the innermost budget \
-       scope; shared totals inside the state are Atomic";
+      "scope registry: each domain's innermost budget scope, touched \
+       only by that domain";
     entry "guard" "Faults.state" "ref" DomainLocal
-      "fault-injection config; armed and fired on the coordinator \
-       domain only (fire points sit on coordinator-side operator paths)";
+      "fault-injection config; armed and fired on one domain only (the \
+       server injects its faults itself and never arms this)";
     entry "guard" "Faults.armed_flag" "ref" DomainLocal
-      "fast-path gate for Faults.state; coordinator domain only";
-    (* morsel *)
-    entry "morsel" "chaos" "atomic" AtomicOnly
-      "chaos-scheduler seed; armed by tests, read by every worker";
-    entry "morsel" "job_counter" "atomic" AtomicOnly
-      "job ids for per-job race-detector edge names";
-    entry "morsel" "cache" "hashtbl" (LockProtected "morsel.cache_lock")
-      "process-wide pool cache keyed (size, pid)";
-    entry "morsel" "cache_lock" "mutex" Immutable "orders morsel.cache";
+      "fast-path gate for Faults.state; one domain only";
     (* vexec *)
-    entry "vexec" "domains" "ref" InitOnce
-      "worker count; set by the CLI before execution, quiescent while \
-       queries run";
     entry "vexec" "batch_rows" "ref" InitOnce
       "batch granularity; set by the CLI before execution";
-    entry "vexec" "pool_override" "ref" InitOnce
-      "test-only pool hook; set while quiescent";
     entry "vexec" "cache" "ref" (LockProtected "vexec.cache_lock")
       "columnar base-relation cache, identity-keyed";
     entry "vexec" "cache_lock" "mutex" Immutable "orders vexec.cache";
@@ -90,10 +77,10 @@ let inventory =
       "schedule seed carried into reports";
     (* rewrite_trace *)
     entry "rewrite_trace" "hook" "ref" DomainLocal
-      "process-local tracer hook; installed and fired on the \
-       coordinator (rewrites run before execution fans out)";
+      "process-local tracer hook; installed and fired on the domain \
+       that runs the rewrite";
     entry "rewrite_trace" "mutation" "ref" DomainLocal
-      "test-only mutation switch; coordinator only";
+      "test-only mutation switch; one domain only";
   ]
 
 let find ~module_ name =
@@ -428,7 +415,6 @@ let modules =
   [
     "eval";
     "guard";
-    "morsel";
     "race";
     "relation";
     "rewrite_trace";

@@ -1,7 +1,8 @@
-(** Static sharing lint for the parallel engine: a declared inventory
-    of every toplevel mutable the worker domains can reach, each with
-    the synchronization discipline its accesses follow, plus a source
-    scan that cross-checks the inventory against the code.
+(** Static sharing lint for the engine: a declared inventory of every
+    toplevel mutable that concurrent domains (server sessions) can
+    reach, each with the synchronization discipline its accesses
+    follow, plus a source scan that cross-checks the inventory against
+    the code.
 
     The scan finds toplevel [ref]/[Hashtbl]/[Atomic]/[Mutex]/DLS/array
     declarations in the engine modules (comments and string literals
@@ -24,8 +25,8 @@
 (** How accesses to one shared cell are ordered. *)
 type discipline =
   | DomainLocal
-      (** reached from one domain only (DLS-backed, or armed/read on
-          the coordinator while workers are quiescent) *)
+      (** reached from one domain only (DLS-backed, or armed and read
+          by a single-domain caller) *)
   | LockProtected of string
       (** every access holds the named mutex (["module.name"] of an
           [Immutable] inventory entry) *)
@@ -40,7 +41,7 @@ type discipline =
 val discipline_to_string : discipline -> string
 
 type entry = {
-  e_module : string;  (** file base name, e.g. ["morsel"] *)
+  e_module : string;  (** file base name, e.g. ["vexec"] *)
   e_name : string;  (** possibly dotted: ["Faults.state"] *)
   e_kind : string;
       (** declaration kind the scanner must agree on: ["ref"],

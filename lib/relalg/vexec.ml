@@ -5,10 +5,9 @@
 
     Operators materialize their outputs as batch lists, evaluate
     selection predicates as columnar masks (unboxed three-valued bytes
-    over a selection vector), probe uncorrelated [ANY]/[ALL] sublinks
-    against an unboxed integer set specialized from the {!Sem} summary,
-    and parallelize leaf scan filtering and hash-join probing across
-    OCaml 5 domains with the morsel scheduler ({!Morsel}).
+    over a selection vector), and probe uncorrelated [ANY]/[ALL]
+    sublinks against an unboxed integer set specialized from the
+    {!Sem} summary. A query runs on the domain that called it.
 
     Everything without a columnar kernel — residual join predicates,
     projection expressions, aggregation, ordering — runs the compiled
@@ -25,21 +24,14 @@
     names, row order, error messages) and the {!Sem.stats} counters
     reflect the same plan events at batch granularity.
 
-    Determinism and domain safety: worker domains only read frozen
-    structures (columnar batches, prepped probe sets, a built hash
-    table) and write to per-task result slots. Workers adopt the
-    coordinator's {!Guard} scope per task ({!Guard.with_scope}), so
-    row/pair/time/allocation budgets aggregate across domains and trip
-    on whichever domain crosses a ceiling. Shared mutable cells are
-    registered in {!Share_lint}'s inventory and instrumented for the
-    {!Race} detector: the columnar cache under its lock, probe prep and
-    the context's memo tables as coordinator-prepped state that workers
-    may only read after the scheduler's publish edge. *)
+    Domain safety: server sessions run executions on concurrent
+    domains over shared snapshot relations. Each execution's context,
+    memo tables and probe sets are its own; the one cell executions
+    share, the columnar cache, sits under a lock. Shared mutable cells
+    are registered in {!Share_lint}'s inventory and instrumented for
+    the {!Race} detector. *)
 
 open Algebra
-
-(** Workers per query (1 = sequential). Set via [--domains]. *)
-let domains = ref 1
 
 (** Rows per columnar batch. Set via [--batch-rows]. At 256 a batch's
     per-row scratch arrays (selection vectors, masks, row arrays) stay
@@ -48,20 +40,13 @@ let domains = ref 1
     far more expensive to reclaim. *)
 let batch_rows = ref 256
 
-(** Test-only: run on this pool regardless of [domains] and of the
-    core-count clamp in {!Morsel.get}. The race-fuzz campaign and the
-    multi-domain tests need genuinely parallel schedules even on hosts
-    where [Domain.recommended_domain_count () = 1]. *)
-let pool_override : Morsel.pool option ref = ref None
-
 (* ---- columnar base-relation cache --------------------------------- *)
 
 (* Base relations are converted to columnar batches once and reused
    across executions (keyed on physical identity plus the batch size
    they were split with — a DDL'd catalog entry is a fresh relation and
-   misses). Guarded by a mutex: executions on different domains may
-   race on the cache even though one query's conversion happens on the
-   coordinator. *)
+   misses). Guarded by a mutex: executions on different domains (server
+   sessions) share the cache. *)
 let cache_lock = Mutex.create ()
 let cache : (Relation.t * int * Vector.t array) list ref = ref []
 let cache_cap = 32
@@ -119,10 +104,9 @@ let mk_ctx db =
   }
 
 (* The sublink memo tables (and the replay slots) are per-execution and
-   coordinator-confined: probes are prepped before any fan-out and
-   sublink bodies run sequentially, so a worker-domain access here is a
-   bug the armed race detector reports. The location is per-ctx — two
-   concurrent executions own disjoint tables and must not alias. *)
+   confined to the executing domain, so an access from another domain
+   is a bug the armed race detector reports. The location is per-ctx —
+   two concurrent executions own disjoint tables and must not alias. *)
 let memo_loc ctx = "vexec.ctx[" ^ string_of_int ctx.ctx_tag ^ "].memo"
 let memo_read ctx = if Race.is_armed () then Race.read (memo_loc ctx)
 let memo_write ctx = if Race.is_armed () then Race.write (memo_loc ctx)
@@ -133,9 +117,8 @@ type renv = Tuple.t list
 (** A compiled scalar expression. *)
 type cexpr = ctx -> renv -> Value.t
 
-(** Per-execution runtime: the context, the outer tuple frames, and the
-    worker pool. *)
-type rt = { cctx : ctx; renv : renv; pool : Morsel.pool option }
+(** Per-execution runtime: the context and the outer tuple frames. *)
+type rt = { cctx : ctx; renv : renv }
 
 (** A lowered operator: batches out, in the reference row order. *)
 type vop = { v_schema : Schema.t; v_run : rt -> Vector.t list }
@@ -154,28 +137,6 @@ let guarded here (v : vop) : vop =
         else Guard.tick here;
         bats);
   }
-
-(* [par_run here pool ~tasks f] — run [f 0..tasks-1] on the pool.
-   Every worker adopts the coordinator's governor scope for its tasks
-   ({!Guard.with_scope}): ticks and allocation account into the shared
-   scope totals from whichever domain runs the morsel, and a ceiling
-   crossed on a worker raises [Budget_exceeded] there — the scheduler
-   re-raises it from the coordinator's barrier. The coordinator
-   (worker 0) already holds its own view of the scope, so it ticks
-   directly. *)
-let par_run here pool ~tasks (f : int -> unit) =
-  if tasks > 0 then begin
-    let scope = Guard.current_scope () in
-    Morsel.run pool ~tasks (fun w t ->
-        if w = 0 then begin
-          Guard.tick here;
-          f t
-        end
-        else
-          Guard.with_scope scope (fun () ->
-              Guard.tick here;
-              f t))
-  end
 
 (* ---- batch utilities ----------------------------------------------- *)
 
@@ -437,10 +398,9 @@ type probe = {
 
 let probe_counter = Atomic.make 0
 
-(* [pr_prep] is coordinator-prepped, worker-read: the scheduler's
-   publish edge orders the write before the reads; an armed detector
-   reports a worker that writes it. Per-probe location — probes are
-   execution-private, and distinct probes must not alias. *)
+(* [pr_prep] is written and read by the executing domain only; an armed
+   detector reports an access from another. Per-probe location —
+   probes are execution-private, and distinct probes must not alias. *)
 let probe_loc pr = "vexec.probe[" ^ string_of_int pr.pr_id ^ "].prep"
 let probe_mark_read pr = if Race.is_armed () then Race.read (probe_loc pr)
 let probe_mark_write pr = if Race.is_armed () then Race.write (probe_loc pr)
@@ -479,10 +439,6 @@ let rec mask_probes acc = function
   | MNot a | MBoolEq (a, _) -> mask_probes acc a
   | MAnd (a, b) | MOr (a, b) -> mask_probes (mask_probes acc a) b
   | MLeaf (LProbe p) -> p :: acc
-
-let prepped rt pr =
-  probe_mark_read pr;
-  match pr.pr_prep with Some (c, _) -> c == rt.cctx | None -> false
 
 let prep_probe rt pr : prep =
   probe_mark_read pr;
@@ -1059,7 +1015,7 @@ and sublink_memo db at cenv (s : sublink) ~correlated =
      shared relation instead of a fresh one per binding. *)
   let empty = Relation.empty body.v_schema in
   let run ctx env =
-    match body.v_run { cctx = ctx; renv = env; pool = None } with
+    match body.v_run { cctx = ctx; renv = env } with
     | [] -> empty
     | bats -> Vector.relation_of body.v_schema bats
   in
@@ -1299,8 +1255,8 @@ and lower db ~replay path (cenv : Schema.t list) (q : query) : vop =
    by physical identity, as [cached_rel] keeps an uncorrelated
    sublink's. Later bindings replay them and charge the governor the
    rows the first run charged, at the subtree's path, so row totals
-   match a run that re-executes it. The slot is coordinator-confined
-   like the memo tables. *)
+   match a run that re-executes it. The slot is confined to the
+   executing domain like the memo tables. *)
 and lower_replayed db path q : vop =
   let v = lower_node db ~replay:false path [] q in
   let here = Path.here path q in
@@ -1364,44 +1320,16 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
       let schema = vin.v_schema in
       match vectorize db (owner here q) schema cenv cond with
       | Some m ->
-          let probes = mask_probes [] m in
           {
             v_schema = schema;
             v_run =
               (fun rt ->
-                let bats = Array.of_list (vin.v_run rt) in
-                let nb = Array.length bats in
-                let out = Array.make nb None in
-                let work i =
-                  let b = bats.(i) in
-                  let idx = idx_of b in
-                  let r = eval_mask rt b idx m in
-                  out.(i) <- apply_mask b idx r
-                in
-                (* Probe preparation materializes the sublink (memo
-                   counters, fault points, possible errors) — it must
-                   happen on the coordinator, so batches run
-                   sequentially until every probe is prepped, then the
-                   rest fan out over the pool. *)
-                let start = ref 0 in
-                if probes <> [] then
-                  while
-                    !start < nb && not (List.for_all (prepped rt) probes)
-                  do
+                List.filter_map
+                  (fun b ->
                     Guard.tick here;
-                    work !start;
-                    incr start
-                  done;
-                (match rt.pool with
-                | Some pool when nb - !start > 1 ->
-                    par_run here pool ~tasks:(nb - !start) (fun t ->
-                        work (!start + t))
-                | _ ->
-                    for i = !start to nb - 1 do
-                      Guard.tick here;
-                      work i
-                    done);
-                List.filter_map Fun.id (Array.to_list out));
+                    let idx = idx_of b in
+                    apply_mask b idx (eval_mask rt b idx m))
+                  (vin.v_run rt));
           }
       | None ->
           let pcond = compile_pred db (owner here q) (schema :: cenv) cond in
@@ -1947,23 +1875,6 @@ and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
       in
       go 0
     in
-    (* Bare depth-0 attribute keys on both sides and no residual: the
-       probe phase then reads only tuple offsets and a frozen hash
-       table, so left batches can fan out over worker domains. *)
-    let bare_offsets =
-      match cresidual with
-      | Some _ -> None
-      | None ->
-          let rec go l r = function
-            | [] -> Some (Array.of_list (List.rev l))
-            | (Attr ln, Attr rn, _) :: rest -> (
-                match (Schema.find sa ln, Schema.find sb rn) with
-                | Some li, Some _ -> go (li :: l) r rest
-                | _ -> None)
-            | _ :: _ -> None
-          in
-          go [] [] pairs
-    in
     {
       v_schema = out_schema;
       v_run =
@@ -1988,82 +1899,46 @@ and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
                     Tuple.Tbl.replace table key (tb :: existing)))
             rbats;
           let pad = Tuple.nulls arity_b in
-          let abats = Array.of_list (va.v_run rt) in
-          let nb = Array.length abats in
           let emitted = ref 0 in
-          match (bare_offsets, rt.pool) with
-          | Some loffs, Some pool when nb > 1 ->
-              let out_rows = Array.make nb [] in
-              let out_emitted = Array.make nb 0 in
-              let work i =
-                let acc = ref [] and em = ref 0 in
-                Vector.iter_tuples abats.(i) (fun ta ->
-                    let key = Tuple.project_arr ta loffs in
-                    let matches =
-                      if usable key then
-                        match Tuple.Tbl.find_opt table key with
-                        | Some tbs -> List.rev tbs
-                        | None -> []
-                      else []
-                    in
-                    let hit = ref false in
-                    List.iter
-                      (fun tb ->
-                        hit := true;
-                        incr em;
-                        acc := mk_row ta tb :: !acc)
-                      matches;
-                    if outer && not !hit then begin
-                      incr em;
-                      acc := mk_row ta pad :: !acc
-                    end);
-                out_rows.(i) <- List.rev !acc;
-                out_emitted.(i) <- !em
-              in
-              par_run here pool ~tasks:nb work;
-              Array.iter (fun e -> emitted := !emitted + e) out_emitted;
-              stats.Sem.st_rows_emitted <- stats.Sem.st_rows_emitted + !emitted;
-              chunk_rows out_schema (List.concat (Array.to_list out_rows))
-          | _ ->
-              let acc = ref [] in
-              Array.iter
-                (fun ba ->
-                  Guard.tick here;
-                  Vector.iter_tuples ba (fun ta ->
-                      let fenv = ta :: rt.renv in
-                      let key = eval_row left_keys rt.cctx fenv in
-                      let matches =
-                        if usable key then
-                          match Tuple.Tbl.find_opt table key with
-                          | Some tbs -> List.rev tbs
-                          | None -> []
-                        else []
-                      in
-                      let hit = ref false in
-                      (match cresidual with
-                      | None ->
-                          List.iter
-                            (fun tb ->
-                              hit := true;
-                              incr emitted;
-                              acc := mk_row ta tb :: !acc)
-                            matches
-                      | Some cr ->
-                          List.iter
-                            (fun tb ->
-                              if cr rt.cctx (tb :: fenv) = 1 then begin
-                                hit := true;
-                                incr emitted;
-                                acc := mk_row ta tb :: !acc
-                              end)
-                            matches);
-                      if outer && not !hit then begin
-                        incr emitted;
-                        acc := mk_row ta pad :: !acc
-                      end))
-                abats;
-              stats.Sem.st_rows_emitted <- stats.Sem.st_rows_emitted + !emitted;
-              chunk_rows out_schema (List.rev !acc));
+          let acc = ref [] in
+          List.iter
+            (fun ba ->
+              Guard.tick here;
+              Vector.iter_tuples ba (fun ta ->
+                  let fenv = ta :: rt.renv in
+                  let key = eval_row left_keys rt.cctx fenv in
+                  let matches =
+                    if usable key then
+                      match Tuple.Tbl.find_opt table key with
+                      | Some tbs -> List.rev tbs
+                      | None -> []
+                    else []
+                  in
+                  let hit = ref false in
+                  (match cresidual with
+                  | None ->
+                      List.iter
+                        (fun tb ->
+                          hit := true;
+                          incr emitted;
+                          acc := mk_row ta tb :: !acc)
+                        matches
+                  | Some cr ->
+                      List.iter
+                        (fun tb ->
+                          if cr rt.cctx (tb :: fenv) = 1 then begin
+                            hit := true;
+                            incr emitted;
+                            acc := mk_row ta tb :: !acc
+                          end)
+                        matches);
+                  if outer && not !hit then begin
+                    incr emitted;
+                    acc := mk_row ta pad :: !acc
+                  end))
+            (va.v_run rt);
+          stats.Sem.st_rows_emitted <- stats.Sem.st_rows_emitted + !emitted;
+          chunk_rows out_schema (List.rev !acc));
     }
   end
 
@@ -2072,12 +1947,7 @@ and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
 let query_stats ?(env = []) db q : Relation.t * Sem.stats =
   let cenv = List.map fst env and renv = List.map snd env in
   let v = lower db ~replay:false [] cenv q in
-  let pool =
-    match !pool_override with
-    | Some _ as p -> p
-    | None -> if !domains > 1 then Some (Morsel.get !domains) else None
-  in
-  let rt = { cctx = mk_ctx db; renv; pool } in
+  let rt = { cctx = mk_ctx db; renv } in
   let bats = v.v_run rt in
   (Vector.relation_of v.v_schema bats, rt.cctx.stats)
 

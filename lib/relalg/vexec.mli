@@ -1,8 +1,9 @@
 (** Query execution, the production engine: a type-checked
     {!Algebra.query} lowered once into batch-at-a-time kernels over
-    {!Vector} batches, with morsel-driven multicore parallelism
-    ({!Morsel}), and every scalar expression into an offset-resolved
-    closure.
+    {!Vector} batches, and every scalar expression into an
+    offset-resolved closure. A query runs on the domain that called
+    it; concurrent executions (server sessions) share only the
+    lock-protected columnar cache.
 
     Results are row-identical to the reference walker ({!Eval}):
     schema names, row order, error messages and the {!Sem.stats}
@@ -14,20 +15,9 @@
     counter runs once per execution and is replayed for later
     bindings. *)
 
-(** Worker domains per query (including the coordinator); 1 runs
-    sequentially. Workers come from the process-wide {!Morsel} pool. *)
-val domains : int ref
-
 (** Rows per columnar batch (conversion granularity, selection/probe
     kernel unit, and the governor's row-accounting granularity). *)
 val batch_rows : int ref
-
-(** Test-only override: run on this pool regardless of {!domains} and
-    of the core-count clamp in [Morsel.get] — multi-domain schedule
-    tests and the race-fuzz campaign need real parallelism even on
-    single-core hosts. [None] (the default) selects the cached pool
-    from {!domains}. *)
-val pool_override : Morsel.pool option ref
 
 (** Drop the columnar base-relation cache (identity-keyed; tests use
     this to measure cold conversions). *)

@@ -36,20 +36,14 @@ let mk_db r_rows s_rows =
     ]
 
 (* Vectorized-engine configurations every parity check runs under:
-   sequential with the default batch size, sequential with tiny batches
-   (exercises batch boundaries in every kernel), and two domains with
-   small batches (exercises the morsel scheduler). *)
-let vec_configs = [ ("d1", 1, 2048); ("d1/b3", 1, 3); ("d2/b64", 2, 64) ]
+   large batches, and tiny batches (exercises batch boundaries in every
+   kernel). *)
+let vec_configs = [ ("b2048", 2048); ("b3", 3) ]
 
-let with_vec_config (_, d, b) f =
-  let saved_d = !Vexec.domains and saved_b = !Vexec.batch_rows in
-  Vexec.domains := d;
+let with_vec_config (_, b) f =
+  let saved_b = !Vexec.batch_rows in
   Vexec.batch_rows := b;
-  Fun.protect
-    ~finally:(fun () ->
-      Vexec.domains := saved_d;
-      Vexec.batch_rows := saved_b)
-    f
+  Fun.protect ~finally:(fun () -> Vexec.batch_rows := saved_b) f
 
 (* Both engines, same plan: under every configuration the vectorized
    engine must match the reference walker on schema and row list (order
@@ -76,7 +70,7 @@ let same_execution db plan =
 let check_same msg db plan =
   let ra, sa = Eval.query_stats_reference db plan in
   List.iter
-    (fun ((label, _, _) as cfg) ->
+    (fun ((label, _) as cfg) ->
       let rv, sv =
         with_vec_config cfg (fun () -> Eval.query_stats db plan)
       in
@@ -492,7 +486,7 @@ let test_replay_parity () =
             true
             (outcome (fun () -> run db plan) = expected))
         (List.map
-           (fun ((label, _, _) as cfg) ->
+           (fun ((label, _) as cfg) ->
              ( "vectorized[" ^ label ^ "]",
                fun db plan ->
                  with_vec_config cfg (fun () -> Eval.query_stats db plan) ))
@@ -511,7 +505,7 @@ let test_vectorized_guard_trips () =
   let db = Synthetic.Workload.make_db ~seed:5 ~n1 ~n2 () in
   let q = (Synthetic.Workload.q1 ~seed:5 ~n1 ~n2 ()).Synthetic.Workload.query in
   let trip_of budget =
-    with_vec_config ("d1/b64", 1, 64) (fun () ->
+    with_vec_config ("b64", 64) (fun () ->
         match
           Guard.with_budget (Some budget) (fun () -> Eval.query db q)
         with
@@ -535,84 +529,33 @@ let test_vectorized_guard_trips () =
      amortized batch ticks (every [fuel_interval] cheap checkpoints), so
      run one-row batches over a relation wide enough to exhaust the
      fuel — an already-expired deadline must then trip. *)
-  (let tn1 = 700 and tn2 = 20 in
-   let tdb = Synthetic.Workload.make_db ~seed:6 ~n1:tn1 ~n2:tn2 () in
-   let tq =
-     (Synthetic.Workload.q1 ~seed:6 ~n1:tn1 ~n2:tn2 ()).Synthetic.Workload.query
-   in
-   let t =
-     with_vec_config ("d1/b1", 1, 1) (fun () ->
-         match
-           Guard.with_budget
-             (Some (Guard.budget ~timeout:0.0 ()))
-             (fun () -> Eval.query tdb tq)
-         with
-         | _ -> None
-         | exception Guard.Budget_exceeded t -> Some t)
-   in
-   match t with
-   | None -> Alcotest.fail "timeout did not trip"
-   | Some t ->
-       Alcotest.(check bool)
-         "timeout reason" true
-         (match t.Guard.t_reason with Guard.Timed_out _ -> true | _ -> false));
-  (* Two domains: worker allocations fold into the shared budget via
-     the coordinator, and the trip still carries a path. *)
-  let t2 =
-    with_vec_config ("d2", 2, 64) (fun () ->
+  let tn1 = 700 and tn2 = 20 in
+  let tdb = Synthetic.Workload.make_db ~seed:6 ~n1:tn1 ~n2:tn2 () in
+  let tq =
+    (Synthetic.Workload.q1 ~seed:6 ~n1:tn1 ~n2:tn2 ()).Synthetic.Workload.query
+  in
+  match
+    with_vec_config ("b1", 1) (fun () ->
         match
           Guard.with_budget
-            (Some (Guard.budget ~max_rows:100 ()))
-            (fun () -> Eval.query db q)
+            (Some (Guard.budget ~timeout:0.0 ()))
+            (fun () -> Eval.query tdb tq)
         with
         | _ -> None
         | exception Guard.Budget_exceeded t -> Some t)
-  in
-  match t2 with
-  | None -> Alcotest.fail "row ceiling did not trip under two domains"
+  with
+  | None -> Alcotest.fail "timeout did not trip"
   | Some t ->
       Alcotest.(check bool)
-        "two-domain trip has an operator path" true
-        (t.Guard.t_path <> [])
-
-(* ------------------------------------------------------------------ *)
-(* Morsel scheduler with real worker domains                            *)
-(* ------------------------------------------------------------------ *)
-
-(* [Morsel.get] clamps to the available cores, so exercise the
-   scheduler itself through the unclamped [Morsel.create]: every task
-   runs exactly once into its own slot (work stealing decides only the
-   worker, never the result), and a task exception survives the
-   barrier. *)
-let test_morsel_scheduler () =
-  let pool = Morsel.create 2 in
-  Fun.protect
-    ~finally:(fun () -> Morsel.shutdown pool)
-    (fun () ->
-      let n = 1000 in
-      let slots = Array.make n (-1) in
-      Morsel.run pool ~tasks:n (fun _w t -> slots.(t) <- t * t);
-      Alcotest.(check bool)
-        "every task ran into its slot" true
-        (Array.for_all (fun v -> v >= 0) slots
-        && Array.to_list slots = List.init n (fun i -> i * i));
-      (* a second job on the same pool (epoch advance) *)
-      let hits = Array.make 64 0 in
-      Morsel.run pool ~tasks:64 (fun _w t -> hits.(t) <- hits.(t) + 1);
-      Alcotest.(check bool)
-        "second job: exactly once each" true
-        (Array.for_all (fun c -> c = 1) hits);
-      (* exceptions cross the barrier *)
-      match Morsel.run pool ~tasks:8 (fun _w t -> if t = 5 then failwith "boom") with
-      | () -> Alcotest.fail "task exception was swallowed"
-      | exception Failure m -> Alcotest.(check string) "exn payload" "boom" m)
+        "timeout reason" true
+        (match t.Guard.t_reason with Guard.Timed_out _ -> true | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Relation memo caches under concurrent domains                        *)
 (* ------------------------------------------------------------------ *)
 
 (* [Relation.counts] and [Relation.nullable_columns] are lazily memoized
-   and shared across worker domains: hammer both from two domains at
+   and shared across server sessions: hammer both from two domains at
    once and check every observation agrees with a fresh sequential
    computation. *)
 let test_relation_memo_two_domains () =
@@ -639,7 +582,7 @@ let test_relation_memo_two_domains () =
       let d = Domain.spawn worker in
       let here = worker () in
       let there = Domain.join d in
-      Alcotest.(check bool) "coordinator domain observations" true here;
+      Alcotest.(check bool) "calling domain observations" true here;
       Alcotest.(check bool) "spawned domain observations" true there)
     [ 1; 2; 3 ]
 
@@ -664,7 +607,6 @@ let () =
         [
           tc "governor trips at batch granularity" `Quick
             test_vectorized_guard_trips;
-          tc "morsel scheduler, two real domains" `Quick test_morsel_scheduler;
           tc "relation memos race two domains" `Quick
             test_relation_memo_two_domains;
         ] );

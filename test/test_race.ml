@@ -1,11 +1,10 @@
-(* Concurrency sanitizer: vector-clock detector unit tests, the five
+(* Concurrency sanitizer: vector-clock detector unit tests, the three
    injected-race mutants (each with a fixed twin that publishes the
-   real synchronization edge and must come back clean), cross-domain
-   Guard budget aggregation, two-domain memo/cache stress under the
-   armed detector, the share-lint inventory against the real sources,
-   and a QCheck schedule-parity property (vectorized engine under
-   chaos schedules on a genuinely multi-domain pool vs the reference
-   walker, all strategies). *)
+   real synchronization edge, or keeps the cell domain-private, and
+   must come back clean), Guard scopes (exact counts on one domain,
+   concurrent sessions' scopes kept apart), two-domain memo/cache
+   stress under the armed detector, and the share-lint inventory
+   against the real sources. *)
 
 open Relalg
 
@@ -127,7 +126,7 @@ let test_arm_resets () =
   Alcotest.(check int) "fresh arm, fresh state" 0 (List.length rs)
 
 (* ------------------------------------------------------------------ *)
-(* The five injected-race mutants (and their fixed twins)              *)
+(* The three injected-race mutants (and their fixed twins)             *)
 (*                                                                     *)
 (* Each mutant replays a realistic engine bug at test-only access      *)
 (* points: the shared cell keeps its production location name, the     *)
@@ -151,28 +150,23 @@ let expect_race name loc rs =
 let expect_clean name rs =
   Alcotest.(check int) (name ^ ": fixed twin is clean") 0 (List.length rs)
 
-(* 1. Guard tick on shared per-scope counters without domain-local
-   views (the pre-refactor bug: every worker bumping one plain int). *)
+(* 1. Guard tick on one scope's plain counters from two domains (two
+   sessions sharing a budget scope instead of each owning one). *)
 let test_mutant_unguarded_guard_tick () =
   let loc = "guard.scope.rows" in
   let buggy =
     reports_of ~seed:11 (fun () ->
         sequential_cross_domain
-          (fun () -> Race.write_at loc ~path:"Select/count_row@coordinator")
-          (fun () -> Race.write_at loc ~path:"Select/count_row@worker"))
+          (fun () -> Race.write_at loc ~path:"Select/count_row@session1")
+          (fun () -> Race.write_at loc ~path:"Select/count_row@session2"))
   in
   expect_race "unguarded guard tick" loc buggy;
-  (* fixed: per-domain views flushed through an atomic (modeled as the
-     release/acquire pair the Atomic provides) *)
+  (* fixed: each domain ticks the scope it entered itself *)
   let fixed =
     reports_of (fun () ->
         sequential_cross_domain
-          (fun () ->
-            Race.write_at loc ~path:"Select/count_row@coordinator";
-            Race.release "guard.scope.flush")
-          (fun () ->
-            Race.acquire "guard.scope.flush";
-            Race.write_at loc ~path:"Select/count_row@worker"))
+          (fun () -> Race.write_at (loc ^ "[1]") ~path:"Select/count_row@session1")
+          (fun () -> Race.write_at (loc ^ "[2]") ~path:"Select/count_row@session2"))
   in
   expect_clean "guard tick" fixed
 
@@ -206,29 +200,7 @@ let test_mutant_unlocked_cache_insert () =
   in
   expect_clean "cache insert" fixed
 
-(* 3. Job-remaining maintained as a plain int instead of an Atomic. *)
-let test_mutant_nonatomic_job_counter () =
-  let loc = "morsel.job0.remaining" in
-  let buggy =
-    reports_of ~seed:13 (fun () ->
-        sequential_cross_domain
-          (fun () -> Race.write_at loc ~path:"run_task/decrement@w0")
-          (fun () -> Race.write_at loc ~path:"run_task/decrement@w1"))
-  in
-  expect_race "non-atomic job counter" loc buggy;
-  let fixed =
-    reports_of (fun () ->
-        sequential_cross_domain
-          (fun () ->
-            Race.write_at loc ~path:"run_task/decrement@w0";
-            Race.release "morsel.job0.done")
-          (fun () ->
-            Race.acquire "morsel.job0.done";
-            Race.write_at loc ~path:"run_task/decrement@w1"))
-  in
-  expect_clean "job counter" fixed
-
-(* 4. Memo result published without the release fence: the reader hits
+(* 3. Memo result published without the release fence: the reader hits
    the cell with no acquire path back to the builder. *)
 let test_mutant_memo_without_fence () =
   let loc = "relation[0].rows_memo" in
@@ -251,108 +223,82 @@ let test_mutant_memo_without_fence () =
   in
   expect_clean "memo fence" fixed
 
-(* 5. Deque bottom/top indices touched outside the deque lock (owner
-   pop racing a steal). *)
-let test_mutant_deque_index_race () =
-  let loc = "morsel.job0.dq0.bot" in
-  let buggy =
-    reports_of ~seed:15 (fun () ->
-        sequential_cross_domain
-          (fun () -> Race.write_at loc ~path:"deque_pop@owner")
-          (fun () ->
-            Race.read_at loc ~path:"deque_steal@thief";
-            Race.write_at "morsel.job0.dq0.top" ~path:"deque_steal@thief"))
-  in
-  expect_race "deque index race" loc buggy;
-  let m = Mutex.create () in
-  let fixed =
-    reports_of (fun () ->
-        sequential_cross_domain
-          (fun () ->
-            Race.with_lock m "morsel.job0.dq0" (fun () ->
-                Race.write_at loc ~path:"deque_pop@owner"))
-          (fun () ->
-            Race.with_lock m "morsel.job0.dq0" (fun () ->
-                Race.read_at loc ~path:"deque_steal@thief";
-                Race.write_at "morsel.job0.dq0.top" ~path:"deque_steal@thief")))
-  in
-  expect_clean "deque indices" fixed
-
 (* ------------------------------------------------------------------ *)
-(* Guard: cross-domain budget aggregation                              *)
+(* Guard: one scope per domain                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A 4-domain pool (unclamped: the CI host may report one core). Tasks
-   sized so that any domain running two of them crosses the ceiling —
-   8 tasks on 4 workers guarantee one does, whatever the schedule. *)
-let test_budget_trips_across_domains () =
-  let pool = Morsel.create 4 in
-  Fun.protect
-    ~finally:(fun () -> Morsel.shutdown pool)
+let test_scope_exact_total () =
+  Guard.with_budget
+    (Some (Guard.budget ~max_rows:10_000 ()))
     (fun () ->
-      match
-        Guard.with_budget
-          (Some (Guard.budget ~max_rows:100 ()))
-          (fun () ->
-            let scope = Guard.current_scope () in
-            Morsel.run pool ~tasks:8 (fun _w _t ->
-                Guard.with_scope scope (fun () ->
-                    Guard.count_rows [ "task" ] 60)))
-      with
-      | () -> Alcotest.fail "budget did not trip across domains"
-      | exception Guard.Budget_exceeded t -> (
-          match t.Guard.t_reason with
-          | Guard.Rows_exceeded 100 -> ()
-          | _ -> Alcotest.fail "wrong trip reason"))
+      for _ = 1 to 8 do
+        Guard.count_rows [ "task" ] 50
+      done;
+      Alcotest.(check int)
+        "8 x 50 rows count exactly" 400 (Guard.observed ()).Guard.c_rows)
 
-let test_aggregation_exact_total () =
-  let pool = Morsel.create 4 in
-  Fun.protect
-    ~finally:(fun () -> Morsel.shutdown pool)
-    (fun () ->
-      Guard.with_budget
-        (Some (Guard.budget ~max_rows:10_000 ()))
-        (fun () ->
-          let scope = Guard.current_scope () in
-          Morsel.run pool ~tasks:8 (fun _w _t ->
-              Guard.with_scope scope (fun () -> Guard.count_rows [ "task" ] 50));
-          Alcotest.(check int)
-            "8 tasks x 50 rows aggregate exactly" 400
-            (Guard.observed ()).Guard.c_rows))
+let test_scope_row_ceiling () =
+  match
+    Guard.with_budget
+      (Some (Guard.budget ~max_rows:100 ()))
+      (fun () ->
+        for _ = 1 to 8 do
+          Guard.count_rows [ "task" ] 50
+        done)
+  with
+  | () -> Alcotest.fail "row ceiling did not trip"
+  | exception Guard.Budget_exceeded t -> (
+      match t.Guard.t_reason with
+      | Guard.Rows_exceeded 100 -> ()
+      | _ -> Alcotest.fail "wrong trip reason")
 
-(* End-to-end: a vectorized query on a 4-domain pool trips its row
-   budget (the pre-refactor Guard lost worker-side counts entirely). *)
-let test_vexec_budget_trips_on_pool () =
-  let schema = Schema.of_list [ Schema.attr "a" Vtype.TInt ] in
-  let rel =
-    Relation.of_values schema (List.init 64 (fun k -> [ i (k mod 7) ]))
+(* Two sessions on two domains, each under its own scope, both scopes
+   live at once: one trips its 100-row ceiling at its own third batch,
+   the other finishes under its own ceiling and then, after the first
+   has tripped, still observes exactly its own 400 rows. A scope shared
+   between domains would trip the first early or show the second more
+   rows. *)
+let test_scopes_do_not_share () =
+  let inside = Atomic.make 0 and tripped = Atomic.make false in
+  let wait_until p = while not (p ()) do Domain.cpu_relax () done in
+  let session ~ceiling ~before_reading () =
+    Guard.with_budget
+      (Some (Guard.budget ~max_rows:ceiling ()))
+      (fun () ->
+        Atomic.incr inside;
+        wait_until (fun () -> Atomic.get inside = 2);
+        for _ = 1 to 8 do
+          Guard.count_rows [ "task" ] 50
+        done;
+        before_reading ();
+        (Guard.observed ()).Guard.c_rows)
   in
-  let db = Database.of_list [ ("t", rel) ] in
-  let pool = Morsel.create 4 in
-  let saved_batch = !Vexec.batch_rows in
-  Vexec.pool_override := Some pool;
-  Vexec.batch_rows := 2;
-  Fun.protect
-    ~finally:(fun () ->
-      Vexec.pool_override := None;
-      Vexec.batch_rows := saved_batch;
-      Morsel.shutdown pool)
-    (fun () ->
-      let q =
-        Algebra.Select
-          ( Algebra.Cmp (Algebra.Geq, Algebra.Attr "a", Algebra.Const (i 0)),
-            Algebra.Base "t" )
-      in
-      match
-        Guard.with_budget
-          (Some (Guard.budget ~max_rows:10 ()))
-          (fun () -> Vexec.query db q)
-      with
-      | _ -> Alcotest.fail "vectorized row budget did not trip on the pool"
-      | exception Guard.Budget_exceeded t -> (
-          match t.Guard.t_reason with
-          | Guard.Rows_exceeded 10 -> ()
-          | _ -> Alcotest.fail "wrong trip reason"))
+  let tripper =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set tripped true)
+          (fun () ->
+            match session ~ceiling:100 ~before_reading:ignore () with
+            | _ -> None
+            | exception Guard.Budget_exceeded t -> Some t))
+  in
+  let finisher =
+    Domain.spawn
+      (session ~ceiling:10_000 ~before_reading:(fun () ->
+           wait_until (fun () -> Atomic.get tripped)))
+  in
+  let t = Domain.join tripper and own = Domain.join finisher in
+  (match t with
+  | None -> Alcotest.fail "the 100-row session did not trip"
+  | Some t ->
+      Alcotest.(check bool)
+        "trip reason" true
+        (t.Guard.t_reason = Guard.Rows_exceeded 100);
+      Alcotest.(check int) "tripped on its own count" 150
+        t.Guard.t_counters.Guard.c_rows);
+  Alcotest.(check int) "other session counts only its own rows" 400 own;
+  Alcotest.(check bool) "no scope leaks to the caller" false
+    (Guard.is_active ())
 
 (* ------------------------------------------------------------------ *)
 (* Two-domain stress under the armed detector: engine paths are clean  *)
@@ -418,8 +364,8 @@ let test_share_lint_flags_unregistered_mutable () =
        (Lint.errors ds))
 
 let test_share_lint_flags_kind_mismatch () =
-  let src = "let chaos = ref 0\n" in
-  let ds = Share_lint.check_module ~module_:"morsel" src in
+  let src = "let probe_counter = ref 0\n" in
+  let ds = Share_lint.check_module ~module_:"vexec" src in
   Alcotest.(check bool)
     "atomic registered, ref declared" true
     (List.exists (fun d -> d.Lint.rule = "share-kind-mismatch") ds)
@@ -478,30 +424,6 @@ let test_race_report_as_diagnostic () =
      with Not_found -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Schedule parity: chaos schedules on a real multi-domain pool        *)
-(* ------------------------------------------------------------------ *)
-
-let schedule_parity_prop =
-  let pool = Morsel.create 2 in
-  (* pool shutdown leaks at process exit — acceptable in a test binary *)
-  QCheck.Test.make ~count:10 ~name:"vectorized under chaos schedules = reference"
-    QCheck.(pair small_nat small_nat)
-    (fun (case_seed, sched_seed) ->
-      let case = Fuzz.Qgen.case_of_seed ~config:Fuzz.Racefuzz.default_config case_seed in
-      match Fuzz.Racefuzz.check ~pool ~sched_seed case with
-      | Fuzz.Racefuzz.Clean _ | Fuzz.Racefuzz.Skip _ -> true
-      | Fuzz.Racefuzz.Fail detail -> QCheck.Test.fail_report detail)
-
-let test_racefuzz_mini_campaign () =
-  let stats =
-    Fuzz.Racefuzz.campaign ~seed:5 ~count:6 ~domains:3 ()
-  in
-  Alcotest.(check int) "mini campaign clean" 0
-    (List.length stats.Fuzz.Racefuzz.rs_failures);
-  Alcotest.(check bool) "mini campaign ran plans" true
-    (stats.Fuzz.Racefuzz.rs_plans > 0)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "race"
@@ -523,21 +445,16 @@ let () =
             test_mutant_unguarded_guard_tick;
           Alcotest.test_case "unlocked cache insert" `Quick
             test_mutant_unlocked_cache_insert;
-          Alcotest.test_case "non-atomic job counter" `Quick
-            test_mutant_nonatomic_job_counter;
           Alcotest.test_case "memo published without fence" `Quick
             test_mutant_memo_without_fence;
-          Alcotest.test_case "deque index race" `Quick
-            test_mutant_deque_index_race;
         ] );
-      ( "guard-aggregation",
+      ( "guard-scope",
         [
-          Alcotest.test_case "budget trips across domains" `Quick
-            test_budget_trips_across_domains;
-          Alcotest.test_case "totals aggregate exactly" `Quick
-            test_aggregation_exact_total;
-          Alcotest.test_case "vectorized trip on 4-domain pool" `Quick
-            test_vexec_budget_trips_on_pool;
+          Alcotest.test_case "totals count exactly" `Quick
+            test_scope_exact_total;
+          Alcotest.test_case "row ceiling trips" `Quick test_scope_row_ceiling;
+          Alcotest.test_case "sessions do not share budgets" `Quick
+            test_scopes_do_not_share;
         ] );
       ( "stress-armed",
         [
@@ -559,10 +476,5 @@ let () =
             test_share_lint_inventory_consistent;
           Alcotest.test_case "race report as diagnostic" `Quick
             test_race_report_as_diagnostic;
-        ] );
-      ( "schedule-fuzz",
-        [
-          QCheck_alcotest.to_alcotest schedule_parity_prop;
-          Alcotest.test_case "mini campaign" `Slow test_racefuzz_mini_campaign;
         ] );
     ]
