@@ -1310,7 +1310,7 @@ let batch_rows_arg =
   Arg.(
     value & opt int !Vexec.batch_rows
     & info [ "batch-rows" ] ~docv:"N"
-        ~doc:"Rows per columnar batch.")
+        ~doc:"Rows per batch.")
 
 let json_arg =
   Arg.(

@@ -176,7 +176,7 @@ symbolic() {
 race() {
   step "static sharing lint (warnings as errors)"
   timeout 120 dune exec bench/main.exe -- share-lint --werror
-  dune exec bin/permcli.exe -- --share-lint | grep -q '"errors":0'
+  dune exec bench/main.exe -- share-lint --lint-json | grep -q '"errors":0'
 
   step "unregistered shared mutable fails the lint"
   # on a copy of the engine sources, so the working tree is untouched

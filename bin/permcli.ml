@@ -261,18 +261,6 @@ let lint_json_statement session sql : int =
       Printf.printf "{\"error\":\"%s\"}\n" (json_escape msg);
       2
 
-(* --share-lint: the engine's shared-state inventory cross-checked
-   against its sources, as the same JSON shape as --lint-json. *)
-let share_lint_json () : int =
-  match Share_lint.default_root () with
-  | None ->
-      print_endline "{\"error\":\"cannot find lib/relalg sources\"}";
-      2
-  | Some root ->
-      let ds = Share_lint.check_sources ~root in
-      print_endline (Share_lint.diagnostics_json ds);
-      if Lint.errors ds = [] then 0 else 1
-
 (* \analyze SQL: per-operator dataflow fact dump (cardinality interval,
    maybe-null flags, base-column lineage) for one statement, without
    running it — and for its provenance rewrite when the PROVENANCE
@@ -845,7 +833,7 @@ let batch_rows_arg =
   Arg.(
     value & opt int !Vexec.batch_rows
     & info [ "batch-rows" ] ~docv:"N"
-        ~doc:"Rows per columnar batch.")
+        ~doc:"Rows per batch.")
 
 let lint_arg =
   Arg.(
@@ -911,17 +899,6 @@ let werror_arg =
     & info [ "Werror" ]
         ~doc:"With $(b,--lint), treat warning diagnostics as errors too.")
 
-let share_lint_arg =
-  Arg.(
-    value & flag
-    & info [ "share-lint" ]
-        ~doc:
-          "Cross-check the engine's declared shared-state inventory against \
-           its sources and exit, printing the diagnostics as the same JSON \
-           object $(b,--lint-json) emits (stable rule identifiers such as \
-           $(b,share-undeclared-mutable)). Exits 0 when clean, 1 on errors, \
-           2 when the sources cannot be found.")
-
 let timeout_arg =
   Arg.(
     value
@@ -983,8 +960,7 @@ let replay_bundle dir =
 
 let main_inner tpch demo loads exec file strategy plan
     batch_rows lint certify replay lint_json explain_json werror
-    share_lint timeout max_rows fallback connect =
-  if share_lint then Stdlib.exit (share_lint_json ());
+    timeout max_rows fallback connect =
   (match replay with Some dir -> replay_bundle dir | None -> ());
   (match connect with
   | Some hostport ->
@@ -1091,11 +1067,11 @@ let main_inner tpch demo loads exec file strategy plan
    returns); anything else escaping is by definition a crash. *)
 let main tpch demo loads exec file strategy plan
     batch_rows lint certify replay lint_json explain_json werror
-    share_lint timeout max_rows fallback connect =
+    timeout max_rows fallback connect =
   try
     main_inner tpch demo loads exec file strategy plan
       batch_rows lint certify replay lint_json explain_json werror
-      share_lint timeout max_rows fallback connect
+      timeout max_rows fallback connect
   with
   | Resilience.Perm_error e ->
       Printf.eprintf "error: %s\n" (Resilience.error_to_string e);
@@ -1113,7 +1089,7 @@ let cmd =
     Term.(
       const main $ tpch_arg $ demo_arg $ load_arg $ exec_arg $ file_arg
       $ strategy_arg $ plan_arg $ batch_rows_arg $ lint_arg
-      $ certify_arg $ replay_arg $ lint_json_arg $ explain_json_arg $ werror_arg $ share_lint_arg
+      $ certify_arg $ replay_arg $ lint_json_arg $ explain_json_arg $ werror_arg
       $ timeout_arg $ max_rows_arg $ fallback_arg $ connect_arg)
 
 (* cmdliner reports its own CLI parse failures as [term_err]; map them

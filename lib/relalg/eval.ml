@@ -4,7 +4,7 @@
     Two engines implement the same semantics:
 
     - the {e vectorized} engine ({!Vexec}), the only production
-      engine, lowers the plan once into columnar batch kernels and
+      engine, lowers the plan once into batch kernels and
       offset-resolved closures and only moves values at run time;
       {!query}, {!query_stats} and {!expr} run it;
     - the {e reference} engine (this module's tree walker) interprets
@@ -494,7 +494,7 @@ and eval_agg ctx here env ({ group_by; aggs; agg_input } as spec) : Relation.t =
 
 let compile_env env = List.map (fun f -> (f.f_schema, f.f_tuple)) env
 
-(** [query db q] executes [q] with the columnar batch engine ({!Vexec};
+(** [query db q] executes [q] with the vectorized engine ({!Vexec};
     batch size from {!Vexec.batch_rows}) on the calling domain; [env]
     supplies outer frames for correlated evaluation. *)
 let query ?(env = []) db q = Vexec.query ~env:(compile_env env) db q

@@ -2,7 +2,7 @@
 
     Two engines implement the same semantics: the {e vectorized}
     engine ({!Vexec}, the production engine) lowers the plan once into
-    columnar batch kernels and offset-resolved closures, and {!query},
+    batch kernels and offset-resolved closures, and {!query},
     {!query_stats} and {!expr} run it; the {e reference} engine is the
     tree-walking interpreter kept in this module as the executable
     specification, reachable only through the [*_reference] entry

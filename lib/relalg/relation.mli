@@ -16,8 +16,8 @@ val make_unchecked : Schema.t -> Tuple.t list -> t
 
 (** [make_lazy ~cardinality schema produce] — late materialization: the
     rows are built by [produce ()] on first access and cached (the
-    vectorized engine keeps results in columnar batches and only
-    transposes to boxed rows if a consumer actually reads them).
+    vectorized engine keeps results in batches and only expands them
+    into one row list if a consumer actually reads them).
     [cardinality] must equal the produced list's length; {!cardinality}
     and {!is_empty} are answered without forcing the rows. [produce]
     must be pure; forcing is domain-safe (same discipline as

@@ -90,7 +90,7 @@ let set_mem s v = Tuple.Tbl.mem s.s_set [| v |]
 
 (* Read-only summary accessors for the vectorized probe kernels
    ({!Vexec}), which specialize the ANY-equality membership test to an
-   unboxed integer set when every distinct value is an [Int]. *)
+   integer set when every distinct value is an [Int]. *)
 let summary_is_empty s = s.s_empty
 let summary_has_null s = s.s_has_null
 

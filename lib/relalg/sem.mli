@@ -28,7 +28,7 @@ val any_of_summary : Algebra.cmpop -> Value.t -> summary -> Value.t
 val all_of_summary : Algebra.cmpop -> Value.t -> summary -> Value.t
 
 (** Read-only summary accessors, used by the vectorized engine's probe
-    kernels to build unboxed membership sets. *)
+    kernels to build integer membership sets. *)
 val summary_is_empty : summary -> bool
 
 val summary_has_null : summary -> bool

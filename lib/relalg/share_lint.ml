@@ -46,12 +46,8 @@ let inventory =
     entry "vexec" "batch_rows" "ref" InitOnce
       "batch granularity; set by the CLI before execution";
     entry "vexec" "cache" "ref" (LockProtected "vexec.cache_lock")
-      "columnar base-relation cache, identity-keyed";
+      "base-relation batch cache, identity-keyed";
     entry "vexec" "cache_lock" "mutex" Immutable "orders vexec.cache";
-    entry "vexec" "probe_counter" "atomic" AtomicOnly
-      "probe ids for per-probe race-detector locations";
-    entry "vexec" "ctx_counter" "atomic" AtomicOnly
-      "ctx tags for per-execution race-detector locations";
     (* relation *)
     entry "relation" "memo_lock" "mutex" Immutable
       "serializes memo builds; the memo cells themselves are Atomic \

@@ -1,15 +1,16 @@
 (** Query execution: the production engine. A type-checked
     {!Algebra.query} is lowered once into batch-at-a-time operators over
-    columnar {!Vector} batches, and every scalar expression into a
-    closure with its attribute references resolved to frame offsets.
+    {!Vector} batches of boxed tuples, and every scalar expression into
+    a closure with its attribute references resolved to frame offsets.
 
     Operators materialize their outputs as batch lists, evaluate
-    selection predicates as columnar masks (unboxed three-valued bytes
-    over a selection vector), and probe uncorrelated [ANY]/[ALL]
-    sublinks against an unboxed integer set specialized from the
-    {!Sem} summary. A query runs on the domain that called it.
+    selection predicates as masks (three-valued bytes, one per row of a
+    batch, applied as the batch's selection vector), and probe
+    uncorrelated [ANY]/[ALL] sublinks against the {!Sem} summary, or an
+    integer set specialized from it. A query runs on the domain that
+    called it.
 
-    Everything without a columnar kernel — residual join predicates,
+    Everything without a mask kernel — residual join predicates,
     projection expressions, aggregation, ordering — runs the compiled
     closures of the expression compiler below: every [Attr] resolved at
     lowering time to a [(frame_depth, column_offset)] pair, predicates
@@ -26,24 +27,25 @@
 
     Domain safety: server sessions run executions on concurrent
     domains over shared snapshot relations. Each execution's context,
-    memo tables and probe sets are its own; the one cell executions
-    share, the columnar cache, sits under a lock. Shared mutable cells
-    are registered in {!Share_lint}'s inventory and instrumented for
-    the {!Race} detector. *)
+    memo tables and probe sets are its own and touched only by the
+    executing domain; the one cell executions share, the base-relation
+    batch cache, sits under a lock. Shared mutable cells are registered
+    in {!Share_lint}'s inventory and instrumented for the {!Race}
+    detector. *)
 
 open Algebra
 
-(** Rows per columnar batch. Set via [--batch-rows]. At 256 a batch's
+(** Rows per batch. Set via [--batch-rows]. At 256 a batch's
     per-row scratch arrays (selection vectors, masks, row arrays) stay
     within OCaml's minor-heap size limit (256 words); larger ones are
     allocated directly in the major heap, where short-lived garbage is
     far more expensive to reclaim. *)
 let batch_rows = ref 256
 
-(* ---- columnar base-relation cache --------------------------------- *)
+(* ---- base-relation batch cache ------------------------------------ *)
 
-(* Base relations are converted to columnar batches once and reused
-   across executions (keyed on physical identity plus the batch size
+(* Base relations are split into batches once and reused across
+   executions (keyed on physical identity plus the batch size
    they were split with — a DDL'd catalog entry is a fresh relation and
    misses). Guarded by a mutex: executions on different domains (server
    sessions) share the cache. *)
@@ -60,7 +62,7 @@ let rec take_n n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: take_n (n - 1) rest
 
-let columnar_batches rel : Vector.t array =
+let base_batches rel : Vector.t array =
   let br = max 1 !batch_rows in
   let hit =
     Race.with_lock cache_lock "vexec.cache_lock" (fun () ->
@@ -84,32 +86,19 @@ let columnar_batches rel : Vector.t array =
 (** Per-execution context: sublink memo tables and counters, exactly
     mirroring the reference evaluator's. *)
 type ctx = {
-  ctx_tag : int;
-      (* process-unique, for per-execution race-detector locations *)
   db : Database.t;
   sub_results : (int * Value.t list, Relation.t) Hashtbl.t;
   sub_summaries : (int * Value.t list, Sem.summary) Hashtbl.t;
   stats : Sem.stats;
 }
 
-let ctx_counter = Atomic.make 0
-
 let mk_ctx db =
   {
-    ctx_tag = Atomic.fetch_and_add ctx_counter 1;
     db;
     sub_results = Hashtbl.create 64;
     sub_summaries = Hashtbl.create 64;
     stats = Sem.fresh_stats ();
   }
-
-(* The sublink memo tables (and the replay slots) are per-execution and
-   confined to the executing domain, so an access from another domain
-   is a bug the armed race detector reports. The location is per-ctx —
-   two concurrent executions own disjoint tables and must not alias. *)
-let memo_loc ctx = "vexec.ctx[" ^ string_of_int ctx.ctx_tag ^ "].memo"
-let memo_read ctx = if Race.is_armed () then Race.read (memo_loc ctx)
-let memo_write ctx = if Race.is_armed () then Race.write (memo_loc ctx)
 
 (** Runtime environment: tuple frames, innermost first. *)
 type renv = Tuple.t list
@@ -152,14 +141,9 @@ let iota n : int array =
 (* Physical indices of a batch's surviving rows, in order. *)
 let idx_of (b : Vector.t) : int array =
   match b with
-  | Vector.Cols { sel = Some s; _ } -> s
-  | Vector.Cols { n; _ } -> iota n
-  | Vector.Rows _ | Vector.CrossB _ -> iota (Vector.length b)
-
-let col_of (b : Vector.t) j : Vector.column option =
-  match b with
-  | Vector.Cols { cols; _ } -> Some cols.(j)
-  | Vector.Rows _ | Vector.CrossB _ -> None
+  | Vector.Rows { sel = Some s; _ } -> s
+  | Vector.Rows { rows; _ } -> iota (Array.length rows)
+  | Vector.CrossB _ -> iota (Vector.length b)
 
 (* Split a materialized row list into [Rows] batches, filling each
    batch's array straight from the list. *)
@@ -376,9 +360,9 @@ let cmp_b3 op (va : Value.t) (vb : Value.t) : int =
    the per-execution memo tables and counters; [pr_prep] caches the
    per-execution specialization (keyed on the context by identity).
    When every distinct summary value is an [Int], equality-style
-   membership is answered from an unboxed int set — sound only then,
-   because the summary's own set equates [Int 3] with [Float 3.] and
-   the int set would not. *)
+   membership of an [Int] input is answered from an int set — sound
+   only then, because the summary's own set equates [Int 3] with
+   [Float 3.] and the int set would not. *)
 type prep = {
   p_sum : Sem.summary;
   p_empty : bool;
@@ -387,7 +371,6 @@ type prep = {
 }
 
 type probe = {
-  pr_id : int;  (** process-unique, for race-detector locations *)
   pr_get : ctx -> Tuple.t list -> Sem.summary;
   pr_any : bool;
   pr_op : cmpop;
@@ -395,15 +378,6 @@ type probe = {
   pr_env0 : Tuple.t;  (** NULL frame standing in for the input row *)
   mutable pr_prep : (ctx * prep) option;
 }
-
-let probe_counter = Atomic.make 0
-
-(* [pr_prep] is written and read by the executing domain only; an armed
-   detector reports an access from another. Per-probe location —
-   probes are execution-private, and distinct probes must not alias. *)
-let probe_loc pr = "vexec.probe[" ^ string_of_int pr.pr_id ^ "].prep"
-let probe_mark_read pr = if Race.is_armed () then Race.read (probe_loc pr)
-let probe_mark_write pr = if Race.is_armed () then Race.write (probe_loc pr)
 
 type leaf =
   | LAttr of int  (** boolean-position column read *)
@@ -441,7 +415,6 @@ let rec mask_probes acc = function
   | MLeaf (LProbe p) -> p :: acc
 
 let prep_probe rt pr : prep =
-  probe_mark_read pr;
   match pr.pr_prep with
   | Some (c, p) when c == rt.cctx -> p
   | _ ->
@@ -472,7 +445,6 @@ let prep_probe rt pr : prep =
           p_iset = iset;
         }
       in
-      probe_mark_write pr;
       pr.pr_prep <- Some (rt.cctx, p);
       p
 
@@ -516,177 +488,50 @@ let eval_attr b idx j : Bytes.t =
 let eval_isnull b idx j : Bytes.t =
   let m = Array.length idx in
   let out = Bytes.create m in
-  let generic () =
-    for k = 0 to m - 1 do
-      Bytes.unsafe_set out k
-        (if Value.is_null (Vector.value_at b j (Array.unsafe_get idx k)) then '\001'
-         else '\000')
-    done
-  in
-  (match col_of b j with
-  | Some col -> (
-      match (col.data, col.valid) with
-      | Vector.DVal _, _ -> generic ()
-      | _, None -> Bytes.fill out 0 m '\000'
-      | _, Some bm ->
-          for k = 0 to m - 1 do
-            Bytes.unsafe_set out k
-              (if Vector.bit_get bm (Array.unsafe_get idx k) then '\000'
-               else '\001')
-          done)
-  | None -> generic ());
+  for k = 0 to m - 1 do
+    Bytes.unsafe_set out k
+      (if Value.is_null (Vector.value_at b j (Array.unsafe_get idx k)) then '\001'
+       else '\000')
+  done;
   out
 
 let eval_cmp_cc b idx op j (cv : Value.t) : Bytes.t =
   let m = Array.length idx in
   let out = Bytes.create m in
-  let generic () =
-    for k = 0 to m - 1 do
-      Bytes.unsafe_set out k
-        (Char.unsafe_chr (cmp_b3 op (Vector.value_at b j (Array.unsafe_get idx k)) cv))
-    done
-  in
-  (match (col_of b j, cv) with
-  | Some col, Value.Int c -> (
-      match col.data with
-      | Vector.DInt a -> (
-          match col.valid with
-          | None ->
-              for k = 0 to m - 1 do
-                let x = Bigarray.Array1.unsafe_get a (Array.unsafe_get idx k) in
-                Bytes.unsafe_set out k (if icmp op x c then '\001' else '\000')
-              done
-          | Some bm ->
-              let null_r = if op = EqNull then '\000' else '\002' in
-              for k = 0 to m - 1 do
-                let i = Array.unsafe_get idx k in
-                Bytes.unsafe_set out k
-                  (if Vector.bit_get bm i then
-                     if icmp op (Bigarray.Array1.unsafe_get a i) c then '\001'
-                     else '\000'
-                   else null_r)
-              done)
-      | _ -> generic ())
-  | _ -> generic ());
+  for k = 0 to m - 1 do
+    Bytes.unsafe_set out k
+      (Char.unsafe_chr (cmp_b3 op (Vector.value_at b j (Array.unsafe_get idx k)) cv))
+  done;
   out
 
 let eval_cmp_rev b idx op (cv : Value.t) j : Bytes.t =
   let m = Array.length idx in
   let out = Bytes.create m in
-  let generic () =
-    for k = 0 to m - 1 do
-      Bytes.unsafe_set out k
-        (Char.unsafe_chr (cmp_b3 op cv (Vector.value_at b j (Array.unsafe_get idx k))))
-    done
-  in
-  (match (col_of b j, cv) with
-  | Some col, Value.Int c -> (
-      match col.data with
-      | Vector.DInt a -> (
-          match col.valid with
-          | None ->
-              for k = 0 to m - 1 do
-                let x = Bigarray.Array1.unsafe_get a (Array.unsafe_get idx k) in
-                Bytes.unsafe_set out k (if icmp op c x then '\001' else '\000')
-              done
-          | Some bm ->
-              let null_r = if op = EqNull then '\000' else '\002' in
-              for k = 0 to m - 1 do
-                let i = Array.unsafe_get idx k in
-                Bytes.unsafe_set out k
-                  (if Vector.bit_get bm i then
-                     if icmp op c (Bigarray.Array1.unsafe_get a i) then '\001'
-                     else '\000'
-                   else null_r)
-              done)
-      | _ -> generic ())
-  | _ -> generic ());
+  for k = 0 to m - 1 do
+    Bytes.unsafe_set out k
+      (Char.unsafe_chr (cmp_b3 op cv (Vector.value_at b j (Array.unsafe_get idx k))))
+  done;
   out
 
 let eval_cmp_cols b idx op j1 j2 : Bytes.t =
   let m = Array.length idx in
   let out = Bytes.create m in
-  let generic () =
-    for k = 0 to m - 1 do
-      let i = Array.unsafe_get idx k in
-      Bytes.unsafe_set out k
-        (Char.unsafe_chr (cmp_b3 op (Vector.value_at b j1 i) (Vector.value_at b j2 i)))
-    done
-  in
-  (match (col_of b j1, col_of b j2) with
-  | Some c1, Some c2 -> (
-      match (c1.data, c2.data, c1.valid, c2.valid) with
-      | Vector.DInt a1, Vector.DInt a2, None, None ->
-          for k = 0 to m - 1 do
-            let i = Array.unsafe_get idx k in
-            Bytes.unsafe_set out k
-              (if
-                 icmp op
-                   (Bigarray.Array1.unsafe_get a1 i)
-                   (Bigarray.Array1.unsafe_get a2 i)
-               then '\001'
-               else '\000')
-          done
-      | _ -> generic ())
-  | _ -> generic ());
+  for k = 0 to m - 1 do
+    let i = Array.unsafe_get idx k in
+    Bytes.unsafe_set out k
+      (Char.unsafe_chr (cmp_b3 op (Vector.value_at b j1 i) (Vector.value_at b j2 i)))
+  done;
   out
 
 let eval_probe rt b idx pr : Bytes.t =
   let prep = prep_probe rt pr in
   let m = Array.length idx in
   let out = Bytes.create m in
-  let generic () =
-    for k = 0 to m - 1 do
-      Bytes.unsafe_set out k
-        (Char.unsafe_chr
-           (probe_b3 pr prep (Vector.value_at b pr.pr_lhs (Array.unsafe_get idx k))))
-    done
-  in
-  (match (col_of b pr.pr_lhs, prep.p_iset) with
-  | Some col, Some iset -> (
-      match col.data with
-      | Vector.DInt a ->
-          if prep.p_empty then
-            Bytes.fill out 0 m (if pr.pr_any then '\000' else '\001')
-          else begin
-            let any = pr.pr_any
-            and eqn = pr.pr_op = EqNull
-            and hn = prep.p_has_null in
-            let hit (x : int) =
-              let mem = Hashtbl.mem iset x in
-              if any then
-                if eqn then if mem then 1 else 0
-                else if mem then 1
-                else if hn then 2
-                else 0
-              else if mem then 0
-              else if hn then 2
-              else 1
-            in
-            match col.valid with
-            | None ->
-                for k = 0 to m - 1 do
-                  Bytes.unsafe_set out k
-                    (Char.unsafe_chr
-                       (hit
-                          (Bigarray.Array1.unsafe_get a
-                             (Array.unsafe_get idx k))))
-                done
-            | Some bm ->
-                let null_r =
-                  if any && eqn then if hn then 1 else 0 else 2
-                in
-                for k = 0 to m - 1 do
-                  let i = Array.unsafe_get idx k in
-                  Bytes.unsafe_set out k
-                    (Char.unsafe_chr
-                       (if Vector.bit_get bm i then
-                          hit (Bigarray.Array1.unsafe_get a i)
-                        else null_r))
-                done
-          end
-      | _ -> generic ())
-  | _ -> generic ());
+  for k = 0 to m - 1 do
+    Bytes.unsafe_set out k
+      (Char.unsafe_chr
+         (probe_b3 pr prep (Vector.value_at b pr.pr_lhs (Array.unsafe_get idx k))))
+  done;
   out
 
 (* ---- mask evaluation ------------------------------------------------ *)
@@ -788,9 +633,10 @@ and eval_leaf rt b idx = function
   | LCmpOuterRev (op, at, j) -> eval_cmp_rev b idx op (outer_value rt at) j
   | LProbe pr -> eval_probe rt b idx pr
 
-(* Apply a computed mask: surviving rows become the batch's selection
-   vector ([Cols], zero-copy) or a filtered [Rows] batch; an all-kept
-   batch passes through unchanged and an emptied one is dropped. *)
+(* Apply a computed mask: surviving rows become a row batch's selection
+   vector (no row is copied), or a cross block's kept rows are expanded
+   into a row batch; an all-kept batch passes through unchanged and an
+   emptied one is dropped. *)
 let apply_mask (b : Vector.t) (idx : int array) (r : Bytes.t) :
     Vector.t option =
   let m = Array.length idx in
@@ -802,7 +648,7 @@ let apply_mask (b : Vector.t) (idx : int array) (r : Bytes.t) :
   else if !cnt = m then Some b
   else
     match b with
-    | Vector.Cols _ ->
+    | Vector.Rows rb ->
         let keep = Array.make !cnt 0 in
         let p = ref 0 in
         for k = 0 to m - 1 do
@@ -811,17 +657,7 @@ let apply_mask (b : Vector.t) (idx : int array) (r : Bytes.t) :
             incr p
           end
         done;
-        Some (Vector.with_sel b (Some keep))
-    | Vector.Rows { schema; rows } ->
-        let keep = Array.make !cnt rows.(0) in
-        let p = ref 0 in
-        for k = 0 to m - 1 do
-          if Bytes.unsafe_get r k = '\001' then begin
-            keep.(!p) <- rows.(Array.unsafe_get idx k);
-            incr p
-          end
-        done;
-        Some (Vector.rows_batch schema keep)
+        Some (Vector.Rows { rb with sel = Some keep })
     | Vector.CrossB _ ->
         let schema = Vector.schema b in
         let keep = Array.make !cnt (Vector.tuple_at b idx.(0)) in
@@ -855,14 +691,14 @@ type pcol = PAttr of int | PMask of mask
 
 let value_of_b3 = function 0 -> Value.vfalse | 1 -> Value.vtrue | _ -> Value.Null
 
-(* A replayed subtree's batches as kept in its slot: projected columnar
+(* A replayed subtree's batches as kept in its slot: projected row
    batches and factored cross blocks are boxed once here, instead of on
    every replay. *)
 let keep_rows (b : Vector.t) =
   match b with
-  | Vector.Cols { src = { offs = Some _; _ }; _ } | Vector.CrossB _ ->
+  | Vector.Rows { offs = Some _; _ } | Vector.CrossB _ ->
       Vector.rows_batch (Vector.schema b) (Vector.rows_arr b)
-  | Vector.Cols _ | Vector.Rows _ -> b
+  | Vector.Rows _ -> b
 
 (* ---- expression compilation and lowering ----------------------------- *)
 
@@ -1020,7 +856,6 @@ and sublink_memo db at cenv (s : sublink) ~correlated =
     | bats -> Vector.relation_of body.v_schema bats
   in
   let materialize ctx env k =
-    memo_read ctx;
     match Hashtbl.find_opt ctx.sub_results k with
     | Some rel ->
         ctx.stats.Sem.st_sublink_hits <- ctx.stats.Sem.st_sublink_hits + 1;
@@ -1029,12 +864,10 @@ and sublink_memo db at cenv (s : sublink) ~correlated =
         ctx.stats.Sem.st_sublink_evals <- ctx.stats.Sem.st_sublink_evals + 1;
         Guard.Faults.fire_point Guard.Faults.Sublink spath;
         let rel = run ctx env in
-        memo_write ctx;
         Hashtbl.add ctx.sub_results k rel;
         rel
   in
   let summary ctx env k =
-    memo_read ctx;
     match Hashtbl.find_opt ctx.sub_summaries k with
     | Some sm -> sm
     | None ->
@@ -1042,7 +875,6 @@ and sublink_memo db at cenv (s : sublink) ~correlated =
         let sm =
           Sem.summarize (List.map (fun t -> Tuple.get t 0) (Relation.tuples rel))
         in
-        memo_write ctx;
         Hashtbl.add ctx.sub_summaries k sm;
         sm
   in
@@ -1135,7 +967,7 @@ and sublink_summary db at cenv (s : sublink) :
     Some (fun ctx env -> summary ctx env k0)
   end
 
-(* Lower a predicate to a mask when every node has a columnar kernel
+(* Lower a predicate to a mask when every node has a mask kernel
    against the depth-0 input schema — plus comparisons of an input
    column with an enclosing frame's column; any other unsupported or
    outer-resolving node rejects the whole predicate, and the caller
@@ -1210,7 +1042,6 @@ and probe_of db at schema cenv ~any op n s : mask option =
             (MLeaf
                (LProbe
                   {
-                    pr_id = Atomic.fetch_and_add probe_counter 1;
                     pr_get = get;
                     pr_any = any;
                     pr_op = op;
@@ -1265,7 +1096,6 @@ and lower_replayed db path q : vop =
     v_schema = v.v_schema;
     v_run =
       (fun rt ->
-        memo_read rt.cctx;
         match !slot with
         | Some (c, bats, charged) when c == rt.cctx ->
             if charged > 0 then Guard.count_rows here charged;
@@ -1273,7 +1103,6 @@ and lower_replayed db path q : vop =
         | _ ->
             let before = Guard.charged_rows () in
             let bats = List.map keep_rows (v.v_run { rt with renv = [] }) in
-            memo_write rt.cctx;
             slot := Some (rt.cctx, bats, Guard.charged_rows () - before);
             bats);
   }
@@ -1298,12 +1127,12 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
           (fun rt ->
             Guard.Faults.fire_point Guard.Faults.Scan here;
             Array.to_list
-              (columnar_batches (Database.find rt.cctx.db name)));
+              (base_batches (Database.find rt.cctx.db name)));
       }
   | TableExpr rel ->
       (* Plan constants (the rewrites' NULL padding rows, folded empty
          inputs) are fresh relations on every rewrite: converting them
-         would churn the columnar cache and evict the base tables, so
+         would churn the batch cache and evict the base tables, so
          they stream their own tuples. *)
       let schema = Relation.schema rel in
       {
@@ -1459,7 +1288,7 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
         setop_of va vb Relation.union_bag
       else
         (* A bag union is its inputs' batches in order: nothing is
-           copied, and base-table batches stay columnar. *)
+           copied. *)
         {
           v_schema = va.v_schema;
           v_run =
@@ -1539,11 +1368,8 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
                   let need = n - !taken in
                   taken := n;
                   match b with
-                  | Vector.Cols _ ->
-                      let idx = idx_of b in
-                      Some (Vector.with_sel b (Some (Array.sub idx 0 need)))
-                  | Vector.Rows { schema; rows } ->
-                      Some (Vector.rows_batch schema (Array.sub rows 0 need))
+                  | Vector.Rows r ->
+                      Some (Vector.Rows { r with sel = Some (Array.sub (idx_of b) 0 need) })
                   | Vector.CrossB _ ->
                       Some
                         (Vector.rows_batch (Vector.schema b)
@@ -1741,7 +1567,7 @@ and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
           let pad = Tuple.nulls arity_b in
           let nleft = ref 0 and emitted = ref 0 in
           (* Output is a batch list in left-row order: row-wise runs
-             (filtered matches, outer padding) interleaved with columnar
+             (filtered matches, outer padding) interleaved with factored
              cross blocks (the all-match case of the hoisted OR). At most
              one of [acc]/[pending] is nonempty at any point. *)
           let out = ref [] in
@@ -1792,8 +1618,9 @@ and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
             push (mk_row ta pad)
           in
           (* Every pair of [ta × tbs] is emitted with no per-pair
-             predicate, so the block is built columnarly — left values
-             repeated, right columns tiled, zero per-pair allocation.
+             predicate, so the block is stored factored — the left
+             tuples and the transposed right side, zero per-pair
+             allocation.
              Runs of such rows coalesce into one block, flushed at a
              size cap so the governor still sees batch granularity. *)
           let emit_all ta =

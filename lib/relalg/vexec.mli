@@ -3,7 +3,7 @@
     {!Vector} batches, and every scalar expression into an
     offset-resolved closure. A query runs on the domain that called
     it; concurrent executions (server sessions) share only the
-    lock-protected columnar cache.
+    lock-protected base-relation batch cache.
 
     Results are row-identical to the reference walker ({!Eval}):
     schema names, row order, error messages and the {!Sem.stats}
@@ -15,12 +15,12 @@
     counter runs once per execution and is replayed for later
     bindings. *)
 
-(** Rows per columnar batch (conversion granularity, selection/probe
+(** Rows per batch (base-table split granularity, selection/probe
     kernel unit, and the governor's row-accounting granularity). *)
 val batch_rows : int ref
 
-(** Drop the columnar base-relation cache (identity-keyed; tests use
-    this to measure cold conversions). *)
+(** Drop the base-relation batch cache (identity-keyed; tests use this
+    to measure cold splits). *)
 val clear_cache : unit -> unit
 
 (** [query db q] — execute vectorized; [env] pairs each outer frame's

@@ -1,15 +1,19 @@
 (** Blocking client for the provenance server, with per-call timeouts
     and jittered-exponential-backoff reconnect.
 
-    A connection failure (refused, reset, timeout, protocol violation
-    from the server side) tears the socket down and retries after a
-    pause of [base * 2^k] capped at [cap] and scaled by a seeded jitter
-    factor in [0.5, 1.0) — deterministic under test, desynchronized
-    between clients via the seed. Requests are retried transparently up
-    to [retries] times; all protocol requests here are idempotent
-    except [Query] of DDL, which callers should not blindly retry
-    through a failure — {!request} therefore reports the retry count so
-    harnesses can account for duplicates. *)
+    A connection failure (refused, reset, closed, a send that timed
+    out, protocol violation from the server side) tears the socket down
+    and retries after a pause of [base * 2^k] capped at [cap] and scaled
+    by a seeded jitter factor in [0.5, 1.0) — deterministic under test,
+    desynchronized between clients via the seed. Requests are retried
+    transparently up to [retries] times; all protocol requests here are
+    idempotent except [Query] of DDL, which callers should not blindly
+    retry through a failure — {!request} therefore reports the retry
+    count so harnesses can account for duplicates.
+
+    A request that was sent whole and got no reply within the timeout
+    is not retried: the server may still be evaluating it, and a resend
+    would start a second evaluation beside the first. *)
 
 type t = {
   cl_addr : Unix.sockaddr;
@@ -79,12 +83,23 @@ let ensure_connected cl =
       fd
 
 (* One attempt: connect if needed, send, await the response. Any
-   failure mode maps to [Error reason] with the socket torn down. *)
+   failure mode maps to [Error reason] with the socket torn down; a
+   receive timeout after a complete send raises {!Client_error}, since
+   retrying it would evaluate the request again. *)
 let attempt cl req =
   match
     let fd = ensure_connected cl in
     Protocol.send_request fd req;
-    Protocol.recv_response fd
+    match Protocol.recv_response fd with
+    | r -> r
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        disconnect cl;
+        raise
+          (Client_error
+             (Printf.sprintf
+                "no reply within %g s; the request was sent and may still \
+                 be running on the server"
+                cl.cl_timeout))
   with
   | Protocol.Got resp -> Ok resp
   | Protocol.Closed ->

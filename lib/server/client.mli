@@ -23,8 +23,11 @@ val create :
 (** [request cl req] sends [req], reconnecting and retrying on
     connection failure; returns the response and the number of retries
     it took (0 = first attempt). Raises {!Client_error} once [retries]
-    attempts are exhausted. Note a retried [Query] carrying DDL may
-    execute twice if the failure hit after the server applied it. *)
+    attempts are exhausted, and at once when [req] was sent whole but
+    no reply came within the timeout: the request may still be running
+    on the server, and is not sent again. Note a retried [Query]
+    carrying DDL may execute twice if the failure hit after the server
+    applied it. *)
 val request : t -> Protocol.request -> Protocol.response * int
 
 (** Total reconnect attempts so far. *)

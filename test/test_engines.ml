@@ -463,6 +463,15 @@ let replay_cases () =
       null_outer,
       Select (exists (Select (Cmp (Gt, attr "c", attr "a"), Base "S")), Base "R") );
     ("outer column at depth 2", db, depth_two);
+    (* mask kernels over an int column that holds a NULL *)
+    ("IS NULL over an int column with NULLs", db, Select (IsNull (attr "d"), Base "S"));
+    (* the summary holds only [Float 2.0], so [Int 2] must match it *)
+    ( "= ANY of an int column against Float 2.0",
+      float_outer,
+      Select
+        ( any_op Eq (attr "d")
+            (project [ (attr "b", "k") ] (Select (eq (attr "a") (int 1), Base "R"))),
+          Base "S" ) );
   ]
 
 let test_replay_parity () =

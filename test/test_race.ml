@@ -170,7 +170,7 @@ let test_mutant_unguarded_guard_tick () =
   in
   expect_clean "guard tick" fixed
 
-(* 2. Insert into the columnar base-relation cache without holding
+(* 2. Insert into the base-relation batch cache without holding
    vexec.cache_lock. *)
 let test_mutant_unlocked_cache_insert () =
   let loc = "vexec.cache" in
@@ -178,11 +178,11 @@ let test_mutant_unlocked_cache_insert () =
     reports_of ~seed:12 (fun () ->
         sequential_cross_domain
           (fun () ->
-            Race.read_at loc ~path:"columnar_batches/lookup";
-            Race.write_at loc ~path:"columnar_batches/insert")
+            Race.read_at loc ~path:"base_batches/lookup";
+            Race.write_at loc ~path:"base_batches/insert")
           (fun () ->
-            Race.read_at loc ~path:"columnar_batches/lookup";
-            Race.write_at loc ~path:"columnar_batches/insert"))
+            Race.read_at loc ~path:"base_batches/lookup";
+            Race.write_at loc ~path:"base_batches/insert"))
   in
   expect_race "unlocked cache insert" loc buggy;
   let m = Mutex.create () in
@@ -191,12 +191,12 @@ let test_mutant_unlocked_cache_insert () =
         sequential_cross_domain
           (fun () ->
             Race.with_lock m "vexec.cache_lock" (fun () ->
-                Race.read_at loc ~path:"columnar_batches/lookup";
-                Race.write_at loc ~path:"columnar_batches/insert"))
+                Race.read_at loc ~path:"base_batches/lookup";
+                Race.write_at loc ~path:"base_batches/insert"))
           (fun () ->
             Race.with_lock m "vexec.cache_lock" (fun () ->
-                Race.read_at loc ~path:"columnar_batches/lookup";
-                Race.write_at loc ~path:"columnar_batches/insert")))
+                Race.read_at loc ~path:"base_batches/lookup";
+                Race.write_at loc ~path:"base_batches/insert")))
   in
   expect_clean "cache insert" fixed
 
@@ -364,8 +364,8 @@ let test_share_lint_flags_unregistered_mutable () =
        (Lint.errors ds))
 
 let test_share_lint_flags_kind_mismatch () =
-  let src = "let probe_counter = ref 0\n" in
-  let ds = Share_lint.check_module ~module_:"vexec" src in
+  let src = "let next_id = ref 0\n" in
+  let ds = Share_lint.check_module ~module_:"relation" src in
   Alcotest.(check bool)
     "atomic registered, ref declared" true
     (List.exists (fun d -> d.Lint.rule = "share-kind-mismatch") ds)

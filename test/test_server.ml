@@ -4,7 +4,8 @@
    over a shared snapshot store, epoch semantics (a swap mid-query
    serves the pinned epoch to completion; session DDL replays onto the
    new snapshot), admission control (a full queue sheds with a typed
-   Overloaded, never a hang), graceful drain, and the resilience
+   Overloaded, never a hang), graceful drain, a request whose reply
+   timed out is not sent again, and the resilience
    ladder's capped jittered backoff (deterministic per seed; transient
    faults retry the same rung before escalating). *)
 
@@ -771,6 +772,45 @@ let string_table payload =
 (* An answer one byte over the frame limit gets a typed error naming
    its size, the limit and its row count, and the connection serves the
    next query; one exactly at the limit is delivered. *)
+(* A request sent whole whose reply does not arrive within the client's
+   timeout is not sent again: the server is still evaluating it, and
+   each resend would start one more evaluation beside it. Refused,
+   reset and closed connections keep their retries. *)
+let test_reply_timeout_not_resent () =
+  let contains s sub =
+    match Str.search_forward (Str.regexp_string sub) s 0 with
+    | _ -> true
+    | exception Not_found -> false
+  in
+  let evals = Atomic.make 0 in
+  let cfg =
+    Server.config ~port:0
+      ~on_eval:(fun () ->
+        Atomic.incr evals;
+        Unix.sleepf 0.6)
+      (small_db ())
+  in
+  let sv = Server.start cfg in
+  Fun.protect
+    ~finally:(fun () -> Server.stop sv)
+    (fun () ->
+      let cl =
+        Client.create ~timeout:0.2 ~retries:2 ~base:0.01 ~host:"127.0.0.1"
+          ~port:(Server.port sv) ()
+      in
+      let outcome =
+        match Client.request cl (Protocol.Query "SELECT a FROM r") with
+        | _ -> "a reply"
+        | exception Client.Client_error m -> m
+      in
+      Client.close cl;
+      (* time for a resend, had there been one, to reach the server *)
+      Unix.sleepf 0.3;
+      Alcotest.(check int) "the server saw one evaluation" 1 (Atomic.get evals);
+      Alcotest.(check bool)
+        ("typed timeout: " ^ outcome) true
+        (contains outcome "may still be running"))
+
 let test_oversized_result () =
   let fits = string_table Protocol.max_frame and over = string_table (Protocol.max_frame + 1) in
   List.iter
@@ -938,6 +978,8 @@ let () =
             test_retired_tag_served;
           Alcotest.test_case "oversized answer gets a typed error" `Quick
             test_oversized_result;
+          Alcotest.test_case "reply timeout is not resent" `Quick
+            test_reply_timeout_not_resent;
         ] );
       ( "backoff",
         [
