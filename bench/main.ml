@@ -1020,6 +1020,33 @@ let governor_bench ~timeout ~instances ~sf () =
 (* certification (figure "estimate")                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The estimator's transfers while the optimizer plans a fixed corpus:
+   the Qgen cases of seeds 1 to [transfer_corpus_seeds], under every
+   strategy that applies. A deterministic count of the work the
+   estimate memo does not save (the join reorder's scoring and accept
+   test), which a change that re-estimates subplans makes grow. *)
+let transfer_corpus_seeds = 300
+
+let optimizer_transfers () =
+  let t0 = Estimate.transfers () and plans = ref 0 in
+  for seed = 1 to transfer_corpus_seeds do
+    let case = Fuzz.Qgen.case_of_seed seed in
+    let db = Fuzz.Qgen.database case in
+    let q =
+      (Sql_frontend.Analyzer.analyze_string db (Fuzz.Qgen.sql case))
+        .Sql_frontend.Analyzer.query
+    in
+    List.iter
+      (fun strategy ->
+        match Rewrite.rewrite db ~strategy q with
+        | exception Strategy.Unsupported _ -> ()
+        | q_plus, _ ->
+            incr plans;
+            ignore (Optimizer.optimize db q_plus))
+      Strategy.all
+  done;
+  (Estimate.transfers () - t0, !plans)
+
 (* (1) Advisor regret: for each workload, measure every applicable
    strategy end to end and compare the advisor's choice against the
    best-of-four oracle; the table also lists the whole ranking. (2) The
@@ -1209,6 +1236,17 @@ let estimate_bench ~sf () =
     "join reorder under certification: %d reorder sites, %d obligations, %d \
      failure(s)\n"
     !reorders !aggregate.Certify.r_total !failures;
+  (* --- estimator work per optimization ---------------------------- *)
+  let transfers, plans = optimizer_transfers () in
+  ignore
+    (record ~figure:"estimate" ~query:"optimizer-transfers" ~series:"all"
+       ~params:
+         [
+           ("transfers", float_of_int transfers); ("plans", float_of_int plans);
+         ]
+       (Time 0.0, None));
+  Printf.printf "estimate transfers: %d over %d optimized plans (Qgen seeds 1-%d)\n"
+    transfers plans transfer_corpus_seeds;
   if !failures > 0 then begin
     write_json ();
     Stdlib.exit 1

@@ -325,7 +325,8 @@ serve() {
 # Cardinality/cost estimation: the estimate bench asserts its three
 # headline claims end to end (cost-mode regret vs the measured oracle,
 # the censored governor cell flagged by estimate-cross-blowup before
-# execution, every cost-based join reorder discharged under Certify),
+# execution, every cost-based join reorder discharged under Certify)
+# and pins the estimator's work on a fixed corpus,
 # then the explain surface and the advisor through the CLI.
 estimate() {
   step "estimate bench (regret, blowup prediction, certified reorder)"
@@ -335,6 +336,11 @@ estimate() {
   grep -q "fires before execution" "$tmp/bench_est.out"
   grep -q "0 failure(s)" "$tmp/bench_est.out"
   grep -q '"figure": "estimate"' "$tmp/bench_est.json"
+  # the estimator's transfers while the optimizer plans a fixed Qgen
+  # corpus are deterministic: a change that estimates the same subplans
+  # again (a memo that stops reusing facts) raises the count
+  grep -q '^estimate transfers: 8207 over 698 optimized plans' \
+    "$tmp/bench_est.out"
 
   step "explain surface (per-operator estimates over JSON)"
   dune exec bin/permcli.exe -- --demo \

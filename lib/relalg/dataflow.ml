@@ -11,11 +11,13 @@
     that binds them, exactly mirroring the evaluator's scoping rules.
 
     Queries are structurally acyclic, so the fixpoint of the transfer
-    functions degenerates to a single bottom-up pass; the lattice
-    [join] is still exercised when one physical subplan is reached under
-    two different correlation environments, in which case the memoized
-    fact is widened to cover both (a sound over-approximation for the
-    may-facts computed here).
+    functions degenerates to a single bottom-up pass. A subplan's fact
+    reads its environment only through the facts of its free names, so
+    a subplan reached again under another environment keeps its
+    memoized fact when those reads are equal. Otherwise it is
+    re-analysed and the lattice [join] widens the memoized fact to cover
+    both environments (a sound over-approximation for the may-facts
+    computed here).
 
     Three client analyses are provided:
     - {b nullability} — per-attribute maybe-null flags, modelling the
@@ -89,10 +91,15 @@ let pp_card ppf c = Format.fprintf ppf "%d..%a" c.c_lo pp_bound c.c_hi
 (** A client analysis: one lattice of per-subplan facts plus a transfer
     function. [transfer] receives the already-computed facts of the
     operator's direct input queries and a [recurse] callback for
-    analysing sublink queries under an extended environment. *)
+    analysing sublink queries under an extended environment. [lookup]
+    is what a transfer reads of the environment for one name, so equal
+    reads for every free name of a subplan give it the same fact. *)
 module type DOMAIN = sig
   type fact
+  type col
 
+  val lookup : fact list -> string -> col
+  val same_col : col -> col -> bool
   val join : fact -> fact -> fact
   (** Widen two facts for the same physical subplan reached under
       different correlation environments. *)
@@ -112,6 +119,7 @@ module Engine (D : DOMAIN) : sig
 
   val create : ?frees:Scope.memo -> Database.t -> t
   val query : t -> ?env:D.fact list -> query -> D.fact
+  val transfers : unit -> int
 end = struct
   (* Memoization is keyed on physical node identity: a hash of the
      node's bounded prefix narrows the bucket, pointer equality
@@ -124,13 +132,33 @@ end = struct
 
   let create ?(frees = Scope.memo ()) db = { db; frees; memo = Qtbl.create 64 }
 
+  (* Transfers run by the engines of this analysis on the calling
+     domain: a domain-local count, so concurrent sessions never contend
+     for it. *)
+  let count = Domain.DLS.new_key (fun () -> ref 0)
+  let transfers () = !(Domain.DLS.get count)
+
   let same_env a b =
     List.length a = List.length b && List.for_all2 ( == ) a b
 
+  (* [q]'s fact reads [env] only where a free name of [q] resolves, so
+     [q] analysed under [env0] needs no second transfer under [env]
+     when every free name reads the same there. The memo keeps [env0]:
+     the reads of [q]'s subplans agree between the two as well. A plan
+     whose free names cannot be computed (an unknown relation) is
+     re-analysed. *)
+  let same_reads t q env0 env =
+    match Scope.body_frees t.frees t.db q with
+    | frees ->
+        List.for_all (fun n -> D.same_col (D.lookup env0 n) (D.lookup env n)) frees
+    | exception _ -> false
+
   let rec query t ?(env = []) q =
     match Qtbl.find_opt t.memo q with
-    | Some (env0, fact) when same_env env0 env -> fact
+    | Some (env0, fact) when same_env env0 env || same_reads t q env0 env ->
+        fact
     | previous ->
+        incr (Domain.DLS.get count);
         let recurse ~env q = query t ~env q in
         let inputs = List.map (fun i -> query t ~env i) (inputs q) in
         let fact = D.transfer t.db ~frees:t.frees ~recurse ~env ~inputs q in
@@ -169,6 +197,7 @@ let map2_padded f top a b =
 
 module Null_domain = struct
   type fact = null_fact
+  type col = bool
 
   let join a b =
     { a with n_maybe = map2_padded ( || ) true a.n_maybe b.n_maybe }
@@ -185,6 +214,8 @@ module Null_domain = struct
           | None -> go rest)
     in
     go env
+
+  let same_col = Bool.equal
 
   (* Maybe-null of an expression under [env] (innermost fact first).
      [recurse] analyses sublink queries under the same environment. *)
@@ -301,6 +332,7 @@ module Null_engine = Engine (Null_domain)
 
 module Lin_domain = struct
   type fact = lin_fact
+  type col = Deps.t
 
   let join a b =
     { a with l_deps = map2_padded Deps.union Deps.empty a.l_deps b.l_deps }
@@ -317,6 +349,8 @@ module Lin_domain = struct
           | None -> go rest)
     in
     go env
+
+  let same_col = Deps.equal
 
   (* Base columns an expression's value depends on. A quantified or
      scalar sublink contributes the lineage of its output column(s);
@@ -411,6 +445,12 @@ module Lin_engine = Engine (Lin_domain)
 
 module Card_domain = struct
   type fact = card
+
+  (* a cardinality reads nothing of its environment *)
+  type col = unit
+
+  let lookup _ _ = ()
+  let same_col () () = true
 
   let join a b =
     { c_lo = min a.c_lo b.c_lo; c_hi = bound_max a.c_hi b.c_hi }

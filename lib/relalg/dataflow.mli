@@ -45,6 +45,15 @@ val pp_card : Format.formatter -> card -> unit
 module type DOMAIN = sig
   type fact
 
+  (** What a transfer reads of the environment for one name. *)
+  type col
+
+  (** [lookup env name]: [name]'s fact in the innermost scope of [env]
+      that binds it. [transfer] must read [env] only this way. *)
+  val lookup : fact list -> string -> col
+
+  val same_col : col -> col -> bool
+
   (** Widen two facts for the same physical subplan reached under
       different correlation environments. *)
   val join : fact -> fact -> fact
@@ -67,7 +76,16 @@ module Engine (D : DOMAIN) : sig
       queries and the engine's (default: a fresh one). *)
   val create : ?frees:Scope.memo -> Database.t -> t
 
+  (** [query t ?env q]: [q]'s fact under [env]. A subplan reached
+      again under another environment keeps its memoized fact when
+      every free name of the subplan ({!Scope.body_frees}) reads
+      [same_col] in both; otherwise it is re-analysed and the two facts
+      are widened by [join]. *)
   val query : t -> ?env:D.fact list -> Algebra.query -> D.fact
+
+  (** Transfers run so far by the engines of this analysis on the
+      calling domain: the work the memo did not save. *)
+  val transfers : unit -> int
 end
 
 (** Operator label used by the fact dump: {!Algebra.Path.label}, with

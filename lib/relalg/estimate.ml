@@ -77,6 +77,7 @@ let fact_of_table (t : Stats.table) =
 
 module Est_domain = struct
   type nonrec fact = fact
+  type col = colinfo
 
   let join a b =
     let widen x y =
@@ -110,6 +111,13 @@ module Est_domain = struct
           | None -> go rest)
     in
     go env
+
+  (* Histograms compare by identity: equal ones from different
+     collections only cost a re-transfer. *)
+  let same_col a b =
+    Float.equal a.ci_ndv b.ci_ndv
+    && Float.equal a.ci_null b.ci_null
+    && Option.equal ( == ) a.ci_stats b.ci_stats
 
   let to_num = function
     | Value.Int i -> Some (float_of_int i)
@@ -506,6 +514,7 @@ type t = Est_engine.t
 
 let create ?frees db = Est_engine.create ?frees db
 let query t ?env q = Est_engine.query t ?env q
+let transfers = Est_engine.transfers
 let rows t q = (query t q).e_rows
 let cost t q = (query t q).e_cost
 

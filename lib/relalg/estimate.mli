@@ -36,6 +36,10 @@ val create : ?frees:Scope.memo -> Database.t -> t
     of enclosing correlation scopes, innermost first. *)
 val query : t -> ?env:fact list -> Algebra.query -> fact
 
+(** Transfers run so far by the estimators on the calling domain
+    ({!Dataflow.Engine.transfers}). *)
+val transfers : unit -> int
+
 (** Root-level conveniences. *)
 val rows : t -> Algebra.query -> float
 

@@ -110,7 +110,7 @@ type scope = {
      checkpoint compares without an option match *)
   s_row_limit : int;
   s_pair_limit : int;
-  s_alloc0 : float;  (* [Gc.allocated_bytes] at entry *)
+  s_alloc0 : float;  (* [allocated_words] at entry *)
   mutable s_rows : int;
   mutable s_pairs : int;
   mutable s_fuel : int;
@@ -121,7 +121,19 @@ let tls : scope option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref No
 
 let cur () = !(Domain.DLS.get tls)
 
-let alloc_mb sc = (Gc.allocated_bytes () -. sc.s_alloc0) /. 1_048_576.0
+(* Words the calling domain has allocated: every word allocated in the
+   minor heap, plus the words allocated directly in the major heap (its
+   allocations that are not promotions). [Gc.allocated_bytes] is not
+   used: on OCaml 5.1 it counts the minor heap's uncollected part in
+   words, not bytes, so it was off by up to the minor heap's size. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let alloc_mb sc =
+  (allocated_words () -. sc.s_alloc0)
+  *. float_of_int (Sys.word_size / 8)
+  /. 1_048_576.0
 
 let snapshot sc =
   {
@@ -216,7 +228,7 @@ let with_budget b f =
           s_t0 = now;
           s_row_limit = Option.value ~default:max_int b.g_max_rows;
           s_pair_limit = Option.value ~default:max_int b.g_max_pairs;
-          s_alloc0 = Gc.allocated_bytes ();
+          s_alloc0 = allocated_words ();
           s_rows = 0;
           s_pairs = 0;
           s_fuel = fuel_interval;

@@ -24,7 +24,9 @@
     provenance rewrite embeds a body up to three times (Gen's [Csub+]
     refers to the sublink itself), and every pass keeps a table per
     physical body ({!Rewrite_trace.Shared}), so copies come out shared
-    and the free names of a body are computed once ({!Scope.memo}). *)
+    and the free names of a body are computed once ({!Scope.memo}). A
+    selection site reads its subplan's column types off an enclosing
+    typing where one exists, and types the subplan only otherwise. *)
 
 open Algebra
 
@@ -81,20 +83,68 @@ let static_schema db q =
   | s -> Some s
   | exception _ -> None
 
-(* Solver context for predicates over [q]'s output columns: static
-   column types only (they enable integer bound tightening), never
-   witness-data facts like observed nullability — the passes' claims
-   must hold on every database, or {!Certify} would refute them on its
-   NULL-rich witness variants. [q] is typed only when the solver first
-   asks for a column's type. *)
-let pred_ctx db q =
-  let types =
-    lazy
-      (match static_schema db q with
-      | Some s -> List.combine (Schema.names s) (Schema.types s)
-      | None -> [])
-  in
-  Symbolic.ctx ~types:(fun n -> List.assoc_opt n (Lazy.force types)) ()
+(* What is known of a subplan's static typing: its output columns with
+   their types when it typechecks under no enclosing scope (it is not
+   correlated), [None] otherwise; and, when the subplan itself was
+   typed, its typed tree, which holds the typings of its inputs. A site
+   types its subplan only when the solver first asks for a type. *)
+type typed = { cols : (string * Vtype.t) list; tree : Typecheck.tree option }
+
+type typing = typed option Lazy.t
+
+let no_hint : typing = Lazy.from_val None
+
+let typed_of_tree (t : Typecheck.tree) =
+  {
+    cols = List.combine (Schema.names t.t_schema) (Schema.types t.t_schema);
+    tree = Some t;
+  }
+
+(* [q]'s typing: the [hint] when there is one, or else [q] typed. *)
+let resolve_typing db (hint : typing) q : typing =
+  lazy
+    (match Lazy.force hint with
+    | Some _ as h -> h
+    | None -> (
+        match Typecheck.infer_tree db q with
+        | t -> Some (typed_of_tree t)
+        | exception _ -> None))
+
+(* The hint for [input], an operator input of [q] whose typing is
+   [cols]. When [q] itself was typed, [input]'s typing is in [q]'s
+   tree. Otherwise [q] is an optimized copy of a typed subplan; the
+   optimizer keeps an uncorrelated subplan's output schema and never
+   makes it correlated, so [slice] reads [input]'s columns off [q]'s
+   where it can: a selection's input has the selection's columns, a
+   product's or join's sides split them. A typing not yet computed
+   gives no hint: typing a larger plan to type a smaller one costs
+   more than it saves. *)
+let input_hint ?slice (cols : typing) q input : typing =
+  if not (Lazy.is_val cols) then no_hint
+  else
+    Lazy.from_val
+      (match Lazy.force cols with
+      | Some { tree = Some t; _ } when t.Typecheck.t_query == q ->
+          List.find_opt
+            (fun (i : Typecheck.tree) -> i.t_query == input)
+            t.t_inputs
+          |> Option.map typed_of_tree
+      | Some h -> Option.map (fun f -> { cols = f h.cols; tree = None }) slice
+      | None -> None)
+
+(* Solver context for predicates over a subplan with output columns
+   [cols]: static column types only (they enable integer bound
+   tightening), never witness-data facts like observed nullability —
+   the passes' claims must hold on every database, or {!Certify} would
+   refute them on its NULL-rich witness variants. The columns are
+   forced only when the solver first asks for a column's type. *)
+let pred_ctx (cols : typing) =
+  Symbolic.ctx
+    ~types:(fun n ->
+      match Lazy.force cols with
+      | Some h -> List.assoc_opt n h.cols
+      | None -> None)
+    ()
 
 (* Conjuncts of every Select/Join condition in a Select/Cross/Join
    tree, plus the leaf subplans below them (mirrors the flattening the
@@ -115,19 +165,20 @@ let rec flat_conjuncts (q : query) : expr list * query list =
 (* Mixing conjuncts from different tree levels into one solver query is
    only sound when every name binds to the same column at every level:
    leaf output names pairwise distinct and disjoint from the plan's
-   correlated (free) references. *)
-let flat_namespace cx before leaves =
-  match
-    ( List.concat_map (fun l -> Scope.out_names cx.db l) leaves,
-      Scope.free_of_query ~memo:cx.frees cx.db before )
-  with
-  | names, frees ->
+   correlated (free) references [frees]. *)
+let flat_namespace cx (frees : string list Lazy.t) leaves =
+  match List.concat_map (fun l -> Scope.out_names cx.db l) leaves with
+  | names -> (
       List.length (List.sort_uniq String.compare names) = List.length names
-      && List.for_all (fun f -> not (List.mem f names)) frees
+      &&
+      match Lazy.force frees with
+      | frees -> List.for_all (fun f -> not (List.mem f names)) frees
+      | exception _ -> false)
   | exception _ -> false
 
-(* [symbolic_conds cx prefix conds q] runs the solver-driven passes on
-   the conjuncts accumulated at a selection site over [q]:
+(* [symbolic_conds cx prefix conds q cols] runs the solver-driven
+   passes on the conjuncts accumulated at a selection site over [q],
+   whose typing is [cols]:
    - {b unsat-fold}: the conjunction (together with the conditions
      already inside [q], when the namespace is flat) provably never
      holds — fold the whole subplan to the empty relation;
@@ -139,12 +190,12 @@ let flat_namespace cx before leaves =
    differ only in the predicate, so Certify can usually re-prove it
    symbolically. Returns [Error folded] when the site folded to an
    empty relation, [Ok conds'] otherwise. *)
-let symbolic_conds cx (prefix : string list) (conds : expr list) (q : query) :
-    (expr list, query) result =
+let symbolic_conds cx (prefix : string list) (conds : expr list) (q : query)
+    (cols : typing) : (expr list, query) result =
   if conds = [] then Ok conds
   else begin
     let db = cx.db in
-    let ctx = pred_ctx db q in
+    let ctx = pred_ctx cols in
     let sel cs = Select (conj cs, q) in
     (* callers test [Rewrite_trace.active] first *)
     let emit rule after =
@@ -167,8 +218,18 @@ let symbolic_conds cx (prefix : string list) (conds : expr list) (q : query) :
           else ctx
         in
         let deep_cs, leaves = flat_conjuncts q in
+        (* an uncorrelated [q] adds no free names to the selection's *)
+        let frees =
+          lazy
+            (match Lazy.force cols with
+            | Some h ->
+                List.filter
+                  (fun n -> not (List.mem_assoc n h.cols))
+                  (refs_of cx (conj conds))
+            | None -> Scope.free_of_query ~memo:cx.frees db (sel conds))
+        in
         let full =
-          if deep_cs <> [] && flat_namespace cx (sel conds) leaves then
+          if deep_cs <> [] && flat_namespace cx frees leaves then
             conds @ deep_cs
           else conds
         in
@@ -314,22 +375,26 @@ let derive_implied path before ~wrap (all : expr list) : expr list =
     end
   end
 
-(* [push_select cx prefix conds q] pushes the accumulated conjuncts
-   [conds] into [q]. The subplan being rewritten — the proof
+(* [push_select cx prefix conds q hint] pushes the accumulated
+   conjuncts [conds] into [q] ([hint]: its typing, when an enclosing
+   plan's gives it). The subplan being rewritten — the proof
    obligation's before side — is [Select (conj conds, q)] (or [q] when
    no conjuncts accumulated); [prefix] is the path prefix of that
    subplan's root. *)
-let rec push_select cx (prefix : string list) (conds : expr list) (q : query) :
-    query =
+let rec push_select cx (prefix : string list) (conds : expr list) (q : query)
+    (hint : typing) : query =
   match q with
-  | Select (c, input) -> push_select cx prefix (conds @ conjuncts c) input
+  | Select (c, input) ->
+      push_select cx prefix (conds @ conjuncts c) input
+        (input_hint ~slice:Fun.id hint q input)
   | _ -> (
-      match symbolic_conds cx prefix conds q with
+      let cols = resolve_typing cx.db hint q in
+      match symbolic_conds cx prefix conds q cols with
       | Error folded -> folded
-      | Ok conds -> push_conds cx prefix conds q)
+      | Ok conds -> push_conds cx prefix conds q cols)
 
-and push_conds cx (prefix : string list) (conds : expr list) (q : query) :
-    query =
+and push_conds cx (prefix : string list) (conds : expr list) (q : query)
+    (cols : typing) : query =
       let db = cx.db in
       let tracing = Rewrite_trace.active () in
       (* the obligations' before side, built only under a tracer (it is
@@ -355,7 +420,8 @@ and push_conds cx (prefix : string list) (conds : expr list) (q : query) :
           (* The motion obligation's before side includes any derived
              conjuncts: the [implied-predicate] entry already justified
              adding them, so this entry stays a pure conjunct motion. *)
-          distribute cx ~left:(qchild Path.Left) ~right:(qchild Path.Right)
+          distribute cx cols q ~left:(qchild Path.Left)
+            ~right:(qchild Path.Right)
             ~motion:(fun after ->
               let before_m = if conds = [] then q else Select (conj conds, q) in
               Rewrite_trace.emit ~rule:"pushdown-into-cross" ~path:here
@@ -374,7 +440,8 @@ and push_conds cx (prefix : string list) (conds : expr list) (q : query) :
                 if conds = [] then j else Select (conj conds, j))
               all0
           in
-          distribute cx ~left:(qchild Path.Left) ~right:(qchild Path.Right)
+          distribute cx cols q ~left:(qchild Path.Left)
+            ~right:(qchild Path.Right)
             ~motion:(fun after ->
               let before_m =
                 if List.length all = List.length all0 then before
@@ -414,10 +481,19 @@ and push_conds cx (prefix : string list) (conds : expr list) (q : query) :
               ~after:
                 (wrap residual (LeftJoin (c, wrap to_left a, wrap to_right b)));
           let left = qchild Path.Left and right = qchild Path.Right in
-          let a' = push_select cx left to_left (optimize cx left a) in
-          let b' = optimize cx right b in
+          let k = List.length a_names in
+          let a_cols =
+            input_hint ~slice:(List.filteri (fun i _ -> i < k)) cols q a
+          and b_cols =
+            input_hint ~slice:(List.filteri (fun i _ -> i >= k)) cols q b
+          in
+          let a' =
+            push_select cx left to_left (optimize ~hint:a_cols cx left a) a_cols
+          in
+          let b' = optimize ~hint:b_cols cx right b in
           let b' =
-            if to_right = [] then b' else push_select cx right to_right b'
+            if to_right = [] then b'
+            else push_select cx right to_right b' b_cols
           in
           let inner = LeftJoin (c, a', b') in
           if residual = [] then inner else Select (conj residual, inner)
@@ -445,7 +521,10 @@ and push_conds cx (prefix : string list) (conds : expr list) (q : query) :
           in
           let renamed = List.map (rename_attrs rename_map) pushable in
           let phere = Rewrite_trace.node qprefix q in
-          let inner = push_select cx (qchild Path.Input) renamed p.proj_input in
+          let inner =
+            push_select cx (qchild Path.Input) renamed p.proj_input
+              (input_hint cols q p.proj_input)
+          in
           let counter = ref 0 in
           let cols =
             List.map
@@ -456,13 +535,16 @@ and push_conds cx (prefix : string list) (conds : expr list) (q : query) :
           emit "pushdown-through-project"
             (if rest = [] then projected else Select (conj rest, projected))
       | _ ->
-          let q' = optimize_children cx qprefix q in
+          let q' = optimize_children cx cols qprefix q in
           if conds = [] then q'
           else emit "pushdown-residual" (Select (conj conds, q')))
 
-and distribute cx ~left ~right ~motion conds a b ~mk =
+and distribute cx cols q ~left ~right ~motion conds a b ~mk =
   let db = cx.db in
   let a_names = Scope.out_names db a and b_names = Scope.out_names db b in
+  let k = List.length a_names in
+  let a_cols = input_hint ~slice:(List.filteri (fun i _ -> i < k)) cols q a
+  and b_cols = input_hint ~slice:(List.filteri (fun i _ -> i >= k)) cols q b in
   let to_a, rest = List.partition (fun e -> movable_to cx b_names e) conds in
   (* mutant: loses the first conjunct headed for the left side *)
   let to_a =
@@ -482,8 +564,12 @@ and distribute cx ~left ~right ~motion conds a b ~mk =
   let wrap cs q = if cs = [] then q else Select (conj cs, q) in
   if Rewrite_trace.active () then
     motion (mk residual (wrap to_a a) (wrap to_b b));
-  let a' = push_select cx left to_a (optimize cx left a) in
-  let b' = push_select cx right to_b (optimize cx right b) in
+  let a' =
+    push_select cx left to_a (optimize ~hint:a_cols cx left a) a_cols
+  in
+  let b' =
+    push_select cx right to_b (optimize ~hint:b_cols cx right b) b_cols
+  in
   mk residual a' b'
 
 (* The [k]-th sublink body of the operator at [here] ([counter] counts
@@ -494,9 +580,11 @@ and body cx here counter sq =
   let path = Rewrite_trace.sublink here !counter in
   Rewrite_trace.Shared.visit cx.bodies sq ~path (fun () -> optimize cx path sq)
 
-and optimize_children cx prefix q =
+and optimize_children cx (cols : typing) prefix q =
   let here = Rewrite_trace.node prefix q in
-  let child qual i = optimize cx (Rewrite_trace.child prefix q qual) i in
+  let child qual i =
+    optimize ~hint:(input_hint cols q i) cx (Rewrite_trace.child prefix q qual) i
+  in
   let counter = ref 0 in
   let sub e = map_expr_query (body cx here counter) e in
   match q with
@@ -574,16 +662,18 @@ and merge_projects prefix q =
       merge_projects prefix after
   | q -> q
 
-(** [optimize cx prefix q] rewrites [q] into an equivalent, typically
-    faster plan. Sublink queries embedded in conditions are optimized
-    too. *)
-and optimize cx (prefix : string list) (q : query) : query =
+(** [optimize ?hint cx prefix q] rewrites [q] into an equivalent,
+    typically faster plan. Sublink queries embedded in conditions are
+    optimized too. [hint]: [q]'s typing, when an enclosing plan's gives
+    it. *)
+and optimize ?(hint = no_hint) cx (prefix : string list) (q : query) : query =
   match merge_projects prefix q with
   | Select (c, input) as q ->
       let c = map_expr_query (body cx (Rewrite_trace.node prefix q) (ref 0)) c in
       push_select cx prefix (conjuncts c) input
-  | (Cross _ | Join _ | LeftJoin _) as q -> push_select cx prefix [] q
-  | q -> optimize_children cx prefix q
+        (input_hint ~slice:Fun.id hint q input)
+  | (Cross _ | Join _ | LeftJoin _) as q -> push_select cx prefix [] q hint
+  | q' -> optimize_children cx (if q' == q then hint else no_hint) prefix q'
 
 (** {1 Dead-column pruning}
 
@@ -843,7 +933,12 @@ let try_reorder cx est (prefix : string list) (q : query) : query option =
   let db = cx.db in
   let conds, leaves = flat_conjuncts q in
   if List.length leaves < reorder_min_leaves then None
-  else if not (flat_namespace cx q leaves) then None
+  else if
+    not
+      (flat_namespace cx
+         (lazy (Scope.free_of_query ~memo:cx.frees db q))
+         leaves)
+  then None
   else
     match Scope.out_names db q with
     | exception _ -> None
@@ -905,12 +1000,18 @@ let try_reorder cx est (prefix : string list) (q : query) : query option =
           (plan, rest, lnames)
         in
         for _ = 2 to n do
+          (* the chosen candidate is the plan that was scored, so its
+             estimate stays in the memo for the next round and for the
+             accept test *)
+          let cands =
+            Array.init n (fun k -> if used.(k) then None else Some (candidate k))
+          in
           let bi =
             best_free (fun k ->
-                let plan, _, _ = candidate k in
+                let plan, _, _ = Option.get cands.(k) in
                 Estimate.rows est plan)
           in
-          let plan, rest, lnames = candidate bi in
+          let plan, rest, lnames = Option.get cands.(bi) in
           used.(bi) <- true;
           acc_plan := plan;
           acc_names := !acc_names @ lnames;

@@ -32,7 +32,10 @@ type table = { t_rows : int; t_cols : column list }
 type t = {
   s_uid : int;
   s_version : int;
-  s_tables : (string, table) Hashtbl.t;
+  s_tables : (string, Relation.t Weak.t * table) Hashtbl.t;
+      (** each table's statistics with the relation they describe, held
+          weakly: a cached entry must not keep a dropped table or an old
+          snapshot alive *)
 }
 
 let to_num = function
@@ -124,12 +127,27 @@ let of_relation rel =
   in
   { t_rows = rows; t_cols = cols }
 
-let collect db =
+(* [collect_from prev db]: statistics of every table of [db], reusing
+   [prev]'s for a table whose relation is physically the one [prev]
+   described (a catalog write replaces the relations it changes). *)
+let collect_from prev db =
   let tables = Hashtbl.create 16 in
   List.iter
-    (fun name -> Hashtbl.replace tables name (of_relation (Database.find db name)))
+    (fun name ->
+      let rel = Database.find db name in
+      let same w = match Weak.get w 0 with Some r -> r == rel | None -> false in
+      let t =
+        match Option.bind prev (fun p -> Hashtbl.find_opt p.s_tables name) with
+        | Some (w, t) when same w -> t
+        | _ -> of_relation rel
+      in
+      let w = Weak.create 1 in
+      Weak.set w 0 (Some rel);
+      Hashtbl.replace tables name (w, t))
     (Database.names db);
   { s_uid = Database.uid db; s_version = Database.version db; s_tables = tables }
+
+let collect db = collect_from None db
 
 (* Cache: one entry per database uid, revalidated against the catalog
    version on every lookup. Guarded by a mutex — server sessions
@@ -144,7 +162,7 @@ let of_db db =
   match cached with
   | Some s when s.s_version = Database.version db -> s
   | _ ->
-      let s = collect db in
+      let s = collect_from cached db in
       Mutex.lock cache_mu;
       if Hashtbl.length cache > 64 then Hashtbl.reset cache;
       Hashtbl.replace cache (Database.uid db) s;
@@ -156,7 +174,7 @@ let invalidate db =
   Hashtbl.remove cache (Database.uid db);
   Mutex.unlock cache_mu
 
-let table s name = Hashtbl.find_opt s.s_tables name
+let table s name = Option.map snd (Hashtbl.find_opt s.s_tables name)
 
 let column t name =
   List.find_opt (fun c -> String.equal c.c_name name) t.t_cols
@@ -193,7 +211,7 @@ let to_string s =
   in
   List.iter
     (fun name ->
-      let t = Hashtbl.find s.s_tables name in
+      let _, t = Hashtbl.find s.s_tables name in
       Buffer.add_string buf (Printf.sprintf "%s: %d rows\n" name t.t_rows);
       List.iter
         (fun c ->

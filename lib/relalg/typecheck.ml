@@ -245,6 +245,12 @@ and aggregation_schema db (env : env) group_by aggs : Schema.t =
 (** [infer_query_env db outer q] is the output schema of [q] evaluated
     with correlation scopes [outer] available. *)
 and infer_query_env db (outer : env) (q : query) : Schema.t =
+  let rec sub q = infer_node db outer ~sub q in
+  sub q
+
+(* One operator's output schema, its inputs' schemas coming from
+   [sub] (each input is passed to it once). *)
+and infer_node db (outer : env) ~sub (q : query) : Schema.t =
   match q with
   | Base name -> (
       match Database.find_opt db name with
@@ -252,38 +258,38 @@ and infer_query_env db (outer : env) (q : query) : Schema.t =
       | None -> type_error "unknown base relation %S" name)
   | TableExpr rel -> Relation.schema rel
   | Select (cond, input) ->
-      let schema = infer_query_env db outer input in
+      let schema = sub input in
       check_boolean db (schema :: outer) cond;
       check_no_aggregate_exprs [ cond ] "WHERE/selection";
       schema
   | Project { cols; proj_input; _ } ->
-      let schema = infer_query_env db outer proj_input in
+      let schema = sub proj_input in
       check_no_aggregate_exprs (List.map fst cols) "projection";
       projection_schema db (schema :: outer) cols
   | Cross (a, b) ->
-      Schema.concat (infer_query_env db outer a) (infer_query_env db outer b)
+      Schema.concat (sub a) (sub b)
   | Join (cond, a, b) | LeftJoin (cond, a, b) ->
-      let sa = infer_query_env db outer a and sb = infer_query_env db outer b in
+      let sa = sub a and sb = sub b in
       let schema = Schema.concat sa sb in
       check_boolean db (schema :: outer) cond;
       check_no_aggregate_exprs [ cond ] "join condition";
       schema
   | Agg { group_by; aggs; agg_input } ->
-      let schema = infer_query_env db outer agg_input in
+      let schema = sub agg_input in
       aggregation_schema db (schema :: outer) group_by aggs
   | Union (_, a, b) | Inter (_, a, b) | Diff (_, a, b) ->
-      let sa = infer_query_env db outer a and sb = infer_query_env db outer b in
+      let sa = sub a and sb = sub b in
       if not (Schema.equal_types sa sb) then
         type_error "set operation over incompatible schemas %s vs %s"
           (Schema.to_string sa) (Schema.to_string sb);
       sa
   | Order (keys, input) ->
-      let schema = infer_query_env db outer input in
+      let schema = sub input in
       List.iter (fun (e, _) -> ignore (infer_expr db (schema :: outer) e)) keys;
       schema
   | Limit (n, input) ->
       if n < 0 then type_error "negative LIMIT";
-      infer_query_env db outer input
+      sub input
 
 and check_no_aggregate_exprs exprs where =
   List.iter
@@ -297,6 +303,20 @@ and check_no_aggregate_exprs exprs where =
              | _ -> ())
            () e))
     exprs
+
+type tree = { t_query : Algebra.query; t_schema : Schema.t; t_inputs : tree list }
+
+(** [infer_tree db q]: {!infer}, keeping the schema of every operator
+    input below [q] (each typed under no enclosing scope, as [q]). *)
+let rec infer_tree db q =
+  let inputs = ref [] in
+  let sub i =
+    let t = infer_tree db i in
+    inputs := t :: !inputs;
+    t.t_schema
+  in
+  let schema = infer_node db [] ~sub q in
+  { t_query = q; t_schema = schema; t_inputs = !inputs }
 
 (** [infer db q] is the output schema of top-level query [q]. *)
 let infer db q = infer_query_env db [] q

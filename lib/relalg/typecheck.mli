@@ -41,6 +41,15 @@ val aggregation_schema :
     correlation scopes [outer] available. *)
 val infer_query_env : Database.t -> env -> Algebra.query -> Schema.t
 
+(** A typed plan: the output schema of [t_query] and the typed trees
+    of its operator inputs (sublink bodies are not among them). *)
+type tree = { t_query : Algebra.query; t_schema : Schema.t; t_inputs : tree list }
+
+(** [infer_tree db q]: {!infer}, keeping the schema of every operator
+    input below [q] (each input typed under no enclosing scope, as [q]
+    is). Raises {!Type_error} as {!infer} does. *)
+val infer_tree : Database.t -> Algebra.query -> tree
+
 (** [infer db q] is the output schema of a top-level query. *)
 val infer : Database.t -> Algebra.query -> Schema.t
 

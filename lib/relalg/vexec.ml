@@ -100,6 +100,11 @@ let mk_ctx db =
     stats = Sem.fresh_stats ();
   }
 
+(* One lowering's static context: the free names of the subplans met so
+   far are kept, so a sublink body that the provenance rewrite embeds
+   several times, or that several sites read, is walked once. *)
+type lx = { db : Database.t; frees : Scope.memo }
+
 (** Runtime environment: tuple frames, innermost first. *)
 type renv = Tuple.t list
 
@@ -213,7 +218,7 @@ let const_of = function
    nodes plus the free (correlated) variables of its sublink queries.
    Sublink query *internals* resolve inside their own scopes and cannot
    reach a frame their free-variable set does not mention. *)
-let expr_deps db (e : expr) : string list =
+let expr_deps lx (e : expr) : string list =
   let rec go acc = function
     | Attr n -> n :: acc
     | Const _ | TypedNull _ -> acc
@@ -228,7 +233,7 @@ let expr_deps db (e : expr) : string list =
     | InList (a, es) -> List.fold_left go (go acc a) es
     | FunCall (_, args) -> List.fold_left go acc args
     | Sublink s -> (
-        let acc = List.rev_append (Scope.free_of_query db s.query) acc in
+        let acc = List.rev_append (Scope.body_frees lx.frees lx.db s.query) acc in
         match s.kind with
         | AnyOp (_, l) | AllOp (_, l) -> go acc l
         | Exists | Scalar -> acc)
@@ -284,25 +289,6 @@ let own_offsets (schema : Schema.t) cols : int array option =
   if List.for_all Option.is_some offs then
     Some (Array.of_list (List.map Option.get offs))
   else None
-
-(* Projection-into-join fusion: [Project] of bare attributes directly
-   over a join (or a select-over-product that lowers into one) gathers
-   output rows straight from the two input tuples inside the join's emit
-   step — the concatenated intermediate tuple is never built. Returns
-   the join with the fused projection's output offsets and schema.
-   Offsets are checked against the join's inferred output schema so
-   correlated names (resolving to an outer frame) fall back to the
-   generic path. *)
-let fused_projection db cenv cols (j : Sem.join) =
-  let joint =
-    Schema.concat
-      (Typecheck.infer_query_env db cenv j.j_left)
-      (Typecheck.infer_query_env db cenv j.j_right)
-  in
-  Option.map
-    (fun offs ->
-      (j, (offs, Typecheck.projection_schema db (joint :: cenv) cols)))
-    (own_offsets joint cols)
 
 (* Evaluate an array of compiled expressions into a fresh tuple with an
    explicit loop — [Array.map] would allocate a closure per row. *)
@@ -706,13 +692,13 @@ let keep_rows (b : Vector.t) =
    lower to batch kernels, and a sublink's body is lowered by the same
    [lower] — one recursive group. *)
 
-let rec compile_expr db at (cenv : Schema.t list) (e : expr) : cexpr =
+let rec compile_expr lx at (cenv : Schema.t list) (e : expr) : cexpr =
   match e with
   | Const v -> fun _ _ -> v
   | TypedNull _ -> fun _ _ -> Value.Null
   | Attr name -> attr_access (resolve_attr cenv name)
   | Binop (op, a, b) ->
-      let ca = compile_expr db at cenv a and cb = compile_expr db at cenv b in
+      let ca = compile_expr lx at cenv a and cb = compile_expr lx at cenv b in
       let f =
         match op with
         | Add -> Value.add
@@ -724,31 +710,31 @@ let rec compile_expr db at (cenv : Schema.t list) (e : expr) : cexpr =
       in
       fun ctx env -> f (ca ctx env) (cb ctx env)
   | Cmp (op, a, b) ->
-      let ca = compile_expr db at cenv a and cb = compile_expr db at cenv b in
+      let ca = compile_expr lx at cenv a and cb = compile_expr lx at cenv b in
       fun ctx env -> Sem.cmp3 op (ca ctx env) (cb ctx env)
   | And (a, b) ->
-      let ca = compile_expr db at cenv a and cb = compile_expr db at cenv b in
+      let ca = compile_expr lx at cenv a and cb = compile_expr lx at cenv b in
       fun ctx env ->
         let va = ca ctx env in
         if Value.is_false va then Value.vfalse else Value.and3 va (cb ctx env)
   | Or (a, b) ->
-      let ca = compile_expr db at cenv a and cb = compile_expr db at cenv b in
+      let ca = compile_expr lx at cenv a and cb = compile_expr lx at cenv b in
       fun ctx env ->
         let va = ca ctx env in
         if Value.is_true va then Value.vtrue else Value.or3 va (cb ctx env)
   | Not a ->
-      let ca = compile_expr db at cenv a in
+      let ca = compile_expr lx at cenv a in
       fun ctx env -> Value.not3 (ca ctx env)
   | IsNull a ->
-      let ca = compile_expr db at cenv a in
+      let ca = compile_expr lx at cenv a in
       fun ctx env -> Value.Bool (Value.is_null (ca ctx env))
   | Case (whens, els) ->
       let cwhens =
         List.map
-          (fun (c, e) -> (compile_expr db at cenv c, compile_expr db at cenv e))
+          (fun (c, e) -> (compile_expr lx at cenv c, compile_expr lx at cenv e))
           whens
       in
-      let cels = Option.map (compile_expr db at cenv) els in
+      let cels = Option.map (compile_expr lx at cenv) els in
       fun ctx env ->
         let rec go = function
           | (cc, ce) :: rest ->
@@ -757,15 +743,15 @@ let rec compile_expr db at (cenv : Schema.t list) (e : expr) : cexpr =
         in
         go cwhens
   | Like (a, pattern) -> (
-      let ca = compile_expr db at cenv a in
+      let ca = compile_expr lx at cenv a in
       fun ctx env ->
         match ca ctx env with
         | Value.Null -> Value.Null
         | Value.String s -> Value.Bool (Builtin.like_match ~pattern s)
         | v -> Sem.eval_error "LIKE over non-string %s" (Value.to_string v))
   | InList (a, es) ->
-      let ca = compile_expr db at cenv a in
-      let ces = List.map (compile_expr db at cenv) es in
+      let ca = compile_expr lx at cenv a in
+      let ces = List.map (compile_expr lx at cenv) es in
       fun ctx env ->
         let x = ca ctx env in
         let rec go acc = function
@@ -779,10 +765,10 @@ let rec compile_expr db at (cenv : Schema.t list) (e : expr) : cexpr =
       if Builtin.is_aggregate name then
         Sem.eval_error "aggregate function %s in scalar context" name
       else
-        let cargs = List.map (compile_expr db at cenv) args in
+        let cargs = List.map (compile_expr lx at cenv) args in
         fun ctx env ->
           Builtin.apply_scalar name (List.map (fun ce -> ce ctx env) cargs)
-  | Sublink s -> compile_sublink db at cenv s
+  | Sublink s -> compile_sublink lx at cenv s
 
 (* Selection and join conditions compile to unboxed three-valued
    predicates (the {!b3_of_value} encoding), so the boolean skeleton
@@ -790,7 +776,7 @@ let rec compile_expr db at (cenv : Schema.t list) (e : expr) : cexpr =
    short-circuiting mirror the reference evaluator exactly, including
    {e which} operand subexpressions are evaluated — sublink memo
    counters depend on that. *)
-and compile_pred db at (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
+and compile_pred lx at (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
   match e with
   | Const v ->
       let b = b3_of_value v in
@@ -799,20 +785,20 @@ and compile_pred db at (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
      provenance rewrites wrap around moved sublink tests — reduces to a
      truth-table check on the operand's unboxed value. *)
   | Cmp (EqNull, p, Const (Value.Bool b)) when is_boolean_shape p ->
-      let pp = compile_pred db at cenv p in
+      let pp = compile_pred lx at cenv p in
       fun ctx env ->
         let v = pp ctx env in
         if v = 2 then 0 else if (v = 1) = b then 1 else 0
   | Cmp (EqNull, Const (Value.Bool b), p) when is_boolean_shape p ->
-      let pp = compile_pred db at cenv p in
+      let pp = compile_pred lx at cenv p in
       fun ctx env ->
         let v = pp ctx env in
         if v = 2 then 0 else if (v = 1) = b then 1 else 0
   | Cmp (op, a, b) ->
-      let ca = compile_expr db at cenv a and cb = compile_expr db at cenv b in
+      let ca = compile_expr lx at cenv a and cb = compile_expr lx at cenv b in
       fun ctx env -> cmp_b3 op (ca ctx env) (cb ctx env)
   | And (a, b) ->
-      let pa = compile_pred db at cenv a and pb = compile_pred db at cenv b in
+      let pa = compile_pred lx at cenv a and pb = compile_pred lx at cenv b in
       fun ctx env ->
         let va = pa ctx env in
         if va = 0 then 0
@@ -820,7 +806,7 @@ and compile_pred db at (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
           let vb = pb ctx env in
           if vb = 0 then 0 else if va = 2 || vb = 2 then 2 else 1
   | Or (a, b) ->
-      let pa = compile_pred db at cenv a and pb = compile_pred db at cenv b in
+      let pa = compile_pred lx at cenv a and pb = compile_pred lx at cenv b in
       fun ctx env ->
         let va = pa ctx env in
         if va = 1 then 1
@@ -828,14 +814,14 @@ and compile_pred db at (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
           let vb = pb ctx env in
           if vb = 1 then 1 else if va = 2 || vb = 2 then 2 else 0
   | Not a ->
-      let pa = compile_pred db at cenv a in
+      let pa = compile_pred lx at cenv a in
       fun ctx env -> (
         match pa ctx env with 0 -> 1 | 1 -> 0 | _ -> 2)
   | IsNull a ->
-      let ca = compile_expr db at cenv a in
+      let ca = compile_expr lx at cenv a in
       fun ctx env -> if Value.is_null (ca ctx env) then 1 else 0
   | _ ->
-      let ce = compile_expr db at cenv e in
+      let ce = compile_expr lx at cenv e in
       fun ctx env -> b3_of_value (ce ctx env)
 
 (* A sublink's memoized result and ANY/ALL summary per key
@@ -843,9 +829,9 @@ and compile_pred db at (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
    under the full environment at the expression's location, exactly the
    scope the reference evaluator gives it, with replay on when it is
    correlated. *)
-and sublink_memo db at cenv (s : sublink) ~correlated =
+and sublink_memo lx at cenv (s : sublink) ~correlated =
   let spath = Path.locate at s in
-  let body = lower db ~replay:correlated spath cenv s.query in
+  let body = lower lx ~replay:correlated spath cenv s.query in
   (* Bodies run sequentially on the enclosing execution's context. An
      empty result, the common one of a correlated EXISTS body, is one
      shared relation instead of a fresh one per binding. *)
@@ -882,13 +868,13 @@ and sublink_memo db at cenv (s : sublink) ~correlated =
 
 (* The correlated attributes are resolved to offset accessors once, so
    the per-binding memo key is assembled without any name resolution. *)
-and compile_sublink db at (cenv : Schema.t list) (s : sublink) : cexpr =
-  let free = Scope.free_of_query db s.query in
+and compile_sublink lx at (cenv : Schema.t list) (s : sublink) : cexpr =
+  let free = Scope.body_frees lx.frees lx.db s.query in
   let free_getters =
     Array.of_list (List.map (fun n -> attr_access (resolve_attr cenv n)) free)
   in
   let correlated = free <> [] in
-  let materialize, summary = sublink_memo db at cenv s ~correlated in
+  let materialize, summary = sublink_memo lx at cenv s ~correlated in
   let key ctx env =
     (s.id, Array.to_list (Array.map (fun g -> g ctx env) free_getters))
   in
@@ -940,13 +926,13 @@ and compile_sublink db at (cenv : Schema.t list) (s : sublink) : cexpr =
         first (materialize ctx env (key ctx env))
       else fun ctx env -> first (cached_rel ctx env)
   | AnyOp (op, lhs) ->
-      let clhs = compile_expr db at cenv lhs in
+      let clhs = compile_expr lx at cenv lhs in
       if correlated then fun ctx env ->
         Sem.any_of_summary op (clhs ctx env) (summary ctx env (key ctx env))
       else fun ctx env ->
         Sem.any_of_summary op (clhs ctx env) (cached_summary ctx env)
   | AllOp (op, lhs) ->
-      let clhs = compile_expr db at cenv lhs in
+      let clhs = compile_expr lx at cenv lhs in
       if correlated then fun ctx env ->
         Sem.all_of_summary op (clhs ctx env) (summary ctx env (key ctx env))
       else fun ctx env ->
@@ -958,11 +944,11 @@ and compile_sublink db at (cenv : Schema.t list) (s : sublink) : cexpr =
    behaves); [None] when [s] is correlated. The ANY/ALL probe kernels
    call it once per execution, before any parallel section, so the
    summary is immutable by the time workers read it. *)
-and sublink_summary db at cenv (s : sublink) :
+and sublink_summary lx at cenv (s : sublink) :
     (ctx -> renv -> Sem.summary) option =
-  if Scope.free_of_query db s.query <> [] then None
+  if Scope.body_frees lx.frees lx.db s.query <> [] then None
   else begin
-    let _, summary = sublink_memo db at cenv s ~correlated:false in
+    let _, summary = sublink_memo lx at cenv s ~correlated:false in
     let k0 = (s.id, []) in
     Some (fun ctx env -> summary ctx env k0)
   end
@@ -974,7 +960,7 @@ and sublink_summary db at cenv (s : sublink) :
    falls back to the compiled row-wise form (which preserves evaluation
    order, sublink correlation and error behavior by construction). The
    match arms mirror {!compile_pred}'s, in the same order. *)
-and vectorize db at schema cenv (e : expr) : mask option =
+and vectorize lx at schema cenv (e : expr) : mask option =
   let find n = Schema.find schema n in
   let outer n =
     match resolve_attr cenv n with
@@ -984,11 +970,11 @@ and vectorize db at schema cenv (e : expr) : mask option =
   match e with
   | Const v -> Some (MConst (b3_of_value v))
   | Cmp (EqNull, p, Const (Value.Bool bv)) when is_boolean_shape p -> (
-      match vectorize db at schema cenv p with
+      match vectorize lx at schema cenv p with
       | Some m -> Some (MBoolEq (m, bv))
       | None -> None)
   | Cmp (EqNull, Const (Value.Bool bv), p) when is_boolean_shape p -> (
-      match vectorize db at schema cenv p with
+      match vectorize lx at schema cenv p with
       | Some m -> Some (MBoolEq (m, bv))
       | None -> None)
   | Cmp (op, Attr n1, Attr n2) -> (
@@ -1009,33 +995,33 @@ and vectorize db at schema cenv (e : expr) : mask option =
       | None -> None)
   | And (a, b) -> (
       match
-        (vectorize db at schema cenv a, vectorize db at schema cenv b)
+        (vectorize lx at schema cenv a, vectorize lx at schema cenv b)
       with
       | Some ma, Some mb -> Some (MAnd (ma, mb))
       | _ -> None)
   | Or (a, b) -> (
       match
-        (vectorize db at schema cenv a, vectorize db at schema cenv b)
+        (vectorize lx at schema cenv a, vectorize lx at schema cenv b)
       with
       | Some ma, Some mb -> Some (MOr (ma, mb))
       | _ -> None)
   | Not a ->
-      Option.map (fun m -> MNot m) (vectorize db at schema cenv a)
+      Option.map (fun m -> MNot m) (vectorize lx at schema cenv a)
   | IsNull (Attr n) -> (
       match find n with Some j -> Some (MLeaf (LIsNull j)) | None -> None)
   | Attr n -> (
       match find n with Some j -> Some (MLeaf (LAttr j)) | None -> None)
   | Sublink ({ kind = AnyOp (op, Attr n); _ } as s) ->
-      probe_of db at schema cenv ~any:true op n s
+      probe_of lx at schema cenv ~any:true op n s
   | Sublink ({ kind = AllOp (op, Attr n); _ } as s) ->
-      probe_of db at schema cenv ~any:false op n s
+      probe_of lx at schema cenv ~any:false op n s
   | _ -> None
 
-and probe_of db at schema cenv ~any op n s : mask option =
+and probe_of lx at schema cenv ~any op n s : mask option =
   match Schema.find schema n with
   | None -> None
   | Some j -> (
-      match sublink_summary db at (schema :: cenv) s with
+      match sublink_summary lx at (schema :: cenv) s with
       | None -> None (* correlated: row-wise fallback *)
       | Some get ->
           Some
@@ -1054,12 +1040,12 @@ and probe_of db at schema cenv ~any op n s : mask option =
    or a total, vectorizable boolean expression, and at most one item
    probes a sublink — so materializing the sublinks column by column
    happens in the per-row path's row-by-row order. *)
-and mask_projection db at schema cenv cols : pcol array option =
+and mask_projection lx at schema cenv cols : pcol array option =
   let item (e, _) =
     match e with
     | Attr n -> Option.map (fun j -> PAttr j) (Schema.find schema n)
     | e when is_boolean_shape e && scalar_safe e ->
-        Option.map (fun m -> PMask m) (vectorize db at schema cenv e)
+        Option.map (fun m -> PMask m) (vectorize lx at schema cenv e)
     | _ -> None
   in
   let items = List.map item cols in
@@ -1068,18 +1054,18 @@ and mask_projection db at schema cenv cols : pcol array option =
   then None
   else Some (Array.of_list (List.map Option.get items))
 
-(* [lower db ~replay path cenv q] — [replay] holds inside the body of a
+(* [lower lx ~replay path cenv q] — [replay] holds inside the body of a
    correlated sublink, which runs once per binding. There a subtree
    that reads nothing from the enclosing frames and touches no counter
    yields the same batches for every binding, so it runs once per
    execution ([lower_replayed]). A bare scan already returns stored
    batches: nothing to save. *)
-and lower db ~replay path (cenv : Schema.t list) (q : query) : vop =
+and lower lx ~replay path (cenv : Schema.t list) (q : query) : vop =
   match q with
-  | Base _ | TableExpr _ -> lower_node db ~replay path cenv q
-  | _ when replay && counter_free q && Scope.free_of_query db q = [] ->
-      lower_replayed db path q
-  | _ -> lower_node db ~replay path cenv q
+  | Base _ | TableExpr _ -> lower_node lx ~replay path cenv q
+  | _ when replay && counter_free q && Scope.body_frees lx.frees lx.db q = [] ->
+      lower_replayed lx path q
+  | _ -> lower_node lx ~replay path cenv q
 
 (* The subtree is lowered without the outer frames, so nothing below it
    is replayed again. Its batches are kept in a slot keyed on the [ctx]
@@ -1088,8 +1074,8 @@ and lower db ~replay path (cenv : Schema.t list) (q : query) : vop =
    rows the first run charged, at the subtree's path, so row totals
    match a run that re-executes it. The slot is confined to the
    executing domain like the memo tables. *)
-and lower_replayed db path q : vop =
-  let v = lower_node db ~replay:false path [] q in
+and lower_replayed lx path q : vop =
+  let v = lower_node lx ~replay:false path [] q in
   let here = Path.here path q in
   let slot = ref None in
   {
@@ -1113,14 +1099,14 @@ and lower_replayed db path q : vop =
    right before left, and stats updates count the walker's plan
    events. An operator's expressions compile with [at], the operators
    they belong to, where their sublinks' body paths are found. *)
-and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
+and lower_node lx ~replay path (cenv : Schema.t list) (q : query) : vop =
   let here = Path.here path q in
   let cpath side = Path.child path q side in
   guarded here
   @@
   match q with
   | Base name ->
-      let schema = Relation.schema (Database.find db name) in
+      let schema = Relation.schema (Database.find lx.db name) in
       {
         v_schema = schema;
         v_run =
@@ -1143,11 +1129,13 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
             chunk_rows schema (Relation.tuples rel));
       }
   | Select (_, (Cross _ | Join _)) | Join _ | LeftJoin _ ->
-      lower_join db ~replay cenv (Option.get (Sem.join_of path q))
+      let j = Option.get (Sem.join_of path q) in
+      let va, vb = join_inputs lx ~replay cenv j in
+      join_over lx cenv j va vb
   | Select (cond, input) -> (
-      let vin = lower db ~replay (cpath Path.Input) cenv input in
+      let vin = lower lx ~replay (cpath Path.Input) cenv input in
       let schema = vin.v_schema in
-      match vectorize db (owner here q) schema cenv cond with
+      match vectorize lx (owner here q) schema cenv cond with
       | Some m ->
           {
             v_schema = schema;
@@ -1161,7 +1149,7 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
                   (vin.v_run rt));
           }
       | None ->
-          let pcond = compile_pred db (owner here q) (schema :: cenv) cond in
+          let pcond = compile_pred lx (owner here q) (schema :: cenv) cond in
           {
             v_schema = schema;
             v_run =
@@ -1181,18 +1169,35 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
                   (vin.v_run rt));
           })
   | Project { distinct; cols; proj_input } -> (
-      let fused =
-        if distinct then None
-        else Sem.join_of (cpath Path.Input) proj_input
-      in
-      match Option.bind fused (fused_projection db cenv cols) with
-      | Some (j, project) -> lower_join db ~replay cenv ~project j
+      match
+        if distinct then None else Sem.join_of (cpath Path.Input) proj_input
+      with
+      | Some j -> (
+          (* Projection-into-join fusion: [Project] of bare attributes
+             directly over a join (or a select-over-product that lowers
+             into one) gathers output rows straight from the two input
+             tuples inside the join's emit step — the concatenated
+             intermediate tuple is never built. The offsets are checked
+             against the join's lowered input schemas, so correlated
+             names (resolving to an outer frame) fall back to the
+             generic path. *)
+          let va, vb = join_inputs lx ~replay cenv j in
+          let joint = Schema.concat va.v_schema vb.v_schema in
+          match own_offsets joint cols with
+          | Some offs ->
+              let out = Typecheck.projection_schema lx.db (joint :: cenv) cols in
+              join_over lx cenv ~project:(offs, out) j va vb
+          | None ->
+              project_over lx here q cenv ~distinct cols
+                (guarded
+                   (Path.here (cpath Path.Input) proj_input)
+                   (join_over lx cenv j va vb)))
       | None ->
-          lower_project db ~replay here q (cpath Path.Input) cenv ~distinct
-            cols proj_input)
+          project_over lx here q cenv ~distinct cols
+            (lower lx ~replay (cpath Path.Input) cenv proj_input))
   | Cross (a, b) ->
-      let va = lower db ~replay (cpath Path.Left) cenv a
-      and vb = lower db ~replay (cpath Path.Right) cenv b in
+      let va = lower lx ~replay (cpath Path.Left) cenv a
+      and vb = lower lx ~replay (cpath Path.Right) cenv b in
       let schema = Schema.concat va.v_schema vb.v_schema in
       {
         v_schema = schema;
@@ -1212,20 +1217,20 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
             chunk_rows schema (List.rev !acc));
       }
   | Agg { group_by; aggs; agg_input } ->
-      let vin = lower db ~replay (cpath Path.Input) cenv agg_input in
+      let vin = lower lx ~replay (cpath Path.Input) cenv agg_input in
       let ienv = vin.v_schema :: cenv in
-      let out_schema = Typecheck.aggregation_schema db ienv group_by aggs in
+      let out_schema = Typecheck.aggregation_schema lx.db ienv group_by aggs in
       let at = owner here q in
       let group_cexprs =
         Array.of_list
-          (List.map (fun (e, _) -> compile_expr db at ienv e) group_by)
+          (List.map (fun (e, _) -> compile_expr lx at ienv e) group_by)
       in
       let agg_specs =
         List.map
           (fun call ->
             ( call.agg_func,
               call.agg_distinct,
-              Option.map (compile_expr db at ienv) call.agg_arg
+              Option.map (compile_expr lx at ienv) call.agg_arg
             ))
           aggs
       in
@@ -1282,8 +1287,8 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
             chunk_rows out_schema (List.map compute_group keys));
       }
   | Union (Bag, a, b) ->
-      let va = lower db ~replay (cpath Path.Left) cenv a
-      and vb = lower db ~replay (cpath Path.Right) cenv b in
+      let va = lower lx ~replay (cpath Path.Left) cenv a
+      and vb = lower lx ~replay (cpath Path.Right) cenv b in
       if not (Schema.equal_types va.v_schema vb.v_schema) then
         setop_of va vb Relation.union_bag
       else
@@ -1298,24 +1303,24 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
               List.map (Vector.with_schema va.v_schema) (ra @ rb));
         }
   | Union (SetSem, a, b) ->
-      lower_setop db ~replay (cpath Path.Left) (cpath Path.Right) cenv Relation.union_set a b
+      lower_setop lx ~replay (cpath Path.Left) (cpath Path.Right) cenv Relation.union_set a b
   | Inter (sem, a, b) ->
       let op =
         match sem with Bag -> Relation.inter_bag | SetSem -> Relation.inter_set
       in
-      lower_setop db ~replay (cpath Path.Left) (cpath Path.Right) cenv op a b
+      lower_setop lx ~replay (cpath Path.Left) (cpath Path.Right) cenv op a b
   | Diff (sem, a, b) ->
       let op =
         match sem with Bag -> Relation.diff_bag | SetSem -> Relation.diff_set
       in
-      lower_setop db ~replay (cpath Path.Left) (cpath Path.Right) cenv op a b
+      lower_setop lx ~replay (cpath Path.Left) (cpath Path.Right) cenv op a b
   | Order (keys, input) ->
-      let vin = lower db ~replay (cpath Path.Input) cenv input in
+      let vin = lower lx ~replay (cpath Path.Input) cenv input in
       let ienv = vin.v_schema :: cenv in
       let at = owner here q in
       let ckeys =
         Array.of_list
-          (List.map (fun (e, d) -> (compile_expr db at ienv e, d)) keys)
+          (List.map (fun (e, d) -> (compile_expr lx at ienv e, d)) keys)
       in
       let nkeys = Array.length ckeys in
       let kexprs = Array.map fst ckeys in
@@ -1347,7 +1352,7 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
               (List.map snd (List.stable_sort cmp (List.rev !decorated))));
       }
   | Limit (n, input) ->
-      let vin = lower db ~replay (cpath Path.Input) cenv input in
+      let vin = lower lx ~replay (cpath Path.Input) cenv input in
       {
         v_schema = vin.v_schema;
         v_run =
@@ -1378,10 +1383,9 @@ and lower_node db ~replay path (cenv : Schema.t list) (q : query) : vop =
               bats);
       }
 
-and lower_project db ~replay here q cpath cenv ~distinct cols proj_input : vop =
-  let vin = lower db ~replay cpath cenv proj_input in
+and project_over lx here q cenv ~distinct cols (vin : vop) : vop =
   let ienv = vin.v_schema :: cenv in
-  let out_schema = Typecheck.projection_schema db ienv cols in
+  let out_schema = Typecheck.projection_schema lx.db ienv cols in
   let distinct_rows rows =
     chunk_rows out_schema
       (Relation.tuples (Relation.distinct (Relation.make_unchecked out_schema rows)))
@@ -1411,7 +1415,7 @@ and lower_project db ~replay here q cpath cenv ~distinct cols proj_input : vop =
   | None -> (
       let at = owner here q in
       match
-        if distinct then None else mask_projection db at vin.v_schema cenv cols
+        if distinct then None else mask_projection lx at vin.v_schema cenv cols
       with
       | Some pcols ->
           (* Attribute and boolean-mask items: masks are computed per
@@ -1451,7 +1455,7 @@ and lower_project db ~replay here q cpath cenv ~distinct cols proj_input : vop =
       | None ->
           let cexprs =
             Array.of_list
-              (List.map (fun (e, _) -> compile_expr db at ienv e) cols)
+              (List.map (fun (e, _) -> compile_expr lx at ienv e) cols)
           in
           let eval_rows rt =
             List.concat_map
@@ -1471,8 +1475,8 @@ and lower_project db ~replay here q cpath cenv ~distinct cols proj_input : vop =
                 else chunk_rows out_schema (eval_rows rt));
           })
 
-and lower_setop db ~replay lpath rpath cenv op a b : vop =
-  setop_of (lower db ~replay lpath cenv a) (lower db ~replay rpath cenv b) op
+and lower_setop lx ~replay lpath rpath cenv op a b : vop =
+  setop_of (lower lx ~replay lpath cenv a) (lower lx ~replay rpath cenv b) op
 
 and setop_of va vb op : vop =
   {
@@ -1487,18 +1491,22 @@ and setop_of va vb op : vop =
         chunk_rows va.v_schema (Relation.tuples (op ra rb)));
   }
 
-(* [?project] is the fused attribute projection (output offsets into
-   the concatenated schema, output schema): rows are gathered from the
-   (left, right) pair instead of concatenated, and factored cross blocks
-   just remap their sources. *)
-and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
+and join_inputs lx ~replay cenv (j : Sem.join) : vop * vop =
+  let va = lower lx ~replay (Path.child j.j_prefix j.j_node Path.Left) cenv j.j_left
+  and vb =
+    lower lx ~replay (Path.child j.j_prefix j.j_node Path.Right) cenv j.j_right
+  in
+  (va, vb)
+
+(* The join [j] over its lowered inputs. [?project] is the fused
+   attribute projection (output offsets into the concatenated schema,
+   output schema): rows are gathered from the (left, right) pair
+   instead of concatenated, and factored cross blocks just remap their
+   sources. *)
+and join_over lx cenv ?project (j : Sem.join) va vb : vop =
   let here = Path.here j.j_prefix j.j_node in
   let at = Sem.join_owners j here in
   let outer = j.j_outer and cond = j.j_cond in
-  let va = lower db ~replay (Path.child j.j_prefix j.j_node Path.Left) cenv j.j_left
-  and vb =
-    lower db ~replay (Path.child j.j_prefix j.j_node Path.Right) cenv j.j_right
-  in
   let sa = va.v_schema and sb = vb.v_schema in
   let joint = Schema.concat sa sb in
   let arity_a = Schema.arity sa and arity_b = Schema.arity sb in
@@ -1523,7 +1531,7 @@ and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
     | Some (offs, s) -> Vector.select_cols s blk offs
   in
   let pairs, residual =
-    Scope.split_equi db ~left:(Schema.names sa) ~right:(Schema.names sb) cond
+    Scope.split_equi lx.db ~left:(Schema.names sa) ~right:(Schema.names sb) cond
   in
   if pairs = [] then begin
     (* Nested loop. Left-only hoisting: when the first operand of a
@@ -1540,7 +1548,7 @@ and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
       counter_silent x
       &&
       let sbn = Schema.names sb in
-      List.for_all (fun n -> not (List.mem n sbn)) (expr_deps db x)
+      List.for_all (fun n -> not (List.mem n sbn)) (expr_deps lx x)
     in
     let penv = sb :: sa :: cenv in
     let split =
@@ -1548,11 +1556,11 @@ and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
       | Const (Value.Bool true) -> `All
       | Or (x, y) when hoistable x ->
           `Or
-            (compile_pred db at (sa :: cenv) x, compile_pred db at penv y)
+            (compile_pred lx at (sa :: cenv) x, compile_pred lx at penv y)
       | And (x, y) when hoistable x ->
           `And
-            (compile_pred db at (sa :: cenv) x, compile_pred db at penv y)
-      | _ -> `Whole (compile_pred db at penv cond)
+            (compile_pred lx at (sa :: cenv) x, compile_pred lx at penv y)
+      | _ -> `Whole (compile_pred lx at penv cond)
     in
     {
       v_schema = out_schema;
@@ -1680,13 +1688,13 @@ and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
     let left_keys =
       Array.of_list
         (List.map
-           (fun (e, _, _) -> compile_expr db at (sa :: cenv) e)
+           (fun (e, _, _) -> compile_expr lx at (sa :: cenv) e)
            pairs)
     in
     let right_keys =
       Array.of_list
         (List.map
-           (fun (_, e, _) -> compile_expr db at (sb :: cenv) e)
+           (fun (_, e, _) -> compile_expr lx at (sb :: cenv) e)
            pairs)
     in
     let safe = Array.of_list (List.map (fun (_, _, s) -> s) pairs) in
@@ -1694,7 +1702,7 @@ and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
     let cresidual =
       match residual with
       | [] -> None
-      | r -> Some (compile_pred db at (sb :: sa :: cenv) (conj r))
+      | r -> Some (compile_pred lx at (sb :: sa :: cenv) (conj r))
     in
     let usable (key : Tuple.t) =
       let rec go i =
@@ -1773,7 +1781,7 @@ and lower_join db ~replay cenv ?project (j : Sem.join) : vop =
 
 let query_stats ?(env = []) db q : Relation.t * Sem.stats =
   let cenv = List.map fst env and renv = List.map snd env in
-  let v = lower db ~replay:false [] cenv q in
+  let v = lower { db; frees = Scope.memo () } ~replay:false [] cenv q in
   let rt = { cctx = mk_ctx db; renv } in
   let bats = v.v_run rt in
   (Vector.relation_of v.v_schema bats, rt.cctx.stats)
@@ -1781,5 +1789,6 @@ let query_stats ?(env = []) db q : Relation.t * Sem.stats =
 let query ?(env = []) db q = fst (query_stats ~env db q)
 
 let expr ?(env = []) db e =
-  compile_expr db [ ([], [ e ]) ] (List.map fst env) e (mk_ctx db)
+  compile_expr { db; frees = Scope.memo () } [ ([], [ e ]) ] (List.map fst env) e
+    (mk_ctx db)
     (List.map snd env)

@@ -578,6 +578,74 @@ let test_advisor_unn_gating () =
     (Advisor.estimates (db ()) q)
 
 (* ------------------------------------------------------------------ *)
+(* Fact reuse across environments                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A subplan reached again under another environment keeps its fact
+   when every free name of it reads the same there, and is re-analysed
+   and widened otherwise. The correlated body below reads only the
+   enclosing scope's [a]. *)
+let correlated_body () = Select (Cmp (Eq, Attr "c", Attr "a"), Base "s")
+
+let with_col k f (fact : Estimate.fact) =
+  { fact with Estimate.e_cols = List.mapi (fun j c -> if j = k then f c else c) fact.e_cols }
+
+let test_reuse_equal_reads () =
+  let d = db () in
+  let est = Estimate.create d in
+  let fr = Estimate.query est (Base "r") in
+  (* physically another environment, differing only in [b], which the
+     body does not read *)
+  let fr' = with_col 1 (fun c -> { c with Estimate.ci_ndv = c.ci_ndv +. 5.0 }) fr in
+  let q = correlated_body () in
+  let n0 = Estimate.transfers () in
+  let f1 = Estimate.query est ~env:[ fr ] q in
+  let n1 = Estimate.transfers () in
+  Alcotest.(check int) "first environment: selection and scan" 2 (n1 - n0);
+  let f2 = Estimate.query est ~env:[ fr' ] q in
+  Alcotest.(check int) "equal reads: no transfer" n1 (Estimate.transfers ());
+  Alcotest.(check bool) "the memoized fact" true (f1 == f2);
+  Alcotest.(check bool) "the fact a re-transfer gives" true
+    (Estimate.query (Estimate.create d) ~env:[ fr' ] q = f2)
+
+let test_reuse_differing_reads () =
+  let d = db () in
+  let est = Estimate.create d in
+  let fr = Estimate.query est (Base "r") in
+  (* [a] half NULL: the correlation predicate keeps half the rows *)
+  let fr' = with_col 0 (fun c -> { c with Estimate.ci_null = 0.5 }) fr in
+  let q = correlated_body () in
+  let f1 = Estimate.query est ~env:[ fr ] q in
+  let n1 = Estimate.transfers () in
+  let f2 = Estimate.query est ~env:[ fr' ] q in
+  Alcotest.(check int) "the selection re-transferred, the scan kept" 1
+    (Estimate.transfers () - n1);
+  let alone env = Estimate.query (Estimate.create d) ~env q in
+  let a = alone [ fr ] and b = alone [ fr' ] in
+  Alcotest.(check bool) "environments estimate differently" true (a.e_rows <> b.e_rows);
+  Alcotest.(check (float 1e-9)) "rows widened" (Float.max a.e_rows b.e_rows) f2.e_rows;
+  Alcotest.(check (float 1e-9)) "cost widened" (Float.max a.e_cost b.e_cost) f2.e_cost;
+  Alcotest.(check bool) "first fact unchanged" true (f1 = a)
+
+(* Nullability and lineage follow the same rule; cardinality reads no
+   environment at all. *)
+let test_reuse_null_lineage () =
+  let t = Dataflow.create (db ()) in
+  let q = project [ (Attr "a", "a2"); (Attr "c", "c") ] (Base "s") in
+  let nenv v = [ { Dataflow.n_names = [ "a" ]; n_maybe = [ v ] } ] in
+  let f1 = Dataflow.nullability t ~env:(nenv false) q in
+  Alcotest.(check bool) "equal reads: kept" true
+    (f1 == Dataflow.nullability t ~env:(nenv false) q);
+  Alcotest.(check (list bool)) "differing reads: widened" [ true; false ]
+    (Dataflow.nullability t ~env:(nenv true) q).n_maybe;
+  let lenv deps = [ { Dataflow.l_names = [ "a" ]; l_deps = [ Dataflow.Deps.of_list deps ] } ] in
+  let g1 = Dataflow.lineage t ~env:(lenv [ ("r", "a"); ("r", "b") ]) q in
+  (* the same set, built in the other order *)
+  Alcotest.(check bool) "equal dependency sets: kept" true
+    (g1 == Dataflow.lineage t ~env:(lenv [ ("r", "b"); ("r", "a") ]) q);
+  let g3 = Dataflow.lineage t ~env:(lenv [ ("u", "e") ]) q in
+  Alcotest.(check (list string)) "differing reads: widened" [ "r.a"; "r.b"; "u.e" ]
+    (List.map (fun (r, c) -> r ^ "." ^ c) (Dataflow.Deps.elements (List.hd g3.l_deps)))
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
@@ -598,6 +666,14 @@ let () =
           Alcotest.test_case "join and sublink" `Quick test_lineage_join_and_sublink;
         ] );
       ("cardinality", [ Alcotest.test_case "bounds" `Quick test_cardinality ]);
+      ( "reuse",
+        [
+          Alcotest.test_case "equal reads transfer once" `Quick test_reuse_equal_reads;
+          Alcotest.test_case "differing reads re-transfer and widen" `Quick
+            test_reuse_differing_reads;
+          Alcotest.test_case "nullability and lineage share the rule" `Quick
+            test_reuse_null_lineage;
+        ] );
       ( "pruner",
         [
           Alcotest.test_case "exists prunes to zero width" `Quick test_prune_exists_zero_width;

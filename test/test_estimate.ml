@@ -87,6 +87,27 @@ let test_stats_cache_invalidation () =
   check_bool "refreshed" true (not (s0 == s1));
   Alcotest.(check int) "r rows post" 1 (Option.get (Stats.table s1 "r")).Stats.t_rows
 
+(* A catalog write recollects only the tables it changed: after a
+   CREATE TABLE AS, the untouched tables keep the very statistics
+   records they had, and estimates over them do not move. *)
+let test_stats_write_recollects_changed () =
+  let d = db () in
+  let q = Select (Cmp (Lt, Attr "a", Const (i 3)), Cross (Base "r", Base "s")) in
+  let s0 = Stats.of_db d in
+  let rows0 = Estimate.rows (Estimate.create d) q in
+  (match Core.Perm.exec d "CREATE TABLE w AS SELECT a FROM r WHERE a > 1" with
+  | Core.Perm.Created_table ("w", 2) -> ()
+  | _ -> Alcotest.fail "CREATE TABLE AS did not create w with 2 rows");
+  let s1 = Stats.of_db d in
+  check_bool "recollected" true (not (s0 == s1));
+  List.iter
+    (fun name ->
+      check_bool (name ^ " reused") true
+        (Option.get (Stats.table s0 name) == Option.get (Stats.table s1 name)))
+    [ "r"; "s"; "nully" ];
+  Alcotest.(check int) "new table collected" 2 (Option.get (Stats.table s1 "w")).Stats.t_rows;
+  checkf "estimate unchanged" rows0 (Estimate.rows (Estimate.create d) q)
+
 (* ------------------------------------------------------------------ *)
 (* Estimator fixtures                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -353,6 +374,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_stats_basics;
           Alcotest.test_case "histogram" `Quick test_stats_hist;
           Alcotest.test_case "cache invalidation" `Quick test_stats_cache_invalidation;
+          Alcotest.test_case "write recollects only what changed" `Quick
+            test_stats_write_recollects_changed;
         ] );
       ( "estimator",
         [

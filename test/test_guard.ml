@@ -134,6 +134,34 @@ let test_alloc_trips () =
       | Guard.Alloc_exceeded _ -> ()
       | _ -> Alcotest.fail "wrong trip reason")
 
+(* The allocation meter counts words exactly: allocating a known number
+   of words moves a scope's [c_alloc_mb] by that many words, within 1%,
+   whether they stay in the minor heap, span minor collections or go
+   straight to the major heap. *)
+let keep = ref []
+
+let test_alloc_meter_words () =
+  let bytes_per_word = float_of_int (Sys.word_size / 8) in
+  let words_of mb = mb *. 1_048_576.0 /. bytes_per_word in
+  let probe label words alloc =
+    Guard.with_budget
+      (Some (Guard.budget ~max_alloc_mb:1e9 ()))
+      (fun () ->
+        let m0 = (Guard.observed ()).Guard.c_alloc_mb in
+        keep := [ alloc () ];
+        let m1 = (Guard.observed ()).Guard.c_alloc_mb in
+        keep := [];
+        let moved = words_of (m1 -. m0) in
+        if Float.abs (moved -. float_of_int words) > 0.01 *. float_of_int words
+        then Alcotest.failf "%s: %d words allocated, meter moved %.0f" label words moved)
+  in
+  (* a list cell is a header plus two fields: three words *)
+  let cells n () = Obj.repr (List.init n Fun.id) in
+  probe "minor, within one minor heap" 60_000 (cells 20_000);
+  probe "minor, across minor collections" 3_000_000 (cells 1_000_000);
+  (* an array past [Max_young_wosize] is allocated in the major heap *)
+  probe "major, direct" 100_001 (fun () -> Obj.repr (Array.make 100_000 0))
+
 let test_scope_nesting () =
   Alcotest.(check bool) "inactive outside" false (Guard.is_active ());
   Guard.with_budget
@@ -640,6 +668,8 @@ let () =
             `Quick test_reference_timeout;
           Alcotest.test_case "allocation ceiling trips" `Quick
             test_alloc_trips;
+          Alcotest.test_case "allocation meter counts words" `Quick
+            test_alloc_meter_words;
           Alcotest.test_case "scopes nest" `Quick test_scope_nesting;
           Alcotest.test_case "bulk counting gated on row ceiling" `Quick
             test_counts_rows_gating;
