@@ -169,10 +169,9 @@ symbolic() {
     --seed 1009 --count 300 --artifacts _build/fuzz
 }
 
-# Concurrency sanitizer: the static sharing lint comes back clean with
-# warnings as errors and catches an unregistered toplevel mutable, and
-# with the detector gates compiled in (disarmed) the governor's guarded
-# slowdown stays under 3% per query.
+# Shared state and governor cost: the static sharing lint comes back
+# clean with warnings as errors and catches an unregistered toplevel
+# mutable, and the governor's guarded slowdown stays under 3% per query.
 race() {
   step "static sharing lint (warnings as errors)"
   timeout 120 dune exec bench/main.exe -- share-lint --werror
@@ -193,7 +192,7 @@ race() {
   fi
   grep -q share-undeclared-mutable "$tmp/share_probe.out"
 
-  step "detector-disabled overhead under 3% on the governor benchmark"
+  step "governor overhead under 3% on the governor benchmark"
   logged "$tmp/race_gov.out" \
     timeout 600 dune exec bench/main.exe -- governor \
     --sf 0.02 --instances 2 --json "$tmp/race_gov.json"

@@ -10,16 +10,16 @@
     multiplicity queries — the access pattern of the bag set-operations
     and of [equal_bag] — pay the O(n) table build once.
 
-    The lazy caches are domain-safe: the memo fields are [Atomic.t]
-    (so publishing a fully built table establishes the happens-before
-    edge a concurrent reader needs to see the table's internals), and
-    initialization is serialized by a mutex so two domains racing on
-    first use cannot both build — server sessions read these caches
-    of shared snapshot relations concurrently. *)
+    The lazy memos are domain-safe: each is an [Atomic.t] cell
+    published through [memo_init] (the build runs under a mutex and
+    the finished value is published with one [Atomic.set], so a
+    concurrent reader sees either nothing or the whole value). Server
+    sessions read the memos of shared snapshot relations concurrently;
+    every other piece of per-query state is owned by one execution.
+    No process-wide cache of relations exists: a relation's memos live
+    and die with it. *)
 
 type t = {
-  rel_id : int;
-      (* process-unique, for stable race-detector location names *)
   schema : Schema.t;
   rows_memo : Tuple.t list option Atomic.t;
       (* the tuple list; [None] until the producer has run *)
@@ -33,16 +33,15 @@ type t = {
       (* lazily built multiplicity table; never mutated after exposure *)
   nullable_memo : bool array option Atomic.t;
       (* lazily built per-column "contains a NULL" flags *)
+  array_memo : Tuple.t array option Atomic.t;
+      (* lazily built row array, what the vectorized engine's scans
+         slice into batches *)
 }
 
 (* One lock for all relations: memo initialization is rare (once per
    relation per cache) and short, so contention is negligible and the
    per-relation footprint stays two words. *)
 let memo_lock = Mutex.create ()
-
-(* Relation ids only feed [Race] location names, so a contended
-   fetch-and-add per construction is acceptable. *)
-let next_id = Atomic.make 0
 
 exception Relation_error of string
 
@@ -53,13 +52,13 @@ let relation_error fmt = Format.kasprintf (fun s -> raise (Relation_error s)) fm
     whose output arity is known correct by construction. *)
 let make_unchecked schema tuples =
   {
-    rel_id = Atomic.fetch_and_add next_id 1;
     schema;
     rows_memo = Atomic.make (Some tuples);
     producer = None;
     known_card = None;
     counts_memo = Atomic.make None;
     nullable_memo = Atomic.make None;
+    array_memo = Atomic.make None;
   }
 
 let make schema tuples =
@@ -80,13 +79,13 @@ let make schema tuples =
     domain, and the result is cached. *)
 let make_lazy ~cardinality schema produce =
   {
-    rel_id = Atomic.fetch_and_add next_id 1;
     schema;
     rows_memo = Atomic.make None;
     producer = Some produce;
     known_card = Some cardinality;
     counts_memo = Atomic.make None;
     nullable_memo = Atomic.make None;
+    array_memo = Atomic.make None;
   }
 
 let empty schema = make_unchecked schema []
@@ -97,49 +96,27 @@ let of_values schema rows = make schema (List.map Tuple.of_list rows)
 
 (** {1 Multiplicity bookkeeping} *)
 
-(* Double-checked lazy initialization: the common path is one atomic
-   load; a miss takes the lock, re-checks, builds privately and only
-   then publishes — so concurrent readers either see [None] or a
-   completely built value, never a table under construction.
-
-   Race instrumentation (armed runs only): the built table is a plain
-   mutable structure published through the [Atomic] cell, so the writer
-   releases the cell's edge before [Atomic.set] and readers acquire it
-   on a hit — the detector then proves every reader ordered after the
-   build, and a memo published without that fence shows up as a race. *)
-let memo_loc r name = "relation[" ^ string_of_int r.rel_id ^ "]." ^ name
-
-let memo_init r name (cell : 'a option Atomic.t) (build : unit -> 'a) : 'a =
+(* Double-checked lazy initialization, the one publication rule for
+   every memo: the common path is one atomic load; a miss takes the
+   lock, re-checks, builds privately and only then publishes with
+   [Atomic.set] — so concurrent readers either see [None] or a
+   completely built value, never one under construction, and the
+   build runs once. [build] must not call [memo_init] itself (the lock
+   is not recursive): a memo derived from the rows forces them first. *)
+let memo_init (cell : 'a option Atomic.t) (build : unit -> 'a) : 'a =
   match Atomic.get cell with
-  | Some v ->
-      if Race.is_armed () then begin
-        let loc = memo_loc r name in
-        Race.acquire loc;
-        Race.read loc
-      end;
-      v
+  | Some v -> v
   | None ->
-      Race.with_lock memo_lock "relation.memo_lock" (fun () ->
+      Mutex.protect memo_lock (fun () ->
           match Atomic.get cell with
-          | Some v ->
-              if Race.is_armed () then begin
-                let loc = memo_loc r name in
-                Race.acquire loc;
-                Race.read loc
-              end;
-              v
+          | Some v -> v
           | None ->
               let v = build () in
-              if Race.is_armed () then begin
-                let loc = memo_loc r name in
-                Race.write loc;
-                Race.release loc
-              end;
               Atomic.set cell (Some v);
               v)
 
 let tuples r =
-  memo_init r "rows_memo" r.rows_memo (fun () ->
+  memo_init r.rows_memo (fun () ->
       match r.producer with
       | Some produce -> produce ()
       | None -> assert false (* eager relations seed [rows_memo] *))
@@ -157,7 +134,7 @@ let counts r =
   (* Force the rows before taking the memo lock — [tuples] uses the
      same lock, and it is not recursive. *)
   let rows = tuples r in
-  memo_init r "counts_memo" r.counts_memo (fun () ->
+  memo_init r.counts_memo (fun () ->
       let tbl = Tuple.Tbl.create (max 16 (cardinality r)) in
       List.iter
         (fun t ->
@@ -176,7 +153,7 @@ let multiplicity r t =
 let nullable_columns r =
   (* Force the rows before taking the memo lock (see [counts]). *)
   let rows = tuples r in
-  memo_init r "nullable_memo" r.nullable_memo (fun () ->
+  memo_init r.nullable_memo (fun () ->
       let flags = Array.make (Schema.arity r.schema) false in
       List.iter
         (fun t ->
@@ -187,6 +164,13 @@ let nullable_columns r =
       flags)
 
 let column_nullable r i = (nullable_columns r).(i)
+
+(** [rows_array r] is the rows as an array, in order; computed on first
+    use and cached. Callers must not mutate the result. *)
+let rows_array r =
+  (* Force the rows before taking the memo lock (see [counts]). *)
+  let rows = tuples r in
+  memo_init r.array_memo (fun () -> Array.of_list rows)
 
 let mem r t = List.exists (Tuple.equal t) (tuples r)
 

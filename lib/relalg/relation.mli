@@ -53,6 +53,12 @@ val nullable_columns : t -> bool array
 (** [column_nullable r i] is [(nullable_columns r).(i)]. *)
 val column_nullable : t -> int -> bool
 
+(** [rows_array r] is {!tuples} as an array, in order; computed on
+    first use and cached in the relation (domain-safe, like {!counts}),
+    so the vectorized engine's scans of a base relation share one
+    array. Callers must not mutate the result. *)
+val rows_array : t -> Tuple.t array
+
 (** [distinct r] removes duplicates, keeping first occurrences. *)
 val distinct : t -> t
 

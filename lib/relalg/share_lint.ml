@@ -45,32 +45,10 @@ let inventory =
     (* vexec *)
     entry "vexec" "batch_rows" "ref" InitOnce
       "batch granularity; set by the CLI before execution";
-    entry "vexec" "cache" "ref" (LockProtected "vexec.cache_lock")
-      "base-relation batch cache, identity-keyed";
-    entry "vexec" "cache_lock" "mutex" Immutable "orders vexec.cache";
     (* relation *)
     entry "relation" "memo_lock" "mutex" Immutable
       "serializes memo builds; the memo cells themselves are Atomic \
-       fields published per relation (relation[id].* detector locations)";
-    entry "relation" "next_id" "atomic" AtomicOnly
-      "relation ids for race-detector locations";
-    (* race (the detector's own state; lock is a leaf) *)
-    entry "race" "armed_flag" "atomic" AtomicOnly
-      "detector gate; one atomic load on every disarmed entry point";
-    entry "race" "lock" "mutex" Immutable
-      "leaf lock for all detector state; nothing is acquired under it";
-    entry "race" "slot_key" "dls" DomainLocal "per-domain detector slot";
-    entry "race" "next_slot" "ref" (LockProtected "race.lock") "slot counter";
-    entry "race" "clocks" "ref" (LockProtected "race.lock") "vector clocks";
-    entry "race" "edges" "hashtbl" (LockProtected "race.lock")
-      "published happens-before edges";
-    entry "race" "locs" "hashtbl" (LockProtected "race.lock")
-      "last write / recent reads per instrumented location";
-    entry "race" "reports_acc" "ref" (LockProtected "race.lock") "reports";
-    entry "race" "reported" "hashtbl" (LockProtected "race.lock")
-      "report dedup set";
-    entry "race" "seed_ref" "ref" (LockProtected "race.lock")
-      "schedule seed carried into reports";
+       fields of each relation, published once by memo_init";
     (* rewrite_trace *)
     entry "rewrite_trace" "hook" "ref" DomainLocal
       "process-local tracer hook; installed and fired on the domain \
@@ -411,7 +389,6 @@ let modules =
   [
     "eval";
     "guard";
-    "race";
     "relation";
     "rewrite_trace";
     "share_lint";
@@ -446,12 +423,8 @@ let default_root () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Race reports as diagnostics, and the JSON surface                   *)
+(* The JSON surface                                                    *)
 (* ------------------------------------------------------------------ *)
-
-let diagnostic_of_race (r : Race.report) =
-  Lint.diag Lint.Error ~rule:"race-unordered-access" ~path:[ r.Race.r_loc ]
-    (Race.report_to_string r)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in

@@ -9,18 +9,16 @@
     stripped, submodules tracked); a mutable the inventory does not
     register is an error with a stable rule id, so adding shared state
     without deciding how it is synchronized fails CI rather than
-    waiting for the race detector — or production — to notice. The
-    inventory is also checked for self-consistency (a lock named by
-    [LockProtected] must itself be a registered mutex; an [Atomic.t]
-    cell must be [AtomicOnly]; lock objects are [Immutable]).
+    waiting for production to notice. The inventory is also checked
+    for self-consistency (a lock named by [LockProtected] must itself
+    be a registered mutex; an [Atomic.t] cell must be [AtomicOnly];
+    lock objects are [Immutable]).
 
     Diagnostics reuse {!Lint.diagnostic}; {!diagnostics_json} renders
     them in the same machine-readable shape permcli's [--lint-json]
     emits. Rule ids: [share-undeclared-mutable], [share-stale-inventory],
     [share-kind-mismatch], [share-unknown-lock],
-    [share-discipline-mismatch], [share-missing-source] — and
-    {!diagnostic_of_race} reports dynamic findings as
-    [race-unordered-access] through the same channel. *)
+    [share-discipline-mismatch], [share-missing-source]. *)
 
 (** How accesses to one shared cell are ordered. *)
 type discipline =
@@ -87,10 +85,6 @@ val check_sources : root:string -> Lint.diagnostic list
 val default_root : unit -> string option
 
 (** {1 Diagnostics plumbing} *)
-
-(** A dynamic race report on the static channel
-    (rule [race-unordered-access], severity error, path = location). *)
-val diagnostic_of_race : Race.report -> Lint.diagnostic
 
 (** One diagnostic as a JSON object
     [{"severity":…,"rule":…,"path":…,"message":…}] — the shape

@@ -45,13 +45,13 @@ type t =
 
 let rows_batch schema rows : t = Rows { schema; rows; offs = None; sel = None }
 
-let of_relation ?(batch_rows = 256) rel : t array =
+let of_relation ~batch_rows rel : t list =
   let schema = Relation.schema rel in
-  let rows = Array.of_list (Relation.tuples rel) in
+  let rows = Relation.rows_array rel in
   let n = Array.length rows in
   let bs = max 1 batch_rows in
   let nb = if n = 0 then 0 else (n + bs - 1) / bs in
-  Array.init nb (fun i ->
+  List.init nb (fun i ->
       let lo = i * bs in
       rows_batch schema (Array.sub rows lo (min bs (n - lo))))
 

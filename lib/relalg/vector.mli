@@ -38,9 +38,11 @@ type t =
 val rows_batch : Schema.t -> Tuple.t array -> t
 (** A row batch of all the given tuples, with neither map. *)
 
-val of_relation : ?batch_rows:int -> Relation.t -> t array
-(** Split a relation into row batches of at most [batch_rows] rows
-    (default 256). *)
+val of_relation : batch_rows:int -> Relation.t -> t list
+(** Split a relation into row batches of at most [batch_rows] rows,
+    each a fresh slice of the relation's cached {!Relation.rows_array}
+    (built once per relation and reclaimed with it, so a scan needs no
+    cache). *)
 
 (** {1 Access} *)
 

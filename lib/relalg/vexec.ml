@@ -27,11 +27,12 @@
 
     Domain safety: server sessions run executions on concurrent
     domains over shared snapshot relations. Each execution's context,
-    memo tables and probe sets are its own and touched only by the
-    executing domain; the one cell executions share, the base-relation
-    batch cache, sits under a lock. Shared mutable cells are registered
-    in {!Share_lint}'s inventory and instrumented for the {!Race}
-    detector. *)
+    memo tables, probe sets and batches are its own and touched only
+    by the executing domain. The only state executions share is the
+    snapshot relations' own memos (the row array a scan slices, the
+    multiplicity table), published once by {!Relation}; this module
+    keeps no cache across executions. Toplevel mutables are registered
+    in {!Share_lint}'s inventory. *)
 
 open Algebra
 
@@ -41,45 +42,6 @@ open Algebra
     allocated directly in the major heap, where short-lived garbage is
     far more expensive to reclaim. *)
 let batch_rows = ref 256
-
-(* ---- base-relation batch cache ------------------------------------ *)
-
-(* Base relations are split into batches once and reused across
-   executions (keyed on physical identity plus the batch size
-   they were split with — a DDL'd catalog entry is a fresh relation and
-   misses). Guarded by a mutex: executions on different domains (server
-   sessions) share the cache. *)
-let cache_lock = Mutex.create ()
-let cache : (Relation.t * int * Vector.t array) list ref = ref []
-let cache_cap = 32
-
-let clear_cache () =
-  Race.with_lock cache_lock "vexec.cache_lock" (fun () ->
-      Race.write "vexec.cache";
-      cache := [])
-
-let rec take_n n = function
-  | [] -> []
-  | x :: rest -> if n <= 0 then [] else x :: take_n (n - 1) rest
-
-let base_batches rel : Vector.t array =
-  let br = max 1 !batch_rows in
-  let hit =
-    Race.with_lock cache_lock "vexec.cache_lock" (fun () ->
-        Race.read "vexec.cache";
-        List.find_opt (fun (r, b, _) -> r == rel && b = br) !cache)
-  in
-  match hit with
-  | Some (_, _, bats) -> bats
-  | None ->
-      let bats = Vector.of_relation ~batch_rows:br rel in
-      Race.with_lock cache_lock "vexec.cache_lock" (fun () ->
-          Race.write "vexec.cache";
-          cache :=
-            take_n cache_cap
-              ((rel, br, bats)
-              :: List.filter (fun (r, b, _) -> not (r == rel && b = br)) !cache));
-      bats
 
 (* ---- runtime ------------------------------------------------------- *)
 
@@ -1112,14 +1074,13 @@ and lower_node lx ~replay path (cenv : Schema.t list) (q : query) : vop =
         v_run =
           (fun rt ->
             Guard.Faults.fire_point Guard.Faults.Scan here;
-            Array.to_list
-              (base_batches (Database.find rt.cctx.db name)));
+            Vector.of_relation ~batch_rows:!batch_rows
+              (Database.find rt.cctx.db name));
       }
   | TableExpr rel ->
       (* Plan constants (the rewrites' NULL padding rows, folded empty
-         inputs) are fresh relations on every rewrite: converting them
-         would churn the batch cache and evict the base tables, so
-         they stream their own tuples. *)
+         inputs) are small and fresh on every rewrite, so they stream
+         their own tuples instead of building a row-array memo. *)
       let schema = Relation.schema rel in
       {
         v_schema = schema;

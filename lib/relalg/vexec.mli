@@ -3,7 +3,7 @@
     {!Vector} batches, and every scalar expression into an
     offset-resolved closure. A query runs on the domain that called
     it; concurrent executions (server sessions) share only the
-    lock-protected base-relation batch cache.
+    relations' own published memos, never a cache of this module.
 
     Results are row-identical to the reference walker ({!Eval}):
     schema names, row order, error messages and the {!Sem.stats}
@@ -18,10 +18,6 @@
 (** Rows per batch (base-table split granularity, selection/probe
     kernel unit, and the governor's row-accounting granularity). *)
 val batch_rows : int ref
-
-(** Drop the base-relation batch cache (identity-keyed; tests use this
-    to measure cold splits). *)
-val clear_cache : unit -> unit
 
 (** [query db q] — execute vectorized; [env] pairs each outer frame's
     schema with its tuple, innermost first. *)

@@ -563,10 +563,28 @@ let test_vectorized_guard_trips () =
 (* Relation memo caches under concurrent domains                        *)
 (* ------------------------------------------------------------------ *)
 
-(* [Relation.counts] and [Relation.nullable_columns] are lazily memoized
-   and shared across server sessions: hammer both from two domains at
-   once and check every observation agrees with a fresh sequential
-   computation. *)
+(* Run [f] on the calling domain and on a spawned one, both released
+   together, and return the two results (calling domain first). *)
+let on_two_domains f =
+  let ready = Atomic.make 0 in
+  let go () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    f ()
+  in
+  let d = Domain.spawn go in
+  let here = go () in
+  (here, Domain.join d)
+
+(* The relation memos are lazily built and shared across server
+   sessions. [Relation.counts] and [Relation.nullable_columns] are
+   hammered from two domains at once, and every observation must agree
+   with a fresh sequential computation. A lazy relation forced from
+   two domains at once runs its producer once and gives both the same
+   list. Two executions racing to build a fresh base relation's row
+   array both answer like the reference walker. *)
 let test_relation_memo_two_domains () =
   let rows =
     List.init 512 (fun k ->
@@ -588,12 +606,55 @@ let test_relation_memo_two_domains () =
         done;
         !ok
       in
-      let d = Domain.spawn worker in
-      let here = worker () in
-      let there = Domain.join d in
+      let here, there = on_two_domains worker in
       Alcotest.(check bool) "calling domain observations" true here;
       Alcotest.(check bool) "spawned domain observations" true there)
-    [ 1; 2; 3 ]
+    [ 1; 2; 3 ];
+  let produced = Atomic.make 0 in
+  for _ = 1 to 20 do
+    let lazy_rel =
+      Relation.make_lazy ~cardinality:(List.length rows) r_schema (fun () ->
+          Atomic.incr produced;
+          List.map Tuple.of_list rows)
+    in
+    let here, there = on_two_domains (fun () -> Relation.tuples lazy_rel) in
+    Alcotest.(check bool) "one tuple list for both domains" true (here == there)
+  done;
+  Alcotest.(check int) "each producer ran once" 20 (Atomic.get produced);
+  let q =
+    Algebra.Select
+      (Algebra.Cmp (Algebra.Gt, Algebra.Attr "a", Algebra.Const (i 3)),
+       Algebra.Base "R")
+  in
+  for _ = 1 to 20 do
+    let db = Database.of_list [ ("R", Relation.of_values r_schema rows) ] in
+    let expected = Eval.query_reference db q in
+    let here, there =
+      with_vec_config ("b16", 16) (fun () ->
+          on_two_domains (fun () -> Vexec.query db q))
+    in
+    Alcotest.(check bool) "calling domain answer" true
+      (Relation.equal_bag expected here);
+    Alcotest.(check bool) "spawned domain answer" true
+      (Relation.equal_bag expected there)
+  done
+
+(* A scan keeps nothing alive: once its caller drops every reference
+   to a scanned relation, the relation is reclaimed. *)
+let test_scan_retains_nothing () =
+  let w = Weak.create 1 in
+  let scan () =
+    let rel =
+      Relation.of_values r_schema (List.init 300 (fun k -> [ i k; i (k mod 5) ]))
+    in
+    Weak.set w 0 (Some rel);
+    let db = Database.of_list [ ("R", rel) ] in
+    ignore (Relation.cardinality (Vexec.query db (Algebra.Base "R")))
+  in
+  (Sys.opaque_identity scan) ();
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "scanned relation reclaimed" false (Weak.check w 0)
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
@@ -618,6 +679,7 @@ let () =
             test_vectorized_guard_trips;
           tc "relation memos race two domains" `Quick
             test_relation_memo_two_domains;
+          tc "a scan retains no relation" `Quick test_scan_retains_nothing;
         ] );
       qsuite "properties" [ prop_fuzz_parity; prop_fuzz_strategy_parity ];
     ]
