@@ -1020,15 +1020,20 @@ let governor_bench ~timeout ~instances ~sf () =
 (* certification (figure "estimate")                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The estimator's transfers while the optimizer plans a fixed corpus:
-   the Qgen cases of seeds 1 to [transfer_corpus_seeds], under every
-   strategy that applies. A deterministic count of the work the
-   estimate memo does not save (the join reorder's scoring and accept
-   test), which a change that re-estimates subplans makes grow. *)
+(* The estimator's transfers, and the Symbolic solver's questions and
+   fuel, while the optimizer plans a fixed corpus: the Qgen cases of
+   seeds 1 to [transfer_corpus_seeds], under every strategy that
+   applies. Deterministic counts of the work the estimate memo does not
+   save (the join reorder's scoring and accept test) and of the
+   predicate questions the passes ask, which a change that re-estimates
+   subplans, asks more questions or burns more fuel makes grow. *)
 let transfer_corpus_seeds = 300
 
-let optimizer_transfers () =
+type planning_work = { transfers : int; questions : int; fuel : int; plans : int }
+
+let optimizer_work () =
   let t0 = Estimate.transfers () and plans = ref 0 in
+  let q0 = Symbolic.questions () and f0 = Symbolic.fuel_burned () in
   for seed = 1 to transfer_corpus_seeds do
     let case = Fuzz.Qgen.case_of_seed seed in
     let db = Fuzz.Qgen.database case in
@@ -1045,7 +1050,12 @@ let optimizer_transfers () =
             ignore (Optimizer.optimize db q_plus))
       Strategy.all
   done;
-  (Estimate.transfers () - t0, !plans)
+  {
+    transfers = Estimate.transfers () - t0;
+    questions = Symbolic.questions () - q0;
+    fuel = Symbolic.fuel_burned () - f0;
+    plans = !plans;
+  }
 
 (* (1) Advisor regret: for each workload, measure every applicable
    strategy end to end and compare the advisor's choice against the
@@ -1237,16 +1247,21 @@ let estimate_bench ~sf () =
      failure(s)\n"
     !reorders !aggregate.Certify.r_total !failures;
   (* --- estimator work per optimization ---------------------------- *)
-  let transfers, plans = optimizer_transfers () in
+  let w = optimizer_work () in
   ignore
     (record ~figure:"estimate" ~query:"optimizer-transfers" ~series:"all"
        ~params:
          [
-           ("transfers", float_of_int transfers); ("plans", float_of_int plans);
+           ("transfers", float_of_int w.transfers);
+           ("solver_questions", float_of_int w.questions);
+           ("solver_fuel", float_of_int w.fuel);
+           ("plans", float_of_int w.plans);
          ]
        (Time 0.0, None));
   Printf.printf "estimate transfers: %d over %d optimized plans (Qgen seeds 1-%d)\n"
-    transfers plans transfer_corpus_seeds;
+    w.transfers w.plans transfer_corpus_seeds;
+  Printf.printf "solver questions: %d (fuel %d) over %d optimized plans\n" w.questions
+    w.fuel w.plans;
   if !failures > 0 then begin
     write_json ();
     Stdlib.exit 1

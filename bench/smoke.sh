@@ -335,10 +335,13 @@ estimate() {
   grep -q "fires before execution" "$tmp/bench_est.out"
   grep -q "0 failure(s)" "$tmp/bench_est.out"
   grep -q '"figure": "estimate"' "$tmp/bench_est.json"
-  # the estimator's transfers while the optimizer plans a fixed Qgen
-  # corpus are deterministic: a change that estimates the same subplans
-  # again (a memo that stops reusing facts) raises the count
-  grep -q '^estimate transfers: 8207 over 698 optimized plans' \
+  # the estimator's transfers and the solver's questions and fuel while
+  # the optimizer plans a fixed Qgen corpus are deterministic: a change
+  # that estimates the same subplans again (a memo that stops reusing
+  # facts), asks more predicate questions or burns more fuel raises them
+  grep -q '^estimate transfers: 8124 over 698 optimized plans' \
+    "$tmp/bench_est.out"
+  grep -q '^solver questions: 21674 (fuel 211042) over 698 optimized plans' \
     "$tmp/bench_est.out"
 
   step "explain surface (per-operator estimates over JSON)"

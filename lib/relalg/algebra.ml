@@ -136,53 +136,98 @@ let aggregate ~group_by ~aggs q = Agg { group_by; aggs; agg_input = q }
 
 (** {1 Traversals} *)
 
+(** [map_shared f l] is [List.map f l], applied left to right, and [l]
+    itself when [f] returns every element physically unchanged;
+    [map_fst_shared] maps the first components of pairs the same way. *)
+let rec map_shared f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = f x in
+      let rest' = map_shared f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+let map_fst_shared f l =
+  map_shared
+    (fun ((x, y) as p) ->
+      let x' = f x in
+      if x' == x then p else (x', y))
+    l
+
 (** [map_expr_query f e] rebuilds [e], applying [f] to every embedded
     sublink query (outermost sublinks only; [f] may recurse itself).
     [f] is applied in {!sublinks_of_expr} order — the path-carrying
     rewrite passes rely on this to number sublinks the way [Lint]
     does — hence the explicit sequencing below (OCaml constructor
-    argument evaluation order is unspecified). *)
-let rec map_expr_query f = function
-  | (Const _ | TypedNull _ | Attr _) as e -> e
+    argument evaluation order is unspecified). A node whose parts all
+    come back physically unchanged is returned itself. *)
+let rec map_expr_query f e =
+  match e with
+  | Const _ | TypedNull _ | Attr _ -> e
   | Binop (op, a, b) ->
-      let a = map_expr_query f a in
-      Binop (op, a, map_expr_query f b)
+      let a' = map_expr_query f a in
+      let b' = map_expr_query f b in
+      if a' == a && b' == b then e else Binop (op, a', b')
   | Cmp (op, a, b) ->
-      let a = map_expr_query f a in
-      Cmp (op, a, map_expr_query f b)
+      let a' = map_expr_query f a in
+      let b' = map_expr_query f b in
+      if a' == a && b' == b then e else Cmp (op, a', b')
   | And (a, b) ->
-      let a = map_expr_query f a in
-      And (a, map_expr_query f b)
+      let a' = map_expr_query f a in
+      let b' = map_expr_query f b in
+      if a' == a && b' == b then e else And (a', b')
   | Or (a, b) ->
-      let a = map_expr_query f a in
-      Or (a, map_expr_query f b)
-  | Not a -> Not (map_expr_query f a)
-  | IsNull a -> IsNull (map_expr_query f a)
+      let a' = map_expr_query f a in
+      let b' = map_expr_query f b in
+      if a' == a && b' == b then e else Or (a', b')
+  | Not a ->
+      let a' = map_expr_query f a in
+      if a' == a then e else Not a'
+  | IsNull a ->
+      let a' = map_expr_query f a in
+      if a' == a then e else IsNull a'
   | Case (whens, els) ->
-      let whens =
-        List.map
-          (fun (c, e) ->
-            let c = map_expr_query f c in
-            (c, map_expr_query f e))
+      let whens' =
+        map_shared
+          (fun ((c, x) as w) ->
+            let c' = map_expr_query f c in
+            let x' = map_expr_query f x in
+            if c' == c && x' == x then w else (c', x'))
           whens
       in
-      Case (whens, Option.map (map_expr_query f) els)
-  | Like (a, pat) -> Like (map_expr_query f a, pat)
+      let els' =
+        match els with
+        | None -> els
+        | Some x ->
+            let x' = map_expr_query f x in
+            if x' == x then els else Some x'
+      in
+      if whens' == whens && els' == els then e else Case (whens', els')
+  | Like (a, pat) ->
+      let a' = map_expr_query f a in
+      if a' == a then e else Like (a', pat)
   | InList (a, es) ->
-      let a = map_expr_query f a in
-      InList (a, List.map (map_expr_query f) es)
-  | FunCall (name, es) -> FunCall (name, List.map (map_expr_query f) es)
+      let a' = map_expr_query f a in
+      let es' = map_shared (map_expr_query f) es in
+      if a' == a && es' == es then e else InList (a', es')
+  | FunCall (name, es) ->
+      let es' = map_shared (map_expr_query f) es in
+      if es' == es then e else FunCall (name, es')
   | Sublink s ->
       (* the sublink's own query first: in [sublinks_of_expr] order a
          sublink precedes the sublinks inside its ANY/ALL left operand *)
       let query = f s.query in
       let kind =
         match s.kind with
-        | (Exists | Scalar) as k -> k
-        | AnyOp (op, lhs) -> AnyOp (op, map_expr_query f lhs)
-        | AllOp (op, lhs) -> AllOp (op, map_expr_query f lhs)
+        | Exists | Scalar -> s.kind
+        | AnyOp (op, lhs) ->
+            let lhs' = map_expr_query f lhs in
+            if lhs' == lhs then s.kind else AnyOp (op, lhs')
+        | AllOp (op, lhs) ->
+            let lhs' = map_expr_query f lhs in
+            if lhs' == lhs then s.kind else AllOp (op, lhs')
       in
-      Sublink { s with kind; query }
+      if query == s.query && kind == s.kind then e else Sublink { s with kind; query }
 
 (** [fold_expr f acc e] folds [f] over every sub-expression of [e]
     (including [e] itself), not descending into sublink queries. *)
@@ -292,7 +337,13 @@ let labelled_exprs = function
       List.mapi (fun i (e, _) -> ("order key " ^ string_of_int (i + 1), e)) keys
   | Base _ | TableExpr _ | Cross _ | Union _ | Inter _ | Diff _ | Limit _ -> []
 
-let root_exprs q = List.map snd (labelled_exprs q)
+let root_exprs = function
+  | Select (c, _) | Join (c, _, _) | LeftJoin (c, _, _) -> [ c ]
+  | Project { cols; _ } -> List.map fst cols
+  | Agg { group_by; aggs; _ } ->
+      List.map fst group_by @ List.filter_map (fun c -> c.agg_arg) aggs
+  | Order (keys, _) -> List.map fst keys
+  | Base _ | TableExpr _ | Cross _ | Union _ | Inter _ | Diff _ | Limit _ -> []
 
 (** Direct input queries of an operator, left to right (sublink queries
     excluded). *)
@@ -379,6 +430,73 @@ module Path = struct
     in
     go [] env q
 end
+
+(** [map_node ~expr ~input q] rebuilds operator [q] with [expr]
+    applied to each of its own expressions and [input side i] to each
+    of its inputs: expressions first, in {!root_exprs} order, then the
+    inputs left to right — the order in which the path-carrying passes
+    number sublinks. [q] itself is returned when every part comes back
+    physically unchanged. *)
+let map_node ~expr ~(input : Path.side -> query -> query) q =
+  match q with
+  | Base _ | TableExpr _ -> q
+  | Select (c, i) ->
+      let c' = expr c in
+      let i' = input Path.Input i in
+      if c' == c && i' == i then q else Select (c', i')
+  | Project p ->
+      let cols = map_fst_shared expr p.cols in
+      let i = input Path.Input p.proj_input in
+      if cols == p.cols && i == p.proj_input then q
+      else Project { p with cols; proj_input = i }
+  | Cross (a, b) ->
+      let a' = input Path.Left a in
+      let b' = input Path.Right b in
+      if a' == a && b' == b then q else Cross (a', b')
+  | Join (c, a, b) ->
+      let c' = expr c in
+      let a' = input Path.Left a in
+      let b' = input Path.Right b in
+      if c' == c && a' == a && b' == b then q else Join (c', a', b')
+  | LeftJoin (c, a, b) ->
+      let c' = expr c in
+      let a' = input Path.Left a in
+      let b' = input Path.Right b in
+      if c' == c && a' == a && b' == b then q else LeftJoin (c', a', b')
+  | Agg a ->
+      let group_by = map_fst_shared expr a.group_by in
+      let aggs =
+        map_shared
+          (fun call ->
+            match call.agg_arg with
+            | None -> call
+            | Some e ->
+                let e' = expr e in
+                if e' == e then call else { call with agg_arg = Some e' })
+          a.aggs
+      in
+      let i = input Path.Input a.agg_input in
+      if group_by == a.group_by && aggs == a.aggs && i == a.agg_input then q
+      else Agg { group_by; aggs; agg_input = i }
+  | Union (s, a, b) ->
+      let a' = input Path.Left a in
+      let b' = input Path.Right b in
+      if a' == a && b' == b then q else Union (s, a', b')
+  | Inter (s, a, b) ->
+      let a' = input Path.Left a in
+      let b' = input Path.Right b in
+      if a' == a && b' == b then q else Inter (s, a', b')
+  | Diff (s, a, b) ->
+      let a' = input Path.Left a in
+      let b' = input Path.Right b in
+      if a' == a && b' == b then q else Diff (s, a', b')
+  | Order (keys, i) ->
+      let keys' = map_fst_shared expr keys in
+      let i' = input Path.Input i in
+      if keys' == keys && i' == i then q else Order (keys', i')
+  | Limit (n, i) ->
+      let i' = input Path.Input i in
+      if i' == i then q else Limit (n, i')
 
 (** Base relation names accessed anywhere in [q] (including sublink
     queries), in the provenance rewriter's traversal order — operator

@@ -124,10 +124,18 @@ val aggregate :
 
 (** {1 Traversals} *)
 
+(** [List.map f l] applied left to right, returning [l] itself when
+    [f] returns every element physically unchanged. *)
+val map_shared : ('a -> 'a) -> 'a list -> 'a list
+
+(** {!map_shared} over the first components of pairs. *)
+val map_fst_shared : ('a -> 'a) -> ('a * 'b) list -> ('a * 'b) list
+
 (** Rebuild an expression, applying [f] to every embedded sublink
     query (outermost sublinks only). [f] is applied in
     {!sublinks_of_expr} order, so callers may number sublinks with a
-    counter. *)
+    counter. Nothing is rebuilt where [f] changed nothing: a node whose
+    parts come back physically equal is returned itself. *)
 val map_expr_query : (query -> query) -> expr -> expr
 
 (** Fold over every sub-expression (including the root), not descending
@@ -221,6 +229,14 @@ module Path : sig
       its inputs see [env] itself. *)
   val walk : (t -> 'env -> query -> 'env) -> 'env -> query -> unit
 end
+
+(** [map_node ~expr ~input q] rebuilds operator [q] with [expr] applied
+    to each of its own expressions (in {!root_exprs} order) and then
+    [input side i] to each input, left to right: the order in which the
+    path-carrying passes number sublinks. Returns [q] itself when every
+    part comes back physically unchanged. *)
+val map_node :
+  expr:(expr -> expr) -> input:(Path.side -> query -> query) -> query -> query
 
 (** Base relation names accessed anywhere in a query (including sublink
     queries), in the provenance rewriter's traversal order — operator

@@ -154,32 +154,36 @@ end = struct
     | exception _ -> false
 
   let rec query t ?(env = []) q =
-    match Qtbl.find_opt t.memo q with
-    | Some (env0, fact) when same_env env0 env || same_reads t q env0 env ->
-        fact
-    | previous ->
-        incr (Domain.DLS.get count);
-        let recurse ~env q = query t ~env q in
-        let inputs = List.map (fun i -> query t ~env i) (inputs q) in
-        let fact = D.transfer t.db ~frees:t.frees ~recurse ~env ~inputs q in
-        let fact =
-          match previous with
-          | Some (_, f0) -> D.join f0 fact
-          | None -> fact
-        in
-        Qtbl.replace t.memo q (env, fact);
-        fact
+    match Qtbl.find t.memo q with
+    | env0, fact when same_env env0 env || same_reads t q env0 env -> fact
+    | exception Not_found -> transfer t env q None
+    | entry -> transfer t env q (Some entry)
+
+  (* [previous]: the memo entry of [q] whose reads differ, which the
+     new fact widens *)
+  and transfer t env q previous =
+    incr (Domain.DLS.get count);
+    let recurse ~env q = query t ~env q in
+    let inputs = List.map (fun i -> query t ~env i) (inputs q) in
+    let fact = D.transfer t.db ~frees:t.frees ~recurse ~env ~inputs q in
+    let fact =
+      match previous with
+      | Some (_, f0) -> D.join f0 fact
+      | None -> fact
+    in
+    Qtbl.replace t.memo q (env, fact);
+    fact
 end
 
 (* Shared helpers *)
 
-let index_of name names =
-  let rec go i = function
-    | [] -> None
-    | n :: _ when String.equal n name -> Some i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 names
+let rec column name names cols =
+  match names with
+  | [] -> raise Not_found
+  | n :: ns -> (
+      if String.equal n name then
+        match cols with c :: _ -> c | [] -> failwith "nth"
+      else match cols with _ :: cs -> column name ns cs | [] -> column name ns [])
 
 (* Combine two pointwise fact lists even when a broken plan makes the
    arities disagree: missing positions default to [top]. *)
@@ -209,9 +213,9 @@ module Null_domain = struct
     let rec go = function
       | [] -> true (* unknown attribute: conservatively maybe-null *)
       | f :: rest -> (
-          match index_of name f.n_names with
-          | Some i -> List.nth f.n_maybe i
-          | None -> go rest)
+          match column name f.n_names f.n_maybe with
+          | c -> c
+          | exception Not_found -> go rest)
     in
     go env
 
@@ -344,9 +348,9 @@ module Lin_domain = struct
     let rec go = function
       | [] -> Deps.empty (* unknown attribute: no traceable sources *)
       | f :: rest -> (
-          match index_of name f.l_names with
-          | Some i -> List.nth f.l_deps i
-          | None -> go rest)
+          match column name f.l_names f.l_deps with
+          | c -> c
+          | exception Not_found -> go rest)
     in
     go env
 
@@ -533,14 +537,12 @@ let concat_null = Null_domain.concat
 let concat_lin = Lin_domain.concat
 
 let attr_nullable f name =
-  match index_of name f.n_names with
-  | Some i -> List.nth f.n_maybe i
-  | None -> true
+  match column name f.n_names f.n_maybe with c -> c | exception Not_found -> true
 
 let attr_deps f name =
-  match index_of name f.l_names with
-  | Some i -> List.nth f.l_deps i
-  | None -> Deps.empty
+  match column name f.l_names f.l_deps with
+  | c -> c
+  | exception Not_found -> Deps.empty
 
 (** {1 Per-operator fact dump} *)
 

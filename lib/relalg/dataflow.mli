@@ -92,8 +92,10 @@ end
     [Project distinct], [TableExpr[n]] and [Limit(n)] spelled out. *)
 val op_name : Algebra.query -> string
 
-(** [index_of name names]: position of [name], if present. *)
-val index_of : string -> string list -> int option
+(** [column name names cols]: the entry of [cols] at the position of
+    [name] in [names] (as [List.nth cols] would read it); raises
+    [Not_found] when [name] is absent. *)
+val column : string -> string list -> 'a list -> 'a
 
 (** [map2_padded f top a b]: pointwise combination tolerating arity
     mismatches of broken plans — missing positions default to [top]. *)

@@ -106,9 +106,9 @@ module Est_domain = struct
     let rec go = function
       | [] -> top_col
       | f :: rest -> (
-          match Dataflow.index_of name f.e_names with
-          | Some i -> List.nth f.e_cols i
-          | None -> go rest)
+          match Dataflow.column name f.e_names f.e_cols with
+          | c -> c
+          | exception Not_found -> go rest)
     in
     go env
 
@@ -277,7 +277,10 @@ module Est_domain = struct
   (* Scale a column's NDV down when the operator keeps [kept] of [of_]
      input rows (no value correlation assumed: min(ndv, kept)). *)
   let shrink rows cols =
-    List.map (fun c -> { c with ci_ndv = Float.min c.ci_ndv (Float.max 1.0 rows) }) cols
+    let bound = Float.max 1.0 rows in
+    map_shared
+      (fun c -> if c.ci_ndv <= bound then c else { c with ci_ndv = Float.min c.ci_ndv bound })
+      cols
 
   let has_equi_conjunct db left_names right_names cond =
     let all_in names e =

@@ -85,20 +85,35 @@ let static_schema db q =
 
 (* What is known of a subplan's static typing: its output columns with
    their types when it typechecks under no enclosing scope (it is not
-   correlated), [None] otherwise; and, when the subplan itself was
-   typed, its typed tree, which holds the typings of its inputs. A site
-   types its subplan only when the solver first asks for a type. *)
-type typed = { cols : (string * Vtype.t) list; tree : Typecheck.tree option }
+   correlated), [None] otherwise — a window of [width] columns from
+   [first] on of the schema of an enclosing typing, whose name index
+   serves every lookup; and, when the subplan itself was typed, its
+   typed tree, which holds the typings of its inputs. A site types its
+   subplan only when the solver first asks for a type. *)
+type typed = {
+  schema : Schema.t;
+  first : int;
+  width : int;
+  tree : Typecheck.tree option;
+}
 
 type typing = typed option Lazy.t
 
 let no_hint : typing = Lazy.from_val None
 
 let typed_of_tree (t : Typecheck.tree) =
-  {
-    cols = List.combine (Schema.names t.t_schema) (Schema.types t.t_schema);
-    tree = Some t;
-  }
+  { schema = t.t_schema; first = 0; width = Schema.arity t.t_schema; tree = Some t }
+
+(* The type of column [n] of a typed subplan, if it has one. *)
+let column_type h n =
+  match Schema.find h.schema n with
+  | Some i when i >= h.first && i < h.first + h.width ->
+      Vtype.some (Schema.attr_at h.schema i).Schema.ty
+  | _ -> None
+
+(* The first [k] columns of a typing, and the rest. *)
+let left_cols k h = { h with width = min k h.width }
+let right_cols k h = { h with first = h.first + min k h.width; width = max 0 (h.width - k) }
 
 (* [q]'s typing: the [hint] when there is one, or else [q] typed. *)
 let resolve_typing db (hint : typing) q : typing =
@@ -129,7 +144,7 @@ let input_hint ?slice (cols : typing) q input : typing =
             (fun (i : Typecheck.tree) -> i.t_query == input)
             t.t_inputs
           |> Option.map typed_of_tree
-      | Some h -> Option.map (fun f -> { cols = f h.cols; tree = None }) slice
+      | Some h -> Option.map (fun f -> { (f h) with tree = None }) slice
       | None -> None)
 
 (* Solver context for predicates over a subplan with output columns
@@ -142,7 +157,7 @@ let pred_ctx (cols : typing) =
   Symbolic.ctx
     ~types:(fun n ->
       match Lazy.force cols with
-      | Some h -> List.assoc_opt n h.cols
+      | Some h -> column_type h n
       | None -> None)
     ()
 
@@ -166,10 +181,13 @@ let rec flat_conjuncts (q : query) : expr list * query list =
    only sound when every name binds to the same column at every level:
    leaf output names pairwise distinct and disjoint from the plan's
    correlated (free) references [frees]. *)
+let rec absent n = function [] -> true | m :: ms -> (not (String.equal n m)) && absent n ms
+let rec distinct_names = function [] -> true | n :: rest -> absent n rest && distinct_names rest
+
 let flat_namespace cx (frees : string list Lazy.t) leaves =
   match List.concat_map (fun l -> Scope.out_names cx.db l) leaves with
   | names -> (
-      List.length (List.sort_uniq String.compare names) = List.length names
+      distinct_names names
       &&
       match Lazy.force frees with
       | frees -> List.for_all (fun f -> not (List.mem f names)) frees
@@ -224,7 +242,7 @@ let symbolic_conds cx (prefix : string list) (conds : expr list) (q : query)
             (match Lazy.force cols with
             | Some h ->
                 List.filter
-                  (fun n -> not (List.mem_assoc n h.cols))
+                  (fun n -> Option.is_none (column_type h n))
                   (refs_of cx (conj conds))
             | None -> Scope.free_of_query ~memo:cx.frees db (sel conds))
         in
@@ -483,9 +501,9 @@ and push_conds cx (prefix : string list) (conds : expr list) (q : query)
           let left = qchild Path.Left and right = qchild Path.Right in
           let k = List.length a_names in
           let a_cols =
-            input_hint ~slice:(List.filteri (fun i _ -> i < k)) cols q a
+            input_hint ~slice:(left_cols k) cols q a
           and b_cols =
-            input_hint ~slice:(List.filteri (fun i _ -> i >= k)) cols q b
+            input_hint ~slice:(right_cols k) cols q b
           in
           let a' =
             push_select cx left to_left (optimize ~hint:a_cols cx left a) a_cols
@@ -543,8 +561,8 @@ and distribute cx cols q ~left ~right ~motion conds a b ~mk =
   let db = cx.db in
   let a_names = Scope.out_names db a and b_names = Scope.out_names db b in
   let k = List.length a_names in
-  let a_cols = input_hint ~slice:(List.filteri (fun i _ -> i < k)) cols q a
-  and b_cols = input_hint ~slice:(List.filteri (fun i _ -> i >= k)) cols q b in
+  let a_cols = input_hint ~slice:(left_cols k) cols q a
+  and b_cols = input_hint ~slice:(right_cols k) cols q b in
   let to_a, rest = List.partition (fun e -> movable_to cx b_names e) conds in
   (* mutant: loses the first conjunct headed for the left side *)
   let to_a =
@@ -587,46 +605,7 @@ and optimize_children cx (cols : typing) prefix q =
   in
   let counter = ref 0 in
   let sub e = map_expr_query (body cx here counter) e in
-  match q with
-  | Base _ | TableExpr _ -> q
-  | Select (c, i) ->
-      let c = sub c in
-      Select (c, child Path.Input i)
-  | Project p ->
-      let cols = List.map (fun (e, n) -> (sub e, n)) p.cols in
-      Project { p with cols; proj_input = child Path.Input p.proj_input }
-  | Cross (a, b) ->
-      let a = child Path.Left a in
-      Cross (a, child Path.Right b)
-  | Join (c, a, b) ->
-      let c = sub c in
-      let a = child Path.Left a in
-      Join (c, a, child Path.Right b)
-  | LeftJoin (c, a, b) ->
-      let c = sub c in
-      let a = child Path.Left a in
-      LeftJoin (c, a, child Path.Right b)
-  | Agg a ->
-      let group_by = List.map (fun (e, n) -> (sub e, n)) a.group_by in
-      let aggs =
-        List.map
-          (fun call -> { call with agg_arg = Option.map sub call.agg_arg })
-          a.aggs
-      in
-      Agg { group_by; aggs; agg_input = child Path.Input a.agg_input }
-  | Union (s, a, b) ->
-      let a = child Path.Left a in
-      Union (s, a, child Path.Right b)
-  | Inter (s, a, b) ->
-      let a = child Path.Left a in
-      Inter (s, a, child Path.Right b)
-  | Diff (s, a, b) ->
-      let a = child Path.Left a in
-      Diff (s, a, child Path.Right b)
-  | Order (keys, i) ->
-      let keys = List.map (fun (e, d) -> (sub e, d)) keys in
-      Order (keys, child Path.Input i)
-  | Limit (n, i) -> Limit (n, child Path.Input i)
+  map_node ~expr:sub ~input:child q
 
 (* Merge Project-over-Project when the outer projection only reorders,
    renames or drops columns (plain attribute references) and the inner
@@ -707,7 +686,7 @@ and optimize ?(hint = no_hint) cx (prefix : string list) (q : query) : query =
     before side projected onto the surviving columns must equal the
     after side as a bag. *)
 
-module SS = Set.Make (String)
+module SS = Scope.S
 
 (* One prune call's state: the pruned plan per physical sublink body,
    in one table for EXISTS bodies (which need no columns) and one for
@@ -718,57 +697,93 @@ type pcx = {
   p_value : query Rewrite_trace.Shared.t;
 }
 
-let refs pcx e = SS.of_list (refs_of pcx.p_cx e)
+(* [acc] with the names [e] refers to *)
+let add_refs pcx e acc = Scope.add_refs ~memo:pcx.p_cx.frees pcx.p_cx.db e acc
 
-let refs_of_exprs pcx es =
-  List.fold_left (fun acc e -> SS.union acc (refs pcx e)) SS.empty es
+(* [acc] with the names the expressions of [cols] refer to *)
+let add_col_refs pcx cols acc = List.fold_left (fun acc (e, _) -> add_refs pcx e acc) acc cols
 
 let all_out db q = SS.of_list (Scope.out_names db q)
+
+(* [List.filter], returning [l] itself when it keeps every element
+   ([keep] runs right to left). *)
+let rec filter_shared keep l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let rest' = filter_shared keep rest in
+      if not (keep x) then rest' else if rest' == rest then l else x :: rest'
 
 (* [prune_expr pcx here counter e] prunes the sublink queries of [e];
    [counter] numbers sublinks across all expressions of the node at
    path [here], in Lint's enumeration order. *)
+
 let rec prune_expr pcx here counter (e : expr) : expr =
   let db = pcx.p_cx.db in
   let go = prune_expr pcx here counter in
   match e with
   | Const _ | TypedNull _ | Attr _ -> e
   | Binop (op, a, b) ->
-      let a = go a in
-      Binop (op, a, go b)
+      let a' = go a in
+      let b' = go b in
+      if a' == a && b' == b then e else Binop (op, a', b')
   | Cmp (op, a, b) ->
-      let a = go a in
-      Cmp (op, a, go b)
+      let a' = go a in
+      let b' = go b in
+      if a' == a && b' == b then e else Cmp (op, a', b')
   | And (a, b) ->
-      let a = go a in
-      And (a, go b)
+      let a' = go a in
+      let b' = go b in
+      if a' == a && b' == b then e else And (a', b')
   | Or (a, b) ->
-      let a = go a in
-      Or (a, go b)
-  | Not a -> Not (go a)
-  | IsNull a -> IsNull (go a)
+      let a' = go a in
+      let b' = go b in
+      if a' == a && b' == b then e else Or (a', b')
+  | Not a ->
+      let a' = go a in
+      if a' == a then e else Not a'
+  | IsNull a ->
+      let a' = go a in
+      if a' == a then e else IsNull a'
   | Case (whens, els) ->
-      let whens =
-        List.map
-          (fun (c, x) ->
-            let c = go c in
-            (c, go x))
+      let whens' =
+        map_shared
+          (fun ((c, x) as w) ->
+            let c' = go c in
+            let x' = go x in
+            if c' == c && x' == x then w else (c', x'))
           whens
       in
-      Case (whens, Option.map go els)
-  | Like (a, p) -> Like (go a, p)
+      let els' =
+        match els with
+        | None -> els
+        | Some x ->
+            let x' = go x in
+            if x' == x then els else Some x'
+      in
+      if whens' == whens && els' == els then e else Case (whens', els')
+  | Like (a, p) ->
+      let a' = go a in
+      if a' == a then e else Like (a', p)
   | InList (a, es) ->
-      let a = go a in
-      InList (a, List.map go es)
-  | FunCall (f, es) -> FunCall (f, List.map go es)
+      let a' = go a in
+      let es' = map_shared go es in
+      if a' == a && es' == es then e else InList (a', es')
+  | FunCall (f, es) ->
+      let es' = map_shared go es in
+      if es' == es then e else FunCall (f, es')
   | Sublink s ->
       incr counter;
       let spfx = Rewrite_trace.sublink here !counter in
       let kind =
         match s.kind with
-        | (Exists | Scalar) as k -> k
-        | AnyOp (op, lhs) -> AnyOp (op, go lhs)
-        | AllOp (op, lhs) -> AllOp (op, go lhs)
+        | Exists | Scalar -> s.kind
+        | AnyOp (op, lhs) ->
+            let lhs' = go lhs in
+            if lhs' == lhs then s.kind else AnyOp (op, lhs')
+        | AllOp (op, lhs) ->
+            let lhs' = go lhs in
+            if lhs' == lhs then s.kind else AllOp (op, lhs')
       in
       let exists = match s.kind with Exists -> true | _ -> false in
       let query =
@@ -779,12 +794,13 @@ let rec prune_expr pcx here counter (e : expr) : expr =
             let needed = if exists then SS.empty else all_out db s.query in
             prune_query pcx spfx needed s.query)
       in
-      Sublink { s with kind; query }
+      if kind == s.kind && query == s.query then e else Sublink { s with kind; query }
 
 and prune_query pcx prefix (needed : SS.t) (q : query) : query =
   let db = pcx.p_cx.db in
   let here = Rewrite_trace.node prefix q in
-  let child qual i needed =
+  (* an input pruned to the names [needed] of it *)
+  let child needed qual i =
     prune_query pcx (Rewrite_trace.child prefix q qual) needed i
   in
   let counter = ref 0 in
@@ -800,37 +816,23 @@ and prune_query pcx prefix (needed : SS.t) (q : query) : query =
             if List.length kept = List.length names then q
             else project (List.map (fun n -> (Attr n, n)) kept) q)
     | TableExpr _ -> q
-    | Select (c, input) ->
-        let below = SS.union needed (refs pcx c) in
-        let c = pexpr c in
-        Select (c, child Path.Input input below)
+    | Select (c, _) | Join (c, _, _) | LeftJoin (c, _, _) ->
+        map_node ~expr:pexpr ~input:(child (add_refs pcx c needed)) q
     | Project p when p.distinct && not (Rewrite_trace.mutant "prune-distinct")
       ->
-        let below = refs_of_exprs pcx (List.map fst p.cols) in
-        let cols = List.map (fun (e, n) -> (pexpr e, n)) p.cols in
-        Project { p with cols; proj_input = child Path.Input p.proj_input below }
+        map_node ~expr:pexpr ~input:(child (add_col_refs pcx p.cols SS.empty)) q
     | Project p ->
         (* the [prune-distinct] mutant routes DISTINCT projections here,
            narrowing the column set they deduplicate on *)
-        let cols = List.filter (fun (_, n) -> SS.mem n needed) p.cols in
-        let below = refs_of_exprs pcx (List.map fst cols) in
-        let cols = List.map (fun (e, n) -> (pexpr e, n)) cols in
-        Project { p with cols; proj_input = child Path.Input p.proj_input below }
-    | Cross (a, b) ->
-        let a = child Path.Left a needed in
-        Cross (a, child Path.Right b needed)
-    | Join (c, a, b) ->
-        let below = SS.union needed (refs pcx c) in
-        let c = pexpr c in
-        let a = child Path.Left a below in
-        Join (c, a, child Path.Right b below)
-    | LeftJoin (c, a, b) ->
-        let below = SS.union needed (refs pcx c) in
-        let c = pexpr c in
-        let a = child Path.Left a below in
-        LeftJoin (c, a, child Path.Right b below)
+        let kept = filter_shared (fun (_, n) -> SS.mem n needed) p.cols in
+        let below = add_col_refs pcx kept SS.empty in
+        let cols = map_fst_shared pexpr kept in
+        let input = child below Path.Input p.proj_input in
+        if cols == p.cols && input == p.proj_input then q
+        else Project { p with cols; proj_input = input }
+    | Cross _ | Limit _ -> map_node ~expr:pexpr ~input:(child needed) q
     | Agg a ->
-        let aggs = List.filter (fun c -> SS.mem c.agg_name needed) a.aggs in
+        let aggs = filter_shared (fun c -> SS.mem c.agg_name needed) a.aggs in
         let aggs =
           (* an aggregation with no GROUP BY returns exactly one row; keep
              one aggregate so the empty-input behaviour is preserved *)
@@ -845,18 +847,26 @@ and prune_query pcx prefix (needed : SS.t) (q : query) : query =
           else a.group_by
         in
         let below =
-          SS.union
-            (refs_of_exprs pcx (List.map fst group_by))
-            (refs_of_exprs pcx (List.filter_map (fun c -> c.agg_arg) aggs))
-        in
-        let group_by = List.map (fun (e, n) -> (pexpr e, n)) group_by in
-        let aggs =
-          List.map
-            (fun c -> { c with agg_arg = Option.map pexpr c.agg_arg })
+          List.fold_left
+            (fun acc c -> match c.agg_arg with Some e -> add_refs pcx e acc | None -> acc)
+            (add_col_refs pcx group_by SS.empty)
             aggs
         in
-        Agg { group_by; aggs; agg_input = child Path.Input a.agg_input below }
-    | Union (s, a, b) ->
+        let group_by = map_fst_shared pexpr group_by in
+        let aggs =
+          map_shared
+            (fun c ->
+              match c.agg_arg with
+              | None -> c
+              | Some e ->
+                  let e' = pexpr e in
+                  if e' == e then c else { c with agg_arg = Some e' })
+            aggs
+        in
+        let input = child below Path.Input a.agg_input in
+        if group_by == a.group_by && aggs == a.aggs && input == a.agg_input then q
+        else Agg { group_by; aggs; agg_input = input }
+    | Union _ | Inter _ | Diff _ ->
         (* positional semantics: arms keep their full width, but pruning
            still reaches sublink conditions and scans below them. The
            [prune-setop] mutant narrows the arms to [needed], changing
@@ -865,33 +875,10 @@ and prune_query pcx prefix (needed : SS.t) (q : query) : query =
           let keep =
             if Rewrite_trace.mutant "prune-setop" then needed else all_out db q
           in
-          child qual q keep
+          child keep qual q
         in
-        let a = arm Path.Left a in
-        Union (s, a, arm Path.Right b)
-    | Inter (s, a, b) ->
-        let arm qual q =
-          let keep =
-            if Rewrite_trace.mutant "prune-setop" then needed else all_out db q
-          in
-          child qual q keep
-        in
-        let a = arm Path.Left a in
-        Inter (s, a, arm Path.Right b)
-    | Diff (s, a, b) ->
-        let arm qual q =
-          let keep =
-            if Rewrite_trace.mutant "prune-setop" then needed else all_out db q
-          in
-          child qual q keep
-        in
-        let a = arm Path.Left a in
-        Diff (s, a, arm Path.Right b)
-    | Order (keys, input) ->
-        let below = SS.union needed (refs_of_exprs pcx (List.map fst keys)) in
-        let keys = List.map (fun (e, d) -> (pexpr e, d)) keys in
-        Order (keys, child Path.Input input below)
-    | Limit (n, input) -> Limit (n, child Path.Input input needed)
+        map_node ~expr:pexpr ~input:arm q
+    | Order (keys, _) -> map_node ~expr:pexpr ~input:(child (add_col_refs pcx keys needed)) q
   in
   Rewrite_trace.emit ~rule:"prune" ~path:here ~before:q ~after;
   after
@@ -1069,45 +1056,8 @@ and reorder_spine cx est bodies prefix q =
     reorder_spine cx est bodies (Rewrite_trace.child prefix q qual) i
   in
   match q with
-  | Base _ | TableExpr _ -> q
-  | Select (c, i) ->
-      let c = sub c in
-      Select (c, spine Path.Input i)
-  | Cross (a, b) ->
-      let a = spine Path.Left a in
-      Cross (a, spine Path.Right b)
-  | Join (c, a, b) ->
-      let c = sub c in
-      let a = spine Path.Left a in
-      Join (c, a, spine Path.Right b)
-  | LeftJoin (c, a, b) ->
-      let c = sub c in
-      let a = child Path.Left a in
-      LeftJoin (c, a, child Path.Right b)
-  | Project p ->
-      let cols = List.map (fun (e, nm) -> (sub e, nm)) p.cols in
-      Project { p with cols; proj_input = child Path.Input p.proj_input }
-  | Agg a ->
-      let group_by = List.map (fun (e, nm) -> (sub e, nm)) a.group_by in
-      let aggs =
-        List.map
-          (fun call -> { call with agg_arg = Option.map sub call.agg_arg })
-          a.aggs
-      in
-      Agg { group_by; aggs; agg_input = child Path.Input a.agg_input }
-  | Union (s, a, b) ->
-      let a = child Path.Left a in
-      Union (s, a, child Path.Right b)
-  | Inter (s, a, b) ->
-      let a = child Path.Left a in
-      Inter (s, a, child Path.Right b)
-  | Diff (s, a, b) ->
-      let a = child Path.Left a in
-      Diff (s, a, child Path.Right b)
-  | Order (keys, i) ->
-      let keys = List.map (fun (e, d) -> (sub e, d)) keys in
-      Order (keys, child Path.Input i)
-  | Limit (k, i) -> Limit (k, child Path.Input i)
+  | Select _ | Cross _ | Join _ -> map_node ~expr:sub ~input:spine q
+  | _ -> map_node ~expr:sub ~input:child q
 
 (* Entry point: simplify first (constant folding may expose TRUE/FALSE
    selections and negation-free comparisons), reorder join clusters by

@@ -160,6 +160,8 @@ let free_of_expr db input_names e =
     no local scope at all. Used by the optimizer to decide pushdown. *)
 let refs_of_expr ?memo db e = S.elements (free_expr memo db [] e S.empty)
 
+let add_refs ?memo db e acc = free_expr memo db [] e acc
+
 (** [is_uncorrelated db s] holds when sublink [s] has no correlated
     references — the applicability condition of the Left, Move and Unn
     strategies (Section 3.6). *)

@@ -32,6 +32,12 @@ val free_of_expr : Database.t -> string list -> Algebra.expr -> string list
     bodies are looked up there instead of walked. *)
 val refs_of_expr : ?memo:memo -> Database.t -> Algebra.expr -> string list
 
+(** Sets of names. *)
+module S : Set.S with type elt = string
+
+(** [add_refs ?memo db e acc] adds {!refs_of_expr}'s names to [acc]. *)
+val add_refs : ?memo:memo -> Database.t -> Algebra.expr -> S.t -> S.t
+
 (** [is_uncorrelated db s]: the applicability condition of the Left,
     Move and Unn strategies (Section 3.6). *)
 val is_uncorrelated : Database.t -> Algebra.sublink -> bool

@@ -47,9 +47,9 @@ let negate_cmp = function
 let rec expr (e : Algebra.expr) : Algebra.expr =
   match e with
   | Const _ | TypedNull _ | Attr _ -> e
-  | Binop (op, a, b) -> (
-      let a = expr a and b = expr b in
-      let folded = Binop (op, a, b) in
+  | Binop (op, a', b') -> (
+      let a = expr a' and b = expr b' in
+      let folded = if a == a' && b == b' then e else Binop (op, a, b) in
       match (a, b) with
       | (Const _ | TypedNull _), (Const _ | TypedNull _) ->
           try_fold folded (fun () ->
@@ -63,16 +63,16 @@ let rec expr (e : Algebra.expr) : Algebra.expr =
                 | Mod -> Value.modulo va vb
                 | Concat -> Value.concat va vb))
       | _ -> folded)
-  | Cmp (op, a, b) -> (
-      let a = expr a and b = expr b in
-      let folded = Cmp (op, a, b) in
+  | Cmp (op, a', b') -> (
+      let a = expr a' and b = expr b' in
+      let folded = if a == a' && b == b' then e else Cmp (op, a, b) in
       match (a, b) with
       | (Const _ | TypedNull _), (Const _ | TypedNull _) ->
           try_fold folded (fun () ->
               Const (Eval.cmp3 op (const_value a) (const_value b)))
       | _ -> folded)
-  | And (a, b) -> (
-      match (expr a, expr b) with
+  | And (a0, b0) -> (
+      match (expr a0, expr b0) with
       (* mutant: treats [x AND NULL] as [x] — wrong when x is TRUE *)
       | (Const Value.Null | TypedNull _), x
         when Rewrite_trace.mutant "simp-and-null" ->
@@ -82,27 +82,33 @@ let rec expr (e : Algebra.expr) : Algebra.expr =
           x
       | Const (Value.Bool false), _ | _, Const (Value.Bool false) -> vfalse
       | Const (Value.Bool true), x | x, Const (Value.Bool true) -> x
-      | a, b -> And (a, b))
-  | Or (a, b) -> (
-      match (expr a, expr b) with
+      | a, b -> if a == a0 && b == b0 then e else And (a, b))
+  | Or (a0, b0) -> (
+      match (expr a0, expr b0) with
       | Const (Value.Bool true), _ | _, Const (Value.Bool true) -> vtrue
       | Const (Value.Bool false), x | x, Const (Value.Bool false) -> x
-      | a, b -> Or (a, b))
-  | Not a -> (
-      match expr a with
+      | a, b -> if a == a0 && b == b0 then e else Or (a, b))
+  | Not a0 -> (
+      match expr a0 with
       | Const v -> try_fold (Not (Const v)) (fun () -> Const (Value.not3 v))
       | Not inner -> inner
       | Cmp (op, x, y) as cmp -> (
           match negate_cmp op with
           | Some op' -> Cmp (op', x, y)
-          | None -> Not cmp)
-      | a -> Not a)
-  | IsNull a -> (
-      match expr a with
+          | None -> if cmp == a0 then e else Not cmp)
+      | a -> if a == a0 then e else Not a)
+  | IsNull a0 -> (
+      match expr a0 with
       | (Const _ | TypedNull _) as c -> Const (Value.Bool (Value.is_null (const_value c)))
-      | a -> IsNull a)
-  | Case (whens, els) -> (
-      let els = Option.map expr els in
+      | a -> if a == a0 then e else IsNull a)
+  | Case (whens, els0) -> (
+      let els =
+        match els0 with
+        | None -> None
+        | Some x ->
+            let x' = expr x in
+            if x' == x then els0 else Some x'
+      in
       (* drop branches with constant-false conditions; stop at the first
          constant-true condition *)
       let rec prune = function
@@ -118,15 +124,21 @@ let rec expr (e : Algebra.expr) : Algebra.expr =
       match prune whens with
       | [], Some e -> e
       | [], None -> Const Value.Null
-      | whens, final -> Case (whens, final))
-  | Like (a, pattern) -> (
-      match expr a with
+      | whens', final ->
+          let same =
+            final == els0
+            && List.compare_lengths whens' whens = 0
+            && List.for_all2 (fun (c', x') (c, x) -> c' == c && x' == x) whens' whens
+          in
+          if same then e else Case (whens', final))
+  | Like (a0, pattern) -> (
+      match expr a0 with
       | Const (Value.String s) -> Const (Value.Bool (Builtin.like_match ~pattern s))
       | Const Value.Null | TypedNull _ -> Const Value.Null
-      | a -> Like (a, pattern))
-  | InList (a, es) -> (
-      let a = expr a and es = List.map expr es in
-      let folded = InList (a, es) in
+      | a -> if a == a0 then e else Like (a, pattern))
+  | InList (a', es') -> (
+      let a = expr a' and es = map_shared expr es' in
+      let folded = if a == a' && es == es' then e else InList (a, es) in
       if is_const a && List.for_all is_const es then
         try_fold folded (fun () ->
             let x = const_value a in
@@ -135,7 +147,9 @@ let rec expr (e : Algebra.expr) : Algebra.expr =
                  (fun acc e -> Value.or3 acc (Eval.cmp3 Eq x (const_value e)))
                  Value.vfalse es))
       else folded)
-  | FunCall (name, args) -> FunCall (name, List.map expr args)
+  | FunCall (name, args) ->
+      let args' = map_shared expr args in
+      if args' == args then e else FunCall (name, args')
   | Sublink ({ query; _ } as s) when produces_no_rows query -> (
       (* A sublink whose body provably produces no rows is a constant
          under 3VL, even for a NULL left-hand side: EXISTS is FALSE,
@@ -156,7 +170,9 @@ let rec expr (e : Algebra.expr) : Algebra.expr =
               | [ ty ] -> TypedNull ty
               | _ -> Sublink s)
           | _ -> Sublink s))
-  | Sublink s -> Sublink { s with kind = sublink_kind s.kind }
+  | Sublink s ->
+      let kind = sublink_kind s.kind in
+      if kind == s.kind then e else Sublink { s with kind }
 
 (* Emptiness evident from the plan shape alone: an empty literal
    relation, possibly under projections or selections (which cannot add
@@ -171,10 +187,15 @@ and produces_no_rows = function
   | Select (_, input) -> produces_no_rows input
   | _ -> false
 
-and sublink_kind = function
-  | (Exists | Scalar) as k -> k
-  | AnyOp (op, lhs) -> AnyOp (op, expr lhs)
-  | AllOp (op, lhs) -> AllOp (op, expr lhs)
+and sublink_kind k =
+  match k with
+  | Exists | Scalar -> k
+  | AnyOp (op, lhs) ->
+      let lhs' = expr lhs in
+      if lhs' == lhs then k else AnyOp (op, lhs')
+  | AllOp (op, lhs) ->
+      let lhs' = expr lhs in
+      if lhs' == lhs then k else AllOp (op, lhs')
 
 (* Path-carrying plan recursion on {!Algebra.Path}'s plan paths, with
    sublinks counted across the node's expressions in [root_exprs] order
@@ -196,69 +217,9 @@ let rec query_at bodies (prefix : string list) (q : Algebra.query) :
       e
   in
   (* Phase 1: recurse into child queries and sublink queries. *)
-  let q1 =
-    match q with
-    | Base _ | TableExpr _ -> q
-    | Select (c, i) ->
-        let c = sub c in
-        Select (c, child Path.Input i)
-    | Project p ->
-        let cols = List.map (fun (e, n) -> (sub e, n)) p.cols in
-        Project { p with cols; proj_input = child Path.Input p.proj_input }
-    | Cross (a, b) ->
-        let a = child Path.Left a in
-        Cross (a, child Path.Right b)
-    | Join (c, a, b) ->
-        let c = sub c in
-        let a = child Path.Left a in
-        Join (c, a, child Path.Right b)
-    | LeftJoin (c, a, b) ->
-        let c = sub c in
-        let a = child Path.Left a in
-        LeftJoin (c, a, child Path.Right b)
-    | Agg a ->
-        let group_by = List.map (fun (e, n) -> (sub e, n)) a.group_by in
-        let aggs =
-          List.map
-            (fun call -> { call with agg_arg = Option.map sub call.agg_arg })
-            a.aggs
-        in
-        Agg { group_by; aggs; agg_input = child Path.Input a.agg_input }
-    | Union (s, a, b) ->
-        let a = child Path.Left a in
-        Union (s, a, child Path.Right b)
-    | Inter (s, a, b) ->
-        let a = child Path.Left a in
-        Inter (s, a, child Path.Right b)
-    | Diff (s, a, b) ->
-        let a = child Path.Left a in
-        Diff (s, a, child Path.Right b)
-    | Order (keys, i) ->
-        let keys = List.map (fun (e, d) -> (sub e, d)) keys in
-        Order (keys, child Path.Input i)
-    | Limit (n, i) -> Limit (n, child Path.Input i)
-  in
+  let q1 = map_node ~expr:sub ~input:child q in
   (* Phase 2: fold the node's own expressions. *)
-  let q2 =
-    match q1 with
-    | Select (c, i) -> Select (expr c, i)
-    | Project p ->
-        Project { p with cols = List.map (fun (e, n) -> (expr e, n)) p.cols }
-    | Join (c, a, b) -> Join (expr c, a, b)
-    | LeftJoin (c, a, b) -> LeftJoin (expr c, a, b)
-    | Agg a ->
-        Agg
-          {
-            a with
-            group_by = List.map (fun (e, n) -> (expr e, n)) a.group_by;
-            aggs =
-              List.map
-                (fun call -> { call with agg_arg = Option.map expr call.agg_arg })
-                a.aggs;
-          }
-    | Order (keys, i) -> Order (List.map (fun (e, d) -> (expr e, d)) keys, i)
-    | q -> q
-  in
+  let q2 = map_node ~expr ~input:(fun _ i -> i) q1 in
   Rewrite_trace.emit ~rule:"fold-exprs" ~path:here ~before:q1 ~after:q2;
   (* Phase 3: structural rules enabled by the folding. *)
   match q2 with

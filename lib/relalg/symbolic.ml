@@ -1,17 +1,22 @@
 (** Symbolic 3VL predicate solver — see symbolic.mli for the contract.
 
-    Architecture: a predicate question ("can [e] be TRUE?") is compiled
-    into a classical proposition over theory literals by tracking, per
-    sub-expression, the three propositions "evaluates to TRUE" /
-    "to FALSE" / "to NULL" simultaneously ({!tv3} — one recursion, so
-    shared subtrees stay shared). A backtracking search ({!solve})
-    explores the proposition; asserting a literal updates a persistent
-    constraint state (interval + congruence + null facts) and conflicts
-    prune the branch. Only genuine contradictions conflict, so an
-    exhausted search is a real unsatisfiability proof; a surviving
-    branch may be spurious (opaque atoms are freer than the expressions
-    they stand for). Fuel bounds both compilation and search; running
-    out raises {!Give_up} and the query answers [Unknown]. *)
+    Architecture: a predicate question ("can [e] be TRUE?") is a
+    classical proposition over theory literals, built from the three
+    propositions "evaluates to TRUE" / "to FALSE" / "to NULL" of each
+    sub-expression. The propositions are never materialized: a goal
+    names a sub-expression and one node of its translation ({!part}),
+    and the backtracking search ({!go}) expands a goal only when it
+    reaches it, so a question reads only the translation it needs.
+    Asserting a literal updates one mutable constraint state (interval
+    + congruence + null facts over the columns the question met, each
+    interned once) and records what it overwrote on an undo trail; a
+    failed branch rolls the trail back. Only genuine contradictions
+    conflict, so an exhausted search is a real unsatisfiability proof;
+    a surviving branch may be spurious (opaque atoms are freer than the
+    expressions they stand for). Fuel bounds translation (one unit per
+    sub-expression) and search (one unit per proposition node
+    visited); running out raises {!Give_up} and the query answers
+    [Unknown]. *)
 
 open Algebra
 
@@ -40,8 +45,6 @@ exception Give_up
 (* Raised by literal assertion on a genuine contradiction; caught at
    the branch point in [solve]. *)
 exception Conflict
-
-let burn fuel = decr fuel; if !fuel <= 0 then raise Give_up
 
 (* ------------------------------------------------------------------ *)
 (* Constant folding (pure — deliberately independent of [Simplify],    *)
@@ -74,29 +77,10 @@ let rec static_value (e : expr) : Value.t option =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Literals and propositions                                           *)
+(* Propositions, as goals                                              *)
 (* ------------------------------------------------------------------ *)
 
 type tv = T3 | F3 | U3
-
-type term = TAttr of string | TConst of Value.t
-
-type lit =
-  | LCmp of cmpop * term * term
-      (* both operands non-null and the comparison holds; the
-         operator is never [EqNull] (desugared at compilation) *)
-  | LNull of string
-  | LNotNull of string
-  | LOpaque of expr * tv
-      (* an out-of-theory sub-expression pinned to a truth value;
-         keyed by structural equality *)
-
-type prop =
-  | PTrue
-  | PFalse
-  | PLit of lit
-  | PAnd of prop * prop
-  | POr of prop * prop
 
 (* Structural equality tolerant of closures buried in [TableExpr]
    relations inside sublink plans. [=] never short-circuits on physical
@@ -125,106 +109,90 @@ let flip_cmp = function
   | (Eq | Neq) as op -> op
   | EqNull -> invalid_arg "Symbolic.flip_cmp: EqNull"
 
-(* ------------------------------------------------------------------ *)
-(* Compilation: pos/neg/unk propositions per sub-expression            *)
-(* ------------------------------------------------------------------ *)
-
-let of_truth (v : Value.t) =
-  match v with
-  | Value.Bool true -> (PTrue, PFalse, PFalse)
-  | Value.Bool false -> (PFalse, PTrue, PFalse)
-  | Value.Null -> (PFalse, PFalse, PTrue)
-  | _ -> raise Not_found (* non-boolean constant condition: opaque *)
-
-let term_of (e : expr) : term option =
+(* A theory term is a column or a constant-foldable expression. *)
+let is_static (e : expr) =
   match e with
-  | Attr n -> Some (TAttr n)
-  | _ -> Option.map (fun v -> TConst v) (static_value e)
+  | Const _ | TypedNull _ -> true
+  | Attr _ -> false
+  | _ -> Option.is_some (static_value e)
 
-let t_null = function
-  | TConst v -> if Value.is_null v then PTrue else PFalse
-  | TAttr n -> PLit (LNull n)
+let is_term (e : expr) = match e with Attr _ -> true | _ -> is_static e
 
-let t_notnull = function
-  | TConst v -> if Value.is_null v then PFalse else PTrue
-  | TAttr n -> PLit (LNotNull n)
-
-let rec tv3 fuel (e : expr) : prop * prop * prop =
-  burn fuel;
-  let opaque () = (PLit (LOpaque (e, T3)), PLit (LOpaque (e, F3)), PLit (LOpaque (e, U3))) in
+(* The value of a static term. *)
+let term_value (e : expr) =
   match e with
-  | Const v -> (try of_truth v with Not_found -> opaque ())
-  | TypedNull _ -> (PFalse, PFalse, PTrue)
-  | Attr n ->
-      (* a boolean column used directly as a condition *)
-      ( PAnd (PLit (LNotNull n), PLit (LOpaque (e, T3))),
-        PAnd (PLit (LNotNull n), PLit (LOpaque (e, F3))),
-        PLit (LNull n) )
-  | And (a, b) ->
-      let pa, na, ua = tv3 fuel a and pb, nb, ub = tv3 fuel b in
-      ( PAnd (pa, pb),
-        POr (na, nb),
-        POr (PAnd (ua, POr (pb, ub)), PAnd (ub, POr (pa, ua))) )
-  | Or (a, b) ->
-      let pa, na, ua = tv3 fuel a and pb, nb, ub = tv3 fuel b in
-      ( POr (pa, pb),
-        PAnd (na, nb),
-        POr (PAnd (ua, POr (nb, ub)), PAnd (ub, POr (na, ua))) )
-  | Not a ->
-      let pa, na, ua = tv3 fuel a in
-      (na, pa, ua)
-  | IsNull inner -> (
-      match static_value inner with
-      | Some v ->
-          if Value.is_null v then (PTrue, PFalse, PFalse)
-          else (PFalse, PTrue, PFalse)
-      | None -> (
-          match inner with
-          | Attr n -> (PLit (LNull n), PLit (LNotNull n), PFalse)
-          | _ -> (PLit (LOpaque (e, T3)), PLit (LOpaque (e, F3)), PFalse)))
-  | Cmp (op, a, b) -> (
-      match (static_value a, static_value b) with
-      | Some va, Some vb -> (
-          match Eval.cmp3 op va vb with
-          | v -> (try of_truth v with Not_found -> opaque ())
-          | exception Value.Type_clash _ -> opaque ())
-      | _ -> (
-          match (term_of a, term_of b) with
-          | Some ta, Some tb when op = EqNull ->
-              (* =n is two-valued: TRUE iff both NULL or both non-null
-                 and equal *)
-              ( POr (PAnd (t_null ta, t_null tb), PLit (LCmp (Eq, ta, tb))),
-                POr
-                  ( PAnd (t_null ta, t_notnull tb),
-                    POr
-                      ( PAnd (t_notnull ta, t_null tb),
-                        PLit (LCmp (Neq, ta, tb)) ) ),
-                PFalse )
-          | Some ta, Some tb ->
-              ( PLit (LCmp (op, ta, tb)),
-                PLit (LCmp (negate_cmp op, ta, tb)),
-                POr (t_null ta, t_null tb) )
-          | _ -> opaque ()))
-  | InList (x, es) when List.length es <= 8 ->
-      (* x IN (e1..ek) evaluates as FALSE or3 (x = e1) or3 ... *)
-      tv3 fuel
-        (List.fold_left
-           (fun acc el -> Or (acc, Cmp (Eq, x, el)))
-           (Const Value.vfalse) es)
-  | Like (arg, pattern) -> (
-      match static_value arg with
-      | Some (Value.String s) ->
-          if Builtin.like_match ~pattern s then (PTrue, PFalse, PFalse)
-          else (PFalse, PTrue, PFalse)
-      | Some Value.Null -> (PFalse, PFalse, PTrue)
-      | _ -> opaque ())
-  | Binop _ | Case _ | InList _ | FunCall _ | Sublink _ -> opaque ()
+  | Const v -> v
+  | TypedNull _ -> Value.Null
+  | _ -> Option.get (static_value e)
+
+(* [x IN (e1..ek)] evaluates as [FALSE or3 (x = e1) or3 ... (x = ek)];
+   short lists are translated as that disjunction. *)
+let in_list_bound = 8
+
+let in_list_expr x es =
+  List.fold_left (fun acc el -> Or (acc, Cmp (Eq, x, el))) (Const Value.vfalse) es
+
+(* A node of the translation of one sub-expression [e]. [Pos] / [Neg] /
+   [Unk] are the propositions "e is TRUE / FALSE / NULL"; the others
+   are the inner nodes of those propositions, named after their shape:
+
+   - [e] an [And (a, b)] or [Or (a, b)], with X the polarity the
+     connective's NULL case needs of the other operand (TRUE under
+     AND, FALSE under OR): [Unk] is
+     [POr (Unk_left, Unk_right)], [Unk_left = PAnd (Ua, Unk_left_or)],
+     [Unk_left_or = POr (Xb, Ub)], [Unk_right = PAnd (Ub, Unk_right_or)],
+     [Unk_right_or = POr (Xa, Ua)];
+   - [e] a column: [Pos] is [PAnd (Notnull_a, Opq_t)], [Neg] is
+     [PAnd (Notnull_a, Opq_f)] — the column is non-null and, as an
+     opaque atom, TRUE (FALSE);
+   - [e] a comparison [a op b] of two terms: [Null_a] / [Notnull_a] /
+     [Null_b] / [Notnull_b] are a term's null literals (constant
+     terms fold to TRUE or FALSE); under [=n], [Pos] is
+     [POr (Eqn_both_null, Cmp_holds)] and [Neg] is
+     [POr (Eqn_a_null, Eqn_differ)], with [Eqn_differ =
+     POr (Eqn_b_null, Cmp_fails)], [Cmp_holds] / [Cmp_fails] the
+     literals [a = b] / [a <> b] and the [Eqn_*_null] nodes the
+     conjunctions of null literals their names say;
+   - [Neg_or_unk] is [POr (Neg, Unk)], "not TRUE", the question
+     [always_true] and [implies] ask of their conclusion. *)
+type part =
+  | Pos
+  | Neg
+  | Unk
+  | Neg_or_unk
+  | Unk_left
+  | Unk_left_or
+  | Unk_right
+  | Unk_right_or
+  | Null_a
+  | Notnull_a
+  | Null_b
+  | Notnull_b
+  | Opq_t
+  | Opq_f
+  | Cmp_holds
+  | Cmp_fails
+  | Eqn_both_null
+  | Eqn_a_null
+  | Eqn_b_null
+  | Eqn_differ
+
+(* A conjunction of goals, solved left to right. *)
+type goals = Done | G of expr * part * goals
+
+(* Fuel the translation of [e] costs: one unit per sub-expression it
+   covers (a short IN list counts as the disjunction it stands for),
+   whichever propositions the question reads. *)
+let rec size (e : expr) =
+  match e with
+  | And (a, b) | Or (a, b) -> 1 + size a + size b
+  | Not a -> 1 + size a
+  | InList (_, es) when List.length es <= in_list_bound -> 2 + (2 * List.length es)
+  | _ -> 1
 
 (* ------------------------------------------------------------------ *)
 (* Constraint state                                                    *)
 (* ------------------------------------------------------------------ *)
-
-module SM = Map.Make (String)
 
 type nullity = NMust | NMustNot | NMay
 
@@ -233,37 +201,114 @@ type cls = {
   k_hi : (Value.t * bool) option;
   k_neqs : Value.t list;  (* constants the class is disequal to *)
   k_null : nullity;
-  k_int : bool;  (* every member column is statically TInt *)
 }
+
+(* A column the question met: a union-find node (its own [parent] when
+   it represents its class) carrying its class's facts while it is a
+   representative, and whether its static type is [TInt] (1 or 0; -1
+   until integer tightening first asks, so a question that never
+   compares a column with an integer constant reads no type). The
+   columns of a question form a list through [next], ended by a
+   sentinel that is its own [next]. *)
+type col = {
+  name : string;
+  mutable parent : col;
+  mutable cls : cls;
+  mutable int : int;
+  next : col;
+}
+
+(* The undo trail, newest entry first: what each assertion overwrote,
+   to restore when its branch fails. *)
+type undo =
+  | Start
+  | Parent of col * undo  (* the column was a representative *)
+  | Cls of col * cls * undo
+  | Diseqs of (col * col) list * undo
+  | Opaques of (expr * tv) list * undo
 
 type state = {
-  s_parent : string SM.t;  (* union-find: non-representatives only *)
-  s_classes : cls SM.t;  (* by representative *)
-  s_diseq : (string * string) list;  (* column pairs asserted disequal *)
-  s_opaques : (expr * tv) list;
+  ctx : ctx;
+  mutable fuel : int;
+  mutable cols : col;  (* the interned columns, newest first *)
+  mutable diseqs : (col * col) list;  (* column pairs asserted disequal *)
+  mutable opaques : (expr * tv) list;
+  mutable trail : undo;
 }
 
-let init_state =
-  { s_parent = SM.empty; s_classes = SM.empty; s_diseq = []; s_opaques = [] }
+let burn st =
+  st.fuel <- st.fuel - 1;
+  if st.fuel <= 0 then raise Give_up
 
-let rec find st n =
-  match SM.find_opt n st.s_parent with None -> n | Some p -> find st p
+let undo st mark =
+  let rec back u =
+    if u != mark then
+      match u with
+      | Start -> ()
+      | Parent (c, next) ->
+          c.parent <- c;
+          back next
+      | Cls (c, k, next) ->
+          c.cls <- k;
+          back next
+      | Diseqs (l, next) ->
+          st.diseqs <- l;
+          back next
+      | Opaques (l, next) ->
+          st.opaques <- l;
+          back next
+  in
+  back st.trail;
+  st.trail <- mark
 
-let default_cls c n =
-  {
-    k_lo = None;
-    k_hi = None;
-    k_neqs = [];
-    k_null = (if List.mem n c.c_notnull then NMustNot else NMay);
-    k_int = c.c_types n = Some Vtype.TInt;
-  }
+(* A class with no bounds and no disequalities, one shared record per
+   null fact: every fresh column's class, and what a null fact asserted
+   on one makes of it. *)
+let plain =
+  let k null = { k_lo = None; k_hi = None; k_neqs = []; k_null = null } in
+  let must = k NMust and must_not = k NMustNot and may = k NMay in
+  function NMust -> must | NMustNot -> must_not | NMay -> may
 
-let cls_of c st rep =
-  match SM.find_opt rep st.s_classes with
-  | Some k -> k
-  | None -> default_cls c rep
+let with_null k null =
+  match k with
+  | { k_lo = None; k_hi = None; k_neqs = []; _ } -> plain null
+  | _ -> { k with k_null = null }
 
-let set_cls st rep k = { st with s_classes = SM.add rep k st.s_classes }
+let sentinel () =
+  let rec s = { name = ""; parent = s; cls = plain NMay; int = 0; next = s } in
+  s
+
+let rec lookup n c =
+  if c.next == c then raise Not_found
+  else if String.equal c.name n then c
+  else lookup n c.next
+
+let column st n =
+  match lookup n st.cols with
+  | c -> c
+  | exception Not_found ->
+      let cls = plain (if List.mem n st.ctx.c_notnull then NMustNot else NMay) in
+      (* not [let rec]: a recursive record is allocated twice *)
+      let c = { name = n; parent = st.cols; cls; int = -1; next = st.cols } in
+      c.parent <- c;
+      st.cols <- c;
+      c
+
+let rec find c = if c.parent == c then c else find c.parent
+
+(* Is every member of [rep]'s class statically [TInt]? *)
+let class_int st rep =
+  let is_int c =
+    if c.int < 0 then
+      c.int <- (match st.ctx.c_types c.name with Some Vtype.TInt -> 1 | _ -> 0);
+    c.int = 1
+  in
+  let rec members c = c.next == c || ((find c != rep || is_int c) && members c.next) in
+  members st.cols
+
+let set_cls st c k =
+  st.trail <- Cls (c, c.cls, st.trail);
+  c.cls <- k
 
 (* Comparison of two non-null bound values; incomparable types leave
    the fragment. *)
@@ -273,15 +318,15 @@ let vcmp a b =
 (* Integer bound tightening: a strict bound on an int column moves to
    the adjacent inclusive bound, enabling emptiness detection on
    e.g. [x > 1 AND x < 2]. *)
-let tighten_lo is_int (v, strict) =
+let tighten_lo st rep v =
   match v with
-  | Value.Int n when is_int && strict && n < max_int -> (Value.Int (n + 1), false)
-  | _ -> (v, strict)
+  | Value.Int n when n < max_int && class_int st rep -> (Value.Int (n + 1), false)
+  | _ -> (v, true)
 
-let tighten_hi is_int (v, strict) =
+let tighten_hi st rep v =
   match v with
-  | Value.Int n when is_int && strict && n > min_int -> (Value.Int (n - 1), false)
-  | _ -> (v, strict)
+  | Value.Int n when n > min_int && class_int st rep -> (Value.Int (n - 1), false)
+  | _ -> (v, true)
 
 (* The tighter of two lower (resp. upper) bounds. *)
 let max_lo a b =
@@ -319,26 +364,24 @@ let check_cls k =
   | None -> ());
   k
 
-let assert_null c st n =
-  let rep = find st n in
-  let k = cls_of c st rep in
-  match k.k_null with
+let assert_null st n =
+  let rep = find (column st n) in
+  match rep.cls.k_null with
   | NMustNot -> raise Conflict
-  | NMust -> st
-  | NMay -> set_cls st rep { k with k_null = NMust }
+  | NMust -> ()
+  | NMay -> set_cls st rep (with_null rep.cls NMust)
 
-let assert_notnull c st n =
-  let rep = find st n in
-  let k = cls_of c st rep in
-  match k.k_null with
+let assert_notnull st n =
+  let rep = find (column st n) in
+  match rep.cls.k_null with
   | NMust -> raise Conflict
-  | NMustNot -> st
-  | NMay -> set_cls st rep { k with k_null = NMustNot }
+  | NMustNot -> ()
+  | NMay -> set_cls st rep (with_null rep.cls NMustNot)
 
 (* [op] between a column (class [rep]) and a non-null constant [v];
    non-null of the column has already been asserted. *)
-let assert_attr_const c st rep op v =
-  let k = cls_of c st rep in
+let assert_attr_const st rep op v =
+  let k = rep.cls in
   let k =
     match op with
     | Eq ->
@@ -353,22 +396,20 @@ let assert_attr_const c st rep op v =
         | Some w when vcmp w v = 0 -> raise Conflict
         | _ -> ());
         { k with k_neqs = v :: k.k_neqs }
-    | Lt -> { k with k_hi = min_hi k.k_hi (Some (tighten_hi k.k_int (v, true))) }
+    | Lt -> { k with k_hi = min_hi k.k_hi (Some (tighten_hi st rep v)) }
     | Leq -> { k with k_hi = min_hi k.k_hi (Some (v, false)) }
-    | Gt -> { k with k_lo = max_lo k.k_lo (Some (tighten_lo k.k_int (v, true))) }
+    | Gt -> { k with k_lo = max_lo k.k_lo (Some (tighten_lo st rep v)) }
     | Geq -> { k with k_lo = max_lo k.k_lo (Some (v, false)) }
     | EqNull -> assert false
   in
   set_cls st rep (check_cls k)
 
 let diseq_conflict st =
-  if List.exists (fun (a, b) -> String.equal (find st a) (find st b)) st.s_diseq
-  then raise Conflict
+  if List.exists (fun (a, b) -> find a == find b) st.diseqs then raise Conflict
 
-let union c st rx ry =
-  if String.equal rx ry then st
-  else begin
-    let kx = cls_of c st rx and ky = cls_of c st ry in
+let union st rx ry =
+  if rx != ry then begin
+    let kx = rx.cls and ky = ry.cls in
     let merged =
       check_cls
         {
@@ -376,151 +417,276 @@ let union c st rx ry =
           k_hi = min_hi kx.k_hi ky.k_hi;
           k_neqs = kx.k_neqs @ ky.k_neqs;
           k_null = NMustNot;  (* equality asserted TRUE: both non-null *)
-          k_int = kx.k_int && ky.k_int;
         }
     in
-    let st =
-      {
-        st with
-        s_parent = SM.add ry rx st.s_parent;
-        s_classes = SM.add rx merged (SM.remove ry st.s_classes);
-      }
-    in
-    diseq_conflict st;
-    st
+    st.trail <- Parent (ry, st.trail);
+    ry.parent <- rx;
+    set_cls st rx merged;
+    diseq_conflict st
   end
 
-let assert_attr_attr c st x y op =
-  let rx = find st x and ry = find st y in
-  let kx = cls_of c st rx and ky = cls_of c st ry in
+let assert_attr_attr st x y op =
+  let cx = column st x and cy = column st y in
+  let rx = find cx and ry = find cy in
+  let kx = rx.cls and ky = ry.cls in
   match op with
-  | Eq -> union c st rx ry
+  | Eq -> union st rx ry
   | Neq -> (
-      if String.equal rx ry then raise Conflict;
+      if rx == ry then raise Conflict;
       match (pinned kx, pinned ky) with
       | Some v, Some w when vcmp v w = 0 -> raise Conflict
-      | _ -> { st with s_diseq = (x, y) :: st.s_diseq })
-  | (Lt | Gt) when String.equal rx ry -> raise Conflict
-  | (Leq | Geq) when String.equal rx ry -> st
+      | _ ->
+          st.trail <- Diseqs (st.diseqs, st.trail);
+          st.diseqs <- (cx, cy) :: st.diseqs)
+  | (Lt | Gt) when rx == ry -> raise Conflict
+  | (Leq | Geq) when rx == ry -> ()
   | (Lt | Leq | Gt | Geq) as op -> (
       (* order constraints across classes: only the pinned cases feed
          the interval domain; the rest is (soundly) ignored *)
       match (pinned kx, pinned ky) with
-      | _, Some w -> assert_attr_const c st rx op w
-      | Some v, _ -> assert_attr_const c st ry (flip_cmp op) v
-      | None, None -> st)
+      | _, Some w -> assert_attr_const st rx op w
+      | Some v, _ -> assert_attr_const st ry (flip_cmp op) v
+      | None, None -> ())
   | EqNull -> assert false
 
-let assert_cmp c st op t1 t2 =
-  match (t1, t2) with
-  | TConst a, TConst b -> (
-      (* both operands non-null and the comparison holds *)
-      if Value.is_null a || Value.is_null b then raise Conflict;
-      match Eval.cmp3 op a b with
-      | Value.Bool true -> st
+(* [a op b] over two terms: both operands non-null and the comparison
+   holds. *)
+let assert_cmp st op (a : expr) (b : expr) =
+  match (a, b) with
+  | Attr x, Attr y ->
+      assert_notnull st x;
+      assert_notnull st y;
+      assert_attr_attr st x y op
+  | Attr n, k | k, Attr n ->
+      let v = term_value k in
+      if Value.is_null v then raise Conflict;
+      let op = match a with Attr _ -> op | _ -> flip_cmp op in
+      assert_notnull st n;
+      assert_attr_const st (find (column st n)) op v
+  | _ -> (
+      let va = term_value a and vb = term_value b in
+      if Value.is_null va || Value.is_null vb then raise Conflict;
+      match Eval.cmp3 op va vb with
+      | Value.Bool true -> ()
       | Value.Bool false -> raise Conflict
       | _ -> raise Conflict
       | exception Value.Type_clash _ -> raise Give_up)
-  | TAttr n, TConst v | TConst v, TAttr n ->
-      if Value.is_null v then raise Conflict;
-      let op = match t1 with TConst _ -> flip_cmp op | _ -> op in
-      let st = assert_notnull c st n in
-      assert_attr_const c st (find st n) op v
-  | TAttr x, TAttr y ->
-      let st = assert_notnull c st x in
-      let st = assert_notnull c st y in
-      assert_attr_attr c st x y op
 
 let assert_opaque st e tv =
-  match List.find_opt (fun (e', _) -> safe_equal e e') st.s_opaques with
-  | Some (_, tv') -> if tv = tv' then st else raise Conflict
-  | None -> { st with s_opaques = (e, tv) :: st.s_opaques }
-
-let assert_lit c st = function
-  | LNull n -> assert_null c st n
-  | LNotNull n -> assert_notnull c st n
-  | LCmp (op, t1, t2) -> assert_cmp c st op t1 t2
-  | LOpaque (e, tv) -> assert_opaque st e tv
+  let rec seek = function
+    | [] ->
+        st.trail <- Opaques (st.opaques, st.trail);
+        st.opaques <- (e, tv) :: st.opaques
+    | (e', tv') :: rest ->
+        if safe_equal e e' then (if tv <> tv' then raise Conflict) else seek rest
+  in
+  seek st.opaques
 
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [solve c fuel st goals]: is the conjunction of [goals] consistent
-   with state [st]? [false] only when every branch hit a genuine
-   conflict — a real unsatisfiability proof. *)
-let rec solve c fuel st (goals : prop list) : bool =
-  burn fuel;
-  match goals with
-  | [] -> true
-  | PTrue :: rest -> solve c fuel st rest
-  | PFalse :: _ -> false
-  | PAnd (a, b) :: rest -> solve c fuel st (a :: b :: rest)
-  | POr (a, b) :: rest ->
-      solve c fuel st (a :: rest) || solve c fuel st (b :: rest)
-  | PLit l :: rest -> (
-      match assert_lit c st l with
-      | st' -> solve c fuel st' rest
+let tv_of = function Pos -> T3 | Neg -> F3 | _ -> U3
+
+(* [go st g]: is the conjunction [g] consistent with [st]? [false] only
+   when every branch hit a genuine conflict — a real unsatisfiability
+   proof. Each proposition node visited burns one unit of fuel: [visit]
+   burns it for the node it is given, and the step that handles the
+   node reads it without burning again. *)
+let rec go st = function Done -> visit_done st | G (e, part, rest) -> visit st e part rest
+
+and visit_done st =
+  burn st;
+  true
+
+(* The node [part] of [e]'s translation, followed by [rest]. *)
+and visit st e part rest =
+  burn st;
+  step st e part rest
+
+(* A disjunction: the second side is tried from the state the first
+   started from. *)
+and branch st e1 p1 e2 p2 rest =
+  let mark = st.trail in
+  visit st e1 p1 rest
+  ||
+  (undo st mark;
+   visit st e2 p2 rest)
+
+(* A literal: the conjunction goes on when it is consistent. *)
+and lit st assertion rest = if assertion then go st rest else false
+
+and null_lit st (t : expr) rest =
+  match t with
+  | Attr n -> (
+      match assert_null st n with
+      | () -> go st rest
       | exception Conflict -> false)
+  | _ -> lit st (Value.is_null (term_value t)) rest
+
+and notnull_lit st (t : expr) rest =
+  match t with
+  | Attr n -> (
+      match assert_notnull st n with
+      | () -> go st rest
+      | exception Conflict -> false)
+  | _ -> lit st (not (Value.is_null (term_value t))) rest
+
+and cmp_lit st op a b rest =
+  match assert_cmp st op a b with
+  | () -> go st rest
+  | exception Conflict -> false
+
+and opaque_lit st e tv rest =
+  match assert_opaque st e tv with
+  | () -> go st rest
+  | exception Conflict -> false
+
+and step st e part rest =
+  match (part, e) with
+  | (Pos | Neg | Unk), _ -> prop st e part rest
+  | Neg_or_unk, _ -> branch st e Neg e Unk rest
+  | Unk_left, (And (a, _) | Or (a, _)) -> visit st a Unk (G (e, Unk_left_or, rest))
+  | Unk_right, (And (_, b) | Or (_, b)) -> visit st b Unk (G (e, Unk_right_or, rest))
+  | Unk_left_or, And (_, b) -> branch st b Pos b Unk rest
+  | Unk_left_or, Or (_, b) -> branch st b Neg b Unk rest
+  | Unk_right_or, And (a, _) -> branch st a Pos a Unk rest
+  | Unk_right_or, Or (a, _) -> branch st a Neg a Unk rest
+  | Null_a, Cmp (_, a, _) -> null_lit st a rest
+  | Notnull_a, Cmp (_, a, _) -> notnull_lit st a rest
+  | Null_b, Cmp (_, _, b) -> null_lit st b rest
+  | Notnull_b, Cmp (_, _, b) -> notnull_lit st b rest
+  | Notnull_a, Attr _ -> notnull_lit st e rest
+  | Opq_t, _ -> opaque_lit st e T3 rest
+  | Opq_f, _ -> opaque_lit st e F3 rest
+  | Cmp_holds, Cmp (_, a, b) -> cmp_lit st Eq a b rest
+  | Cmp_fails, Cmp (_, a, b) -> cmp_lit st Neq a b rest
+  | Eqn_both_null, _ -> visit st e Null_a (G (e, Null_b, rest))
+  | Eqn_a_null, _ -> visit st e Null_a (G (e, Notnull_b, rest))
+  | Eqn_b_null, _ -> visit st e Notnull_a (G (e, Null_b, rest))
+  | Eqn_differ, _ -> branch st e Eqn_b_null e Cmp_fails rest
+  | _ -> invalid_arg "Symbolic.step: part of another shape"
+
+(* The TRUE ([Pos]) / FALSE ([Neg]) / NULL ([Unk]) proposition of [e]. *)
+and prop st e part rest =
+  match e with
+  | Not a -> prop st a (match part with Pos -> Neg | Neg -> Pos | p -> p) rest
+  | And (a, b) -> (
+      match part with
+      | Pos -> visit st a Pos (G (b, Pos, rest))
+      | Neg -> branch st a Neg b Neg rest
+      | _ -> branch st e Unk_left e Unk_right rest)
+  | Or (a, b) -> (
+      match part with
+      | Pos -> branch st a Pos b Pos rest
+      | Neg -> visit st a Neg (G (b, Neg, rest))
+      | _ -> branch st e Unk_left e Unk_right rest)
+  | Const v -> truth st e v part rest
+  | TypedNull _ -> truth st e Value.Null part rest
+  | Attr _ -> (
+      (* a boolean column used directly as a condition *)
+      match part with
+      | Pos -> visit st e Notnull_a (G (e, Opq_t, rest))
+      | Neg -> visit st e Notnull_a (G (e, Opq_f, rest))
+      | _ -> null_lit st e rest)
+  | IsNull inner -> (
+      if is_static inner then
+        let null = Value.is_null (term_value inner) in
+        match part with
+        | Pos -> lit st null rest
+        | Neg -> lit st (not null) rest
+        | _ -> false
+      else
+        match (part, inner) with
+        | Pos, Attr _ -> null_lit st inner rest
+        | Neg, Attr _ -> notnull_lit st inner rest
+        | Pos, _ -> opaque_lit st e T3 rest
+        | Neg, _ -> opaque_lit st e F3 rest
+        | _ -> false)
+  | Cmp (op, a, b) ->
+      if is_static a && is_static b then
+        match Eval.cmp3 op (term_value a) (term_value b) with
+        | v -> truth st e v part rest
+        | exception Value.Type_clash _ -> opaque_lit st e (tv_of part) rest
+      else if not (is_term a && is_term b) then opaque_lit st e (tv_of part) rest
+      else if op = EqNull then
+        (* =n is two-valued: TRUE iff both NULL or both non-null and
+           equal *)
+        match part with
+        | Pos -> branch st e Eqn_both_null e Cmp_holds rest
+        | Neg -> branch st e Eqn_a_null e Eqn_differ rest
+        | _ -> false
+      else (
+        match part with
+        | Pos -> cmp_lit st op a b rest
+        | Neg -> cmp_lit st (negate_cmp op) a b rest
+        | _ -> branch st e Null_a e Null_b rest)
+  | InList (x, es) when List.length es <= in_list_bound -> prop st (in_list_expr x es) part rest
+  | Like (arg, pattern) -> (
+      match static_value arg with
+      | Some (Value.String s) -> truth st e (Value.Bool (Builtin.like_match ~pattern s)) part rest
+      | Some Value.Null -> truth st e Value.Null part rest
+      | _ -> opaque_lit st e (tv_of part) rest)
+  | Binop _ | Case _ | InList _ | FunCall _ | Sublink _ -> opaque_lit st e (tv_of part) rest
+
+(* A condition whose value [v] is known: exactly one of its three
+   propositions holds; a non-boolean constant is an opaque atom. *)
+and truth st e (v : Value.t) part rest =
+  match (v, part) with
+  | Value.Bool true, Pos | Value.Bool false, Neg | Value.Null, Unk -> go st rest
+  | (Value.Bool _ | Value.Null), _ -> false
+  | _ -> opaque_lit st e (tv_of part) rest
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* [Some true]: a consistent abstract assignment exists; [Some false]:
-   proved unsatisfiable; [None]: out of fuel / fragment. *)
-let consistent c (mk : int ref -> prop list) : bool option =
-  let fuel = ref c.c_fuel in
-  match solve c fuel init_state (mk fuel) with
-  | sat -> Some sat
-  | exception Give_up -> None
+(* Questions asked and fuel burned on the calling domain: a
+   domain-local count, so concurrent sessions never contend for it. *)
+type tally = { mutable asked : int; mutable burned : int }
 
-let satisfiable c e =
-  match
-    consistent c (fun fuel ->
-        let p, _, _ = tv3 fuel e in
-        [ p ])
-  with
-  | Some true -> Proved
-  | Some false -> Refuted
-  | None -> Unknown
+let tally = Domain.DLS.new_key (fun () -> { asked = 0; burned = 0 })
+let questions () = (Domain.DLS.get tally).asked
+let fuel_burned () = (Domain.DLS.get tally).burned
 
-let falsifiable c e =
-  match
-    consistent c (fun fuel ->
-        let _, n, _ = tv3 fuel e in
-        [ n ])
-  with
-  | Some true -> Proved
-  | Some false -> Refuted
-  | None -> Unknown
+(* Can [goals], over expressions whose translations total [size] nodes,
+   all hold? [Proved]: a consistent abstract assignment exists;
+   [Refuted]: proved unsatisfiable; [Unknown]: out of fuel or
+   fragment. *)
+let search c ~size goals =
+  let st =
+    {
+      ctx = c;
+      fuel = c.c_fuel - size;
+      cols = sentinel ();
+      diseqs = [];
+      opaques = [];
+      trail = Start;
+    }
+  in
+  let verdict =
+    if st.fuel <= 0 then Unknown
+    else
+      match go st goals with
+      | true -> Proved
+      | false -> Refuted
+      | exception Give_up -> Unknown
+  in
+  let t = Domain.DLS.get tally in
+  t.asked <- t.asked + 1;
+  t.burned <- t.burned + (c.c_fuel - max 0 st.fuel);
+  verdict
 
-let never_true c e =
-  match satisfiable c e with
-  | Proved -> Refuted
-  | Refuted -> Proved
-  | Unknown -> Unknown
+let flip = function Proved -> Refuted | Refuted -> Proved | Unknown -> Unknown
+
+let satisfiable c e = search c ~size:(size e) (G (e, Pos, Done))
+let falsifiable c e = search c ~size:(size e) (G (e, Neg, Done))
+let never_true c e = flip (satisfiable c e)
 
 let implies c a b =
-  match
-    consistent c (fun fuel ->
-        let pa, _, _ = tv3 fuel a in
-        let _, nb, ub = tv3 fuel b in
-        [ pa; POr (nb, ub) ])
-  with
-  | Some true -> Refuted
-  | Some false -> Proved
-  | None -> Unknown
+  flip (search c ~size:(size a + size b) (G (a, Pos, G (b, Neg_or_unk, Done))))
 
-let always_true c e =
-  match
-    consistent c (fun fuel ->
-        let _, n, u = tv3 fuel e in
-        [ POr (n, u) ])
-  with
-  | Some true -> Refuted
-  | Some false -> Proved
-  | None -> Unknown
+let always_true c e = flip (search c ~size:(size e) (G (e, Neg_or_unk, Done)))
 
 let equiv c a b =
   match (implies c a b, implies c b a) with

@@ -92,3 +92,14 @@ val never_true : ctx -> Algebra.expr -> verdict
     Only valid where [e] is used as a filter (selection / join
     condition) — TRUE-equivalence, not value equivalence. *)
 val simplify : ctx -> Algebra.expr -> Algebra.expr
+
+(** {1 Work counters} *)
+
+(** Questions asked on the calling domain so far: one per search, so
+    {!equiv} counts two and {!simplify} one per conjunct it tries. A
+    domain-local count, like {!Estimate.transfers}. *)
+val questions : unit -> int
+
+(** Fuel those questions burned on the calling domain: translation
+    size plus search steps, at most each question's [fuel]. *)
+val fuel_burned : unit -> int

@@ -117,7 +117,7 @@ let rec infer_expr db (env : env) (e : expr) : Vtype.t option =
   match e with
   | Const v -> Value.vtype_of v
   | TypedNull ty -> Some ty
-  | Attr name -> Some (resolve env name)
+  | Attr name -> Vtype.some (resolve env name)
   | Binop (op, a, b) -> (
       let ta = infer_expr db env a and tb = infer_expr db env b in
       match op with

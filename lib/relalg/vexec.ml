@@ -45,27 +45,48 @@ let batch_rows = ref 256
 
 (* ---- runtime ------------------------------------------------------- *)
 
-(** Per-execution context: sublink memo tables and counters, exactly
-    mirroring the reference evaluator's. *)
-type ctx = {
-  db : Database.t;
-  sub_results : (int * Value.t list, Relation.t) Hashtbl.t;
-  sub_summaries : (int * Value.t list, Sem.summary) Hashtbl.t;
-  stats : Sem.stats;
-}
+(* A binding of a sublink's correlated attributes, in the order of its
+   free names; bindings are equal when [compare] says so, as the
+   reference evaluator's memo keys are. *)
+module Binding_key = struct
+  type t = Value.t array
 
-let mk_ctx db =
-  {
-    db;
-    sub_results = Hashtbl.create 64;
-    sub_summaries = Hashtbl.create 64;
-    stats = Sem.fresh_stats ();
-  }
+  let equal a b = compare a b = 0
+  let hash = Hashtbl.hash
+end
+
+module Binding = Hashtbl.Make (Binding_key)
+
+(* One sublink's memo for one execution: its result and its ANY/ALL
+   summary per binding. The copies of a sublink that the provenance
+   rewrite embeds share an id, and so share the memo. *)
+type memo = { results : Relation.t Binding.t; summaries : Sem.summary Binding.t }
+
+(** Per-execution context: sublink memo tables (per sublink id) and
+    counters, exactly mirroring the reference evaluator's. *)
+type ctx = { db : Database.t; memos : (int, memo) Hashtbl.t; stats : Sem.stats }
+
+let mk_ctx db = { db; memos = Hashtbl.create 16; stats = Sem.fresh_stats () }
+
+let memo_of ctx id =
+  match Hashtbl.find ctx.memos id with
+  | m -> m
+  | exception Not_found ->
+      let m = { results = Binding.create 16; summaries = Binding.create 16 } in
+      Hashtbl.add ctx.memos id m;
+      m
 
 (* One lowering's static context: the free names of the subplans met so
    far are kept, so a sublink body that the provenance rewrite embeds
-   several times, or that several sites read, is walked once. *)
-type lx = { db : Database.t; frees : Scope.memo }
+   several times, or that several sites read, is walked once. Plan
+   paths name operators in budget trips and fault triggers only, so
+   they are built only while a budget scope is active or a fault armed
+   ([paths]); otherwise every operator gets its prefix unchanged. *)
+type lx = { db : Database.t; frees : Scope.memo; paths : bool }
+
+let lx_of db = { db; frees = Scope.memo (); paths = Guard.is_active () || Guard.Faults.armed () }
+let here_of lx path q = if lx.paths then Path.here path q else path
+let child_of lx path q side = if lx.paths then Path.child path q side else path
 
 (** Runtime environment: tuple frames, innermost first. *)
 type renv = Tuple.t list
@@ -786,11 +807,12 @@ and compile_pred lx at (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
       let ce = compile_expr lx at cenv e in
       fun ctx env -> b3_of_value (ce ctx env)
 
-(* A sublink's memoized result and ANY/ALL summary per key
-   [(id, binding of the correlated attributes)]. The body is lowered
-   under the full environment at the expression's location, exactly the
-   scope the reference evaluator gives it, with replay on when it is
-   correlated. *)
+(* A sublink's memoized result and ANY/ALL summary per binding of its
+   correlated attributes. The body is lowered under the full
+   environment at the expression's location, exactly the scope the
+   reference evaluator gives it, with replay on when it is correlated.
+   A lookup takes the binding in a buffer the caller may reuse: the
+   memo copies it only when it adds an entry. *)
 and sublink_memo lx at cenv (s : sublink) ~correlated =
   let spath = Path.locate at s in
   let body = lower lx ~replay:correlated spath cenv s.query in
@@ -803,33 +825,50 @@ and sublink_memo lx at cenv (s : sublink) ~correlated =
     | [] -> empty
     | bats -> Vector.relation_of body.v_schema bats
   in
-  let materialize ctx env k =
-    match Hashtbl.find_opt ctx.sub_results k with
-    | Some rel ->
+  (* the memo of the current execution, looked up by id once per
+     execution *)
+  let slot = ref None in
+  let memo ctx =
+    match !slot with
+    | Some (c, m) when c == ctx -> m
+    | _ ->
+        let m = memo_of ctx s.id in
+        slot := Some (ctx, m);
+        m
+  in
+  let materialize ctx env binding =
+    let results = (memo ctx).results in
+    match Binding.find results binding with
+    | rel ->
         ctx.stats.Sem.st_sublink_hits <- ctx.stats.Sem.st_sublink_hits + 1;
         rel
-    | None ->
+    | exception Not_found ->
         ctx.stats.Sem.st_sublink_evals <- ctx.stats.Sem.st_sublink_evals + 1;
+        let key = Array.copy binding in
         Guard.Faults.fire_point Guard.Faults.Sublink spath;
         let rel = run ctx env in
-        Hashtbl.add ctx.sub_results k rel;
+        Binding.add results key rel;
         rel
   in
-  let summary ctx env k =
-    match Hashtbl.find_opt ctx.sub_summaries k with
-    | Some sm -> sm
-    | None ->
-        let rel = materialize ctx env k in
+  let summary ctx env binding =
+    let summaries = (memo ctx).summaries in
+    match Binding.find summaries binding with
+    | sm -> sm
+    | exception Not_found ->
+        let key = Array.copy binding in
+        let rel = materialize ctx env binding in
         let sm =
           Sem.summarize (List.map (fun t -> Tuple.get t 0) (Relation.tuples rel))
         in
-        Hashtbl.add ctx.sub_summaries k sm;
+        Binding.add summaries key sm;
         sm
   in
   (materialize, summary)
 
 (* The correlated attributes are resolved to offset accessors once, so
-   the per-binding memo key is assembled without any name resolution. *)
+   the per-call binding is read without any name resolution, into a
+   buffer of the call site (its copies run one at a time: a body never
+   contains its own sublink). *)
 and compile_sublink lx at (cenv : Schema.t list) (s : sublink) : cexpr =
   let free = Scope.body_frees lx.frees lx.db s.query in
   let free_getters =
@@ -837,18 +876,23 @@ and compile_sublink lx at (cenv : Schema.t list) (s : sublink) : cexpr =
   in
   let correlated = free <> [] in
   let materialize, summary = sublink_memo lx at cenv s ~correlated in
-  let key ctx env =
-    (s.id, Array.to_list (Array.map (fun g -> g ctx env) free_getters))
+  let buffer = Array.make (Array.length free_getters) Value.Null in
+  let binding ctx env =
+    for i = 0 to Array.length free_getters - 1 do
+      buffer.(i) <- free_getters.(i) ctx env
+    done;
+    buffer
   in
+  let truth b = if b then Value.vtrue else Value.vfalse in
   (* An uncorrelated sublink has a constant memo key, so its result for
      the current execution is held in a local slot instead of paying a
-     key allocation plus a structural hash per evaluation. The slot is
-     keyed on the [ctx] by physical identity — a fresh execution gets a
-     fresh context and recomputes — and the first fill still goes
-     through the shared memo tables, so the counters ({!Sem.stats})
-     advance exactly as the reference evaluator's do: relation reuse
-     counts a hit, summary reuse is silent. *)
-  let k0 = (s.id, []) in
+     hash per evaluation. The slot is keyed on the [ctx] by physical
+     identity — a fresh execution gets a fresh context and recomputes —
+     and the first fill still goes through the shared memo tables, so
+     the counters ({!Sem.stats}) advance exactly as the reference
+     evaluator's do: relation reuse counts a hit, summary reuse is
+     silent. *)
+  let k0 = [||] in
   let cached_rel =
     let cache = ref None in
     fun ctx env ->
@@ -874,9 +918,8 @@ and compile_sublink lx at (cenv : Schema.t list) (s : sublink) : cexpr =
   match s.kind with
   | Exists ->
       if correlated then fun ctx env ->
-        Value.Bool (not (Relation.is_empty (materialize ctx env (key ctx env))))
-      else fun ctx env ->
-        Value.Bool (not (Relation.is_empty (cached_rel ctx env)))
+        truth (not (Relation.is_empty (materialize ctx env (binding ctx env))))
+      else fun ctx env -> truth (not (Relation.is_empty (cached_rel ctx env)))
   | Scalar ->
       let first rel =
         match Relation.tuples rel with
@@ -885,18 +928,18 @@ and compile_sublink lx at (cenv : Schema.t list) (s : sublink) : cexpr =
         | _ -> Sem.eval_error "scalar sublink returned more than one row"
       in
       if correlated then fun ctx env ->
-        first (materialize ctx env (key ctx env))
+        first (materialize ctx env (binding ctx env))
       else fun ctx env -> first (cached_rel ctx env)
   | AnyOp (op, lhs) ->
       let clhs = compile_expr lx at cenv lhs in
       if correlated then fun ctx env ->
-        Sem.any_of_summary op (clhs ctx env) (summary ctx env (key ctx env))
+        Sem.any_of_summary op (clhs ctx env) (summary ctx env (binding ctx env))
       else fun ctx env ->
         Sem.any_of_summary op (clhs ctx env) (cached_summary ctx env)
   | AllOp (op, lhs) ->
       let clhs = compile_expr lx at cenv lhs in
       if correlated then fun ctx env ->
-        Sem.all_of_summary op (clhs ctx env) (summary ctx env (key ctx env))
+        Sem.all_of_summary op (clhs ctx env) (summary ctx env (binding ctx env))
       else fun ctx env ->
         Sem.all_of_summary op (clhs ctx env) (cached_summary ctx env)
 
@@ -911,8 +954,7 @@ and sublink_summary lx at cenv (s : sublink) :
   if Scope.body_frees lx.frees lx.db s.query <> [] then None
   else begin
     let _, summary = sublink_memo lx at cenv s ~correlated:false in
-    let k0 = (s.id, []) in
-    Some (fun ctx env -> summary ctx env k0)
+    Some (fun ctx env -> summary ctx env [||])
   end
 
 (* Lower a predicate to a mask when every node has a mask kernel
@@ -1038,7 +1080,7 @@ and lower lx ~replay path (cenv : Schema.t list) (q : query) : vop =
    executing domain like the memo tables. *)
 and lower_replayed lx path q : vop =
   let v = lower_node lx ~replay:false path [] q in
-  let here = Path.here path q in
+  let here = here_of lx path q in
   let slot = ref None in
   {
     v_schema = v.v_schema;
@@ -1062,8 +1104,8 @@ and lower_replayed lx path q : vop =
    events. An operator's expressions compile with [at], the operators
    they belong to, where their sublinks' body paths are found. *)
 and lower_node lx ~replay path (cenv : Schema.t list) (q : query) : vop =
-  let here = Path.here path q in
-  let cpath side = Path.child path q side in
+  let here = here_of lx path q in
+  let cpath side = child_of lx path q side in
   guarded here
   @@
   match q with
@@ -1151,7 +1193,7 @@ and lower_node lx ~replay path (cenv : Schema.t list) (q : query) : vop =
           | None ->
               project_over lx here q cenv ~distinct cols
                 (guarded
-                   (Path.here (cpath Path.Input) proj_input)
+                   (here_of lx (cpath Path.Input) proj_input)
                    (join_over lx cenv j va vb)))
       | None ->
           project_over lx here q cenv ~distinct cols
@@ -1453,9 +1495,9 @@ and setop_of va vb op : vop =
   }
 
 and join_inputs lx ~replay cenv (j : Sem.join) : vop * vop =
-  let va = lower lx ~replay (Path.child j.j_prefix j.j_node Path.Left) cenv j.j_left
+  let va = lower lx ~replay (child_of lx j.j_prefix j.j_node Path.Left) cenv j.j_left
   and vb =
-    lower lx ~replay (Path.child j.j_prefix j.j_node Path.Right) cenv j.j_right
+    lower lx ~replay (child_of lx j.j_prefix j.j_node Path.Right) cenv j.j_right
   in
   (va, vb)
 
@@ -1465,7 +1507,7 @@ and join_inputs lx ~replay cenv (j : Sem.join) : vop * vop =
    instead of concatenated, and factored cross blocks just remap their
    sources. *)
 and join_over lx cenv ?project (j : Sem.join) va vb : vop =
-  let here = Path.here j.j_prefix j.j_node in
+  let here = here_of lx j.j_prefix j.j_node in
   let at = Sem.join_owners j here in
   let outer = j.j_outer and cond = j.j_cond in
   let sa = va.v_schema and sb = vb.v_schema in
@@ -1742,7 +1784,7 @@ and join_over lx cenv ?project (j : Sem.join) va vb : vop =
 
 let query_stats ?(env = []) db q : Relation.t * Sem.stats =
   let cenv = List.map fst env and renv = List.map snd env in
-  let v = lower { db; frees = Scope.memo () } ~replay:false [] cenv q in
+  let v = lower (lx_of db) ~replay:false [] cenv q in
   let rt = { cctx = mk_ctx db; renv } in
   let bats = v.v_run rt in
   (Vector.relation_of v.v_schema bats, rt.cctx.stats)
@@ -1750,6 +1792,6 @@ let query_stats ?(env = []) db q : Relation.t * Sem.stats =
 let query ?(env = []) db q = fst (query_stats ~env db q)
 
 let expr ?(env = []) db e =
-  compile_expr { db; frees = Scope.memo () } [ ([], [ e ]) ] (List.map fst env) e
+  compile_expr (lx_of db) [ ([], [ e ]) ] (List.map fst env) e
     (mk_ctx db)
     (List.map snd env)

@@ -12,6 +12,12 @@ type t =
 
 let equal (a : t) (b : t) = a = b
 
+let some = function
+  | TInt -> Some TInt
+  | TFloat -> Some TFloat
+  | TString -> Some TString
+  | TBool -> Some TBool
+
 let to_string = function
   | TInt -> "int"
   | TFloat -> "float"

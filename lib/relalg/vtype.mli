@@ -4,6 +4,10 @@
 type t = TInt | TFloat | TString | TBool
 
 val equal : t -> t -> bool
+
+(** [some t] is [Some t], one shared value per type: a lookup that
+    returns a type allocates nothing. *)
+val some : t -> t option
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

@@ -69,6 +69,28 @@ let test_schema_dup () =
     (Schema.Schema_error "duplicate attribute name \"a\" in schema") (fun () ->
       ignore (Schema.of_list [ Schema.attr "a" Vtype.TInt; Schema.attr "a" Vtype.TInt ]))
 
+(* Schemas wider than a lookup scan build their name index on the first
+   lookup; two domains may race to build it. The duplicate check stays
+   eager and names the first repeated attribute in order. *)
+let test_schema_wide () =
+  let names = List.init 40 (Printf.sprintf "c%d") in
+  let attrs = List.map (fun n -> Schema.attr n Vtype.TInt) names in
+  let positions s = List.map (Schema.find s) names in
+  let expected = List.init 40 Option.some in
+  let s = Schema.of_list attrs in
+  Alcotest.(check (list (option int))) "positions" expected (positions s);
+  Alcotest.(check bool) "absent" false (Schema.mem s "c40");
+  let fresh = Schema.concat (Schema.of_list (List.filteri (fun i _ -> i < 20) attrs))
+      (Schema.of_list (List.filteri (fun i _ -> i >= 20) attrs)) in
+  let race = List.init 2 (fun _ -> Domain.spawn (fun () -> positions fresh)) in
+  List.iter
+    (fun d -> Alcotest.(check (list (option int))) "raced positions" expected (Domain.join d))
+    race;
+  let dup = List.mapi (fun i a -> if i = 25 then Schema.attr "c12" Vtype.TInt else if i = 28 then Schema.attr "c3" Vtype.TInt else a) attrs in
+  Alcotest.check_raises "first duplicate named"
+    (Schema.Schema_error "duplicate attribute name \"c12\" in schema") (fun () ->
+      ignore (Schema.of_list dup))
+
 let test_schema_ops () =
   let s = Schema.of_list [ Schema.attr "a" Vtype.TInt; Schema.attr "b" Vtype.TString ] in
   Alcotest.(check int) "arity" 2 (Schema.arity s);
@@ -623,6 +645,7 @@ let () =
       ( "schema",
         [
           tc "duplicate rejected" `Quick test_schema_dup;
+          tc "wide schemas" `Quick test_schema_wide;
           tc "ops" `Quick test_schema_ops;
           tc "tuple identity" `Quick test_tuple_identity;
         ] );

@@ -13,7 +13,13 @@
    enumeration — [satisfiable]/[falsifiable] Refuted means no
    assignment produces TRUE/FALSE, [implies]/[always_true] Proved
    holds on every assignment, and [simplify] preserves the TRUE-set
-   exactly. *)
+   exactly.
+
+   Pinned: the MD5 of the verdicts on the optimizer-shaped questions of
+   Qgen plans and on random predicates (computed with the solver that
+   materialized every proposition, so a rewrite of the search must keep
+   each verdict, [Unknown] included), and a bound on the minor words a
+   Csub+-shaped question allocates. *)
 
 open Relalg
 open Algebra
@@ -344,6 +350,127 @@ let prop_range_contradictions_found =
       if lo <= hi + 1 then verdict_ = Symbolic.Refuted
       else verdict_ = Symbolic.Proved)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned verdicts and allocation                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The questions the optimizer's sites ask, over real plans: every
+   Select/Join condition of the original query and of every strategy's
+   rewritten plan for Qgen seeds 1-300 — the condition, each conjunct,
+   and each conjunct against the rest — asked as [never_true],
+   [always_true] and [implies] under the typing of the condition's
+   input (none when the input does not type on its own, i.e. it is
+   correlated). *)
+let plan_questions (emit : string -> unit) =
+  let schema_types db q =
+    match Typecheck.infer db q with
+    | s -> fun n -> Option.map (fun i -> (Schema.attr_at s i).Schema.ty) (Schema.find s n)
+    | exception _ -> fun _ -> None
+  in
+  let ask types cond =
+    let c = Symbolic.ctx ~types () in
+    let v x = emit (Symbolic.verdict_to_string x) in
+    v (Symbolic.never_true c cond);
+    v (Symbolic.always_true c cond);
+    match conjuncts cond with
+    | [ _ ] -> ()
+    | cs ->
+        List.iteri
+          (fun i x ->
+            let others = List.filteri (fun j _ -> j <> i) cs in
+            v (Symbolic.never_true c x);
+            v (Symbolic.always_true c x);
+            v (Symbolic.implies c (conj others) x))
+          cs
+  in
+  let rec walk db q =
+    (match q with
+    | Select (c, q1) -> ask (schema_types db q1) c
+    | Join (c, l, r) -> ask (schema_types db (Cross (l, r))) c
+    | _ -> ());
+    List.iter (walk db) (Algebra.inputs q);
+    List.iter
+      (fun (s : sublink) -> walk db s.query)
+      (List.concat_map sublinks_of_expr (Algebra.root_exprs q))
+  in
+  for seed = 1 to 300 do
+    let case = Fuzz.Qgen.case_of_seed seed in
+    let db = Fuzz.Qgen.database case in
+    let q =
+      (Sql_frontend.Analyzer.analyze_string db (Fuzz.Qgen.sql case))
+        .Sql_frontend.Analyzer.query
+    in
+    emit (Printf.sprintf "seed %d" seed);
+    walk db q;
+    List.iter
+      (fun strategy ->
+        match Core.Rewrite.rewrite db ~strategy q with
+        | q_plus, _ -> walk db q_plus
+        | exception Core.Strategy.Unsupported _ -> emit "unsupported")
+      Core.Strategy.all
+  done
+
+(* Random predicates from the brute-force generator, asked every way
+   under three contexts: typed, typed with a not-null fact, and a fuel
+   small enough that many questions run out ([Unknown]). *)
+let random_questions (emit : string -> unit) =
+  let rand = Random.State.make [| 20261019 |] in
+  let ctxs = [ ctx (); ctx ~notnull:[ "b" ] (); ctx ~fuel:24 () ] in
+  for _ = 1 to 2000 do
+    let p = gen_pred rand and q = gen_pred rand in
+    List.iter
+      (fun c ->
+        List.iter
+          (fun v -> emit (Symbolic.verdict_to_string v))
+          [
+            Symbolic.satisfiable c p;
+            Symbolic.falsifiable c p;
+            Symbolic.never_true c p;
+            Symbolic.always_true c p;
+            Symbolic.implies c p q;
+            Symbolic.equiv c p q;
+          ];
+        emit (Pp.expr_to_string (Symbolic.simplify c p)))
+      ctxs
+  done
+
+let digest_of questions =
+  let buf = Buffer.create 65536 and n = ref 0 in
+  questions (fun s ->
+      incr n;
+      Buffer.add_string buf s;
+      Buffer.add_char buf '\n');
+  (!n, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Verdicts pinned at the solver before its search moved to a mutable
+   state with an undo trail: the same answers, [Unknown] included. *)
+let test_plan_verdicts () =
+  let n, d = digest_of plan_questions in
+  Alcotest.(check (pair int string)) "plan verdicts" (24249, "6e1d7693ebe3b69b33488f45206bc0e6") (n, d)
+
+let test_random_verdicts () =
+  let n, d = digest_of random_questions in
+  Alcotest.(check (pair int string)) "random verdicts" (42000, "4deed52794596f292e6a4c0dcca70b36") (n, d)
+
+(* The shape of a Gen plan's Csub+ condition: sixteen [=n] tests over
+   provenance columns and an opaque EXISTS. Asking whether it can hold
+   allocates a bounded number of minor words (the translation is read
+   lazily and the search updates one state in place). *)
+let test_csub_alloc () =
+  let eqn i =
+    Cmp (EqNull, attr (Printf.sprintf "prov_r_%d" i), attr (Printf.sprintf "prov_s_%d" i))
+  in
+  let cond = conj (List.init 16 eqn @ [ Algebra.exists (Base "s") ]) in
+  let c = Symbolic.ctx () in
+  ignore (Symbolic.never_true c cond);
+  let w0 = Gc.minor_words () in
+  let v = Symbolic.never_true c cond in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.check verdict "Csub+ can hold" Symbolic.Refuted v;
+  Alcotest.(check bool)
+    (Printf.sprintf "never_true on a Csub+ condition allocates %.0f minor words" words)
+    true (words <= 520.)
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -372,4 +499,10 @@ let () =
           prop_simplify_filter_equiv;
           prop_range_contradictions_found;
         ];
+      ( "pinned",
+        [
+          Alcotest.test_case "plan verdicts digest" `Quick test_plan_verdicts;
+          Alcotest.test_case "random verdicts digest" `Quick test_random_verdicts;
+          Alcotest.test_case "Csub+ question allocation" `Quick test_csub_alloc;
+        ] );
     ]
