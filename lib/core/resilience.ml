@@ -117,7 +117,7 @@ let classify ~default exn =
   | Some e -> e
   | None -> raise Not_found
 
-let enter phase f =
+let classified phase f =
   try f () with
   | Perm_error _ as e -> raise e
   | (Out_of_memory | Stack_overflow | Assert_failure _) as e -> raise e
@@ -125,6 +125,80 @@ let enter phase f =
       match classify_opt ~default:phase exn with
       | Some err -> raise (Perm_error err)
       | None -> raise exn)
+
+(* ------------------------------------------------------------------ *)
+(* Phase meter                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Armed, every [enter] adds the words its phase allocated
+   ({!Guard.allocated_words}) and the wall time it took to the calling
+   domain's totals, each phase without the phases entered inside it, so
+   the totals of one statement sum to what the statement cost inside
+   its phases. Disarmed, a phase pays one [Atomic.get]. *)
+let metering = Atomic.make false
+
+let phases = [| Parse; Analyze; Typecheck; Rewrite; Optimize; Eval; Load; Protocol |]
+
+let phase_index p =
+  let rec go i = if phases.(i) = p then i else go (i + 1) in
+  go 0
+
+type meter = {
+  m_words : float array;  (** per phase, indexed as [phases] *)
+  m_seconds : float array;
+  mutable m_inner_words : float;  (** spent in phases inside the current one *)
+  mutable m_inner_seconds : float;
+}
+
+let meter_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        m_words = Array.make (Array.length phases) 0.0;
+        m_seconds = Array.make (Array.length phases) 0.0;
+        m_inner_words = 0.0;
+        m_inner_seconds = 0.0;
+      })
+
+let arm_meter () = Atomic.set metering true
+let disarm_meter () = Atomic.set metering false
+
+let phase_totals () =
+  let m = Domain.DLS.get meter_key in
+  List.filter_map
+    (fun p ->
+      let i = phase_index p in
+      if m.m_words.(i) = 0.0 && m.m_seconds.(i) = 0.0 then None
+      else Some (p, m.m_words.(i), m.m_seconds.(i)))
+    (Array.to_list phases)
+
+let reset_phase_totals () =
+  let m = Domain.DLS.get meter_key in
+  Array.fill m.m_words 0 (Array.length phases) 0.0;
+  Array.fill m.m_seconds 0 (Array.length phases) 0.0
+
+let metered phase f =
+  let m = Domain.DLS.get meter_key in
+  let outer_words = m.m_inner_words and outer_seconds = m.m_inner_seconds in
+  m.m_inner_words <- 0.0;
+  m.m_inner_seconds <- 0.0;
+  let w0 = Guard.allocated_words () and t0 = Unix.gettimeofday () in
+  let finish () =
+    let w = Guard.allocated_words () -. w0 and t = Unix.gettimeofday () -. t0 in
+    let i = phase_index phase in
+    m.m_words.(i) <- m.m_words.(i) +. (w -. m.m_inner_words);
+    m.m_seconds.(i) <- m.m_seconds.(i) +. (t -. m.m_inner_seconds);
+    m.m_inner_words <- outer_words +. w;
+    m.m_inner_seconds <- outer_seconds +. t
+  in
+  match classified phase f with
+  | r ->
+      finish ();
+      r
+  | exception e ->
+      finish ();
+      raise e
+
+let enter phase f = if Atomic.get metering then metered phase f else classified phase f
 
 (* ------------------------------------------------------------------ *)
 (* Fallback ladder                                                     *)

@@ -64,6 +64,23 @@ val classify : default:phase -> exn -> error
     passes through untouched, as do asynchronous/system exceptions. *)
 val enter : phase -> (unit -> 'a) -> 'a
 
+(** {1 Phase meter}
+
+    Armed, every {!enter} adds the words its phase allocated
+    ({!Relalg.Guard.allocated_words}) and its wall time to the calling
+    domain's totals; a phase entered inside another counts only in the
+    inner one, so a statement's totals sum to what it cost inside its
+    phases. Disarmed (the default), {!enter} pays one [Atomic.get]. *)
+
+val arm_meter : unit -> unit
+val disarm_meter : unit -> unit
+
+(** The calling domain's totals since its last reset: each phase
+    entered, with its words and seconds. *)
+val phase_totals : unit -> (phase * float * float) list
+
+val reset_phase_totals : unit -> unit
+
 (** {1 Fallback ladder} *)
 
 (** Ranking consulted by the ladder after the requested strategy fails:

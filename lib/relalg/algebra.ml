@@ -259,7 +259,18 @@ let sublinks_of_expr e =
   List.rev
     (fold_expr (fun acc x -> match x with Sublink s -> s :: acc | _ -> acc) [] e)
 
-let has_sublink e = sublinks_of_expr e <> []
+(* Whether [e] holds a sublink outside sublink bodies; allocates
+   nothing. *)
+let rec has_sublink = function
+  | Sublink _ -> true
+  | Const _ | TypedNull _ | Attr _ -> false
+  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) -> has_sublink a || has_sublink b
+  | Not a | IsNull a | Like (a, _) -> has_sublink a
+  | Case (whens, els) -> (
+      List.exists (fun (c, e) -> has_sublink c || has_sublink e) whens
+      || match els with Some e -> has_sublink e | None -> false)
+  | InList (a, es) -> has_sublink a || List.exists has_sublink es
+  | FunCall (_, es) -> List.exists has_sublink es
 
 (** [replace_sublinks subst e] replaces each sublink (by id) with the
     expression bound to it in [subst]; used by the Move strategy to hoist
@@ -344,6 +355,17 @@ let root_exprs = function
       List.map fst group_by @ List.filter_map (fun c -> c.agg_arg) aggs
   | Order (keys, _) -> List.map fst keys
   | Base _ | TableExpr _ | Cross _ | Union _ | Inter _ | Diff _ | Limit _ -> []
+
+let root_has_sublink = function
+  | Select (c, _) | Join (c, _, _) | LeftJoin (c, _, _) -> has_sublink c
+  | Project { cols; _ } -> List.exists (fun (e, _) -> has_sublink e) cols
+  | Agg { group_by; aggs; _ } ->
+      List.exists (fun (e, _) -> has_sublink e) group_by
+      || List.exists
+           (fun c -> match c.agg_arg with Some e -> has_sublink e | None -> false)
+           aggs
+  | Order (keys, _) -> List.exists (fun (e, _) -> has_sublink e) keys
+  | Base _ | TableExpr _ | Cross _ | Union _ | Inter _ | Diff _ | Limit _ -> false
 
 (** Direct input queries of an operator, left to right (sublink queries
     excluded). *)

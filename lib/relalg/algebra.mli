@@ -165,6 +165,9 @@ val labelled_exprs : query -> (string * expr) list
 (** [List.map snd (labelled_exprs q)]. *)
 val root_exprs : query -> expr list
 
+(** [List.exists has_sublink (root_exprs q)], allocating nothing. *)
+val root_has_sublink : query -> bool
+
 (** Direct input queries of an operator, left to right (sublink queries
     excluded). *)
 val inputs : query -> query list

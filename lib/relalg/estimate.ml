@@ -119,61 +119,58 @@ module Est_domain = struct
     && Float.equal a.ci_null b.ci_null
     && Option.equal ( == ) a.ci_stats b.ci_stats
 
-  let to_num = function
-    | Value.Int i -> Some (float_of_int i)
-    | Value.Float f -> Some f
-    | Value.Bool b -> Some (if b then 1.0 else 0.0)
-    | _ -> None
+  (* A constant's numeric reading, for the histograms: [num v] when
+     [is_num v]. Read apart, so a comparison allocates no option. *)
+  let is_num = function Value.Int _ | Value.Float _ | Value.Bool _ -> true | _ -> false
+
+  let num = function
+    | Value.Int i -> float_of_int i
+    | Value.Float f -> f
+    | Value.Bool b -> if b then 1.0 else 0.0
+    | _ -> 0.0
+
+  let eq_sel ci v =
+    (1.0 -. ci.ci_null)
+    *.
+    match ci.ci_stats with
+    | Some st when is_num v -> Stats.frac_eq st (num v)
+    | _ -> 1.0 /. Float.max 1.0 ci.ci_ndv
+
+  (* Selectivity of [column op v] for a constant [v]. *)
+  let cmp_const op ci v =
+    match (op, ci.ci_stats) with
+    | (Eq | EqNull), _ -> eq_sel ci v
+    | Neq, _ -> clamp01 ((1.0 -. ci.ci_null) *. (1.0 -. (1.0 /. Float.max 1.0 ci.ci_ndv)))
+    | Leq, Some st when is_num v -> (1.0 -. ci.ci_null) *. Stats.frac_le st (num v)
+    | Lt, Some st when is_num v ->
+        let x = num v in
+        (1.0 -. ci.ci_null) *. Float.max 0.0 (Stats.frac_le st x -. Stats.frac_eq st x)
+    | Gt, Some st when is_num v -> (1.0 -. ci.ci_null) *. (1.0 -. Stats.frac_le st (num v))
+    | Geq, Some st when is_num v ->
+        let x = num v in
+        (1.0 -. ci.ci_null) *. Float.min 1.0 (1.0 -. Stats.frac_le st x +. Stats.frac_eq st x)
+    | _ -> (1.0 -. ci.ci_null) *. sel_range
+
+  let flip = function Lt -> Gt | Leq -> Geq | Gt -> Lt | Geq -> Leq | o -> o
 
   (* Selectivity of one conjunct against an environment of facts
      (innermost scope first). Sublink queries are estimated through
      [recurse]; their evaluation cost is accounted separately by
      [sublinks_cost], not here. *)
   let rec conjunct_sel ~recurse ~env c =
-    let sel e = conjunct_sel ~recurse ~env e in
-    let eq_sel ci v =
-      (1.0 -. ci.ci_null)
-      *.
-      match (ci.ci_stats, Option.bind v to_num) with
-      | Some st, Some x -> Stats.frac_eq st x
-      | _ -> 1.0 /. Float.max 1.0 ci.ci_ndv
-    in
-    let cmp_const op ci v =
-      match (op, ci.ci_stats, Option.bind v to_num) with
-      | (Eq | EqNull), _, _ -> eq_sel ci v
-      | Neq, _, _ -> clamp01 ((1.0 -. ci.ci_null) *. (1.0 -. (1.0 /. Float.max 1.0 ci.ci_ndv)))
-      | Leq, Some st, Some x -> (1.0 -. ci.ci_null) *. Stats.frac_le st x
-      | Lt, Some st, Some x ->
-          (1.0 -. ci.ci_null)
-          *. Float.max 0.0 (Stats.frac_le st x -. Stats.frac_eq st x)
-      | Gt, Some st, Some x ->
-          (1.0 -. ci.ci_null) *. (1.0 -. Stats.frac_le st x)
-      | Geq, Some st, Some x ->
-          (1.0 -. ci.ci_null)
-          *. Float.min 1.0 (1.0 -. Stats.frac_le st x +. Stats.frac_eq st x)
-      | _ -> (1.0 -. ci.ci_null) *. sel_range
-    in
     match c with
     | Const (Value.Bool true) -> 1.0
     | Const (Value.Bool false) | Const Value.Null | TypedNull _ -> 0.0
-    | And (a, b) -> sel a *. sel b
+    | And (a, b) -> conjunct_sel ~recurse ~env a *. conjunct_sel ~recurse ~env b
     | Or (a, b) ->
-        let sa = sel a and sb = sel b in
+        let sa = conjunct_sel ~recurse ~env a and sb = conjunct_sel ~recurse ~env b in
         clamp01 (sa +. sb -. (sa *. sb))
     | Not (IsNull (Attr n)) -> clamp01 (1.0 -. (lookup env n).ci_null)
-    | Not a -> clamp01 (1.0 -. sel a)
+    | Not a -> clamp01 (1.0 -. conjunct_sel ~recurse ~env a)
     | IsNull (Attr n) -> (lookup env n).ci_null
     | IsNull _ -> 0.1
-    | Cmp (op, Attr n, Const v) -> cmp_const op (lookup env n) (Some v)
-    | Cmp (op, Const v, Attr n) ->
-        let flip = function
-          | Lt -> Gt
-          | Leq -> Geq
-          | Gt -> Lt
-          | Geq -> Leq
-          | o -> o
-        in
-        cmp_const (flip op) (lookup env n) (Some v)
+    | Cmp (op, Attr n, Const v) -> cmp_const op (lookup env n) v
+    | Cmp (op, Const v, Attr n) -> cmp_const (flip op) (lookup env n) v
     | Cmp ((Eq | EqNull), Attr a, Attr b) ->
         (* NDV containment: the smaller domain is assumed contained in
            the larger, so each pairing matches with 1/max(ndv) *)
@@ -220,6 +217,24 @@ module Est_domain = struct
             if (recurse ~env s.query).e_rows = 0.0 then 1.0 else sel_sublink)
     | Case _ | FunCall _ | Binop _ | Attr _ | Const _ -> sel_opaque
 
+  (* [acc] times the selectivity of each conjunct of [c] ({!conjuncts}),
+     left to right, each asked of the solver first. *)
+  let rec conjuncts_sel ~recurse ~env sctx acc c =
+    match c with
+    | And (a, b) ->
+        conjuncts_sel ~recurse ~env sctx (conjuncts_sel ~recurse ~env sctx acc a) b
+    | Const (Value.Bool true) -> acc
+    | c ->
+        let s =
+          match Symbolic.never_true sctx c with
+          | Symbolic.Proved -> 0.0
+          | _ -> (
+              match Symbolic.always_true sctx c with
+              | Symbolic.Proved -> 1.0
+              | _ -> conjunct_sel ~recurse ~env c)
+        in
+        acc *. s
+
   (* Selectivity of a whole condition: the Symbolic solver first (its
      verdicts are theorems — see symbolic.mli), then the per-conjunct
      product. A cross-conjunct contradiction ([x < 1 AND x > 2]) is
@@ -233,31 +248,21 @@ module Est_domain = struct
         match Symbolic.always_true sctx cond with
         | Symbolic.Proved -> 1.0
         | _ -> (
-            match conjuncts cond with
-            | [ c ] when c == cond ->
+            match cond with
+            | And _ | Const (Value.Bool true) -> conjuncts_sel ~recurse ~env sctx 1.0 cond
+            | c ->
                 (* the condition is its own only conjunct: the solver
                    (deterministic on a fresh context) already answered
                    both questions about it *)
-                conjunct_sel ~recurse ~env c
-            | cs ->
-                List.fold_left
-                  (fun acc c ->
-                    let s =
-                      match Symbolic.never_true sctx c with
-                      | Symbolic.Proved -> 0.0
-                      | _ -> (
-                          match Symbolic.always_true sctx c with
-                          | Symbolic.Proved -> 1.0
-                          | _ -> conjunct_sel ~recurse ~env c)
-                    in
-                    acc *. s)
-                  1.0 cs))
+                conjunct_sel ~recurse ~env c))
 
   (* Evaluation cost of the sublinks of [exprs]: one evaluation of the
      sublink plan per distinct binding of its free attributes, capped
      at [rows] (the evaluator memoizes per binding); an uncorrelated
      sublink has no frees and is paid exactly once. *)
   let sublinks_cost db ~frees:memo ~recurse ~env ~rows exprs =
+    if not (List.exists has_sublink exprs) then 0.0
+    else
     List.fold_left
       (fun acc (s : sublink) ->
         let sub = recurse ~env s.query in
@@ -350,8 +355,9 @@ module Est_domain = struct
               (List.fold_left (fun acc c -> acc *. Float.max 1.0 c.ci_ndv) 1.0 cols)
         in
         let sub =
-          sublinks_cost db ~frees ~recurse ~env:env' ~rows:f.e_rows
-            (List.map fst p.cols)
+          if List.exists (fun (e, _) -> has_sublink e) p.cols then
+            sublinks_cost db ~frees ~recurse ~env:env' ~rows:f.e_rows (List.map fst p.cols)
+          else 0.0
         in
         {
           e_names = List.map snd p.cols;

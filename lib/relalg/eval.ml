@@ -226,7 +226,7 @@ and eval_query ctx path (env : env) (q : query) : Relation.t =
     (* Fuse a selection over a product/join so pairs stream instead of
        the product being materialized first. *)
     | Select (_, (Cross _ | Join _)) | Join _ | LeftJoin _ ->
-        eval_join ctx env (Option.get (Sem.join_of path q))
+        eval_join ctx env (Option.get (Sem.join_of ~paths:true path q))
     | Select (cond, input) ->
         let rel = child input in
         let schema = Relation.schema rel in
@@ -344,8 +344,7 @@ and eval_join ctx env (j : Sem.join) : Relation.t =
   let sa = Relation.schema ra and sb = Relation.schema rb in
   let schema = Schema.concat sa sb in
   let pairs, residual =
-    Scope.split_equi ctx.db ~left:(Schema.names sa) ~right:(Schema.names sb)
-      cond
+    Scope.split_equi ~left:sa ~right:sb cond
   in
   ctx.cur_subs <- Sem.join_owners j here;
   let rows =

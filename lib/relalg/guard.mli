@@ -58,6 +58,10 @@ val is_unlimited : budget -> bool
 
 val budget_to_string : budget -> string
 
+(** Words the calling domain has allocated so far, in the minor and the
+    major heap alike: the meter behind the allocation ceiling. *)
+val allocated_words : unit -> float
+
 (** Counter values at trip time. *)
 type counters = {
   c_rows : int;

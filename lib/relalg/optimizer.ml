@@ -184,15 +184,24 @@ let rec flat_conjuncts (q : query) : expr list * query list =
 let rec absent n = function [] -> true | m :: ms -> (not (String.equal n m)) && absent n ms
 let rec distinct_names = function [] -> true | n :: rest -> absent n rest && distinct_names rest
 
-let flat_namespace cx (frees : string list Lazy.t) leaves =
-  match List.concat_map (fun l -> Scope.out_names cx.db l) leaves with
-  | names -> (
-      distinct_names names
-      &&
-      match Lazy.force frees with
-      | frees -> List.for_all (fun f -> not (List.mem f names)) frees
-      | exception _ -> false)
+let flat_names (frees : string list Lazy.t) names =
+  distinct_names names
+  &&
+  match Lazy.force frees with
+  | frees -> List.for_all (fun f -> not (List.mem f names)) frees
   | exception _ -> false
+
+let flat_namespace cx frees leaves =
+  match List.concat_map (fun l -> Scope.out_names cx.db l) leaves with
+  | names -> flat_names frees names
+  | exception _ -> false
+
+(* The number of leaves {!flat_conjuncts} finds. *)
+let rec cluster_leaves (q : query) =
+  match q with
+  | Select (_, q1) -> cluster_leaves q1
+  | Cross (a, b) | Join (_, a, b) -> cluster_leaves a + cluster_leaves b
+  | _ -> 1
 
 (* [symbolic_conds cx prefix conds q cols] runs the solver-driven
    passes on the conjuncts accumulated at a selection site over [q],
@@ -521,9 +530,11 @@ and push_conds cx (prefix : string list) (conds : expr list) (q : query)
              rename/dedup is equivalent). Sublink conjuncts stay above: the
              substitution cannot see into sublink scopes. *)
           let rename_map =
-            List.filter_map
-              (fun (e, n) -> match e with Attr src -> Some (n, src) | _ -> None)
-              p.cols
+            if conds = [] then []
+            else
+              List.filter_map
+                (fun (e, n) -> match e with Attr src -> Some (n, src) | _ -> None)
+                p.cols
           in
           let pushable, rest =
             List.partition
@@ -543,11 +554,9 @@ and push_conds cx (prefix : string list) (conds : expr list) (q : query)
             push_select cx (qchild Path.Input) renamed p.proj_input
               (input_hint cols q p.proj_input)
           in
-          let counter = ref 0 in
           let cols =
-            List.map
-              (fun (e, n) -> (map_expr_query (body cx phere counter) e, n))
-              p.cols
+            if root_has_sublink q then map_fst_shared (map_expr_query (body cx phere (ref 0))) p.cols
+            else p.cols
           in
           let projected = Project { p with cols; proj_input = inner } in
           emit "pushdown-through-project"
@@ -603,8 +612,7 @@ and optimize_children cx (cols : typing) prefix q =
   let child qual i =
     optimize ~hint:(input_hint cols q i) cx (Rewrite_trace.child prefix q qual) i
   in
-  let counter = ref 0 in
-  let sub e = map_expr_query (body cx here counter) e in
+  let sub = if root_has_sublink q then map_expr_query (body cx here (ref 0)) else Fun.id in
   map_node ~expr:sub ~input:child q
 
 (* Merge Project-over-Project when the outer projection only reorders,
@@ -621,9 +629,13 @@ and merge_projects prefix q =
          || Rewrite_trace.mutant "opt-merge-distinct")
          && List.for_all (fun (e, _) -> match e with Attr _ -> true | _ -> false)
               outer_cols ->
+      let rec inner_col n = function
+        | [] -> None
+        | (e, m) :: rest -> if String.equal m n then Some e else inner_col n rest
+      in
       let resolve = function
         | Attr n, out_name -> (
-            match List.assoc_opt n (List.map (fun (e, m) -> (m, e)) inner.cols) with
+            match inner_col n inner.cols with
             | Some e -> (e, out_name)
             | None -> (Attr n, out_name) (* correlated reference *))
         | other -> other
@@ -648,7 +660,10 @@ and merge_projects prefix q =
 and optimize ?(hint = no_hint) cx (prefix : string list) (q : query) : query =
   match merge_projects prefix q with
   | Select (c, input) as q ->
-      let c = map_expr_query (body cx (Rewrite_trace.node prefix q) (ref 0)) c in
+      let c =
+        if has_sublink c then map_expr_query (body cx (Rewrite_trace.node prefix q) (ref 0)) c
+        else c
+      in
       push_select cx prefix (conjuncts c) input
         (input_hint ~slice:Fun.id hint q input)
   | (Cross _ | Join _ | LeftJoin _) as q -> push_select cx prefix [] q hint
@@ -719,6 +734,8 @@ let rec filter_shared keep l =
    path [here], in Lint's enumeration order. *)
 
 let rec prune_expr pcx here counter (e : expr) : expr =
+  if not (has_sublink e) then e
+  else
   let db = pcx.p_cx.db in
   let go = prune_expr pcx here counter in
   match e with
@@ -803,18 +820,22 @@ and prune_query pcx prefix (needed : SS.t) (q : query) : query =
   let child needed qual i =
     prune_query pcx (Rewrite_trace.child prefix q qual) needed i
   in
-  let counter = ref 0 in
-  let pexpr e = prune_expr pcx here counter e in
+  let pexpr = if root_has_sublink q then prune_expr pcx here (ref 0) else Fun.id in
   let after =
     match q with
     | Base name -> (
         match Database.find_opt db name with
         | None -> q
         | Some r ->
-            let names = Schema.names (Relation.schema r) in
-            let kept = List.filter (fun n -> SS.mem n needed) names in
-            if List.length kept = List.length names then q
-            else project (List.map (fun n -> (Attr n, n)) kept) q)
+            let schema = Relation.schema r in
+            let rec all_needed i =
+              i = Schema.arity schema
+              || (SS.mem (Schema.attr_at schema i).Schema.name needed && all_needed (i + 1))
+            in
+            if all_needed 0 then q
+            else
+              let kept = List.filter (fun n -> SS.mem n needed) (Schema.names schema) in
+              project (List.map (fun n -> (Attr n, n)) kept) q)
     | TableExpr _ -> q
     | Select (c, _) | Join (c, _, _) | LeftJoin (c, _, _) ->
         map_node ~expr:pexpr ~input:(child (add_refs pcx c needed)) q
@@ -918,22 +939,18 @@ let reorder_min_leaves = 3
 
 let try_reorder cx est (prefix : string list) (q : query) : query option =
   let db = cx.db in
-  let conds, leaves = flat_conjuncts q in
-  if List.length leaves < reorder_min_leaves then None
-  else if
-    not
-      (flat_namespace cx
-         (lazy (Scope.free_of_query ~memo:cx.frees db q))
-         leaves)
-  then None
+  if cluster_leaves q < reorder_min_leaves then None
   else
-    match Scope.out_names db q with
+    let conds, leaves = flat_conjuncts q in
+    (* the cluster's output names are its leaves', in order *)
+    match Array.of_list (List.map (fun l -> (l, Scope.out_names db l)) leaves) with
     | exception _ -> None
-    | out_before ->
-        let arr =
-          Array.of_list (List.map (fun l -> (l, Scope.out_names db l)) leaves)
-        in
+    | arr ->
         let cluster_names = List.concat_map snd (Array.to_list arr) in
+        if not (flat_names (lazy (Scope.free_of_query ~memo:cx.frees db q)) cluster_names)
+        then None
+        else
+        let out_before = cluster_names in
         let plain, linked = List.partition (fun e -> not (has_sublink e)) conds in
         (* mutant: the rebuilt cluster silently loses one conjunct *)
         let plain =
@@ -948,6 +965,12 @@ let try_reorder cx est (prefix : string list) (q : query) : query option =
         let placeable avail (_, rs) =
           List.for_all
             (fun r -> List.mem r avail || not (List.mem r cluster_names))
+            rs
+        in
+        (* [placeable] on [avail @ more], without the copy *)
+        let placeable_with avail more (_, rs) =
+          List.for_all
+            (fun r -> List.mem r avail || List.mem r more || not (List.mem r cluster_names))
             rs
         in
         let n = Array.length arr in
@@ -977,8 +1000,7 @@ let try_reorder cx est (prefix : string list) (q : query) : query option =
         remaining := rest;
         let candidate k =
           let leaf, lnames = arr.(k) in
-          let avail = !acc_names @ lnames in
-          let app, rest = List.partition (placeable avail) !remaining in
+          let app, rest = List.partition (placeable_with !acc_names lnames) !remaining in
           let plan =
             match app with
             | [] -> Cross (!acc_plan, leaf)
@@ -1039,15 +1061,15 @@ let rec reorder_query cx est bodies (prefix : string list) (q : query) : query
 
 and reorder_spine cx est bodies prefix q =
   let here = Rewrite_trace.node prefix q in
-  let counter = ref 0 in
-  let sub e =
-    map_expr_query
-      (fun sq ->
-        incr counter;
-        let path = Rewrite_trace.sublink here !counter in
-        Rewrite_trace.Shared.visit bodies sq ~path (fun () ->
-            reorder_query cx est bodies path sq))
-      e
+  let sub =
+    if not (root_has_sublink q) then Fun.id
+    else
+      let counter = ref 0 in
+      map_expr_query (fun sq ->
+          incr counter;
+          let path = Rewrite_trace.sublink here !counter in
+          Rewrite_trace.Shared.visit bodies sq ~path (fun () ->
+              reorder_query cx est bodies path sq))
   in
   let child qual i =
     reorder_query cx est bodies (Rewrite_trace.child prefix q qual) i

@@ -53,6 +53,16 @@ let of_array arr =
 (** [of_list attrs] builds a schema, rejecting duplicate attribute names. *)
 let of_list attrs = of_array (Array.of_list attrs)
 
+(** [map_of_list f l] is [of_list (List.map f l)] without the
+    intermediate list; [f] runs on the elements in order. *)
+let map_of_list f l =
+  match l with
+  | [] -> of_array [||]
+  | x :: rest ->
+      let arr = Array.make (List.length l) (f x) in
+      List.iteri (fun i y -> Array.unsafe_set arr (i + 1) (f y)) rest;
+      of_array arr
+
 let to_list s = Array.to_list s.attrs
 let arity s = Array.length s.attrs
 let attr_at s i = s.attrs.(i)

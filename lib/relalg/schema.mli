@@ -18,6 +18,10 @@ val attr : string -> Vtype.t -> attr
     names. *)
 val of_list : attr list -> t
 
+(** [map_of_list f l] is [of_list (List.map f l)] without the
+    intermediate list; [f] runs on the elements in order. *)
+val map_of_list : ('a -> attr) -> 'a list -> t
+
 val to_list : t -> attr list
 val arity : t -> int
 val attr_at : t -> int -> attr

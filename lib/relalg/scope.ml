@@ -24,10 +24,34 @@ let rec out_names db (q : query) : string list =
       List.map snd group_by @ List.map (fun c -> c.agg_name) aggs
   | Union (_, a, _) | Inter (_, a, _) | Diff (_, a, _) -> out_names db a
 
-(* [local] is the stack of name lists bound inside the region being
-   analyzed; a reference not found in any of them escapes the region. *)
+(* Whether [q]'s output has attribute [name]: {!out_names} without
+   building the list. *)
+let rec outputs db (q : query) name =
+  match q with
+  | Base n -> Schema.mem (Relation.schema (Database.find db n)) name
+  | TableExpr rel -> Schema.mem (Relation.schema rel) name
+  | Select (_, input) | Order (_, input) | Limit (_, input) -> outputs db input name
+  | Project { cols; _ } -> named name cols
+  | Cross (a, b) | Join (_, a, b) | LeftJoin (_, a, b) -> outputs db a name || outputs db b name
+  | Agg { group_by; aggs; _ } ->
+      named name group_by || List.exists (fun c -> String.equal c.agg_name name) aggs
+  | Union (_, a, _) | Inter (_, a, _) | Diff (_, a, _) -> outputs db a name
 
-let defined_in local name = List.exists (List.mem name) local
+and named name = function
+  | [] -> false
+  | (_, n) :: rest -> String.equal n name || named name rest
+
+(* [local] is the stack of scopes bound inside the region being
+   analyzed: the output of an operator's input (or of both inputs of a
+   join), or a given name list; a reference found in none of them
+   escapes the region. *)
+type scope = Out of query | Names of string list
+
+let rec defined_in db local name =
+  match local with
+  | [] -> false
+  | Out q :: rest -> outputs db q name || defined_in db rest name
+  | Names l :: rest -> List.mem name l || defined_in db rest name
 
 (* Free names per physical sublink body, for the length of one caller's
    analysis. A body's names free under [local] are its names free under
@@ -37,11 +61,10 @@ type memo = string list Qtbl.t
 
 let memo () : memo = Qtbl.create 16
 
-let rec free_expr memo db (local : string list list) (e : expr) (acc : S.t) :
-    S.t =
+let rec free_expr memo db (local : scope list) (e : expr) (acc : S.t) : S.t =
   match e with
   | Const _ | TypedNull _ -> acc
-  | Attr name -> if defined_in local name then acc else S.add name acc
+  | Attr name -> if defined_in db local name then acc else S.add name acc
   | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
       free_expr memo db local b (free_expr memo db local a acc)
   | Not a | IsNull a | Like (a, _) -> free_expr memo db local a acc
@@ -70,7 +93,7 @@ let rec free_expr memo db (local : string list list) (e : expr) (acc : S.t) :
       | None -> free_query_acc None db local s.query acc
       | Some m ->
           List.fold_left
-            (fun acc n -> if defined_in local n then acc else S.add n acc)
+            (fun acc n -> if defined_in db local n then acc else S.add n acc)
             acc
             (body_frees m db s.query))
 
@@ -82,64 +105,38 @@ and body_frees m db q =
       Qtbl.add m q names;
       names
 
-and free_query_acc memo db (local : string list list) (q : query) (acc : S.t) :
-    S.t =
-  let with_input input f acc =
-    let scope = out_names db input :: local in
-    f scope acc
-  in
+and free_query_acc memo db (local : scope list) (q : query) (acc : S.t) : S.t =
   match q with
   | Base _ | TableExpr _ -> acc
   | Select (cond, input) ->
-      let acc =
-        with_input input (fun scope acc -> free_expr memo db scope cond acc) acc
-      in
+      let acc = free_expr memo db (Out input :: local) cond acc in
       free_query_acc memo db local input acc
   | Project { cols; proj_input; _ } ->
-      let acc =
-        with_input proj_input
-          (fun scope acc ->
-            List.fold_left
-              (fun acc (e, _) -> free_expr memo db scope e acc)
-              acc cols)
-          acc
-      in
+      let scope = Out proj_input :: local in
+      let acc = List.fold_left (fun acc (e, _) -> free_expr memo db scope e acc) acc cols in
       free_query_acc memo db local proj_input acc
   | Cross (a, b) ->
       free_query_acc memo db local b (free_query_acc memo db local a acc)
   | Join (cond, a, b) | LeftJoin (cond, a, b) ->
-      let scope = (out_names db a @ out_names db b) :: local in
-      let acc = free_expr memo db scope cond acc in
+      let acc = free_expr memo db (Out q :: local) cond acc in
       free_query_acc memo db local b (free_query_acc memo db local a acc)
   | Agg { group_by; aggs; agg_input } ->
+      let scope = Out agg_input :: local in
       let acc =
-        with_input agg_input
-          (fun scope acc ->
-            let acc =
-              List.fold_left
-                (fun acc (e, _) -> free_expr memo db scope e acc)
-                acc group_by
-            in
-            List.fold_left
-              (fun acc c ->
-                match c.agg_arg with
-                | Some e -> free_expr memo db scope e acc
-                | None -> acc)
-              acc aggs)
-          acc
+        List.fold_left (fun acc (e, _) -> free_expr memo db scope e acc) acc group_by
+      in
+      let acc =
+        List.fold_left
+          (fun acc c ->
+            match c.agg_arg with Some e -> free_expr memo db scope e acc | None -> acc)
+          acc aggs
       in
       free_query_acc memo db local agg_input acc
   | Union (_, a, b) | Inter (_, a, b) | Diff (_, a, b) ->
       free_query_acc memo db local b (free_query_acc memo db local a acc)
   | Order (keys, input) ->
-      let acc =
-        with_input input
-          (fun scope acc ->
-            List.fold_left
-              (fun acc (e, _) -> free_expr memo db scope e acc)
-              acc keys)
-          acc
-      in
+      let scope = Out input :: local in
+      let acc = List.fold_left (fun acc (e, _) -> free_expr memo db scope e acc) acc keys in
       free_query_acc memo db local input acc
   | Limit (_, input) -> free_query_acc memo db local input acc
 
@@ -154,7 +151,7 @@ let body_frees m db q = body_frees m db q
 (** Free attribute names of expression [e] under an operator whose input
     schema provides [input_names]. *)
 let free_of_expr db input_names e =
-  S.elements (free_expr None db [ input_names ] e S.empty)
+  S.elements (free_expr None db [ Names input_names ] e S.empty)
 
 (** Names referenced by [e] that are NOT bound by any scope — i.e. with
     no local scope at all. Used by the optimizer to decide pushdown. *)
@@ -167,16 +164,26 @@ let add_refs ?memo db e acc = free_expr memo db [] e acc
     strategies (Section 3.6). *)
 let is_uncorrelated db (s : sublink) = free_of_query db s.query = []
 
-(** [split_equi db ~left ~right cond] classifies each top-level
+(** [split_equi ~left ~right cond] classifies each top-level
     conjunct of a join condition as a hashable equi-pair
     [(left_expr, right_expr, null_safe)] — an [=]/[=n] comparison whose
     sides reference only the left/right input respectively — or as a
     residual condition. This is purely syntactic scope analysis, so
     both execution engines share it; the vectorized engine runs it once
     per join operator instead of once per evaluation. *)
-let split_equi db ~left ~right cond =
-  let touches names e =
-    List.exists (fun n -> List.mem n names) (refs_of_expr db e)
+let split_equi ~left ~right cond =
+  (* [e] holds no sublink, so its free names are its attributes. *)
+  let rec touches schema = function
+    | Attr n -> Schema.mem schema n
+    | Const _ | TypedNull _ | Sublink _ -> false
+    | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
+        touches schema a || touches schema b
+    | Not a | IsNull a | Like (a, _) -> touches schema a
+    | Case (whens, els) -> (
+        List.exists (fun (c, e) -> touches schema c || touches schema e) whens
+        || match els with Some e -> touches schema e | None -> false)
+    | InList (a, es) -> touches schema a || List.exists (touches schema) es
+    | FunCall (_, es) -> List.exists (touches schema) es
   in
   List.fold_left
     (fun (pairs, residual) conjunct ->

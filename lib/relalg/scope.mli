@@ -42,15 +42,14 @@ val add_refs : ?memo:memo -> Database.t -> Algebra.expr -> S.t -> S.t
     Move and Unn strategies (Section 3.6). *)
 val is_uncorrelated : Database.t -> Algebra.sublink -> bool
 
-(** [split_equi db ~left ~right cond] classifies each top-level
+(** [split_equi ~left ~right cond] classifies each top-level
     conjunct of a join condition as a hashable equi-pair
     [(left_expr, right_expr, null_safe)] or as a residual condition.
-    [left]/[right] are the attribute names of the two join inputs.
+    [left]/[right] are the schemas of the two join inputs.
     Shared by both execution engines; the vectorized engine runs it once
     per join operator instead of once per evaluation. *)
 val split_equi :
-  Database.t ->
-  left:string list ->
-  right:string list ->
+  left:Schema.t ->
+  right:Schema.t ->
   Algebra.expr ->
   (Algebra.expr * Algebra.expr * bool) list * Algebra.expr list

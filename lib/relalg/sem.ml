@@ -58,7 +58,9 @@ type summary = {
 }
 
 let summarize values =
-  let set = Tuple.Tbl.create 64 in
+  (* a body's result is often a handful of rows: start at the smallest
+     table *)
+  let set = Tuple.Tbl.create 1 in
   let has_null = ref false in
   let min_v = ref None and max_v = ref None and sample = ref None in
   List.iter
@@ -190,7 +192,7 @@ type join = {
   j_right : query;
 }
 
-let join_of prefix q =
+let join_of ~paths prefix q =
   let mk prefix node ?filter outer cond a b =
     Some
       {
@@ -207,9 +209,9 @@ let join_of prefix q =
   | Join (c, a, b) -> mk prefix q false c a b
   | LeftJoin (c, a, b) -> mk prefix q true c a b
   | Select (c, (Cross (a, b) as j)) ->
-      mk (Path.here prefix q) j ~filter:c false c a b
+      mk (if paths then Path.here prefix q else prefix) j ~filter:c false c a b
   | Select (c, (Join (jc, a, b) as j)) ->
-      mk (Path.here prefix q) j ~filter:c false (And (jc, c)) a b
+      mk (if paths then Path.here prefix q else prefix) j ~filter:c false (And (jc, c)) a b
   | _ -> None
 
 let join_owners j here =

@@ -56,10 +56,11 @@ type join = {
   j_right : Algebra.query;
 }
 
-(** [join_of prefix q]: [q], under [prefix], as one join — [None] when
-    [q] is no join or selection over a product or join. No path is
-    built. *)
-val join_of : Algebra.Path.t -> Algebra.query -> join option
+(** [join_of ~paths prefix q]: [q], under [prefix], as one join —
+    [None] when [q] is no join or selection over a product or join. A
+    fused selection's join node is named under the selection's path
+    only with [~paths:true]; otherwise no path is built. *)
+val join_of : paths:bool -> Algebra.Path.t -> Algebra.query -> join option
 
 (** [join_owners j here]: for {!Algebra.Path.locate}, the operators
     whose root expressions [j.j_cond] is made of — the join node at

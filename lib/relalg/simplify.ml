@@ -206,15 +206,14 @@ let rec query_at bodies (prefix : string list) (q : Algebra.query) :
     Algebra.query =
   let here = Rewrite_trace.node prefix q in
   let child qual i = query_at bodies (Rewrite_trace.child prefix q qual) i in
-  let counter = ref 0 in
-  let sub e =
-    map_expr_query
-      (fun sq ->
-        incr counter;
-        let path = Rewrite_trace.sublink here !counter in
-        Rewrite_trace.Shared.visit bodies sq ~path (fun () ->
-            query_at bodies path sq))
-      e
+  let sub =
+    if not (root_has_sublink q) then Fun.id
+    else
+      let counter = ref 0 in
+      map_expr_query (fun sq ->
+          incr counter;
+          let path = Rewrite_trace.sublink here !counter in
+          Rewrite_trace.Shared.visit bodies sq ~path (fun () -> query_at bodies path sq))
   in
   (* Phase 1: recurse into child queries and sublink queries. *)
   let q1 = map_node ~expr:sub ~input:child q in

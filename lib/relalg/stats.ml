@@ -66,7 +66,7 @@ let column_of_sample ~rows ~name sample =
     }
   else begin
     let nulls = ref 0 in
-    let counts : (Value.t, int) Hashtbl.t = Hashtbl.create 64 in
+    let counts : (Value.t, int) Hashtbl.t = Hashtbl.create (min 64 n_sample) in
     let nums = ref [] in
     List.iter
       (fun v ->

@@ -210,12 +210,11 @@ and infer_sublink db (env : env) (s : sublink) : Vtype.t option =
     Shared by inference and by both execution engines, so the vectorized
     engine computes it once per operator. *)
 and projection_schema db (env : env) cols : Schema.t =
-  Schema.of_list
-    (List.map
-       (fun (e, name) ->
-         let ty = Option.value ~default:Vtype.TString (infer_expr db env e) in
-         Schema.attr name ty)
-       cols)
+  Schema.map_of_list
+    (fun (e, name) ->
+      let ty = Option.value ~default:Vtype.TString (infer_expr db env e) in
+      Schema.attr name ty)
+    cols
 
 (** [aggregation_schema db env group_by aggs] is the output schema of
     an aggregation operator: group-by attributes followed by aggregate
@@ -294,15 +293,32 @@ and infer_node db (outer : env) ~sub (q : query) : Schema.t =
 and check_no_aggregate_exprs exprs where =
   List.iter
     (fun e ->
-      ignore
-        (Algebra.fold_expr
-           (fun () x ->
-             match x with
-             | FunCall (name, _) when Builtin.is_aggregate name ->
-                 type_error "aggregate function %s not allowed in %s" name where
-             | _ -> ())
-           () e))
+      if has_aggregate e then
+        ignore
+          (Algebra.fold_expr
+             (fun () x ->
+               match x with
+               | FunCall (name, _) when Builtin.is_aggregate name ->
+                   type_error "aggregate function %s not allowed in %s" name where
+               | _ -> ())
+             () e))
     exprs
+
+(* Whether [e] calls an aggregate function outside sublink bodies, as
+   [fold_expr] visits it; allocates nothing. *)
+and has_aggregate = function
+  | FunCall (name, args) -> Builtin.is_aggregate name || List.exists has_aggregate args
+  | Const _ | TypedNull _ | Attr _ -> false
+  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) -> has_aggregate a || has_aggregate b
+  | Not a | IsNull a | Like (a, _) -> has_aggregate a
+  | Case (whens, els) -> (
+      List.exists (fun (c, x) -> has_aggregate c || has_aggregate x) whens
+      || match els with Some x -> has_aggregate x | None -> false)
+  | InList (a, es) -> has_aggregate a || List.exists has_aggregate es
+  | Sublink s -> (
+      match s.kind with
+      | AnyOp (_, lhs) | AllOp (_, lhs) -> has_aggregate lhs
+      | Exists | Scalar -> false)
 
 type tree = { t_query : Algebra.query; t_schema : Schema.t; t_inputs : tree list }
 

@@ -284,6 +284,9 @@ let equal_null a b =
   match (a, b) with
   | Null, Null -> true
   | Null, _ | _, Null -> false
+  | Int x, Int y -> Int.equal x y
+  | String x, String y -> String.equal x y
+  | Bool x, Bool y -> Bool.equal x y
   | _ -> cmp_sql a b = Some 0
 
 (** {1 Three-valued logic}

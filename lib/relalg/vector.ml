@@ -5,8 +5,9 @@
     a *column-offset map* (an attribute projection keeps the tuples and
     records which of their columns it kept) and a *selection vector* (a
     sorted array of the physical row indices that survived upstream
-    filters). Base-table batches are slices of the stored relation's
-    tuples, so a scan shares every value with the catalog.
+    filters). Base-table batches are windows on the stored relation's
+    row array, so a scan copies nothing and shares every value with the
+    catalog; nothing writes a batch's rows.
 
     Nested-loop joins whose predicate accepts a whole [left × rights]
     block emit a factored {!CrossB} instead: only the two factors are
@@ -15,12 +16,17 @@
 type t =
   | Rows of {
       schema : Schema.t;
-      rows : Tuple.t array;  (** the physical rows *)
+      rows : Tuple.t array;
+          (** the physical rows, of which the batch holds the window
+              [lo .. lo + len - 1]; shared, never written *)
+      lo : int;
+      len : int;
       offs : int array option;
           (** column [j] of the batch is column [offs.(j)] of a physical
               row; [None] = all of its columns, in order *)
       sel : int array option;
-          (** surviving physical row indices, ascending; [None] = all *)
+          (** surviving physical row indices (into [rows], within the
+              window), ascending; [None] = the whole window *)
     }
   | CrossB of {
       schema : Schema.t;
@@ -43,17 +49,21 @@ type t =
 
 (** {1 Construction} *)
 
-let rows_batch schema rows : t = Rows { schema; rows; offs = None; sel = None }
+let window schema rows ~lo ~len : t = Rows { schema; rows; lo; len; offs = None; sel = None }
+let rows_batch schema rows : t = window schema rows ~lo:0 ~len:(Array.length rows)
+
+(* The windows of [rows] from [lo] down to the first, onto [acc]. *)
+let rec windows schema rows bs lo acc =
+  if lo < 0 then acc
+  else
+    windows schema rows bs (lo - bs)
+      (window schema rows ~lo ~len:(min bs (Array.length rows - lo)) :: acc)
 
 let of_relation ~batch_rows rel : t list =
-  let schema = Relation.schema rel in
   let rows = Relation.rows_array rel in
   let n = Array.length rows in
   let bs = max 1 batch_rows in
-  let nb = if n = 0 then 0 else (n + bs - 1) / bs in
-  List.init nb (fun i ->
-      let lo = i * bs in
-      rows_batch schema (Array.sub rows lo (min bs (n - lo))))
+  if n = 0 then [] else windows (Relation.schema rel) rows bs ((n - 1) / bs * bs) []
 
 (** {1 Access} *)
 
@@ -62,11 +72,11 @@ let schema = function Rows r -> r.schema | CrossB c -> c.schema
 (** Logical row count (selection applied). *)
 let length = function
   | Rows { sel = Some s; _ } -> Array.length s
-  | Rows r -> Array.length r.rows
+  | Rows r -> r.len
   | CrossB c -> Array.length c.lefts * c.card_b
 
 (* Physical index of logical row [i]. *)
-let phys sel i = match sel with None -> i | Some s -> Array.unsafe_get s i
+let phys lo sel i = match sel with None -> lo + i | Some s -> Array.unsafe_get s i
 
 (* Boxed tuple of physical row [p]: the stored tuple itself, or its
    projection, which shares the boxed values. *)
@@ -103,14 +113,21 @@ let value_at (b : t) j p : Value.t =
 (** [tuple_at b i] — boxed tuple for {e logical} row [i]. *)
 let tuple_at (b : t) i : Tuple.t =
   match b with
-  | Rows r -> row_at r.rows r.offs (phys r.sel i)
+  | Rows r -> row_at r.rows r.offs (phys r.lo r.sel i)
   | CrossB c ->
       cross_row c.lefts c.right_cols c.srcs ~k:(i / c.card_b)
         ~i:(i mod c.card_b)
 
+(** [tuple_phys b p] — boxed tuple of {e physical} row [p]. *)
+let tuple_phys (b : t) p : Tuple.t =
+  match b with Rows r -> row_at r.rows r.offs p | CrossB _ -> tuple_at b p
+
 let iter_tuples b f =
   match b with
-  | Rows { rows; offs = None; sel = None; _ } -> Array.iter f rows
+  | Rows { rows; lo; len; offs = None; sel = None; _ } ->
+      for p = lo to lo + len - 1 do
+        f (Array.unsafe_get rows p)
+      done
   | Rows _ | CrossB _ ->
       let len = length b in
       for i = 0 to len - 1 do
@@ -118,13 +135,32 @@ let iter_tuples b f =
       done
 
 (** [rows_arr b] — logical rows as a boxed array (a batch with neither
-    map shares its array). *)
+    map that spans its whole array shares it). *)
 let rows_arr (b : t) : Tuple.t array =
   match b with
-  | Rows { rows; offs = None; sel = None; _ } -> rows
+  | Rows { rows; lo = 0; len; offs = None; sel = None; _ } when len = Array.length rows -> rows
+  | Rows { rows; lo; len; offs = None; sel = None; _ } -> Array.sub rows lo len
   | Rows _ | CrossB _ -> Array.init (length b) (fun i -> tuple_at b i)
 
 let to_tuples b = Array.to_list (rows_arr b)
+
+(** [tuples_of bats] — the logical rows of [bats], in order, as one
+    array (a single batch shares its array as {!rows_arr} does). *)
+let tuples_of (bats : t list) : Tuple.t array =
+  match bats with
+  | [ b ] -> rows_arr b
+  | _ ->
+      let out = Array.make (List.fold_left (fun n b -> n + length b) 0 bats) [||] in
+      let _ =
+        List.fold_left
+          (fun at b ->
+            for i = 0 to length b - 1 do
+              Array.unsafe_set out (at + i) (tuple_at b i)
+            done;
+            at + length b)
+          0 bats
+      in
+      out
 
 (** {1 Conversion to relations} *)
 
@@ -136,7 +172,7 @@ let batch_prepend (b : t) (tail : Tuple.t list) : Tuple.t list =
   | Rows r ->
       let acc = ref tail in
       for i = length b - 1 downto 0 do
-        acc := row_at r.rows r.offs (phys r.sel i) :: !acc
+        acc := row_at r.rows r.offs (phys r.lo r.sel i) :: !acc
       done;
       !acc
   | CrossB c ->
@@ -170,22 +206,28 @@ let relation_of schema (batches : t list) : Relation.t =
     the columns at [offs] (in order) under the renamed [out_schema]. A
     row batch keeps its tuples and selection vector and composes its
     offset map; a cross block remaps its sources. No row data moves. *)
+let rec identity offs i = i = Array.length offs || (Array.unsafe_get offs i = i && identity offs (i + 1))
+
+(* [offs] composed after [o]: the column [o.(offs.(j))] for each [j]. *)
+let compose (o : int array) (offs : int array) =
+  let c = Array.make (Array.length offs) 0 in
+  for j = 0 to Array.length offs - 1 do
+    Array.unsafe_set c j o.(Array.unsafe_get offs j)
+  done;
+  c
+
 let select_cols out_schema (b : t) (offs : int array) : t =
   match b with
   | Rows r ->
       let offs =
         match r.offs with
-        | Some o -> Some (Array.map (fun j -> o.(j)) offs)
+        | Some o -> Some (compose o offs)
         | None ->
-            let arity = Schema.arity r.schema in
-            let identity = ref (Array.length offs = arity) in
-            Array.iteri (fun i j -> if i <> j then identity := false) offs;
-            if !identity then None else Some offs
+            if Array.length offs = Schema.arity r.schema && identity offs 0 then None
+            else Some offs
       in
       Rows { r with schema = out_schema; offs }
-  | CrossB c ->
-      CrossB
-        { c with schema = out_schema; srcs = Array.map (fun j -> c.srcs.(j)) offs }
+  | CrossB c -> CrossB { c with schema = out_schema; srcs = compose c.srcs offs }
 
 (** [with_schema s b] — the same rows under the (type-compatible)
     schema [s]; no row data moves. *)

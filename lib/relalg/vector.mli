@@ -2,19 +2,25 @@
     optional column-offset map (attribute projections keep the tuples)
     and an optional selection vector of surviving physical row indices
     (filters keep the tuples), or a factored cross-product block.
-    Base-table batches are slices of the stored relation's tuples, so a
-    round trip through a batch reproduces the exact original values —
-    the parity contract the engines are tested against. *)
+    Base-table batches are windows on the stored relation's row array
+    (nothing is copied, and nothing writes a batch's rows), so a round
+    trip through a batch reproduces the exact original values — the
+    parity contract the engines are tested against. *)
 
 type t =
   | Rows of {
       schema : Schema.t;
-      rows : Tuple.t array;  (** the physical rows *)
+      rows : Tuple.t array;
+          (** the physical rows, of which the batch holds the window
+              [lo .. lo + len - 1]; shared, never written *)
+      lo : int;
+      len : int;
       offs : int array option;
           (** column [j] of the batch is column [offs.(j)] of a physical
               row; [None] = all of its columns, in order *)
       sel : int array option;
-          (** surviving physical row indices, ascending; [None] = all *)
+          (** surviving physical row indices (into [rows], within the
+              window), ascending; [None] = the whole window *)
     }
   | CrossB of {
       schema : Schema.t;
@@ -40,9 +46,9 @@ val rows_batch : Schema.t -> Tuple.t array -> t
 
 val of_relation : batch_rows:int -> Relation.t -> t list
 (** Split a relation into row batches of at most [batch_rows] rows,
-    each a fresh slice of the relation's cached {!Relation.rows_array}
-    (built once per relation and reclaimed with it, so a scan needs no
-    cache). *)
+    each a window on the relation's cached {!Relation.rows_array}
+    (built once per relation and reclaimed with it): a scan copies no
+    row and needs no cache. *)
 
 (** {1 Access} *)
 
@@ -58,13 +64,23 @@ val value_at : t -> int -> int -> Value.t
 val tuple_at : t -> int -> Tuple.t
 (** Boxed tuple at {e logical} row [i]. *)
 
+val tuple_phys : t -> int -> Tuple.t
+(** Boxed tuple at {e physical} row [p]. *)
+
 val iter_tuples : t -> (Tuple.t -> unit) -> unit
 
 val rows_arr : t -> Tuple.t array
-(** Logical rows; a row batch with neither map returns its own array,
-    which the caller must not mutate. *)
+(** Logical rows; a row batch with neither map that spans its whole
+    array returns that array, which the caller must not mutate. *)
 
 val to_tuples : t -> Tuple.t list
+(** Logical rows as a list. *)
+
+val tuples_of : t list -> Tuple.t array
+(** The logical rows of a batch list, in order, as one array; a single
+    batch shares its array as {!rows_arr} does, and the caller must not
+    mutate it. *)
+
 val relation_of : Schema.t -> t list -> Relation.t
 
 (** {1 Kernel helpers} *)

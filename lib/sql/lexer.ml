@@ -3,7 +3,13 @@
     Handles line comments ([--]), block comments ([/* ... */]),
     single-quoted strings with [''] escaping, numeric literals, and the
     multi-character operators [<=], [>=], [<>], [!=] and [||]. Every
-    token carries its source position for error reporting. *)
+    token carries its source position for error reporting.
+
+    Reading a character allocates nothing: the end of input is a test
+    on the position, never a boxed [char option], so a NUL byte in the
+    source is an ordinary (unexpected) character. Keywords and symbols
+    are shared tokens; a token allocates only its positioned record and,
+    for identifiers, numbers and strings, its text. *)
 
 type positioned = { tok : Token.t; pos : int; line : int; col : int }
 
@@ -19,18 +25,21 @@ type state = {
   mutable col : int;
 }
 
-let peek st = if st.i < String.length st.src then Some st.src.[st.i] else None
+let eof st = st.i >= String.length st.src
 
-let peek2 st =
-  if st.i + 1 < String.length st.src then Some st.src.[st.i + 1] else None
+(* The current character; only read when not [eof]. *)
+let cur st = String.unsafe_get st.src st.i
+
+(* Whether the character after the current one is [c]. *)
+let next_is st c = st.i + 1 < String.length st.src && String.unsafe_get st.src (st.i + 1) = c
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if not (eof st) then
+    if cur st = '\n' then begin
       st.line <- st.line + 1;
       st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+    end
+    else st.col <- st.col + 1;
   st.i <- st.i + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -38,37 +47,34 @@ let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '
 let is_ident_char c = is_ident_start c || is_digit c
 
 let rec skip_trivia st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      skip_trivia st
-  | Some '-' when peek2 st = Some '-' ->
-      let rec to_eol () =
-        match peek st with
-        | Some '\n' | None -> ()
-        | Some _ ->
-            advance st;
-            to_eol ()
-      in
-      to_eol ();
-      skip_trivia st
-  | Some '/' when peek2 st = Some '*' ->
-      let start_line = st.line and start_col = st.col in
-      advance st;
-      advance st;
-      let rec to_close () =
-        match (peek st, peek2 st) with
-        | Some '*', Some '/' ->
+  if not (eof st) then
+    match cur st with
+    | ' ' | '\t' | '\r' | '\n' ->
+        advance st;
+        skip_trivia st
+    | '-' when next_is st '-' ->
+        while not (eof st || cur st = '\n') do
+          advance st
+        done;
+        skip_trivia st
+    | '/' when next_is st '*' ->
+        let start_line = st.line and start_col = st.col in
+        advance st;
+        advance st;
+        let rec to_close () =
+          if eof st then lex_error start_line start_col "unterminated block comment"
+          else if cur st = '*' && next_is st '/' then begin
             advance st;
             advance st
-        | Some _, _ ->
+          end
+          else begin
             advance st;
             to_close ()
-        | None, _ -> lex_error start_line start_col "unterminated block comment"
-      in
-      to_close ();
-      skip_trivia st
-  | _ -> ()
+          end
+        in
+        to_close ();
+        skip_trivia st
+    | _ -> ()
 
 let lex_string st =
   let line = st.line and col = st.col in
@@ -76,49 +82,46 @@ let lex_string st =
   (* opening quote *)
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | None -> lex_error line col "unterminated string literal"
-    | Some '\'' when peek2 st = Some '\'' ->
-        Buffer.add_char buf '\'';
-        advance st;
-        advance st;
-        go ()
-    | Some '\'' -> advance st
-    | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        go ()
+    if eof st then lex_error line col "unterminated string literal"
+    else
+      match cur st with
+      | '\'' when next_is st '\'' ->
+          Buffer.add_char buf '\'';
+          advance st;
+          advance st;
+          go ()
+      | '\'' -> advance st
+      | c ->
+          Buffer.add_char buf c;
+          advance st;
+          go ()
   in
   go ();
   Token.STRING (Buffer.contents buf)
 
+let skip_digits st =
+  while (not (eof st)) && is_digit (cur st) do
+    advance st
+  done
+
 let lex_number st =
   let line = st.line and col = st.col in
   let start = st.i in
-  let rec digits () =
-    match peek st with
-    | Some c when is_digit c ->
-        advance st;
-        digits ()
-    | _ -> ()
-  in
-  digits ();
+  skip_digits st;
   let is_float = ref false in
-  (match (peek st, peek2 st) with
-  | Some '.', Some c when is_digit c ->
-      is_float := true;
-      advance st;
-      digits ()
-  | _ -> ());
-  (match peek st with
-  | Some ('e' | 'E') ->
-      is_float := true;
-      advance st;
-      (match peek st with
-      | Some ('+' | '-') -> advance st
-      | _ -> ());
-      digits ()
-  | _ -> ());
+  if (not (eof st)) && cur st = '.' && st.i + 1 < String.length st.src
+     && is_digit (String.unsafe_get st.src (st.i + 1))
+  then begin
+    is_float := true;
+    advance st;
+    skip_digits st
+  end;
+  if (not (eof st)) && (cur st = 'e' || cur st = 'E') then begin
+    is_float := true;
+    advance st;
+    if (not (eof st)) && (cur st = '+' || cur st = '-') then advance st;
+    skip_digits st
+  end;
   let text = String.sub st.src start (st.i - start) in
   if !is_float then
     match float_of_string_opt text with
@@ -129,49 +132,71 @@ let lex_number st =
     | Some i -> Token.INT i
     | None -> lex_error line col "invalid integer literal %S" text
 
+(* One shared [KW] token per keyword, found by comparing the source
+   text in place, case-insensitively: a keyword allocates no string. *)
+let keyword_names = Array.of_list Token.keywords
+let keyword_tokens = Array.map (fun k -> Token.KW k) keyword_names
+
+let rec same_upper src start k j =
+  j = String.length k
+  || Char.uppercase_ascii (String.unsafe_get src (start + j)) = String.unsafe_get k j
+     && same_upper src start k (j + 1)
+
+(* The index, from [i] on, of the keyword spelled by
+   [src.[start .. start + len - 1]], or [-1]. *)
+let rec keyword_index src start len i =
+  if i = Array.length keyword_names then -1
+  else
+    let k = Array.unsafe_get keyword_names i in
+    if String.length k = len && same_upper src start k 0 then i
+    else keyword_index src start len (i + 1)
+
+(* The lowercased text of an identifier, built in one string. *)
+let lowercase_sub src start len =
+  let b = Bytes.create len in
+  for j = 0 to len - 1 do
+    Bytes.unsafe_set b j (Char.lowercase_ascii (String.unsafe_get src (start + j)))
+  done;
+  Bytes.unsafe_to_string b
+
 let lex_word st =
   let start = st.i in
-  let rec go () =
-    match peek st with
-    | Some c when is_ident_char c ->
-        advance st;
-        go ()
-    | _ -> ()
-  in
-  go ();
-  let text = String.sub st.src start (st.i - start) in
-  let upper = String.uppercase_ascii text in
-  if Token.is_keyword upper then Token.KW upper
-  else Token.IDENT (String.lowercase_ascii text)
+  while (not (eof st)) && is_ident_char (cur st) do
+    advance st
+  done;
+  let len = st.i - start in
+  match keyword_index st.src start len 0 with
+  | -1 -> Token.IDENT (lowercase_sub st.src start len)
+  | k -> Array.unsafe_get keyword_tokens k
+
+(* [tok] after consuming its [n] characters. *)
+let take st n tok =
+  for _ = 1 to n do
+    advance st
+  done;
+  tok
 
 let lex_symbol st =
-  let line = st.line and col = st.col in
-  let two a b sym =
-    if peek st = Some a && peek2 st = Some b then begin
-      advance st;
-      advance st;
-      Some (Token.SYM sym)
-    end
-    else None
-  in
-  let candidates =
-    [
-      lazy (two '<' '=' "<=");
-      lazy (two '>' '=' ">=");
-      lazy (two '<' '>' "<>");
-      lazy (two '!' '=' "<>");
-      lazy (two '|' '|' "||");
-    ]
-  in
-  match List.find_map (fun c -> Lazy.force c) candidates with
-  | Some tok -> tok
-  | None -> (
-      match peek st with
-      | Some (('(' | ')' | ',' | '.' | ';' | '*' | '+' | '-' | '/' | '%' | '=' | '<' | '>') as c) ->
-          advance st;
-          Token.SYM (String.make 1 c)
-      | Some c -> lex_error line col "unexpected character %C" c
-      | None -> Token.EOF)
+  match cur st with
+  | '<' when next_is st '=' -> take st 2 (Token.SYM "<=")
+  | '>' when next_is st '=' -> take st 2 (Token.SYM ">=")
+  | '<' when next_is st '>' -> take st 2 (Token.SYM "<>")
+  | '!' when next_is st '=' -> take st 2 (Token.SYM "<>")
+  | '|' when next_is st '|' -> take st 2 (Token.SYM "||")
+  | '(' -> take st 1 (Token.SYM "(")
+  | ')' -> take st 1 (Token.SYM ")")
+  | ',' -> take st 1 (Token.SYM ",")
+  | '.' -> take st 1 (Token.SYM ".")
+  | ';' -> take st 1 (Token.SYM ";")
+  | '*' -> take st 1 (Token.SYM "*")
+  | '+' -> take st 1 (Token.SYM "+")
+  | '-' -> take st 1 (Token.SYM "-")
+  | '/' -> take st 1 (Token.SYM "/")
+  | '%' -> take st 1 (Token.SYM "%")
+  | '=' -> take st 1 (Token.SYM "=")
+  | '<' -> take st 1 (Token.SYM "<")
+  | '>' -> take st 1 (Token.SYM ">")
+  | c -> lex_error st.line st.col "unexpected character %C" c
 
 (** [tokenize src] is the token stream of [src], ending with [EOF]. *)
 let tokenize (src : string) : positioned list =
@@ -179,11 +204,15 @@ let tokenize (src : string) : positioned list =
   let rec go acc =
     skip_trivia st;
     let pos = st.i and line = st.line and col = st.col in
-    match peek st with
-    | None -> List.rev ({ tok = Token.EOF; pos; line; col } :: acc)
-    | Some '\'' -> go ({ tok = lex_string st; pos; line; col } :: acc)
-    | Some c when is_digit c -> go ({ tok = lex_number st; pos; line; col } :: acc)
-    | Some c when is_ident_start c -> go ({ tok = lex_word st; pos; line; col } :: acc)
-    | Some _ -> go ({ tok = lex_symbol st; pos; line; col } :: acc)
+    if eof st then List.rev ({ tok = Token.EOF; pos; line; col } :: acc)
+    else
+      let tok =
+        match cur st with
+        | '\'' -> lex_string st
+        | c when is_digit c -> lex_number st
+        | c when is_ident_start c -> lex_word st
+        | _ -> lex_symbol st
+      in
+      go ({ tok; pos; line; col } :: acc)
   in
   go []

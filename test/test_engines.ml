@@ -656,6 +656,61 @@ let test_scan_retains_nothing () =
   Gc.full_major ();
   Alcotest.(check bool) "scanned relation reclaimed" false (Weak.check w 0)
 
+(* Minor words per binding of a correlated sublink: [plan] run over 40
+   and over 10 outer rows of R, each row a distinct binding, the
+   difference spread over the 30 extra bindings. S and U have 3 rows
+   each. *)
+let words_per_binding plan =
+  let u_schema = Schema.of_list [ Schema.attr "e" Vtype.TInt; Schema.attr "f" Vtype.TInt ] in
+  let db n =
+    Database.of_list
+      [
+        ("R", Relation.of_values r_schema (List.init n (fun k -> [ i k; i (k mod 3) ])));
+        ("S", Relation.of_values s_schema [ [ i 0; i 1 ]; [ i 1; i 2 ]; [ i 2; i 0 ] ]);
+        ("U", Relation.of_values u_schema [ [ i 0; i 1 ]; [ i 1; Value.Null ]; [ i 2; i 0 ] ]);
+      ]
+  in
+  let words db =
+    ignore (Vexec.query_stats db plan);
+    let w0 = Gc.minor_words () in
+    ignore (Vexec.query_stats db plan);
+    Gc.minor_words () -. w0
+  in
+  let small = db 10 and large = db 40 in
+  (words large -. words small) /. 30.
+
+(* Each binding of [EXISTS (SELECT * FROM S WHERE c <= a)] runs the
+   body lowered once: a scan window, one mask, the memo entry and its
+   result, about 70 words (about 95 when every scan copied its batch
+   and every unselected batch built an index array). *)
+let test_exists_alloc () =
+  let open Algebra in
+  let plan =
+    Select (exists (Select (Cmp (Leq, Attr "c", Attr "a"), Base "S")), Base "R")
+  in
+  let w = words_per_binding plan in
+  Alcotest.(check bool)
+    (Printf.sprintf "a correlated EXISTS allocates %.1f words per binding" w)
+    true (w <= 82.)
+
+(* A 3x3 nested-loop join inside a correlated body keeps its run state
+   in one record built at lowering: about 145 words per binding, 9
+   pairs and 3 output rows included (about 350 with a dozen closures
+   and refs and a copied right side per run). *)
+let test_nested_loop_alloc () =
+  let open Algebra in
+  let plan =
+    Select
+      ( exists
+          (Select
+             (Cmp (Leq, Attr "c", Attr "a"), Join (Cmp (Lt, Attr "d", Attr "f"), Base "S", Base "U"))),
+        Base "R" )
+  in
+  let w = words_per_binding plan in
+  Alcotest.(check bool)
+    (Printf.sprintf "a 3x3 nested-loop join allocates %.1f words per binding" w)
+    true (w <= 200.)
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -680,6 +735,8 @@ let () =
           tc "relation memos race two domains" `Quick
             test_relation_memo_two_domains;
           tc "a scan retains no relation" `Quick test_scan_retains_nothing;
+          tc "EXISTS words per binding" `Quick test_exists_alloc;
+          tc "nested-loop words per binding" `Quick test_nested_loop_alloc;
         ] );
       qsuite "properties" [ prop_fuzz_parity; prop_fuzz_strategy_parity ];
     ]

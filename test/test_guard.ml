@@ -553,6 +553,48 @@ let test_ranking_is_lazy () =
       Alcotest.(check int) "a budget ranks up front" 1 !calls)
 
 (* ------------------------------------------------------------------ *)
+(* Phase meter                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Armed, the phases of one statement account for the words the whole
+   statement allocated (a few percent go to the glue between phases);
+   disarmed, nothing is recorded. *)
+let test_phase_meter () =
+  let db =
+    Database.of_list
+      [
+        ("r", Relation.of_values r_schema [ [ i 1; i 1 ]; [ i 2; i 1 ]; [ i 3; i 2 ] ]);
+        ("s", Relation.of_values s_schema [ [ i 1; i 3 ]; [ i 2; i 4 ]; [ i 4; i 5 ] ]);
+      ]
+  in
+  let sql = "SELECT PROVENANCE a, b FROM r WHERE a = ANY (SELECT c FROM s WHERE d > b)" in
+  let run () = ignore (Perm.exec db ~strategy:Strategy.Gen ~fallback:true sql) in
+  run ();
+  Resilience.reset_phase_totals ();
+  run ();
+  Alcotest.(check int) "disarmed: no phase recorded" 0
+    (List.length (Resilience.phase_totals ()));
+  Resilience.arm_meter ();
+  Fun.protect ~finally:Resilience.disarm_meter (fun () ->
+      let w0 = Guard.allocated_words () in
+      run ();
+      let total = Guard.allocated_words () -. w0 in
+      let totals = Resilience.phase_totals () in
+      let sum = List.fold_left (fun acc (_, w, _) -> acc +. w) 0.0 totals in
+      List.iter
+        (fun p ->
+          Alcotest.(check bool)
+            (Resilience.phase_to_string p ^ " recorded")
+            true
+            (List.exists (fun (q, _, _) -> q = p) totals))
+        Resilience.[ Parse; Analyze; Rewrite; Typecheck; Optimize; Eval ];
+      Alcotest.(check bool)
+        (Printf.sprintf "phases sum to %.0f of the statement's %.0f words" sum total)
+        true
+        (Float.abs (total -. sum) <= 0.05 *. total));
+  Resilience.reset_phase_totals ()
+
+(* ------------------------------------------------------------------ *)
 (* Error taxonomy                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -706,6 +748,8 @@ let () =
           Alcotest.test_case "enter converts and preserves" `Quick test_enter;
           Alcotest.test_case "CSV errors carry file:line" `Quick
             test_csv_errors;
+          Alcotest.test_case "phase meter sums to the statement" `Quick
+            test_phase_meter;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest ~long:false prop_trip_or_exact ] );
