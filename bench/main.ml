@@ -2030,6 +2030,101 @@ let certify_cmd =
           workloads under every applicable strategy")
     Term.(const run $ sf_arg)
 
+(* ------------------------------------------------------------------ *)
+(* [bench digest]: what every plan run produced, one line per run      *)
+(* ------------------------------------------------------------------ *)
+
+(* One line per optimized plan and budget: the plan's MD5, the answer's
+   MD5 (schema names and rows, in order) or the error, the row count,
+   the six execution counters and, under the row ceiling, the trip's
+   reason and operator path. Two builds that print the same lines ran
+   the same plans to the same answers, row order, counters and trips. *)
+let digest_runs label db q =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let plans =
+    ("orig", fun () -> Optimizer.optimize db q)
+    :: List.map
+         (fun s ->
+           ( Strategy.to_string s,
+             fun () -> Optimizer.optimize db (fst (Rewrite.rewrite db ~strategy:s q)) ))
+         Strategy.all
+  in
+  List.iter
+    (fun (series, plan) ->
+      match plan () with
+      | exception Strategy.Unsupported _ -> ()
+      | exception e -> Printf.printf "%s %s plan-error=%s\n" label series (Printexc.to_string e)
+      | plan ->
+          let plan_md5 = md5 (Pp.query_to_line plan) in
+          List.iter
+            (fun (budget_label, budget) ->
+              let outcome =
+                match Guard.with_budget budget (fun () -> Eval.query_stats db plan) with
+                | rel, stats ->
+                    let names = Schema.names (Relation.schema rel) and rows = Relation.tuples rel in
+                    Printf.sprintf "answer=%s rows=%d %s"
+                      (md5 (Marshal.to_string (names, rows) [ Marshal.No_sharing ]))
+                      (List.length rows) (Eval.stats_to_string stats)
+                | exception Guard.Budget_exceeded t ->
+                    let reason =
+                      match t.Guard.t_reason with
+                      | Guard.Rows_exceeded n -> Printf.sprintf "rows>%d" n
+                      | Guard.Pairs_exceeded n -> Printf.sprintf "pairs>%d" n
+                      | Guard.Timed_out _ -> "timeout"
+                      | Guard.Alloc_exceeded _ -> "alloc"
+                    in
+                    Printf.sprintf "trip=%s at %s" reason (Algebra.Path.to_string t.Guard.t_path)
+                | exception Eval.Eval_error m -> "error=" ^ m
+                | exception Value.Type_clash m -> "type-clash=" ^ m
+              in
+              Printf.printf "%s %s %s plan=%s %s\n" label series budget_label plan_md5 outcome)
+            [ ("unbudgeted", None); ("rows<=20", Some (Guard.budget ~max_rows:20 ())) ])
+    plans
+
+let digest ~seeds ~sf () =
+  for seed = 1 to seeds do
+    let case = Fuzz.Qgen.case_of_seed seed in
+    let db = Fuzz.Qgen.database case in
+    let label = Printf.sprintf "qgen/%d" seed in
+    match Sql_frontend.Analyzer.analyze_string db (Fuzz.Qgen.sql case) with
+    | exception e -> Printf.printf "%s analyze-error=%s\n" label (Printexc.to_string e)
+    | a -> digest_runs label db a.Sql_frontend.Analyzer.query
+  done;
+  let tpch = Tpch.Tpch_gen.generate ~seed:11 ~sf () in
+  List.iter
+    (fun number ->
+      let inst = Tpch.Tpch_queries.instantiate ~seed:100 number in
+      let a = Sql_frontend.Analyzer.analyze_string tpch inst.Tpch.Tpch_queries.sql in
+      digest_runs (Printf.sprintf "tpch/Q%d" number) tpch a.Sql_frontend.Analyzer.query)
+    Tpch.Tpch_queries.numbers;
+  let n1 = 300 and n2 = 60 in
+  let synthetic = Synthetic.Workload.make_db ~seed:4 ~n1 ~n2 () in
+  List.iter
+    (fun (label, inst) -> digest_runs label synthetic inst.Synthetic.Workload.query)
+    [
+      ("synthetic/q1", Synthetic.Workload.q1 ~seed:4 ~n1 ~n2 ());
+      ("synthetic/q2", Synthetic.Workload.q2 ~seed:4 ~n1 ~n2 ());
+    ]
+
+let digest_cmd =
+  let seeds_arg =
+    Arg.(value & opt int 300 & info [ "seeds" ] ~docv:"N" ~doc:"Qgen seeds 1 to $(docv).")
+  in
+  let sf_arg =
+    Arg.(value & opt float 0.01 & info [ "sf" ] ~doc:"TPC-H scale factor.")
+  in
+  let run seeds sf batch =
+    Vexec.batch_rows := max 1 batch;
+    digest ~seeds ~sf ()
+  in
+  Cmd.v
+    (Cmd.info "digest"
+       ~doc:
+         "Print one line per optimized plan and budget (plan, answer and \
+          counters digests) over Qgen seeds, the TPC-H sublink queries and \
+          synthetic q1/q2: identical output means identical behaviour")
+    Term.(const run $ seeds_arg $ sf_arg $ batch_rows_arg)
+
 let estimate_cmd =
   let sf_arg =
     Arg.(
@@ -2101,6 +2196,7 @@ let () =
             share_lint_cmd;
             certify_cmd;
             estimate_cmd;
+            digest_cmd;
             bechamel_cmd;
             all_cmd;
           ]))

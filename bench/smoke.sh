@@ -127,6 +127,18 @@ fuzz() {
   timeout 300 dune exec bench/main.exe -- fuzz \
     --seed 42 --count 500 --artifacts _build/fuzz
 
+  # Every plan of Qgen seeds 1-300, the TPC-H sublink queries and
+  # synthetic q1/q2, run with no budget and under a 20-row ceiling: the
+  # plans, answers (row order included), counters and trips must stay
+  # those pinned here. A change that means to alter one of them updates
+  # the pin and says why.
+  step "plan, answer and counter digest"
+  timeout 300 dune exec bench/main.exe -- digest --seeds 300 \
+    > "$tmp/digest.txt"
+  digest=$(md5sum < "$tmp/digest.txt" | cut -d' ' -f1)
+  echo "digest of $(wc -l < "$tmp/digest.txt") runs: $digest"
+  [ "$digest" = 2a95ec8bd255d18204f9c2a99086e63b ]
+
   step "certified provenance statement under a budget (permcli)"
   printf '%s\n' \
     "select provenance * from r where a = any (select c from s);" \
@@ -240,8 +252,11 @@ serve() {
   kill -TERM $SRV; wait $SRV
 
   step "budget-tripped request fails typed (exit 1, no hang)"
+  # Gen must overrun its rung's 50 ms floor by a wide margin: at sf 0.05
+  # it takes ~0.8 s on a 2-vCPU VM (at sf 0.02, ~0.05 s, which tripped
+  # only sometimes).
   dune exec bin/permserver.exe -- \
-    --tpch 0.02 --port 7655 --timeout 0.08 &
+    --tpch 0.05 --port 7655 --timeout 0.08 &
   SRV=$!
   wait_ready 7655
   set +e

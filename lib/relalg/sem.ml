@@ -95,6 +95,8 @@ let set_mem s v = Tuple.Tbl.mem s.s_set [| v |]
    integer set when every distinct value is an [Int]. *)
 let summary_is_empty s = s.s_empty
 let summary_has_null s = s.s_has_null
+let summary_min s = s.s_min
+let summary_max s = s.s_max
 
 let summary_distinct_values s =
   Tuple.Tbl.fold (fun k () acc -> k.(0) :: acc) s.s_set []

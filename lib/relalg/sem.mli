@@ -27,11 +27,18 @@ val summarize : Value.t list -> summary
 val any_of_summary : Algebra.cmpop -> Value.t -> summary -> Value.t
 val all_of_summary : Algebra.cmpop -> Value.t -> summary -> Value.t
 
-(** Read-only summary accessors, used by the vectorized engine's probe
-    kernels to build integer membership sets. *)
+(** Read-only summary accessors, used by the vectorized engine's probes
+    to build integer membership arrays and to test ordering operators
+    against one extreme. *)
 val summary_is_empty : summary -> bool
 
 val summary_has_null : summary -> bool
+
+(** The least and greatest non-null values ([None] when there is
+    none). *)
+val summary_min : summary -> Value.t option
+
+val summary_max : summary -> Value.t option
 
 (** Distinct non-null values of the summarized column (unordered). *)
 val summary_distinct_values : summary -> Value.t list

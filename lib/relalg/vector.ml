@@ -85,30 +85,19 @@ let row_at rows offs p : Tuple.t =
   | None -> Array.unsafe_get rows p
   | Some o -> Tuple.project_arr (Array.unsafe_get rows p) o
 
-(* Expand one row of a factored cross block. *)
-let cross_row lefts right_cols srcs ~k ~i : Tuple.t =
-  let ta = Array.unsafe_get lefts k in
-  let arity = Array.length srcs in
-  let t = Array.make arity Value.Null in
-  for j = 0 to arity - 1 do
+let fill_cross (ta : Tuple.t) right_cols srcs i (row : Tuple.t) =
+  for j = 0 to Array.length srcs - 1 do
     let s = Array.unsafe_get srcs j in
-    Array.unsafe_set t j
+    Array.unsafe_set row j
       (if s >= 0 then Array.unsafe_get ta s
        else Array.unsafe_get (Array.unsafe_get right_cols (lnot s)) i)
-  done;
-  t
+  done
 
-(** [value_at b j p] — column [j] at {e physical} row [p], read from the
-    stored tuple (no boxing). *)
-let value_at (b : t) j p : Value.t =
-  match b with
-  | Rows { rows; offs = None; _ } -> Array.unsafe_get (Array.unsafe_get rows p) j
-  | Rows { rows; offs = Some o; _ } ->
-      Array.unsafe_get (Array.unsafe_get rows p) (Array.unsafe_get o j)
-  | CrossB { lefts; right_cols; card_b; srcs; _ } ->
-      let s = srcs.(j) in
-      if s >= 0 then Tuple.get lefts.(p / card_b) s
-      else right_cols.(lnot s).(p mod card_b)
+(* Expand one row of a factored cross block. *)
+let cross_row lefts right_cols srcs ~k ~i : Tuple.t =
+  let t = Array.make (Array.length srcs) Value.Null in
+  fill_cross (Array.unsafe_get lefts k) right_cols srcs i t;
+  t
 
 (** [tuple_at b i] — boxed tuple for {e logical} row [i]. *)
 let tuple_at (b : t) i : Tuple.t =
@@ -117,10 +106,6 @@ let tuple_at (b : t) i : Tuple.t =
   | CrossB c ->
       cross_row c.lefts c.right_cols c.srcs ~k:(i / c.card_b)
         ~i:(i mod c.card_b)
-
-(** [tuple_phys b p] — boxed tuple of {e physical} row [p]. *)
-let tuple_phys (b : t) p : Tuple.t =
-  match b with Rows r -> row_at r.rows r.offs p | CrossB _ -> tuple_at b p
 
 let iter_tuples b f =
   match b with

@@ -57,15 +57,8 @@ val schema : t -> Schema.t
 val length : t -> int
 (** Logical row count (selection vector applied). *)
 
-val value_at : t -> int -> int -> Value.t
-(** [value_at b j p] — column [j] at {e physical} row [p], read from the
-    stored tuple. *)
-
 val tuple_at : t -> int -> Tuple.t
 (** Boxed tuple at {e logical} row [i]. *)
-
-val tuple_phys : t -> int -> Tuple.t
-(** Boxed tuple at {e physical} row [p]. *)
 
 val iter_tuples : t -> (Tuple.t -> unit) -> unit
 
@@ -97,6 +90,12 @@ val with_schema : Schema.t -> t -> t
 val transpose : Tuple.t array -> arity:int -> Value.t array array
 (** Column-major view of boxed tuples: [(transpose rows ~arity).(j).(i)]
     is [rows.(i).(j)]. Values are shared, not copied. *)
+
+val fill_cross : Tuple.t -> Value.t array array -> int array -> int -> Tuple.t -> unit
+(** [fill_cross ta right_cols srcs i row] writes into [row] the cross
+    block row pairing left tuple [ta] with right row [i] ([srcs] and
+    [right_cols] as in {!CrossB}), so a consumer can test the pairs in
+    one scratch row instead of building a tuple per pair. *)
 
 val cross_block :
   Schema.t ->

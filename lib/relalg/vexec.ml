@@ -2,24 +2,23 @@
     {!Algebra.query} is lowered once into batch-at-a-time operators over
     {!Vector} batches of boxed tuples, and every scalar expression into
     a closure with its attribute references resolved to frame offsets.
+    A query runs on the domain that called it.
 
-    Operators materialize their outputs as batch lists, evaluate
-    selection predicates as masks (three-valued bytes, one per row of a
-    batch, applied as the batch's selection vector), and probe
-    uncorrelated [ANY]/[ALL] sublinks against the {!Sem} summary, or an
-    integer set specialized from it. A query runs on the domain that
-    called it.
+    Operators materialize their outputs as batch lists. Selections, join
+    residuals and the comparisons of projection items run one predicate
+    compiler: a predicate becomes an unboxed three-valued test of one
+    row under the enclosing frames, its comparisons of columns and
+    constants specialized at lowering, and an uncorrelated [ANY]/[ALL]
+    sublink a probe of the {!Sem} summary, or of an integer array
+    specialized from it. A selection tests each batch in one pass and
+    keeps its survivors as the batch's selection vector.
 
-    Everything without a mask kernel — residual join predicates,
-    projection expressions, aggregation, ordering — runs the compiled
-    closures of the expression compiler below: every [Attr] resolved at
-    lowering time to a [(frame_depth, column_offset)] pair, predicates
-    as unboxed three-valued tests. A sublink's body is lowered by the
-    same {!lower} as the enclosing plan and runs sequentially on the
-    enclosing execution's context, memoized per binding of its
-    correlated attributes; inside a correlated body, a subtree that
-    does not depend on the binding and cannot touch the counters runs
-    once per execution and is replayed for later bindings.
+    A sublink's body is lowered by the same {!lower} as the enclosing
+    plan and runs sequentially on the enclosing execution's context,
+    memoized per binding of its correlated attributes; inside a
+    correlated body, a subtree that does not depend on the binding and
+    cannot touch the counters runs once per execution and is replayed
+    for later bindings.
 
     Results match the reference walker ({!Eval}) row for row (schema
     names, row order, error messages) and the {!Sem.stats} counters
@@ -37,7 +36,7 @@
 open Algebra
 
 (** Rows per batch. Set via [--batch-rows]. At 256 a batch's
-    per-row scratch arrays (selection vectors, masks, row arrays) stay
+    per-row arrays (selection vectors, row arrays) stay
     within OCaml's minor-heap size limit (256 words); larger ones are
     allocated directly in the major heap, where short-lived garbage is
     far more expensive to reclaim. *)
@@ -63,16 +62,10 @@ module Binding = Hashtbl.Make (Binding_key)
 type memo = { results : Relation.t Binding.t; summaries : Sem.summary Binding.t }
 
 (** Per-execution context: sublink memo tables (per sublink id) and
-    counters, exactly mirroring the reference evaluator's, and the
-    execution's index array [0; 1; 2; ...] ({!iota}). *)
-type ctx = {
-  db : Database.t;
-  memos : (int, memo) Hashtbl.t;
-  stats : Sem.stats;
-  mutable iota : int array;
-}
+    counters, exactly mirroring the reference evaluator's. *)
+type ctx = { db : Database.t; memos : (int, memo) Hashtbl.t; stats : Sem.stats }
 
-let mk_ctx db = { db; memos = Hashtbl.create 8; stats = Sem.fresh_stats (); iota = [||] }
+let mk_ctx db = { db; memos = Hashtbl.create 8; stats = Sem.fresh_stats () }
 
 (* A sublink sees a few bindings per execution: its tables start small. *)
 let memo_of ctx id =
@@ -86,8 +79,15 @@ let memo_of ctx id =
 (** Runtime environment: tuple frames, innermost first. *)
 type renv = Tuple.t list
 
-(** A compiled scalar expression. *)
-type cexpr = ctx -> renv -> Value.t
+(** A compiled scalar expression: its value on the row [t] (frame
+    depth 0) under the enclosing frames [outer] (depth 1 on), so
+    evaluating it conses no frame. *)
+type cexpr = ctx -> Tuple.t -> renv -> Value.t
+
+(** A compiled predicate, a row test: its three-valued truth (0 =
+    false, 1 = true, 2 = unknown, unboxed) on the row [t] under the
+    enclosing frames [outer]. *)
+type test = ctx -> Tuple.t -> renv -> int
 
 (* A lowered sublink body: its memoized result and ANY/ALL summary per
    binding of its free names, and, for an uncorrelated body, the
@@ -156,33 +156,6 @@ let guarded here (v : vop) : vop =
 
 (* ---- batch utilities ----------------------------------------------- *)
 
-(* The kernels below read the rows of a batch as [idx], [base] and
-   [m]: row [k < m] is physical row [base + idx.(k)]. A batch with a
-   selection vector reads it from [0]; any other batch reads the
-   execution's [0; 1; 2; ...] from its first row, so no index array is
-   built per batch. *)
-
-(* [0; 1; ...], at least [n] long: built once per execution, grown by
-   doubling, filled through a typed store ([Array.init] stores through
-   the polymorphic write barrier). *)
-let iota ctx n : int array =
-  if Array.length ctx.iota < n then begin
-    let a = Array.make (max n (2 * Array.length ctx.iota)) 0 in
-    for i = 1 to Array.length a - 1 do
-      Array.unsafe_set a i i
-    done;
-    ctx.iota <- a
-  end;
-  ctx.iota
-
-let idx_of ctx (b : Vector.t) : int array =
-  match b with
-  | Vector.Rows { sel = Some s; _ } -> s
-  | Vector.Rows { len; _ } -> iota ctx len
-  | Vector.CrossB _ -> iota ctx (Vector.length b)
-
-let base_of (b : Vector.t) = match b with Vector.Rows { sel = None; lo; _ } -> lo | _ -> 0
-
 (* Split a materialized row list into [Rows] batches, filling each
    batch's array straight from the list. *)
 let chunk_rows schema (rows : Tuple.t list) : Vector.t list =
@@ -219,19 +192,26 @@ let resolve_attr (cenv : Schema.t list) name : int * int =
   in
   go 0 cenv
 
+(* [resolve_attr] for code that reads stored rows in place behind an
+   offset map [offs] ({!Vector}): a column of the row is the stored
+   tuple's column [offs.(j)]. *)
+let resolve cenv offs name =
+  match (resolve_attr cenv name, offs) with
+  | (0, j), Some o -> (0, o.(j))
+  | at, _ -> at
+
+(* Frame [d >= 1]: the enclosing frames start at depth 1. *)
+let outer_frame (outer : renv) d : Tuple.t =
+  match outer with
+  | t :: _ when d = 1 -> t
+  | _ -> (
+      match List.nth_opt outer (d - 1) with
+      | Some t -> t
+      | None -> Sem.eval_error "missing frame at depth %d" d)
+
 let attr_access (depth, off) : cexpr =
-  match depth with
-  | 0 -> (
-      fun _ env ->
-        match env with
-        | t :: _ -> Tuple.get t off
-        | [] -> Sem.eval_error "empty environment at depth 0")
-  | 1 -> (
-      fun _ env ->
-        match env with
-        | _ :: t :: _ -> Tuple.get t off
-        | _ -> Sem.eval_error "missing frame at depth 1")
-  | d -> fun _ env -> Tuple.get (List.nth env d) off
+  if depth = 0 then fun _ t _ -> Tuple.get t off
+  else fun _ _ outer -> Tuple.get (outer_frame outer depth) off
 
 (* Syntactically boolean-valued expressions: the top constructor alone
    guarantees a [Bool]/[Null] result on well-typed input. *)
@@ -241,11 +221,6 @@ let is_boolean_shape = function
   | Sublink { kind = Exists | AnyOp _ | AllOp _; _ } ->
       true
   | _ -> false
-
-let const_of = function
-  | Const v -> Some v
-  | TypedNull _ -> Some Value.Null
-  | _ -> None
 
 (* Attribute names an expression's evaluation can read: its own [Attr]
    nodes plus the free (correlated) variables of its sublink queries.
@@ -360,20 +335,22 @@ let projection_schema (lx : lx) (input : Schema.t) cenv cols =
 
 (* Evaluate an array of compiled expressions into a fresh tuple with an
    explicit loop — [Array.map] would allocate a closure per row. *)
-let eval_row (cexprs : cexpr array) ctx env : Tuple.t =
+let eval_row (cexprs : cexpr array) ctx t outer : Tuple.t =
   let n = Array.length cexprs in
   let out = Array.make n Value.Null in
   for j = 0 to n - 1 do
-    Array.unsafe_set out j ((Array.unsafe_get cexprs j) ctx env)
+    Array.unsafe_set out j ((Array.unsafe_get cexprs j) ctx t outer)
   done;
   out
 
 (* ---- three-valued scalar kernels ----------------------------------- *)
 
-(* 0 = false, 1 = true, 2 = unknown — the unboxed predicate encoding of
-   masks and compiled predicates alike. *)
+(* 0 = false, 1 = true, 2 = unknown — the unboxed encoding of compiled
+   predicates. *)
 let b3_of_value v =
   if Value.is_true v then 1 else if Value.is_null v then 2 else 0
+
+let value_of_b3 = function 0 -> Value.vfalse | 1 -> Value.vtrue | _ -> Value.Null
 
 let icmp op (x : int) (y : int) =
   match op with
@@ -408,85 +385,165 @@ let cmp_b3 op (va : Value.t) (vb : Value.t) : int =
           | None -> 2
           | Some c -> if ctest op c then 1 else 0))
 
-(* ---- vectorized predicate masks ------------------------------------ *)
+(* ---- compiled row tests --------------------------------------------- *)
 
-(* An uncorrelated ANY/ALL sublink probe. The summary accessor shares
-   the per-execution memo tables and counters; [pr_prep] caches the
-   per-execution specialization (keyed on the context by identity).
-   When every distinct summary value is an [Int], equality-style
-   membership of an [Int] input is answered from an int set — sound
-   only then, because the summary's own set equates [Int 3] with
-   [Float 3.] and the int set would not. *)
+(* A comparison operand as a test reads it: a column of the row under
+   test, a column of an enclosing frame, a constant, or anything else,
+   which is compiled as an expression. *)
+type operand = Col of int | Outer of int * int | Lit of Value.t | Computed
+
+let operand cenv offs = function
+  | Const v -> Lit v
+  | TypedNull _ -> Lit Value.Null
+  | Attr n -> ( match resolve cenv offs n with 0, j -> Col j | d, j -> Outer (d, j))
+  | _ -> Computed
+
+let flip = function Lt -> Gt | Gt -> Lt | Leq -> Geq | Geq -> Leq | (Eq | Neq | EqNull) as op -> op
+
+(* Column [j] of the row against the constant [c]: an [Int], [Float]
+   or [String] cell of a comparable type is compared unboxed, any other
+   (NULL, another type) by [slow], which keeps the operands' order for
+   {!cmp_b3}'s errors. On a non-NULL cell [=n] is [=]. *)
+let col_const op j (c : Value.t) (slow : Value.t -> int) : test =
+  let op = if op = EqNull then Eq else op in
+  match c with
+  | Value.Int c -> (
+      match op with
+      | Eq | EqNull ->
+          fun _ t _ -> (
+            match Array.unsafe_get t j with Value.Int x -> Bool.to_int (x = c) | v -> slow v)
+      | Neq ->
+          fun _ t _ -> (
+            match Array.unsafe_get t j with Value.Int x -> Bool.to_int (x <> c) | v -> slow v)
+      | Lt ->
+          fun _ t _ -> (
+            match Array.unsafe_get t j with Value.Int x -> Bool.to_int (x < c) | v -> slow v)
+      | Leq ->
+          fun _ t _ -> (
+            match Array.unsafe_get t j with Value.Int x -> Bool.to_int (x <= c) | v -> slow v)
+      | Gt ->
+          fun _ t _ -> (
+            match Array.unsafe_get t j with Value.Int x -> Bool.to_int (x > c) | v -> slow v)
+      | Geq ->
+          fun _ t _ -> (
+            match Array.unsafe_get t j with Value.Int x -> Bool.to_int (x >= c) | v -> slow v))
+  | Value.Float f ->
+      fun _ t _ -> (
+        match Array.unsafe_get t j with
+        | Value.Float x -> Bool.to_int (ctest op (Float.compare x f))
+        | Value.Int x -> Bool.to_int (ctest op (Float.compare (float_of_int x) f))
+        | v -> slow v)
+  | Value.String s ->
+      fun _ t _ -> (
+        match Array.unsafe_get t j with
+        | Value.String x -> Bool.to_int (ctest op (String.compare x s))
+        | v -> slow v)
+  | _ -> fun _ t _ -> slow (Array.unsafe_get t j)
+
+(* A comparison whose operands are columns of the row or of enclosing
+   frames, or constants, read without evaluating an expression; [None]
+   when an operand is computed, or both are constants or outer
+   columns. *)
+let cmp_leaf cenv offs op a b : test option =
+  match (operand cenv offs a, operand cenv offs b) with
+  | Col j, Lit c -> Some (col_const op j c (fun v -> cmp_b3 op v c))
+  | Lit c, Col j -> Some (col_const (flip op) j c (fun v -> cmp_b3 op c v))
+  | Col j1, Col j2 -> Some (fun _ t _ -> cmp_b3 op (Array.unsafe_get t j1) (Array.unsafe_get t j2))
+  | Col j, Outer (d, o) ->
+      Some (fun _ t outer -> cmp_b3 op (Array.unsafe_get t j) (Tuple.get (outer_frame outer d) o))
+  | Outer (d, o), Col j ->
+      Some (fun _ t outer -> cmp_b3 op (Tuple.get (outer_frame outer d) o) (Array.unsafe_get t j))
+  | _ -> None
+
+(* [Some (j, lo, hi)] when [e] compares column [j] of the row with an
+   integer constant and holds for an [Int] cell exactly when the cell is
+   in [lo .. hi]. *)
+let int_range cenv offs e =
+  let bound op c =
+    match op with
+    | Eq -> Some (c, c)
+    | Geq -> Some (c, max_int)
+    | Leq -> Some (min_int, c)
+    | Gt when c < max_int -> Some (c + 1, max_int)
+    | Lt when c > min_int -> Some (min_int, c - 1)
+    | _ -> None
+  in
+  let on op a c =
+    match operand cenv offs a with
+    | Col j -> Option.map (fun (lo, hi) -> (j, lo, hi)) (bound op c)
+    | _ -> None
+  in
+  match e with
+  | Cmp (op, a, Const (Value.Int c)) -> on op a c
+  | Cmp (op, Const (Value.Int c), a) -> on (flip op) a c
+  | _ -> None
+
+(* ---- uncorrelated ANY/ALL probes ------------------------------------ *)
+
+(* An uncorrelated body has a constant memo key, so its result for the
+   current execution is held in the body's slot instead of paying a
+   hash per evaluation. The slot is keyed on the [ctx] by physical
+   identity — a fresh execution gets a fresh context and recomputes —
+   and the first fill still goes through the shared memo tables, so the
+   counters ({!Sem.stats}) advance exactly as the reference evaluator's
+   do: relation reuse counts a hit, summary reuse is silent. The copies
+   of a body sharing the slot count as they would with a slot each: a
+   later copy's first evaluation would find the memo filled. *)
+let cached_rel (b : body) ctx =
+  match b.rel_slot with
+  | Some (c, rel) when c == ctx ->
+      ctx.stats.Sem.st_sublink_hits <- ctx.stats.Sem.st_sublink_hits + 1;
+      rel
+  | _ ->
+      let rel = b.materialize ctx [||] in
+      b.rel_slot <- Some (ctx, rel);
+      rel
+
+let cached_summary (b : body) ctx =
+  match b.sum_slot with
+  | Some (c, sm) when c == ctx -> sm
+  | _ ->
+      let sm = b.summary ctx [||] in
+      b.sum_slot <- Some (ctx, sm);
+      sm
+
+(* An uncorrelated ANY/ALL probe's summary, specialized once per
+   execution (kept with the [ctx] it belongs to, by identity) when the
+   probe first runs. When every distinct summary value is an [Int],
+   equality-style membership of an [Int] input is answered from the
+   sorted array of those ints — sound only then, because the summary's
+   own set equates [Int 3] with [Float 3.] and the int array would
+   not. *)
 type prep = {
   p_sum : Sem.summary;
   p_empty : bool;
   p_has_null : bool;
-  p_iset : (int, unit) Hashtbl.t option;
+  p_ints : int array option;
+  p_bound : Value.t option;
+      (** for an ordering operator, the summary's extreme that decides
+          it: the max for [< ANY] and [> ALL], the min for [> ANY] and
+          [< ALL] *)
 }
 
-type probe = {
-  pr_get : ctx -> Sem.summary;
-  pr_any : bool;
-  pr_op : cmpop;
-  pr_lhs : int;  (** depth-0 column offset of the lhs attribute *)
-  mutable pr_prep : (ctx * prep) option;
-}
+type probe = { pr_any : bool; pr_op : cmpop; mutable pr_prep : (ctx * prep) option }
 
-type leaf =
-  | LAttr of int  (** boolean-position column read *)
-  | LIsNull of int
-  | LCmpCC of cmpop * int * Value.t  (** column op constant *)
-  | LCmpRev of cmpop * Value.t * int  (** constant op column *)
-  | LCmpCols of cmpop * int * int
-  | LCmpOuter of cmpop * int * (int * int)
-      (** column op outer column, the latter at (frame depth, offset) of
-          the runtime environment *)
-  | LCmpOuterRev of cmpop * (int * int) * int  (** outer column op column *)
-  | LProbe of probe
-
-(* Mask AST: the vectorizable fragment of predicate expressions, with
-   the compiled predicates' evaluation rules — [MAnd]/[MOr] evaluate their
-   second operand only on the rows whose first operand does not already
-   decide the result, preserving short-circuit evaluation frequency
-   (and thus error behavior and sublink materialization timing). *)
-type mask =
-  | MConst of int
-  | MNot of mask
-  | MAnd of mask * mask
-  | MOr of mask * mask
-  | MBoolEq of mask * bool  (** [p =n TRUE/FALSE] over a boolean shape *)
-  | MLeaf of leaf
-
-let rec mask_probes acc = function
-  | MConst _
-  | MLeaf
-      ( LAttr _ | LIsNull _ | LCmpCC _ | LCmpRev _ | LCmpCols _ | LCmpOuter _
-      | LCmpOuterRev _ ) ->
-      acc
-  | MNot a | MBoolEq (a, _) -> mask_probes acc a
-  | MAnd (a, b) | MOr (a, b) -> mask_probes (mask_probes acc a) b
-  | MLeaf (LProbe p) -> p :: acc
-
-let prep_probe rt pr : prep =
+let prep_probe ctx (b : body) pr : prep =
   match pr.pr_prep with
-  | Some (c, p) when c == rt.cctx -> p
+  | Some (c, p) when c == ctx -> p
   | _ ->
-      let sum = pr.pr_get rt.cctx in
+      let sum = cached_summary b ctx in
       let memberish =
         (pr.pr_any && (pr.pr_op = Eq || pr.pr_op = EqNull))
         || ((not pr.pr_any) && pr.pr_op = Neq)
       in
-      let iset =
+      let ints =
         if not memberish then None
         else
           let vs = Sem.summary_distinct_values sum in
-          if List.for_all (function Value.Int _ -> true | _ -> false) vs
-          then begin
-            let h = Hashtbl.create (max 16 (2 * List.length vs)) in
-            List.iter
-              (function Value.Int x -> Hashtbl.replace h x () | _ -> ())
-              vs;
-            Some h
+          if List.for_all (function Value.Int _ -> true | _ -> false) vs then begin
+            let a = Array.of_list (List.map (function Value.Int x -> x | _ -> 0) vs) in
+            Array.sort Int.compare a;
+            Some a
           end
           else None
       in
@@ -495,14 +552,28 @@ let prep_probe rt pr : prep =
           p_sum = sum;
           p_empty = Sem.summary_is_empty sum;
           p_has_null = Sem.summary_has_null sum;
-          p_iset = iset;
+          p_ints = ints;
+          p_bound =
+            (match (pr.pr_op, pr.pr_any) with
+            | (Lt | Leq), true | (Gt | Geq), false -> Sem.summary_max sum
+            | (Gt | Geq), true | (Lt | Leq), false -> Sem.summary_min sum
+            | (Eq | Neq | EqNull), _ -> None);
         }
       in
-      pr.pr_prep <- Some (rt.cctx, p);
+      pr.pr_prep <- Some (ctx, p);
       p
 
+let is_order = function Lt | Leq | Gt | Geq -> true | Eq | Neq | EqNull -> false
+
+let rec mem_sorted (a : int array) x lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let v = Array.unsafe_get a mid in
+  v = x || if v < x then mem_sorted a x (mid + 1) hi else mem_sorted a x lo mid
+
 (* Per-value probe result; must coincide with {!Sem.any_of_summary} /
-   {!Sem.all_of_summary} on the membership-style operators the int set
+   {!Sem.all_of_summary} on the membership-style operators the int array
    covers, and falls back to them otherwise. *)
 let probe_b3 pr prep (lhs : Value.t) : int =
   let generic () =
@@ -510,11 +581,11 @@ let probe_b3 pr prep (lhs : Value.t) : int =
       ((if pr.pr_any then Sem.any_of_summary else Sem.all_of_summary)
          pr.pr_op lhs prep.p_sum)
   in
-  match (prep.p_iset, lhs) with
-  | Some iset, Value.Int x ->
+  match (prep.p_ints, lhs) with
+  | Some ints, Value.Int x ->
       if prep.p_empty then if pr.pr_any then 0 else 1
       else
-        let mem = Hashtbl.mem iset x in
+        let mem = mem_sorted ints x 0 (Array.length ints) in
         if pr.pr_any then
           if pr.pr_op = EqNull then if mem then 1 else 0
           else if mem then 1
@@ -525,220 +596,27 @@ let probe_b3 pr prep (lhs : Value.t) : int =
         else 1
   | Some _, Value.Null when not (pr.pr_any && pr.pr_op = EqNull) ->
       if prep.p_empty then if pr.pr_any then 0 else 1 else 2
+  | None, _ when (not prep.p_empty) && (not (Value.is_null lhs)) && is_order pr.pr_op -> (
+      (* the extreme alone decides: an ANY holds when it holds there,
+         an ALL fails when it fails there *)
+      match prep.p_bound with
+      | Some m ->
+          let c = cmp_b3 pr.pr_op lhs m in
+          if pr.pr_any then if c = 1 then 1 else if prep.p_has_null then 2 else 0
+          else if c = 0 then 0
+          else if prep.p_has_null then 2
+          else 1
+      | None -> if pr.pr_any then if prep.p_has_null then 2 else 0 else 2)
   | _ -> generic ()
 
-(* ---- leaf kernels --------------------------------------------------- *)
+(* [p =n b] for a boolean-shaped [p]. *)
+let bool_eq (p : test) b : test =
+ fun ctx t outer ->
+  let v = p ctx t outer in
+  if v = 2 then 0 else if (v = 1) = b then 1 else 0
 
-(* Each kernel writes one three-valued byte per row [k < m] of
-   physical row [base + idx.(k)] (see {!iota}). *)
-
-let eval_attr b idx base m j : Bytes.t =
-  let out = Bytes.create m in
-  for k = 0 to m - 1 do
-    Bytes.unsafe_set out k
-      (Char.unsafe_chr (b3_of_value (Vector.value_at b j (base + Array.unsafe_get idx k))))
-  done;
-  out
-
-let eval_isnull b idx base m j : Bytes.t =
-  let out = Bytes.create m in
-  for k = 0 to m - 1 do
-    Bytes.unsafe_set out k
-      (if Value.is_null (Vector.value_at b j (base + Array.unsafe_get idx k)) then '\001'
-       else '\000')
-  done;
-  out
-
-let eval_cmp_cc b idx base m op j (cv : Value.t) : Bytes.t =
-  let out = Bytes.create m in
-  for k = 0 to m - 1 do
-    Bytes.unsafe_set out k
-      (Char.unsafe_chr (cmp_b3 op (Vector.value_at b j (base + Array.unsafe_get idx k)) cv))
-  done;
-  out
-
-let eval_cmp_rev b idx base m op (cv : Value.t) j : Bytes.t =
-  let out = Bytes.create m in
-  for k = 0 to m - 1 do
-    Bytes.unsafe_set out k
-      (Char.unsafe_chr (cmp_b3 op cv (Vector.value_at b j (base + Array.unsafe_get idx k))))
-  done;
-  out
-
-let eval_cmp_cols b idx base m op j1 j2 : Bytes.t =
-  let out = Bytes.create m in
-  for k = 0 to m - 1 do
-    let i = base + Array.unsafe_get idx k in
-    Bytes.unsafe_set out k
-      (Char.unsafe_chr (cmp_b3 op (Vector.value_at b j1 i) (Vector.value_at b j2 i)))
-  done;
-  out
-
-let eval_probe rt b idx base m pr : Bytes.t =
-  let prep = prep_probe rt pr in
-  let out = Bytes.create m in
-  for k = 0 to m - 1 do
-    Bytes.unsafe_set out k
-      (Char.unsafe_chr
-         (probe_b3 pr prep (Vector.value_at b pr.pr_lhs (base + Array.unsafe_get idx k))))
-  done;
-  out
-
-(* ---- mask evaluation ------------------------------------------------ *)
-
-(* An enclosing frame's column: one read per batch, so a correlated
-   comparison runs the constant kernels. *)
-let outer_value rt (depth, off) = Tuple.get (List.nth rt.renv depth) off
-
-(* The rows of [idx] (read from [base]) whose byte in [r] is not [skip],
-   as a fresh index array, their positions in [idx] in [pos]. *)
-let undecided idx r m skip cnt =
-  let sub = Array.make cnt 0 and pos = Array.make cnt 0 in
-  let p = ref 0 in
-  for k = 0 to m - 1 do
-    if Bytes.unsafe_get r k <> skip then begin
-      Array.unsafe_set sub !p (Array.unsafe_get idx k);
-      Array.unsafe_set pos !p k;
-      incr p
-    end
-  done;
-  (sub, pos)
-
-let count_not r m c =
-  let cnt = ref 0 in
-  for k = 0 to m - 1 do
-    if Bytes.unsafe_get r k <> c then incr cnt
-  done;
-  !cnt
-
-(* [eval_mask rt b idx base m mask] — three-valued results, one byte
-   per row. AND/OR evaluate the second operand only on the undecided
-   subset, mirroring the compiled predicates' per-row short-circuit
-   exactly (per row, not just per batch). *)
-let rec eval_mask rt (b : Vector.t) idx base m (mask : mask) : Bytes.t =
-  match mask with
-  | MConst v -> Bytes.make m (Char.chr v)
-  | MLeaf l -> eval_leaf rt b idx base m l
-  | MNot a ->
-      let r = eval_mask rt b idx base m a in
-      for k = 0 to m - 1 do
-        let v = Char.code (Bytes.unsafe_get r k) in
-        Bytes.unsafe_set r k
-          (Char.unsafe_chr (if v = 0 then 1 else if v = 1 then 0 else 2))
-      done;
-      r
-  | MBoolEq (a, bv) ->
-      let r = eval_mask rt b idx base m a in
-      for k = 0 to m - 1 do
-        let v = Char.code (Bytes.unsafe_get r k) in
-        Bytes.unsafe_set r k
-          (if v = 2 then '\000' else if (v = 1) = bv then '\001' else '\000')
-      done;
-      r
-  | MAnd (x, y) ->
-      let rx = eval_mask rt b idx base m x in
-      let cnt = count_not rx m '\000' in
-      if cnt = 0 then rx
-      else begin
-        let sub, pos = undecided idx rx m '\000' cnt in
-        let ry = eval_mask rt b sub base cnt y in
-        for q = 0 to cnt - 1 do
-          let k = Array.unsafe_get pos q in
-          let va = Char.code (Bytes.unsafe_get rx k) in
-          let vb = Char.code (Bytes.unsafe_get ry q) in
-          Bytes.unsafe_set rx k
-            (Char.unsafe_chr
-               (if vb = 0 then 0 else if va = 2 || vb = 2 then 2 else 1))
-        done;
-        rx
-      end
-  | MOr (x, y) ->
-      let rx = eval_mask rt b idx base m x in
-      let cnt = count_not rx m '\001' in
-      if cnt = 0 then rx
-      else begin
-        let sub, pos = undecided idx rx m '\001' cnt in
-        let ry = eval_mask rt b sub base cnt y in
-        for q = 0 to cnt - 1 do
-          let k = Array.unsafe_get pos q in
-          let va = Char.code (Bytes.unsafe_get rx k) in
-          let vb = Char.code (Bytes.unsafe_get ry q) in
-          Bytes.unsafe_set rx k
-            (Char.unsafe_chr
-               (if vb = 1 then 1 else if va = 2 || vb = 2 then 2 else 0))
-        done;
-        rx
-      end
-
-and eval_leaf rt b idx base m = function
-  | LAttr j -> eval_attr b idx base m j
-  | LIsNull j -> eval_isnull b idx base m j
-  | LCmpCC (op, j, cv) -> eval_cmp_cc b idx base m op j cv
-  | LCmpRev (op, cv, j) -> eval_cmp_rev b idx base m op cv j
-  | LCmpCols (op, j1, j2) -> eval_cmp_cols b idx base m op j1 j2
-  | LCmpOuter (op, j, at) -> eval_cmp_cc b idx base m op j (outer_value rt at)
-  | LCmpOuterRev (op, at, j) -> eval_cmp_rev b idx base m op (outer_value rt at) j
-  | LProbe pr -> eval_probe rt b idx base m pr
-
-(* A row-wise predicate's results as a mask: one byte per row, the
-   rows evaluated in order. *)
-let eval_pred_rows rt b idx base m pcond : Bytes.t =
-  let out = Bytes.create m in
-  for k = 0 to m - 1 do
-    let t = Vector.tuple_phys b (base + Array.unsafe_get idx k) in
-    Bytes.unsafe_set out k (if pcond rt.cctx (t :: rt.renv) = 1 then '\001' else '\000')
-  done;
-  out
-
-(* Apply a computed mask that keeps [cnt] of the [m] rows, some but not
-   all: surviving rows become a row batch's selection vector (no row is
-   copied), or a cross block's kept rows are expanded into a row
-   batch. *)
-let apply_mask (b : Vector.t) idx base m (r : Bytes.t) cnt : Vector.t =
-  match b with
-    | Vector.Rows rb ->
-        let keep = Array.make cnt 0 in
-        let p = ref 0 in
-        for k = 0 to m - 1 do
-          if Bytes.unsafe_get r k = '\001' then begin
-            Array.unsafe_set keep !p (base + Array.unsafe_get idx k);
-            incr p
-          end
-        done;
-        Vector.Rows { rb with sel = Some keep }
-    | Vector.CrossB _ ->
-        let schema = Vector.schema b in
-        let keep = Array.make cnt [||] in
-        let p = ref 0 in
-        for k = 0 to m - 1 do
-          if Bytes.unsafe_get r k = '\001' then begin
-            Array.unsafe_set keep !p (Vector.tuple_at b (base + Array.unsafe_get idx k));
-            incr p
-          end
-        done;
-        Vector.rows_batch schema keep
-
-
-(* Whether a vectorized boolean expression yields exactly the compiled
-   expression's {e scalar} value (not just its truth), and cannot raise:
-   the scalar AND/OR/NOT raise on non-boolean operands where a
-   predicate reads them as false, so bare attributes and non-boolean
-   constants are excluded; comparisons of attributes and constants,
-   NULL tests and ANY/ALL probes are total. *)
-let rec scalar_safe = function
-  | Const (Value.Bool _ | Value.Null) | IsNull _ | Sublink _ -> true
-  | Cmp (EqNull, p, Const (Value.Bool _)) when is_boolean_shape p -> scalar_safe p
-  | Cmp (EqNull, Const (Value.Bool _), p) when is_boolean_shape p -> scalar_safe p
-  | Cmp _ -> true
-  | And (a, b) | Or (a, b) -> scalar_safe a && scalar_safe b
-  | Not a -> scalar_safe a
-  | _ -> false
-
-(* One output column of a projection computed batch-at-a-time: an input
-   column, or a boolean expression evaluated as a mask. *)
-type pcol = PAttr of int | PMask of mask
-
-let value_of_b3 = function 0 -> Value.vfalse | 1 -> Value.vtrue | _ -> Value.Null
+(* A test as a compiled expression. *)
+let of_test (p : test) : cexpr = fun ctx t outer -> value_of_b3 (p ctx t outer)
 
 (* A replayed subtree's batches as kept in its slot: projected row
    batches and factored cross blocks are boxed once here, instead of on
@@ -805,15 +683,15 @@ let join_row offs arity_a (ta : Tuple.t) (tb : Tuple.t) : Tuple.t =
       done;
       out
 
-type pred = ctx -> renv -> int
-
 (* A nested-loop join's condition, with a left-only first operand of a
-   top-level OR/AND hoisted to one evaluation per left tuple. *)
+   top-level OR/AND hoisted to one evaluation per left tuple. The pair
+   tests read the right row as the row under test and the left row as
+   the first enclosing frame; the hoisted test reads the left row. *)
 type nl_split =
   | All
-  | Whole of pred
-  | Or_hoisted of pred * pred
-  | And_hoisted of pred * pred
+  | Whole of test
+  | Or_hoisted of test * test
+  | And_hoisted of test * test
 
 (* A nested-loop join: lowering-time constants, then the run state.
    Output is a batch list in left-row order: row-wise runs (filtered
@@ -903,12 +781,12 @@ let nl_emit_all nl ta =
   nl.n_pending <- nl.n_pending + 1;
   if nl.n_pending * card_b >= 65536 then nl_flush_pending nl
 
-let nl_emit_filtered nl rt ta aenv (p : pred) =
+let nl_emit_filtered nl rt ta aenv (p : test) =
   let hit = ref false in
   let tbs = nl.tbs in
   for k = 0 to Array.length tbs - 1 do
     let tb = Array.unsafe_get tbs k in
-    if p rt.cctx (tb :: aenv) = 1 then begin
+    if p rt.cctx tb aenv = 1 then begin
       hit := true;
       nl.emitted <- nl.emitted + 1;
       nl_push nl (join_row nl.nl_offs nl.nl_arity_a ta tb)
@@ -916,10 +794,10 @@ let nl_emit_filtered nl rt ta aenv (p : pred) =
   done;
   if nl.nl_outer && not !hit then nl_emit_pad nl ta
 
-let nl_drain_drop nl rt ta aenv (p : pred) =
+let nl_drain_drop nl rt ta aenv (p : test) =
   let tbs = nl.tbs in
   for k = 0 to Array.length tbs - 1 do
-    ignore (p rt.cctx (Array.unsafe_get tbs k :: aenv))
+    ignore (p rt.cctx (Array.unsafe_get tbs k) aenv)
   done;
   if nl.nl_outer then nl_emit_pad nl ta
 
@@ -930,14 +808,13 @@ let nl_left nl rt ta =
     | All -> nl_emit_all nl ta
     | Whole p -> nl_emit_filtered nl rt ta (ta :: rt.renv) p
     | Or_hoisted (px, py) ->
-        let aenv = ta :: rt.renv in
-        if px rt.cctx aenv = 1 then nl_emit_all nl ta else nl_emit_filtered nl rt ta aenv py
+        if px rt.cctx ta rt.renv = 1 then nl_emit_all nl ta
+        else nl_emit_filtered nl rt ta (ta :: rt.renv) py
     | And_hoisted (px, py) -> (
-        let aenv = ta :: rt.renv in
-        match px rt.cctx aenv with
+        match px rt.cctx ta rt.renv with
         | 0 -> if nl.nl_outer then nl_emit_pad nl ta
-        | 1 -> nl_emit_filtered nl rt ta aenv py
-        | _ -> nl_drain_drop nl rt ta aenv py)
+        | 1 -> nl_emit_filtered nl rt ta (ta :: rt.renv) py
+        | _ -> nl_drain_drop nl rt ta (ta :: rt.renv) py)
 
 (* The left batches, each left row against the right rows; the number
    of left rows. *)
@@ -974,7 +851,7 @@ type hj = {
   hj_left_keys : cexpr array;
   hj_right_keys : cexpr array;
   hj_safe : bool array;  (** per key: [=n], so a NULL key still matches *)
-  hj_residual : pred option;
+  hj_residual : test option;  (** the right row under the left row's frames *)
   mutable table : (Tuple.t list Tuple.Tbl.t * int) option;  (** and its capacity *)
   mutable hj_acc : Tuple.t list;  (** output rows, last first *)
   mutable hj_n : int;
@@ -1007,7 +884,7 @@ let hj_build hj rt rbats =
       Guard.tick hj.hj_here;
       for i = 0 to Vector.length bb - 1 do
         let tb = Vector.tuple_at bb i in
-        let key = eval_row hj.hj_right_keys rt.cctx (tb :: rt.renv) in
+        let key = eval_row hj.hj_right_keys rt.cctx tb rt.renv in
         if usable hj.hj_safe key then
           let existing = try Tuple.Tbl.find table key with Not_found -> [] in
           Tuple.Tbl.replace table key (tb :: existing)
@@ -1033,7 +910,7 @@ let rec hj_matches hj rt ta fenv = function
           hj_emit hj ta tb;
           true
       | Some cr ->
-          if cr rt.cctx (tb :: fenv) = 1 then begin
+          if cr rt.cctx tb fenv = 1 then begin
             hj_emit hj ta tb;
             true
           end
@@ -1046,13 +923,14 @@ let hj_probe_batches hj rt lbats =
       Guard.tick hj.hj_here;
       for i = 0 to Vector.length ba - 1 do
         let ta = Vector.tuple_at ba i in
-        let fenv = ta :: rt.renv in
-        let key = eval_row hj.hj_left_keys rt.cctx fenv in
+        let key = eval_row hj.hj_left_keys rt.cctx ta rt.renv in
         let hit =
           usable hj.hj_safe key
           &&
           match Tuple.Tbl.find table key with
-          | tbs -> hj_matches hj rt ta fenv tbs
+          | tbs ->
+              let fenv = if hj.hj_residual = None then rt.renv else ta :: rt.renv in
+              hj_matches hj rt ta fenv tbs
           | exception Not_found -> false
         in
         if hj.hj_outer && not hit then hj_emit hj ta hj.hj_pad
@@ -1092,7 +970,7 @@ let agg_run ag out_schema rt bats =
       for i = 0 to Vector.length b - 1 do
         let t = Vector.tuple_at b i in
         saw_input := true;
-        let key = eval_row ag.ag_keys rt.cctx (t :: rt.renv) in
+        let key = eval_row ag.ag_keys rt.cctx t rt.renv in
         match Tuple.Tbl.find groups key with
         | members -> Tuple.Tbl.replace groups key (t :: members)
         | exception Not_found ->
@@ -1116,7 +994,7 @@ let agg_run ag out_schema rt bats =
         | Some ce ->
             List.filter_map
               (fun t ->
-                let v = ce rt.cctx (t :: rt.renv) in
+                let v = ce rt.cctx t rt.renv in
                 if Value.is_null v then None else Some v)
               members
       in
@@ -1132,57 +1010,141 @@ let agg_run ag out_schema rt bats =
   Tuple.Tbl.reset groups;
   out
 
-(* The batches of [bats] filtered by a mask computed over each batch's
-   rows by [eval]: an all-kept batch passes through unchanged and an
-   emptied one is dropped. *)
-let rec filter_batches rt here eval = function
+(* Code compiled for each layout of the stored rows an operator's
+   batches bring — no offset map, or one — when the first batch of that
+   layout arrives: a batch behind a map is read in place, through the
+   map resolved into the code, and an operator whose input is empty
+   compiles nothing. *)
+type 'a layouts = { compile : int array option -> 'a; mutable met : (int array option * 'a) list }
+
+let layouts compile = { compile; met = [] }
+
+let same_layout a b =
+  match (a, b) with Some x, Some y -> x == y || x = y | None, None -> true | _ -> false
+
+let for_layout l offs =
+  match l.met with
+  | (o, code) :: _ when same_layout o offs -> code
+  | met -> (
+      match List.find (fun (o, _) -> same_layout o offs) met with
+      | _, code -> code
+      | exception Not_found ->
+          let code = l.compile offs in
+          l.met <- (offs, code) :: met;
+          code)
+
+(* A cross block's scratch row of [arity] columns, in [row] when it
+   has one. *)
+let scratch_row (row : Tuple.t) arity =
+  if Array.length row = arity then row else Array.make arity Value.Null
+
+(* A selection: its row test per layout, and the scratch state of the
+   batch under test. *)
+type sel = {
+  s_here : Path.t;
+  s_tests : test layouts;
+  mutable s_keep : int array;  (** the survivors' row indices *)
+  mutable s_row : Tuple.t;  (** a cross block's row under test *)
+}
+
+(* Test every row of [b] in one pass, writing the survivors' physical
+   indices (logical ones for a cross block) to [s_keep]; their
+   number. A cross block's rows are assembled in turn in [s_row], so a
+   dropped pair builds no tuple. *)
+let sel_pass sl rt (b : Vector.t) =
+  let ctx = rt.cctx and outer = rt.renv in
+  let m = Vector.length b in
+  if Array.length sl.s_keep < m then sl.s_keep <- Array.make m 0;
+  let keep = sl.s_keep and n = ref 0 in
+  (match b with
+  | Vector.Rows { rows; lo; len; offs; sel; _ } -> (
+      let test = for_layout sl.s_tests offs in
+      match sel with
+      (* every row is written past the survivors, which the test's
+         result moves on by one: there is no branch to mispredict *)
+      | None ->
+          for p = lo to lo + len - 1 do
+            Array.unsafe_set keep !n p;
+            n := !n + Bool.to_int (test ctx (Array.unsafe_get rows p) outer = 1)
+          done
+      | Some s ->
+          for k = 0 to m - 1 do
+            let p = Array.unsafe_get s k in
+            Array.unsafe_set keep !n p;
+            n := !n + Bool.to_int (test ctx (Array.unsafe_get rows p) outer = 1)
+          done)
+  | Vector.CrossB { lefts; right_cols; card_b; srcs; _ } ->
+      let row = scratch_row sl.s_row (Array.length srcs) in
+      sl.s_row <- row;
+      let test = for_layout sl.s_tests None in
+      for k = 0 to Array.length lefts - 1 do
+        let ta = Array.unsafe_get lefts k in
+        for i = 0 to card_b - 1 do
+          Vector.fill_cross ta right_cols srcs i row;
+          Array.unsafe_set keep !n ((k * card_b) + i);
+          n := !n + Bool.to_int (test ctx row outer = 1)
+        done
+      done);
+  !n
+
+(* The [n] survivors of [b], some but not all of its rows: a row batch
+   gets them as an exact-size selection vector (no row is copied); a
+   cross block's kept rows are built into a row batch. *)
+let survivors sl (b : Vector.t) n =
+  match b with
+  | Vector.Rows r -> Vector.Rows { r with sel = Some (Array.sub sl.s_keep 0 n) }
+  | Vector.CrossB _ ->
+      let rows = Array.make n [||] in
+      for q = 0 to n - 1 do
+        Array.unsafe_set rows q (Vector.tuple_at b (Array.unsafe_get sl.s_keep q))
+      done;
+      Vector.rows_batch (Vector.schema b) rows
+
+(* The batches of [bats] filtered by the selection: an all-kept batch
+   passes through unchanged and an emptied one is dropped. *)
+let rec select_batches sl rt = function
   | [] -> []
   | b :: rest ->
-      Guard.tick here;
-      let idx = idx_of rt.cctx b and base = base_of b and m = Vector.length b in
-      let r = eval rt b idx base m in
-      let cnt = m - count_not r m '\001' in
-      if cnt = 0 then filter_batches rt here eval rest
+      Guard.tick sl.s_here;
+      let n = sel_pass sl rt b in
+      if n = 0 then select_batches sl rt rest
       else
-        let b = if cnt = m then b else apply_mask b idx base m r cnt in
-        b :: filter_batches rt here eval rest
+        (* before the next batch overwrites the survivors *)
+        let b = if n = Vector.length b then b else survivors sl b n in
+        b :: select_batches sl rt rest
 
 let rec select_all out_schema offs = function
   | [] -> []
   | b :: rest -> Vector.select_cols out_schema b offs :: select_all out_schema offs rest
 
-(* One projected batch of attribute and mask columns: the masks are
-   computed over the input rows, then each output row gathers its
-   values. *)
-let project_mask_batch rt here out_schema pcols b =
-  Guard.tick here;
-  let idx = idx_of rt.cctx b and base = base_of b and m = Vector.length b in
-  let ncols = Array.length pcols in
-  let masks = Array.make ncols Bytes.empty in
-  for c = 0 to ncols - 1 do
-    match Array.unsafe_get pcols c with
-    | PMask mk -> masks.(c) <- eval_mask rt b idx base m mk
-    | PAttr _ -> ()
-  done;
-  let rows = Array.make m [||] in
-  for k = 0 to m - 1 do
-    let p = base + Array.unsafe_get idx k in
-    let row = Array.make ncols Value.Null in
-    for c = 0 to ncols - 1 do
-      Array.unsafe_set row c
-        (match Array.unsafe_get pcols c with
-        | PAttr j -> Vector.value_at b j p
-        | PMask _ -> value_of_b3 (Char.code (Bytes.unsafe_get (Array.unsafe_get masks c) k)))
-    done;
-    Array.unsafe_set rows k (row : Tuple.t)
-  done;
-  Vector.rows_batch out_schema rows
+(* A projection's items per layout, and a cross block's scratch row. *)
+type pj = { p_items : cexpr array layouts; mutable p_row : Tuple.t }
 
-let rec project_masks rt here out_schema pcols = function
-  | [] -> []
-  | b :: rest ->
-      let b = project_mask_batch rt here out_schema pcols b in
-      b :: project_masks rt here out_schema pcols rest
+(* The projected rows of [b], pushed onto [acc] (last first). *)
+let project_rows pj rt (acc : Tuple.t list ref) (b : Vector.t) =
+  let ctx = rt.cctx and outer = rt.renv in
+  match b with
+  | Vector.Rows { rows; lo; len; offs; sel; _ } -> (
+      let items = for_layout pj.p_items offs in
+      match sel with
+      | None ->
+          for p = lo to lo + len - 1 do
+            acc := eval_row items ctx (Array.unsafe_get rows p) outer :: !acc
+          done
+      | Some s ->
+          for k = 0 to Array.length s - 1 do
+            acc := eval_row items ctx (Array.unsafe_get rows (Array.unsafe_get s k)) outer :: !acc
+          done)
+  | Vector.CrossB { lefts; right_cols; card_b; srcs; _ } ->
+      let row = scratch_row pj.p_row (Array.length srcs) in
+      pj.p_row <- row;
+      let items = for_layout pj.p_items None in
+      for k = 0 to Array.length lefts - 1 do
+        for i = 0 to card_b - 1 do
+          Vector.fill_cross (Array.unsafe_get lefts k) right_cols srcs i row;
+          acc := eval_row items ctx row outer :: !acc
+        done
+      done
 
 (* The same batches under [schema]; a batch already under it is kept. *)
 let rec rebrand schema bats tail =
@@ -1204,15 +1166,18 @@ let scalar_value rel =
 
 (* Expressions, predicates and sublinks compile to closures, operators
    lower to batch kernels, and a sublink's body is lowered by the same
-   [lower] — one recursive group. *)
+   [lower] — one recursive group. A comparison, NULL test or ANY/ALL
+   probe in an expression compiles to the predicate compiler's test, so
+   a boolean projection item runs the same specialized code as a
+   selection. *)
 
-let rec compile_expr lx at (cenv : Schema.t list) (e : expr) : cexpr =
+let rec compile_expr lx at ?offs (cenv : Schema.t list) (e : expr) : cexpr =
   match e with
-  | Const v -> fun _ _ -> v
-  | TypedNull _ -> fun _ _ -> Value.Null
-  | Attr name -> attr_access (resolve_attr cenv name)
+  | Const v -> fun _ _ _ -> v
+  | TypedNull _ -> fun _ _ _ -> Value.Null
+  | Attr name -> attr_access (resolve cenv offs name)
   | Binop (op, a, b) ->
-      let ca = compile_expr lx at cenv a and cb = compile_expr lx at cenv b in
+      let ca = compile_expr lx at ?offs cenv a and cb = compile_expr lx at ?offs cenv b in
       let f =
         match op with
         | Add -> Value.add
@@ -1222,56 +1187,58 @@ let rec compile_expr lx at (cenv : Schema.t list) (e : expr) : cexpr =
         | Mod -> Value.modulo
         | Concat -> Value.concat
       in
-      fun ctx env -> f (ca ctx env) (cb ctx env)
-  | Cmp (op, a, b) ->
-      let ca = compile_expr lx at cenv a and cb = compile_expr lx at cenv b in
-      fun ctx env -> Sem.cmp3 op (ca ctx env) (cb ctx env)
+      fun ctx t outer -> f (ca ctx t outer) (cb ctx t outer)
+  | Cmp (op, a, b) -> (
+      match cmp_leaf cenv offs op a b with
+      | Some p -> of_test p
+      | None ->
+          let ca = compile_expr lx at ?offs cenv a and cb = compile_expr lx at ?offs cenv b in
+          fun ctx t outer -> Sem.cmp3 op (ca ctx t outer) (cb ctx t outer))
   | And (a, b) ->
-      let ca = compile_expr lx at cenv a and cb = compile_expr lx at cenv b in
-      fun ctx env ->
-        let va = ca ctx env in
-        if Value.is_false va then Value.vfalse else Value.and3 va (cb ctx env)
+      let ca = compile_expr lx at ?offs cenv a and cb = compile_expr lx at ?offs cenv b in
+      fun ctx t outer ->
+        let va = ca ctx t outer in
+        if Value.is_false va then Value.vfalse else Value.and3 va (cb ctx t outer)
   | Or (a, b) ->
-      let ca = compile_expr lx at cenv a and cb = compile_expr lx at cenv b in
-      fun ctx env ->
-        let va = ca ctx env in
-        if Value.is_true va then Value.vtrue else Value.or3 va (cb ctx env)
+      let ca = compile_expr lx at ?offs cenv a and cb = compile_expr lx at ?offs cenv b in
+      fun ctx t outer ->
+        let va = ca ctx t outer in
+        if Value.is_true va then Value.vtrue else Value.or3 va (cb ctx t outer)
   | Not a ->
-      let ca = compile_expr lx at cenv a in
-      fun ctx env -> Value.not3 (ca ctx env)
+      let ca = compile_expr lx at ?offs cenv a in
+      fun ctx t outer -> Value.not3 (ca ctx t outer)
   | IsNull a ->
-      let ca = compile_expr lx at cenv a in
-      fun ctx env -> Value.Bool (Value.is_null (ca ctx env))
+      let ca = compile_expr lx at ?offs cenv a in
+      fun ctx t outer -> if Value.is_null (ca ctx t outer) then Value.vtrue else Value.vfalse
   | Case (whens, els) ->
       let cwhens =
         List.map
-          (fun (c, e) -> (compile_expr lx at cenv c, compile_expr lx at cenv e))
+          (fun (c, e) -> (compile_expr lx at ?offs cenv c, compile_expr lx at ?offs cenv e))
           whens
       in
-      let cels = Option.map (compile_expr lx at cenv) els in
-      fun ctx env ->
+      let cels = Option.map (compile_expr lx at ?offs cenv) els in
+      fun ctx t outer ->
         let rec go = function
-          | (cc, ce) :: rest ->
-              if Value.is_true (cc ctx env) then ce ctx env else go rest
-          | [] -> ( match cels with Some ce -> ce ctx env | None -> Value.Null)
+          | (cc, ce) :: rest -> if Value.is_true (cc ctx t outer) then ce ctx t outer else go rest
+          | [] -> ( match cels with Some ce -> ce ctx t outer | None -> Value.Null)
         in
         go cwhens
   | Like (a, pattern) -> (
-      let ca = compile_expr lx at cenv a in
-      fun ctx env ->
-        match ca ctx env with
+      let ca = compile_expr lx at ?offs cenv a in
+      fun ctx t outer ->
+        match ca ctx t outer with
         | Value.Null -> Value.Null
         | Value.String s -> Value.Bool (Builtin.like_match ~pattern s)
         | v -> Sem.eval_error "LIKE over non-string %s" (Value.to_string v))
   | InList (a, es) ->
-      let ca = compile_expr lx at cenv a in
-      let ces = List.map (compile_expr lx at cenv) es in
-      fun ctx env ->
-        let x = ca ctx env in
+      let ca = compile_expr lx at ?offs cenv a in
+      let ces = List.map (compile_expr lx at ?offs cenv) es in
+      fun ctx t outer ->
+        let x = ca ctx t outer in
         let rec go acc = function
           | [] -> acc
           | ce :: rest ->
-              let r = Sem.cmp3 Eq x (ce ctx env) in
+              let r = Sem.cmp3 Eq x (ce ctx t outer) in
               if Value.is_true r then Value.vtrue else go (Value.or3 acc r) rest
         in
         go Value.vfalse ces
@@ -1279,64 +1246,116 @@ let rec compile_expr lx at (cenv : Schema.t list) (e : expr) : cexpr =
       if Builtin.is_aggregate name then
         Sem.eval_error "aggregate function %s in scalar context" name
       else
-        let cargs = List.map (compile_expr lx at cenv) args in
-        fun ctx env ->
-          Builtin.apply_scalar name (List.map (fun ce -> ce ctx env) cargs)
-  | Sublink s -> compile_sublink lx at cenv s
+        let cargs = List.map (compile_expr lx at ?offs cenv) args in
+        fun ctx t outer -> Builtin.apply_scalar name (List.map (fun ce -> ce ctx t outer) cargs)
+  | Sublink s -> compile_sublink lx at offs cenv s
 
-(* Selection and join conditions compile to unboxed three-valued
-   predicates (the {!b3_of_value} encoding), so the boolean skeleton
-   evaluates without allocating a [Value.t] per node. Truth tables and
+(* Selection and join conditions compile to row tests ({!test}) on the
+   unboxed three-valued encoding, so the boolean skeleton evaluates
+   without allocating a [Value.t] per node. Truth tables and
    short-circuiting mirror the reference evaluator exactly, including
    {e which} operand subexpressions are evaluated — sublink memo
-   counters depend on that. *)
-and compile_pred lx at (cenv : Schema.t list) (e : expr) : ctx -> renv -> int =
+   counters and the rows that raise depend on that. Comparisons of
+   columns and constants, NULL tests and uncorrelated ANY/ALL probes
+   are specialized here, at lowering; any other operand is compiled by
+   {!compile_expr}. [offs] is the offset map of stored rows tested in
+   place. *)
+and compile_pred lx at ?offs (cenv : Schema.t list) (e : expr) : test =
   match e with
   | Const v ->
       let b = b3_of_value v in
-      fun _ _ -> b
+      fun _ _ _ -> b
   (* [p =n TRUE/FALSE] over a boolean-valued operand — the shape the
      provenance rewrites wrap around moved sublink tests — reduces to a
      truth-table check on the operand's unboxed value. *)
   | Cmp (EqNull, p, Const (Value.Bool b)) when is_boolean_shape p ->
-      let pp = compile_pred lx at cenv p in
-      fun ctx env ->
-        let v = pp ctx env in
-        if v = 2 then 0 else if (v = 1) = b then 1 else 0
+      bool_eq (compile_pred lx at ?offs cenv p) b
   | Cmp (EqNull, Const (Value.Bool b), p) when is_boolean_shape p ->
-      let pp = compile_pred lx at cenv p in
-      fun ctx env ->
-        let v = pp ctx env in
-        if v = 2 then 0 else if (v = 1) = b then 1 else 0
-  | Cmp (op, a, b) ->
-      let ca = compile_expr lx at cenv a and cb = compile_expr lx at cenv b in
-      fun ctx env -> cmp_b3 op (ca ctx env) (cb ctx env)
-  | And (a, b) ->
-      let pa = compile_pred lx at cenv a and pb = compile_pred lx at cenv b in
-      fun ctx env ->
-        let va = pa ctx env in
+      bool_eq (compile_pred lx at ?offs cenv p) b
+  | Cmp (op, a, b) -> (
+      match cmp_leaf cenv offs op a b with
+      | Some p -> p
+      | None ->
+          let ca = compile_expr lx at ?offs cenv a and cb = compile_expr lx at ?offs cenv b in
+          fun ctx t outer -> cmp_b3 op (ca ctx t outer) (cb ctx t outer))
+  | And (a, b) -> (
+      let pa = compile_pred lx at ?offs cenv a and pb = compile_pred lx at ?offs cenv b in
+      let both ctx t outer =
+        let va = pa ctx t outer in
         if va = 0 then 0
         else
-          let vb = pb ctx env in
+          let vb = pb ctx t outer in
           if vb = 0 then 0 else if va = 2 || vb = 2 then 2 else 1
+      in
+      (* Two integer bounds on one column: an [Int] cell is tested
+         against both at once, with no branch on the first (neither
+         operand can raise or touch a counter on it); any other cell
+         runs the two tests in order. *)
+      match (int_range cenv offs a, int_range cenv offs b) with
+      | Some (j, lo1, hi1), Some (j', lo2, hi2) when j = j' ->
+          let lo = max lo1 lo2 and hi = min hi1 hi2 in
+          fun ctx t outer -> (
+            match Array.unsafe_get t j with
+            | Value.Int x -> Bool.to_int (x >= lo) land Bool.to_int (x <= hi)
+            | _ -> both ctx t outer)
+      | _ -> both)
   | Or (a, b) ->
-      let pa = compile_pred lx at cenv a and pb = compile_pred lx at cenv b in
-      fun ctx env ->
-        let va = pa ctx env in
+      let pa = compile_pred lx at ?offs cenv a and pb = compile_pred lx at ?offs cenv b in
+      fun ctx t outer ->
+        let va = pa ctx t outer in
         if va = 1 then 1
         else
-          let vb = pb ctx env in
+          let vb = pb ctx t outer in
           if vb = 1 then 1 else if va = 2 || vb = 2 then 2 else 0
   | Not a ->
-      let pa = compile_pred lx at cenv a in
-      fun ctx env -> (
-        match pa ctx env with 0 -> 1 | 1 -> 0 | _ -> 2)
-  | IsNull a ->
-      let ca = compile_expr lx at cenv a in
-      fun ctx env -> if Value.is_null (ca ctx env) then 1 else 0
-  | _ ->
-      let ce = compile_expr lx at cenv e in
-      fun ctx env -> b3_of_value (ce ctx env)
+      let pa = compile_pred lx at ?offs cenv a in
+      fun ctx t outer -> ( match pa ctx t outer with 0 -> 1 | 1 -> 0 | _ -> 2)
+  | IsNull a -> (
+      match operand cenv offs a with
+      | Col j -> fun _ t _ -> Bool.to_int (Value.is_null (Array.unsafe_get t j))
+      | _ ->
+          let ca = compile_expr lx at ?offs cenv a in
+          fun ctx t outer -> Bool.to_int (Value.is_null (ca ctx t outer)))
+  | Attr _ -> (
+      match operand cenv offs e with
+      | Col j -> fun _ t _ -> b3_of_value (Array.unsafe_get t j)
+      | _ -> generic_pred lx at offs cenv e)
+  | Sublink ({ kind = AnyOp _ | AllOp _; _ } as s)
+    when Scope.body_frees lx.frees lx.db s.query = [] ->
+      compile_probe lx at offs cenv s
+  | _ -> generic_pred lx at offs cenv e
+
+and generic_pred lx at offs cenv e : test =
+  let ce = compile_expr lx at ?offs cenv e in
+  fun ctx t outer -> b3_of_value (ce ctx t outer)
+
+(* An uncorrelated ANY/ALL sublink as a probe of its body's summary,
+   specialized once per execution when first reached ({!prep_probe}).
+   The summary is read before the left operand, as {!compile_sublink}
+   reads a correlated one. *)
+and compile_probe lx at offs cenv (s : sublink) : test =
+  let any, op, lhs =
+    match s.kind with
+    | AnyOp (op, l) -> (true, op, l)
+    | AllOp (op, l) -> (false, op, l)
+    | Exists | Scalar -> invalid_arg "compile_probe"
+  in
+  let b = sublink_body lx at cenv s ~names:[] ~frees:[||] in
+  let pr = { pr_any = any; pr_op = op; pr_prep = None } in
+  match operand cenv offs lhs with
+  | Col j ->
+      fun ctx t _ ->
+        let p = prep_probe ctx b pr in
+        probe_b3 pr p (Array.unsafe_get t j)
+  | Outer (d, o) ->
+      fun ctx _ outer ->
+        let p = prep_probe ctx b pr in
+        probe_b3 pr p (Tuple.get (outer_frame outer d) o)
+  | Lit _ | Computed ->
+      let cl = compile_expr lx at ?offs cenv lhs in
+      fun ctx t outer ->
+        let p = prep_probe ctx b pr in
+        probe_b3 pr p (cl ctx t outer)
 
 (* A sublink's memoized result and ANY/ALL summary per binding of its
    free names, read at [frees] (their [(depth, offset)] accessors in
@@ -1432,179 +1451,46 @@ and lower_body lx spath frame (s : sublink) ~correlated : body =
   in
   { materialize; summary; rel_slot = None; sum_slot = None }
 
-(* An uncorrelated body has a constant memo key, so its result for the
-   current execution is held in the body's slot instead of paying a
-   hash per evaluation. The slot is keyed on the [ctx] by physical
-   identity — a fresh execution gets a fresh context and recomputes —
-   and the first fill still goes through the shared memo tables, so the
-   counters ({!Sem.stats}) advance exactly as the reference evaluator's
-   do: relation reuse counts a hit, summary reuse is silent. The copies
-   of a body sharing the slot count as they would with a slot each: a
-   later copy's first evaluation would find the memo filled. *)
-and cached_rel (b : body) ctx =
-  match b.rel_slot with
-  | Some (c, rel) when c == ctx ->
-      ctx.stats.Sem.st_sublink_hits <- ctx.stats.Sem.st_sublink_hits + 1;
-      rel
-  | _ ->
-      let rel = b.materialize ctx [||] in
-      b.rel_slot <- Some (ctx, rel);
-      rel
-
-and cached_summary (b : body) ctx =
-  match b.sum_slot with
-  | Some (c, sm) when c == ctx -> sm
-  | _ ->
-      let sm = b.summary ctx [||] in
-      b.sum_slot <- Some (ctx, sm);
-      sm
-
 (* The correlated attributes are resolved to offset accessors once, so
    the per-call binding is read without any name resolution, into a
    buffer of the call site (its copies run one at a time: a body never
    contains its own sublink). *)
-and compile_sublink lx at (cenv : Schema.t list) (s : sublink) : cexpr =
+and compile_sublink lx at offs (cenv : Schema.t list) (s : sublink) : cexpr =
   let names = Scope.body_frees lx.frees lx.db s.query in
   let frees = Array.of_list (List.map (resolve_attr cenv) names) in
-  let b = sublink_body lx at cenv s ~names ~frees in
   let truth v = if v then Value.vtrue else Value.vfalse in
   if frees = [||] then
     match s.kind with
-    | Exists -> fun ctx _ -> truth (not (Relation.is_empty (cached_rel b ctx)))
-    | Scalar -> fun ctx _ -> scalar_value (cached_rel b ctx)
-    | AnyOp (op, lhs) ->
-        let clhs = compile_expr lx at cenv lhs in
-        fun ctx env -> Sem.any_of_summary op (clhs ctx env) (cached_summary b ctx)
-    | AllOp (op, lhs) ->
-        let clhs = compile_expr lx at cenv lhs in
-        fun ctx env -> Sem.all_of_summary op (clhs ctx env) (cached_summary b ctx)
+    | Exists ->
+        let b = sublink_body lx at cenv s ~names ~frees in
+        fun ctx _ _ -> truth (not (Relation.is_empty (cached_rel b ctx)))
+    | Scalar ->
+        let b = sublink_body lx at cenv s ~names ~frees in
+        fun ctx _ _ -> scalar_value (cached_rel b ctx)
+    | AnyOp _ | AllOp _ -> of_test (compile_probe lx at offs cenv s)
   else
-    let getters = Array.map attr_access frees in
+    let b = sublink_body lx at cenv s ~names ~frees in
+    let getters = Array.of_list (List.map (fun n -> attr_access (resolve cenv offs n)) names) in
     let buffer = Array.make (Array.length getters) Value.Null in
-    let binding ctx env =
+    let binding ctx t outer =
       for i = 0 to Array.length getters - 1 do
-        buffer.(i) <- getters.(i) ctx env
+        buffer.(i) <- getters.(i) ctx t outer
       done;
       buffer
     in
     match s.kind with
     | Exists ->
-        fun ctx env -> truth (not (Relation.is_empty (b.materialize ctx (binding ctx env))))
-    | Scalar -> fun ctx env -> scalar_value (b.materialize ctx (binding ctx env))
+        fun ctx t outer ->
+          truth (not (Relation.is_empty (b.materialize ctx (binding ctx t outer))))
+    | Scalar -> fun ctx t outer -> scalar_value (b.materialize ctx (binding ctx t outer))
     | AnyOp (op, lhs) ->
-        let clhs = compile_expr lx at cenv lhs in
-        fun ctx env -> Sem.any_of_summary op (clhs ctx env) (b.summary ctx (binding ctx env))
+        let clhs = compile_expr lx at ?offs cenv lhs in
+        fun ctx t outer ->
+          Sem.any_of_summary op (clhs ctx t outer) (b.summary ctx (binding ctx t outer))
     | AllOp (op, lhs) ->
-        let clhs = compile_expr lx at cenv lhs in
-        fun ctx env -> Sem.all_of_summary op (clhs ctx env) (b.summary ctx (binding ctx env))
-
-(* For an {e uncorrelated} sublink, a per-execution summary accessor on
-   the shared memo tables (first call per [ctx] materializes and counts
-   one eval; later calls are silent summary reuse, as the per-row path
-   behaves); [None] when [s] is correlated. *)
-and sublink_summary lx at cenv (s : sublink) : (ctx -> Sem.summary) option =
-  if Scope.body_frees lx.frees lx.db s.query <> [] then None
-  else
-    let b = sublink_body lx at cenv s ~names:[] ~frees:[||] in
-    Some (fun ctx -> b.summary ctx [||])
-
-(* Lower a predicate to a mask when every node has a mask kernel
-   against the depth-0 input schema — plus comparisons of an input
-   column with an enclosing frame's column; any other unsupported or
-   outer-resolving node rejects the whole predicate, and the caller
-   falls back to the compiled row-wise form (which preserves evaluation
-   order, sublink correlation and error behavior by construction). The
-   match arms mirror {!compile_pred}'s, in the same order. *)
-and vectorize lx at schema cenv (e : expr) : mask option =
-  let find n = Schema.find schema n in
-  let outer n =
-    match resolve_attr cenv n with
-    | at -> Some at
-    | exception Sem.Eval_error _ -> None
-  in
-  match e with
-  | Const v -> Some (MConst (b3_of_value v))
-  | Cmp (EqNull, p, Const (Value.Bool bv)) when is_boolean_shape p -> (
-      match vectorize lx at schema cenv p with
-      | Some m -> Some (MBoolEq (m, bv))
-      | None -> None)
-  | Cmp (EqNull, Const (Value.Bool bv), p) when is_boolean_shape p -> (
-      match vectorize lx at schema cenv p with
-      | Some m -> Some (MBoolEq (m, bv))
-      | None -> None)
-  | Cmp (op, Attr n1, Attr n2) -> (
-      match (find n1, find n2) with
-      | Some j1, Some j2 -> Some (MLeaf (LCmpCols (op, j1, j2)))
-      | Some j, None ->
-          Option.map (fun at -> MLeaf (LCmpOuter (op, j, at))) (outer n2)
-      | None, Some j ->
-          Option.map (fun at -> MLeaf (LCmpOuterRev (op, at, j))) (outer n1)
-      | None, None -> None)
-  | Cmp (op, Attr n, rhs) when const_of rhs <> None -> (
-      match find n with
-      | Some j -> Some (MLeaf (LCmpCC (op, j, Option.get (const_of rhs))))
-      | None -> None)
-  | Cmp (op, lhs, Attr n) when const_of lhs <> None -> (
-      match find n with
-      | Some j -> Some (MLeaf (LCmpRev (op, Option.get (const_of lhs), j)))
-      | None -> None)
-  (* The second operand first, as the pair was built before; a
-     fallback stops at the first operand that has no kernel. *)
-  | And (a, b) -> (
-      match vectorize lx at schema cenv b with
-      | None -> None
-      | Some mb -> Option.map (fun ma -> MAnd (ma, mb)) (vectorize lx at schema cenv a))
-  | Or (a, b) -> (
-      match vectorize lx at schema cenv b with
-      | None -> None
-      | Some mb -> Option.map (fun ma -> MOr (ma, mb)) (vectorize lx at schema cenv a))
-  | Not a ->
-      Option.map (fun m -> MNot m) (vectorize lx at schema cenv a)
-  | IsNull (Attr n) -> (
-      match find n with Some j -> Some (MLeaf (LIsNull j)) | None -> None)
-  | Attr n -> (
-      match find n with Some j -> Some (MLeaf (LAttr j)) | None -> None)
-  | Sublink ({ kind = AnyOp (op, Attr n); _ } as s) ->
-      probe_of lx at schema cenv ~any:true op n s
-  | Sublink ({ kind = AllOp (op, Attr n); _ } as s) ->
-      probe_of lx at schema cenv ~any:false op n s
-  | _ -> None
-
-and probe_of lx at schema cenv ~any op n s : mask option =
-  match Schema.find schema n with
-  | None -> None
-  | Some j -> (
-      match sublink_summary lx at (schema :: cenv) s with
-      | None -> None (* correlated: row-wise fallback *)
-      | Some get ->
-          Some
-            (MLeaf
-               (LProbe
-                  {
-                    pr_get = get;
-                    pr_any = any;
-                    pr_op = op;
-                    pr_lhs = j;
-                    pr_prep = None;
-                  })))
-
-(* The projection list as [pcol]s, when every item is an input attribute
-   or a total, vectorizable boolean expression, and at most one item
-   probes a sublink — so materializing the sublinks column by column
-   happens in the per-row path's row-by-row order. *)
-and mask_projection lx at schema cenv cols : pcol array option =
-  let item (e, _) =
-    match e with
-    | Attr n -> Option.map (fun j -> PAttr j) (Schema.find schema n)
-    | e when is_boolean_shape e && scalar_safe e ->
-        Option.map (fun m -> PMask m) (vectorize lx at schema cenv e)
-    | _ -> None
-  in
-  let items = List.map item cols in
-  let probing = function Some (PMask m) -> mask_probes [] m <> [] | _ -> false in
-  if List.exists Option.is_none items || List.length (List.filter probing items) > 1
-  then None
-  else Some (Array.of_list (List.map Option.get items))
+        let clhs = compile_expr lx at ?offs cenv lhs in
+        fun ctx t outer ->
+          Sem.all_of_summary op (clhs ctx t outer) (b.summary ctx (binding ctx t outer))
 
 (* [lower lx ~replay path cenv q] — [replay] holds inside the body of a
    correlated sublink, which runs once per binding. There a subtree
@@ -1686,16 +1572,17 @@ and lower_node lx ~replay path (cenv : Schema.t list) (q : query) : vop =
       join_over lx cenv ~joint:(Schema.concat va.v_schema vb.v_schema) j va vb
   | Select (cond, input) ->
       let vin = lower lx ~replay (child_of lx path q Path.Input) cenv input in
-      let schema = vin.v_schema in
+      let senv = vin.v_schema :: cenv in
       let at = owner lx here q in
-      let eval =
-        match vectorize lx at schema cenv cond with
-        | Some m -> fun rt b idx base n -> eval_mask rt b idx base n m
-        | None ->
-            let pcond = compile_pred lx at (schema :: cenv) cond in
-            fun rt b idx base n -> eval_pred_rows rt b idx base n pcond
+      let sl =
+        {
+          s_here = here;
+          s_tests = layouts (fun offs -> compile_pred lx at ?offs senv cond);
+          s_keep = [||];
+          s_row = [||];
+        }
       in
-      { v_schema = schema; v_run = (fun rt -> filter_batches rt here eval (vin.v_run rt)) }
+      { v_schema = vin.v_schema; v_run = (fun rt -> select_batches sl rt (vin.v_run rt)) }
   | Project { distinct; cols; proj_input } -> (
       let ipath = child_of lx path q Path.Input in
       match if distinct then None else Sem.join_of ~paths:lx.paths ipath proj_input with
@@ -1810,7 +1697,7 @@ and lower_node lx ~replay path (cenv : Schema.t list) (q : query) : vop =
                 Guard.tick here;
                 Vector.iter_tuples b (fun t ->
                     decorated :=
-                      (eval_row kexprs rt.cctx (t :: rt.renv), t)
+                      (eval_row kexprs rt.cctx t rt.renv, t)
                       :: !decorated))
               (vin.v_run rt);
             let cmp (ka, _) (kb, _) =
@@ -1884,39 +1771,31 @@ and project_over lx here q cenv ~distinct cols (vin : vop) : vop =
                    Vector.to_tuples (Vector.select_cols out_schema b offs))
                  (vin.v_run rt)));
       }
-  | None -> (
+  | None ->
+      (* Items are evaluated per row, in item order, as the reference
+         walker evaluates them. *)
       let at = owner lx here q in
-      match
-        if distinct then None else mask_projection lx at vin.v_schema cenv cols
-      with
-      | Some pcols ->
-          (* Attribute and boolean-mask items: masks are computed per
-             batch over the input columns, and output rows gather the
-             input values with no per-row expression closures. *)
-          {
-            v_schema = out_schema;
-            v_run = (fun rt -> project_masks rt here out_schema pcols (vin.v_run rt));
-          }
-      | None ->
-          let cexprs =
-            Array.of_list
-              (List.map (fun (e, _) -> compile_expr lx at ienv e) cols)
-          in
-          {
-            v_schema = out_schema;
-            v_run =
-              (fun rt ->
-                let acc = ref [] and n = ref 0 in
-                List.iter
-                  (fun b ->
-                    Guard.tick here;
-                    for i = 0 to Vector.length b - 1 do
-                      acc := eval_row cexprs rt.cctx (Vector.tuple_at b i :: rt.renv) :: !acc
-                    done;
-                    n := !n + Vector.length b)
-                  (vin.v_run rt);
-                if distinct then distinct_rows (List.rev !acc) else chunk_rev out_schema !n !acc);
-          })
+      let pj =
+        {
+          p_items =
+            layouts (fun offs ->
+                Array.of_list (List.map (fun (e, _) -> compile_expr lx at ?offs ienv e) cols));
+          p_row = [||];
+        }
+      in
+      {
+        v_schema = out_schema;
+        v_run =
+          (fun rt ->
+            let acc = ref [] and n = ref 0 in
+            List.iter
+              (fun b ->
+                Guard.tick here;
+                project_rows pj rt acc b;
+                n := !n + Vector.length b)
+              (vin.v_run rt);
+            if distinct then distinct_rows (List.rev !acc) else chunk_rev out_schema !n !acc);
+      }
 
 and lower_setop lx ~replay path q cenv op a b : vop =
   setop_of
@@ -1974,6 +1853,7 @@ and join_over lx cenv ~joint ?project (j : Sem.join) va vb : vop =
     let hoistable x =
       counter_silent x && List.for_all (fun n -> not (Schema.mem sb n)) (expr_deps lx x)
     in
+    (* the pair tests read the right row under the left row's frame *)
     let penv = sb :: sa :: cenv in
     let split =
       match cond with
@@ -2075,6 +1955,7 @@ let query_stats ?(env = []) db q : Relation.t * Sem.stats =
 let query ?(env = []) db q = fst (query_stats ~env db q)
 
 let expr ?(env = []) db e =
-  compile_expr (lx_of db) [ ([], [ e ]) ] (List.map fst env) e
-    (mk_ctx db)
-    (List.map snd env)
+  let ce = compile_expr (lx_of db) [ ([], [ e ]) ] (List.map fst env) e in
+  match List.map snd env with
+  | t :: outer -> ce (mk_ctx db) t outer
+  | [] -> ce (mk_ctx db) [||] []

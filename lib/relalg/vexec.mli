@@ -15,8 +15,8 @@
     counter runs once per execution and is replayed for later
     bindings. *)
 
-(** Rows per batch (base-table split granularity, selection/probe
-    kernel unit, and the governor's row-accounting granularity). *)
+(** Rows per batch (base-table split granularity, the unit a selection
+    tests in one pass, and the governor's row-accounting granularity). *)
 val batch_rows : int ref
 
 (** [query db q] — execute vectorized; [env] pairs each outer frame's

@@ -285,7 +285,7 @@ let test_error_parity () =
 
 (* Correlated sublink bodies whose binding-independent subtrees the
    vectorized engine runs once per execution and replays for later
-   bindings, and correlated selections it runs as mask kernels that
+   bindings, and correlated selections it runs as row tests that
    compare an input column with an enclosing frame's column. Each input
    must give the reference walker's rows, row order, counters and error
    message under every vectorized configuration. *)
@@ -463,7 +463,7 @@ let replay_cases () =
       null_outer,
       Select (exists (Select (Cmp (Gt, attr "c", attr "a"), Base "S")), Base "R") );
     ("outer column at depth 2", db, depth_two);
-    (* mask kernels over an int column that holds a NULL *)
+    (* specialized row tests over an int column that holds a NULL *)
     ("IS NULL over an int column with NULLs", db, Select (IsNull (attr "d"), Base "S"));
     (* the summary holds only [Float 2.0], so [Int 2] must match it *)
     ( "= ANY of an int column against Float 2.0",
@@ -680,9 +680,9 @@ let words_per_binding plan =
   (words large -. words small) /. 30.
 
 (* Each binding of [EXISTS (SELECT * FROM S WHERE c <= a)] runs the
-   body lowered once: a scan window, one mask, the memo entry and its
-   result, about 70 words (about 95 when every scan copied its batch
-   and every unselected batch built an index array). *)
+   body lowered once: a scan window, a selection vector, the memo entry
+   and its result, about 65 words (about 95 when every scan copied its
+   batch and every unselected batch built an index array). *)
 let test_exists_alloc () =
   let open Algebra in
   let plan =
@@ -694,7 +694,7 @@ let test_exists_alloc () =
     true (w <= 82.)
 
 (* A 3x3 nested-loop join inside a correlated body keeps its run state
-   in one record built at lowering: about 145 words per binding, 9
+   in one record built at lowering: about 125 words per binding, 9
    pairs and 3 output rows included (about 350 with a dozen closures
    and refs and a copied right side per run). *)
 let test_nested_loop_alloc () =
@@ -710,6 +710,233 @@ let test_nested_loop_alloc () =
   Alcotest.(check bool)
     (Printf.sprintf "a 3x3 nested-loop join allocates %.1f words per binding" w)
     true (w <= 200.)
+
+(* ------------------------------------------------------------------ *)
+(* Predicate shapes                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Hand-built plans around random predicates over NULL-rich tables, at
+   every layout a selection meets: stored rows, rows behind an offset
+   map, rows behind a selection vector and factored cross blocks; as
+   join conditions, as projected items, and inside correlated bodies at
+   one and two frames' depth. Each plan must give the reference
+   walker's rows, row order, counters and error message at 256-, 3- and
+   1-row batches. *)
+module Shapes = struct
+  open Algebra
+
+  (* QCheck.Gen's [int] and [bool] shadow these in generator scopes *)
+  let lit k = int k
+  let truth b = bool b
+
+  let ops = [| Eq; Neq; Lt; Leq; Gt; Geq; EqNull |]
+
+  let value =
+    QCheck.Gen.(
+      frequency
+        [ (2, return Value.Null); (5, map (fun k -> Value.Int k) (int_range (-1) 3)) ])
+
+  let table n = QCheck.Gen.(list_size (int_range 0 n) (list_repeat 2 value))
+
+  (* A projection's output schema is typed at lowering, which rejects a
+     string compared with an int column: projected items get none. *)
+  let const ~strings =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map lit (int_range (-1) 3));
+          (2, map (fun k -> flt (float_of_int k /. 2.)) (int_range (-2) 6));
+          ((if strings then 1 else 0), return (str "x"));
+          (1, return (Const Value.Null));
+          (1, return (TypedNull Vtype.TInt));
+        ])
+
+  (* A summary that holds NULL, none, or is empty. *)
+  let body =
+    QCheck.Gen.(
+      map
+        (fun (cond, col) -> project [ (attr col, "k") ] (Select (cond, Base "S")))
+        (pair
+           (oneofl
+              [
+                truth true;
+                truth false;
+                Cmp (Geq, attr "c", lit 1);
+                IsNull (attr "d");
+                Not (IsNull (attr "d"));
+              ])
+           (oneofl [ "c"; "d" ])))
+
+  (* [cols] are the row's columns, [outer] the enclosing frames'. *)
+  let pred ?(strings = true) ~cols ~outer () =
+    let open QCheck.Gen in
+    let const = const ~strings in
+    let col = oneofl cols in
+    let any_col = oneofl (cols @ outer) in
+    let op = oneofa ops in
+    let leaf =
+      frequency
+        ([
+           (4, map3 (fun op c k -> Cmp (op, attr c, k)) op col const);
+           (2, map3 (fun op k c -> Cmp (op, k, attr c)) op const col);
+           (2, map3 (fun op c1 c2 -> Cmp (op, attr c1, attr c2)) op col any_col);
+           (1, map3 (fun op c1 c2 -> Cmp (op, attr c1, attr c2)) op any_col col);
+           (2, map (fun c -> IsNull (attr c)) any_col);
+           (1, map (fun c -> IsNull (Binop (Add, attr c, lit 1))) col);
+           (1, map2 (fun op c -> Cmp (op, Binop (Add, attr c, lit 1), lit 2)) op col);
+           (1, oneofl [ truth true; truth false; Const Value.Null ]);
+           ( 3,
+             map3
+               (fun (any, op) c b -> if any then any_op op (attr c) b else all_op op (attr c) b)
+               (pair bool op) any_col body );
+           ( 1,
+             map2
+               (fun c b -> any_op Eq (Binop (Add, attr c, lit 0)) b)
+               col body );
+           (1, map (fun c -> exists (Select (Cmp (Eq, attr "c", attr c), Base "S"))) col);
+         ])
+    in
+    let wrap p = map2 (fun b p -> Cmp (EqNull, p, truth b)) bool p in
+    sized_size (int_range 0 3)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (3, map2 (fun a b -> And (a, b)) (self (n - 1)) (self (n - 1)));
+                 (2, map2 (fun a b -> Or (a, b)) (self (n - 1)) (self (n - 1)));
+                 (2, map (fun a -> Not a) (self (n - 1)));
+                 (1, wrap (self (n - 1)));
+               ])
+
+  let rab = [ "a"; "b" ] and scd = [ "c"; "d" ]
+
+  (* A plan around one or two predicates, and its name. *)
+  let plan =
+    let open QCheck.Gen in
+    let p = pred ~cols:rab ~outer:[] () in
+    let joint = pred ~cols:(rab @ scd) ~outer:[] () in
+    frequency
+      [
+        (2, map (fun p -> ("stored rows", Select (p, Base "R"))) p);
+        ( 2,
+          map
+            (fun p ->
+              ("offset map", Select (p, project [ (attr "b", "b"); (attr "a", "a") ] (Base "R"))))
+            p );
+        ( 2,
+          map2
+            (fun q p -> ("selection vector", Select (p, Select (q, Base "R"))))
+            (pred ~cols:rab ~outer:[] ()) p );
+        ( 2,
+          map
+            (fun p ->
+              ( "cross block",
+                Select
+                  ( p,
+                    project
+                      (List.map (fun c -> (attr c, c)) (rab @ scd))
+                      (Join (truth true, Base "R", Base "S")) ) ))
+            joint );
+        (2, map (fun p -> ("join condition", Join (p, Base "R", Base "S"))) joint);
+        ( 1,
+          map (fun p -> ("outer join condition", LeftJoin (p, Base "R", Base "S"))) joint );
+        ( 2,
+          map2
+            (fun p q ->
+              ("projected items", project [ (attr "a", "a"); (p, "p"); (q, "q") ] (Base "R")))
+            (pred ~strings:false ~cols:rab ~outer:[] ())
+            (pred ~strings:false ~cols:rab ~outer:[] ()) );
+        ( 2,
+          map
+            (fun p -> ("outer columns, depth 1", Select (exists (Select (p, Base "S")), Base "R")))
+            (pred ~cols:scd ~outer:rab ()) );
+        ( 1,
+          map
+            (fun p ->
+              ( "outer columns, depth 2",
+                Select
+                  ( exists
+                      (Select
+                         ( exists (Select (p, Base "S")),
+                           project [ (attr "c", "x"); (attr "d", "y") ] (Base "S") )),
+                    Base "R" ) ))
+            (pred ~cols:scd ~outer:[ "x"; "y"; "a"; "b" ] ()) );
+      ]
+
+  let case =
+    QCheck.make
+      ~print:(fun (r, s, (name, q)) ->
+        Printf.sprintf "%s: %s\nR = %d rows, S = %d rows" name (Pp.query_to_line q)
+          (List.length r) (List.length s))
+      QCheck.Gen.(triple (table 8) (table 5) plan)
+
+  let outcome f =
+    match f () with
+    | rel, stats ->
+        Ok (Schema.names (Relation.schema rel), Relation.tuples rel, Eval.stats_to_string stats)
+    | exception Eval.Eval_error m -> Error m
+    | exception Value.Type_clash m -> Error m
+
+  let prop =
+    QCheck.Test.make ~name:"predicate shapes agree with the reference walker" ~count:4000 case
+      (fun (r, s, (_, q)) ->
+        let db = mk_db r s in
+        let expected = outcome (fun () -> Eval.query_stats_reference db q) in
+        List.for_all
+          (fun b ->
+            with_vec_config ("", b) (fun () -> outcome (fun () -> Eval.query_stats db q))
+            = expected)
+          [ 256; 3; 1 ])
+end
+
+(* Minor words per pair of a nested-loop join whose condition keeps no
+   pair: [R] of 10 and of 40 rows against 50 rows of [S]. The test reads
+   the right row and the left row's frame, so a pair allocates nothing
+   (3 words when each pair consed a frame). *)
+let test_nested_loop_pair_alloc () =
+  let open Algebra in
+  let plan = Join (Cmp (Gt, attr "c", attr "a"), Base "R", Base "S") in
+  let db n =
+    mk_db
+      (List.init n (fun k -> [ i (100 + k); i k ]))
+      (List.init 50 (fun k -> [ i k; i k ]))
+  in
+  let words db =
+    ignore (Vexec.query_stats db plan);
+    let w0 = Gc.minor_words () in
+    ignore (Vexec.query_stats db plan);
+    Gc.minor_words () -. w0
+  in
+  let w = (words (db 40) -. words (db 10)) /. (30. *. 50.) in
+  Alcotest.(check bool)
+    (Printf.sprintf "a nested-loop join allocates %.2f words per pair" w)
+    true (w <= 1.)
+
+(* Minor words per 256-row batch of a two-conjunct range selection over
+   r1's 20 000 rows, lowering included, beyond the survivors' selection
+   vectors (one word per kept row): about 30, and 16 for a selection
+   that keeps no row (about 380 and 49 when each batch built a byte mask
+   per conjunct and an index array per AND). *)
+let test_selection_alloc () =
+  let open Algebra in
+  let db = Synthetic.Workload.make_db ~n1:20_000 ~n2:10 () in
+  let batches = float_of_int ((20_000 + !Vexec.batch_rows - 1) / !Vexec.batch_rows) in
+  List.iter
+    (fun (name, cond) ->
+      let q = Select (cond, Base "r1") in
+      let kept = Relation.cardinality (Vexec.query db q) in
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Vexec.query db q));
+      let w = (Gc.minor_words () -. w0 -. float_of_int kept) /. batches in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s allocates %.1f words per batch beyond its selection vectors" name w)
+        true (w <= 40.))
+    [
+      ("-4000 <= b <= 4000", And (Cmp (Geq, attr "b", int (-4000)), Cmp (Leq, attr "b", int 4000)));
+      ("b >= 100000", Cmp (Geq, attr "b", int 100_000));
+    ]
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
@@ -737,6 +964,8 @@ let () =
           tc "a scan retains no relation" `Quick test_scan_retains_nothing;
           tc "EXISTS words per binding" `Quick test_exists_alloc;
           tc "nested-loop words per binding" `Quick test_nested_loop_alloc;
+          tc "nested-loop words per pair" `Quick test_nested_loop_pair_alloc;
+          tc "selection words per batch" `Quick test_selection_alloc;
         ] );
-      qsuite "properties" [ prop_fuzz_parity; prop_fuzz_strategy_parity ];
+      qsuite "properties" [ prop_fuzz_parity; prop_fuzz_strategy_parity; Shapes.prop ];
     ]
