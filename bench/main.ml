@@ -468,9 +468,7 @@ let strategy_applies db strategy number =
   let analyzed =
     Sql_frontend.Analyzer.analyze_string db q.Tpch.Tpch_queries.sql
   in
-  match Rewrite.rewrite db ~strategy analyzed.Sql_frontend.Analyzer.query with
-  | _ -> true
-  | exception Strategy.Unsupported _ -> false
+  Rewrite.applies db strategy analyzed.Sql_frontend.Analyzer.query
 
 let fig6_one_scale ~timeout ~instances ~scale_label ~sf db =
   let strategies = Strategy.[ Gen; Left; Move; Unn ] in
@@ -1642,14 +1640,13 @@ let serve_verify ~db ~mix ~port ~seed =
 let serve_run ~db ~mix ~clients ~duration ~slots ~queue_limit ~timeout ~seed
     ~faults () =
   let fault_plan =
-    if faults then Some (Provserver.Server.fault_plan ~rate:0.05 seed) else None
+    if faults then Some (Provserver.Server.fault_plan seed) else None
   in
   let budget = Guard.budget ~timeout () in
   let cfg =
     Provserver.Server.config ~host:"127.0.0.1" ~port:0 ~max_sessions:(clients + 8)
-      ~eval_slots:slots ~queue_limit ~budget
-      ~backoff:(Resilience.backoff ~seed ())
-      ~max_result_rows:100_000 ?faults:fault_plan db
+      ~eval_slots:slots ~queue_limit ~budget ~max_result_rows:100_000
+      ?faults:fault_plan db
   in
   let sv = Provserver.Server.start cfg in
   let port = Provserver.Server.port sv in
@@ -1855,7 +1852,7 @@ let serve_cmd =
     Arg.(
       value & opt float 5.0
       & info [ "budget-timeout" ]
-          ~doc:"Per-request evaluation budget (seconds), pool-leased.")
+          ~doc:"Per-request evaluation budget (seconds).")
   in
   let sf_arg =
     Arg.(
@@ -1873,7 +1870,7 @@ let serve_cmd =
       value & flag
       & info [ "faults" ]
           ~doc:
-            "Arm deterministic wire/eval fault injection and assert the \
+            "Arm deterministic wire fault injection and assert the \
              fault matrix: no wedge, no leaked sessions, no wrong answers. \
              Exit 1 on any violation.")
   in
@@ -1922,7 +1919,7 @@ let share_lint_run ~root ~werror ~json () =
   else begin
     if diags <> [] then print_endline (Lint.report diags);
     Printf.printf "share-lint: %d modules, %d diagnostics (%d errors)\n"
-      (List.length Share_lint.modules)
+      (List.length (Share_lint.modules ~root))
       (List.length diags)
       (List.length (Lint.errors diags))
   end;

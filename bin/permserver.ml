@@ -2,8 +2,8 @@
 
    Serves the length-prefixed wire protocol from [Provserver.Protocol]
    on a TCP port: one session per connection, admission control (eval
-   token bucket + bounded wait queue + session cap), a server-wide
-   budget pool, per-request strategy degradation, and snapshot swap via
+   token bucket + bounded wait queue + session cap), a per-request
+   budget with strategy degradation, and snapshot swap via
    the [\snapshot] client command. SIGTERM / SIGINT trigger a graceful
    drain: the listener stops, in-flight sessions finish up to
    --drain-deadline, stragglers are force-closed.
@@ -14,7 +14,6 @@
      dune exec bin/permcli.exe   -- --connect localhost:7654           *)
 
 open Relalg
-open Core
 
 let demo_db () =
   let r_schema =
@@ -61,19 +60,11 @@ let initial_db ~tpch ~synth ~demo =
   | None, None, _ -> demo_db ()
 
 let serve host port tpch synth demo slots queue_limit max_sessions timeout
-    max_rows backoff_seed drain_deadline fault_seed fault_rate =
+    max_rows drain_deadline =
   let db = initial_db ~tpch ~synth ~demo in
   let budget =
     let b = Guard.budget ?timeout ?max_rows () in
     if Guard.is_unlimited b then None else Some b
-  in
-  let backoff =
-    Option.map (fun seed -> Resilience.backoff ~seed ()) backoff_seed
-  in
-  let faults =
-    Option.map
-      (fun seed -> Provserver.Server.fault_plan ~rate:fault_rate seed)
-      fault_seed
   in
   let cfg =
     Provserver.Server.config ~host ~port
@@ -81,8 +72,7 @@ let serve host port tpch synth demo slots queue_limit max_sessions timeout
         (snapshot_builders
            ~tpch_sf:(Option.value tpch ~default:0.01)
            ~synth:(Option.value synth ~default:2000))
-      ~max_sessions ~eval_slots:slots ~queue_limit ?budget ?backoff
-      ~drain_deadline ?faults db
+      ~max_sessions ~eval_slots:slots ~queue_limit ?budget ~drain_deadline db
   in
   let sv = Provserver.Server.start cfg in
   Printf.printf "permserver listening on %s:%d (slots=%d queue=%d sessions<=%d)\n%!"
@@ -164,8 +154,8 @@ let timeout_arg =
     & opt (some float) None
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:
-          "Per-request evaluation budget, leased from a server-wide pool \
-           (the lease shrinks under oversubscription).")
+          "Per-request evaluation budget; a strategy that exceeds it \
+           degrades to the next one.")
 
 let rows_arg =
   Arg.(
@@ -174,35 +164,11 @@ let rows_arg =
     & info [ "budget-rows" ] ~docv:"N"
         ~doc:"Per-request intermediate-row budget.")
 
-let backoff_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "backoff-seed" ] ~docv:"SEED"
-        ~doc:
-          "Enable capped jittered backoff between strategy-ladder \
-           attempts, seeded for determinism.")
-
 let drain_arg =
   Arg.(
     value & opt float 5.0
     & info [ "drain-deadline" ] ~docv:"SECONDS"
         ~doc:"Grace period for in-flight sessions on SIGTERM/SIGINT.")
-
-let fault_seed_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "fault-seed" ] ~docv:"SEED"
-        ~doc:
-          "Arm deterministic wire-fault injection at \
-           accept/read/write/eval boundaries (testing only).")
-
-let fault_rate_arg =
-  Arg.(
-    value & opt float 0.05
-    & info [ "fault-rate" ] ~docv:"P"
-        ~doc:"Per-boundary fault probability with --fault-seed.")
 
 let cmd =
   Cmd.v
@@ -211,6 +177,6 @@ let cmd =
     Term.(
       const serve $ host_arg $ port_arg $ tpch_arg $ synth_arg $ demo_arg
       $ slots_arg $ queue_arg $ sessions_arg $ timeout_arg $ rows_arg
-      $ backoff_arg $ drain_arg $ fault_seed_arg $ fault_rate_arg)
+      $ drain_arg)
 
 let () = Stdlib.exit (Cmd.eval' ~term_err:2 cmd)

@@ -97,12 +97,12 @@ let plain_pipeline db ~certify ~lint q : result =
 (* Evaluation of an analyzed query under the optional budget, with the
    strategy-fallback ladder when [fallback] is set on a provenance
    run. *)
-let run_analyzed db ~strategy ~certify ~lint ~budget ~backoff ~fallback
-    ~wants q : result =
+let run_analyzed db ~strategy ~certify ~lint ~budget ~fallback ~wants q :
+    result =
   if wants then
     if fallback then begin
       let r, lad =
-        Resilience.run_ladder db ~strategy ~budget ?backoff q (fun s ->
+        Resilience.run_ladder db ~strategy ~budget q (fun s ->
             prov_pipeline db ~strategy:s ~certify ~lint q)
       in
       { r with ladder = Some lad }
@@ -117,12 +117,11 @@ let run_analyzed db ~strategy ~certify ~lint ~budget ~backoff ~fallback
 (** [provenance db ?strategy ?lint ?werror ?budget ?fallback q]
     evaluates the provenance of an algebra query directly. *)
 let provenance db ?(strategy = Strategy.Gen) ?(certify = false)
-    ?(lint = false) ?(werror = false) ?budget ?backoff
-    ?(fallback = false) q =
+    ?(lint = false) ?(werror = false) ?budget ?(fallback = false) q =
   Resilience.enter Resilience.Analyze (fun () ->
       gate_source db ~lint ~werror q);
   let r =
-    run_analyzed db ~strategy ~certify ~lint ~budget ~backoff ~fallback
+    run_analyzed db ~strategy ~certify ~lint ~budget ~fallback
       ~wants:true q
   in
   (r.relation, r.provenance)
@@ -130,12 +129,11 @@ let provenance db ?(strategy = Strategy.Gen) ?(certify = false)
 (** [run_query db ?strategy ?lint ?werror ?budget ?fallback
     ~provenance q] is {!run} for an already-analyzed algebra query. *)
 let run_query db ?(strategy = Strategy.Gen) ?(certify = false)
-    ?(lint = false) ?(werror = false) ?budget ?backoff
-    ?(fallback = false) ~provenance:wants q : result =
+    ?(lint = false) ?(werror = false) ?budget ?(fallback = false)
+    ~provenance:wants q : result =
   Resilience.enter Resilience.Analyze (fun () ->
       gate_source db ~lint ~werror q);
-  run_analyzed db ~strategy ~certify ~lint ~budget ~backoff ~fallback
-    ~wants q
+  run_analyzed db ~strategy ~certify ~lint ~budget ~fallback ~wants q
 
 (** [run db ?strategy ?lint ?werror ?budget ?fallback sql]
     parses, analyzes and evaluates [sql]. If the statement carries the
@@ -144,15 +142,13 @@ let run_query db ?(strategy = Strategy.Gen) ?(certify = false)
     inapplicable or blows [budget] degrades to the next-ranked one.
     Failures raise {!Resilience.Perm_error}. *)
 let run db ?(strategy = Strategy.Gen) ?(certify = false)
-    ?(lint = false) ?(werror = false) ?budget ?backoff
-    ?(fallback = false) sql : result =
+    ?(lint = false) ?(werror = false) ?budget ?(fallback = false) sql : result =
   let analyzed =
     Resilience.enter Resilience.Analyze (fun () ->
         Sql_frontend.Analyzer.analyze_string db sql)
   in
   let q = analyzed.Sql_frontend.Analyzer.query in
-  run_query db ~strategy ~certify ~lint ~werror ?budget
-    ?backoff ~fallback
+  run_query db ~strategy ~certify ~lint ~werror ?budget ~fallback
     ~provenance:analyzed.Sql_frontend.Analyzer.wants_provenance q
 
 (** {1 Statements} *)
@@ -164,8 +160,8 @@ type exec_result =
   | Dropped of string
 
 (* Execute one already-parsed statement. *)
-let exec_parsed db ~strategy ~certify ~lint ~werror ~budget
-    ~backoff ~fallback stmt : exec_result =
+let exec_parsed db ~strategy ~certify ~lint ~werror ~budget ~fallback stmt :
+    exec_result =
   let analyze sel =
     Resilience.enter Resilience.Analyze (fun () ->
         let analyzed = Sql_frontend.Analyzer.analyze db sel in
@@ -177,8 +173,7 @@ let exec_parsed db ~strategy ~certify ~lint ~werror ~budget
   | Sql_frontend.Ast.Stmt_select sel ->
       let q, wants = analyze sel in
       Rows
-        (run_analyzed db ~strategy ~certify ~lint ~budget ~backoff
-           ~fallback ~wants q)
+        (run_analyzed db ~strategy ~certify ~lint ~budget ~fallback ~wants q)
   | Sql_frontend.Ast.Stmt_create_view (name, sel) ->
       let q, wants = analyze sel in
       let stored =
@@ -202,8 +197,7 @@ let exec_parsed db ~strategy ~certify ~lint ~werror ~budget
   | Sql_frontend.Ast.Stmt_create_table_as (name, sel) ->
       let q, wants = analyze sel in
       let r =
-        run_analyzed db ~strategy ~certify ~lint ~budget ~backoff
-          ~fallback ~wants q
+        run_analyzed db ~strategy ~certify ~lint ~budget ~fallback ~wants q
       in
       Database.add db name r.relation;
       Created_table (name, Relation.cardinality r.relation)
@@ -223,10 +217,9 @@ let exec_parsed db ~strategy ~certify ~lint ~werror ~budget
     [v] later sees the provenance columns — Perm's "provenance as a
     view". [CREATE TABLE t AS ...] materializes the result. *)
 let exec db ?(strategy = Strategy.Gen) ?(certify = false)
-    ?(lint = false) ?(werror = false) ?budget ?backoff
-    ?(fallback = false) sql : exec_result =
-  exec_parsed db ~strategy ~certify ~lint ~werror ~budget
-    ~backoff ~fallback
+    ?(lint = false) ?(werror = false) ?budget ?(fallback = false) sql :
+    exec_result =
+  exec_parsed db ~strategy ~certify ~lint ~werror ~budget ~fallback
     (Resilience.enter Resilience.Parse (fun () ->
          Sql_frontend.Parser.parse_statement sql))
 
@@ -235,11 +228,10 @@ let exec db ?(strategy = Strategy.Gen) ?(certify = false)
     statement's result in order. Execution stops at the first error
     (exception propagates). *)
 let exec_script db ?(strategy = Strategy.Gen) ?(certify = false)
-    ?(lint = false) ?(werror = false) ?budget ?backoff
-    ?(fallback = false) sql : exec_result list =
+    ?(lint = false) ?(werror = false) ?budget ?(fallback = false) sql :
+    exec_result list =
   List.map
-    (exec_parsed db ~strategy ~certify ~lint ~werror
-       ~budget ~backoff ~fallback)
+    (exec_parsed db ~strategy ~certify ~lint ~werror ~budget ~fallback)
     (Resilience.enter Resilience.Parse (fun () ->
          Sql_frontend.Parser.parse_script sql))
 
@@ -328,9 +320,4 @@ let explain db ?(strategy = Strategy.Gen) q =
 (** Strategies whose applicability conditions [q] satisfies, by actually
     attempting the rewrite (cheap — rewriting is syntactic). *)
 let applicable_strategies db q =
-  List.filter
-    (fun s ->
-      match Rewrite.rewrite db ~strategy:s q with
-      | _ -> true
-      | exception Strategy.Unsupported _ -> false)
-    Strategy.all
+  List.filter (fun s -> Rewrite.applies db s q) Strategy.all

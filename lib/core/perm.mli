@@ -36,8 +36,7 @@ val rewrite :
     the {!Relalg.Guard} execution governor; with [~fallback:true] a
     strategy that is inapplicable or blows its budget degrades to the
     next strategy of {!Resilience.strategy_ranking}, the static order
-    Unn → Move → Left → Gen. [?backoff] adds pauses between ladder
-    attempts (see {!Resilience.run_ladder}). *)
+    Unn → Move → Left → Gen (see {!Resilience.run_ladder}). *)
 val provenance :
   Database.t ->
   ?strategy:Strategy.t ->
@@ -45,7 +44,6 @@ val provenance :
   ?lint:bool ->
   ?werror:bool ->
   ?budget:Guard.budget ->
-  ?backoff:Resilience.backoff ->
   ?fallback:bool ->
   Algebra.query ->
   Relation.t * Pschema.prov_rel list
@@ -62,7 +60,6 @@ val run :
   ?lint:bool ->
   ?werror:bool ->
   ?budget:Guard.budget ->
-  ?backoff:Resilience.backoff ->
   ?fallback:bool ->
   string ->
   result
@@ -76,7 +73,6 @@ val run_query :
   ?lint:bool ->
   ?werror:bool ->
   ?budget:Guard.budget ->
-  ?backoff:Resilience.backoff ->
   ?fallback:bool ->
   provenance:bool ->
   Algebra.query ->
@@ -101,7 +97,6 @@ val exec :
   ?lint:bool ->
   ?werror:bool ->
   ?budget:Guard.budget ->
-  ?backoff:Resilience.backoff ->
   ?fallback:bool ->
   string ->
   exec_result
@@ -116,7 +111,6 @@ val exec_script :
   ?lint:bool ->
   ?werror:bool ->
   ?budget:Guard.budget ->
-  ?backoff:Resilience.backoff ->
   ?fallback:bool ->
   string ->
   exec_result list

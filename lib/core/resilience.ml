@@ -207,12 +207,7 @@ let enter phase f = if Atomic.get metering then metered phase f else classified 
 (* Static default: the paper's strategies ordered by rewrite cost, kept
    to the ones whose applicability conditions [q] satisfies. *)
 let default_ranking db q =
-  List.filter
-    (fun s ->
-      match Rewrite.rewrite db ~strategy:s q with
-      | _ -> true
-      | exception Strategy.Unsupported _ -> false)
-    [ Strategy.Unn; Strategy.Move; Strategy.Left; Strategy.Gen ]
+  List.filter (fun s -> Rewrite.applies db s q) Strategy.[ Unn; Move; Left; Gen ]
 
 let strategy_ranking = ref default_ranking
 
@@ -236,29 +231,7 @@ let ladder_to_string l =
 let retryable e =
   match e.e_detail with Unsupported _ | Budget _ -> true | _ -> false
 
-let transient e = match e.e_detail with Fault _ -> true | _ -> false
-
-type backoff = {
-  bo_base : float;
-  bo_cap : float;
-  bo_retries : int;
-  bo_seed : int;
-}
-
-let backoff ?(base = 0.05) ?(cap = 1.0) ?(retries = 2) ?(seed = 0) () =
-  { bo_base = Float.max 0. base; bo_cap = Float.max 0. cap;
-    bo_retries = max 0 retries; bo_seed = seed }
-
-(* Deterministic jitter: an LCG stream seeded per ladder run. The k-th
-   pause is [min cap (base * 2^k)] scaled by a uniform factor in
-   [0.5, 1.0), so same seed → same pause sequence. *)
-let jitter_stream seed =
-  let state = ref (((seed * 0x9E3779B1) lor 1) land 0x3FFFFFFF) in
-  fun () ->
-    state := (!state * 1103515245 + 12345) land 0x3FFFFFFF;
-    0.5 +. (0.5 *. (float_of_int !state /. float_of_int 0x40000000))
-
-let run_ladder db ~strategy ~budget ?backoff q f =
+let run_ladder db ~strategy ~budget q f =
   (* The rungs after [strategy]. Ranking costs trial rewrites, so it is
      deferred to the first abandoned rung — unless a budget must be
      split across the rungs up front. *)
@@ -292,50 +265,15 @@ let run_ladder db ~strategy ~budget ?backoff q f =
         in
         Some { b with Guard.g_timeout }
   in
-  (* Backoff pauses sleep real wall-clock, so they draw down the same
-     remaining allowance [sub_budget] re-splits before each attempt:
-     pausing never extends the overall deadline, it only shrinks what
-     later attempts receive (floored at 50 ms per attempt). A pause is
-     clamped so it cannot sleep past the deadline itself. *)
-  let uniform =
-    match backoff with
-    | Some b -> jitter_stream b.bo_seed
-    | None -> fun () -> 1.0
-  in
-  let pause k =
-    match backoff with
-    | None -> ()
-    | Some b ->
-        let d = Float.min b.bo_cap (b.bo_base *. (2. ** float_of_int k)) in
-        let d = d *. uniform () in
-        let d =
-          match deadline with
-          | None -> d
-          | Some dl -> Float.min d (Float.max 0. (dl -. Unix.gettimeofday ()))
-        in
-        if d > 0. then Unix.sleepf d
-  in
-  (* With backoff configured, a transient injected fault first retries
-     the {e same} strategy (up to [bo_retries] times) before escalating
-     to the next rung; without backoff it is not retried at all. *)
-  let max_retries = match backoff with Some b -> b.bo_retries | None -> 0 in
-  let rec go abandoned n_pauses retries s rest =
+  let rec go abandoned s rest =
     match Guard.with_budget (sub_budget rest) (fun () -> f s) with
     | r -> (r, { lad_strategy = s; lad_abandoned = List.rev abandoned })
-    | exception Perm_error e when transient e && retries < max_retries ->
-        (* same-rung retry: the strategy is not abandoned — if it
-           delivers on a later try the ladder reports a clean run *)
-        pause n_pauses;
-        go abandoned (n_pauses + 1) (retries + 1) s rest
-    | exception Perm_error e
-      when (retryable e || (transient e && max_retries > 0))
-           && Lazy.force rest <> [] -> (
-        pause n_pauses;
+    | exception Perm_error e when retryable e && Lazy.force rest <> [] -> (
         match Lazy.force rest with
         | next :: rest' ->
             go
               ({ att_strategy = s; att_error = e } :: abandoned)
-              (n_pauses + 1) 0 next (Lazy.from_val rest')
+              next (Lazy.from_val rest')
         | [] -> assert false (* excluded by the guard *))
   in
-  go [] 0 0 strategy later
+  go [] strategy later

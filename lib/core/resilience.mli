@@ -105,48 +105,20 @@ val ladder_to_string : ladder -> string
     different strategy would fail the same way or, worse, mask a bug. *)
 val retryable : error -> bool
 
-(** [transient e] is true for errors worth retrying {e at the same
-    rung} when backoff is configured: currently injected faults, which
-    model transient external failures (a flaky read, a lost page) rather
-    than properties of the strategy. *)
-val transient : error -> bool
-
-(** Capped jittered backoff between ladder attempts. *)
-type backoff = {
-  bo_base : float;  (** first pause, seconds *)
-  bo_cap : float;  (** pause ceiling, seconds *)
-  bo_retries : int;  (** same-strategy retries for transient errors *)
-  bo_seed : int;  (** jitter PRNG seed — same seed, same pauses *)
-}
-
-(** [backoff ()] = 50 ms base, 1 s cap, 2 retries, seed 0. *)
-val backoff :
-  ?base:float -> ?cap:float -> ?retries:int -> ?seed:int -> unit -> backoff
-
-(** [run_ladder db ~strategy ~budget ?backoff q f] runs [f strategy']
-    for [strategy], then — on a retryable {!Perm_error} — for each
-    untried strategy of {!strategy_ranking} in order. Each attempt runs
-    under a sub-budget: the remaining wall-clock allowance is split
-    evenly across the remaining attempts (row/pair/allocation ceilings
-    apply per attempt unchanged). The last attempt's error propagates.
+(** [run_ladder db ~strategy ~budget q f] runs [f strategy'] for
+    [strategy], then — on a retryable {!Perm_error} — for each untried
+    strategy of {!strategy_ranking} in order. Each attempt runs under a
+    sub-budget: the remaining wall-clock allowance is split evenly
+    across the remaining attempts, each floored at 50 ms (row/pair/
+    allocation ceilings apply per attempt unchanged). Any other error,
+    and the last attempt's error, propagates from that attempt.
     {!strategy_ranking} is consulted only once a rung is abandoned, so a
     first rung that answers costs no ranking — except under a [budget],
-    whose re-split needs the rung count before the first attempt.
-
-    With [backoff], the ladder pauses between attempts — the k-th pause
-    is [min cap (base * 2^k)] scaled by a deterministic seeded jitter
-    factor in [0.5, 1.0) — and {!transient} errors additionally retry
-    the {e same} strategy up to [bo_retries] times before escalating.
-    Interaction with the wall-clock re-split: pauses sleep real time
-    inside the same overall deadline, so they draw down the remaining
-    allowance that the re-split divides among later attempts (each
-    still floored at 50 ms); a pause is clamped to the time left and
-    the deadline is never extended. *)
+    whose re-split needs the rung count before the first attempt. *)
 val run_ladder :
   Database.t ->
   strategy:Strategy.t ->
   budget:Guard.budget option ->
-  ?backoff:backoff ->
   Algebra.query ->
   (Strategy.t -> 'a) ->
   'a * ladder

@@ -655,4 +655,9 @@ let rewrite db ~strategy (q : query) : query * Pschema.prov_rel list =
   in
   (normalized, provs)
 
+let applies db strategy q =
+  match rewrite db ~strategy q with
+  | _ -> true
+  | exception Strategy.Unsupported _ -> false
+
 let unnestable_exists db sub = Option.is_some (decorrelate_exists db sub)

@@ -18,6 +18,10 @@ val rewrite :
   Algebra.query ->
   Algebra.query * Pschema.prov_rel list
 
+(** [applies db strategy q] holds when {!rewrite} with [strategy]
+    accepts [q] (it does the rewrite to find out). *)
+val applies : Database.t -> Strategy.t -> Algebra.query -> bool
+
 (** [unnestable_exists db sub] holds when the Unn+ de-correlation
     applies to the query of a correlated [EXISTS] sublink: its
     correlation consists of top-level equality conjuncts whose removal

@@ -90,12 +90,13 @@ and direction = Asc | Desc
 
 (** {1 Constructors} *)
 
-let sublink_counter = ref 0
+(* Atomic: server domains parse and rewrite concurrently, and two
+   sublinks of one query must never share an id. *)
+let sublink_counter = Atomic.make 0
 
 (** [mk_sublink kind query] allocates a sublink with a fresh id. *)
 let mk_sublink kind query =
-  incr sublink_counter;
-  { id = !sublink_counter; kind; query }
+  { id = Atomic.fetch_and_add sublink_counter 1 + 1; kind; query }
 
 let exists q = Sublink (mk_sublink Exists q)
 let scalar q = Sublink (mk_sublink Scalar q)

@@ -240,76 +240,6 @@ let with_budget b f =
       Fun.protect ~finally:(fun () -> r := saved) f
 
 (* ------------------------------------------------------------------ *)
-(* Budget pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* A server-wide allowance from which concurrent requests lease
-   per-request budgets. The pool is sized for [slots] concurrent
-   requests at the template budget; while the pool is oversubscribed
-   (more outstanding leases than slots) the leased wall-clock allowance
-   shrinks proportionally — total in-flight wall-clock stays bounded by
-   [slots × template timeout] — while row/pair/allocation ceilings are
-   per-request invariants and lease out unchanged. Mutex-protected:
-   leases are taken from the accept loop and connection domains
-   concurrently. *)
-module Pool = struct
-  type t = {
-    p_template : budget;
-    p_slots : int;
-    p_mu : Mutex.t;
-    mutable p_active : int;
-    mutable p_leased : int;  (* total leases ever granted *)
-  }
-
-  let create ?(slots = 1) template =
-    {
-      p_template = template;
-      p_slots = max 1 slots;
-      p_mu = Mutex.create ();
-      p_active = 0;
-      p_leased = 0;
-    }
-
-  let lease t =
-    Mutex.lock t.p_mu;
-    t.p_active <- t.p_active + 1;
-    t.p_leased <- t.p_leased + 1;
-    let active = t.p_active in
-    Mutex.unlock t.p_mu;
-    let g_timeout =
-      Option.map
-        (fun s ->
-          if active <= t.p_slots then s
-          else Float.max 0.05 (s *. float_of_int t.p_slots /. float_of_int active))
-        t.p_template.g_timeout
-    in
-    { t.p_template with g_timeout }
-
-  let release t =
-    Mutex.lock t.p_mu;
-    t.p_active <- max 0 (t.p_active - 1);
-    Mutex.unlock t.p_mu
-
-  let with_lease t f =
-    let b = lease t in
-    Fun.protect ~finally:(fun () -> release t) (fun () -> f b)
-
-  let active t =
-    Mutex.lock t.p_mu;
-    let a = t.p_active in
-    Mutex.unlock t.p_mu;
-    a
-
-  let leased t =
-    Mutex.lock t.p_mu;
-    let n = t.p_leased in
-    Mutex.unlock t.p_mu;
-    n
-
-  let slots t = t.p_slots
-end
-
-(* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
 (* ------------------------------------------------------------------ *)
 

@@ -139,42 +139,6 @@ val cross_guard : string list -> left:int -> right:int -> unit
     timeout/allocation budgets trip even on plans with few operators. *)
 val tick : string list -> unit
 
-(** {1 Budget pool} *)
-
-module Pool : sig
-  (** A server-wide allowance from which concurrent requests lease
-      per-request budgets. Sized for [slots] concurrent requests at the
-      template budget; when oversubscribed, leased wall-clock allowances
-      shrink proportionally ([timeout × slots / active], floored at
-      50 ms) so total in-flight wall-clock stays bounded by
-      [slots × timeout]. Row/pair/allocation ceilings are per-request
-      invariants and lease out unchanged. Thread- and domain-safe. *)
-
-  type t
-
-  (** [create ?slots template] (default [slots = 1]). *)
-  val create : ?slots:int -> budget -> t
-
-  (** [lease t] registers one outstanding request and derives its
-      budget from the template at the current load. Pair with
-      {!release} (or use {!with_lease}). *)
-  val lease : t -> budget
-
-  val release : t -> unit
-
-  (** [with_lease t f] runs [f budget] under a lease, releasing on any
-      exit. *)
-  val with_lease : t -> (budget -> 'a) -> 'a
-
-  (** Outstanding leases. *)
-  val active : t -> int
-
-  (** Total leases ever granted. *)
-  val leased : t -> int
-
-  val slots : t -> int
-end
-
 (** {1 Fault injection} *)
 
 module Faults : sig

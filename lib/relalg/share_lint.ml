@@ -33,6 +33,24 @@ let entry m n k d note =
    error, not a code review hope. *)
 let inventory =
   [
+    (* algebra *)
+    entry "algebra" "sublink_counter" "atomic" AtomicOnly
+      "sublink id allocator; fetch_and_add, so ids stay distinct when \
+       domains parse and rewrite at once";
+    (* builtin *)
+    entry "builtin" "scalar_table" "hashtbl" InitOnce
+      "scalar function table, filled at module initialization and only \
+       read afterwards";
+    (* database *)
+    entry "database" "next_uid" "atomic" AtomicOnly
+      "catalog uid allocator; server sessions build overlays from \
+       several domains";
+    (* estimate *)
+    entry "estimate" "feedback_tbl" "hashtbl"
+      (LockProtected "estimate.feedback_mu")
+      "observed-cardinality feedback, noted and read by every session";
+    entry "estimate" "feedback_mu" "mutex" Immutable
+      "guards feedback_tbl";
     (* guard *)
     entry "guard" "tls" "dls" DomainLocal
       "scope registry: each domain's innermost budget scope, touched \
@@ -55,6 +73,21 @@ let inventory =
        that runs the rewrite";
     entry "rewrite_trace" "mutation" "ref" DomainLocal
       "test-only mutation switch; one domain only";
+    (* schema *)
+    entry "schema" "positions" "array" InitOnce
+      "shared [Some i] cells, built at module initialization and only \
+       read afterwards";
+    (* stats *)
+    entry "stats" "cache" "hashtbl" (LockProtected "stats.cache_mu")
+      "per-catalog statistics, collected from several domains";
+    entry "stats" "cache_mu" "mutex" Immutable "guards cache";
+    (* symbolic *)
+    entry "symbolic" "tally" "dls" DomainLocal
+      "questions asked and fuel burned, counted per domain";
+    (* value *)
+    entry "value" "pow10" "array" InitOnce
+      "the exact powers of ten, built at module initialization and only \
+       read afterwards";
   ]
 
 let find ~module_ name =
@@ -225,6 +258,18 @@ let value_binding_header trimmed =
           | None -> Some (name, "")
         else None (* parameters: a function binding *))
 
+(* A binding whose right-hand side is a [function] or [fun]: what its
+   body creates is created per call, not shared. *)
+let is_function rhs =
+  let t = String.trim rhs in
+  let starts w =
+    let lw = String.length w in
+    String.length t >= lw
+    && String.sub t 0 lw = w
+    && (String.length t = lw || not (is_ident_char t.[lw]))
+  in
+  starts "function" || starts "fun"
+
 let ends_with_in line =
   let t = String.trim line in
   let n = String.length t in
@@ -274,7 +319,7 @@ let scan src : decl list =
         match value_binding_header trimmed with
         | Some (name, rhs0) -> (
             let rhs = collect_rhs (i + 1) ind rhs0 in
-            match kind_of_rhs rhs with
+            match if is_function rhs then None else kind_of_rhs rhs with
             | Some kind ->
                 let qual =
                   String.concat "." (List.rev_append stack [ name ])
@@ -382,35 +427,44 @@ let check_module ~module_ src =
   in
   undeclared @ stale
 
-(* The modules the inventory covers (and the scan walks). [share_lint]
-   itself is scanned too, so state sneaked into the linter is flagged
-   like anywhere else. *)
-let modules =
-  [
-    "eval";
-    "guard";
-    "relation";
-    "rewrite_trace";
-    "share_lint";
-    "vexec";
-  ]
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Every module under [root], [share_lint] itself included, so state
+   sneaked into the linter is flagged like anywhere else. *)
+let modules ~root =
+  match Sys.readdir root with
+  | files ->
+      Array.to_list files
+      |> List.filter_map (fun f ->
+             if Filename.check_suffix f ".ml" then
+               Some (Filename.chop_suffix f ".ml")
+             else None)
+      |> List.sort compare
+  | exception Sys_error _ -> []
+
 let check_sources ~root =
+  let ms = modules ~root in
+  (* an inventory entry whose module has no source is an error too *)
+  let missing =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun e -> if List.mem e.e_module ms then None else Some e.e_module)
+         inventory)
+  in
   check_inventory ()
+  @ List.map
+      (fun m ->
+        err ~rule:"share-missing-source" ~path:[ m ]
+          (Printf.sprintf "no %s.ml under %s" m root))
+      missing
   @ List.concat_map
       (fun m ->
-        let path = Filename.concat root (m ^ ".ml") in
-        match read_file path with
-        | src -> check_module ~module_:m src
-        | exception Sys_error e ->
-            [ err ~rule:"share-missing-source" ~path:[ m ] e ])
-      modules
+        check_module ~module_:m (read_file (Filename.concat root (m ^ ".ml"))))
+      ms
 
 let default_root () =
   List.find_opt

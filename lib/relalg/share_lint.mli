@@ -61,7 +61,8 @@ val find : module_:string -> string -> entry option
 type decl = { d_name : string; d_line : int; d_kind : string }
 
 (** [scan src] — the toplevel mutable declarations of one module's
-    source text. *)
+    source text. A binding to [fun]/[function] is skipped: what its
+    body creates is created per call. *)
 val scan : string -> decl list
 
 (** Inventory self-consistency alone (no sources needed). *)
@@ -72,12 +73,14 @@ val check_inventory : unit -> Lint.diagnostic list
     mismatches (error), stale entries (warning). *)
 val check_module : module_:string -> string -> Lint.diagnostic list
 
-(** Module base names the inventory covers, ["share_lint"] included. *)
-val modules : string list
+(** [modules ~root] — the base names of the [.ml] files under [root],
+    sorted, ["share_lint"] included: the modules the scan walks ([[]]
+    when [root] cannot be read). *)
+val modules : root:string -> string list
 
 (** [check_sources ~root] — {!check_inventory} plus {!check_module}
-    over [root/<m>.ml] for every covered module; an unreadable source
-    is itself an error. *)
+    over every module of {!modules}; an inventory entry whose module
+    has no source under [root] is itself an error. *)
 val check_sources : root:string -> Lint.diagnostic list
 
 (** First of [lib/relalg], [../lib/relalg], … that holds the sources —

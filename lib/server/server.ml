@@ -3,26 +3,24 @@
 
     Connections are handled one domain each, because Guard budget
     scopes are [Domain.DLS]-keyed — giving every in-flight request its
-    own domain is what lets every request run under its own leased
-    budget without interference.
+    own domain is what lets every request run under its own budget
+    without interference.
 
-    Admission control has three layers. (1) A session cap: accepted
+    Admission control has two layers. (1) A session cap: accepted
     connections beyond [c_max_sessions] get a typed [Overloaded]
     response and are closed before a domain is spawned. (2) A token
     bucket on concurrent {e evaluations}: [c_eval_slots] tokens; a
     request finding none waits in a bounded queue, and beyond
     [c_queue_limit] waiters the request is shed with [Overloaded] and a
-    retry-after hint. (3) Per-request budgets leased from a server-wide
-    {!Guard.Pool}, so the total in-flight wall-clock allowance stays
-    bounded no matter how many requests are admitted; a blown budget
+    retry-after hint. An admitted request runs under its session's
+    budget override, else the server's [c_budget]; a blown budget
     degrades through {!Resilience.run_ladder} (Unn → Move → Left → Gen)
     instead of killing the connection.
 
     Deterministic wire-fault injection ([c_faults]) fires at the
-    accept/read/write/eval boundaries from a seeded PRNG, modelling
-    peer resets and transient evaluation failures; the bench harness
-    uses it to prove the server never wedges, never leaks sessions and
-    never returns a wrong answer under faults.
+    accept/read/write boundaries from a seeded PRNG, modelling peer
+    resets; the bench harness uses it to prove the server never wedges,
+    never leaks sessions and never returns a wrong answer under faults.
 
     Graceful drain: {!drain} stops accepting, lets in-flight requests
     finish under a deadline, then force-closes what remains; every
@@ -36,56 +34,39 @@ open Core
 (* Deterministic wire faults                                           *)
 (* ------------------------------------------------------------------ *)
 
-type fault_site = F_accept | F_read | F_write | F_eval
+(* A plan is its seed; every boundary fires with one probability. *)
+type fault_plan = int
 
-let fault_site_to_string = function
-  | F_accept -> "accept"
-  | F_read -> "read"
-  | F_write -> "write"
-  | F_eval -> "eval"
-
-type fault_plan = {
-  fp_seed : int;
-  fp_rate : float;  (** firing probability per boundary, in [0,1] *)
-  fp_sites : fault_site list;
-}
-
-let fault_plan ?(rate = 0.05) ?(sites = [ F_accept; F_read; F_write; F_eval ])
-    seed =
-  { fp_seed = seed; fp_rate = Float.max 0. (Float.min 1. rate); fp_sites = sites }
+let fault_plan seed = seed
+let fault_rate = 0.05
 
 (* Shared seeded LCG behind a mutex: boundary crossings from any domain
    draw from one deterministic stream, so a pinned seed pins the total
    fault mix (though not its assignment to connections, which depends
    on scheduling). *)
 type fault_state = {
-  fs_plan : fault_plan;
   fs_mu : Mutex.t;
   mutable fs_lcg : int;
   mutable fs_fired : int;
 }
 
-let fault_state plan =
+let fault_state seed =
   {
-    fs_plan = plan;
     fs_mu = Mutex.create ();
-    fs_lcg = ((plan.fp_seed * 0x9E3779B1) lor 1) land 0x3FFFFFFF;
+    fs_lcg = ((seed * 0x9E3779B1) lor 1) land 0x3FFFFFFF;
     fs_fired = 0;
   }
 
-let fault_fires st site =
-  if not (List.mem site st.fs_plan.fp_sites) then false
-  else begin
-    Mutex.lock st.fs_mu;
-    st.fs_lcg <- (st.fs_lcg * 1103515245 + 12345) land 0x3FFFFFFF;
-    let u = float_of_int st.fs_lcg /. float_of_int 0x40000000 in
-    let fire = u < st.fs_plan.fp_rate in
-    if fire then st.fs_fired <- st.fs_fired + 1;
-    Mutex.unlock st.fs_mu;
-    fire
-  end
+let fault_fires st =
+  Mutex.lock st.fs_mu;
+  st.fs_lcg <- (st.fs_lcg * 1103515245 + 12345) land 0x3FFFFFFF;
+  let u = float_of_int st.fs_lcg /. float_of_int 0x40000000 in
+  let fire = u < fault_rate in
+  if fire then st.fs_fired <- st.fs_fired + 1;
+  Mutex.unlock st.fs_mu;
+  fire
 
-exception Wire_fault of fault_site
+exception Wire_fault
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -101,9 +82,7 @@ type config = {
   c_eval_slots : int;
   c_queue_limit : int;
   c_budget : Guard.budget option;
-      (** template leased per request from a server-wide pool sized at
-          [c_eval_slots]; a session's own budget override wins *)
-  c_backoff : Resilience.backoff option;
+      (** every request's budget; a session's own budget override wins *)
   c_drain_deadline : float;
   c_max_result_rows : int;
   c_faults : fault_plan option;
@@ -113,7 +92,7 @@ type config = {
 
 let config ?(host = "127.0.0.1") ?(port = 0) ?(snapshots = [])
     ?(max_sessions = 64) ?(eval_slots = 4) ?(queue_limit = 16) ?budget
-    ?backoff ?(drain_deadline = 5.0) ?(max_result_rows = 10_000) ?faults
+    ?(drain_deadline = 5.0) ?(max_result_rows = 10_000) ?faults
     ?on_eval snapshot =
   {
     c_host = host;
@@ -124,7 +103,6 @@ let config ?(host = "127.0.0.1") ?(port = 0) ?(snapshots = [])
     c_eval_slots = max 1 eval_slots;
     c_queue_limit = max 0 queue_limit;
     c_budget = budget;
-    c_backoff = backoff;
     c_drain_deadline = drain_deadline;
     c_max_result_rows = max_result_rows;
     c_faults = faults;
@@ -224,7 +202,6 @@ type t = {
   sv_port : int;
   sv_store : Session.store;
   sv_gate : gate;
-  sv_pool : Guard.Pool.t option;
   sv_faults : fault_state option;
   sv_mu : Mutex.t;
   sv_done : Condition.t;  (* signalled when a handler exits *)
@@ -264,10 +241,6 @@ let stats sv =
         ("internal_errors", float_of_int c.n_internal);
         ("epoch", float_of_int (Session.epoch sv.sv_store));
         ("epoch_swaps", float_of_int (Session.swaps sv.sv_store));
-        ( "pool_leases",
-          match sv.sv_pool with
-          | Some p -> float_of_int (Guard.Pool.leased p)
-          | None -> 0. );
       ])
 
 (* ------------------------------------------------------------------ *)
@@ -343,75 +316,30 @@ let eval_query sv session sql =
         ~finally:(fun () -> gate_release sv.sv_gate)
         (fun () ->
           (match sv.sv_cfg.c_on_eval with Some h -> h () | None -> ());
-          let inject () =
-            match sv.sv_faults with
-            | Some fs when fault_fires fs F_eval ->
-                bump sv (fun c -> c.n_faults <- c.n_faults + 1);
-                (* Model a transient evaluation failure with the same
-                   typed detail as Guard.Faults injections. *)
-                raise
-                  (Resilience.Perm_error
-                     {
-                       Resilience.e_phase = Resilience.Eval;
-                       e_detail =
-                         Resilience.Fault { f_site = "server"; f_path = [] };
-                     })
-            | _ -> ()
-          in
           let db, _epoch = Session.pin session in
-          let lease =
-            match Session.budget session with
-            | Some b -> `Own b
-            | None -> (
-                match sv.sv_pool with
-                | Some p -> `Pool (p, Guard.Pool.lease p)
-                | None -> `Free)
-          in
+          (* A session's own budget wins over the server's. *)
           let budget =
-            match lease with `Own b -> Some b | `Pool (_, b) -> Some b | `Free -> None
+            match Session.budget session with
+            | Some _ as b -> b
+            | None -> sv.sv_cfg.c_budget
           in
-          Fun.protect
-            ~finally:(fun () ->
-              match lease with `Pool (p, _) -> Guard.Pool.release p | _ -> ())
-            (fun () ->
-              let run () =
-                inject ();
-                Perm.exec db
-                  ~strategy:(Session.strategy session)
-                  ?budget ?backoff:sv.sv_cfg.c_backoff ~fallback:true sql
-              in
-              (* Pre-eval transient faults retry here with the same
-                 capped pause discipline the ladder applies to faults
-                 that fire mid-evaluation. *)
-              let res =
-                match sv.sv_cfg.c_backoff with
-                | None -> run ()
-                | Some bo ->
-                    let rec go k =
-                      try run () with
-                      | Resilience.Perm_error e
-                        when Resilience.transient e && k < bo.Resilience.bo_retries
-                        ->
-                          Unix.sleepf
-                            (Float.min bo.Resilience.bo_cap
-                               (bo.Resilience.bo_base *. (2. ** float_of_int k)));
-                          go (k + 1)
-                    in
-                    go 0
-              in
-              Session.note session res;
-              match res with
-              | Perm.Rows r ->
-                  (match r.Perm.ladder with
-                  | Some l when l.Resilience.lad_abandoned <> [] ->
-                      bump sv (fun c -> c.n_degraded <- c.n_degraded + 1)
-                  | _ -> ());
-                  result_frame sv r
-              | Perm.Created_view n -> answered sv (Protocol.Ok_msg ("created view " ^ n))
-              | Perm.Created_table (n, k) ->
-                  answered sv
-                    (Protocol.Ok_msg (Printf.sprintf "created table %s (%d rows)" n k))
-              | Perm.Dropped n -> answered sv (Protocol.Ok_msg ("dropped " ^ n))))
+          let res =
+            Perm.exec db ~strategy:(Session.strategy session) ?budget
+              ~fallback:true sql
+          in
+          Session.note session res;
+          match res with
+          | Perm.Rows r ->
+              (match r.Perm.ladder with
+              | Some l when l.Resilience.lad_abandoned <> [] ->
+                  bump sv (fun c -> c.n_degraded <- c.n_degraded + 1)
+              | _ -> ());
+              result_frame sv r
+          | Perm.Created_view n -> answered sv (Protocol.Ok_msg ("created view " ^ n))
+          | Perm.Created_table (n, k) ->
+              answered sv
+                (Protocol.Ok_msg (Printf.sprintf "created table %s (%d rows)" n k))
+          | Perm.Dropped n -> answered sv (Protocol.Ok_msg ("dropped " ^ n)))
 
 (* The reply's frame. *)
 let handle_request sv session (req : Protocol.request) =
@@ -466,16 +394,16 @@ let handle_request sv session (req : Protocol.request) =
 
 let faulty_recv sv fd =
   match sv.sv_faults with
-  | Some fs when fault_fires fs F_read ->
+  | Some fs when fault_fires fs ->
       bump sv (fun c -> c.n_faults <- c.n_faults + 1);
-      raise (Wire_fault F_read)
+      raise Wire_fault
   | _ -> Protocol.recv_request fd
 
 let faulty_send sv fd frame =
   match sv.sv_faults with
-  | Some fs when fault_fires fs F_write ->
+  | Some fs when fault_fires fs ->
       bump sv (fun c -> c.n_faults <- c.n_faults + 1);
-      raise (Wire_fault F_write)
+      raise Wire_fault
   | _ -> Protocol.send_frame fd frame
 
 let handle_connection sv id fd =
@@ -503,7 +431,7 @@ let handle_connection sv id fd =
         let frame =
           match handle_request sv session req with
           | frame -> frame
-          | exception Wire_fault s -> raise (Wire_fault s)
+          | exception Wire_fault -> raise Wire_fault
           | exception exn ->
               (* A handler bug must cost one request, not the server. *)
               bump sv (fun c ->
@@ -529,7 +457,7 @@ let handle_connection sv id fd =
           Condition.broadcast sv.sv_done))
     (fun () ->
       try loop () with
-      | Wire_fault _ -> () (* injected reset: drop the connection *)
+      | Wire_fault -> () (* injected reset: drop the connection *)
       | Unix.Unix_error _ | Sys_error _ -> () (* real peer reset *))
 
 (* ------------------------------------------------------------------ *)
@@ -549,7 +477,7 @@ let accept_loop sv =
         else begin
           bump sv (fun c -> c.n_accepted <- c.n_accepted + 1);
           (match sv.sv_faults with
-          | Some fs when fault_fires fs F_accept ->
+          | Some fs when fault_fires fs ->
               (* Injected accept-time reset. *)
               bump sv (fun c -> c.n_faults <- c.n_faults + 1);
               (try Unix.close fd with _ -> ())
@@ -599,8 +527,6 @@ let start cfg =
       sv_port;
       sv_store = Session.store cfg.c_snapshot;
       sv_gate = gate ~slots:cfg.c_eval_slots ~queue_limit:cfg.c_queue_limit;
-      sv_pool =
-        Option.map (fun b -> Guard.Pool.create ~slots:cfg.c_eval_slots b) cfg.c_budget;
       sv_faults = Option.map fault_state cfg.c_faults;
       sv_mu = Mutex.create ();
       sv_done = Condition.create ();

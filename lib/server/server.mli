@@ -1,26 +1,19 @@
 (** The provenance server: domain-per-connection accept loop, admission
-    control (session cap, eval token bucket with a bounded wait queue,
-    server-wide budget pool), per-request strategy degradation via
+    control (session cap, eval token bucket with a bounded wait queue),
+    per-request budgets with strategy degradation via
     {!Resilience.run_ladder}, deterministic wire-fault injection, and
     graceful drain. See server.ml for the design notes. *)
 
 open Relalg
-open Core
 
 (** {1 Deterministic wire faults} *)
 
-type fault_site = F_accept | F_read | F_write | F_eval
-
-val fault_site_to_string : fault_site -> string
-
 type fault_plan
 
-(** [fault_plan ?rate ?sites seed]: at each boundary of a kind in
-    [sites], a seeded PRNG fires with probability [rate] (default 5%).
-    Accept/read/write faults model peer resets (connection dropped);
-    eval faults model transient evaluation failures (typed
-    {!Resilience.Fault}, retried under the configured backoff). *)
-val fault_plan : ?rate:float -> ?sites:fault_site list -> int -> fault_plan
+(** [fault_plan seed]: at each accept, read and write boundary, a
+    PRNG seeded with [seed] fires with probability 5%, modelling a peer
+    reset: the connection is dropped. *)
+val fault_plan : int -> fault_plan
 
 (** {1 Configuration} *)
 
@@ -33,7 +26,7 @@ type config = {
   c_eval_slots : int;
   c_queue_limit : int;
   c_budget : Guard.budget option;
-  c_backoff : Resilience.backoff option;
+      (** every request's budget; a session's own override wins *)
   c_drain_deadline : float;
   c_max_result_rows : int;
   c_faults : fault_plan option;
@@ -48,7 +41,6 @@ val config :
   ?eval_slots:int ->
   ?queue_limit:int ->
   ?budget:Guard.budget ->
-  ?backoff:Resilience.backoff ->
   ?drain_deadline:float ->
   ?max_result_rows:int ->
   ?faults:fault_plan ->
@@ -71,7 +63,7 @@ val store : t -> Session.store
 (** Counter snapshot, as served by the [Stats] request: accepted,
     sessions opened/closed/active, requests, queries ok/err, shed,
     degraded, violations, faults injected, internal errors, epoch,
-    epoch swaps, pool leases. *)
+    epoch swaps. *)
 val stats : t -> (string * float) list
 
 (** Wire faults fired so far (0 without a fault plan). *)

@@ -1,6 +1,7 @@
 (* Shared-state checks: Guard scopes (exact counts on one domain,
-   concurrent sessions' scopes kept apart) and the share-lint
-   inventory against the real sources. *)
+   concurrent sessions' scopes kept apart), the share-lint inventory
+   against the real sources, and sublink ids allocated from two
+   domains. *)
 
 open Relalg
 
@@ -128,6 +129,12 @@ let test_share_lint_scanner () =
         "let multi =";
         "  ref []";
         "";
+        "let render = function";
+        "  | Some s -> Buffer.contents (Buffer.create (String.length s))";
+        "  | None -> \"\"";
+        "let fresh =";
+        "  fun () -> ref 0";
+        "";
       ]
   in
   let ds = Share_lint.scan src in
@@ -167,6 +174,30 @@ let test_race_report_as_diagnostic () =
   Alcotest.(check bool) "json counts the error" true (contains "\"errors\":1")
 
 (* ------------------------------------------------------------------ *)
+(* Sublink ids                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Two domains allocating sublinks at once never get the same id:
+   within one execution the engines and the rewrites key a sublink's
+   answers by its id. *)
+let test_sublink_ids_distinct () =
+  let per_domain = 200_000 in
+  let alloc () =
+    Array.init per_domain (fun _ ->
+        (Algebra.mk_sublink Algebra.Exists (Algebra.Base "r")).Algebra.id)
+  in
+  let d = Domain.spawn alloc in
+  let mine = alloc () in
+  let theirs = Domain.join d in
+  let ids = Array.append mine theirs in
+  Array.sort compare ids;
+  let dups = ref 0 in
+  for k = 1 to Array.length ids - 1 do
+    if ids.(k) = ids.(k - 1) then incr dups
+  done;
+  Alcotest.(check int) "no id handed out twice" 0 !dups
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "race"
@@ -192,5 +223,10 @@ let () =
             test_share_lint_inventory_consistent;
           Alcotest.test_case "race report as diagnostic" `Quick
             test_race_report_as_diagnostic;
+        ] );
+      ( "sublink-ids",
+        [
+          Alcotest.test_case "distinct across two domains" `Quick
+            test_sublink_ids_distinct;
         ] );
     ]

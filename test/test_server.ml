@@ -5,9 +5,8 @@
    serves the pinned epoch to completion; session DDL replays onto the
    new snapshot), admission control (a full queue sheds with a typed
    Overloaded, never a hang), graceful drain, a request whose reply
-   timed out is not sent again, and the resilience
-   ladder's capped jittered backoff (deterministic per seed; transient
-   faults retry the same rung before escalating). *)
+   timed out is not sent again, server and session budgets over the
+   wire, and the ladder's handling of a fault (no retry). *)
 
 open Relalg
 open Core
@@ -850,90 +849,118 @@ let test_oversized_result () =
           Alcotest.(check (option (float 0.))) "counted as a failed query" (Some 1.)
             (List.assoc_opt "queries_err" (Server.stats sv))))
 
+(* A server started with a row ceiling: each request runs the ladder
+   under that budget, so the wire reply is what an in-process
+   [Perm.exec] under the same budget gives: a typed [budget] error when
+   every rung trips, or the answer with the ladder's verdict (and one
+   more [degraded]) when a later rung answers. Over doubling ceilings
+   both outcomes show. *)
+let test_server_budget () =
+  let sql = "SELECT PROVENANCE * FROM r WHERE a = ANY (SELECT c FROM s)" in
+  let degraded sv =
+    Option.value ~default:(-1.) (List.assoc_opt "degraded" (Server.stats sv))
+  in
+  let outcomes =
+    List.map
+      (fun rows ->
+        let budget = Guard.budget ~max_rows:rows () in
+        let local =
+          match
+            Perm.exec (small_db ()) ~strategy:Strategy.Gen ~budget
+              ~fallback:true sql
+          with
+          | Perm.Rows { Perm.ladder = Some l; _ } -> `Answered l
+          | _ -> Alcotest.fail "in-process run gave no ladder"
+          | exception Resilience.Perm_error e -> `Failed e
+        in
+        let sv = Server.start (Server.config ~port:0 ~budget (small_db ())) in
+        Fun.protect
+          ~finally:(fun () -> Server.stop sv)
+          (fun () ->
+            let fd = connect (Server.port sv) in
+            let reply = ask fd (Protocol.Query sql) in
+            Unix.close fd;
+            let ctx = Printf.sprintf "row ceiling %d" rows in
+            match (local, reply) with
+            | ( `Failed { Resilience.e_detail = Resilience.Budget _; _ },
+                Protocol.Error_msg { e_kind = "budget"; _ } ) ->
+                true
+            | `Answered l, Protocol.Result { r_ladder; _ } ->
+                let abandoned = l.Resilience.lad_abandoned <> [] in
+                Alcotest.(check bool)
+                  (ctx ^ ": the reply carries the ladder verdict")
+                  abandoned (r_ladder <> None);
+                Alcotest.(check (float 0.))
+                  (ctx ^ ": degraded counted")
+                  (if abandoned then 1. else 0.)
+                  (degraded sv);
+                abandoned
+            | _ -> Alcotest.fail (ctx ^ ": the wire and in-process runs disagree")))
+      [ 1; 2; 4; 8; 16; 32; 64; 128 ]
+  in
+  Alcotest.(check bool) "the smallest ceiling trips" true (List.hd outcomes);
+  Alcotest.(check bool) "some ceiling trips or degrades" true
+    (List.length (List.filter Fun.id outcomes) >= 2)
+
+(* [Set_budget] overrides the server's budget for its own session
+   only: under a server-wide one-row ceiling, the session that set a
+   larger budget is answered while another session still trips. *)
+let test_session_budget_override () =
+  let sql = "SELECT PROVENANCE * FROM r WHERE a = ANY (SELECT c FROM s)" in
+  let sv =
+    Server.start
+      (Server.config ~port:0 ~budget:(Guard.budget ~max_rows:1 ()) (small_db ()))
+  in
+  Fun.protect
+    ~finally:(fun () -> Server.stop sv)
+    (fun () ->
+      let own = connect (Server.port sv) and other = connect (Server.port sv) in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close own;
+          Unix.close other)
+        (fun () ->
+          let trips fd =
+            match ask fd (Protocol.Query sql) with
+            | Protocol.Error_msg { e_kind = "budget"; _ } -> ()
+            | _ -> Alcotest.fail "expected a typed budget error"
+          in
+          trips own;
+          (match ask own (Protocol.Set_budget (Guard.budget ~max_rows:1_000_000 ())) with
+          | Protocol.Ok_msg _ -> ()
+          | _ -> Alcotest.fail "Set_budget refused");
+          (match ask own (Protocol.Query sql) with
+          | Protocol.Result { r_rows; r_ladder; _ } ->
+              Alcotest.(check bool) "answered" true (r_rows <> []);
+              Alcotest.(check (option string)) "no rung abandoned" None r_ladder
+          | _ -> Alcotest.fail "the session's own budget was not used");
+          trips other))
+
 (* ------------------------------------------------------------------ *)
-(* Ladder backoff                                                      *)
+(* Ladder                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let fault_error =
-  Resilience.Perm_error
-    {
-      Resilience.e_phase = Resilience.Eval;
-      e_detail = Resilience.Fault { f_site = "test"; f_path = [] };
-    }
-
-let quick_backoff seed =
-  Resilience.backoff ~base:0.001 ~cap:0.004 ~retries:2 ~seed ()
-
-(* A transient fault on the first attempt retries the same rung (no
-   strategy abandoned); without backoff it propagates immediately. *)
-let test_backoff_retries_same_rung () =
+(* Only inapplicable and over-budget rungs are abandoned: an injected
+   fault propagates from its first attempt, with no retry. *)
+let test_ladder_fault_propagates () =
   let db = small_db () in
   let q = Algebra.Base "r" in
   let calls = ref 0 in
   let f _s =
     incr calls;
-    if !calls = 1 then raise fault_error else 42
-  in
-  let v, lad =
-    Resilience.run_ladder db ~strategy:Strategy.Gen ~budget:None
-      ~backoff:(quick_backoff 7) q f
-  in
-  Alcotest.(check int) "value delivered" 42 v;
-  Alcotest.(check int) "retried once" 2 !calls;
-  Alcotest.(check bool) "same strategy answered" true
-    (lad.Resilience.lad_strategy = Strategy.Gen);
-  Alcotest.(check int) "nothing abandoned" 0
-    (List.length lad.Resilience.lad_abandoned);
-  (* without backoff the same fault is fatal on the spot *)
-  let calls = ref 0 in
-  let f _s =
-    incr calls;
-    if !calls = 1 then raise fault_error else 42
+    if !calls = 1 then
+      raise
+        (Resilience.Perm_error
+           {
+             Resilience.e_phase = Resilience.Eval;
+             e_detail = Resilience.Fault { f_site = "test"; f_path = [] };
+           })
+    else 42
   in
   (match Resilience.run_ladder db ~strategy:Strategy.Gen ~budget:None q f with
   | _ -> Alcotest.fail "expected the fault to propagate"
   | exception Resilience.Perm_error { e_detail = Resilience.Fault _; _ } -> ());
-  Alcotest.(check int) "no retry without backoff" 1 !calls
-
-(* A permanent fault exhausts the same-rung retries, then escalates
-   down the ladder, and finally propagates. *)
-let test_backoff_exhaustion_escalates () =
-  let db = small_db () in
-  let q = Algebra.Base "r" in
-  let calls = ref 0 in
-  let f _s =
-    incr calls;
-    raise fault_error
-  in
-  (match
-     Resilience.run_ladder db ~strategy:Strategy.Gen ~budget:None
-       ~backoff:(quick_backoff 7) q f
-   with
-  | _ -> Alcotest.fail "expected the fault to propagate"
-  | exception Resilience.Perm_error { e_detail = Resilience.Fault _; _ } -> ());
-  (* every rung got its 1 + bo_retries attempts *)
-  Alcotest.(check bool)
-    (Printf.sprintf "all rungs retried (%d calls)" !calls)
-    true
-    (!calls >= 2 * List.length (!Resilience.strategy_ranking db q))
-
-(* Same seed, same outcome — the jitter is deterministic. *)
-let test_backoff_deterministic () =
-  let db = small_db () in
-  let q = Algebra.Base "r" in
-  let run seed =
-    let calls = ref 0 in
-    let f _s =
-      incr calls;
-      if !calls < 3 then raise fault_error else !calls
-    in
-    let v, lad =
-      Resilience.run_ladder db ~strategy:Strategy.Gen ~budget:None
-        ~backoff:(quick_backoff seed) q f
-    in
-    (v, lad.Resilience.lad_strategy, List.length lad.Resilience.lad_abandoned)
-  in
-  Alcotest.(check bool) "same seed, same ladder" true (run 3 = run 3)
+  Alcotest.(check int) "one attempt" 1 !calls
 
 let () =
   Alcotest.run "server"
@@ -980,14 +1007,14 @@ let () =
             test_oversized_result;
           Alcotest.test_case "reply timeout is not resent" `Quick
             test_reply_timeout_not_resent;
+          Alcotest.test_case "budget trips or degrades over the wire" `Quick
+            test_server_budget;
+          Alcotest.test_case "session budget overrides the server's" `Quick
+            test_session_budget_override;
         ] );
-      ( "backoff",
+      ( "ladder",
         [
-          Alcotest.test_case "transient retries same rung" `Quick
-            test_backoff_retries_same_rung;
-          Alcotest.test_case "exhaustion escalates then propagates" `Quick
-            test_backoff_exhaustion_escalates;
-          Alcotest.test_case "deterministic per seed" `Quick
-            test_backoff_deterministic;
+          Alcotest.test_case "fault propagates from its first attempt" `Quick
+            test_ladder_fault_propagates;
         ] );
     ]
